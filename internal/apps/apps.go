@@ -31,15 +31,14 @@ type World interface {
 }
 
 // bfsTree computes parent pointers of a BFS spanning tree of the overlay
-// rooted at root, using only Degree/NeighborAt. Returns the visit order.
+// rooted at root, using only Adjacent. Returns the visit order.
 func bfsTree(w World, root ids.ClusterID) (order []ids.ClusterID, parent map[ids.ClusterID]ids.ClusterID) {
 	parent = make(map[ids.ClusterID]ids.ClusterID)
 	parent[root] = root
 	order = append(order, root)
 	for i := 0; i < len(order); i++ {
 		c := order[i]
-		for j, d := 0, w.Degree(c); j < d; j++ {
-			nb := w.NeighborAt(c, j)
+		for _, nb := range w.Adjacent(c) {
 			if _, seen := parent[nb]; !seen {
 				parent[nb] = c
 				order = append(order, nb)

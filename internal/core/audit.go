@@ -62,7 +62,6 @@ func (w *World) Audit() Audit {
 	}
 	first := true
 	for _, s := range w.shards {
-		s.mu.RLock()
 		// Ascending slot walk = ascending ClusterID within the shard:
 		// min/max/fraction folds are commutative, but the audit is part of
 		// rendered output and the determinism contract is cheaper to hold
@@ -96,7 +95,6 @@ func (w *World) Audit() Audit {
 				a.Degraded++ // captured clusters are degraded too
 			}
 		}
-		s.mu.RUnlock()
 	}
 	g := w.overlay.Graph()
 	a.MinDegree = g.MinDegree()

@@ -41,7 +41,6 @@ func CheckInvariants(w *World) error {
 	clusters := ids.NewClusterSet()
 	trueMax := 0
 	for _, s := range w.shards {
-		s.mu.RLock()
 		// Ascending slot walk = ascending ClusterID within the shard:
 		// which violated invariant gets reported is part of the oracle's
 		// observable output, so the scan order must come from the cluster
@@ -57,25 +56,20 @@ func CheckInvariants(w *World) error {
 				trueMax = size
 			}
 			if size == 0 {
-				s.mu.RUnlock()
 				return fmt.Errorf("invariant: cluster %v is empty", c)
 			}
 			if size > hi {
-				s.mu.RUnlock()
 				return fmt.Errorf("invariant: cluster %v size %d above split threshold %d", c, size, hi)
 			}
 			if w.nClusters > 1 && size < lo {
-				s.mu.RUnlock()
 				return fmt.Errorf("invariant: cluster %v size %d below merge threshold %d", c, size, lo)
 			}
 			for _, x := range cs.members {
 				if !seen.Add(x) {
-					s.mu.RUnlock()
 					return fmt.Errorf("invariant: node %v is a member of two clusters", x)
 				}
 			}
 		}
-		s.mu.RUnlock()
 	}
 	if seen.Len() != w.NumNodes() {
 		return fmt.Errorf("invariant: %d member nodes vs %d indexed nodes", seen.Len(), w.NumNodes())

@@ -97,11 +97,8 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 		size := int64(w.Size(c))
 		w.led.Charge(metrics.ClassInterCluster, size*(size-1))
 	}
-	g := w.overlay.Graph()
 	for _, c := range clusterIDs {
-		for _, d := range g.Neighbors(c) {
-			w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*int64(w.Size(d)))
-		}
+		w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*walk.NeighborMass(w, c))
 	}
 	w.led.AddRounds(2)
 	w.bootstrapped = true
@@ -192,10 +189,7 @@ func (w *World) joinExisting(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID,
 func chargeInsertion(t walk.Topology, led *metrics.Ledger, c ids.ClusterID) {
 	size := int64(t.Size(c))
 	led.Charge(metrics.ClassIntraCluster, size-1)
-	var nbr int64
-	for i, d := 0, t.Degree(c); i < d; i++ {
-		nbr += int64(t.Size(t.NeighborAt(c, i)))
-	}
+	nbr := walk.NeighborMass(t, c)
 	led.Charge(metrics.ClassInterCluster, size*nbr+size+nbr)
 	led.AddRounds(2)
 }
@@ -207,11 +201,7 @@ func chargeInsertion(t walk.Topology, led *metrics.Ledger, c ids.ClusterID) {
 func chargeDeparture(t walk.Topology, led *metrics.Ledger, c ids.ClusterID) {
 	size := int64(t.Size(c))
 	led.Charge(metrics.ClassIntraCluster, size-1)
-	var nbrMass int64
-	for i, d := 0, t.Degree(c); i < d; i++ {
-		nbrMass += int64(t.Size(t.NeighborAt(c, i)))
-	}
-	led.Charge(metrics.ClassInterCluster, (size-1)*nbrMass)
+	led.Charge(metrics.ClassInterCluster, (size-1)*walk.NeighborMass(t, c))
 	led.AddRounds(2)
 }
 
@@ -355,7 +345,6 @@ func (w *World) SetCorrupted(x ids.NodeID, corrupted bool) error {
 		return nil
 	}
 	s := w.shardFor(info.cluster)
-	s.mu.Lock()
 	slot, cs := s.clusterAt(info.cluster)
 	if corrupted {
 		cs.byz++
@@ -364,7 +353,6 @@ func (w *World) SetCorrupted(x ids.NodeID, corrupted bool) error {
 	}
 	s.reclassify(cs)
 	s.markDirty(slot, cs)
-	s.mu.Unlock()
 	if corrupted {
 		w.byzPos = growPos(w.byzPos, x)
 		w.byzPos[x] = int32(len(w.byzNodes))
@@ -420,15 +408,8 @@ func (w *World) split(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) err
 
 	// Costs: neighbors of the old cluster learn the replacement; each new
 	// edge of c2 is a full bipartite introduction.
-	var mass int64
-	for i, d := 0, w.Degree(c); i < d; i++ {
-		mass += int64(w.Size(w.NeighborAt(c, i)))
-	}
-	led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*mass)
-	for i, d := 0, w.Degree(c2); i < d; i++ {
-		led.Charge(metrics.ClassInterCluster,
-			int64(w.Size(c2))*int64(w.Size(w.NeighborAt(c2, i))))
-	}
+	led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*walk.NeighborMass(w, c))
+	led.Charge(metrics.ClassInterCluster, int64(w.Size(c2))*walk.NeighborMass(w, c2))
 	led.AddRounds(2)
 	w.stats.Splits++
 	return nil
@@ -458,11 +439,7 @@ func (w *World) mergeAbsorbRandom(led *metrics.Ledger, rng *xrand.Rand, c ids.Cl
 		return err
 	}
 	// Announce C' removal to its neighbors.
-	var mass int64
-	for i, d := 0, w.Degree(partner); i < d; i++ {
-		mass += int64(w.Size(w.NeighborAt(partner, i)))
-	}
-	led.Charge(metrics.ClassInterCluster, int64(w.Size(partner))*mass)
+	led.Charge(metrics.ClassInterCluster, int64(w.Size(partner))*walk.NeighborMass(w, partner))
 
 	for _, x := range w.Members(partner) {
 		if err := w.moveNode(x, partner, c); err != nil {
@@ -488,11 +465,7 @@ func (w *World) mergeAbsorbRandom(led *metrics.Ledger, rng *xrand.Rand, c ids.Cl
 // mergeRejoinAll: the undersized cluster leaves the overlay and its
 // members re-join individually on subsequent time steps (Algorithm 2).
 func (w *World) mergeRejoinAll(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) error {
-	var mass int64
-	for i, d := 0, w.Degree(c); i < d; i++ {
-		mass += int64(w.Size(w.NeighborAt(c, i)))
-	}
-	led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*mass)
+	led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*walk.NeighborMass(w, c))
 	for _, x := range w.Members(c) {
 		info, _ := w.nodeInfoOf(x)
 		if err := w.removeMember(c, x, info.byz); err != nil {
@@ -562,12 +535,9 @@ func (w *World) moveNode(x ids.NodeID, from, to ids.ClusterID) error {
 // removeClusterVertex retires c from both the partition bookkeeping and
 // the overlay, running OVER's repair pass.
 func (w *World) removeClusterVertex(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) {
-	s := w.shardFor(c)
-	s.mu.Lock()
-	if s.retireLocked(c) {
+	if w.shardFor(c).retire(c) {
 		w.nClusters--
 	}
-	s.mu.Unlock()
 	if w.overlay.Has(c) {
 		budget := w.cfg.TargetDegree() * w.cfg.EdgeAttemptFactor
 		// Repair walks start from the vertex being repaired.

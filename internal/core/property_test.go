@@ -344,8 +344,7 @@ func TestWalkTopologyViewConsistency(t *testing.T) {
 		if w.Size(c) > maxSize {
 			maxSize = w.Size(c)
 		}
-		for i, d := 0, w.Degree(c); i < d; i++ {
-			nb := w.NeighborAt(c, i)
+		for _, nb := range w.Adjacent(c) {
 			if w.Size(nb) == 0 {
 				t.Fatalf("neighbor %v of %v has no members", nb, c)
 			}

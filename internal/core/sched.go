@@ -26,10 +26,14 @@ package core
 //     nodes that are members of its own written clusters (exchange
 //     partners pick their replacement from themselves), so disjoint write
 //     sets move disjoint node sets and replaying both plans' moves yields
-//     one well-defined state. Admitted moves are applied concurrently
-//     under the per-shard locks; sampling indexes, ledgers and stats are
-//     then folded in op order (serially) so their ordering stays
-//     deterministic.
+//     one well-defined state. Admitted moves are applied concurrently;
+//     the apply workers are the only code that takes the per-shard
+//     locks, because they write records of disjoint clusters but share
+//     each shard's size multiset, counters and settle queue. Apply only
+//     writes and planning only reads, and runIndexed's WaitGroup barrier
+//     separates the two, so no read anywhere takes a lock. Sampling
+//     indexes, ledgers and stats are then folded in op order (serially)
+//     so their ordering stays deterministic.
 //  3. TAIL. Conflicting plans and structural operations (a join that must
 //     split, a leave that must merge or empties its cluster — these mutate
 //     the overlay and mint/retire cluster IDs) are discarded and re-run
@@ -303,10 +307,7 @@ func (v *planView) cs(c ids.ClusterID) (*clusterState, bool) {
 	if cs, ok := v.local[c]; ok {
 		return cs, true
 	}
-	s := v.w.shardFor(c)
-	s.mu.RLock()
-	cs := s.cluster(c)
-	s.mu.RUnlock()
+	cs := v.w.shardFor(c).cluster(c)
 	return cs, cs != nil
 }
 
@@ -348,11 +349,8 @@ func (v *planView) NumClusters() int { return v.w.NumClusters() }
 // NumOverlayEdges: the overlay is never written by admitted plans.
 func (v *planView) NumOverlayEdges() int { return v.w.NumOverlayEdges() }
 
-// Degree implements walk.Topology (overlay passthrough).
-func (v *planView) Degree(c ids.ClusterID) int { return v.w.Degree(c) }
-
-// NeighborAt implements walk.Topology (overlay passthrough).
-func (v *planView) NeighborAt(c ids.ClusterID, i int) ids.ClusterID { return v.w.NeighborAt(c, i) }
+// Adjacent implements walk.Topology (overlay passthrough).
+func (v *planView) Adjacent(c ids.ClusterID) []ids.ClusterID { return v.w.Adjacent(c) }
 
 // Size implements walk.Topology through the op-local overlay.
 func (v *planView) Size(c ids.ClusterID) int {

@@ -105,9 +105,8 @@ func (cs *clusterState) remove(x ids.NodeID, byz bool) error {
 	return nil
 }
 
-// clone deep-copies the membership-relevant fields of the record (used by
-// the op scheduler's copy-on-write planning views; the plan-local copy
-// carries no security bookkeeping because plans never read it).
+// clone deep-copies the membership-relevant fields of the record; the copy
+// carries no security bookkeeping.
 func (cs *clusterState) clone() *clusterState {
 	out := &clusterState{
 		members: make([]ids.NodeID, len(cs.members)),
@@ -180,10 +179,17 @@ func (p *hijackProxy) set(h walk.Hijacker) { p.h = h }
 // with no gaps and one slot belongs to exactly one cluster ID for the
 // lifetime of the world; ascending slot order IS ascending ClusterID
 // order, which is what keeps every walk over the arena deterministic
-// without sorting. Operations whose cluster footprints are disjoint touch
-// disjoint shard entries and can run concurrently under the shard locks.
+// without sorting.
+//
+// mu is taken by writers only, and only because of ExecBatch's apply
+// phase: there, operations whose cluster footprints are disjoint write
+// disjoint records concurrently, but share the shard's size multiset,
+// counters and settle queue. Reads never lock. ExecBatch's plan phase only
+// reads and its apply phase only writes, and runIndexed's WaitGroup
+// barrier separates the two; every other World method runs on one
+// goroutine by contract.
 type worldShard struct {
-	mu            sync.RWMutex
+	mu            sync.Mutex
 	stride, index int
 
 	// clusters is the cluster arena; nil = retired or not yet minted.
@@ -223,7 +229,7 @@ func (s *worldShard) idAt(slot int) ids.ClusterID {
 }
 
 // cluster returns the record for c, or nil when c is not a live cluster of
-// this shard. Caller holds s.mu.
+// this shard.
 func (s *worldShard) cluster(c ids.ClusterID) *clusterState {
 	slot := s.slotOf(c)
 	if slot >= len(s.clusters) {
@@ -233,7 +239,6 @@ func (s *worldShard) cluster(c ids.ClusterID) *clusterState {
 }
 
 // clusterAt is cluster plus the slot, for callers that also mark dirty.
-// Caller holds s.mu.
 func (s *worldShard) clusterAt(c ids.ClusterID) (int, *clusterState) {
 	slot := s.slotOf(c)
 	if slot >= len(s.clusters) {
@@ -243,7 +248,8 @@ func (s *worldShard) clusterAt(c ids.ClusterID) (int, *clusterState) {
 }
 
 // noteSizeChange updates the shard's size multiset and max-size tracker for
-// a cluster moving from size a to size b. Caller holds s.mu.
+// a cluster moving from size a to size b. Caller holds s.mu in the apply
+// phase.
 func (s *worldShard) noteSizeChange(a, b int) {
 	if a == b {
 		return
@@ -273,7 +279,7 @@ func (s *worldShard) noteSizeChange(a, b int) {
 }
 
 // markDirty queues cs's slot for the next settleSecurity pass. Caller
-// holds s.mu.
+// holds s.mu in the apply phase.
 func (s *worldShard) markDirty(slot int, cs *clusterState) {
 	if cs.dirty {
 		return
@@ -286,7 +292,7 @@ func (s *worldShard) markDirty(slot int, cs *clusterState) {
 // or allegiance change, maintaining the shard's insecure counters. Event
 // counters are NOT advanced here — transients inside one operation are not
 // time step states; settleSecurity handles accounting at operation
-// boundaries. Caller holds s.mu.
+// boundaries. Caller holds s.mu in the apply phase.
 func (s *worldShard) reclassify(cs *clusterState) {
 	now := randnum.Secure
 	if len(cs.members) > 0 {
@@ -310,10 +316,10 @@ func (s *worldShard) reclassify(cs *clusterState) {
 	cs.sec = now
 }
 
-// retireLocked removes c's record from the arena and returns it — reset,
+// retire removes c's record from the arena and returns it — reset,
 // capacity retained — to the free list, reporting whether c was live.
-// Caller holds s.mu.
-func (s *worldShard) retireLocked(c ids.ClusterID) bool {
+// Serial contexts only: retiring a cluster is structural.
+func (s *worldShard) retire(c ids.ClusterID) bool {
 	slot, cs := s.clusterAt(c)
 	if cs == nil {
 		return false
@@ -336,9 +342,10 @@ func (s *worldShard) retireLocked(c ids.ClusterID) bool {
 // nodeShard is one lockable segment of the node index: a dense slot-indexed
 // arena of node records, slot = NodeID / stride for the shard at
 // NodeID % stride (node IDs are minted densely and never reused, mirroring
-// the cluster arena's slot scheme).
+// the cluster arena's slot scheme). Like worldShard.mu, mu is taken by
+// writers only, for the apply phase's concurrent record updates.
 type nodeShard struct {
-	mu            sync.RWMutex
+	mu            sync.Mutex
 	stride, index int
 	nodes         []nodeInfo
 	count         int
@@ -391,7 +398,8 @@ func DefaultGroupedCascade() bool { return defaultGroupedCascade.Load() }
 // (ExecBatch) can execute operations with disjoint cluster footprints
 // concurrently. Outside ExecBatch the world is not safe for concurrent
 // use: the paper's model is synchronous and the classic per-operation API
-// (Join/Leave/...) is single-threaded, exactly as before.
+// (Join/Leave/...) is single-threaded. Reads take no lock anywhere (see
+// worldShard).
 type World struct {
 	cfg     Config
 	led     *metrics.Ledger
@@ -531,11 +539,7 @@ func (w *World) nodeShardFor(x ids.NodeID) *nodeShard {
 }
 
 func (w *World) hasCluster(c ids.ClusterID) bool {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	ok := s.cluster(c) != nil
-	s.mu.RUnlock()
-	return ok
+	return w.shardFor(c).cluster(c) != nil
 }
 
 // putCluster installs a fresh cluster record for c, recycling a retired
@@ -545,7 +549,6 @@ func (w *World) hasCluster(c ids.ClusterID) bool {
 // concurrent apply.
 func (w *World) putCluster(c ids.ClusterID) {
 	s := w.shardFor(c)
-	s.mu.Lock()
 	slot := s.slotOf(c)
 	for len(s.clusters) <= slot {
 		s.clusters = append(s.clusters, nil)
@@ -558,47 +561,28 @@ func (w *World) putCluster(c ids.ClusterID) {
 	}
 	s.clusters[slot] = cs
 	s.liveSlots++
-	s.mu.Unlock()
 	w.nClusters++
 }
 
-// snapshotCluster deep-copies a cluster record for a planning view.
-func (w *World) snapshotCluster(c ids.ClusterID) (*clusterState, bool) {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cs := s.cluster(c)
-	if cs == nil {
-		return nil, false
-	}
-	return cs.clone(), true
-}
-
-// snapshotClusterInto copies c's record into dst, reusing dst's member
-// capacity. It is snapshotCluster for the pooled planning path: a recycled
-// dst makes the copy-on-write snapshot allocation-free in steady state.
+// snapshotClusterInto copies c's record into dst for a planning view,
+// reusing dst's member capacity: a recycled dst makes the copy-on-write
+// snapshot allocation-free in steady state.
 func (w *World) snapshotClusterInto(c ids.ClusterID, dst *clusterState) bool {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	cs := s.cluster(c)
+	cs := w.shardFor(c).cluster(c)
 	if cs == nil {
-		s.mu.RUnlock()
 		return false
 	}
 	dst.members = append(dst.members[:0], cs.members...)
 	dst.byz = cs.byz
-	s.mu.RUnlock()
 	return true
 }
 
 func (w *World) nodeInfoOf(x ids.NodeID) (nodeInfo, bool) {
 	ns := w.nodeShardFor(x)
-	ns.mu.RLock()
 	var info nodeInfo
 	if slot := ns.slotOf(x); slot < len(ns.nodes) {
 		info = ns.nodes[slot]
 	}
-	ns.mu.RUnlock()
 	return info, info.present
 }
 
@@ -628,7 +612,9 @@ func (w *World) deleteNodeInfo(x ids.NodeID) {
 }
 
 // --- core membership mutators (shared by the classic serial path and the
-// scheduler's apply phase; all locking lives here) ---
+// scheduler's apply phase). These, setNodeInfo/deleteNodeInfo and
+// applyTransfer are the only code that locks: they are what the apply
+// phase runs concurrently. Reads and serial-only writers take no lock. ---
 
 // insertMember adds x (allegiance byz) to cluster c, updating the size
 // multiset and live security class. It does not touch the node index.
@@ -685,34 +671,24 @@ func (w *World) NumClusters() int { return w.nClusters }
 // NumOverlayEdges implements walk.Topology.
 func (w *World) NumOverlayEdges() int { return w.overlay.NumEdges() }
 
-// Degree implements walk.Topology.
-func (w *World) Degree(c ids.ClusterID) int { return w.overlay.Degree(c) }
-
-// NeighborAt implements walk.Topology.
-func (w *World) NeighborAt(c ids.ClusterID, i int) ids.ClusterID { return w.overlay.NeighborAt(c, i) }
+// Adjacent implements walk.Topology: c's overlay adjacency, not copied,
+// read-only and invalidated by the next edge mutation incident to c.
+func (w *World) Adjacent(c ids.ClusterID) []ids.ClusterID { return w.overlay.Adjacent(c) }
 
 // Size implements walk.Topology.
 func (w *World) Size(c ids.ClusterID) int {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	n := 0
-	if cs := s.cluster(c); cs != nil {
-		n = len(cs.members)
+	if cs := w.shardFor(c).cluster(c); cs != nil {
+		return len(cs.members)
 	}
-	s.mu.RUnlock()
-	return n
+	return 0
 }
 
 // Byz implements walk.Topology.
 func (w *World) Byz(c ids.ClusterID) int {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	n := 0
-	if cs := s.cluster(c); cs != nil {
-		n = cs.byz
+	if cs := w.shardFor(c).cluster(c); cs != nil {
+		return cs.byz
 	}
-	s.mu.RUnlock()
-	return n
+	return 0
 }
 
 // MaxClusterSize implements walk.Topology: the maximum over the per-shard
@@ -720,11 +696,7 @@ func (w *World) Byz(c ids.ClusterID) int {
 func (w *World) MaxClusterSize() int {
 	m := 0
 	for _, s := range w.shards {
-		s.mu.RLock()
-		if s.maxSize > m {
-			m = s.maxSize
-		}
-		s.mu.RUnlock()
+		m = max(m, s.maxSize)
 	}
 	return m
 }
@@ -733,19 +705,12 @@ func (w *World) MaxClusterSize() int {
 
 // MemberAt implements exchange.World.
 func (w *World) MemberAt(c ids.ClusterID, i int) ids.NodeID {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	x := s.cluster(c).members[i]
-	s.mu.RUnlock()
-	return x
+	return w.shardFor(c).cluster(c).members[i]
 }
 
 // Members implements exchange.World (snapshot copy).
 func (w *World) Members(c ids.ClusterID) []ids.NodeID {
-	s := w.shardFor(c)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cs := s.cluster(c)
+	cs := w.shardFor(c).cluster(c)
 	if cs == nil {
 		return nil
 	}
@@ -812,7 +777,6 @@ func (w *World) applyTransfer(x ids.NodeID, from, to ids.ClusterID, byz bool) er
 // fold-for-fold identical to the full scan it replaces.
 func (w *World) settleSecurity() {
 	for _, s := range w.shards {
-		s.mu.Lock()
 		// Ascending slot order = ascending ClusterID within the shard: the
 		// folds below are commutative today, but the settled-transition
 		// accounting is exactly the kind of logic that grows
@@ -847,7 +811,6 @@ func (w *World) settleSecurity() {
 			cs.settled = now
 		}
 		s.dirtySlots = s.dirtySlots[:0]
-		s.mu.Unlock()
 	}
 }
 
@@ -1000,10 +963,8 @@ func (w *World) RandomCluster(r *xrand.Rand) (ids.ClusterID, bool) {
 // incrementally per shard so the check is O(shards).
 func (w *World) CurrentInsecure() (degraded, captured int) {
 	for _, s := range w.shards {
-		s.mu.RLock()
 		degraded += s.degraded
 		captured += s.captured
-		s.mu.RUnlock()
 	}
 	return degraded, captured
 }

@@ -127,10 +127,11 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 			continue
 		}
 		// C' picks the replacement node uniformly via randNum.
+		psize := e.world.Size(partner)
 		idx, sec, err := e.gen.Draw(led, r, randnum.Params{
-			Size: e.world.Size(partner),
+			Size: psize,
 			Byz:  e.world.Byz(partner),
-			R:    int64(e.world.Size(partner)),
+			R:    int64(psize),
 		}, nil)
 		if err != nil {
 			return rep, fmt.Errorf("exchange: partner draw at %v: %w", partner, err)
@@ -186,7 +187,10 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.ClusterID, receivers []ids.ClusterID) (Report, error) {
 	rep := Report{Receivers: e.cascadeRecv[:0]}
 	for i, rc := range receivers {
-		if e.world.Size(rc) == 0 {
+		// Nothing moves before this receiver's swap, so its size and
+		// Byzantine count hold for both of its draws.
+		size := e.world.Size(rc)
+		if size == 0 {
 			continue // receiver dissolved between exchange and cascade
 		}
 		// The swap pool: the source plus every OTHER live receiver, in
@@ -207,9 +211,10 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 		}
 		// The receiver agrees on the partner and on which member to
 		// re-export; the partner agrees on the replacement, as in Run.
+		byz := e.world.Byz(rc)
 		pick, sec, err := e.gen.Draw(led, r, randnum.Params{
-			Size: e.world.Size(rc),
-			Byz:  e.world.Byz(rc),
+			Size: size,
+			Byz:  byz,
 			R:    int64(len(pool)),
 		}, nil)
 		if err != nil {
@@ -220,9 +225,9 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 		}
 		partner := pool[int(pick)]
 		idx, sec, err := e.gen.Draw(led, r, randnum.Params{
-			Size: e.world.Size(rc),
-			Byz:  e.world.Byz(rc),
-			R:    int64(e.world.Size(rc)),
+			Size: size,
+			Byz:  byz,
+			R:    int64(size),
 		}, nil)
 		if err != nil {
 			return rep, fmt.Errorf("exchange: cascade draw at %v: %w", rc, err)
@@ -231,10 +236,11 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 			rep.WorstSecurity = sec
 		}
 		x := e.world.MemberAt(rc, int(idx))
+		psize := e.world.Size(partner)
 		pidx, psec, err := e.gen.Draw(led, r, randnum.Params{
-			Size: e.world.Size(partner),
+			Size: psize,
 			Byz:  e.world.Byz(partner),
-			R:    int64(e.world.Size(partner)),
+			R:    int64(psize),
 		}, nil)
 		if err != nil {
 			return rep, fmt.Errorf("exchange: cascade partner draw at %v: %w", partner, err)
@@ -274,32 +280,14 @@ func (e *Exchanger) chargeSwap(led *metrics.Ledger, c, partner ids.ClusterID) {
 // charging made explicit; the grouped cascade round charges ClassCascade
 // and amortizes rounds across the whole round.
 func (e *Exchanger) chargeSwapClass(led *metrics.Ledger, c, partner ids.ClusterID, class metrics.Class, perSwapRounds bool) {
-	install := int64(e.world.Size(c)) + int64(e.world.Size(partner))
-	install += e.neighborMass(c) + e.neighborMass(partner)
-	led.Charge(class, install)
-	led.Charge(metrics.ClassInterCluster, e.compositionUpdate(c)+e.compositionUpdate(partner))
+	cs, ps := int64(e.world.Size(c)), int64(e.world.Size(partner))
+	// Each moved node learns its new cluster and every node adjacent to it.
+	cm, pm := walk.NeighborMass(e.world, c), walk.NeighborMass(e.world, partner)
+	led.Charge(class, cs+ps+cm+pm)
+	// Composition updates: every node of every neighbour D of C learns C's
+	// new composition, the sum over D of |C|*|D| = |C| * NeighborMass(C).
+	led.Charge(metrics.ClassInterCluster, cs*cm+ps*pm)
 	if perSwapRounds {
 		led.AddRounds(2)
 	}
-}
-
-// neighborMass is the number of nodes in clusters adjacent to c (the moved
-// node must learn their identities).
-func (e *Exchanger) neighborMass(c ids.ClusterID) int64 {
-	var total int64
-	for i, d := 0, e.world.Degree(c); i < d; i++ {
-		total += int64(e.world.Size(e.world.NeighborAt(c, i)))
-	}
-	return total
-}
-
-// compositionUpdate is the cost of telling every node of every neighbor of
-// c the new composition of c: sum over neighbors D of |C|*|D| messages.
-func (e *Exchanger) compositionUpdate(c ids.ClusterID) int64 {
-	size := int64(e.world.Size(c))
-	var total int64
-	for i, d := 0, e.world.Degree(c); i < d; i++ {
-		total += size * int64(e.world.Size(e.world.NeighborAt(c, i)))
-	}
-	return total
 }

@@ -19,6 +19,8 @@ type fakeWorld struct {
 	byz     map[ids.NodeID]bool
 	home    map[ids.NodeID]ids.ClusterID
 	maxSz   int
+	// moves logs every Transfer as (from, to), in call order.
+	moves [][2]ids.ClusterID
 }
 
 func newFakeWorld(t *testing.T, clusters, size, degree int, seed uint64) *fakeWorld {
@@ -48,13 +50,12 @@ func newFakeWorld(t *testing.T, clusters, size, degree int, seed uint64) *fakeWo
 	return fw
 }
 
-func (f *fakeWorld) NumClusters() int                                { return f.g.NumVertices() }
-func (f *fakeWorld) NumOverlayEdges() int                            { return f.g.NumEdges() }
-func (f *fakeWorld) Degree(c ids.ClusterID) int                      { return f.g.Degree(c) }
-func (f *fakeWorld) NeighborAt(c ids.ClusterID, i int) ids.ClusterID { return f.g.NeighborAt(c, i) }
-func (f *fakeWorld) Size(c ids.ClusterID) int                        { return len(f.members[c]) }
-func (f *fakeWorld) MaxClusterSize() int                             { return f.maxSz }
-func (f *fakeWorld) MemberAt(c ids.ClusterID, i int) ids.NodeID      { return f.members[c][i] }
+func (f *fakeWorld) NumClusters() int                           { return f.g.NumVertices() }
+func (f *fakeWorld) NumOverlayEdges() int                       { return f.g.NumEdges() }
+func (f *fakeWorld) Adjacent(c ids.ClusterID) []ids.ClusterID   { return f.g.Adjacent(c) }
+func (f *fakeWorld) Size(c ids.ClusterID) int                   { return len(f.members[c]) }
+func (f *fakeWorld) MaxClusterSize() int                        { return f.maxSz }
+func (f *fakeWorld) MemberAt(c ids.ClusterID, i int) ids.NodeID { return f.members[c][i] }
 
 func (f *fakeWorld) Byz(c ids.ClusterID) int {
 	n := 0
@@ -85,6 +86,7 @@ func (f *fakeWorld) Transfer(x ids.NodeID, from, to ids.ClusterID) error {
 	}
 	f.members[to] = append(f.members[to], x)
 	f.home[x] = to
+	f.moves = append(f.moves, [2]ids.ClusterID{from, to})
 	if len(f.members[to]) > f.maxSz {
 		f.maxSz = len(f.members[to])
 	}
@@ -204,6 +206,113 @@ func TestRunChargesAllClasses(t *testing.T) {
 			t.Errorf("no %v messages charged", cls)
 		}
 	}
+}
+
+// newHandWorld builds a fakeWorld over an explicit topology: cluster i has
+// sizes[i] honest members, and edges lists the overlay edges.
+func newHandWorld(t *testing.T, sizes []int, edges [][2]ids.ClusterID) *fakeWorld {
+	t.Helper()
+	fw := &fakeWorld{
+		g:       graph.New[ids.ClusterID](),
+		members: make(map[ids.ClusterID][]ids.NodeID),
+		byz:     make(map[ids.NodeID]bool),
+		home:    make(map[ids.NodeID]ids.ClusterID),
+	}
+	next := ids.NodeID(0)
+	for i, size := range sizes {
+		c := ids.ClusterID(i)
+		fw.g.AddVertex(c)
+		for j := 0; j < size; j++ {
+			fw.members[c] = append(fw.members[c], next)
+			fw.home[next] = c
+			next++
+		}
+		fw.maxSz = max(fw.maxSz, size)
+	}
+	for _, e := range edges {
+		if err := fw.g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fw
+}
+
+// TestSwapChargeClosedForm pins the per-swap cost model on a topology
+// whose neighbours have unequal sizes. A swap between C and C' charges its
+// class |C| + |C'| + M(C) + M(C') installation messages, where M(X) is the
+// number of nodes adjacent to X, and charges ClassInterCluster the
+// composition updates |C|*M(C) + |C'|*M(C'): every node of every neighbour
+// D of X hears X's new composition, |X|*|D| messages per D. Swaps keep
+// every size fixed, so the expected totals follow from the move log alone.
+func TestSwapChargeClosedForm(t *testing.T) {
+	sizes := []int{4, 3, 6, 2, 5, 7}
+	edges := [][2]ids.ClusterID{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 4}, {3, 4}, {0, 4}, {4, 5}, {3, 5}}
+	mass := make([]int64, len(sizes))
+	for _, e := range edges {
+		mass[e[0]] += int64(sizes[e[1]])
+		mass[e[1]] += int64(sizes[e[0]])
+	}
+	// expect sums the closed form over the swaps in the move log: each
+	// swap is the transfer pair (a->b, b->a).
+	expect := func(moves [][2]ids.ClusterID) (install, inter int64, swaps int) {
+		if len(moves)%2 != 0 {
+			t.Fatalf("odd move log %v", moves)
+		}
+		for i := 0; i < len(moves); i += 2 {
+			a, b := moves[i][0], moves[i][1]
+			if moves[i+1] != [2]ids.ClusterID{b, a} {
+				t.Fatalf("moves %v, %v are not one swap", moves[i], moves[i+1])
+			}
+			sa, sb := int64(sizes[a]), int64(sizes[b])
+			install += sa + sb + mass[a] + mass[b]
+			inter += sa*mass[a] + sb*mass[b]
+		}
+		return install, inter, len(moves) / 2
+	}
+
+	t.Run("Run", func(t *testing.T) {
+		fw := newHandWorld(t, sizes, edges)
+		var led metrics.Ledger
+		rep, err := newExchanger(t, fw).Run(&led, xrand.New(41), ids.ClusterID(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		install, inter, swaps := expect(fw.moves)
+		if swaps != rep.Swaps || swaps == 0 {
+			t.Fatalf("move log holds %d swaps, report %d; want a non-zero match", swaps, rep.Swaps)
+		}
+		if got := led.MessagesBy(metrics.ClassExchange); got != install {
+			t.Errorf("exchange class = %d, closed form %d", got, install)
+		}
+		if got := led.MessagesBy(metrics.ClassInterCluster); got != inter {
+			t.Errorf("inter-cluster class = %d, closed form %d", got, inter)
+		}
+		if got := led.MessagesBy(metrics.ClassCascade); got != 0 {
+			t.Errorf("cascade class = %d, want 0 outside a cascade round", got)
+		}
+	})
+
+	t.Run("CascadeRound", func(t *testing.T) {
+		fw := newHandWorld(t, sizes, edges)
+		var led metrics.Ledger
+		rep, err := newExchanger(t, fw).CascadeRound(&led, xrand.New(43), ids.ClusterID(0), []ids.ClusterID{1, 3, 4, 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		install, inter, swaps := expect(fw.moves)
+		if swaps != rep.Swaps || swaps == 0 {
+			t.Fatalf("move log holds %d swaps, report %d; want a non-zero match", swaps, rep.Swaps)
+		}
+		if got := led.MessagesBy(metrics.ClassCascade); got != install {
+			t.Errorf("cascade class = %d, closed form %d", got, install)
+		}
+		if got := led.MessagesBy(metrics.ClassInterCluster); got != inter {
+			t.Errorf("inter-cluster class = %d, closed form %d", got, inter)
+		}
+		if got := led.MessagesBy(metrics.ClassExchange); got != 0 {
+			t.Errorf("exchange class = %d, want 0 in a cascade round", got)
+		}
+	})
 }
 
 func TestReceiversDistinct(t *testing.T) {

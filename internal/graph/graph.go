@@ -120,9 +120,12 @@ func (g *Graph[V]) Neighbors(v V) []V {
 	return out
 }
 
-// NeighborAt returns the i-th neighbor of v without allocating. It panics
-// on out-of-range i, matching slice semantics.
-func (g *Graph[V]) NeighborAt(v V, i int) V { return g.adj[v][i] }
+// Adjacent returns v's adjacency list in insertion order without copying
+// it (nil if v is absent). The slice is read-only: callers must not write
+// to it, and it is invalidated by the next edge mutation incident to v.
+// Hot paths that read one vertex's neighbours per step (walk hops,
+// neighbour-mass charges) use this instead of Neighbors.
+func (g *Graph[V]) Adjacent(v V) []V { return g.adj[v] }
 
 // Degree returns the degree of v (0 if absent).
 func (g *Graph[V]) Degree(v V) int { return len(g.adj[v]) }

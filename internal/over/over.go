@@ -92,8 +92,10 @@ func (o *Overlay) NumEdges() int { return o.g.NumEdges() }
 // Degree returns a vertex degree.
 func (o *Overlay) Degree(c ids.ClusterID) int { return o.g.Degree(c) }
 
-// NeighborAt returns the i-th neighbor of c.
-func (o *Overlay) NeighborAt(c ids.ClusterID, i int) ids.ClusterID { return o.g.NeighborAt(c, i) }
+// Adjacent returns c's adjacency list without copying it. The slice is
+// read-only and is invalidated by the next edge mutation incident to c
+// (see graph.Graph.Adjacent).
+func (o *Overlay) Adjacent(c ids.ClusterID) []ids.ClusterID { return o.g.Adjacent(c) }
 
 // Neighbors returns a copy of c's adjacency list.
 func (o *Overlay) Neighbors(c ids.ClusterID) []ids.ClusterID { return o.g.Neighbors(c) }

@@ -36,10 +36,11 @@ type Topology interface {
 	NumClusters() int
 	// NumOverlayEdges returns the current number of overlay edges.
 	NumOverlayEdges() int
-	// Degree returns the overlay degree of c.
-	Degree(c ids.ClusterID) int
-	// NeighborAt returns the i-th overlay neighbor of c, 0 <= i < Degree(c).
-	NeighborAt(c ids.ClusterID, i int) ids.ClusterID
+	// Adjacent returns c's overlay neighbours in a fixed order, without
+	// copying them. The slice is read-only and is invalidated by the next
+	// edge mutation incident to c; walks and cost charges read it between
+	// mutations only.
+	Adjacent(c ids.ClusterID) []ids.ClusterID
 	// Size returns |C|, the number of member nodes of c.
 	Size(c ids.ClusterID) int
 	// Byz returns the number of Byzantine members of c.
@@ -47,6 +48,18 @@ type Topology interface {
 	// MaxClusterSize returns max over clusters of |C| (the rejection
 	// denominator of the biased walk).
 	MaxClusterSize() int
+}
+
+// NeighborMass returns the number of nodes in the overlay neighbours of c,
+// the sum of |D| over every D adjacent to c. It is the neighbourhood term
+// of every cost charge in which c's neighbours learn something about c or
+// c's members learn its neighbours.
+func NeighborMass(t Topology, c ids.ClusterID) int64 {
+	var mass int64
+	for _, d := range t.Adjacent(c) {
+		mass += int64(t.Size(d))
+	}
+	return mass
 }
 
 // Hijacker is the adversary's hook into walks that transit captured
@@ -126,7 +139,7 @@ type Walker struct {
 	hopObj      randnum.Objective
 	acceptSize  int64
 	acceptScore float64
-	hopAt       ids.ClusterID
+	hopAdj      []ids.ClusterID
 }
 
 // NewWalker validates cfg and returns a walker bound to topo.
@@ -146,7 +159,7 @@ func NewWalker(cfg Config, topo Topology) (*Walker, error) {
 			return 0
 		}
 		w.hopObj = func(v int64) float64 {
-			return w.cfg.Steer(w.topo.NeighborAt(w.hopAt, int(v)))
+			return w.cfg.Steer(w.hopAdj[v])
 		}
 	}
 	return w, nil
@@ -193,18 +206,19 @@ func (w *Walker) Biased(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID)
 		// Acceptance coin: the endpoint cluster draws a number in
 		// [0, maxSize) and accepts when it falls below its own size.
 		maxSize := w.topo.MaxClusterSize()
+		size := w.topo.Size(out.End)
 		var obj randnum.Objective
 		if w.cfg.Steer != nil {
-			w.acceptSize = int64(w.topo.Size(out.End))
+			w.acceptSize = int64(size)
 			w.acceptScore = w.cfg.Steer(out.End)
 			obj = w.acceptObj
 		}
-		v, sec, err := w.drawObj(led, r, out.End, int64(maxSize), obj)
+		v, sec, err := w.draw(led, r, out.End, size, w.topo.Byz(out.End), int64(maxSize), obj)
 		if err != nil {
 			return out, err
 		}
 		out.WorstSecurity = maxSecurity(out.WorstSecurity, sec)
-		if v < int64(w.topo.Size(out.End)) {
+		if v < int64(size) {
 			return out, nil
 		}
 	}
@@ -229,9 +243,13 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 	}
 	remaining := w.cfg.DurationFactor * l2 * l2 / meanDeg
 
+	// The current cluster's size, Byzantine count and adjacency travel
+	// with the walk: nothing a walk does mutates the topology, so each hop
+	// fetches them once, for the cluster it moves to.
 	cur := out.End
+	size, byz, adj := w.topo.Size(cur), w.topo.Byz(cur), w.topo.Adjacent(cur)
 	for remaining > 0 {
-		if w.cfg.Hijack != nil && randnum.Classify(w.topo.Size(cur), w.topo.Byz(cur)) == randnum.Captured {
+		if w.cfg.Hijack != nil && randnum.Classify(size, byz) == randnum.Captured {
 			if target, ok := w.cfg.Hijack.Redirect(r, cur); ok {
 				out.End = target
 				out.Hijacked = true
@@ -239,12 +257,12 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 				return nil
 			}
 		}
-		deg := w.topo.Degree(cur)
+		deg := len(adj)
 		if deg == 0 {
 			break // isolated vertex: the walk cannot move
 		}
 		// Holding time ~ Exp(deg): cluster-agreed via a gridded draw.
-		hv, sec, err := w.draw(led, r, cur, _holdGrid)
+		hv, sec, err := w.draw(led, r, cur, size, byz, _holdGrid, nil)
 		if err != nil {
 			return err
 		}
@@ -257,38 +275,31 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 		// Next hop: uniform neighbor, cluster-agreed.
 		var obj randnum.Objective
 		if w.cfg.Steer != nil {
-			w.hopAt = cur
+			w.hopAdj = adj
 			obj = w.hopObj
 		}
-		nv, sec2, err := w.drawObj(led, r, cur, int64(deg), obj)
+		nv, sec2, err := w.draw(led, r, cur, size, byz, int64(deg), obj)
 		if err != nil {
 			return err
 		}
 		out.WorstSecurity = maxSecurity(out.WorstSecurity, sec2)
-		next := w.topo.NeighborAt(cur, int(nv))
+		next := adj[nv]
+		nextSize := w.topo.Size(next)
 		// Handoff: every member of cur messages every member of next; next
 		// accepts on >1/2 identical copies.
-		led.Charge(metrics.ClassWalk, int64(w.topo.Size(cur))*int64(w.topo.Size(next)))
+		led.Charge(metrics.ClassWalk, int64(size)*int64(nextSize))
 		led.AddRounds(1)
-		cur = next
+		cur, size, byz, adj = next, nextSize, w.topo.Byz(next), w.topo.Adjacent(next)
 		out.Hops++
 	}
 	out.End = cur
 	return nil
 }
 
-// draw is one cluster-agreed random integer in [0, rng).
-func (w *Walker) draw(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID, rng int64) (int64, randnum.Security, error) {
-	return w.drawObj(led, r, c, rng, nil)
-}
-
-// drawObj is draw with an adversary objective attached.
-func (w *Walker) drawObj(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID, rng int64, obj randnum.Objective) (int64, randnum.Security, error) {
-	v, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{
-		Size: w.topo.Size(c),
-		Byz:  w.topo.Byz(c),
-		R:    rng,
-	}, obj)
+// draw is one random integer in [0, rng) agreed by cluster c of the given
+// size and Byzantine count, with an optional adversary objective attached.
+func (w *Walker) draw(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID, size, byz int, rng int64, obj randnum.Objective) (int64, randnum.Security, error) {
+	v, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: rng}, obj)
 	if err != nil {
 		return 0, sec, fmt.Errorf("walk: draw at %v: %w", c, err)
 	}

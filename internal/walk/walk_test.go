@@ -41,13 +41,12 @@ func newFakeTopo(t *testing.T, n int, degree int, seed uint64) *fakeTopo {
 	return ft
 }
 
-func (f *fakeTopo) NumClusters() int                                { return f.g.NumVertices() }
-func (f *fakeTopo) NumOverlayEdges() int                            { return f.g.NumEdges() }
-func (f *fakeTopo) Degree(c ids.ClusterID) int                      { return f.g.Degree(c) }
-func (f *fakeTopo) NeighborAt(c ids.ClusterID, i int) ids.ClusterID { return f.g.NeighborAt(c, i) }
-func (f *fakeTopo) Size(c ids.ClusterID) int                        { return f.sizes[c] }
-func (f *fakeTopo) Byz(c ids.ClusterID) int                         { return f.byz[c] }
-func (f *fakeTopo) MaxClusterSize() int                             { return f.maxSz }
+func (f *fakeTopo) NumClusters() int                         { return f.g.NumVertices() }
+func (f *fakeTopo) NumOverlayEdges() int                     { return f.g.NumEdges() }
+func (f *fakeTopo) Adjacent(c ids.ClusterID) []ids.ClusterID { return f.g.Adjacent(c) }
+func (f *fakeTopo) Size(c ids.ClusterID) int                 { return f.sizes[c] }
+func (f *fakeTopo) Byz(c ids.ClusterID) int                  { return f.byz[c] }
+func (f *fakeTopo) MaxClusterSize() int                      { return f.maxSz }
 
 var _ Topology = (*fakeTopo)(nil)
 

@@ -26,6 +26,13 @@ echo "== benchmem gate: sharded world batch (lean regime) =="
 go test -run '^$' -bench 'BenchmarkShardedWorldBatch/lean' \
 	-benchmem -benchtime 50x . | tee -a "$out"
 
+# randCl and the exchange primitive read the overlay adjacency in place
+# (Topology.Adjacent): a copy per hop or per neighbour-mass charge shows up
+# here as allocs/op > 0.
+echo "== benchmem gate: walk + exchange primitives =="
+go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive' \
+	-benchmem -benchtime 50x . | tee -a "$out"
+
 # Floors: "<benchmark-prefix> <max allocs/op>". A line matches the longest
 # applicable prefix listed here; benchmarks without a floor are informational.
 floors='
@@ -34,6 +41,8 @@ BenchmarkExecBatchHookedExchange 0
 BenchmarkExecBatchChurn 8
 BenchmarkSnapshotClusterInto 0
 BenchmarkShardedWorldBatch/lean/ 10
+BenchmarkRandClWalk 0
+BenchmarkExchangePrimitive 0
 '
 
 fail=0
