@@ -205,6 +205,22 @@ func BenchmarkExchangePrimitive(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldAudit is one invariant audit of a 2^14 world: the size
+// fold over the cluster arena plus the overlay's degree range and
+// connectivity BFS on the ClusterID-indexed adjacency. The BFS reuses the
+// overlay's scratch, so a warm audit allocates nothing.
+func BenchmarkWorldAudit(b *testing.B) {
+	sys := benchSystem(b, 16384, 8192, 0.15)
+	w := sys.World()
+	w.Audit() // grow the BFS scratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if a := w.Audit(); !a.OverlayConnected {
+			b.Fatal("overlay disconnected")
+		}
+	}
+}
+
 func BenchmarkUniformSample(b *testing.B) {
 	sys := benchSystem(b, 4096, 2048, 0.15)
 	b.ResetTimer()

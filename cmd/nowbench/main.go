@@ -14,6 +14,8 @@
 //	                          # (sketch-mode cost sampling keeps it in memory)
 //	nowbench -exact-samples   # retained-history accounting: byte-identical
 //	                          # to pre-sketch tables, memory grows with ops
+//	nowbench -exp E6 -cpuprofile cpu.out -memprofile mem.out
+//	                          # profile a run (go tool pprof cpu.out)
 //
 // Both the selected experiments AND each experiment's independent cells
 // fan out across a worker pool sized by -parallel (or the
@@ -24,6 +26,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,6 +35,7 @@ import (
 	"time"
 
 	"nowover"
+	"nowover/internal/prof"
 )
 
 // config is the fully-resolved command configuration: flags parsed,
@@ -49,6 +53,7 @@ type config struct {
 	opsPerStep int
 	checkpoint string
 	benchJSON  string
+	prof       prof.Flags
 }
 
 // parseConfig parses the command line and resolves the experiment
@@ -68,6 +73,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 0, "batch this many adversary-cell operations per time step through the concurrent op scheduler (A2/A4 run hooked on the sharded world at full plan parallelism; a deterministic but distinct trajectory from the classic driver, and per-operation cost columns are unavailable); 0/1 keeps the classic driver and the recorded baseline tables")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "per-cell result journal: completed sweep cells are appended here and served from it on the next run, so an interrupted sweep resumes from its last completed cell with byte-identical tables; the journal is bound to the run configuration (seed/scale/mode flags) and refuses to resume under a different one")
 	fs.StringVar(&c.benchJSON, "bench-json", "", "write per-cell wall-clock timings (from the -checkpoint journal) as JSON, so future changes prove speedups against a recorded trajectory; requires -checkpoint")
+	c.prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -148,11 +154,16 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	c, err := parseConfig(args)
 	if err != nil {
 		return err
 	}
+	stopProfiles, err := c.prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	nowover.SetParallelism(c.parallel)
 	nowover.SetWorldShards(c.shards)

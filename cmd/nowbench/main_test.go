@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,5 +106,21 @@ func TestParseConfigMaxN2e20(t *testing.T) {
 	}
 	if _, err := parseConfig([]string{"-full", "-max-n", "100"}); err == nil {
 		t.Error("parseConfig(-max-n below grid top) must error")
+	}
+}
+
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if err := run([]string{"-exp", "E3", "-parallel", "1", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty: %v", p, err)
+		}
+	}
+	if err := run([]string{"-exp", "E3", "-cpuprofile", filepath.Join(dir, "no", "such", "cpu.out")}); err == nil {
+		t.Error("run accepted an uncreatable -cpuprofile path")
 	}
 }

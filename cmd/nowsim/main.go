@@ -14,14 +14,17 @@
 //	nowsim -N 4096 -n0 512 -tau 0.25 -schedule grow -steps 3000
 //	nowsim -N 2048 -tau 0.3 -attack joinleave -noshuffle -steps 2000
 //	nowsim -N 2048 -tau 0.25 -steps 2000 -runs 16        # replica sweep
+//	nowsim -N 65536 -steps 400 -cpuprofile cpu.out       # profile a run
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"nowover"
+	"nowover/internal/prof"
 )
 
 // config is the parsed and defaulted command line: n0 and the audit
@@ -47,6 +50,7 @@ type config struct {
 	// reportSet records whether -report was given explicitly, so sweep
 	// mode can warn that it will be ignored.
 	reportSet bool
+	prof      prof.Flags
 }
 
 // parseConfig parses the command line and applies the derived defaults.
@@ -70,6 +74,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 1, "operations per time step: > 1 batches them through the concurrent op scheduler (incompatible with -attack hijacking)")
 	fs.BoolVar(&c.grouped, "grouped-cascade", false, "batch each leave's cascade into one grouped shuffle round over the receiver set (~|C| write footprint instead of ~|C|^2)")
 	fs.BoolVar(&c.exact, "exact-samples", false, "retain full per-operation cost histories instead of fixed-memory sketches (pre-sketch output byte for byte; memory grows with -steps)")
+	c.prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -163,11 +168,16 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	c, err := parseConfig(args)
 	if err != nil {
 		return err
 	}
+	stopProfiles, err := c.prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 	if c.runs > 1 && c.reportSet {
 		fmt.Fprintln(os.Stderr, "nowsim: -report is ignored with -runs > 1 (replica sweeps print summaries, not audit timelines)")
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -106,5 +108,26 @@ func TestSimConfigScheduleAndAttack(t *testing.T) {
 	}
 	if !cfg.InstallHijacker {
 		t.Error("joinleave attack should install the walk hijacker")
+	}
+}
+
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if err := run([]string{"-N", "256", "-steps", "20", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty: %v", p, err)
+		}
+	}
+	// A run that fails after profiling started still closes its profiles.
+	cpu2 := filepath.Join(dir, "cpu2.out")
+	if err := run([]string{"-N", "256", "-steps", "20", "-schedule", "bogus", "-cpuprofile", cpu2}); err == nil {
+		t.Fatal("run accepted an unknown schedule")
+	}
+	if st, err := os.Stat(cpu2); err != nil || st.Size() == 0 {
+		t.Errorf("profile of a failed run missing or empty: %v", err)
 	}
 }

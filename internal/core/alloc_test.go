@@ -186,3 +186,16 @@ func BenchmarkExecBatchChurn(b *testing.B) {
 	}
 	_ = res
 }
+
+// TestAuditAllocatesNothing pins Audit's contract: the size fold reads the
+// arena and the connectivity BFS reuses the overlay's scratch, so a warm
+// Audit allocates nothing.
+func TestAuditAllocatesNothing(t *testing.T) {
+	w := newTestWorld(t, 1, 42)
+	if a := w.Audit(); !a.OverlayConnected {
+		t.Fatal("test world overlay disconnected")
+	}
+	if avg := testing.AllocsPerRun(64, func() { w.Audit() }); avg > 0 {
+		t.Errorf("Audit allocates %.2f objects per call; want 0", avg)
+	}
+}

@@ -10,8 +10,10 @@ import (
 )
 
 // Audit is a point-in-time invariant check of the world: the quantities
-// the paper's theorems bound. Cheap (O(#clusters)); call as often as
-// needed. Structural expansion checks are costlier — see OverlayHealth.
+// the paper's theorems bound. Cheap (O(#clusters + #overlay edges), and
+// allocation-free: the connectivity BFS reuses the overlay's scratch);
+// call as often as needed. Structural expansion checks are costlier — see
+// OverlayHealth.
 type Audit struct {
 	Nodes    int
 	Byz      int
@@ -96,10 +98,8 @@ func (w *World) Audit() Audit {
 			}
 		}
 	}
-	g := w.overlay.Graph()
-	a.MinDegree = g.MinDegree()
-	a.MaxDegree = g.MaxDegree()
-	a.OverlayConnected = g.Connected()
+	a.MinDegree, a.MaxDegree = w.overlay.DegreeRange()
+	a.OverlayConnected = w.overlay.Connected()
 	return a
 }
 
@@ -111,11 +111,11 @@ func (w *World) OverlayHealth(spectralIters, randomCuts int) over.Health {
 }
 
 // CheckConsistency exhaustively cross-checks the world's redundant
-// bookkeeping (membership indexes, Byzantine counts, per-shard size
-// multisets and max trackers, the incremental security classes and
-// insecure counters, arena slot placement, overlay/partition
-// correspondence). Used by tests and the simulator's paranoid mode;
-// returns the first inconsistency found. All walks run in ascending
+// bookkeeping (membership indexes, Byzantine counts, the row table,
+// per-shard size multisets and max trackers, the incremental security
+// classes and insecure counters, arena slot placement, overlay/partition
+// correspondence, the overlay's own structure). Used by tests and the
+// simulator's paranoid mode; returns the first inconsistency found. All walks run in ascending
 // slot (= ascending ID) order, so which inconsistency is reported first
 // is a function of the state, not of any map hash seed.
 func (w *World) CheckConsistency() error {
@@ -171,6 +171,9 @@ func (w *World) CheckConsistency() error {
 			}
 			if byz != cs.byz {
 				return fmt.Errorf("consistency: cluster %v byz count %d, actual %d", c, cs.byz, byz)
+			}
+			if row := w.rows[c]; int(row.size) != len(cs.members) || int(row.byz) != byz {
+				return fmt.Errorf("consistency: cluster %v row (%d, %d), actual (%d, %d)", c, row.size, row.byz, len(cs.members), byz)
 			}
 			want := randnum.Secure
 			if len(cs.members) > 0 {
@@ -236,6 +239,14 @@ func (w *World) CheckConsistency() error {
 	}
 	if w.overlay.NumVertices() != totalClusters {
 		return fmt.Errorf("consistency: overlay has %d vertices vs %d clusters", w.overlay.NumVertices(), totalClusters)
+	}
+	for i, row := range w.rows {
+		if c := ids.ClusterID(i); row != (clusterRow{}) && !w.hasCluster(c) {
+			return fmt.Errorf("consistency: retired or unminted cluster %v has row (%d, %d)", c, row.size, row.byz)
+		}
+	}
+	if err := w.overlay.Check(); err != nil {
+		return fmt.Errorf("consistency: %w", err)
 	}
 	if maxSize != w.MaxClusterSize() {
 		return fmt.Errorf("consistency: tracked max size %d, actual %d", w.MaxClusterSize(), maxSize)

@@ -351,6 +351,7 @@ func (w *World) SetCorrupted(x ids.NodeID, corrupted bool) error {
 	} else {
 		cs.byz--
 	}
+	s.setRow(info.cluster, cs)
 	s.reclassify(cs)
 	s.markDirty(slot, cs)
 	if corrupted {

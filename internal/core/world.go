@@ -116,6 +116,12 @@ func (cs *clusterState) clone() *clusterState {
 	return out
 }
 
+// clusterRow is a cluster's composition as the walk and exchange hot path
+// reads it: World.rows packs one row per minted ClusterID, so Size and Byz
+// are one indexed load with no shard routing or record pointer chase.
+// Retired and not-yet-minted IDs read (0, 0).
+type clusterRow struct{ size, byz int32 }
+
 // Stats accumulates protocol-lifetime counters and security high-water
 // marks.
 type Stats struct {
@@ -214,6 +220,12 @@ type worldShard struct {
 	// dirtySlots queues slots whose record changed since the last settle
 	// pass, deduplicated by clusterState.dirty.
 	dirtySlots []int32
+
+	// rows points at the world's row table; every mutator of a record's
+	// composition writes the cluster's row through it (setRow). Apply
+	// workers write the rows of distinct clusters, and the table grows only
+	// in the serial putCluster, so no worker ever sees it reallocated.
+	rows *[]clusterRow
 }
 
 func newWorldShard(stride, index int) *worldShard {
@@ -245,6 +257,11 @@ func (s *worldShard) clusterAt(c ids.ClusterID) (int, *clusterState) {
 		return slot, nil
 	}
 	return slot, s.clusters[slot]
+}
+
+// setRow publishes cs's composition to c's row.
+func (s *worldShard) setRow(c ids.ClusterID, cs *clusterState) {
+	(*s.rows)[c] = clusterRow{size: int32(len(cs.members)), byz: int32(cs.byz)}
 }
 
 // noteSizeChange updates the shard's size multiset and max-size tracker for
@@ -336,6 +353,7 @@ func (s *worldShard) retire(c ids.ClusterID) bool {
 	s.clusters[slot] = nil
 	s.liveSlots--
 	s.free = append(s.free, cs)
+	(*s.rows)[c] = clusterRow{}
 	return true
 }
 
@@ -410,6 +428,9 @@ type World struct {
 	nodeShards []*nodeShard
 	nClusters  int
 	overlay    *over.Overlay
+	// rows is the ClusterID-indexed composition table Size and Byz read
+	// (see clusterRow); the shards write it.
+	rows []clusterRow
 
 	nodeAlloc ids.NodeAllocator
 	clAlloc   ids.ClusterAllocator
@@ -486,6 +507,7 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	for i := range w.shards {
 		w.shards[i] = newWorldShard(shardCount, i)
+		w.shards[i].rows = &w.rows
 		w.nodeShards[i] = &nodeShard{stride: shardCount, index: i}
 	}
 	w.walkCfg = walk.Config{
@@ -562,6 +584,9 @@ func (w *World) putCluster(c ids.ClusterID) {
 	s.clusters[slot] = cs
 	s.liveSlots++
 	w.nClusters++
+	if n := int(c) + 1; n > len(w.rows) {
+		w.rows = append(w.rows, make([]clusterRow, n-len(w.rows))...)
+	}
 }
 
 // snapshotClusterInto copies c's record into dst for a planning view,
@@ -633,6 +658,7 @@ func (s *worldShard) insertLocked(c ids.ClusterID, x ids.NodeID, byz bool) error
 	}
 	s.noteSizeChange(len(cs.members), len(cs.members)+1)
 	cs.add(x, byz)
+	s.setRow(c, cs)
 	s.reclassify(cs)
 	s.markDirty(slot, cs)
 	return nil
@@ -658,6 +684,7 @@ func (s *worldShard) removeLocked(c ids.ClusterID, x ids.NodeID, byz bool) error
 		return err
 	}
 	s.noteSizeChange(n, n-1)
+	s.setRow(c, cs)
 	s.reclassify(cs)
 	s.markDirty(slot, cs)
 	return nil
@@ -675,18 +702,18 @@ func (w *World) NumOverlayEdges() int { return w.overlay.NumEdges() }
 // read-only and invalidated by the next edge mutation incident to c.
 func (w *World) Adjacent(c ids.ClusterID) []ids.ClusterID { return w.overlay.Adjacent(c) }
 
-// Size implements walk.Topology.
+// Size implements walk.Topology: one read of c's row.
 func (w *World) Size(c ids.ClusterID) int {
-	if cs := w.shardFor(c).cluster(c); cs != nil {
-		return len(cs.members)
+	if uint64(c) < uint64(len(w.rows)) {
+		return int(w.rows[c].size)
 	}
 	return 0
 }
 
-// Byz implements walk.Topology.
+// Byz implements walk.Topology: one read of c's row.
 func (w *World) Byz(c ids.ClusterID) int {
-	if cs := w.shardFor(c).cluster(c); cs != nil {
-		return cs.byz
+	if uint64(c) < uint64(len(w.rows)) {
+		return int(w.rows[c].byz)
 	}
 	return 0
 }

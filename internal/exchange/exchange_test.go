@@ -52,7 +52,7 @@ func newFakeWorld(t *testing.T, clusters, size, degree int, seed uint64) *fakeWo
 
 func (f *fakeWorld) NumClusters() int                           { return f.g.NumVertices() }
 func (f *fakeWorld) NumOverlayEdges() int                       { return f.g.NumEdges() }
-func (f *fakeWorld) Adjacent(c ids.ClusterID) []ids.ClusterID   { return f.g.Adjacent(c) }
+func (f *fakeWorld) Adjacent(c ids.ClusterID) []ids.ClusterID   { return f.g.Neighbors(c) }
 func (f *fakeWorld) Size(c ids.ClusterID) int                   { return len(f.members[c]) }
 func (f *fakeWorld) MaxClusterSize() int                        { return f.maxSz }
 func (f *fakeWorld) MemberAt(c ids.ClusterID, i int) ids.NodeID { return f.members[c][i] }

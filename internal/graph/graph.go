@@ -25,6 +25,25 @@ func New[V comparable]() *Graph[V] {
 	return &Graph[V]{adj: make(map[V][]V)}
 }
 
+// FromAdjacency returns a graph with the given vertex order whose
+// adjacency lists are copies of adjacent(v), in the order given. The lists
+// must describe a simple undirected graph (symmetric, no self-loops or
+// duplicates, every endpoint in order); FromAdjacency does not check this.
+// It lets an index-backed store hand the analyses a graph that iterates
+// exactly as it does.
+func FromAdjacency[V comparable](order []V, adjacent func(V) []V) *Graph[V] {
+	g := &Graph[V]{adj: make(map[V][]V, len(order)), order: make([]V, len(order))}
+	copy(g.order, order)
+	degrees := 0
+	for _, v := range order {
+		nbrs := adjacent(v)
+		g.adj[v] = append([]V(nil), nbrs...)
+		degrees += len(nbrs)
+	}
+	g.edges = degrees / 2
+	return g
+}
+
 // AddVertex inserts v, returning true if it was not present.
 func (g *Graph[V]) AddVertex(v V) bool {
 	if _, ok := g.adj[v]; ok {
@@ -119,13 +138,6 @@ func (g *Graph[V]) Neighbors(v V) []V {
 	copy(out, nbrs)
 	return out
 }
-
-// Adjacent returns v's adjacency list in insertion order without copying
-// it (nil if v is absent). The slice is read-only: callers must not write
-// to it, and it is invalidated by the next edge mutation incident to v.
-// Hot paths that read one vertex's neighbours per step (walk hops,
-// neighbour-mass charges) use this instead of Neighbors.
-func (g *Graph[V]) Adjacent(v V) []V { return g.adj[v] }
 
 // Degree returns the degree of v (0 if absent).
 func (g *Graph[V]) Degree(v V) int { return len(g.adj[v]) }

@@ -77,12 +77,6 @@ func TestDegreesAndNeighbors(t *testing.T) {
 	if len(nbrs) != 2 {
 		t.Fatalf("Neighbors(2) = %v", nbrs)
 	}
-	if adj := g.Adjacent(2); len(adj) != 2 || adj[0] != nbrs[0] || adj[1] != nbrs[1] {
-		t.Errorf("Adjacent(2) = %v disagrees with Neighbors %v", adj, nbrs)
-	}
-	if g.Adjacent(99) != nil {
-		t.Error("Adjacent of an absent vertex is not nil")
-	}
 	want := 2 * float64(g.NumEdges()) / float64(g.NumVertices())
 	if g.MeanDegree() != want {
 		t.Errorf("MeanDegree = %v, want %v", g.MeanDegree(), want)

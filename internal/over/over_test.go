@@ -58,7 +58,7 @@ func TestBootstrapConnectivityPatch(t *testing.T) {
 	// p=0 forces a totally disconnected ER draw; the patch chain must
 	// connect it.
 	o, _ := bootstrapped(t, 10, 0)
-	if !o.Graph().Connected() {
+	if !o.Connected() {
 		t.Fatal("bootstrap left overlay disconnected")
 	}
 	if o.NumEdges() != 9 {
@@ -68,11 +68,11 @@ func TestBootstrapConnectivityPatch(t *testing.T) {
 
 func TestBootstrapDensity(t *testing.T) {
 	o, _ := bootstrapped(t, 100, 6.0/99)
-	mean := o.Graph().MeanDegree()
+	mean := o.Snapshot().MeanDegree()
 	if mean < 4 || mean > 8 {
 		t.Errorf("mean degree %.2f, want ~6", mean)
 	}
-	if !o.Graph().Connected() {
+	if !o.Connected() {
 		t.Error("overlay disconnected at target density")
 	}
 }

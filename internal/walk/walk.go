@@ -17,11 +17,17 @@
 // captured cluster (>= 1/2 Byzantine) controls its outgoing messages
 // entirely, so the adversary may hijack any walk that transits one; this is
 // the failure mode whose absence the protocol maintains.
+//
+// A hop's Exp(deg) holding time is read from an exact table: the cluster's
+// agreed draw on the 2^16 grid indexes holdTime, which holds -ln(1-u) for
+// every grid point, computed once with math.Log, so a table read is
+// bit-identical to evaluating the logarithm at that point.
 package walk
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
@@ -150,6 +156,7 @@ func NewWalker(cfg Config, topo Topology) (*Walker, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("walk: nil topology")
 	}
+	holdTimeOnce.Do(fillHoldTime)
 	w := &Walker{cfg: cfg, topo: topo}
 	if cfg.Steer != nil {
 		w.acceptObj = func(v int64) float64 {
@@ -180,6 +187,22 @@ type Outcome struct {
 // in [0, _holdGrid) that is mapped through the exponential inverse CDF.
 // 1<<16 keeps quantization far below walk-length noise.
 const _holdGrid = 1 << 16
+
+// holdTime[hv] is the unit-rate exponential holding time -ln(1-u) at grid
+// point hv, u = (hv+0.5)/_holdGrid. NewWalker fills it once, through
+// holdTimeOnce, so a process that never walks (a nowd daemon, the wire
+// benchmark) does not touch its 512 KB; it is read-only after.
+var (
+	holdTime     [_holdGrid]float64
+	holdTimeOnce sync.Once
+)
+
+func fillHoldTime() {
+	for hv := range holdTime {
+		u := (float64(hv) + 0.5) / _holdGrid
+		holdTime[hv] = -math.Log(1 - u)
+	}
+}
 
 // Uniform runs one unbiased CTRW from start and returns its endpoint,
 // which is distributed ~uniformly over clusters once the duration exceeds
@@ -267,8 +290,7 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 			return err
 		}
 		out.WorstSecurity = maxSecurity(out.WorstSecurity, sec)
-		u := (float64(hv) + 0.5) / _holdGrid
-		remaining -= -math.Log(1-u) / float64(deg)
+		remaining -= holdTime[hv] / float64(deg)
 		if remaining <= 0 {
 			break
 		}

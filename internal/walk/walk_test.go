@@ -43,7 +43,7 @@ func newFakeTopo(t *testing.T, n int, degree int, seed uint64) *fakeTopo {
 
 func (f *fakeTopo) NumClusters() int                         { return f.g.NumVertices() }
 func (f *fakeTopo) NumOverlayEdges() int                     { return f.g.NumEdges() }
-func (f *fakeTopo) Adjacent(c ids.ClusterID) []ids.ClusterID { return f.g.Adjacent(c) }
+func (f *fakeTopo) Adjacent(c ids.ClusterID) []ids.ClusterID { return f.g.Neighbors(c) }
 func (f *fakeTopo) Size(c ids.ClusterID) int                 { return f.sizes[c] }
 func (f *fakeTopo) Byz(c ids.ClusterID) int                  { return f.byz[c] }
 func (f *fakeTopo) MaxClusterSize() int                      { return f.maxSz }
@@ -384,5 +384,18 @@ func TestWalkOnEdgelessMultiClusterFails(t *testing.T) {
 	var led metrics.Ledger
 	if _, err := w.Uniform(&led, xrand.New(22), 0); err == nil {
 		t.Error("edgeless multi-cluster overlay accepted")
+	}
+}
+
+// TestHoldTimeTableExact pins the holding-time table to the expression the
+// hop used to evaluate inline: every entry must be bit-identical, so the
+// table cannot move a walk's length by even one ulp.
+func TestHoldTimeTableExact(t *testing.T) {
+	holdTimeOnce.Do(fillHoldTime)
+	for hv := range holdTime {
+		want := -math.Log(1 - (float64(hv)+0.5)/_holdGrid)
+		if math.Float64bits(holdTime[hv]) != math.Float64bits(want) {
+			t.Fatalf("holdTime[%d] = %v, want %v", hv, holdTime[hv], want)
+		}
 	}
 }

@@ -28,9 +28,10 @@ go test -run '^$' -bench 'BenchmarkShardedWorldBatch/lean' \
 
 # randCl and the exchange primitive read the overlay adjacency in place
 # (Topology.Adjacent): a copy per hop or per neighbour-mass charge shows up
-# here as allocs/op > 0.
-echo "== benchmem gate: walk + exchange primitives =="
-go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive' \
+# here as allocs/op > 0. The world audit runs its connectivity BFS on the
+# overlay's reused scratch: a map or queue per call shows up the same way.
+echo "== benchmem gate: walk + exchange primitives, world audit =="
+go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|BenchmarkWorldAudit' \
 	-benchmem -benchtime 50x . | tee -a "$out"
 
 # Floors: "<benchmark-prefix> <max allocs/op>". A line matches the longest
@@ -43,6 +44,7 @@ BenchmarkSnapshotClusterInto 0
 BenchmarkShardedWorldBatch/lean/ 10
 BenchmarkRandClWalk 0
 BenchmarkExchangePrimitive 0
+BenchmarkWorldAudit 0
 '
 
 fail=0
