@@ -295,14 +295,14 @@ func BenchmarkSimulationStep(b *testing.B) {
 }
 
 // BenchmarkShardedWorldBatch measures the op scheduler's throughput on ONE
-// world at increasing shard counts: every iteration executes a 16-op batch
-// of interleaved joins and leaves (steady population) through ExecBatch.
-// At shards-1 the scheduler runs fully serially; higher shard counts admit
-// operations with disjoint write footprints for concurrent planning and
-// apply, so the serial-vs-sharded delta on a multi-core runner is the
-// intra-world speedup (a 1-core runner shows only the coordination
-// overhead, which is also worth recording). Results are identical at
-// every shard count; only wall-clock changes.
+// world at increasing plan-worker bounds (Config.Shards, the shards-N
+// sub-benchmark): every iteration executes a 16-op batch of interleaved
+// joins and leaves (steady population) through ExecBatch. At shards-1 the
+// scheduler runs fully serially; higher bounds plan the batch on up to N
+// goroutines and then apply admitted plans serially, so the delta on a
+// multi-core runner is the intra-world planning speedup (a 1-core runner
+// shows only the coordination overhead, which is also worth recording).
+// Results are identical at every bound; only wall-clock changes.
 //
 // Two write-density regimes are measured, because admission is bounded by
 // how many clusters one operation mutates:

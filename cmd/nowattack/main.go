@@ -45,7 +45,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.Float64Var(&c.k, "k", 5, "cluster size security parameter K")
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 0,
 		"batch this many ops per time step through the concurrent scheduler (0/1 = classic driver)")
-	fs.IntVar(&c.shards, "world-shards", 0, "world shard count for the batched driver (0 = package default)")
+	fs.IntVar(&c.shards, "world-shards", 0, "plan workers for the batched driver (0/1 = serial)")
 	fs.BoolVar(&c.grouped, "grouped-cascade", false, "use the grouped leave-cascade variant")
 	fs.StringVar(&c.benchJSON, "bench-json", "",
 		"run the hooked-plan arm matrix (classic / batched serial / batched sharded) and write machine-readable results to this path")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,7 +19,7 @@ func TestParseConfigDefaults(t *testing.T) {
 	if !reflect.DeepEqual(c.selected, nowover.ExperimentIDs()) {
 		t.Errorf("default selection = %v, want all experiment IDs", c.selected)
 	}
-	if c.seed != 1 || c.shards != 1 || c.full || c.exact || c.maxN != 0 {
+	if c.seed != 1 || c.grouped || c.full || c.exact || c.maxN != 0 || c.opsPerStep != 0 {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
 }
@@ -106,6 +107,34 @@ func TestParseConfigMaxN2e20(t *testing.T) {
 	}
 	if _, err := parseConfig([]string{"-full", "-max-n", "100"}); err == nil {
 		t.Error("parseConfig(-max-n below grid top) must error")
+	}
+}
+
+// TestFingerprintMatchesCommittedJournal pins journal resumability: the
+// flags that recorded results/sweep2e20.journal must reproduce its header
+// fingerprint exactly, or re-running that sweep would refuse the journal.
+func TestFingerprintMatchesCommittedJournal(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "results", "sweep2e20.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var header struct {
+		Fingerprint string `json:"fingerprint"`
+	}
+	if err := json.NewDecoder(f).Decode(&header); err != nil {
+		t.Fatalf("journal header: %v", err)
+	}
+	c, err := parseConfig([]string{"-full", "-max-n", "1048576", "-exp", "E4,E5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.scale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.fingerprint(s); got != header.Fingerprint {
+		t.Errorf("fingerprint drifted from the committed journal:\n got  %s\n want %s", got, header.Fingerprint)
 	}
 }
 

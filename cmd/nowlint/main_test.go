@@ -48,7 +48,7 @@ func TestRunRulesListing(t *testing.T) {
 	if err != nil || code != 0 {
 		t.Fatalf("run(-rules) = %d, %v", code, err)
 	}
-	for _, rule := range []string{"map-order", "rng-discipline", "float-fold-order", "shard-lock-order", "class-exhaustive"} {
+	for _, rule := range []string{"map-order", "rng-discipline", "float-fold-order", "class-exhaustive"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-rules listing missing %q:\n%s", rule, out.String())
 		}

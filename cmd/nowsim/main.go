@@ -70,8 +70,8 @@ func parseConfig(args []string) (*config, error) {
 	fs.IntVar(&c.every, "report", 0, "print an audit every k steps (default steps/10)")
 	fs.IntVar(&c.runs, "runs", 1, "independent replicas to run (seeds seed..seed+runs-1)")
 	fs.IntVar(&c.parallel, "parallel", 0, "worker count for -runs: 1 = serial, 0 = auto (NOWBENCH_PARALLEL, then GOMAXPROCS)")
-	fs.IntVar(&c.shards, "world-shards", 1, "lockable world-state segments: 1 = serial layout, n > 1 enables intra-world concurrency (results identical at any value)")
-	fs.IntVar(&c.opsPerStep, "ops-per-step", 1, "operations per time step: > 1 batches them through the concurrent op scheduler (incompatible with -attack hijacking)")
+	fs.IntVar(&c.shards, "world-shards", 1, "plan workers for the batched driver (0/1 = serial; results identical at any value)")
+	fs.IntVar(&c.opsPerStep, "ops-per-step", 1, "operations per time step: > 1 batches them through the op scheduler")
 	fs.BoolVar(&c.grouped, "grouped-cascade", false, "batch each leave's cascade into one grouped shuffle round over the receiver set (~|C| write footprint instead of ~|C|^2)")
 	fs.BoolVar(&c.exact, "exact-samples", false, "retain full per-operation cost histories instead of fixed-memory sketches (pre-sketch output byte for byte; memory grows with -steps)")
 	c.prof.Register(fs)

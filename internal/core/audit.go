@@ -63,39 +63,36 @@ func (w *World) Audit() Audit {
 		SizeHi:   w.cfg.SplitThreshold(),
 	}
 	first := true
-	for _, s := range w.shards {
-		// Ascending slot walk = ascending ClusterID within the shard:
-		// min/max/fraction folds are commutative, but the audit is part of
-		// rendered output and the determinism contract is cheaper to hold
-		// uniformly than to re-prove per fold.
-		for _, cs := range s.clusters {
-			if cs == nil {
-				continue
+	// Ascending ClusterID walk: min/max/fraction folds are commutative, but
+	// the audit is part of rendered output and the determinism contract is
+	// cheaper to hold uniformly than to re-prove per fold.
+	for _, cs := range w.clusters {
+		if cs == nil {
+			continue
+		}
+		size := len(cs.members)
+		if first {
+			a.MinSize, a.MaxSize = size, size
+			first = false
+		} else {
+			if size < a.MinSize {
+				a.MinSize = size
 			}
-			size := len(cs.members)
-			if first {
-				a.MinSize, a.MaxSize = size, size
-				first = false
-			} else {
-				if size < a.MinSize {
-					a.MinSize = size
-				}
-				if size > a.MaxSize {
-					a.MaxSize = size
-				}
+			if size > a.MaxSize {
+				a.MaxSize = size
 			}
-			if size > 0 {
-				if f := float64(cs.byz) / float64(size); f > a.MaxByzFraction {
-					a.MaxByzFraction = f
-				}
+		}
+		if size > 0 {
+			if f := float64(cs.byz) / float64(size); f > a.MaxByzFraction {
+				a.MaxByzFraction = f
 			}
-			switch randnum.Classify(size, cs.byz) {
-			case randnum.Degraded:
-				a.Degraded++
-			case randnum.Captured:
-				a.Captured++
-				a.Degraded++ // captured clusters are degraded too
-			}
+		}
+		switch randnum.Classify(size, cs.byz) {
+		case randnum.Degraded:
+			a.Degraded++
+		case randnum.Captured:
+			a.Captured++
+			a.Degraded++ // captured clusters are degraded too
 		}
 	}
 	a.MinDegree, a.MaxDegree = w.overlay.DegreeRange()
@@ -111,26 +108,22 @@ func (w *World) OverlayHealth(spectralIters, randomCuts int) over.Health {
 }
 
 // CheckConsistency exhaustively cross-checks the world's redundant
-// bookkeeping (membership indexes, Byzantine counts, the row table,
-// per-shard size multisets and max trackers, the incremental security
-// classes and insecure counters, arena slot placement, overlay/partition
-// correspondence, the overlay's own structure). Used by tests and the
-// simulator's paranoid mode; returns the first inconsistency found. All walks run in ascending
-// slot (= ascending ID) order, so which inconsistency is reported first
-// is a function of the state, not of any map hash seed.
+// bookkeeping (membership indexes, Byzantine counts, the row table, the
+// size multiset and max tracker, the incremental security classes and
+// insecure counters, the settle queue, the cluster and node counters,
+// overlay/partition correspondence, the overlay's own structure). Used by
+// tests and the simulator's paranoid mode; returns the first inconsistency
+// found. All walks run in ascending ID order, so which inconsistency is
+// reported first is a function of the state, not of any map hash seed.
 func (w *World) CheckConsistency() error {
 	nodeRecords := 0
-	for _, ns := range w.nodeShards {
-		present := 0
-		for _, info := range ns.nodes {
-			if info.present {
-				present++
-			}
+	for _, info := range w.nodes {
+		if info.present {
+			nodeRecords++
 		}
-		if present != ns.count {
-			return fmt.Errorf("consistency: node shard %d counts %d records, actual %d", ns.index, ns.count, present)
-		}
-		nodeRecords += present
+	}
+	if nodeRecords != w.nodeCount {
+		return fmt.Errorf("consistency: node index counts %d records, actual %d", w.nodeCount, nodeRecords)
 	}
 	if len(w.allNodes) != nodeRecords {
 		return fmt.Errorf("consistency: %d indexed nodes vs %d records", len(w.allNodes), nodeRecords)
@@ -138,97 +131,84 @@ func (w *World) CheckConsistency() error {
 	totalMembers := 0
 	totalClusters := 0
 	maxSize := 0
-	for si, s := range w.shards {
-		shardMax := 0
-		liveSlots := 0
-		degraded, captured := 0, 0
-		sizes := make([]int32, len(s.sizeCount))
-		queued := make(map[int32]bool, len(s.dirtySlots))
-		for _, slot := range s.dirtySlots {
-			queued[slot] = true
+	degraded, captured := 0, 0
+	sizes := make([]int32, len(w.sizeCount))
+	queued := make(map[ids.ClusterID]bool, len(w.settleQueue))
+	for _, c := range w.settleQueue {
+		queued[c] = true
+	}
+	for i, cs := range w.clusters {
+		if cs == nil {
+			continue
 		}
-		for slot, cs := range s.clusters {
-			if cs == nil {
-				continue
+		c := ids.ClusterID(i)
+		if !w.overlay.Has(c) {
+			return fmt.Errorf("consistency: cluster %v missing from overlay", c)
+		}
+		byz := 0
+		for _, x := range cs.members {
+			info, ok := w.nodeInfoOf(x)
+			if !ok {
+				return fmt.Errorf("consistency: member %v of %v unknown", x, c)
 			}
-			c := s.idAt(slot)
-			liveSlots++
-			if !w.overlay.Has(c) {
-				return fmt.Errorf("consistency: cluster %v missing from overlay", c)
+			if info.cluster != c {
+				return fmt.Errorf("consistency: node %v thinks it is in %v, member list says %v", x, info.cluster, c)
 			}
-			byz := 0
-			for _, x := range cs.members {
-				info, ok := w.nodeInfoOf(x)
-				if !ok {
-					return fmt.Errorf("consistency: member %v of %v unknown", x, c)
-				}
-				if info.cluster != c {
-					return fmt.Errorf("consistency: node %v thinks it is in %v, member list says %v", x, info.cluster, c)
-				}
-				if info.byz {
-					byz++
-				}
-			}
-			if byz != cs.byz {
-				return fmt.Errorf("consistency: cluster %v byz count %d, actual %d", c, cs.byz, byz)
-			}
-			if row := w.rows[c]; int(row.size) != len(cs.members) || int(row.byz) != byz {
-				return fmt.Errorf("consistency: cluster %v row (%d, %d), actual (%d, %d)", c, row.size, row.byz, len(cs.members), byz)
-			}
-			want := randnum.Secure
-			if len(cs.members) > 0 {
-				want = randnum.Classify(len(cs.members), cs.byz)
-			}
-			if cs.sec != want {
-				return fmt.Errorf("consistency: cluster %v live class %v, actual %v", c, cs.sec, want)
-			}
-			if cs.sec >= randnum.Degraded {
-				degraded++
-			}
-			if cs.sec == randnum.Captured {
-				captured++
-			}
-			if cs.dirty && !queued[int32(slot)] {
-				return fmt.Errorf("consistency: cluster %v dirty but not queued for settle", c)
-			}
-			totalMembers += len(cs.members)
-			totalClusters++
-			if len(cs.members) > shardMax {
-				shardMax = len(cs.members)
-			}
-			if n := len(cs.members); n > 0 {
-				if n >= len(sizes) {
-					sizes = append(sizes, make([]int32, n+1-len(sizes))...)
-				}
-				sizes[n]++
+			if info.byz {
+				byz++
 			}
 		}
-		if liveSlots != s.liveSlots {
-			return fmt.Errorf("consistency: shard %d tracks %d live slots, actual %d", si, s.liveSlots, liveSlots)
+		if byz != cs.byz {
+			return fmt.Errorf("consistency: cluster %v byz count %d, actual %d", c, cs.byz, byz)
 		}
-		if degraded != s.degraded || captured != s.captured {
-			return fmt.Errorf("consistency: shard %d insecure counters %d/%d, actual %d/%d",
-				si, s.degraded, s.captured, degraded, captured)
+		if row := w.rows[c]; int(row.size) != len(cs.members) || int(row.byz) != byz {
+			return fmt.Errorf("consistency: cluster %v row (%d, %d), actual (%d, %d)", c, row.size, row.byz, len(cs.members), byz)
 		}
-		if shardMax != s.maxSize {
-			return fmt.Errorf("consistency: shard %d tracked max size %d, actual %d", si, s.maxSize, shardMax)
+		want := randnum.Secure
+		if len(cs.members) > 0 {
+			want = randnum.Classify(len(cs.members), cs.byz)
 		}
-		if shardMax > maxSize {
-			maxSize = shardMax
+		if cs.sec != want {
+			return fmt.Errorf("consistency: cluster %v live class %v, actual %v", c, cs.sec, want)
 		}
-		for sz := range sizes {
-			var got int32
-			if sz < len(s.sizeCount) {
-				got = s.sizeCount[sz]
+		if cs.sec >= randnum.Degraded {
+			degraded++
+		}
+		if cs.sec == randnum.Captured {
+			captured++
+		}
+		if cs.dirty && !queued[c] {
+			return fmt.Errorf("consistency: cluster %v dirty but not queued for settle", c)
+		}
+		totalMembers += len(cs.members)
+		totalClusters++
+		maxSize = max(maxSize, len(cs.members))
+		if n := len(cs.members); n > 0 {
+			if n >= len(sizes) {
+				sizes = append(sizes, make([]int32, n+1-len(sizes))...)
 			}
-			if got != sizes[sz] {
-				return fmt.Errorf("consistency: shard %d size multiset at %d is %d, actual %d", si, sz, got, sizes[sz])
-			}
+			sizes[n]++
 		}
-		for sz := len(sizes); sz < len(s.sizeCount); sz++ {
-			if n := s.sizeCount[sz]; n != 0 {
-				return fmt.Errorf("consistency: shard %d size multiset extra entry %d=%d", si, sz, n)
-			}
+	}
+	if degraded != w.degraded || captured != w.captured {
+		return fmt.Errorf("consistency: insecure counters %d/%d, actual %d/%d",
+			w.degraded, w.captured, degraded, captured)
+	}
+	if maxSize != w.maxSize {
+		return fmt.Errorf("consistency: tracked max size %d, actual %d", w.maxSize, maxSize)
+	}
+	for sz := range sizes {
+		var got int32
+		if sz < len(w.sizeCount) {
+			got = w.sizeCount[sz]
+		}
+		if got != sizes[sz] {
+			return fmt.Errorf("consistency: size multiset at %d is %d, actual %d", sz, got, sizes[sz])
+		}
+	}
+	for sz := len(sizes); sz < len(w.sizeCount); sz++ {
+		if n := w.sizeCount[sz]; n != 0 {
+			return fmt.Errorf("consistency: size multiset extra entry %d=%d", sz, n)
 		}
 	}
 	if totalMembers != nodeRecords {
@@ -248,28 +228,23 @@ func (w *World) CheckConsistency() error {
 	if err := w.overlay.Check(); err != nil {
 		return fmt.Errorf("consistency: %w", err)
 	}
-	if maxSize != w.MaxClusterSize() {
-		return fmt.Errorf("consistency: tracked max size %d, actual %d", w.MaxClusterSize(), maxSize)
-	}
 	for _, x := range w.byzNodes {
 		info, ok := w.nodeInfoOf(x)
 		if !ok || !info.byz {
 			return fmt.Errorf("consistency: byz index entry %v invalid", x)
 		}
 	}
-	for _, ns := range w.nodeShards {
-		for slot, info := range ns.nodes {
-			if !info.present {
-				continue
-			}
-			x := ids.NodeID(uint64(slot)*uint64(ns.stride) + uint64(ns.index))
-			if p := w.samplePos(x); p < 0 || w.allNodes[p] != x {
-				return fmt.Errorf("consistency: node %v missing from flat index", x)
-			}
-			if info.byz {
-				if p := w.byzSamplePos(x); p < 0 || w.byzNodes[p] != x {
-					return fmt.Errorf("consistency: byz node %v missing from index", x)
-				}
+	for i, info := range w.nodes {
+		if !info.present {
+			continue
+		}
+		x := ids.NodeID(i)
+		if p := w.samplePos(x); p < 0 || w.allNodes[p] != x {
+			return fmt.Errorf("consistency: node %v missing from flat index", x)
+		}
+		if info.byz {
+			if p := w.byzSamplePos(x); p < 0 || w.byzNodes[p] != x {
+				return fmt.Errorf("consistency: byz node %v missing from index", x)
 			}
 		}
 	}

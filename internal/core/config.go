@@ -117,12 +117,10 @@ type Config struct {
 	// edge in OVER Add/Remove.
 	EdgeAttemptFactor int
 
-	// Shards is the number of independently lockable segments the world's
-	// cluster-keyed state is partitioned across. 1 is the fully serial
-	// layout (classic behavior, byte-identical under a fixed seed); values
-	// above 1 let the op scheduler (World.ExecBatch) execute operations
-	// with disjoint cluster footprints concurrently. 0 defers to the
-	// package default (SetDefaultShards, normally 1).
+	// Shards bounds the plan workers of the batched driver
+	// (World.ExecBatch): a batch plans on min(Shards, GOMAXPROCS, batch
+	// size) goroutines, and 0 or 1 plans serially. Results are identical
+	// at every value; only wall-clock changes. Apply is always serial.
 	Shards int
 }
 
@@ -176,7 +174,7 @@ func (c Config) Validate() error {
 	case c.EdgeAttemptFactor < 1:
 		return fmt.Errorf("core: EdgeAttemptFactor=%d must be >= 1", c.EdgeAttemptFactor)
 	case c.Shards < 0 || c.Shards > 1<<12:
-		return fmt.Errorf("core: Shards=%d outside [0, %d]", c.Shards, 1<<12)
+		return fmt.Errorf("core: Shards=%d (plan workers) outside [0, %d]", c.Shards, 1<<12)
 	}
 	return nil
 }

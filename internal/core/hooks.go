@@ -16,14 +16,14 @@ package core
 //   - Batch lifecycle (serial): a hook that also implements BatchHook
 //     gets BeginBatch before Phase 1 — the one place to re-validate or
 //     re-fixate decision state against the pre-batch world — and CommitOp
-//     once per op, in op order, after the batch's effects (concurrent
+//     once per op, in op order, after the batch's effects (admitted
 //     applies and the serial tail) are all in place, folded alongside the
 //     scheduler's own order-sensitive bookkeeping (sampling indexes,
 //     ledgers, stats). Ratchet counters and budget spend belong here.
 //
 // Under this contract ExecBatch keeps its unconditional determinism —
-// Shards=1 and Shards=8 worlds produce byte-identical results at any
-// GOMAXPROCS — with hooks installed and planning fully parallel. The
+// worlds planning on one worker (Shards=1) or eight (Shards=8) produce
+// byte-identical results at any GOMAXPROCS — with hooks installed and planning fully parallel. The
 // classic one-op-per-call path needs no lifecycle calls: it is serial by
 // construction, and the sim drivers refresh strategy state through Decide
 // at every step boundary.

@@ -13,8 +13,8 @@ import (
 //   - every node is a member of exactly one cluster, and the membership
 //     union equals the node index (no phantom, duplicated or orphaned
 //     nodes);
-//   - every cluster's Byzantine counter, security class and the per-shard
-//     size multisets equal a recount (via CheckConsistency), and the
+//   - every cluster's Byzantine counter, security class and the size
+//     multiset equal a recount (via CheckConsistency), and the
 //     tracked max cluster size equals the true maximum;
 //   - no cluster is empty, none exceeds the split threshold, and — when
 //     more than one cluster exists, so merging was possible — none sits
@@ -22,7 +22,7 @@ import (
 //   - the overlay vertex set and the cluster set are identical.
 //
 // It is the reusable oracle for the randomized-op, fuzz and scheduler
-// test layers, valid in both the serial and sharded execution modes: the
+// test layers, valid for the classic and the batched drivers alike: the
 // op scheduler defers every structural operation to its serial tail, so
 // these invariants must hold at every batch boundary exactly as they do
 // after every classic operation.
@@ -33,41 +33,38 @@ func CheckInvariants(w *World) error {
 
 	// Membership union == node index, each node in exactly one cluster.
 	// The walk also recomputes the true maximum cluster size so the
-	// tracked max (worldShard.maxSize, maintained by noteSizeChange's
+	// tracked max (World.maxSize, maintained by noteSizeChange's
 	// size-multiset scan-down) is checked against ground truth on every
 	// oracle call — the regression oracle for the stale-max recompute.
 	seen := make(ids.NodeSet, w.NumNodes())
 	lo, hi := w.cfg.MergeThreshold(), w.cfg.SplitThreshold()
 	clusters := ids.NewClusterSet()
 	trueMax := 0
-	for _, s := range w.shards {
-		// Ascending slot walk = ascending ClusterID within the shard:
-		// which violated invariant gets reported is part of the oracle's
-		// observable output, so the scan order must come from the cluster
-		// IDs, not any map hash seed.
-		for slot, cs := range s.clusters {
-			if cs == nil {
-				continue
-			}
-			c := s.idAt(slot)
-			clusters.Add(c)
-			size := len(cs.members)
-			if size > trueMax {
-				trueMax = size
-			}
-			if size == 0 {
-				return fmt.Errorf("invariant: cluster %v is empty", c)
-			}
-			if size > hi {
-				return fmt.Errorf("invariant: cluster %v size %d above split threshold %d", c, size, hi)
-			}
-			if w.nClusters > 1 && size < lo {
-				return fmt.Errorf("invariant: cluster %v size %d below merge threshold %d", c, size, lo)
-			}
-			for _, x := range cs.members {
-				if !seen.Add(x) {
-					return fmt.Errorf("invariant: node %v is a member of two clusters", x)
-				}
+	// Ascending ClusterID walk: which violated invariant gets reported is
+	// part of the oracle's observable output, so the scan order must come
+	// from the cluster IDs, not any map hash seed.
+	for i, cs := range w.clusters {
+		if cs == nil {
+			continue
+		}
+		c := ids.ClusterID(i)
+		clusters.Add(c)
+		size := len(cs.members)
+		if size > trueMax {
+			trueMax = size
+		}
+		if size == 0 {
+			return fmt.Errorf("invariant: cluster %v is empty", c)
+		}
+		if size > hi {
+			return fmt.Errorf("invariant: cluster %v size %d above split threshold %d", c, size, hi)
+		}
+		if w.nClusters > 1 && size < lo {
+			return fmt.Errorf("invariant: cluster %v size %d below merge threshold %d", c, size, lo)
+		}
+		for _, x := range cs.members {
+			if !seen.Add(x) {
+				return fmt.Errorf("invariant: node %v is a member of two clusters", x)
 			}
 		}
 	}

@@ -115,16 +115,14 @@ func TestCheckInvariantsDetectsBreakage(t *testing.T) {
 	// Silently drop one member from a cluster's list without touching any
 	// derived index (size multiset, node records, security class):
 	// consistency must flag the mismatch.
-	for _, s := range w.shards {
-		for _, cs := range s.clusters {
-			if cs == nil {
-				continue
-			}
-			cs.members = cs.members[:len(cs.members)-1]
-			if err := CheckInvariants(w); err == nil {
-				t.Fatal("invariant oracle missed a vanished member")
-			}
-			return
+	for _, cs := range w.clusters {
+		if cs == nil {
+			continue
 		}
+		cs.members = cs.members[:len(cs.members)-1]
+		if err := CheckInvariants(w); err == nil {
+			t.Fatal("invariant oracle missed a vanished member")
+		}
+		return
 	}
 }

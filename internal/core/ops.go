@@ -276,7 +276,7 @@ func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, se
 // instead of ~|C|^2). It is shared between the classic serial path
 // (leaveWith, t = the world) and the op scheduler's leave plan (planLeave,
 // t = the planView) so the two paths stay draw-for-draw identical — the
-// serial/sharded lockstep contract (TestGroupedCascadeMatchesSerial)
+// plan-worker lockstep contract (TestGroupedCascadeMatchesSerial)
 // depends on it. Returns the hijacked-walk count to fold into stats.
 func runLeaveCascade(grouped bool, exch *exchange.Exchanger, t walk.Topology, led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID, receivers []ids.ClusterID) (int64, error) {
 	if grouped {
@@ -344,16 +344,15 @@ func (w *World) SetCorrupted(x ids.NodeID, corrupted bool) error {
 	if info.byz == corrupted {
 		return nil
 	}
-	s := w.shardFor(info.cluster)
-	slot, cs := s.clusterAt(info.cluster)
+	cs := w.clusters[info.cluster]
 	if corrupted {
 		cs.byz++
 	} else {
 		cs.byz--
 	}
-	s.setRow(info.cluster, cs)
-	s.reclassify(cs)
-	s.markDirty(slot, cs)
+	w.setRow(info.cluster, cs)
+	w.reclassify(cs)
+	w.markDirty(info.cluster, cs)
 	if corrupted {
 		w.byzPos = growPos(w.byzPos, x)
 		w.byzPos[x] = int32(len(w.byzNodes))
@@ -536,9 +535,7 @@ func (w *World) moveNode(x ids.NodeID, from, to ids.ClusterID) error {
 // removeClusterVertex retires c from both the partition bookkeeping and
 // the overlay, running OVER's repair pass.
 func (w *World) removeClusterVertex(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) {
-	if w.shardFor(c).retire(c) {
-		w.nClusters--
-	}
+	w.retire(c)
 	if w.overlay.Has(c) {
 		budget := w.cfg.TargetDegree() * w.cfg.EdgeAttemptFactor
 		// Repair walks start from the vertex being repaired.

@@ -3,12 +3,10 @@ package core
 import (
 	"cmp"
 	"slices"
-
-	"nowover/internal/ids"
 )
 
 // Deterministic map-walk helpers. The determinism contract (byte-identical
-// tables and ledgers at any parallelism or shard count) forbids letting Go's
+// tables and ledgers at any parallelism or plan-worker count) forbids letting Go's
 // randomized map iteration order reach any observable output — including
 // which invariant violation an oracle reports first. Every cluster/node map
 // walk that feeds output, errors, or order-sensitive folds iterates one of
@@ -30,38 +28,4 @@ func sortedKeysInto[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
 	}
 	slices.Sort(buf)
 	return buf
-}
-
-// lockShardPair is the canonical ordered-acquire helper for operations
-// whose footprint spans two cluster shards: it locks the shards owning a
-// and b in ascending shard-index order (one lock when they collide, with
-// hi == nil) and returns them for unlockShardPair. Taking two shard locks
-// any other way can deadlock against a concurrent acquirer of the same
-// pair in the opposite order, so nowlint's shard-lock-order rule flags
-// every ad-hoc second Lock in this package and points here. It returns the
-// locked shards rather than a release closure so the per-transfer hot path
-// stays allocation-free.
-func (w *World) lockShardPair(a, b ids.ClusterID) (lo, hi *worldShard) {
-	ia := uint64(a) % uint64(len(w.shards))
-	ib := uint64(b) % uint64(len(w.shards))
-	if ia == ib {
-		s := w.shards[ia]
-		s.mu.Lock()
-		return s, nil
-	}
-	if ia > ib {
-		ia, ib = ib, ia
-	}
-	lo, hi = w.shards[ia], w.shards[ib]
-	lo.mu.Lock()
-	hi.mu.Lock()
-	return lo, hi
-}
-
-// unlockShardPair releases what lockShardPair acquired, in reverse order.
-func unlockShardPair(lo, hi *worldShard) {
-	if hi != nil {
-		hi.mu.Unlock()
-	}
-	lo.mu.Unlock()
 }

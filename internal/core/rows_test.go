@@ -22,7 +22,7 @@ func TestRowsTrackCompositionThroughChurn(t *testing.T) {
 			}
 			for c := ids.ClusterID(0); int(c) < len(w.rows)+2; c++ {
 				size, byz := 0, 0
-				if cs := w.shardFor(c).cluster(c); cs != nil {
+				if cs := w.cluster(c); cs != nil {
 					size, byz = len(cs.members), cs.byz
 				}
 				if w.Size(c) != size || w.Byz(c) != byz {
@@ -88,7 +88,7 @@ func TestRetireZeroesRow(t *testing.T) {
 	if w.Size(c) == 0 {
 		t.Fatal("test cluster is empty")
 	}
-	if !w.shardFor(c).retire(c) {
+	if !w.retire(c) {
 		t.Fatal("retire of a live cluster reported false")
 	}
 	if w.Size(c) != 0 || w.Byz(c) != 0 {

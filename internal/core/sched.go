@@ -1,7 +1,7 @@
 package core
 
-// The op scheduler: concurrent execution of protocol operations with
-// disjoint cluster footprints inside ONE world.
+// The op scheduler: batched execution of protocol operations inside ONE
+// world, planned concurrently and applied serially.
 //
 // The paper's analysis rests on independence — clusters interact only
 // through the exchanges an operation itself triggers — so operations whose
@@ -26,14 +26,11 @@ package core
 //     nodes that are members of its own written clusters (exchange
 //     partners pick their replacement from themselves), so disjoint write
 //     sets move disjoint node sets and replaying both plans' moves yields
-//     one well-defined state. Admitted moves are applied concurrently;
-//     the apply workers are the only code that takes the per-shard
-//     locks, because they write records of disjoint clusters but share
-//     each shard's size multiset, counters and settle queue. Apply only
-//     writes and planning only reads, and runIndexed's WaitGroup barrier
-//     separates the two, so no read anywhere takes a lock. Sampling
-//     indexes, ledgers and stats are then folded in op order (serially)
-//     so their ordering stays deterministic.
+//     one well-defined state. Each admitted plan is applied as soon as it
+//     is admitted — serially, in op order — together with its
+//     sampling-index updates, ledger merge and stat deltas. Planning only
+//     reads and apply starts after runIndexed's WaitGroup barrier, so
+//     nothing takes a lock.
 //  3. TAIL. Conflicting plans and structural operations (a join that must
 //     split, a leave that must merge or empties its cluster — these mutate
 //     the overlay and mint/retire cluster IDs) are discarded and re-run
@@ -41,15 +38,15 @@ package core
 //     substream.
 //
 // Consequently ExecBatch is a pure function of (world state, batch): a
-// Shards=1 world and a Shards=8 world with equal seeds produce IDENTICAL
-// results — same Stats, same security counters, same membership, same
-// ledger totals — regardless of GOMAXPROCS. Adversary hooks (hijacker,
-// steer scorer) plan at full parallelism under the snapshot-scoped hook
-// contract (hooks.go): plan-phase Redirect/Score calls are pure reads of
-// state fixed before the batch, refreshed serially via BeginBatch, with
-// hook bookkeeping folded in op order via CommitOp next to the
-// scheduler's own order-sensitive folds; the contract holds
-// unconditionally. Divergence from the classic
+// world planning on one worker (Shards=1) and one planning on eight
+// (Shards=8) with equal seeds produce IDENTICAL results — same Stats, same
+// security counters, same membership, same ledger totals — regardless of
+// GOMAXPROCS. Adversary hooks (hijacker, steer scorer) plan at full
+// parallelism under the snapshot-scoped hook contract (hooks.go):
+// plan-phase Redirect/Score calls are pure reads of state fixed before the
+// batch, refreshed serially via BeginBatch, with hook bookkeeping folded
+// in op order via CommitOp next to the scheduler's own order-sensitive
+// folds; the contract holds unconditionally. Divergence from the classic
 // one-op-per-call API is confined to (a) per-op RNG substreams instead of
 // one shared stream, (b) security settling at batch (= paper time step)
 // boundaries rather than per op, and (c) walks inside a batch observing
@@ -121,8 +118,8 @@ type OpResult struct {
 	// Err is the operation error, if any.
 	Err error
 	// Deferred reports that the op ran on the serial tail (conflicting
-	// footprint or structural side effects) instead of the concurrent
-	// phase; DeferReason says why ("footprint conflict", "split
+	// footprint or structural side effects) instead of being applied from
+	// its plan; DeferReason says why ("footprint conflict", "split
 	// required", "merge required", "cluster emptied").
 	Deferred    bool
 	DeferReason string
@@ -264,9 +261,7 @@ type schedScratch struct {
 	batchRng xrand.Rand
 	tailRng  xrand.Rand
 	accW     ids.ClusterSet
-	admitted []*batchPlan
 	tail     []*batchPlan
-	errs     []error
 	ctxs     []*planContext
 
 	// hijacked is the per-op hijacked-walk tally handed to hook CommitOp
@@ -274,12 +269,11 @@ type schedScratch struct {
 	// tail's stat deltas. Only maintained when a BatchHook is registered.
 	hijacked []int64
 
-	// planFn/applyFn are the worker bodies handed to runIndexed, built once:
-	// a fresh closure per batch would escape to the heap and break the
-	// zero-allocation steady state. They capture only the world, reading the
+	// planFn is the worker body handed to runIndexed, built once: a fresh
+	// closure per batch would escape to the heap and break the
+	// zero-allocation steady state. It captures only the world, reading the
 	// per-batch state through its sched scratch.
-	planFn  func(worker, i int)
-	applyFn func(worker, i int)
+	planFn func(worker, i int)
 }
 
 // ensure sizes the per-op scratch for a batch of n ops.
@@ -307,7 +301,7 @@ func (v *planView) cs(c ids.ClusterID) (*clusterState, bool) {
 	if cs, ok := v.local[c]; ok {
 		return cs, true
 	}
-	cs := v.w.shardFor(c).cluster(c)
+	cs := v.w.cluster(c)
 	return cs, cs != nil
 }
 
@@ -535,11 +529,11 @@ func (w *World) planLeave(p *batchPlan, v *planView, exch *exchange.Exchanger, r
 			// runLeaveCascade): receivers are enumerated from the
 			// pre-batch snapshot and every draw comes from this op's
 			// substream. Cascade writes land in the plan's footprint like
-			// any other transfer and are applied under the shard locks in
-			// op order — and under GroupedCascade the round swaps WITHIN
-			// the clusters the primary exchange already wrote, so the
-			// leave's write footprint stays ~|C| clusters instead of the
-			// ~|C|^2 the per-receiver cascade accumulates. That footprint
+			// any other transfer and are applied in op order — and under
+			// GroupedCascade the round swaps WITHIN the clusters the
+			// primary exchange already wrote, so the leave's write
+			// footprint stays ~|C| clusters instead of the ~|C|^2 the
+			// per-receiver cascade accumulates. That footprint
 			// drop is what lets full-density leave batches pass admission
 			// (see BenchmarkShardedWorldBatch's cascade regime).
 			hijacked, err := runLeaveCascade(w.cfg.GroupedCascade, exch, v, &p.led, rng, c, rep.Receivers)
@@ -599,10 +593,9 @@ func conflicts(p *batchPlan, accW ids.ClusterSet) bool {
 	return setsIntersect(p.writes, accW)
 }
 
-// applyPlan replays an admitted plan's membership moves under the shard
-// locks. Node records are updated here too (each node is moved by at most
-// one admitted plan); the flat sampling indexes are op-order-sensitive and
-// handled by the serial post-pass.
+// applyPlan replays an admitted plan's membership moves together with the
+// node-record and sampling-index updates they imply. Each node is moved by
+// at most one admitted plan.
 func (w *World) applyPlan(p *batchPlan) error {
 	for _, m := range p.moves {
 		switch m.kind {
@@ -610,12 +603,13 @@ func (w *World) applyPlan(p *batchPlan) error {
 			if err := w.insertMember(m.to, m.x, m.byz); err != nil {
 				return err
 			}
-			w.setNodeInfo(m.x, nodeInfo{cluster: m.to, byz: m.byz})
+			w.registerNode(m.x, m.byz, m.to)
 		case moveRemove:
 			if err := w.removeMember(m.from, m.x, m.byz); err != nil {
 				return err
 			}
 			w.deleteNodeInfo(m.x)
+			w.sampleRemove(m.x, m.byz)
 		case moveTransfer:
 			if err := w.applyTransfer(m.x, m.from, m.to, m.byz); err != nil {
 				return err
@@ -625,25 +619,17 @@ func (w *World) applyPlan(p *batchPlan) error {
 	return nil
 }
 
-// schedWorkers picks the apply/plan concurrency: bounded by the batch
-// size, the shard count (a serial-layout world runs serially) and the
-// machine. The result never affects outcomes, only wall-clock.
-func (w *World) schedWorkers(n int) int {
-	if s := len(w.shards); s < n {
-		n = s
-	}
-	if p := runtime.GOMAXPROCS(0); p < n {
-		n = p
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+// planWorkers picks the plan-phase concurrency: Config.Shards bounded by
+// the batch size and the machine, at least 1. The result never affects
+// outcomes, only wall-clock.
+func (w *World) planWorkers(n int) int {
+	return max(1, min(w.cfg.Shards, runtime.GOMAXPROCS(0), n))
 }
 
 // runIndexed fans fn(worker, 0..n-1) across the given number of workers
-// via an atomic claim counter, or runs inline (worker 0) when workers <= 1.
-// fn must be safe for concurrent invocation on distinct indexes; the worker
+// via an atomic claim counter. Worker 0 runs on the calling goroutine, so
+// only workers-1 goroutines are spawned and workers <= 1 runs inline. fn
+// must be safe for concurrent invocation on distinct indexes; the worker
 // id lets callers hand each goroutine its own pooled machinery.
 func runIndexed(workers, n int, fn func(worker, i int)) {
 	if workers <= 1 {
@@ -653,34 +639,35 @@ func runIndexed(workers, n int, fn func(worker, i int)) {
 		return
 	}
 	var next atomic.Int64
-	next.Store(-1)
 	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
+	for g := 1; g < workers; g++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
+			claimIndexed(&next, n, worker, fn)
 		}(g)
 	}
+	claimIndexed(&next, n, 0, fn)
 	wg.Wait()
+}
+
+// claimIndexed runs fn on indexes claimed from next until n is reached.
+func claimIndexed(next *atomic.Int64, n, worker int, fn func(worker, i int)) {
+	for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+		fn(worker, i)
+	}
 }
 
 // ExecBatch executes a batch of operations — one paper time step with
 // multiple simultaneous arrivals/departures — through the op scheduler.
 // Results are positionally aligned with ops. The outcome is deterministic
-// in the world seed and the batch contents, independent of the shard count
-// and of GOMAXPROCS; see the package comment at the top of this file for
-// the phase structure and the exact divergence from the classic
-// one-op-per-call API.
+// in the world seed and the batch contents, independent of the
+// plan-worker bound (Config.Shards) and of GOMAXPROCS; see the package
+// comment at the top of this file for the phase structure and the exact
+// divergence from the classic one-op-per-call API.
 //
 // ExecBatch must not run concurrently with any other World method; it
-// manages its own internal concurrency.
+// manages its own plan workers.
 func (w *World) ExecBatch(ops []Op) []OpResult {
 	return w.ExecBatchInto(nil, ops)
 }
@@ -735,7 +722,7 @@ func (w *World) ExecBatchInto(res []OpResult, ops []Op) []OpResult {
 	// exchanger). Adversary hooks are consulted concurrently here — pure
 	// reads under the hook contract, so hooked worlds plan at full
 	// parallelism.
-	workers := w.schedWorkers(len(ops))
+	workers := w.planWorkers(len(ops))
 	for len(s.ctxs) < workers {
 		ctx, err := newPlanContext(w)
 		if err != nil {
@@ -755,13 +742,13 @@ func (w *World) ExecBatchInto(res []OpResult, ops []Op) []OpResult {
 	}
 	runIndexed(workers, len(ops), s.planFn)
 
-	// Phase 2: admit in op order, then apply admitted plans concurrently.
+	// Phase 2: admit in op order, applying each admitted plan as it is
+	// admitted.
 	if s.accW == nil {
 		s.accW = make(ids.ClusterSet)
 	} else {
 		clear(s.accW)
 	}
-	s.admitted = s.admitted[:0]
 	s.tail = s.tail[:0]
 	for i := range s.plans {
 		p := &s.plans[i]
@@ -774,49 +761,21 @@ func (w *World) ExecBatchInto(res []OpResult, ops []Op) []OpResult {
 			}
 			s.tail = append(s.tail, p)
 		default:
-			s.admitted = append(s.admitted, p)
 			unionInto(s.accW, p.writes)
-		}
-	}
-	if cap(s.errs) < len(s.admitted) {
-		s.errs = make([]error, len(s.admitted))
-	}
-	s.errs = s.errs[:len(s.admitted)]
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
-	if s.applyFn == nil {
-		s.applyFn = func(_, i int) {
-			w.sched.errs[i] = w.applyPlan(w.sched.admitted[i])
-		}
-	}
-	admitted := s.admitted
-	applyErrs := s.errs
-	runIndexed(w.schedWorkers(len(admitted)), len(admitted), s.applyFn)
-
-	// Op-ordered post-pass: sampling indexes, ledgers, stats, results.
-	for i, p := range admitted {
-		if applyErrs[i] != nil {
-			// Admission guarantees this cannot happen; surface loudly if a
-			// footprint bug ever breaks the guarantee (the invariant suite
-			// would then fail consistency too).
-			res[p.idx] = OpResult{Node: p.newNode, Err: applyErrs[i]}
-			continue
-		}
-		for _, m := range p.moves {
-			switch m.kind {
-			case moveInsert:
-				w.sampleAdd(m.x, m.byz)
-			case moveRemove:
-				w.sampleRemove(m.x, m.byz)
+			if err := w.applyPlan(p); err != nil {
+				// Admission guarantees this cannot happen; surface loudly if a
+				// footprint bug ever breaks the guarantee (the invariant suite
+				// would then fail consistency too).
+				res[p.idx] = OpResult{Node: p.newNode, Err: err}
+				continue
 			}
+			w.led.Merge(&p.led)
+			w.stats.accumulate(p.stats)
+			if nHooks > 0 {
+				s.hijacked[p.idx] = p.stats.HijackedWalks
+			}
+			res[p.idx] = OpResult{Node: p.newNode}
 		}
-		w.led.Merge(&p.led)
-		w.stats.accumulate(p.stats)
-		if nHooks > 0 {
-			s.hijacked[p.idx] = p.stats.HijackedWalks
-		}
-		res[p.idx] = OpResult{Node: p.newNode}
 	}
 
 	// Phase 3: serial tail, in op order, against live state, on fresh

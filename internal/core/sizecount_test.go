@@ -15,9 +15,9 @@ import (
 // own shrink/split/merge paths.
 
 // recountMax recomputes the true max from the multiset.
-func recountMax(s *worldShard) int {
-	for m := len(s.sizeCount) - 1; m > 0; m-- {
-		if s.sizeCount[m] != 0 {
+func recountMax(w *World) int {
+	for m := len(w.sizeCount) - 1; m > 0; m-- {
+		if w.sizeCount[m] != 0 {
 			return m
 		}
 	}
@@ -25,33 +25,33 @@ func recountMax(s *worldShard) int {
 }
 
 func TestNoteSizeChangeMaxScanDown(t *testing.T) {
-	s := newWorldShard(1, 0)
+	w := &World{}
 	check := func(want int) {
 		t.Helper()
-		if s.maxSize != want {
-			t.Fatalf("tracked max %d, want %d", s.maxSize, want)
+		if w.maxSize != want {
+			t.Fatalf("tracked max %d, want %d", w.maxSize, want)
 		}
-		if got := recountMax(s); got != s.maxSize {
-			t.Fatalf("tracked max %d, multiset recount %d", s.maxSize, got)
+		if got := recountMax(w); got != w.maxSize {
+			t.Fatalf("tracked max %d, multiset recount %d", w.maxSize, got)
 		}
 	}
-	s.noteSizeChange(0, 5) // first cluster appears at size 5
-	s.noteSizeChange(0, 5) // a second cluster ties the max
-	s.noteSizeChange(0, 3)
+	w.noteSizeChange(0, 5) // first cluster appears at size 5
+	w.noteSizeChange(0, 5) // a second cluster ties the max
+	w.noteSizeChange(0, 3)
 	check(5)
-	s.noteSizeChange(5, 4) // one of the two maxima shrinks: max holds
+	w.noteSizeChange(5, 4) // one of the two maxima shrinks: max holds
 	check(5)
-	s.noteSizeChange(5, 4) // the unique max shrinks: scan down
+	w.noteSizeChange(5, 4) // the unique max shrinks: scan down
 	check(4)
-	s.noteSizeChange(4, 6) // growth past the old max
+	w.noteSizeChange(4, 6) // growth past the old max
 	check(6)
-	s.noteSizeChange(6, 0) // the unique max retires outright
+	w.noteSizeChange(6, 0) // the unique max retires outright
 	check(4)
-	s.noteSizeChange(4, 0)
+	w.noteSizeChange(4, 0)
 	check(3)
-	s.noteSizeChange(3, 0) // last cluster gone
+	w.noteSizeChange(3, 0) // last cluster gone
 	check(0)
-	s.noteSizeChange(0, 7) // repopulate from empty
+	w.noteSizeChange(0, 7) // repopulate from empty
 	check(7)
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"nowover/internal/exchange"
@@ -35,8 +34,8 @@ var ErrUnknownCluster = errors.New("core: unknown cluster")
 func IsUnknownCluster(err error) bool { return errors.Is(err, ErrUnknownCluster) }
 
 // nodeInfo is the world's per-node record. Records live in a dense
-// slot-indexed arena (see nodeShard); present distinguishes a live record
-// from a never-used or vacated slot.
+// NodeID-indexed table (World.nodes); present distinguishes a live record
+// from a never-used or vacated entry.
 type nodeInfo struct {
 	cluster ids.ClusterID
 	byz     bool
@@ -45,9 +44,10 @@ type nodeInfo struct {
 
 // clusterState is the world's per-cluster record: member list, incremental
 // Byzantine count, and the security bookkeeping folded by settleSecurity
-// at operation boundaries. Records are arena-managed by their shard —
-// retired records keep their member capacity and return to a free list for
-// recycling by putCluster — so steady-state churn allocates nothing.
+// at operation boundaries. Records live in the world's ClusterID-indexed
+// arena — retired records keep their member capacity and return to a free
+// list for recycling by putCluster — so steady-state churn allocates
+// nothing.
 //
 // Member removal is a linear scan: cluster sizes are bounded by the split
 // threshold (K·L·log2 N, ~80 at n=2^20), so the scan is cheaper than the
@@ -57,12 +57,12 @@ type clusterState struct {
 	members []ids.NodeID
 	byz     int
 	// sec is the current (live) security class, maintained incrementally
-	// by worldShard.reclassify on every membership/allegiance change.
+	// by World.reclassify on every membership/allegiance change.
 	sec randnum.Security
 	// settled is the class as of the last settleSecurity pass; the
 	// sec-vs-settled delta drives the Degraded/CapturedEvents counters.
 	settled randnum.Security
-	// dirty marks the record as queued in its shard's dirtySlots list.
+	// dirty marks the record as queued in the world's settle queue.
 	dirty bool
 }
 
@@ -99,7 +99,7 @@ func (cs *clusterState) remove(x ids.NodeID, byz bool) error {
 		cs.byz--
 	}
 	// An emptied record deliberately keeps its backing array: the cluster
-	// is about to be retired into the shard's free list (or refilled), and
+	// is about to be retired into the world's free list (or refilled), and
 	// the retained capacity is what makes the recycled record's next fill
 	// allocation-free.
 	return nil
@@ -118,7 +118,7 @@ func (cs *clusterState) clone() *clusterState {
 
 // clusterRow is a cluster's composition as the walk and exchange hot path
 // reads it: World.rows packs one row per minted ClusterID, so Size and Byz
-// are one indexed load with no shard routing or record pointer chase.
+// are one indexed load with no record pointer chase.
 // Retired and not-yet-minted IDs read (0, 0).
 type clusterRow struct{ size, byz int32 }
 
@@ -159,9 +159,8 @@ func (s *Stats) accumulate(d Stats) {
 // walker configs capture the proxy once and read whatever hook is current.
 // Installation is serial (SetHijacker must not run concurrently with
 // world operations); Redirect is called from concurrent plan workers, but
-// the hook contract (hooks.go) makes those calls pure reads, so the proxy
-// needs no lock — concurrent readers of an unchanging field race with
-// nothing.
+// the hook contract (hooks.go) makes those calls pure reads of an
+// unchanging field.
 type hijackProxy struct {
 	h walk.Hijacker
 }
@@ -174,226 +173,6 @@ func (p *hijackProxy) Redirect(r *xrand.Rand, at ids.ClusterID) (ids.ClusterID, 
 }
 
 func (p *hijackProxy) set(h walk.Hijacker) { p.h = h }
-
-// worldShard is one independently lockable segment of the cluster-keyed
-// state: a dense slot-indexed arena of cluster records plus every index
-// derived from them (the size multiset with its max tracker, the insecure
-// counters, the settle queue).
-//
-// Cluster c lives in shard c % stride at slot c / stride. Cluster IDs are
-// minted densely and never reused, so each shard's slots fill 0,1,2,...
-// with no gaps and one slot belongs to exactly one cluster ID for the
-// lifetime of the world; ascending slot order IS ascending ClusterID
-// order, which is what keeps every walk over the arena deterministic
-// without sorting.
-//
-// mu is taken by writers only, and only because of ExecBatch's apply
-// phase: there, operations whose cluster footprints are disjoint write
-// disjoint records concurrently, but share the shard's size multiset,
-// counters and settle queue. Reads never lock. ExecBatch's plan phase only
-// reads and its apply phase only writes, and runIndexed's WaitGroup
-// barrier separates the two; every other World method runs on one
-// goroutine by contract.
-type worldShard struct {
-	mu            sync.Mutex
-	stride, index int
-
-	// clusters is the cluster arena; nil = retired or not yet minted.
-	clusters []*clusterState
-	// free holds retired records (capacity retained) for putCluster.
-	free []*clusterState
-	// liveSlots counts non-nil arena entries.
-	liveSlots int
-
-	// sizeCount is the cluster-size multiset — sizeCount[s] = number of
-	// clusters of size s — with maxSize as its tracked maximum. The dense
-	// int-indexed layout makes the stale-max recompute an exact scan-down
-	// (no deleted-entry ordering hazards: the count for every size is
-	// always addressable).
-	sizeCount []int32
-	maxSize   int
-
-	// degraded/captured count clusters whose live class is >= Degraded
-	// resp. == Captured, so CurrentInsecure is O(shards).
-	degraded, captured int
-
-	// dirtySlots queues slots whose record changed since the last settle
-	// pass, deduplicated by clusterState.dirty.
-	dirtySlots []int32
-
-	// rows points at the world's row table; every mutator of a record's
-	// composition writes the cluster's row through it (setRow). Apply
-	// workers write the rows of distinct clusters, and the table grows only
-	// in the serial putCluster, so no worker ever sees it reallocated.
-	rows *[]clusterRow
-}
-
-func newWorldShard(stride, index int) *worldShard {
-	return &worldShard{stride: stride, index: index}
-}
-
-func (s *worldShard) slotOf(c ids.ClusterID) int {
-	return int(uint64(c) / uint64(s.stride))
-}
-
-func (s *worldShard) idAt(slot int) ids.ClusterID {
-	return ids.ClusterID(uint64(slot)*uint64(s.stride) + uint64(s.index))
-}
-
-// cluster returns the record for c, or nil when c is not a live cluster of
-// this shard.
-func (s *worldShard) cluster(c ids.ClusterID) *clusterState {
-	slot := s.slotOf(c)
-	if slot >= len(s.clusters) {
-		return nil
-	}
-	return s.clusters[slot]
-}
-
-// clusterAt is cluster plus the slot, for callers that also mark dirty.
-func (s *worldShard) clusterAt(c ids.ClusterID) (int, *clusterState) {
-	slot := s.slotOf(c)
-	if slot >= len(s.clusters) {
-		return slot, nil
-	}
-	return slot, s.clusters[slot]
-}
-
-// setRow publishes cs's composition to c's row.
-func (s *worldShard) setRow(c ids.ClusterID, cs *clusterState) {
-	(*s.rows)[c] = clusterRow{size: int32(len(cs.members)), byz: int32(cs.byz)}
-}
-
-// noteSizeChange updates the shard's size multiset and max-size tracker for
-// a cluster moving from size a to size b. Caller holds s.mu in the apply
-// phase.
-func (s *worldShard) noteSizeChange(a, b int) {
-	if a == b {
-		return
-	}
-	if a > 0 {
-		s.sizeCount[a]--
-	}
-	if b > 0 {
-		if b >= len(s.sizeCount) {
-			s.sizeCount = append(s.sizeCount, make([]int32, b+1-len(s.sizeCount))...)
-		}
-		s.sizeCount[b]++
-	}
-	if b > s.maxSize {
-		s.maxSize = b
-	} else if a == s.maxSize && s.sizeCount[a] == 0 {
-		// The (possibly unique) largest cluster of this shard shrank: scan
-		// down to the next occupied size. The multiset is dense, so the
-		// scan is exact by construction — there is no "entry already
-		// deleted" state for the recompute to mis-read.
-		m := a
-		for m > 0 && s.sizeCount[m] == 0 {
-			m--
-		}
-		s.maxSize = m
-	}
-}
-
-// markDirty queues cs's slot for the next settleSecurity pass. Caller
-// holds s.mu in the apply phase.
-func (s *worldShard) markDirty(slot int, cs *clusterState) {
-	if cs.dirty {
-		return
-	}
-	cs.dirty = true
-	s.dirtySlots = append(s.dirtySlots, int32(slot))
-}
-
-// reclassify recomputes a record's live security class after a membership
-// or allegiance change, maintaining the shard's insecure counters. Event
-// counters are NOT advanced here — transients inside one operation are not
-// time step states; settleSecurity handles accounting at operation
-// boundaries. Caller holds s.mu in the apply phase.
-func (s *worldShard) reclassify(cs *clusterState) {
-	now := randnum.Secure
-	if len(cs.members) > 0 {
-		now = randnum.Classify(len(cs.members), cs.byz)
-	}
-	if now == cs.sec {
-		return
-	}
-	if cs.sec >= randnum.Degraded {
-		s.degraded--
-	}
-	if cs.sec == randnum.Captured {
-		s.captured--
-	}
-	if now >= randnum.Degraded {
-		s.degraded++
-	}
-	if now == randnum.Captured {
-		s.captured++
-	}
-	cs.sec = now
-}
-
-// retire removes c's record from the arena and returns it — reset,
-// capacity retained — to the free list, reporting whether c was live.
-// Serial contexts only: retiring a cluster is structural.
-func (s *worldShard) retire(c ids.ClusterID) bool {
-	slot, cs := s.clusterAt(c)
-	if cs == nil {
-		return false
-	}
-	s.noteSizeChange(len(cs.members), 0)
-	cs.members = cs.members[:0]
-	cs.byz = 0
-	s.reclassify(cs) // live class -> Secure, counters updated
-	cs.settled = randnum.Secure
-	// Any dirtySlots entry for this slot now points at a nil record and is
-	// skipped by the settle pass; the flag must clear here so the recycled
-	// record re-queues cleanly at its next home.
-	cs.dirty = false
-	s.clusters[slot] = nil
-	s.liveSlots--
-	s.free = append(s.free, cs)
-	(*s.rows)[c] = clusterRow{}
-	return true
-}
-
-// nodeShard is one lockable segment of the node index: a dense slot-indexed
-// arena of node records, slot = NodeID / stride for the shard at
-// NodeID % stride (node IDs are minted densely and never reused, mirroring
-// the cluster arena's slot scheme). Like worldShard.mu, mu is taken by
-// writers only, for the apply phase's concurrent record updates.
-type nodeShard struct {
-	mu            sync.Mutex
-	stride, index int
-	nodes         []nodeInfo
-	count         int
-}
-
-func (ns *nodeShard) slotOf(x ids.NodeID) int {
-	return int(uint64(x) / uint64(ns.stride))
-}
-
-// defaultShards is the package-level default shard count applied when
-// Config.Shards is zero; see SetDefaultShards.
-var defaultShards atomic.Int32
-
-// SetDefaultShards fixes the shard count used by worlds whose Config.Shards
-// is zero: 1 restores the fully serial layout, n > 1 partitions cluster
-// state across n lockable segments. Values below 1 reset to 1.
-func SetDefaultShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultShards.Store(int32(n))
-}
-
-// DefaultShards reports the package default shard count (minimum 1).
-func DefaultShards() int {
-	if v := defaultShards.Load(); v > 0 {
-		return int(v)
-	}
-	return 1
-}
 
 // defaultGroupedCascade is the package-level default for
 // Config.GroupedCascade, applied by DefaultConfig; see
@@ -411,37 +190,60 @@ func SetDefaultGroupedCascade(on bool) { defaultGroupedCascade.Store(on) }
 // DefaultGroupedCascade reports the package default cascade mode.
 func DefaultGroupedCascade() bool { return defaultGroupedCascade.Load() }
 
-// World is the complete NOW protocol state. Cluster-keyed state is
-// partitioned across Config.Shards lockable segments so the op scheduler
-// (ExecBatch) can execute operations with disjoint cluster footprints
-// concurrently. Outside ExecBatch the world is not safe for concurrent
-// use: the paper's model is synchronous and the classic per-operation API
-// (Join/Leave/...) is single-threaded. Reads take no lock anywhere (see
-// worldShard).
+// World is the complete NOW protocol state. Every cluster-keyed table is
+// indexed by ClusterID and every node-keyed table by NodeID: IDs are minted
+// densely and never reused, so each index belongs to one cluster (node) for
+// the lifetime of the world, and an ascending index walk IS an ascending ID
+// walk — which keeps every pass over the tables deterministic without
+// sorting.
+//
+// The world is not safe for concurrent use: the paper's model is
+// synchronous and every method runs on one goroutine. ExecBatch's plan
+// phase is the one exception it manages itself — plan workers only read,
+// and the serial apply that follows starts after they have all returned.
 type World struct {
 	cfg     Config
 	led     *metrics.Ledger
 	rng     *xrand.Rand
 	walkCfg walk.Config
 
-	shards     []*worldShard
-	nodeShards []*nodeShard
-	nClusters  int
-	overlay    *over.Overlay
-	// rows is the ClusterID-indexed composition table Size and Byz read
-	// (see clusterRow); the shards write it.
+	// clusters is the cluster arena; nil = retired or not yet minted.
+	clusters []*clusterState
+	// free holds retired records (capacity retained) for putCluster.
+	free      []*clusterState
+	nClusters int
+	overlay   *over.Overlay
+	// rows is the composition table Size and Byz read (see clusterRow);
+	// every mutator of a record's composition writes it through setRow.
 	rows []clusterRow
+
+	// sizeCount is the cluster-size multiset — sizeCount[s] = number of
+	// clusters of size s — with maxSize as its tracked maximum. The dense
+	// int-indexed layout makes the stale-max recompute an exact scan-down
+	// (no deleted-entry ordering hazards: the count for every size is
+	// always addressable).
+	sizeCount []int32
+	maxSize   int
+
+	// degraded/captured count clusters whose live class is >= Degraded
+	// resp. == Captured, so CurrentInsecure is O(1).
+	degraded, captured int
+
+	// settleQueue holds clusters whose record changed since the last
+	// settle pass, deduplicated by clusterState.dirty.
+	settleQueue []ids.ClusterID
+
+	// nodes is the node index; nodeCount counts its present records.
+	nodes     []nodeInfo
+	nodeCount int
 
 	nodeAlloc ids.NodeAllocator
 	clAlloc   ids.ClusterAllocator
 
 	// Flat node indexes for O(1) uniform sampling by workloads. nodePos
-	// and byzPos are NodeID-indexed position arrays (-1 = absent), dense
-	// for the same reason the arenas are: IDs are minted densely and never
-	// reused. They are serial-only state: the op scheduler mutates them in
-	// its op-ordered post-pass, never from apply workers, so they need no
-	// lock and their ordering (which seeds RandomNode draws) stays
-	// deterministic.
+	// and byzPos are NodeID-indexed position arrays (-1 = absent). Their
+	// ordering seeds RandomNode draws, so the op scheduler updates them in
+	// op order.
 	allNodes []ids.NodeID
 	nodePos  []int32
 	byzNodes []ids.NodeID
@@ -465,9 +267,8 @@ type World struct {
 	bootstrapped  bool
 
 	// sched holds the pooled scratch of the batch scheduler (plan records,
-	// RNG substreams, per-worker plan machinery). It is serial-only state:
-	// ExecBatch alone touches it, and ExecBatch must not run concurrently
-	// with itself.
+	// RNG substreams, per-worker plan machinery). ExecBatch alone touches
+	// it.
 	sched schedScratch
 }
 
@@ -482,10 +283,6 @@ func NewWorld(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shardCount := cfg.Shards
-	if shardCount == 0 {
-		shardCount = DefaultShards()
-	}
 	ov, err := over.New(over.Params{
 		TargetDegree: cfg.TargetDegree(),
 		DegreeCap:    cfg.DegreeCap(),
@@ -496,19 +293,12 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		cfg:        cfg,
-		led:        &metrics.Ledger{},
-		rng:        xrand.New(cfg.Seed),
-		shards:     make([]*worldShard, shardCount),
-		nodeShards: make([]*nodeShard, shardCount),
-		overlay:    ov,
-		rejoinByz:  make(map[ids.NodeID]bool),
-		hijack:     &hijackProxy{},
-	}
-	for i := range w.shards {
-		w.shards[i] = newWorldShard(shardCount, i)
-		w.shards[i].rows = &w.rows
-		w.nodeShards[i] = &nodeShard{stride: shardCount, index: i}
+		cfg:       cfg,
+		led:       &metrics.Ledger{},
+		rng:       xrand.New(cfg.Seed),
+		overlay:   ov,
+		rejoinByz: make(map[ids.NodeID]bool),
+		hijack:    &hijackProxy{},
 	}
 	w.walkCfg = walk.Config{
 		DurationFactor: cfg.WalkDurationFactor,
@@ -540,60 +330,144 @@ func (w *World) steerScore(c ids.ClusterID) float64 {
 // Config returns the world's configuration.
 func (w *World) Config() Config { return w.cfg }
 
-// ShardCount reports how many lockable segments cluster state is
-// partitioned across (>= 1).
-func (w *World) ShardCount() int { return len(w.shards) }
-
 // Ledger returns the world's cost ledger.
 func (w *World) Ledger() *metrics.Ledger { return w.led }
 
 // Stats returns the lifetime counters.
 func (w *World) Stats() Stats { return w.stats }
 
-// --- shard routing ---
+// --- the cluster and node tables ---
 
-func (w *World) shardFor(c ids.ClusterID) *worldShard {
-	return w.shards[uint64(c)%uint64(len(w.shards))]
+// cluster returns the record for c, or nil when c is not a live cluster.
+func (w *World) cluster(c ids.ClusterID) *clusterState {
+	if uint64(c) < uint64(len(w.clusters)) {
+		return w.clusters[c]
+	}
+	return nil
 }
 
-func (w *World) nodeShardFor(x ids.NodeID) *nodeShard {
-	return w.nodeShards[uint64(x)%uint64(len(w.nodeShards))]
+func (w *World) hasCluster(c ids.ClusterID) bool { return w.cluster(c) != nil }
+
+// setRow publishes cs's composition to c's row.
+func (w *World) setRow(c ids.ClusterID, cs *clusterState) {
+	w.rows[c] = clusterRow{size: int32(len(cs.members)), byz: int32(cs.byz)}
 }
 
-func (w *World) hasCluster(c ids.ClusterID) bool {
-	return w.shardFor(c).cluster(c) != nil
+// noteSizeChange updates the size multiset and max-size tracker for a
+// cluster moving from size a to size b.
+func (w *World) noteSizeChange(a, b int) {
+	if a == b {
+		return
+	}
+	if a > 0 {
+		w.sizeCount[a]--
+	}
+	if b > 0 {
+		if b >= len(w.sizeCount) {
+			w.sizeCount = append(w.sizeCount, make([]int32, b+1-len(w.sizeCount))...)
+		}
+		w.sizeCount[b]++
+	}
+	if b > w.maxSize {
+		w.maxSize = b
+	} else if a == w.maxSize && w.sizeCount[a] == 0 {
+		// The (possibly unique) largest cluster shrank: scan down to the
+		// next occupied size. The multiset is dense, so the scan is exact
+		// by construction — there is no "entry already deleted" state for
+		// the recompute to mis-read.
+		m := a
+		for m > 0 && w.sizeCount[m] == 0 {
+			m--
+		}
+		w.maxSize = m
+	}
+}
+
+// markDirty queues c's record for the next settleSecurity pass.
+func (w *World) markDirty(c ids.ClusterID, cs *clusterState) {
+	if cs.dirty {
+		return
+	}
+	cs.dirty = true
+	w.settleQueue = append(w.settleQueue, c)
+}
+
+// reclassify recomputes a record's live security class after a membership
+// or allegiance change, maintaining the insecure counters. Event counters
+// are NOT advanced here — transients inside one operation are not time
+// step states; settleSecurity handles accounting at operation boundaries.
+func (w *World) reclassify(cs *clusterState) {
+	now := randnum.Secure
+	if len(cs.members) > 0 {
+		now = randnum.Classify(len(cs.members), cs.byz)
+	}
+	if now == cs.sec {
+		return
+	}
+	if cs.sec >= randnum.Degraded {
+		w.degraded--
+	}
+	if cs.sec == randnum.Captured {
+		w.captured--
+	}
+	if now >= randnum.Degraded {
+		w.degraded++
+	}
+	if now == randnum.Captured {
+		w.captured++
+	}
+	cs.sec = now
 }
 
 // putCluster installs a fresh cluster record for c, recycling a retired
-// record (with its member capacity) when the shard's free list has one.
-// Serial contexts only (bootstrap, split, merge): cluster creation is
-// structural and the op scheduler never admits structural plans for
-// concurrent apply.
+// record (with its member capacity) when the free list has one. Cluster
+// creation is structural: the op scheduler runs it only on its serial
+// tail.
 func (w *World) putCluster(c ids.ClusterID) {
-	s := w.shardFor(c)
-	slot := s.slotOf(c)
-	for len(s.clusters) <= slot {
-		s.clusters = append(s.clusters, nil)
+	if n := int(c) + 1; n > len(w.clusters) {
+		w.clusters = append(w.clusters, make([]*clusterState, n-len(w.clusters))...)
 	}
-	var cs *clusterState
-	if n := len(s.free); n > 0 {
-		cs, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		cs = &clusterState{}
-	}
-	s.clusters[slot] = cs
-	s.liveSlots++
-	w.nClusters++
 	if n := int(c) + 1; n > len(w.rows) {
 		w.rows = append(w.rows, make([]clusterRow, n-len(w.rows))...)
 	}
+	var cs *clusterState
+	if n := len(w.free); n > 0 {
+		cs, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		cs = &clusterState{}
+	}
+	w.clusters[c] = cs
+	w.nClusters++
+}
+
+// retire removes c's record from the arena and returns it — reset,
+// capacity retained — to the free list, reporting whether c was live.
+func (w *World) retire(c ids.ClusterID) bool {
+	cs := w.cluster(c)
+	if cs == nil {
+		return false
+	}
+	w.noteSizeChange(len(cs.members), 0)
+	cs.members = cs.members[:0]
+	cs.byz = 0
+	w.reclassify(cs) // live class -> Secure, counters updated
+	cs.settled = randnum.Secure
+	// Any settle-queue entry for c now points at a nil record and is
+	// skipped by the settle pass; the flag must clear here so the recycled
+	// record re-queues cleanly at its next home.
+	cs.dirty = false
+	w.clusters[c] = nil
+	w.nClusters--
+	w.free = append(w.free, cs)
+	w.rows[c] = clusterRow{}
+	return true
 }
 
 // snapshotClusterInto copies c's record into dst for a planning view,
 // reusing dst's member capacity: a recycled dst makes the copy-on-write
 // snapshot allocation-free in steady state.
 func (w *World) snapshotClusterInto(c ids.ClusterID, dst *clusterState) bool {
-	cs := w.shardFor(c).cluster(c)
+	cs := w.cluster(c)
 	if cs == nil {
 		return false
 	}
@@ -603,79 +477,53 @@ func (w *World) snapshotClusterInto(c ids.ClusterID, dst *clusterState) bool {
 }
 
 func (w *World) nodeInfoOf(x ids.NodeID) (nodeInfo, bool) {
-	ns := w.nodeShardFor(x)
 	var info nodeInfo
-	if slot := ns.slotOf(x); slot < len(ns.nodes) {
-		info = ns.nodes[slot]
+	if uint64(x) < uint64(len(w.nodes)) {
+		info = w.nodes[x]
 	}
 	return info, info.present
 }
 
 func (w *World) setNodeInfo(x ids.NodeID, info nodeInfo) {
 	info.present = true
-	ns := w.nodeShardFor(x)
-	ns.mu.Lock()
-	slot := ns.slotOf(x)
-	for len(ns.nodes) <= slot {
-		ns.nodes = append(ns.nodes, nodeInfo{})
+	if n := int(x) + 1; n > len(w.nodes) {
+		w.nodes = append(w.nodes, make([]nodeInfo, n-len(w.nodes))...)
 	}
-	if !ns.nodes[slot].present {
-		ns.count++
+	if !w.nodes[x].present {
+		w.nodeCount++
 	}
-	ns.nodes[slot] = info
-	ns.mu.Unlock()
+	w.nodes[x] = info
 }
 
 func (w *World) deleteNodeInfo(x ids.NodeID) {
-	ns := w.nodeShardFor(x)
-	ns.mu.Lock()
-	if slot := ns.slotOf(x); slot < len(ns.nodes) && ns.nodes[slot].present {
-		ns.nodes[slot] = nodeInfo{}
-		ns.count--
+	if uint64(x) < uint64(len(w.nodes)) && w.nodes[x].present {
+		w.nodes[x] = nodeInfo{}
+		w.nodeCount--
 	}
-	ns.mu.Unlock()
 }
 
-// --- core membership mutators (shared by the classic serial path and the
-// scheduler's apply phase). These, setNodeInfo/deleteNodeInfo and
-// applyTransfer are the only code that locks: they are what the apply
-// phase runs concurrently. Reads and serial-only writers take no lock. ---
+// --- core membership mutators (shared by the classic path and the
+// scheduler's apply loop) ---
 
 // insertMember adds x (allegiance byz) to cluster c, updating the size
 // multiset and live security class. It does not touch the node index.
 func (w *World) insertMember(c ids.ClusterID, x ids.NodeID, byz bool) error {
-	s := w.shardFor(c)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.insertLocked(c, x, byz)
-}
-
-// insertLocked is insertMember's body; the caller holds s.mu.
-func (s *worldShard) insertLocked(c ids.ClusterID, x ids.NodeID, byz bool) error {
-	slot, cs := s.clusterAt(c)
+	cs := w.cluster(c)
 	if cs == nil {
 		return fmt.Errorf("core: insert into unknown cluster %v", c)
 	}
-	s.noteSizeChange(len(cs.members), len(cs.members)+1)
+	w.noteSizeChange(len(cs.members), len(cs.members)+1)
 	cs.add(x, byz)
-	s.setRow(c, cs)
-	s.reclassify(cs)
-	s.markDirty(slot, cs)
+	w.setRow(c, cs)
+	w.reclassify(cs)
+	w.markDirty(c, cs)
 	return nil
 }
 
 // removeMember removes x from c, updating the size multiset and live
 // security class. It does not touch the node index.
 func (w *World) removeMember(c ids.ClusterID, x ids.NodeID, byz bool) error {
-	s := w.shardFor(c)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.removeLocked(c, x, byz)
-}
-
-// removeLocked is removeMember's body; the caller holds s.mu.
-func (s *worldShard) removeLocked(c ids.ClusterID, x ids.NodeID, byz bool) error {
-	slot, cs := s.clusterAt(c)
+	cs := w.cluster(c)
 	if cs == nil {
 		return fmt.Errorf("core: remove from unknown cluster %v", c)
 	}
@@ -683,10 +531,10 @@ func (s *worldShard) removeLocked(c ids.ClusterID, x ids.NodeID, byz bool) error
 	if err := cs.remove(x, byz); err != nil {
 		return err
 	}
-	s.noteSizeChange(n, n-1)
-	s.setRow(c, cs)
-	s.reclassify(cs)
-	s.markDirty(slot, cs)
+	w.noteSizeChange(n, n-1)
+	w.setRow(c, cs)
+	w.reclassify(cs)
+	w.markDirty(c, cs)
 	return nil
 }
 
@@ -718,26 +566,20 @@ func (w *World) Byz(c ids.ClusterID) int {
 	return 0
 }
 
-// MaxClusterSize implements walk.Topology: the maximum over the per-shard
-// max trackers.
-func (w *World) MaxClusterSize() int {
-	m := 0
-	for _, s := range w.shards {
-		m = max(m, s.maxSize)
-	}
-	return m
-}
+// MaxClusterSize implements walk.Topology: the size multiset's tracked
+// maximum.
+func (w *World) MaxClusterSize() int { return w.maxSize }
 
 // --- exchange.World ---
 
 // MemberAt implements exchange.World.
 func (w *World) MemberAt(c ids.ClusterID, i int) ids.NodeID {
-	return w.shardFor(c).cluster(c).members[i]
+	return w.clusters[c].members[i]
 }
 
 // Members implements exchange.World (snapshot copy).
 func (w *World) Members(c ids.ClusterID) []ids.NodeID {
-	cs := w.shardFor(c).cluster(c)
+	cs := w.cluster(c)
 	if cs == nil {
 		return nil
 	}
@@ -772,17 +614,13 @@ func (w *World) Transfer(x ids.NodeID, from, to ids.ClusterID) error {
 
 // applyTransfer performs the raw cluster-and-node-record relocation without
 // validation or swap accounting. Used by Transfer and by the scheduler's
-// apply phase (where admitted plans guarantee validity and stats come from
-// the plan deltas). Both footprint shards are held for the whole move via
-// the canonical ordered-acquire helper, so no reader can observe x
-// removed from one cluster but not yet inserted into the other.
+// apply loop (where admitted plans guarantee validity and stats come from
+// the plan deltas).
 func (w *World) applyTransfer(x ids.NodeID, from, to ids.ClusterID, byz bool) error {
-	lo, hi := w.lockShardPair(from, to)
-	defer unlockShardPair(lo, hi)
-	if err := w.shardFor(from).removeLocked(from, x, byz); err != nil {
+	if err := w.removeMember(from, x, byz); err != nil {
 		return err
 	}
-	if err := w.shardFor(to).insertLocked(to, x, byz); err != nil {
+	if err := w.insertMember(to, x, byz); err != nil {
 		return err
 	}
 	w.setNodeInfo(x, nodeInfo{cluster: to, byz: byz})
@@ -803,42 +641,38 @@ func (w *World) applyTransfer(x ids.NodeID, from, to ids.ClusterID, byz bool) er
 // MaxByzFractionEver when it last changed, so the dirty-only walk is
 // fold-for-fold identical to the full scan it replaces.
 func (w *World) settleSecurity() {
-	for _, s := range w.shards {
-		// Ascending slot order = ascending ClusterID within the shard: the
-		// folds below are commutative today, but the settled-transition
-		// accounting is exactly the kind of logic that grows
-		// order-sensitive branches; fixing the order keeps the whole pass
-		// trivially deterministic (and nowlint-clean), exactly like the
-		// sorted map walk it replaces.
-		slices.Sort(s.dirtySlots)
-		for _, slot := range s.dirtySlots {
-			cs := s.clusters[slot]
-			if cs == nil {
-				continue // retired after it was queued
-			}
-			cs.dirty = false
-			size := len(cs.members)
-			if size == 0 {
-				cs.settled = randnum.Secure
-				continue
-			}
-			if frac := float64(cs.byz) / float64(size); frac > w.stats.MaxByzFractionEver {
-				w.stats.MaxByzFractionEver = frac
-			}
-			now := cs.sec
-			prev := cs.settled
-			if now > prev {
-				if now >= randnum.Degraded && prev < randnum.Degraded {
-					w.stats.DegradedEvents++
-				}
-				if now == randnum.Captured && prev < randnum.Captured {
-					w.stats.CapturedEvents++
-				}
-			}
-			cs.settled = now
+	// Ascending ClusterID order: the folds below are commutative today, but
+	// the settled-transition accounting is exactly the kind of logic that
+	// grows order-sensitive branches; fixing the order keeps the pass
+	// trivially deterministic (and nowlint-clean).
+	slices.Sort(w.settleQueue)
+	for _, c := range w.settleQueue {
+		cs := w.clusters[c]
+		if cs == nil {
+			continue // retired after it was queued
 		}
-		s.dirtySlots = s.dirtySlots[:0]
+		cs.dirty = false
+		size := len(cs.members)
+		if size == 0 {
+			cs.settled = randnum.Secure
+			continue
+		}
+		if frac := float64(cs.byz) / float64(size); frac > w.stats.MaxByzFractionEver {
+			w.stats.MaxByzFractionEver = frac
+		}
+		now := cs.sec
+		prev := cs.settled
+		if now > prev {
+			if now >= randnum.Degraded && prev < randnum.Degraded {
+				w.stats.DegradedEvents++
+			}
+			if now == randnum.Captured && prev < randnum.Captured {
+				w.stats.CapturedEvents++
+			}
+		}
+		cs.settled = now
 	}
+	w.settleQueue = w.settleQueue[:0]
 }
 
 // samplePos returns x's position in the flat sampling index, -1 if absent.
@@ -987,14 +821,8 @@ func (w *World) RandomCluster(r *xrand.Rand) (ids.ClusterID, bool) {
 
 // CurrentInsecure returns the number of clusters presently at or above
 // the 1/3 (degraded) and 1/2 (captured) Byzantine thresholds, maintained
-// incrementally per shard so the check is O(shards).
-func (w *World) CurrentInsecure() (degraded, captured int) {
-	for _, s := range w.shards {
-		degraded += s.degraded
-		captured += s.captured
-	}
-	return degraded, captured
-}
+// incrementally so the check is O(1).
+func (w *World) CurrentInsecure() (degraded, captured int) { return w.degraded, w.captured }
 
 // Overlay exposes the OVER overlay for structural analysis. Callers must
 // not mutate it.

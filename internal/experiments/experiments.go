@@ -169,14 +169,12 @@ type Scale struct {
 	// only quantile columns move, within the sketch's rank-error bounds.
 	ExactSamples bool
 	// OpsPerStep > 1 runs the adversary cells (A2, A4) through the
-	// concurrent churn driver (sim.Config.OpsPerStep): each time step
-	// batches up to this many operations through the op scheduler, so
-	// hooked attack sweeps exploit sharded worlds (SetWorldShards) at
-	// full plan parallelism. Tables stay deterministic at any shard count
-	// and GOMAXPROCS, but the batched trace is a different (equally valid)
-	// trajectory from the classic driver's, and per-operation cost columns
-	// are unavailable in batched mode. 0 or 1 keeps the classic driver
-	// and the recorded baseline tables.
+	// batched churn driver (sim.Config.OpsPerStep): each time step
+	// batches up to this many operations through the op scheduler. Tables
+	// stay deterministic at any GOMAXPROCS, but the batched trace is a
+	// different (equally valid) trajectory from the classic driver's, and
+	// per-operation cost columns are unavailable in batched mode. 0 or 1
+	// keeps the classic driver and the recorded baseline tables.
 	OpsPerStep int
 }
 

@@ -62,12 +62,11 @@ type Config struct {
 	// InstallHijacker wires the adversary's captured-cluster walk
 	// redirection when the strategy exposes a target.
 	InstallHijacker bool
-	// OpsPerStep > 1 switches to the concurrent churn driver: each time
-	// step issues up to OpsPerStep operations as one batch through the
-	// world's op scheduler (core.World.ExecBatch), so non-conflicting
-	// join/leave/exchange work executes concurrently on sharded worlds
-	// (Core.Shards > 1). Results stay deterministic in the seeds at any
-	// shard count — including with InstallHijacker: the hook contract
+	// OpsPerStep > 1 switches to the batched churn driver: each time step
+	// issues up to OpsPerStep operations as one batch through the world's
+	// op scheduler (core.World.ExecBatch), which plans them on up to
+	// Core.Shards workers and applies them serially. Results stay
+	// deterministic in the seeds at any worker count — including with InstallHijacker: the hook contract
 	// (core hooks.go) makes plan-phase hijack/steer decisions pure reads
 	// of state fixed at the batch boundary, so hooked batches plan at
 	// full parallelism. Batched attack traces are a distinct (equally

@@ -109,9 +109,9 @@ const (
 	MergeRejoinAll    = core.MergeRejoinAll
 )
 
-// Op scheduler types: batches of operations executed concurrently inside
-// one world when its state is sharded (Config.Shards > 1, or
-// SetWorldShards). See core.World.ExecBatch.
+// Op scheduler types: batches of operations planned concurrently inside
+// one world (up to Config.Shards plan workers) and applied serially. See
+// core.World.ExecBatch.
 type (
 	// WorldOp is one schedulable operation (join / leave / exchange).
 	WorldOp = core.Op
@@ -240,17 +240,6 @@ func ForEachRun(count int, body func(i int) error) error {
 	return experiments.ForEach(count, body)
 }
 
-// SetWorldShards fixes the default number of lockable state segments for
-// worlds whose Config.Shards is zero: 1 (the default) keeps the fully
-// serial layout, n > 1 lets one world execute non-conflicting operations
-// concurrently via ExecBatch / SimConfig.OpsPerStep. Results are
-// deterministic in the seeds at ANY shard count; only wall-clock changes.
-// Worlds created before the call are unaffected.
-func SetWorldShards(n int) { core.SetDefaultShards(n) }
-
-// WorldShards reports the default shard count currently in effect.
-func WorldShards() int { return core.DefaultShards() }
-
 // SetGroupedCascade fixes the default leave-cascade mode for
 // configurations built by DefaultConfig: true batches each leave's
 // cascade into one grouped shuffle round over the receiver set (one swap
@@ -355,9 +344,8 @@ func (s *System) Leave(x NodeID) error { return s.world.Leave(x) }
 
 // ExecBatch executes a batch of operations — one time step with multiple
 // simultaneous arrivals and departures — through the world's op scheduler.
-// On a sharded world (Config.Shards > 1) operations with disjoint cluster
-// footprints run concurrently; results are deterministic in the seed
-// regardless of the shard count.
+// Operations plan on up to Config.Shards workers and apply serially;
+// results are deterministic in the seed regardless of the worker count.
 func (s *System) ExecBatch(ops []WorldOp) []WorldOpResult { return s.world.ExecBatch(ops) }
 
 // CheckInvariants verifies the global consistency invariants the protocol

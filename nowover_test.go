@@ -189,20 +189,14 @@ func TestAdvancedWorldAccess(t *testing.T) {
 }
 
 func TestExecBatchFacade(t *testing.T) {
-	prev := nowover.WorldShards()
-	nowover.SetWorldShards(8)
-	defer nowover.SetWorldShards(prev)
-
-	cfg := nowover.DefaultConfig(512) // Shards=0: picks up the default above
+	cfg := nowover.DefaultConfig(512)
+	cfg.Shards = 8 // up to eight plan workers
 	sys, err := nowover.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Bootstrap(200, nowover.FractionCorrupt(200, 0.2)); err != nil {
 		t.Fatal(err)
-	}
-	if got := sys.World().ShardCount(); got != 8 {
-		t.Fatalf("world has %d shards, want 8 from SetWorldShards", got)
 	}
 	before := sys.NumNodes()
 	res := sys.ExecBatch([]nowover.WorldOp{
