@@ -58,19 +58,31 @@ const (
 // Encode serializes the envelope, appending to buf (which may be nil) and
 // returning the extended slice.
 func (e Envelope) Encode(buf []byte) ([]byte, error) {
+	if err := e.validate(); err != nil {
+		return nil, err
+	}
+	return e.appendWire(buf), nil
+}
+
+// validate reports why the envelope cannot be encoded, if it cannot.
+func (e Envelope) validate() error {
 	if e.Kind < KindOneway || e.Kind > KindResponse {
-		return nil, fmt.Errorf("nownet: encode: invalid kind %d", e.Kind)
+		return fmt.Errorf("nownet: encode: invalid kind %d", e.Kind)
 	}
 	if len(e.Payload) > MaxPayload {
-		return nil, fmt.Errorf("nownet: encode: payload %d bytes exceeds max %d", len(e.Payload), MaxPayload)
+		return fmt.Errorf("nownet: encode: payload %d bytes exceeds max %d", len(e.Payload), MaxPayload)
 	}
+	return nil
+}
+
+// appendWire appends the wire form of an envelope that passed validate.
+func (e Envelope) appendWire(buf []byte) []byte {
 	buf = append(buf, envMagic, byte(e.Kind), e.Type)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(e.From))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(e.To))
 	buf = binary.BigEndian.AppendUint64(buf, e.MsgID)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Payload)))
-	buf = append(buf, e.Payload...)
-	return buf, nil
+	return append(buf, e.Payload...)
 }
 
 // DecodeEnvelope parses one envelope from the front of buf, returning it

@@ -36,6 +36,7 @@ type Node struct {
 
 	mu       sync.Mutex
 	inflight map[uint64]inflightEntry
+	free     []*Waiter // drained waiters of finished requests, reused by Request
 	nextID   uint64
 	stats    NodeStats
 	started  bool
@@ -107,28 +108,7 @@ func (n *Node) readLoop() {
 		}
 		switch env.Kind {
 		case KindResponse:
-			n.mu.Lock()
-			e := n.inflight[env.MsgID]
-			n.mu.Unlock()
-			// Complete is a non-blocking send into the waiter's buffered
-			// slot; a missing waiter or an already-filled slot means the
-			// requester gave up or a duplicate arrived — count it, drop it.
-			// A waiter whose recorded peer differs is a forgery: links are
-			// authenticated, so From is trustworthy and the response did
-			// not come from the node the request was sent to.
-			if e.w == nil {
-				n.bump(func(s *NodeStats) { s.LateResponses++ })
-				continue
-			}
-			if env.From != e.peer {
-				n.bump(func(s *NodeStats) { s.ForgedResponses++ })
-				continue
-			}
-			if !e.w.Complete(env) {
-				n.bump(func(s *NodeStats) { s.LateResponses++ })
-				continue
-			}
-			n.ep.Wake(e.w)
+			n.complete(env)
 		default:
 			h := n.handlers[env.Type]
 			if h == nil {
@@ -137,6 +117,31 @@ func (n *Node) readLoop() {
 			}
 			h(n, env)
 		}
+	}
+}
+
+// complete routes a response to its parked waiter. Complete is a
+// non-blocking send into the waiter's buffered slot; a missing waiter or
+// an already-filled slot means the requester gave up or a duplicate
+// arrived — count it, drop it. A waiter whose recorded peer differs is a
+// forgery: links are authenticated, so From is trustworthy and the
+// response did not come from the node the request was sent to. Lookup,
+// Complete and Wake share one critical section with Request's recycling,
+// so a late response can never land in a waiter that has moved on to
+// another request.
+func (n *Node) complete(env Envelope) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	e := n.inflight[env.MsgID]
+	switch {
+	case e.w == nil:
+		n.stats.LateResponses++
+	case env.From != e.peer:
+		n.stats.ForgedResponses++
+	case !e.w.Complete(env):
+		n.stats.LateResponses++
+	default:
+		n.ep.Wake(e.w)
 	}
 }
 
@@ -184,15 +189,26 @@ func (n *Node) Respond(req Envelope, payload []byte) error {
 // attempt expired.
 func (n *Node) Request(to ids.NodeID, typ byte, payload []byte, pol RetryPolicy) (Envelope, int, error) {
 	pol = pol.normalized()
-	msgID := n.allocID()
-	w := NewWaiter()
 	n.mu.Lock()
+	n.nextID++
+	msgID := n.nextID
+	var w *Waiter
+	if k := len(n.free); k > 0 {
+		w = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		w = NewWaiter()
+	}
 	n.stats.Requests++
 	n.inflight[msgID] = inflightEntry{w: w, peer: to}
 	n.mu.Unlock()
 	defer func() {
+		// Once the entry is gone no response can reach w; drain what one
+		// may have left after the last Await, then recycle it.
 		n.mu.Lock()
 		delete(n.inflight, msgID)
+		w.take()
+		n.free = append(n.free, w)
 		n.mu.Unlock()
 	}()
 

@@ -167,6 +167,48 @@ func TestNodeLateResponseCounted(t *testing.T) {
 	}
 }
 
+func TestNodeLateResponseSkipsRecycledWaiter(t *testing.T) {
+	// Request 1 to a slow server times out and its waiter goes back on the
+	// free list; request 2 reuses it and is still parked when request 1's
+	// response arrives. The stale response must be counted late, and
+	// request 2 must get its own server's answer.
+	net := NewLoopback(Config{Link: LinkConfig{Latency: 1}})
+	defer net.Close()
+	answerAt := func(id ids.NodeID, tick int64, payload string) {
+		s := NewNode(openOrFatal(t, net, id))
+		s.Handle(typEcho, func(n *Node, env Envelope) {
+			n.Go(func() {
+				n.Endpoint().SleepUntil(tick)
+				_ = n.Respond(env, []byte(payload))
+			})
+		})
+		s.Start()
+	}
+	answerAt(1, 20, "stale")
+	answerAt(3, 40, "fresh")
+	client := NewNode(openOrFatal(t, net, 2))
+	client.Start()
+	var err1, err2 error
+	var resp Envelope
+	client.Go(func() {
+		_, _, err1 = client.Request(1, typEcho, nil, RetryPolicy{Timeout: 4, Retries: 0})
+		resp, _, err2 = client.Request(3, typEcho, nil, RetryPolicy{Timeout: 100, Retries: 0})
+	})
+	net.Run()
+	if !errors.Is(err1, ErrTimeout) || err2 != nil {
+		t.Fatalf("errs = %v, %v; want ErrTimeout, nil", err1, err2)
+	}
+	if string(resp.Payload) != "fresh" || resp.From != 3 {
+		t.Errorf("second request got %+v, want server 3's answer", resp)
+	}
+	if cs := client.Stats(); cs.LateResponses != 1 {
+		t.Errorf("client stats = %+v, want LateResponses 1", cs)
+	}
+	if len(client.free) != 1 {
+		t.Errorf("free list holds %d waiters, want the one both requests shared", len(client.free))
+	}
+}
+
 func TestNodeCastAndUnhandled(t *testing.T) {
 	net := NewLoopback(Config{Link: LinkConfig{Latency: 1}})
 	defer net.Close()

@@ -86,13 +86,15 @@ type Endpoint interface {
 	Go(fn func())
 }
 
-// Waiter is the one-shot response slot a requester parks on and the reader
-// loop completes: the "waiter channel in the inflight map". The channel is
-// buffered so completion never blocks the reader.
+// Waiter is the response slot a requester parks on and the reader loop
+// completes: the "waiter channel in the inflight map". The channel is
+// buffered so completion never blocks the reader. Each request uses a
+// waiter once; Node then drains it and reuses it for a later request.
 type Waiter struct {
 	ch chan Envelope
-	// park is the transport's handle for the goroutine blocked in Await
-	// (nil when none). Owned by the transport.
+	// park is the transport's per-waiter state, kept across reuse: the
+	// loopback net's handle for the goroutine blocked in Await (nil when
+	// none), the TCP transport's deadline timer. Owned by the transport.
 	park any
 }
 

@@ -1,9 +1,11 @@
 package nownet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 )
 
 // StreamDecoder reframes envelopes off a byte stream. DecodeEnvelope
@@ -20,12 +22,25 @@ import (
 // chunking (how many bytes each Read returns) affects neither the
 // envelopes, nor the skip count, nor the final error. FuzzReframe pins
 // that property.
+//
+// Buffer ownership: the decoder reads straight into the spare capacity of
+// one carry buffer, grown to readSize on the first read and only doubled
+// when a single frame outgrows it, and consumes frames and resync bytes
+// by advancing an offset. The unconsumed tail moves to the front once per
+// read, so resync over a garbage run is linear in its length. A returned
+// envelope never aliases the buffer: DecodeEnvelope copies its payload
+// out, and that copy is the only allocation per envelope once the buffer
+// has grown.
 type StreamDecoder struct {
 	r       io.Reader
-	buf     []byte
+	buf     []byte // carry buffer; buf[off:] is not yet consumed
+	off     int
 	eof     bool
 	skipped int64
 }
+
+// readSize is the carry buffer's initial capacity: one read's worth.
+const readSize = 4096
 
 // NewStreamDecoder wraps a byte stream.
 func NewStreamDecoder(r io.Reader) *StreamDecoder { return &StreamDecoder{r: r} }
@@ -43,38 +58,36 @@ func (d *StreamDecoder) Next() (Envelope, error) {
 		// Resync: drop bytes that cannot begin a frame. The magic byte is
 		// necessary but not sufficient — a magic inside garbage is moved
 		// past one byte at a time once its header proves illegal.
-		i := 0
-		for i < len(d.buf) && d.buf[i] != envMagic {
-			i++
+		i := bytes.IndexByte(d.buf[d.off:], envMagic)
+		if i < 0 {
+			i = len(d.buf) - d.off
 		}
-		if i > 0 {
-			d.skipped += int64(i)
-			d.buf = d.buf[:copy(d.buf, d.buf[i:])]
-		}
-		if len(d.buf) >= envHeaderSize {
-			k := Kind(d.buf[1])
-			plen := binary.BigEndian.Uint32(d.buf[envHeaderSize-4 : envHeaderSize])
+		d.skipped += int64(i)
+		d.off += i
+		if b := d.buf[d.off:]; len(b) >= envHeaderSize {
+			k := Kind(b[1])
+			plen := binary.BigEndian.Uint32(b[envHeaderSize-4 : envHeaderSize])
 			if k < KindOneway || k > KindResponse || plen > MaxPayload {
 				d.skipped++
-				d.buf = d.buf[:copy(d.buf, d.buf[1:])]
+				d.off++
 				continue
 			}
-			if total := envHeaderSize + int(plen); len(d.buf) >= total {
-				env, consumed, err := DecodeEnvelope(d.buf[:total])
+			if total := envHeaderSize + int(plen); len(b) >= total {
+				env, consumed, err := DecodeEnvelope(b[:total])
 				if err != nil {
 					// The header checks above mirror DecodeEnvelope's, so
 					// this cannot happen; resync anyway rather than wedge.
 					d.skipped++
-					d.buf = d.buf[:copy(d.buf, d.buf[1:])]
+					d.off++
 					continue
 				}
-				d.buf = d.buf[:copy(d.buf, d.buf[consumed:])]
+				d.off += consumed
 				return env, nil
 			}
 		}
 		// A (possible) frame start with not enough bytes behind it yet.
 		if d.eof {
-			if len(d.buf) == 0 {
+			if d.off == len(d.buf) {
 				return Envelope{}, io.EOF
 			}
 			return Envelope{}, io.ErrUnexpectedEOF
@@ -85,15 +98,18 @@ func (d *StreamDecoder) Next() (Envelope, error) {
 	}
 }
 
-// fill appends one read's worth of bytes to the carry buffer. A final
-// short read that returns data alongside EOF keeps the data; the EOF is
-// remembered for the next pass.
+// fill compacts the unconsumed tail to the front of the carry buffer and
+// reads once into its spare capacity, growing the buffer only when the
+// tail fills it. A final short read that returns data alongside EOF keeps
+// the data; the EOF is remembered for the next pass.
 func (d *StreamDecoder) fill() error {
-	var chunk [4096]byte
-	n, err := d.r.Read(chunk[:])
-	if n > 0 {
-		d.buf = append(d.buf, chunk[:n]...)
+	d.buf = d.buf[:copy(d.buf, d.buf[d.off:])]
+	d.off = 0
+	if len(d.buf) == cap(d.buf) {
+		d.buf = slices.Grow(d.buf, max(readSize, len(d.buf)))
 	}
+	n, err := d.r.Read(d.buf[len(d.buf):cap(d.buf)])
+	d.buf = d.buf[:len(d.buf)+n]
 	if err == nil {
 		return nil
 	}

@@ -170,6 +170,136 @@ func TestStreamReadError(t *testing.T) {
 	}
 }
 
+func TestStreamDecoderPayloadsOutliveBuffer(t *testing.T) {
+	// The decoder reads into and compacts one carry buffer; every payload
+	// it returned earlier must survive later reads, compactions and the
+	// growth a frame larger than the buffer forces, byte for byte.
+	var envs []Envelope
+	for i := 0; i < 300; i++ {
+		payload := bytes.Repeat([]byte{byte(i), envMagic}, 1+i%37)
+		if i == 150 {
+			payload = bytes.Repeat([]byte{0x5A}, 3*readSize)
+		}
+		envs = append(envs, Envelope{Kind: KindOneway, Type: byte(i), From: 1, To: 2, MsgID: uint64(i), Payload: payload})
+	}
+	wire := mustEncode(t, envs...)
+	for _, cuts := range [][]int{{len(wire)}, {readSize}, {1000, 7, 3}, {envHeaderSize + 1}} {
+		got, skipped, err := drain(&chunkReader{data: append([]byte(nil), wire...), cuts: cuts})
+		if !errors.Is(err, io.EOF) || skipped != 0 || len(got) != len(envs) {
+			t.Fatalf("cuts %v: %d envelopes, %d skipped, err %v", cuts, len(got), skipped, err)
+		}
+		for i := range envs {
+			if !sameEnvelope(got[i], envs[i]) {
+				t.Fatalf("cuts %v: envelope %d changed after later reads", cuts, i)
+			}
+		}
+	}
+}
+
+// loopReader serves its data as an endless stream, without allocating.
+type loopReader struct {
+	data []byte
+	pos  int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data[r.pos:])
+	r.pos = (r.pos + n) % len(r.data)
+	return n, nil
+}
+
+// loopFrames is one lap of a loopReader stream: seven frames, so laps end
+// mid-frame relative to the decoder's reads.
+func loopFrames(payload []byte) []byte {
+	var wire []byte
+	for i := 0; i < 7; i++ {
+		wire, _ = Envelope{Kind: KindRequest, Type: 1, From: 1, To: 2, MsgID: uint64(i), Payload: payload}.Encode(wire)
+	}
+	return wire
+}
+
+func TestStreamDecoderAllocatesOnlyPayloads(t *testing.T) {
+	// A warmed decoder reframes without allocating; the one allocation per
+	// envelope left is the payload copy handed to the caller.
+	const k = 64
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    float64
+	}{
+		{"empty", nil, 0},
+		{"payload", []byte("phase-king vote"), k},
+	} {
+		d := NewStreamDecoder(&loopReader{data: loopFrames(tc.payload)})
+		reframe := func() {
+			for i := 0; i < k; i++ {
+				if _, err := d.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		reframe() // grows the carry buffer
+		if got := testing.AllocsPerRun(100, reframe); got != tc.want {
+			t.Errorf("%s: %v allocs per %d envelopes, want %v", tc.name, got, k, tc.want)
+		}
+		if d.Skipped() != 0 {
+			t.Errorf("%s: skipped %d bytes of a clean stream", tc.name, d.Skipped())
+		}
+	}
+}
+
+func TestStreamResyncOverMagicRun(t *testing.T) {
+	// A long garbage run made entirely of magic bytes: every byte starts a
+	// candidate header whose kind (another magic byte) is illegal, so each
+	// is skipped on its own. All of them count, and the frame behind the
+	// run still decodes — whatever the chunking.
+	const run = 1 << 16
+	env := Envelope{Kind: KindResponse, Type: 2, From: 3, To: 4, MsgID: 5, Payload: []byte("after the run")}
+	stream := append(bytes.Repeat([]byte{envMagic}, run), mustEncode(t, env)...)
+	for name, r := range map[string]io.Reader{
+		"one-shot":  bytes.NewReader(stream),
+		"odd-cuts":  &chunkReader{data: append([]byte(nil), stream...), cuts: []int{4095, 1, envHeaderSize}},
+		"byte-wise": iotest.OneByteReader(bytes.NewReader(stream)),
+	} {
+		got, skipped, err := drain(r)
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: terminal err = %v, want io.EOF", name, err)
+		}
+		if len(got) != 1 || !sameEnvelope(got[0], env) {
+			t.Fatalf("%s: decoded %d envelopes, want the one real frame", name, len(got))
+		}
+		if skipped != run {
+			t.Errorf("%s: skipped %d bytes, want %d", name, skipped, run)
+		}
+	}
+}
+
+// BenchmarkStreamReframe reframes one envelope per op off an endless
+// in-memory stream: 0 allocs/op without a payload, 1 (the payload copy)
+// with one.
+func BenchmarkStreamReframe(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		payload []byte
+	}{{"empty", nil}, {"payload", []byte("phase-king vote")}} {
+		b.Run(bc.name, func(b *testing.B) {
+			wire := loopFrames(bc.payload)
+			d := NewStreamDecoder(&loopReader{data: wire})
+			if _, err := d.Next(); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(wire) / 7))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Next(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // FuzzReframe pins the decoder's two load-bearing properties on arbitrary
 // byte soup: it never panics or over-consumes, and the decoded sequence —
 // envelopes, skip count and terminal error — is chunking-independent (the

@@ -70,14 +70,14 @@ type TCPConfig struct {
 // TCPStats counts transport-level outcomes. Snapshot via Stats; all
 // fields only ever increase.
 type TCPStats struct {
-	Dials          int64 // first dials to a peer address
+	Dials          int64 // successful first dials to a peer address
 	Redials        int64 // reconnect attempts after a dead connection
 	Accepts        int64 // inbound connections accepted
-	Sent           int64 // envelopes handed to a connection write
+	Sent           int64 // envelopes handed to a connection write, once each even if rewritten after a redial
 	Delivered      int64 // envelopes routed into a local endpoint inbox
 	DroppedNoRoute int64 // sends to a node with no known address
 	DroppedUnknown int64 // arrivals addressed to no local endpoint
-	WriteErrors    int64 // envelopes lost to a socket error after reconnect
+	WriteErrors    int64 // envelopes lost to a dial or write error
 	ResyncBytes    int64 // garbage bytes skipped by stream reframing
 }
 
@@ -99,10 +99,12 @@ func (c TCPConfig) withDefaults() TCPConfig {
 }
 
 // tcpConn serializes writes (and the dial that precedes the first one)
-// to one destination node.
+// to one destination node. wire is the encode buffer every send to that
+// node reuses under mu, so a warm connection sends without allocating.
 type tcpConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	wire []byte
 }
 
 // NewTCP binds the listener and starts the accept loop. Register peer
@@ -290,8 +292,7 @@ func (t *TCPTransport) deliver(env Envelope) {
 // returns nil, mirroring the loopback net: transports lose messages
 // silently and the node runtime's retries own recovery.
 func (t *TCPTransport) send(env Envelope) error {
-	wire, err := env.Encode(nil)
-	if err != nil {
+	if err := env.validate(); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -310,17 +311,17 @@ func (t *TCPTransport) send(env Envelope) error {
 		pc = &tcpConn{}
 		t.conns[env.To] = pc
 	}
-	t.stats.Sent++
 	t.mu.Unlock()
 
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.conn == nil {
-		if !t.dial(pc, addr, false) {
-			return nil
-		}
+	if pc.conn == nil && !t.dial(pc, addr, false) {
+		t.bumpStat(func(s *TCPStats) { s.WriteErrors++ })
+		return nil
 	}
-	if _, err := pc.conn.Write(wire); err == nil {
+	t.bumpStat(func(s *TCPStats) { s.Sent++ })
+	pc.wire = env.appendWire(pc.wire[:0])
+	if _, err := pc.conn.Write(pc.wire); err == nil {
 		return nil
 	}
 	// The connection went stale — peer restarted, socket reset. Reconnect
@@ -332,7 +333,7 @@ func (t *TCPTransport) send(env Envelope) error {
 		t.bumpStat(func(s *TCPStats) { s.WriteErrors++ })
 		return nil
 	}
-	if _, err := pc.conn.Write(wire); err != nil {
+	if _, err := pc.conn.Write(pc.wire); err != nil {
 		pc.conn.Close()
 		pc.conn = nil
 		t.bumpStat(func(s *TCPStats) { s.WriteErrors++ })
@@ -342,16 +343,17 @@ func (t *TCPTransport) send(env Envelope) error {
 
 // dial attempts one connection to addr, recording it on pc. The caller
 // holds pc.mu, so concurrent senders to the same peer wait rather than
-// racing dials.
+// racing dials. Every redial attempt counts; a first dial counts only
+// when it yields a connection.
 func (t *TCPTransport) dial(pc *tcpConn, addr string, redial bool) bool {
 	c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
 	t.mu.Lock()
+	closed := t.closed
 	if redial {
 		t.stats.Redials++
-	} else {
+	} else if err == nil && !closed {
 		t.stats.Dials++
 	}
-	closed := t.closed
 	t.mu.Unlock()
 	if err != nil {
 		return false
@@ -397,21 +399,46 @@ func (ep *tcpEndpoint) Recv() (Envelope, bool) {
 }
 
 // Await implements Endpoint: park on the waiter's own slot until the
-// reader completes it or the wall-clock deadline passes.
+// reader completes it or the wall-clock deadline passes. The deadline
+// timer lives in the waiter's park field and is reset, not re-made, each
+// time the waiter is awaited, so a recycled waiter brings its timer along.
 func (ep *tcpEndpoint) Await(w *Waiter, deadline int64) (Envelope, bool) {
 	if env, ok := w.take(); ok {
 		return env, true
 	}
-	//nowlint:rng wall-clock request timeout for the TCP half: the timer realizes the caller's RetryPolicy window in real time, nothing simulation-visible depends on it
-	timer := time.NewTimer(ep.t.untilTick(deadline))
-	defer timer.Stop()
+	d := ep.t.untilTick(deadline)
+	timer, _ := w.park.(*time.Timer)
+	if timer == nil {
+		//nowlint:rng wall-clock request timeout for the TCP half: the timer realizes the caller's RetryPolicy window in real time, nothing simulation-visible depends on it
+		timer = time.NewTimer(d)
+		w.park = timer
+	} else {
+		//nowlint:rng re-arms the waiter's own request timeout for the next RetryPolicy window; a wall-clock socket timeout that nothing simulation-visible reads
+		timer.Reset(d)
+	}
 	select {
 	case env := <-w.ch:
+		stopTimer(timer)
 		return env, true
 	case <-timer.C:
 		return w.take()
 	case <-ep.t.done:
+		stopTimer(timer)
 		return w.take()
+	}
+}
+
+// stopTimer stops a timer nobody has received from and drains a fire that
+// beat the Stop, so the next Reset starts from an empty channel. go.mod's
+// go 1.22 keeps the buffered pre-1.23 timer channel, where a stale fire
+// would otherwise end the next Await at once; the drain does not block, so
+// it is also correct under the 1.23 semantics.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
 	}
 }
 

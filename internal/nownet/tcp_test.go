@@ -2,7 +2,9 @@ package nownet
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,7 +13,7 @@ import (
 )
 
 // newTCPOrFatal builds a transport on an ephemeral localhost port.
-func newTCPOrFatal(t *testing.T, cfg TCPConfig) *TCPTransport {
+func newTCPOrFatal(t testing.TB, cfg TCPConfig) *TCPTransport {
 	t.Helper()
 	tr, err := NewTCP(cfg)
 	if err != nil {
@@ -65,7 +67,7 @@ func TestTCPRequestResponse(t *testing.T) {
 	}
 }
 
-func openTCPOrFatal(t *testing.T, tr *TCPTransport, id ids.NodeID) Endpoint {
+func openTCPOrFatal(t testing.TB, tr *TCPTransport, id ids.NodeID) Endpoint {
 	t.Helper()
 	ep, err := tr.Open(id)
 	if err != nil {
@@ -141,6 +143,107 @@ func TestTCPNoRouteBehavesLikeLoss(t *testing.T) {
 	}
 	if cs := client.Stats(); cs.Failed != 1 || cs.Timeouts != 2 {
 		t.Errorf("client stats = %+v", cs)
+	}
+}
+
+func TestTCPDialFailureIsCountedLoss(t *testing.T) {
+	// An address nobody listens on: every attempt's dial fails, so no
+	// connection is made and nothing is written. Each lost envelope counts
+	// as a WriteError; Dials and Sent stay 0.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	a := newTCPOrFatal(t, TCPConfig{DialTimeout: time.Second})
+	a.SetPeer(9, dead)
+	client := NewNode(openTCPOrFatal(t, a, 1))
+	client.Start()
+	_, attempts, err := client.Request(9, typEcho, []byte("anyone?"), RetryPolicy{Timeout: 20, Retries: 2})
+	if !errors.Is(err, ErrTimeout) || attempts != 3 {
+		t.Fatalf("err = %v after %d attempts, want ErrTimeout after 3", err, attempts)
+	}
+	if as := a.Stats(); as.Dials != 0 || as.Sent != 0 || as.WriteErrors != 3 || as.Redials != 0 {
+		t.Errorf("transport stats = %+v, want Dials 0 Sent 0 WriteErrors 3 Redials 0", as)
+	}
+}
+
+func TestTCPConcurrentRequestsRecycleWaiters(t *testing.T) {
+	// Many requesters on one node share its waiter free list, and every
+	// third request's first answer is held back past the timeout, so
+	// retries race late answers while waiters and their timers are reused.
+	// Each requester must get exactly its own payload back.
+	a := newTCPOrFatal(t, TCPConfig{})
+	b := newTCPOrFatal(t, TCPConfig{})
+	a.SetPeer(2, b.Addr())
+	b.SetPeer(1, a.Addr())
+	held := make(map[uint64]bool) // touched only by the server's reader
+	server := NewNode(openTCPOrFatal(t, b, 2))
+	server.Handle(typEcho, func(n *Node, env Envelope) {
+		if env.MsgID%3 == 0 && !held[env.MsgID] {
+			held[env.MsgID] = true
+			n.Go(func() {
+				time.Sleep(8 * time.Millisecond)
+				_ = n.Respond(env, env.Payload)
+			})
+			return
+		}
+		_ = n.Respond(env, env.Payload)
+	})
+	server.Start()
+	client := NewNode(openTCPOrFatal(t, a, 1))
+	client.Start()
+
+	const workers, each = 8, 30
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				want := fmt.Sprintf("%d/%d", g, i)
+				resp, _, err := client.Request(2, typEcho, []byte(want), RetryPolicy{Timeout: 5, Retries: 8})
+				if err != nil {
+					t.Errorf("request %s: %v", want, err)
+					return
+				}
+				if string(resp.Payload) != want {
+					t.Errorf("request %s got %q", want, resp.Payload)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if cs := client.Stats(); cs.Requests != workers*each || cs.Failed != 0 {
+		t.Errorf("client stats = %+v", cs)
+	}
+}
+
+// BenchmarkTCPRequestEcho is one Node.Request round trip per op between
+// two transports on localhost, connections warm. What is left per op is
+// the two payload copies the decoders hand out (request and response).
+func BenchmarkTCPRequestEcho(b *testing.B) {
+	a := newTCPOrFatal(b, TCPConfig{})
+	s := newTCPOrFatal(b, TCPConfig{})
+	a.SetPeer(2, s.Addr())
+	s.SetPeer(1, a.Addr())
+	server := NewNode(openTCPOrFatal(b, s, 2))
+	server.Handle(typEcho, func(n *Node, env Envelope) { _ = n.Respond(env, env.Payload) })
+	server.Start()
+	client := NewNode(openTCPOrFatal(b, a, 1))
+	client.Start()
+	payload := []byte("phase-king vote")
+	pol := RetryPolicy{Timeout: 2000, Retries: 2}
+	if _, _, err := client.Request(2, typEcho, payload, pol); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := client.Request(2, typEcho, payload, pol); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

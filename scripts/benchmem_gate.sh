@@ -34,6 +34,14 @@ echo "== benchmem gate: walk + exchange primitives, world audit =="
 go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|BenchmarkWorldAudit' \
 	-benchmem -benchtime 50x . | tee -a "$out"
 
+# The wire path: a warm stream decoder allocates only the payload copy it
+# hands out, and a warm Node.Request round trip over localhost TCP only the
+# two payload copies (request and response) — encode buffers, request
+# waiters and their timers are all reused.
+echo "== benchmem gate: wire path (stream reframing, TCP request echo) =="
+go test -run '^$' -bench 'BenchmarkStreamReframe|BenchmarkTCPRequestEcho' \
+	-benchmem -benchtime 50x ./internal/nownet/ | tee -a "$out"
+
 # Floors: "<benchmark-prefix> <max allocs/op>". A line matches the longest
 # applicable prefix listed here; benchmarks without a floor are informational.
 floors='
@@ -45,6 +53,9 @@ BenchmarkShardedWorldBatch/lean/ 10
 BenchmarkRandClWalk 0
 BenchmarkExchangePrimitive 0
 BenchmarkWorldAudit 0
+BenchmarkStreamReframe/empty 0
+BenchmarkStreamReframe/payload 1
+BenchmarkTCPRequestEcho 2
 '
 
 fail=0
