@@ -17,8 +17,6 @@ import (
 	"testing"
 
 	"nowover"
-	"nowover/internal/core"
-	"nowover/internal/xrand"
 )
 
 // benchScale sizes experiment benchmarks: smaller than QuickScale so the
@@ -291,127 +289,5 @@ func BenchmarkSimulationStep(b *testing.B) {
 	b.ResetTimer()
 	if _, err := runner.Continue(nil, b.N); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkShardedWorldBatch measures the op scheduler's throughput on ONE
-// world at increasing plan-worker bounds (Config.Shards, the shards-N
-// sub-benchmark): every iteration executes a 16-op batch of interleaved
-// joins and leaves (steady population) through ExecBatch. At shards-1 the
-// scheduler runs fully serially; higher bounds plan the batch on up to N
-// goroutines and then apply admitted plans serially, so the delta on a
-// multi-core runner is the intra-world planning speedup (a 1-core runner
-// shows only the coordination overhead, which is also worth recording).
-// Results are identical at every bound; only wall-clock changes.
-//
-// Two write-density regimes are measured, because admission is bounded by
-// how many clusters one operation mutates:
-//
-//   - "full": paper-faithful shuffling (exchange on join/leave plus the
-//     leave cascade). Each op writes ~|C| clusters, |C|^2 with the
-//     cascade, so at simulation scales most batches serialize on the tail
-//     and the %deferred metric stays high. Footprints shrink relative to
-//     the overlay as n grows: write disjointness needs #clusters >>
-//     (K log n)^2, i.e. the production regime (n ~ 10^6) the ROADMAP
-//     targets.
-//   - "lean": the shuffle-less ablation (no exchanges). Ops write only
-//     their target cluster, batches admit almost fully, and the benchmark
-//     isolates the scheduler's own scalability from the protocol's write
-//     density.
-//   - "cascade" / "cascade-grouped": the cascade regime — full-density
-//     shuffling on a cluster-rich overlay (K=1/3, so n=1024 spreads over
-//     ~250 small clusters instead of ~42 large ones: the #clusters >>
-//     footprint admission regime that production scales reach with
-//     paper-K), measuring pure 8-leave batches (joins refill the
-//     population off-timer) because the leave cascade is exactly what the
-//     two sub-regimes differ in. "cascade" runs Algorithm 2's
-//     per-receiver cascade, whose ~|C|^2 leave footprint keeps most of a
-//     batch on the serial tail; "cascade-grouped" flips
-//     Config.GroupedCascade, confining each leave to ~|C| writes. The
-//     %deferred delta between the two sub-benchmarks IS the
-//     scheduler-admission payoff of grouped cascades (recorded: 74.6% ->
-//     28.3% deferred, a 2.6x drop, with ~5x less batch wall-clock even
-//     on one core; at 16-op batches the drop is 84% -> 38%, 2.2x).
-func BenchmarkShardedWorldBatch(b *testing.B) {
-	if testing.Short() {
-		b.Skip("sharded world benchmark skipped in -short mode")
-	}
-	for _, density := range []string{"full", "lean", "cascade", "cascade-grouped"} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/shards-%d", density, shards), func(b *testing.B) {
-				cfg := nowover.DefaultConfig(1 << 12)
-				cfg.Seed = 1
-				cfg.Shards = shards
-				cascadeRegime := false
-				switch density {
-				case "lean":
-					cfg.ExchangeOnJoin = false
-					cfg.ExchangeOnLeave = false
-					cfg.LeaveCascade = false
-				case "cascade", "cascade-grouped":
-					cascadeRegime = true
-					cfg.K = 1.0 / 3
-					cfg.GroupedCascade = density == "cascade-grouped"
-				}
-				sys, err := nowover.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := sys.Bootstrap(1024, nowover.FractionCorrupt(1024, 0.15)); err != nil {
-					b.Fatal(err)
-				}
-				w := sys.World()
-				r := xrand.New(7)
-				batchSize := 16
-				if cascadeRegime {
-					batchSize = 8
-				}
-				deferred := 0
-				total := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ops := make([]nowover.WorldOp, 0, batchSize)
-					used := make(map[nowover.NodeID]bool, batchSize/2)
-					for len(ops) < batchSize {
-						if !cascadeRegime && len(ops)%2 == 0 {
-							ops = append(ops, nowover.WorldOp{Kind: nowover.WorldOpJoin, Byz: r.Bool(0.15)})
-							continue
-						}
-						x, ok := w.RandomNode(r)
-						if !ok || used[x] {
-							continue
-						}
-						used[x] = true
-						ops = append(ops, nowover.WorldOp{Kind: nowover.WorldOpLeave, Victim: x})
-					}
-					for _, rr := range sys.ExecBatch(ops) {
-						total++
-						if rr.Deferred {
-							deferred++
-						}
-						if rr.Err != nil && !core.IsUnknownNode(rr.Err) {
-							b.Fatal(rr.Err)
-						}
-					}
-					if cascadeRegime {
-						// Refill the departed population outside the timer so
-						// every measured batch sees n ~ 1024 and the deferred
-						// metric reflects the cascade alone.
-						b.StopTimer()
-						for j := 0; j < batchSize; j++ {
-							if _, err := sys.JoinAuto(r.Bool(0.15)); err != nil {
-								b.Fatal(err)
-							}
-						}
-						b.StartTimer()
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(batchSize), "ops/batch")
-				if total > 0 {
-					b.ReportMetric(100*float64(deferred)/float64(total), "%deferred")
-				}
-			})
-		}
 	}
 }

@@ -28,7 +28,6 @@ type config struct {
 	attack     string
 	k          float64
 	opsPerStep int
-	shards     int
 	grouped    bool
 	benchJSON  string
 }
@@ -44,11 +43,10 @@ func parseConfig(args []string) (*config, error) {
 	fs.StringVar(&c.attack, "attack", "joinleave", "attack: joinleave | dos")
 	fs.Float64Var(&c.k, "k", 5, "cluster size security parameter K")
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 0,
-		"batch this many ops per time step through the concurrent scheduler (0/1 = classic driver)")
-	fs.IntVar(&c.shards, "world-shards", 0, "plan workers for the batched driver (0/1 = serial)")
+		"decide this many ops per time step and run them as one batch (0/1 = classic driver)")
 	fs.BoolVar(&c.grouped, "grouped-cascade", false, "use the grouped leave-cascade variant")
 	fs.StringVar(&c.benchJSON, "bench-json", "",
-		"run the hooked-plan arm matrix (classic / batched serial / batched sharded) and write machine-readable results to this path")
+		"run the hooked arm matrix (classic / batched, per cascade mode) and write machine-readable results to this path")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -70,7 +68,6 @@ func (c *config) simConfig(shuffle bool) (nowover.SimConfig, error) {
 	cfg.Core.Seed = c.seed
 	cfg.Core.K = c.k
 	cfg.Core.L = 1.6
-	cfg.Core.Shards = c.shards
 	cfg.Core.GroupedCascade = c.grouped
 	if !shuffle {
 		cfg.Core.ExchangeOnJoin = false
@@ -96,35 +93,26 @@ func main() {
 	}
 }
 
-// benchArm is one row of the hooked-plan arm matrix.
+// benchArm is one row of the hooked arm matrix.
 type benchArm struct {
 	Name             string  `json:"name"`
 	Grouped          bool    `json:"grouped_cascade"`
 	OpsPerStep       int     `json:"ops_per_step"`
-	Shards           int     `json:"shards"`
 	WallMs           int64   `json:"wall_ms"`
 	BatchedOps       int     `json:"batched_ops"`
-	DeferredOps      int     `json:"deferred_ops"`
 	SkippedOps       int     `json:"skipped_ops"`
-	DeferredPct      float64 `json:"deferred_pct"`
-	PlanPathOpShare  float64 `json:"plan_path_op_share"`
 	HijackedWalks    int64   `json:"hijacked_walks"`
 	MaxByzFrac       float64 `json:"max_byz_frac"`
 	DegradedDwellPct float64 `json:"degraded_dwell_pct"`
 	CapturedDwellPct float64 `json:"captured_dwell_pct"`
 }
 
-// runBench executes the hooked-plan arm matrix — the classic one-op
-// driver, the batched driver on a serial-layout world, and the batched
-// driver on an 8-shard world, all with the hijacker installed — and
-// writes the results to c.benchJSON. Wall-clock is per whole arm (the
-// only timing cmd-level code can take; phase-level timing would need the
-// simulation core to read the wall clock, which the determinism lint
-// forbids). plan_path_op_share is the fraction of batched ops fully
-// served by the parallelizable plan/apply phases, i.e. everything that
-// did not fall to the serial tail — the capacity a multi-core box can
-// actually exploit; on a 1-core runner it is the honest stand-in for a
-// parallel speedup measurement.
+// runBench executes the hooked arm matrix — the classic one-op driver
+// and the batched driver, both with the hijacker installed, in each
+// cascade mode — and writes the results to c.benchJSON. Wall-clock is per
+// whole arm (the only timing cmd-level code can take; finer timing would
+// need the simulation core to read the wall clock, which the determinism
+// lint forbids).
 func (c *config) runBench() error {
 	ops := c.opsPerStep
 	if ops <= 1 {
@@ -133,11 +121,9 @@ func (c *config) runBench() error {
 	arms := []struct {
 		name       string
 		opsPerStep int
-		shards     int
 	}{
-		{"classic-hooked", 0, 1},
-		{"serial-hooked", ops, 1},
-		{"sharded-hooked", ops, 8},
+		{"classic-hooked", 0},
+		{"batched-hooked", ops},
 	}
 	out := struct {
 		Attack   string     `json:"attack"`
@@ -153,7 +139,6 @@ func (c *config) runBench() error {
 		for _, arm := range arms {
 			ac := *c
 			ac.opsPerStep = arm.opsPerStep
-			ac.shards = arm.shards
 			ac.grouped = grouped
 			cfg, err := ac.simConfig(true)
 			if err != nil {
@@ -169,23 +154,17 @@ func (c *config) runBench() error {
 				Name:             arm.name,
 				Grouped:          grouped,
 				OpsPerStep:       arm.opsPerStep,
-				Shards:           arm.shards,
 				WallMs:           wall.Milliseconds(),
 				BatchedOps:       res.BatchedOps,
-				DeferredOps:      res.DeferredOps,
 				SkippedOps:       res.SkippedOps,
 				HijackedWalks:    res.Stats.HijackedWalks,
 				MaxByzFrac:       res.Stats.MaxByzFractionEver,
 				DegradedDwellPct: 100 * float64(res.DegradedSteps) / float64(res.Steps),
 				CapturedDwellPct: 100 * float64(res.CapturedSteps) / float64(res.Steps),
 			}
-			if res.BatchedOps > 0 {
-				row.DeferredPct = 100 * float64(res.DeferredOps) / float64(res.BatchedOps)
-				row.PlanPathOpShare = 100 * float64(res.BatchedOps-res.DeferredOps-res.SkippedOps) / float64(res.BatchedOps)
-			}
 			out.Arms = append(out.Arms, row)
-			fmt.Printf("%-16s  grouped=%-5v ops/step=%d shards=%d  wall=%dms  deferred=%.1f%%  hijacked=%d\n",
-				arm.name, grouped, arm.opsPerStep, arm.shards, row.WallMs, row.DeferredPct, row.HijackedWalks)
+			fmt.Printf("%-16s  grouped=%-5v ops/step=%d  wall=%dms  hijacked=%d\n",
+				arm.name, grouped, arm.opsPerStep, row.WallMs, row.HijackedWalks)
 		}
 	}
 	blob, err := json.MarshalIndent(out, "", "  ")

@@ -68,7 +68,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.BoolVar(&c.grouped, "grouped-cascade", false, "batch leave cascades into one grouped shuffle round per leave (~|C| write footprint instead of ~|C|^2; changes measured costs, tables stay deterministic)")
 	fs.BoolVar(&c.exact, "exact-samples", false, "retain full per-operation cost histories (metrics.Sample) instead of fixed-memory sketches; reproduces pre-sketch tables byte for byte but memory grows with the operation count — avoid with -max-n")
 	fs.IntVar(&c.maxN, "max-n", 0, "extend the N sweep by doubling the top size up to this bound (e.g. 65536 for the 2^16 separation sweep, 1048576 for the 2^20 run); must be a power-of-two multiple of the scale's top size; 0 keeps the selected scale's grid")
-	fs.IntVar(&c.opsPerStep, "ops-per-step", 0, "batch this many adversary-cell operations per time step through the op scheduler (A2/A4 run hooked through the batched driver; a deterministic but distinct trajectory from the classic driver, and per-operation cost columns are unavailable); 0/1 keeps the classic driver and the recorded baseline tables")
+	fs.IntVar(&c.opsPerStep, "ops-per-step", 0, "decide this many adversary-cell operations per time step and run them as one batch, settled once (A2/A4 run hooked through the batched driver; a deterministic but distinct trajectory from the classic driver, and per-operation cost columns are unavailable); 0/1 keeps the classic driver and the recorded baseline tables")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "per-cell result journal: completed sweep cells are appended here and served from it on the next run, so an interrupted sweep resumes from its last completed cell with byte-identical tables; the journal is bound to the run configuration (seed/scale/mode flags) and refuses to resume under a different one")
 	fs.StringVar(&c.benchJSON, "bench-json", "", "write per-cell wall-clock timings (from the -checkpoint journal) as JSON, so future changes prove speedups against a recorded trajectory; requires -checkpoint")
 	c.prof.Register(fs)
@@ -103,7 +103,7 @@ func parseConfig(args []string) (*config, error) {
 func (c *config) fingerprint(scale nowover.ExperimentScale) string {
 	fp := fmt.Sprintf("ns=%v of=%g trials=%d walks=%d seed=%d exact=%v shards=1 grouped=%v",
 		scale.Ns, scale.OpsFactor, scale.Trials, scale.Walks,
-		scale.Seed, scale.ExactSamples, c.grouped)
+		scale.Seed, scale.ExactSamples, scale.GroupedCascade)
 	// The batched-driver marker is appended only when active so journals
 	// recorded before the flag existed (ops-per-step 0) still resume.
 	if scale.OpsPerStep > 1 {
@@ -141,6 +141,7 @@ func (c *config) scale() (nowover.ExperimentScale, error) {
 	scale.Seed = c.seed
 	scale.ExactSamples = c.exact
 	scale.OpsPerStep = c.opsPerStep
+	scale.GroupedCascade = c.grouped
 	if c.maxN > 0 {
 		return scale.ExtendTo(c.maxN)
 	}
@@ -166,14 +167,13 @@ func run(args []string) (err error) {
 	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	nowover.SetParallelism(c.parallel)
-	nowover.SetGroupedCascade(c.grouped)
 
 	scale, err := c.scale()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("nowbench: %d worker(s), grouped-cascade=%v, samples=%s, Ns=%v\n\n",
-		nowover.Parallelism(), nowover.GroupedCascade(),
+		nowover.Parallelism(), scale.GroupedCascade,
 		map[bool]string{false: "sketch", true: "exact"}[c.exact], scale.Ns)
 
 	if c.checkpoint != "" {

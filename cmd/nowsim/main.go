@@ -43,7 +43,6 @@ type config struct {
 	every      int
 	runs       int
 	parallel   int
-	shards     int
 	opsPerStep int
 	grouped    bool
 	exact      bool
@@ -70,8 +69,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.IntVar(&c.every, "report", 0, "print an audit every k steps (default steps/10)")
 	fs.IntVar(&c.runs, "runs", 1, "independent replicas to run (seeds seed..seed+runs-1)")
 	fs.IntVar(&c.parallel, "parallel", 0, "worker count for -runs: 1 = serial, 0 = auto (NOWBENCH_PARALLEL, then GOMAXPROCS)")
-	fs.IntVar(&c.shards, "world-shards", 1, "plan workers for the batched driver (0/1 = serial; results identical at any value)")
-	fs.IntVar(&c.opsPerStep, "ops-per-step", 1, "operations per time step: > 1 batches them through the op scheduler")
+	fs.IntVar(&c.opsPerStep, "ops-per-step", 1, "operations per time step: > 1 decides them together and runs them as one batch, settled once")
 	fs.BoolVar(&c.grouped, "grouped-cascade", false, "batch each leave's cascade into one grouped shuffle round over the receiver set (~|C| write footprint instead of ~|C|^2)")
 	fs.BoolVar(&c.exact, "exact-samples", false, "retain full per-operation cost histories instead of fixed-memory sketches (pre-sketch output byte for byte; memory grows with -steps)")
 	c.prof.Register(fs)
@@ -113,7 +111,6 @@ func (c *config) simConfig(runSeed uint64) (nowover.SimConfig, error) {
 	}
 	cfg.Core.Seed = runSeed
 	cfg.Core.K = c.k
-	cfg.Core.Shards = c.shards
 	cfg.Core.GroupedCascade = c.grouped
 	cfg.OpsPerStep = c.opsPerStep
 	if c.noShuffle {
@@ -189,8 +186,8 @@ func run(args []string) (err error) {
 		return err
 	}
 
-	fmt.Printf("nowsim: N=%d n0=%d tau=%.2f K=%.1f steps=%d schedule=%s attack=%s shuffle=%v merge=%s shards=%d ops/step=%d grouped-cascade=%v\n",
-		c.maxN, c.n0, c.tau, c.k, c.steps, c.schedule, c.attack, !c.noShuffle, c.merge, c.shards, c.opsPerStep, c.grouped)
+	fmt.Printf("nowsim: N=%d n0=%d tau=%.2f K=%.1f steps=%d schedule=%s attack=%s shuffle=%v merge=%s ops/step=%d grouped-cascade=%v\n",
+		c.maxN, c.n0, c.tau, c.k, c.steps, c.schedule, c.attack, !c.noShuffle, c.merge, c.opsPerStep, c.grouped)
 	fmt.Printf("cluster size target %d (split >%d, merge <%d), overlay degree target %d (cap %d)\n\n",
 		refCfg.Core.TargetClusterSize(), refCfg.Core.SplitThreshold(), refCfg.Core.MergeThreshold(),
 		refCfg.Core.TargetDegree(), refCfg.Core.DegreeCap())
@@ -217,8 +214,8 @@ func run(args []string) (err error) {
 	fmt.Printf("degraded steps: %d/%d  captured steps: %d/%d\n",
 		res.DegradedSteps, res.Steps, res.CapturedSteps, res.Steps)
 	if res.BatchedOps > 0 {
-		fmt.Printf("scheduler: %d batched ops, %d deferred to the serial tail (%d of those skipped: target vanished)\n",
-			res.BatchedOps, res.DeferredOps, res.SkippedOps)
+		fmt.Printf("batches: %d batched ops (%d skipped: target vanished)\n",
+			res.BatchedOps, res.SkippedOps)
 	}
 	fmt.Printf("size range: [%d, %d]\n", res.TroughSize, res.PeakSize)
 	fmt.Printf("cost: %v\n", res.TotalCost)

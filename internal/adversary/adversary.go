@@ -127,13 +127,13 @@ var _ Strategy = (*JoinLeaveAttack)(nil)
 func (s *JoinLeaveAttack) Name() string { return "join-leave-attack" }
 
 // TargetProvider is the two-sided target contract the world's hook
-// lifecycle consumes. Target is the COMMIT-scoped side: called serially
-// (by Decide at step boundaries, by CapturedHijacker.BeginBatch before a
-// batch plans), it may mutate the strategy — re-validate the fixation,
+// lifecycle consumes. Target is the COMMIT-scoped side: called at step
+// boundaries (by Decide, by CapturedHijacker.BeginBatch before a batch's
+// first op), it may mutate the strategy — re-validate the fixation,
 // ratchet onto a new beachhead. PlanTarget is the PLAN-scoped side: a
-// pure read of the cached fixation that concurrent plan workers may call
-// while an op batch is in flight. Keeping the mutation on the serial side
-// is what lets hooked worlds plan in parallel deterministically.
+// pure read of the cached fixation, called from walks while an op batch
+// is in flight. Keeping the mutation at the step boundary is what makes
+// every op of a batch see the same fixation.
 type TargetProvider interface {
 	Target(v View) ids.ClusterID
 	PlanTarget() (ids.ClusterID, bool)
@@ -141,7 +141,7 @@ type TargetProvider interface {
 
 // Target returns the currently attacked cluster, re-fixating if the
 // cached target dissolved. Commit-scoped: must not be called while a
-// batch is planning (see TargetProvider).
+// batch is in flight (see TargetProvider).
 func (s *JoinLeaveAttack) Target(v View) ids.ClusterID {
 	if s.hasTgt {
 		// Re-validate: the target may have merged away.
@@ -260,13 +260,13 @@ func (s *DOSAttack) Decide(v View, r *xrand.Rand, dir Direction) Op {
 // CapturedHijacker is the walk-redirection hook the adversary installs:
 // any walk transiting a captured cluster is steered to the attack target.
 //
-// The hook is snapshot-scoped so hooked worlds can plan op batches in
-// parallel: Redirect and Score are pure reads of the strategy's cached
-// fixation (PlanTarget) validated against the view, safe to call from
-// concurrent plan workers; all mutation happens on the serial lifecycle —
-// BeginBatch re-fixates the target against the pre-batch world through
-// the strategy's commit-scoped Target, and CommitOp folds the hook's
-// ratchet counters in op order after the batch applies. Under the classic
+// The hook is snapshot-scoped, so every op of a batch sees the decision
+// fixed at the batch boundary: Redirect and Score are pure reads of the
+// strategy's cached fixation (PlanTarget) validated against the view; all
+// mutation happens on the batch lifecycle — BeginBatch re-fixates the
+// target against the pre-batch world through the strategy's
+// commit-scoped Target, and CommitOp folds the hook's ratchet counters in
+// op order after the batch's last op. Under the classic
 // one-op-per-step drivers the same split holds with the strategy's Decide
 // call playing BeginBatch's refresh role.
 type CapturedHijacker struct {
@@ -275,9 +275,8 @@ type CapturedHijacker struct {
 	// Strategy supplies the target fixation (e.g. *JoinLeaveAttack).
 	Strategy TargetProvider
 
-	// Hijacked counts walks this hook redirected, folded deterministically
-	// by CommitOp from the scheduler's per-op hijack tallies (Redirect
-	// itself runs concurrently and must not count).
+	// Hijacked counts walks this hook redirected, folded by CommitOp from
+	// ExecBatch's per-op hijack tallies (Redirect itself must not count).
 	Hijacked int64
 	// CommittedOps counts operations folded through CommitOp.
 	CommittedOps int64
@@ -286,8 +285,8 @@ type CapturedHijacker struct {
 // Redirect implements walk.Hijacker: a pure read of the cached fixation.
 // Misses (ok=false) when no strategy is wired, when nothing has fixated
 // yet, or when the cached target has dissolved since the last
-// commit-scoped refresh — a mid-walk re-fixation here would mutate shared
-// state under concurrent planning.
+// commit-scoped refresh — a mid-walk re-fixation here would change the
+// decision the rest of the batch reads.
 func (h *CapturedHijacker) Redirect(_ *xrand.Rand, _ ids.ClusterID) (ids.ClusterID, bool) {
 	if h.Strategy == nil {
 		return 0, false
@@ -314,12 +313,11 @@ func (h *CapturedHijacker) Score(c ids.ClusterID) float64 {
 	return 0
 }
 
-// BeginBatch implements the serial half of core.BatchHook: re-fixate the
-// strategy's target against the pre-batch world so every plan-phase
-// Redirect/Score of the coming batch reads one coherent snapshot
-// decision. The refresh is skipped while the cached target is still live
-// — the ratchet holds, and the steady-state hooked plan path stays
-// allocation-free.
+// BeginBatch implements the first half of core.BatchHook: re-fixate the
+// strategy's target against the pre-batch world so every Redirect/Score
+// of the coming batch reads one coherent snapshot decision. The refresh
+// is skipped while the cached target is still live — the ratchet holds,
+// and the steady-state hooked batch path stays allocation-free.
 func (h *CapturedHijacker) BeginBatch() {
 	if h.Strategy == nil || h.View == nil {
 		return
@@ -331,9 +329,8 @@ func (h *CapturedHijacker) BeginBatch() {
 }
 
 // CommitOp implements the op-ordered commit half of core.BatchHook,
-// folding the scheduler's per-op hijack tally into the hook's ratchet
-// counters. Called serially in op order after the batch's effects are in
-// place, alongside the scheduler's own order-sensitive bookkeeping.
+// folding ExecBatch's per-op hijack tally into the hook's ratchet
+// counters. Called in op order after the batch's last op has run.
 func (h *CapturedHijacker) CommitOp(_ int, _ bool, hijacked int64) {
 	h.CommittedOps++
 	h.Hijacked += hijacked

@@ -2,13 +2,14 @@ package core
 
 // The cascade-equivalence test layer: grouped leave cascades
 // (Config.GroupedCascade) rewrite the hottest correctness-critical path
-// of the protocol, so they get the same proof obligations the op
-// scheduler got in sched_test.go — serial/sharded lockstep, determinism,
-// invariant preservation — plus the two claims specific to grouping: the
+// of the protocol, so they get the same proof obligations batches got in
+// sched_test.go — the classic-replay oracle, determinism, invariant
+// preservation — plus the two claims specific to grouping: the
 // write-footprint drop (~|C|^2 -> ~|C| clusters per leave) and the
 // ledger split (cascade traffic separable under metrics.ClassCascade).
 
 import (
+	"fmt"
 	"testing"
 
 	"nowover/internal/ids"
@@ -16,89 +17,30 @@ import (
 	"nowover/internal/xrand"
 )
 
-// newCascadeWorld builds a bootstrapped world like newTestWorld, with the
-// leave cascade batched into grouped shuffle rounds.
-func newCascadeWorld(t testing.TB, shards int, seed uint64) *World {
-	t.Helper()
-	cfg := DefaultConfig(512)
-	cfg.Seed = seed
-	cfg.Shards = shards
-	cfg.GroupedCascade = true
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Bootstrap(200, func(slot int) bool { return slot%5 == 0 }); err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-// TestGroupedCascadeMatchesSerial is the determinism regression for
-// grouped cascades, mirroring TestShardedMatchesSerial: in BOTH cascade
-// modes, a serial-layout world (Shards=1) and a sharded world (Shards=8)
-// fed identical batches must stay in IDENTICAL protocol states — same
-// membership, same stats, same security counters, same ledger totals —
-// with the full invariant layer holding after every batch. The grouped
-// pair and the per-receiver pair run side by side in lockstep, so a
-// grouped-path bug that only shows up against the classic composition
-// (e.g. a stream drawn out of order) diverges here immediately.
+// TestGroupedCascadeMatchesSerial runs the classic-replay oracle
+// (requireReplayMatch) in both cascade modes side by side, so a
+// grouped-path bug that only shows up against the per-receiver
+// composition (e.g. a stream drawn out of order) diverges here at once,
+// and checks the accounting split: grouped runs charge the cascade class,
+// the per-receiver composition never does.
 func TestGroupedCascadeMatchesSerial(t *testing.T) {
-	type pair struct {
-		name             string
-		serial, sharded  *World
-		rngA, rngB       *xrand.Rand
-		wantCascadeClass bool
-	}
-	pairs := []*pair{
-		{name: "grouped", serial: newCascadeWorld(t, 1, 42), sharded: newCascadeWorld(t, 8, 42),
-			rngA: xrand.New(7), rngB: xrand.New(7), wantCascadeClass: true},
-		{name: "per-receiver", serial: newTestWorld(t, 1, 42), sharded: newTestWorld(t, 8, 42),
-			rngA: xrand.New(7), rngB: xrand.New(7), wantCascadeClass: false},
-	}
 	batches := 25
 	if testing.Short() {
 		batches = 8
 	}
-	for _, p := range pairs {
-		if fp1, fp8 := worldFingerprint(p.serial), worldFingerprint(p.sharded); fp1 != fp8 {
-			t.Fatalf("%s: bootstrap fingerprints differ:\n%s\nvs\n%s", p.name, fp1, fp8)
+	for _, grouped := range []bool{true, false} {
+		batched := newModeWorld(t, 42, grouped)
+		replay := newModeWorld(t, 42, grouped)
+		r := xrand.New(7)
+		for i := 0; i < batches; i++ {
+			ops := randomBatch(batched, r, 8)
+			rb := batched.ExecBatch(ops)
+			rr := replayClassic(replay, nil, ops)
+			requireReplayMatch(t, fmt.Sprintf("grouped=%v batch %d", grouped, i), batched, replay, rb, rr)
 		}
-	}
-	for i := 0; i < batches; i++ {
-		for _, p := range pairs {
-			b1 := randomBatch(p.serial, p.rngA, 8)
-			b8 := randomBatch(p.sharded, p.rngB, 8)
-			res1 := p.serial.ExecBatch(b1)
-			res8 := p.sharded.ExecBatch(b8)
-			for j := range res1 {
-				if res1[j].Node != res8[j].Node || (res1[j].Err == nil) != (res8[j].Err == nil) ||
-					res1[j].Deferred != res8[j].Deferred {
-					t.Fatalf("%s: batch %d op %d diverged: serial=%+v sharded=%+v",
-						p.name, i, j, res1[j], res8[j])
-				}
-			}
-			if fp1, fp8 := worldFingerprint(p.serial), worldFingerprint(p.sharded); fp1 != fp8 {
-				t.Fatalf("%s: state diverged after batch %d:\n--- serial ---\n%s\n--- sharded ---\n%s",
-					p.name, i, fp1, fp8)
-			}
-			if err := CheckInvariants(p.serial); err != nil {
-				t.Fatalf("%s: serial invariants after batch %d: %v", p.name, i, err)
-			}
-			if err := CheckInvariants(p.sharded); err != nil {
-				t.Fatalf("%s: sharded invariants after batch %d: %v", p.name, i, err)
-			}
-		}
-	}
-	for _, p := range pairs {
-		if p.serial.Stats() != p.sharded.Stats() {
-			t.Fatalf("%s: final stats diverged:\n%+v\nvs\n%+v", p.name, p.serial.Stats(), p.sharded.Stats())
-		}
-		// The accounting split: grouped runs charge the cascade class,
-		// the per-receiver composition never does.
-		if got := p.serial.Ledger().MessagesBy(metrics.ClassCascade) > 0; got != p.wantCascadeClass {
-			t.Errorf("%s: cascade-class traffic present=%v, want %v (total %d)",
-				p.name, got, p.wantCascadeClass, p.serial.Ledger().MessagesBy(metrics.ClassCascade))
+		if got := batched.Ledger().MessagesBy(metrics.ClassCascade) > 0; got != grouped {
+			t.Errorf("grouped=%v: cascade-class traffic present=%v (total %d)",
+				grouped, got, batched.Ledger().MessagesBy(metrics.ClassCascade))
 		}
 	}
 }
@@ -108,7 +50,7 @@ func TestGroupedCascadeMatchesSerial(t *testing.T) {
 // draws from the same single stream the per-receiver cascade used).
 func TestGroupedCascadeClassicDeterminism(t *testing.T) {
 	run := func() string {
-		w := newCascadeWorld(t, 1, 99)
+		w := newModeWorld(t, 99, true)
 		r := xrand.New(3)
 		for i := 0; i < 30; i++ {
 			if i%3 == 2 {
@@ -133,34 +75,31 @@ func TestGroupedCascadeClassicDeterminism(t *testing.T) {
 	}
 }
 
-// planLeaveFootprint plans a single leave against a quiescent world and
-// reports its write footprint plus whether the plan reached the cascade
-// (a deferred plan stopped before cascading is not a fair comparison).
-func planLeaveFootprint(w *World, x ids.NodeID, planSeed uint64) (writes int, usable bool) {
-	p := &batchPlan{
-		op:     Op{Kind: OpLeave, Victim: x},
-		writes: make(ids.ClusterSet),
+// leaveFootprint runs one unsettled leave of x on w and reports how many
+// clusters it wrote — the settle queue, empty before the leave, then holds
+// exactly the clusters whose composition changed — and whether the leave
+// reached its cascade and stayed clear of a merge, whose absorbed partner
+// would make the comparison unfair.
+func leaveFootprint(t *testing.T, w *World, x ids.NodeID, seed uint64) (writes int, usable bool) {
+	t.Helper()
+	if len(w.settleQueue) != 0 {
+		t.Fatal("settle queue not empty before the measured leave")
 	}
-	ctx, err := newPlanContext(w)
-	if err != nil {
-		panic(err) // NewWorld validated the config; unreachable
+	c, _ := w.ClusterOf(x)
+	merges := w.Stats().Merges
+	if err := w.leaveWith(w.led, xrand.New(seed), x, false); err != nil {
+		t.Fatal(err)
 	}
-	w.planOp(ctx, p, xrand.New(planSeed))
-	if p.err != nil || p.deferred {
-		return len(p.writes), false
-	}
-	return len(p.writes), true
+	return len(w.settleQueue), w.hasCluster(c) && w.Stats().Merges == merges
 }
 
-// TestGroupedCascadeShrinksLeaveFootprint is the tentpole's load-bearing
-// claim, measured directly at the planner: the same leave planned on
-// identical worlds must write FAR fewer clusters under the grouped
-// cascade. The per-receiver cascade exchanges every member of every
+// TestGroupedCascadeShrinksLeaveFootprint is grouping's load-bearing
+// claim: the same leave, run on identical worlds with the same stream,
+// must write FAR fewer clusters under the grouped cascade. The per-receiver cascade exchanges every member of every
 // receiver (~|C|^2 cluster writes); the grouped round performs one swap
 // per receiver (~|C|). The gap only materializes when the overlay has
-// many more clusters than one cascade can touch (#clusters >> |C|^2 — the
-// simulation-scale admission regime ROADMAP targets), so this test runs a
-// cluster-rich configuration: |C| ~ 8 across ~128 clusters. Demand at
+// many more clusters than one cascade can touch (#clusters >> |C|^2), so
+// this test runs a cluster-rich configuration: |C| ~ 8 across ~128 clusters. Demand at
 // least a 2x drop on every sampled victim and 3x on average; the
 // asymptotic ratio is |C|/2, diluted here by birthday collisions among
 // the per-receiver cascade's partner draws.
@@ -179,21 +118,21 @@ func TestGroupedCascadeShrinksLeaveFootprint(t *testing.T) {
 		}
 		return w
 	}
-	classic, grouped := mk(false), mk(true)
-	if a, b := worldFingerprint(classic), worldFingerprint(grouped); a != b {
-		t.Fatalf("bootstrap fingerprints differ between cascade modes:\n%s\nvs\n%s", a, b)
-	}
 	r := xrand.New(11)
 	samples, ratioSum := 0, 0.0
 	for i := 0; i < 40 && samples < 8; i++ {
+		classic, grouped := mk(false), mk(true)
+		if a, b := worldFingerprint(classic), worldFingerprint(grouped); a != b {
+			t.Fatalf("bootstrap fingerprints differ between cascade modes:\n%s\nvs\n%s", a, b)
+		}
 		x, ok := classic.RandomNode(r)
 		if !ok {
 			t.Fatal("no nodes to sample")
 		}
-		cw, cok := planLeaveFootprint(classic, x, uint64(1000+i))
-		gw, gok := planLeaveFootprint(grouped, x, uint64(1000+i))
+		cw, cok := leaveFootprint(t, classic, x, uint64(1000+i))
+		gw, gok := leaveFootprint(t, grouped, x, uint64(1000+i))
 		if !cok || !gok {
-			continue // deferred (merge/emptied): cascade never ran
+			continue // merge or emptied cluster: not a like-for-like cascade
 		}
 		if gw*2 > cw {
 			t.Errorf("victim %v: grouped leave writes %d clusters vs %d per-receiver — less than a 2x drop", x, gw, cw)
@@ -202,7 +141,7 @@ func TestGroupedCascadeShrinksLeaveFootprint(t *testing.T) {
 		samples++
 	}
 	if samples < 4 {
-		t.Fatalf("only %d comparable leave plans in 40 draws", samples)
+		t.Fatalf("only %d comparable leaves in 40 draws", samples)
 	}
 	if avg := ratioSum / float64(samples); avg < 3 {
 		t.Errorf("mean footprint ratio %.1fx across %d leaves, want >= 3x", avg, samples)
@@ -212,13 +151,12 @@ func TestGroupedCascadeShrinksLeaveFootprint(t *testing.T) {
 // TestGroupedCascadeIntoMerge pins the structural corner the fuzz seed
 // corpus also steers at (seed-cascade-into-merge): a leave whose grouped
 // cascade round is followed by the source cluster falling below the merge
-// threshold must still merge correctly — on the scheduler's serial tail,
-// since merges are structural — and leave every invariant intact.
+// threshold must still merge correctly inside a batch and leave every
+// invariant intact.
 func TestGroupedCascadeIntoMerge(t *testing.T) {
-	w := newCascadeWorld(t, 8, 5)
+	w := newModeWorld(t, 5, true)
 	r := xrand.New(9)
 	minPop := 2 * w.Config().TargetClusterSize()
-	sawMergeDefer := false
 	for i := 0; i < 200 && w.Stats().Merges == 0 && w.NumNodes() > minPop; i++ {
 		ops := make([]Op, 0, 4)
 		used := make(ids.NodeSet)
@@ -233,9 +171,6 @@ func TestGroupedCascadeIntoMerge(t *testing.T) {
 			if rr.Err != nil && !IsUnknownNode(rr.Err) {
 				t.Fatal(rr.Err)
 			}
-			if rr.Deferred && rr.DeferReason == "merge required" {
-				sawMergeDefer = true
-			}
 		}
 		if err := CheckInvariants(w); err != nil {
 			t.Fatalf("invariants after shrink batch %d: %v", i, err)
@@ -244,9 +179,6 @@ func TestGroupedCascadeIntoMerge(t *testing.T) {
 	if w.Stats().Merges == 0 {
 		t.Fatal("shrinking never triggered a merge after a grouped cascade")
 	}
-	if !sawMergeDefer {
-		t.Fatal("merge happened without a merge-required deferral: structural work escaped the tail")
-	}
 }
 
 // TestGroupedCascadeLedgerSplit: on one world, leave costs must split
@@ -254,7 +186,7 @@ func TestGroupedCascadeIntoMerge(t *testing.T) {
 // under ClassCascade — so experiments can attribute the cascade's share
 // of a leave. Join-only churn must never charge the cascade class.
 func TestGroupedCascadeLedgerSplit(t *testing.T) {
-	w := newCascadeWorld(t, 1, 31)
+	w := newModeWorld(t, 31, true)
 	if got := w.Ledger().MessagesBy(metrics.ClassCascade); got != 0 {
 		t.Fatalf("bootstrap charged %d cascade messages", got)
 	}

@@ -117,20 +117,17 @@ type Config struct {
 	// edge in OVER Add/Remove.
 	EdgeAttemptFactor int
 
-	// Shards bounds the plan workers of the batched driver
-	// (World.ExecBatch): a batch plans on min(Shards, GOMAXPROCS, batch
-	// size) goroutines, and 0 or 1 plans serially. Results are identical
-	// at every value; only wall-clock changes. Apply is always serial.
+	// Shards has no effect: World.ExecBatch runs every op serially on the
+	// classic path. The field remains only because the benchmark module
+	// (cmd/nowperf) still sets it; the next change to that module deletes
+	// it together with OpResult.Deferred/DeferReason.
 	Shards int
 }
 
-// DefaultConfig returns paper-faithful parameters for maximum size n.
-// GroupedCascade defaults to the paper's per-receiver cascade unless the
-// package default was flipped with SetDefaultGroupedCascade (the harness
-// knob behind the nowbench/nowsim -grouped-cascade flags).
+// DefaultConfig returns paper-faithful parameters for maximum size n,
+// with Algorithm 2's per-receiver leave cascade.
 func DefaultConfig(maxN int) Config {
 	return Config{
-		GroupedCascade:     DefaultGroupedCascade(),
 		N:                  maxN,
 		Seed:               1,
 		K:                  2,
@@ -174,7 +171,7 @@ func (c Config) Validate() error {
 	case c.EdgeAttemptFactor < 1:
 		return fmt.Errorf("core: EdgeAttemptFactor=%d must be >= 1", c.EdgeAttemptFactor)
 	case c.Shards < 0 || c.Shards > 1<<12:
-		return fmt.Errorf("core: Shards=%d (plan workers) outside [0, %d]", c.Shards, 1<<12)
+		return fmt.Errorf("core: Shards=%d outside [0, %d]", c.Shards, 1<<12)
 	}
 	return nil
 }

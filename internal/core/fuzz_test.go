@@ -1,30 +1,24 @@
 package core
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"nowover/internal/adversary"
 )
 
-// FuzzWorldOps feeds fuzzer-chosen operation scripts through FOUR worlds:
-// a serial-layout (Shards=1) and a sharded (Shards=8) world in each of
-// the two cascade modes (per-receiver and grouped). After every scheduler
-// batch it asserts that (a) the full invariant layer holds in all four
-// and (b) each serial/sharded pair is in bit-identical protocol state —
-// the classic pair exactly as before, the grouped pair pinning the
-// grouped cascade's serial-vs-sharded lockstep under adversarial
-// scripts. The two modes legitimately diverge from EACH OTHER (grouping
+// FuzzWorldOps feeds fuzzer-chosen operation scripts through the
+// classic-replay oracle in both cascade modes (per-receiver and grouped):
+// in each mode one world runs every queued batch through ExecBatch and a
+// twin replays the same ops through the public one-op calls. After every
+// batch requireReplayMatch asserts that both worlds satisfy the full
+// invariant layer and are identical apart from the settle-counted Stats
+// fields. The two modes legitimately diverge from EACH OTHER (grouping
 // changes which swaps happen), so cross-mode equality is not asserted;
-// an op that targets a node/cluster present only in one mode's state is
-// tolerated per pair as long as the pair agrees. The script drives
-// joins, leaves, forced exchanges and allegiance flips; splits, merges
-// and transfers are exercised through the operations that trigger them,
-// including on the scheduler's serial tail (see seed-cascade-into-merge).
+// an op that targets a node/cluster present only in one mode's state
+// fails the same way on both sides of that mode. The script drives joins,
+// leaves, forced exchanges and allegiance flips; splits, merges and
+// transfers are exercised through the operations that trigger them (see
+// seed-cascade-into-merge).
 //
 // Script encoding (one byte per instruction, wrapping reads for params):
 //
@@ -45,10 +39,9 @@ func FuzzWorldOps(f *testing.F) {
 		if len(script) > 128 {
 			script = script[:128]
 		}
-		mk := func(shards int, grouped bool) *World {
+		mk := func(grouped bool) *World {
 			cfg := DefaultConfig(256)
 			cfg.Seed = seed
-			cfg.Shards = shards
 			cfg.GroupedCascade = grouped
 			w, err := NewWorld(cfg)
 			if err != nil {
@@ -59,15 +52,15 @@ func FuzzWorldOps(f *testing.F) {
 			}
 			return w
 		}
-		type lockstep struct {
-			name   string
-			s1, s8 *World
+		type twins struct {
+			name            string
+			batched, replay *World
 		}
-		pairs := []lockstep{
-			{"per-receiver", mk(1, false), mk(8, false)},
-			{"grouped", mk(1, true), mk(8, true)},
+		pairs := []twins{
+			{"per-receiver", mk(false), mk(false)},
+			{"grouped", mk(true), mk(true)},
 		}
-		w1 := pairs[0].s1 // the script's reference state
+		w1 := pairs[0].batched // the script's reference state
 		minPop := 2 * w1.Config().TargetClusterSize()
 
 		var pending []Op
@@ -85,25 +78,14 @@ func FuzzWorldOps(f *testing.F) {
 				return
 			}
 			for _, p := range pairs {
-				r1 := p.s1.ExecBatch(pending)
-				r8 := p.s8.ExecBatch(pending)
-				for j := range r1 {
-					if r1[j].Err != nil && !IsUnknownNode(r1[j].Err) && !IsUnknownCluster(r1[j].Err) {
-						t.Fatalf("%s serial op %d: %v", p.name, j, r1[j].Err)
-					}
-					if (r1[j].Err == nil) != (r8[j].Err == nil) || r1[j].Node != r8[j].Node || r1[j].Deferred != r8[j].Deferred {
-						t.Fatalf("%s op %d diverged: serial=%+v sharded=%+v", p.name, j, r1[j], r8[j])
+				rb := p.batched.ExecBatch(pending)
+				for j := range rb {
+					if rb[j].Err != nil && !IsUnknownNode(rb[j].Err) && !IsUnknownCluster(rb[j].Err) {
+						t.Fatalf("%s op %d: %v", p.name, j, rb[j].Err)
 					}
 				}
-				if err := CheckInvariants(p.s1); err != nil {
-					t.Fatalf("%s serial invariants: %v", p.name, err)
-				}
-				if err := CheckInvariants(p.s8); err != nil {
-					t.Fatalf("%s sharded invariants: %v", p.name, err)
-				}
-				if a, b := worldFingerprint(p.s1), worldFingerprint(p.s8); a != b {
-					t.Fatalf("%s states diverged:\n--- serial ---\n%s\n--- sharded ---\n%s", p.name, a, b)
-				}
+				rr := replayClassic(p.replay, nil, pending)
+				requireReplayMatch(t, p.name, p.batched, p.replay, rb, rr)
 			}
 			pending = pending[:0]
 			victims = make(map[uint64]bool)
@@ -149,21 +131,20 @@ func FuzzWorldOps(f *testing.F) {
 				x := w1.allNodes[idx]
 				for _, p := range pairs {
 					// The node may have already departed the other mode's
-					// state (a leave that failed there); both worlds of a
-					// pair agree, so the flip is applied or skipped
-					// pair-consistently.
-					if !p.s1.Contains(x) {
+					// state; both worlds of a pair agree, so the flip is
+					// applied or skipped pair-consistently.
+					if !p.batched.Contains(x) {
 						continue
 					}
-					corrupted := !p.s1.IsByzantine(x)
+					corrupted := !p.batched.IsByzantine(x)
 					// Keep the tau regime: never corrupt past ~1/3.
-					if corrupted && 3*(p.s1.NumByzantine()+1) > p.s1.NumNodes() {
+					if corrupted && 3*(p.batched.NumByzantine()+1) > p.batched.NumNodes() {
 						continue
 					}
-					if err := p.s1.SetCorrupted(x, corrupted); err != nil {
+					if err := p.batched.SetCorrupted(x, corrupted); err != nil {
 						t.Fatal(err)
 					}
-					if err := p.s8.SetCorrupted(x, corrupted); err != nil {
+					if err := p.replay.SetCorrupted(x, corrupted); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -174,20 +155,18 @@ func FuzzWorldOps(f *testing.F) {
 }
 
 // FuzzHookedWorldOps is the hooked sibling of FuzzWorldOps: the same
-// script encoding drives a serial (Shards=1) and a sharded (Shards=8)
-// world that each carry a live JoinLeaveAttack fixation through a
-// CapturedHijacker registered as BOTH walk hijacker and steer hook — the
-// configuration that used to force the one-worker planning fallback. The
-// pair must stay in bit-identical protocol state after every batch, and
-// the hooks' commit-folded bookkeeping (hijacked-walk tallies, committed
-// op counts) must agree exactly, script after script. The bootstrap
-// concentrates corruption in the low slots so captured clusters exist
-// from the start and the fixation has something to bite on; seed bit 0
-// selects the cascade mode so the corpus covers grouped and per-receiver
-// tails. The two checked-in seeds (seed-tail-hijack-*) are verified by
-// TestHookedFuzzSeedsExerciseTailHijack to drive hijacked walks through
-// ops that land on the scheduler's serial tail — the replay path where
-// hook purity is easiest to get wrong.
+// script encoding drives an ExecBatch world and its classic-replay twin,
+// each carrying a live JoinLeaveAttack fixation through a
+// CapturedHijacker registered as BOTH walk hijacker and steer hook. The
+// replay drives its hook's lifecycle around the one-op calls the way
+// ExecBatch does (replayClassic), so the pair must pass requireReplayMatch
+// after every batch with equal hook bookkeeping; on the batched side each
+// batch must drive the lifecycle in order (requireLifecycle) and the
+// hook's commit-folded tallies must equal the world's Stats. The
+// bootstrap concentrates corruption in the low slots so captured clusters
+// exist from the start and the fixation has something to bite on; seed
+// bit 0 selects the cascade mode. The checked-in seeds
+// (seed-tail-hijack-*) hijack walks in each cascade mode.
 func FuzzHookedWorldOps(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 4, 2, 1, 4})
 	f.Add(uint64(7), []byte{0, 2, 0, 3, 5, 4, 2, 2, 2, 3, 4})
@@ -197,23 +176,14 @@ func FuzzHookedWorldOps(f *testing.F) {
 	})
 }
 
-// hookedScriptResult summarizes one hooked-script replay for the corpus
-// verification test: whether any op both deferred to the serial tail AND
-// hijacked at least one walk there.
-type hookedScriptResult struct {
-	tailHijacks int64
-	hijacked    int64
-}
-
-func runHookedScript(t *testing.T, seed uint64, script []byte) hookedScriptResult {
+func runHookedScript(t *testing.T, seed uint64, script []byte) {
 	if len(script) > 128 {
 		script = script[:128]
 	}
 	grouped := seed&1 == 1
-	mk := func(shards int) (*World, *adversary.CapturedHijacker) {
+	mk := func() (*World, *adversary.CapturedHijacker) {
 		cfg := DefaultConfig(256)
 		cfg.Seed = seed
-		cfg.Shards = shards
 		cfg.GroupedCascade = grouped
 		w, err := NewWorld(cfg)
 		if err != nil {
@@ -232,10 +202,13 @@ func runHookedScript(t *testing.T, seed uint64, script []byte) hookedScriptResul
 		w.SetSteerHook(h)
 		return w, h
 	}
-	w1, h1 := mk(1)
-	w8, h8 := mk(8)
+	w1, h := mk()
+	h1 := &loggedHook{CapturedHijacker: h}
+	w1.SetHijacker(h1)
+	w1.SetSteerHook(h1)
+	w2, h2 := mk()
 	minPop := 2 * w1.Config().TargetClusterSize()
-	var out hookedScriptResult
+	var ops int64
 
 	var pending []Op
 	victims := make(map[uint64]bool)
@@ -251,33 +224,23 @@ func runHookedScript(t *testing.T, seed uint64, script []byte) hookedScriptResul
 		if len(pending) == 0 {
 			return
 		}
-		r1 := w1.ExecBatch(pending)
-		r8 := w8.ExecBatch(pending)
-		for j := range r1 {
-			if r1[j].Err != nil && !IsUnknownNode(r1[j].Err) && !IsUnknownCluster(r1[j].Err) {
-				t.Fatalf("serial op %d: %v", j, r1[j].Err)
-			}
-			if (r1[j].Err == nil) != (r8[j].Err == nil) || r1[j].Node != r8[j].Node || r1[j].Deferred != r8[j].Deferred {
-				t.Fatalf("op %d diverged: serial=%+v sharded=%+v", j, r1[j], r8[j])
-			}
-			// w1.sched.hijacked holds the per-op tallies the commit step just
-			// folded; a deferred op with a nonzero tally is a tail hijack.
-			if r1[j].Deferred && w1.sched.hijacked[j] > 0 {
-				out.tailHijacks += w1.sched.hijacked[j]
+		rb := w1.ExecBatch(pending)
+		for j := range rb {
+			if rb[j].Err != nil && !IsUnknownNode(rb[j].Err) && !IsUnknownCluster(rb[j].Err) {
+				t.Fatalf("op %d: %v", j, rb[j].Err)
 			}
 		}
-		if err := CheckInvariants(w1); err != nil {
-			t.Fatalf("serial invariants: %v", err)
-		}
-		if err := CheckInvariants(w8); err != nil {
-			t.Fatalf("sharded invariants: %v", err)
-		}
-		if a, b := worldFingerprint(w1), worldFingerprint(w8); a != b {
-			t.Fatalf("states diverged:\n--- serial ---\n%s\n--- sharded ---\n%s", a, b)
-		}
-		if h1.Hijacked != h8.Hijacked || h1.CommittedOps != h8.CommittedOps {
+		requireLifecycle(t, "batched", h1, rb)
+		ops += int64(len(pending))
+		rr := replayClassic(w2, h2, pending)
+		requireReplayMatch(t, "hooked", w1, w2, rb, rr)
+		if h1.Hijacked != h2.Hijacked || h1.CommittedOps != h2.CommittedOps {
 			t.Fatalf("hook bookkeeping diverged: hijacked %d/%d ops %d/%d",
-				h1.Hijacked, h8.Hijacked, h1.CommittedOps, h8.CommittedOps)
+				h1.Hijacked, h2.Hijacked, h1.CommittedOps, h2.CommittedOps)
+		}
+		if st := w1.Stats(); h1.Hijacked != st.HijackedWalks || h1.CommittedOps != ops {
+			t.Fatalf("commit fold saw %d hijacked walks over %d ops, world recorded %d over %d",
+				h1.Hijacked, h1.CommittedOps, st.HijackedWalks, ops)
 		}
 		pending = pending[:0]
 		victims = make(map[uint64]bool)
@@ -331,64 +294,10 @@ func runHookedScript(t *testing.T, seed uint64, script []byte) hookedScriptResul
 			if err := w1.SetCorrupted(x, corrupted); err != nil {
 				t.Fatal(err)
 			}
-			if err := w8.SetCorrupted(x, corrupted); err != nil {
+			if err := w2.SetCorrupted(x, corrupted); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	flush()
-	out.hijacked = h1.Hijacked
-	return out
-}
-
-// readHookedCorpusSeed parses a checked-in Go fuzz corpus file for
-// FuzzHookedWorldOps (format: "go test fuzz v1", then one line per
-// argument in Go literal syntax).
-func readHookedCorpusSeed(t *testing.T, name string) (uint64, []byte) {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzHookedWorldOps", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 3 || lines[0] != "go test fuzz v1" {
-		t.Fatalf("%s: unexpected corpus layout: %q", name, lines)
-	}
-	var seed uint64
-	if _, err := fmt.Sscanf(lines[1], "uint64(%d)", &seed); err != nil {
-		t.Fatalf("%s: bad seed line %q: %v", name, lines[1], err)
-	}
-	quoted := strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")")
-	script, err := strconv.Unquote(quoted)
-	if err != nil {
-		t.Fatalf("%s: bad script line %q: %v", name, lines[2], err)
-	}
-	return seed, []byte(script)
-}
-
-// TestHookedFuzzSeedsExerciseTailHijack pins the reason the two
-// seed-tail-hijack-* corpus entries are checked in: each must drive at
-// least one op that BOTH falls to the scheduler's serial tail AND
-// hijacks walks while replaying there — one per cascade mode. If a
-// scheduler change stops these scripts from reaching the hooked tail,
-// the corpus has silently lost its coverage and new seeds must be hunted
-// (see the FuzzHookedWorldOps comment).
-func TestHookedFuzzSeedsExerciseTailHijack(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		grouped bool
-	}{
-		{"seed-tail-hijack-per-receiver", false},
-		{"seed-tail-hijack-grouped", true},
-	} {
-		seed, script := readHookedCorpusSeed(t, tc.name)
-		if got := seed&1 == 1; got != tc.grouped {
-			t.Errorf("%s: seed %d selects grouped=%v, want %v", tc.name, seed, got, tc.grouped)
-		}
-		res := runHookedScript(t, seed, script)
-		if res.tailHijacks == 0 {
-			t.Errorf("%s: no hijacked walk ever landed on the serial tail (hijacked=%d total)",
-				tc.name, res.hijacked)
-		}
-	}
 }

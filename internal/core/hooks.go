@@ -2,65 +2,56 @@ package core
 
 // The adversary hook contract.
 //
-// Hijack and steer hooks are consulted from inside walks, and the op
-// scheduler plans every op of a batch on concurrent workers — so hook
-// DECISIONS and hook BOOKKEEPING live on opposite sides of a batch
-// boundary:
+// Hijack and steer hooks are consulted from inside walks. A batch is one
+// paper time step, and the adversary decides against the state at the
+// step boundary, so hook DECISIONS and hook BOOKKEEPING sit on opposite
+// sides of the batch:
 //
-//   - Phase 1 (plan): Redirect/Score calls are PURE reads. A hook may
-//     read its own snapshot-scoped decision state (fixed before the batch
-//     started) and the per-op substream handed to Redirect; it must not
-//     write anything reachable from another op's calls. The pre-batch
-//     world is quiescent during planning, so reading it (e.g. a target
-//     liveness check) is deterministic too.
-//   - Batch lifecycle (serial): a hook that also implements BatchHook
-//     gets BeginBatch before Phase 1 — the one place to re-validate or
-//     re-fixate decision state against the pre-batch world — and CommitOp
-//     once per op, in op order, after the batch's effects (admitted
-//     applies and the serial tail) are all in place, folded alongside the
-//     scheduler's own order-sensitive bookkeeping (sampling indexes,
-//     ledgers, stats). Ratchet counters and budget spend belong here.
+//   - During the batch, Redirect/Score read decision state that is fixed
+//     for the whole batch, plus the random stream handed to Redirect. They
+//     must not change that state; reading the live world (e.g. a target
+//     liveness check) is fine, since ops run one after another.
+//   - A hook that also implements BatchHook gets BeginBatch before the
+//     batch's first op — the one place to re-validate or re-fixate its
+//     decision state against the pre-batch world — and CommitOp once per
+//     op, in op order, after the batch's last op has run. Ratchet
+//     counters and budget spend belong in CommitOp.
 //
-// Under this contract ExecBatch keeps its unconditional determinism —
-// worlds planning on one worker (Shards=1) or eight (Shards=8) produce
-// byte-identical results at any GOMAXPROCS — with hooks installed and planning fully parallel. The
-// classic one-op-per-call path needs no lifecycle calls: it is serial by
-// construction, and the sim drivers refresh strategy state through Decide
-// at every step boundary.
+// The classic one-op-per-call path makes no lifecycle calls; the sim
+// drivers refresh strategy state through Decide at every step boundary.
 
 import (
 	"nowover/internal/ids"
 	"nowover/internal/walk"
 )
 
-// BatchHook is the serial lifecycle of an adversary hook across one
+// BatchHook is the lifecycle of an adversary hook across one
 // ExecBatch call (one paper time step). Implemented optionally by the
 // values passed to SetHijacker / SetSteerHook; a hook without it simply
 // has no per-batch state to refresh or fold.
 type BatchHook interface {
-	// BeginBatch runs serially before Phase 1 plans, against the
-	// quiescent pre-batch world: refresh the snapshot-scoped decision
-	// state the coming batch's Redirect/Score calls will read.
+	// BeginBatch runs before the batch's first op, against the pre-batch
+	// world: refresh the decision state the coming batch's Redirect/Score
+	// calls will read.
 	BeginBatch()
-	// CommitOp runs serially once per batch op, in op order, after all of
-	// the batch's effects are in place: op index i, whether the op
-	// succeeded, and how many of its walks were hijacked. This is where
-	// hook bookkeeping (ratchets, spend, counters) folds.
+	// CommitOp runs once per batch op, in op order, after the batch's last
+	// op has run: op index i, whether the op succeeded, and how many of its
+	// walks were hijacked. This is where hook bookkeeping (ratchets, spend,
+	// counters) folds.
 	CommitOp(i int, ok bool, hijacked int64)
 }
 
 // Steerer scores clusters by their value to the adversary, biasing
-// last-revealer randomness (see walk.Config.Steer). Score is under the
-// plan-phase purity contract above.
+// last-revealer randomness (see walk.Config.Steer). Score reads the
+// batch-fixed decision state described above.
 type Steerer interface {
 	Score(c ids.ClusterID) float64
 }
 
 // SetHijacker installs (or clears) the adversary's captured-cluster walk
-// redirection hook. Redirect must follow the plan-phase purity contract
-// (see the package comment above and walk.Hijacker); if h also implements
-// BatchHook, ExecBatch drives its lifecycle. Must not be called
-// concurrently with world operations.
+// redirection hook. Redirect must follow the contract above (see also
+// walk.Hijacker); if h also implements BatchHook, ExecBatch drives its
+// lifecycle.
 func (w *World) SetHijacker(h walk.Hijacker) {
 	w.hijack.set(h)
 	w.hijackHook = nil
@@ -71,7 +62,7 @@ func (w *World) SetHijacker(h walk.Hijacker) {
 
 // SetSteer installs (or clears) the adversary's scoring of clusters used
 // to bias last-revealer randomness (only effective with a biasable
-// generator). The function must be pure per the plan-phase contract; a
+// generator). The function must not change decision state mid-batch; a
 // steerer whose decision state needs per-batch refresh should come in
 // through SetSteerHook instead (or be the already-registered hijacker, as
 // with adversary.CapturedHijacker.Score).

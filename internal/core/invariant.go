@@ -21,11 +21,11 @@ import (
 //     below the merge threshold;
 //   - the overlay vertex set and the cluster set are identical.
 //
-// It is the reusable oracle for the randomized-op, fuzz and scheduler
-// test layers, valid for the classic and the batched drivers alike: the
-// op scheduler defers every structural operation to its serial tail, so
-// these invariants must hold at every batch boundary exactly as they do
-// after every classic operation.
+// It is the reusable oracle for the randomized-op, fuzz and batch test
+// layers, valid for the classic and the batched drivers alike: a batch
+// runs its ops one by one on the classic path, so these invariants hold
+// at every batch boundary exactly as they do after every classic
+// operation.
 func CheckInvariants(w *World) error {
 	if err := w.CheckConsistency(); err != nil {
 		return err

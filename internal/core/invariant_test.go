@@ -16,16 +16,15 @@ func requireInvariants(t testing.TB, w *World) {
 }
 
 func TestInvariantsHoldAtBootstrap(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		w := newTestWorld(t, shards, 5)
-		requireInvariants(t, w)
+	for _, grouped := range []bool{false, true} {
+		requireInvariants(t, newModeWorld(t, 5, grouped))
 	}
 }
 
 // TestInvariantsAfterRandomOps drives randomized operation sequences —
-// batched through the op scheduler plus interleaved classic ops — and
-// asserts CheckInvariants after every step, in both the serial (Shards=1)
-// and sharded (Shards=8) execution modes. This is the reusable
+// batches through ExecBatch plus interleaved classic ops — and asserts
+// CheckInvariants after every step, in both cascade modes (per-receiver
+// and grouped). This is the reusable
 // invariant-layer entry point the ISSUE asks for: any future maintenance
 // change that can corrupt membership, Byzantine counts, size bounds or the
 // overlay/partition correspondence fails here first.
@@ -34,9 +33,9 @@ func TestInvariantsAfterRandomOps(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	for _, shards := range []int{1, 8} {
+	for _, grouped := range []bool{false, true} {
 		for _, seed := range seeds {
-			w := newTestWorld(t, shards, seed)
+			w := newModeWorld(t, seed, grouped)
 			r := xrand.New(seed ^ 0xBEEF)
 			for step := 0; step < 12; step++ {
 				switch r.Intn(3) {
@@ -44,17 +43,17 @@ func TestInvariantsAfterRandomOps(t *testing.T) {
 					w.ExecBatch(randomBatch(w, r, 1+r.Intn(8)))
 				case 1:
 					if _, err := w.JoinAuto(r.Bool(0.2)); err != nil {
-						t.Fatalf("shards=%d seed=%d: %v", shards, seed, err)
+						t.Fatalf("grouped=%v seed=%d: %v", grouped, seed, err)
 					}
 				case 2:
 					if x, ok := w.RandomNode(r); ok {
 						if err := w.Leave(x); err != nil {
-							t.Fatalf("shards=%d seed=%d: %v", shards, seed, err)
+							t.Fatalf("grouped=%v seed=%d: %v", grouped, seed, err)
 						}
 					}
 				}
 				if err := CheckInvariants(w); err != nil {
-					t.Fatalf("shards=%d seed=%d step=%d: %v", shards, seed, step, err)
+					t.Fatalf("grouped=%v seed=%d step=%d: %v", grouped, seed, step, err)
 				}
 			}
 		}
@@ -62,13 +61,12 @@ func TestInvariantsAfterRandomOps(t *testing.T) {
 }
 
 // TestInvariantsWithRejoinMerge exercises the MergeRejoinAll strategy
-// (pending-rejoin queue) under batches: merges run on the scheduler's
-// serial tail and displace nodes that must be re-joined via the classic
-// path without breaking any index.
+// (pending-rejoin queue) under batches: merges inside a batch displace
+// nodes that must be re-joined via the classic path without breaking any
+// index.
 func TestInvariantsWithRejoinMerge(t *testing.T) {
 	cfg := DefaultConfig(512)
 	cfg.Seed = 17
-	cfg.Shards = 8
 	cfg.MergeStrategy = MergeRejoinAll
 	w, err := NewWorld(cfg)
 	if err != nil {
@@ -111,7 +109,7 @@ func TestInvariantsWithRejoinMerge(t *testing.T) {
 // TestCheckInvariantsDetectsBreakage corrupts the bookkeeping directly and
 // confirms the oracle notices — an oracle that cannot fail is worthless.
 func TestCheckInvariantsDetectsBreakage(t *testing.T) {
-	w := newTestWorld(t, 4, 23)
+	w := newTestWorld(t, 23)
 	// Silently drop one member from a cluster's list without touching any
 	// derived index (size multiset, node records, security class):
 	// consistency must flag the mismatch.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"nowover/internal/exchange"
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
 	"nowover/internal/randnum"
@@ -12,11 +11,10 @@ import (
 	"nowover/internal/xrand"
 )
 
-// The maintenance operations are written against an explicit (ledger, rng)
-// pair rather than the world's own, so the op scheduler can replay a
-// deferred operation on its per-op derived stream and ledger. The classic
-// public API passes (w.led, w.rng, settle=true) and is byte-identical to
-// the historical single-stream behavior.
+// The maintenance operations take the ledger and random stream they charge
+// and draw from, plus whether to settle security when they finish. The
+// public one-op API passes (w.led, w.rng, settle=true); ExecBatch passes
+// the same ledger and stream with settle=false and settles once per batch.
 
 // Bootstrap runs the initialization phase (paper section 3.2) at size n0:
 // network discovery, Byzantine-agreement clusterization by a representative
@@ -160,7 +158,7 @@ func (w *World) joinExisting(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID,
 		return err
 	}
 	w.registerNode(x, byz, target)
-	chargeInsertion(w, led, target)
+	w.chargeInsertion(led, target)
 
 	if w.cfg.ExchangeOnJoin {
 		rep, err := w.exch.Run(led, rng, target)
@@ -183,25 +181,22 @@ func (w *World) joinExisting(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID,
 
 // chargeInsertion charges the cost of installing one node into cluster c:
 // the cluster's members update their views, adjacent clusters are informed,
-// and the node downloads its cluster and neighborhood composition. It is
-// written against walk.Topology so the classic path (on the world) and the
-// op scheduler's planner (on a planView) share one cost model.
-func chargeInsertion(t walk.Topology, led *metrics.Ledger, c ids.ClusterID) {
-	size := int64(t.Size(c))
+// and the node downloads its cluster and neighborhood composition.
+func (w *World) chargeInsertion(led *metrics.Ledger, c ids.ClusterID) {
+	size := int64(w.Size(c))
 	led.Charge(metrics.ClassIntraCluster, size-1)
-	nbr := walk.NeighborMass(t, c)
+	nbr := walk.NeighborMass(w, c)
 	led.Charge(metrics.ClassInterCluster, size*nbr+size+nbr)
 	led.AddRounds(2)
 }
 
 // chargeDeparture charges the cost of detecting one departure from c and
 // cleaning up views: the remaining members all notice, and every adjacent
-// cluster is told the new composition. Shared between the classic leave
-// path and the scheduler's leave planner; call BEFORE removing the node.
-func chargeDeparture(t walk.Topology, led *metrics.Ledger, c ids.ClusterID) {
-	size := int64(t.Size(c))
+// cluster is told the new composition. Call BEFORE removing the node.
+func (w *World) chargeDeparture(led *metrics.Ledger, c ids.ClusterID) {
+	size := int64(w.Size(c))
 	led.Charge(metrics.ClassIntraCluster, size-1)
-	led.Charge(metrics.ClassInterCluster, (size-1)*walk.NeighborMass(t, c))
+	led.Charge(metrics.ClassInterCluster, (size-1)*walk.NeighborMass(w, c))
 	led.AddRounds(2)
 }
 
@@ -224,7 +219,7 @@ func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, se
 		return fmt.Errorf("core: leave of node %v: %w", x, ErrUnknownNode)
 	}
 	c := info.cluster
-	chargeDeparture(w, led, c)
+	w.chargeDeparture(led, c)
 
 	if err := w.removeMember(c, x, info.byz); err != nil {
 		return err
@@ -249,7 +244,7 @@ func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, se
 		}
 		w.stats.HijackedWalks += int64(rep.Hijacked)
 		if w.cfg.LeaveCascade {
-			hijacked, err := runLeaveCascade(w.cfg.GroupedCascade, w.exch, w, led, rng, c, rep.Receivers)
+			hijacked, err := w.runLeaveCascade(led, rng, c, rep.Receivers)
 			if err != nil {
 				return err
 			}
@@ -272,18 +267,14 @@ func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, se
 // leave exchange's receivers: Algorithm 2's full exchange per receiver,
 // or — under Config.GroupedCascade — one grouped shuffle round over the
 // whole set (exchange.CascadeRound: the round's swaps stay inside
-// {source} ∪ receivers, so a leave's write footprint stays ~|C| clusters
-// instead of ~|C|^2). It is shared between the classic serial path
-// (leaveWith, t = the world) and the op scheduler's leave plan (planLeave,
-// t = the planView) so the two paths stay draw-for-draw identical — the
-// plan-worker lockstep contract (TestGroupedCascadeMatchesSerial)
-// depends on it. Returns the hijacked-walk count to fold into stats.
-func runLeaveCascade(grouped bool, exch *exchange.Exchanger, t walk.Topology, led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID, receivers []ids.ClusterID) (int64, error) {
-	if grouped {
+// {source} ∪ receivers, so a leave writes ~|C| clusters instead of
+// ~|C|^2). Returns the hijacked-walk count to fold into stats.
+func (w *World) runLeaveCascade(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID, receivers []ids.ClusterID) (int64, error) {
+	if w.cfg.GroupedCascade {
 		// CascadeRound reads the receiver list (which aliases the
 		// exchanger's Run scratch) but only writes its own separate
 		// cascade scratch, so no copy is needed.
-		rep, err := exch.CascadeRound(led, rng, c, receivers)
+		rep, err := w.exch.CascadeRound(led, rng, c, receivers)
 		if err != nil {
 			return 0, fmt.Errorf("core: leave cascade round: %w", err)
 		}
@@ -295,10 +286,10 @@ func runLeaveCascade(grouped bool, exch *exchange.Exchanger, t walk.Topology, le
 	receivers = append([]ids.ClusterID(nil), receivers...)
 	var hijacked int64
 	for _, recv := range receivers {
-		if t.Size(recv) == 0 {
+		if w.Size(recv) == 0 {
 			continue // receiver dissolved (clusters are never empty)
 		}
-		rep, err := exch.Run(led, rng, recv)
+		rep, err := w.exch.Run(led, rng, recv)
 		if err != nil {
 			return hijacked, fmt.Errorf("core: leave cascade exchange: %w", err)
 		}

@@ -84,20 +84,18 @@ func TestRandomOpScriptsPreserveConsistency(t *testing.T) {
 // structural bounds the Lemma 1-3 analysis rests on — every node in
 // exactly one cluster, Byzantine counters exact, sizes inside the
 // [merge, split] window, overlay == cluster set — as checked by
-// core.CheckInvariants, in BOTH execution modes: the classic serial API
-// on a Shards=1 world and the op scheduler (ExecBatch) on a Shards=8
-// world. The two modes draw different streams by design (per-op
-// substreams vs one shared stream), so the property is checked
-// independently per mode rather than by fingerprint equality; the
-// fixed-stream lockstep regression is TestGroupedCascadeMatchesSerial.
+// core.CheckInvariants, in BOTH execution modes: the classic one-op API
+// on one world and ExecBatch on another, seeded differently and fed
+// independently drawn ops, so the property is checked per mode rather
+// than by fingerprint equality; the replay regression is
+// TestGroupedCascadeMatchesSerial.
 func TestGroupedCascadePreservesBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test skipped in -short mode")
 	}
-	mk := func(seed uint64, shards int) (*World, error) {
+	mk := func(seed uint64) (*World, error) {
 		cfg := DefaultConfig(512)
 		cfg.Seed = seed
-		cfg.Shards = shards
 		cfg.GroupedCascade = true
 		w, err := NewWorld(cfg)
 		if err != nil {
@@ -106,11 +104,11 @@ func TestGroupedCascadePreservesBounds(t *testing.T) {
 		return w, w.Bootstrap(200, func(slot int) bool { return slot%5 == 0 })
 	}
 	check := func(seed uint64, script []byte) bool {
-		serial, err := mk(seed, 1)
+		classic, err := mk(seed)
 		if err != nil {
 			return false
 		}
-		sharded, err := mk(seed^0xCA5CADE, 8)
+		batched, err := mk(seed ^ 0xCA5CADE)
 		if err != nil {
 			return false
 		}
@@ -118,72 +116,72 @@ func TestGroupedCascadePreservesBounds(t *testing.T) {
 		if len(script) > 48 {
 			script = script[:48]
 		}
-		minPop := 2 * serial.Config().TargetClusterSize()
+		minPop := 2 * classic.Config().TargetClusterSize()
 		var pending []Op
 		victims := make(ids.NodeSet)
 		for _, op := range script {
-			// Serial mode: one classic op per script byte.
+			// Classic mode: one classic op per script byte.
 			switch op % 4 {
 			case 0, 1:
-				if serial.NumNodes() < serial.Config().N {
-					if _, err := serial.JoinAuto(op&8 != 0); err != nil {
-						t.Logf("serial join: %v", err)
+				if classic.NumNodes() < classic.Config().N {
+					if _, err := classic.JoinAuto(op&8 != 0); err != nil {
+						t.Logf("classic join: %v", err)
 						return false
 					}
 				}
 			case 2:
-				if serial.NumNodes() > minPop {
-					if x, ok := serial.RandomNode(r); ok {
-						if err := serial.Leave(x); err != nil {
-							t.Logf("serial leave: %v", err)
+				if classic.NumNodes() > minPop {
+					if x, ok := classic.RandomNode(r); ok {
+						if err := classic.Leave(x); err != nil {
+							t.Logf("classic leave: %v", err)
 							return false
 						}
 					}
 				}
 			case 3:
-				if c, ok := serial.RandomCluster(r); ok {
-					if err := serial.ForceExchange(c); err != nil {
-						t.Logf("serial exchange: %v", err)
+				if c, ok := classic.RandomCluster(r); ok {
+					if err := classic.ForceExchange(c); err != nil {
+						t.Logf("classic exchange: %v", err)
 						return false
 					}
 				}
 			}
-			if err := CheckInvariants(serial); err != nil {
-				t.Logf("serial invariants: %v", err)
+			if err := CheckInvariants(classic); err != nil {
+				t.Logf("classic invariants: %v", err)
 				return false
 			}
-			// Sharded mode: the same script byte queues a scheduler op;
+			// Batched mode: the same script byte queues a batch op;
 			// every fourth byte flushes the batch.
 			switch op % 4 {
 			case 0, 1:
 				pending = append(pending, Op{Kind: OpJoin, Byz: op&8 != 0})
 			case 2:
-				if sharded.NumNodes()-len(pending) > minPop {
-					if x, ok := sharded.RandomNode(r); ok && victims.Add(x) {
+				if batched.NumNodes()-len(pending) > minPop {
+					if x, ok := batched.RandomNode(r); ok && victims.Add(x) {
 						pending = append(pending, Op{Kind: OpLeave, Victim: x})
 					}
 				}
 			case 3:
-				if c, ok := sharded.RandomCluster(r); ok {
+				if c, ok := batched.RandomCluster(r); ok {
 					pending = append(pending, Op{Kind: OpExchange, Target: c})
 				}
 			}
 			if len(pending) >= 4 {
-				for _, rr := range sharded.ExecBatch(pending) {
+				for _, rr := range batched.ExecBatch(pending) {
 					if rr.Err != nil && !IsUnknownNode(rr.Err) && !IsUnknownCluster(rr.Err) {
-						t.Logf("sharded op: %v", rr.Err)
+						t.Logf("batched op: %v", rr.Err)
 						return false
 					}
 				}
 				pending = pending[:0]
 				victims = make(ids.NodeSet)
-				if err := CheckInvariants(sharded); err != nil {
-					t.Logf("sharded invariants: %v", err)
+				if err := CheckInvariants(batched); err != nil {
+					t.Logf("batched invariants: %v", err)
 					return false
 				}
 			}
 		}
-		for _, w := range []*World{serial, sharded} {
+		for _, w := range []*World{classic, batched} {
 			a := w.Audit()
 			if a.MaxSize > w.Config().SplitThreshold() {
 				t.Logf("size bound violated: %+v", a)

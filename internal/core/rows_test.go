@@ -12,53 +12,51 @@ import (
 // operation requires each row to equal its cluster's (size, byz) and every
 // retired or unminted ID to read (0, 0) through Size and Byz.
 func TestRowsTrackCompositionThroughChurn(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		w := newTestWorld(t, shards, 5)
-		r := w.Rng().Split(0x5107)
-		check := func(step int) {
-			t.Helper()
-			if err := w.CheckConsistency(); err != nil {
-				t.Fatalf("shards=%d step %d: %v", shards, step, err)
+	w := newTestWorld(t, 5)
+	r := w.Rng().Split(0x5107)
+	check := func(step int) {
+		t.Helper()
+		if err := w.CheckConsistency(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		for c := ids.ClusterID(0); int(c) < len(w.rows)+2; c++ {
+			size, byz := 0, 0
+			if cs := w.cluster(c); cs != nil {
+				size, byz = len(cs.members), cs.byz
 			}
-			for c := ids.ClusterID(0); int(c) < len(w.rows)+2; c++ {
-				size, byz := 0, 0
-				if cs := w.cluster(c); cs != nil {
-					size, byz = len(cs.members), cs.byz
-				}
-				if w.Size(c) != size || w.Byz(c) != byz {
-					t.Fatalf("shards=%d step %d: %v reads (%d, %d), record (%d, %d)", shards, step, c, w.Size(c), w.Byz(c), size, byz)
-				}
+			if w.Size(c) != size || w.Byz(c) != byz {
+				t.Fatalf("step %d: %v reads (%d, %d), record (%d, %d)", step, c, w.Size(c), w.Byz(c), size, byz)
 			}
 		}
-		check(-1)
-		// Grow towards the 512-node cap, then shrink: splits on the way up,
-		// merges on the way down.
-		for step := 0; step < 600; step++ {
-			leaveBias := 0.15
-			if step >= 300 {
-				leaveBias = 0.85
-			}
-			switch {
-			case step%7 == 3:
-				x, _ := w.RandomNode(r)
-				if err := w.SetCorrupted(x, !w.IsByzantine(x)); err != nil {
-					t.Fatal(err)
-				}
-			case r.Bool(leaveBias) && w.NumNodes() > 60:
-				x, _ := w.RandomNode(r)
-				if err := w.Leave(x); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				if _, err := w.JoinAuto(r.Bool(0.2)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check(step)
+	}
+	check(-1)
+	// Grow towards the 512-node cap, then shrink: splits on the way up,
+	// merges on the way down.
+	for step := 0; step < 600; step++ {
+		leaveBias := 0.15
+		if step >= 300 {
+			leaveBias = 0.85
 		}
-		if s := w.Stats(); s.Splits == 0 || s.Merges == 0 {
-			t.Fatalf("shards=%d: %d splits, %d merges; the row writes of putCluster and retire went untested", shards, s.Splits, s.Merges)
+		switch {
+		case step%7 == 3:
+			x, _ := w.RandomNode(r)
+			if err := w.SetCorrupted(x, !w.IsByzantine(x)); err != nil {
+				t.Fatal(err)
+			}
+		case r.Bool(leaveBias) && w.NumNodes() > 60:
+			x, _ := w.RandomNode(r)
+			if err := w.Leave(x); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if _, err := w.JoinAuto(r.Bool(0.2)); err != nil {
+				t.Fatal(err)
+			}
 		}
+		check(step)
+	}
+	if s := w.Stats(); s.Splits == 0 || s.Merges == 0 {
+		t.Fatalf("%d splits, %d merges; the row writes of putCluster and retire went untested", s.Splits, s.Merges)
 	}
 }
 
@@ -66,7 +64,7 @@ func TestRowsTrackCompositionThroughChurn(t *testing.T) {
 // CheckConsistency to report it, for a live cluster and for an ID with no
 // live cluster.
 func TestCheckConsistencyCatchesRowDrift(t *testing.T) {
-	w := newTestWorld(t, 1, 6)
+	w := newTestWorld(t, 6)
 	c := w.Clusters()[0]
 	w.rows[c].byz++
 	if err := w.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "row") {
@@ -83,7 +81,7 @@ func TestCheckConsistencyCatchesRowDrift(t *testing.T) {
 // empty a cluster before retiring it, so their rows are already zero) and
 // requires its row to read (0, 0).
 func TestRetireZeroesRow(t *testing.T) {
-	w := newTestWorld(t, 1, 7)
+	w := newTestWorld(t, 7)
 	c := w.Clusters()[0]
 	if w.Size(c) == 0 {
 		t.Fatal("test cluster is empty")

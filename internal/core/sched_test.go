@@ -10,13 +10,19 @@ import (
 	"nowover/internal/xrand"
 )
 
-// newTestWorld builds a bootstrapped world for scheduler tests: N=512 name
+// newTestWorld builds a bootstrapped world for batch tests: N=512 name
 // space, 200 initial nodes, 20% Byzantine.
-func newTestWorld(t testing.TB, shards int, seed uint64) *World {
+func newTestWorld(t testing.TB, seed uint64) *World {
+	t.Helper()
+	return newModeWorld(t, seed, false)
+}
+
+// newModeWorld is newTestWorld with the leave-cascade mode chosen.
+func newModeWorld(t testing.TB, seed uint64, grouped bool) *World {
 	t.Helper()
 	cfg := DefaultConfig(512)
 	cfg.Seed = seed
-	cfg.Shards = shards
+	cfg.GroupedCascade = grouped
 	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +38,19 @@ func newTestWorld(t testing.TB, shards int, seed uint64) *World {
 // future RandomNode draws), stats, security counters and ledger totals —
 // so two worlds can be compared for exact equality.
 func worldFingerprint(w *World) string {
+	return fingerprintWith(w, w.Stats())
+}
+
+// replayFingerprint is worldFingerprint without the three Stats fields
+// settleSecurity counts: ExecBatch settles once per batch, the classic
+// replay after every op, so only these may differ between the two.
+func replayFingerprint(w *World) string {
+	st := w.Stats()
+	st.DegradedEvents, st.CapturedEvents, st.MaxByzFractionEver = 0, 0, 0
+	return fingerprintWith(w, st)
+}
+
+func fingerprintWith(w *World, st Stats) string {
 	var b strings.Builder
 	cs := append([]ids.ClusterID(nil), w.Clusters()...)
 	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
@@ -48,7 +67,7 @@ func worldFingerprint(w *World) string {
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(&b, "order:%v\n", w.allNodes)
-	fmt.Fprintf(&b, "stats:%+v\n", w.Stats())
+	fmt.Fprintf(&b, "stats:%+v\n", st)
 	deg, cap := w.CurrentInsecure()
 	fmt.Fprintf(&b, "insecure:%d/%d max=%d n=%d\n", deg, cap, w.MaxClusterSize(), w.NumNodes())
 	fmt.Fprintf(&b, "cost:%d/%d\n", w.Ledger().Messages(), w.Ledger().Rounds())
@@ -56,15 +75,19 @@ func worldFingerprint(w *World) string {
 }
 
 // randomBatch builds a mixed batch of ops against w's current population:
-// joins (some Byzantine), leaves with distinct victims, and forced
-// exchanges. Deterministic in r.
+// joins (some Byzantine, some with an explicit contact), leaves with
+// distinct victims, and forced exchanges. Deterministic in r.
 func randomBatch(w *World, r *xrand.Rand, size int) []Op {
 	ops := make([]Op, 0, size)
 	used := make(ids.NodeSet)
 	for len(ops) < size {
 		switch r.Intn(4) {
 		case 0, 1:
-			ops = append(ops, Op{Kind: OpJoin, Byz: r.Bool(0.2)})
+			op := Op{Kind: OpJoin, Byz: r.Bool(0.2)}
+			if r.Bool(0.25) {
+				op.Contact, op.HasContact = w.RandomCluster(r)
+			}
+			ops = append(ops, op)
 		case 2:
 			x, ok := w.RandomNode(r)
 			if !ok || !used.Add(x) {
@@ -82,6 +105,81 @@ func randomBatch(w *World, r *xrand.Rand, size int) []Op {
 	return ops
 }
 
+// replayClassic runs ops through the public one-op calls (JoinAuto, Join,
+// Leave, ForceExchange) in op order — the classic replay ExecBatch must
+// match. When h is non-nil the replay drives h's batch lifecycle the way
+// ExecBatch does: BeginBatch first, then CommitOp per op with that op's
+// hijacked-walk tally.
+func replayClassic(w *World, h BatchHook, ops []Op) []OpResult {
+	if h != nil {
+		h.BeginBatch()
+	}
+	res := make([]OpResult, len(ops))
+	hijacked := make([]int64, len(ops))
+	for i, op := range ops {
+		before := w.Stats().HijackedWalks
+		switch op.Kind {
+		case OpJoin:
+			if op.HasContact {
+				res[i].Node, res[i].Err = w.Join(op.Byz, op.Contact)
+			} else {
+				res[i].Node, res[i].Err = w.JoinAuto(op.Byz)
+			}
+		case OpLeave:
+			res[i].Err = w.Leave(op.Victim)
+		case OpExchange:
+			res[i].Err = w.ForceExchange(op.Target)
+		}
+		hijacked[i] = w.Stats().HijackedWalks - before
+	}
+	if h != nil {
+		for i := range res {
+			h.CommitOp(i, res[i].Err == nil, hijacked[i])
+		}
+	}
+	return res
+}
+
+// requireReplayMatch is the classic-replay oracle: after the same ops ran
+// through ExecBatch on batched and through replayClassic on replay, both
+// worlds must satisfy every invariant, report the same per-op outcome, and
+// be identical apart from the three settle-counted Stats fields. Those
+// may only be lower on the batched side: a per-batch settle sees a subset
+// of the states a per-op settle sees.
+func requireReplayMatch(t testing.TB, label string, batched, replay *World, rb, rr []OpResult) {
+	t.Helper()
+	for j := range rb {
+		if fmt.Sprint(rb[j].Err) != fmt.Sprint(rr[j].Err) || (rb[j].Err == nil && rb[j].Node != rr[j].Node) {
+			t.Fatalf("%s: op %d diverged: batched=%+v replay=%+v", label, j, rb[j], rr[j])
+		}
+		if rb[j].Deferred || rb[j].DeferReason != "" {
+			t.Fatalf("%s: op %d reported a deferral: %+v", label, j, rb[j])
+		}
+	}
+	if err := CheckInvariants(batched); err != nil {
+		t.Fatalf("%s: batched invariants: %v", label, err)
+	}
+	if err := CheckInvariants(replay); err != nil {
+		t.Fatalf("%s: replay invariants: %v", label, err)
+	}
+	if a, b := replayFingerprint(batched), replayFingerprint(replay); a != b {
+		t.Fatalf("%s: states diverged:\n--- batched ---\n%s\n--- replay ---\n%s", label, a, b)
+	}
+	sb, sr := batched.Stats(), replay.Stats()
+	if sb.DegradedEvents > sr.DegradedEvents || sb.CapturedEvents > sr.CapturedEvents ||
+		sb.MaxByzFractionEver > sr.MaxByzFractionEver {
+		t.Fatalf("%s: batch-boundary settle counted more than the per-op replay:\n%+v\nvs\n%+v", label, sb, sr)
+	}
+}
+
+// replayBatches is the number of batches each classic-replay world runs.
+func replayBatches() int {
+	if testing.Short() {
+		return 15
+	}
+	return 60
+}
+
 func TestExecBatchBeforeBootstrap(t *testing.T) {
 	cfg := DefaultConfig(512)
 	w, err := NewWorld(cfg)
@@ -95,7 +193,7 @@ func TestExecBatchBeforeBootstrap(t *testing.T) {
 }
 
 func TestExecBatchJoinsLeavesExchanges(t *testing.T) {
-	w := newTestWorld(t, 4, 11)
+	w := newTestWorld(t, 11)
 	n0 := w.NumNodes()
 	r := xrand.New(99)
 	x1, _ := w.RandomNode(r)
@@ -140,61 +238,26 @@ func TestExecBatchJoinsLeavesExchanges(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSerial is the determinism regression for the op
-// scheduler: a serial-layout world (Shards=1) and a sharded world
-// (Shards=8) with identical seeds, fed identical batches, must produce
-// IDENTICAL results — same Stats, same security counters, same membership,
-// same sampling-index order, same ledger totals — after every batch, on
-// any GOMAXPROCS. This holds for ALL batches, conflicting or not, because
-// planning runs against the pre-batch snapshot on per-op substreams,
-// admission is decided in op order from deterministic footprints, and
-// conflicting or structural ops re-run on a deterministic serial tail.
-//
-// Where divergence IS allowed: ExecBatch is NOT required to match the
-// classic one-op-per-call API (Join/Leave), which threads a single shared
-// RNG stream through every operation and settles security after each op.
-// A batch is one paper time step with simultaneous arrivals/departures:
-// per-op substreams replace the shared stream and security settles once
-// per batch. The paper's guarantees are distributional — randCl placement,
-// exchange uniformity and the resulting per-cluster Byzantine
-// concentration bounds are unaffected by which fixed seed derivation is
-// used, and the adversary's information is step-boundary state in both
-// semantics.
-func TestShardedMatchesSerial(t *testing.T) {
-	serial := newTestWorld(t, 1, 42)
-	sharded := newTestWorld(t, 8, 42)
-	if fp1, fp8 := worldFingerprint(serial), worldFingerprint(sharded); fp1 != fp8 {
-		t.Fatalf("bootstrap fingerprints differ:\n%s\nvs\n%s", fp1, fp8)
-	}
-	rs := xrand.New(7)
-	r8 := xrand.New(7)
-	batches := 25
-	if testing.Short() {
-		batches = 8
-	}
-	for i := 0; i < batches; i++ {
-		b1 := randomBatch(serial, rs, 8)
-		b8 := randomBatch(sharded, r8, 8)
-		res1 := serial.ExecBatch(b1)
-		res8 := sharded.ExecBatch(b8)
-		for j := range res1 {
-			e1, e8 := fmt.Sprint(res1[j].Err), fmt.Sprint(res8[j].Err)
-			if res1[j].Node != res8[j].Node || e1 != e8 || res1[j].Deferred != res8[j].Deferred {
-				t.Fatalf("batch %d op %d diverged: serial=%+v sharded=%+v", i, j, res1[j], res8[j])
+// TestBatchMatchesClassicReplay is the contract of ExecBatch: on twelve
+// seeded worlds (seeds 1-6, per-receiver and grouped cascade), each mixed
+// 8-op batch leaves the world exactly as calling the public one-op API on
+// the same ops in the same order leaves a twin world — membership,
+// sampling-index order, ledger and Stats — apart from the three
+// settle-counted fields (requireReplayMatch).
+func TestBatchMatchesClassicReplay(t *testing.T) {
+	for _, grouped := range []bool{false, true} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			label := fmt.Sprintf("grouped=%v seed=%d", grouped, seed)
+			batched := newModeWorld(t, seed, grouped)
+			replay := newModeWorld(t, seed, grouped)
+			r := xrand.New(seed ^ 0xBA7C4)
+			for i := 0; i < replayBatches(); i++ {
+				ops := randomBatch(batched, r, 8)
+				rb := batched.ExecBatch(ops)
+				rr := replayClassic(replay, nil, ops)
+				requireReplayMatch(t, fmt.Sprintf("%s batch %d", label, i), batched, replay, rb, rr)
 			}
 		}
-		if fp1, fp8 := worldFingerprint(serial), worldFingerprint(sharded); fp1 != fp8 {
-			t.Fatalf("state diverged after batch %d:\n--- serial ---\n%s\n--- sharded ---\n%s", i, fp1, fp8)
-		}
-		if err := CheckInvariants(serial); err != nil {
-			t.Fatalf("serial invariants after batch %d: %v", i, err)
-		}
-		if err := CheckInvariants(sharded); err != nil {
-			t.Fatalf("sharded invariants after batch %d: %v", i, err)
-		}
-	}
-	if serial.Stats() != sharded.Stats() {
-		t.Fatalf("final stats diverged:\n%+v\nvs\n%+v", serial.Stats(), sharded.Stats())
 	}
 }
 
@@ -203,7 +266,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 // results).
 func TestBatchRepeatableAcrossRuns(t *testing.T) {
 	run := func() string {
-		w := newTestWorld(t, 8, 1234)
+		w := newTestWorld(t, 1234)
 		r := xrand.New(5)
 		for i := 0; i < 10; i++ {
 			w.ExecBatch(randomBatch(w, r, 6))
@@ -215,11 +278,10 @@ func TestBatchRepeatableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestBatchConflictingLeavesDefer: two departures from the same cluster
-// have overlapping footprints; exactly the later one must fall to the
-// serial tail, and both must still succeed.
-func TestBatchConflictingLeavesDefer(t *testing.T) {
-	w := newTestWorld(t, 8, 77)
+// TestBatchSameClusterLeaves: two departures from the same cluster in one
+// batch both succeed, both victims are gone, and the invariants hold.
+func TestBatchSameClusterLeaves(t *testing.T) {
+	w := newTestWorld(t, 77)
 	var c ids.ClusterID
 	for _, cand := range w.Clusters() {
 		if w.Size(cand) >= w.cfg.MergeThreshold()+2 {
@@ -233,13 +295,7 @@ func TestBatchConflictingLeavesDefer(t *testing.T) {
 		{Kind: OpLeave, Victim: ms[1]},
 	})
 	if res[0].Err != nil || res[1].Err != nil {
-		t.Fatalf("conflicting leaves failed: %v / %v", res[0].Err, res[1].Err)
-	}
-	if !res[1].Deferred {
-		t.Fatal("second leave from the same cluster was not deferred")
-	}
-	if res[1].DeferReason != "footprint conflict" {
-		t.Fatalf("defer reason %q, want footprint conflict", res[1].DeferReason)
+		t.Fatalf("same-cluster leaves failed: %v / %v", res[0].Err, res[1].Err)
 	}
 	if w.Contains(ms[0]) || w.Contains(ms[1]) {
 		t.Fatal("victims still present after batch")
@@ -249,11 +305,10 @@ func TestBatchConflictingLeavesDefer(t *testing.T) {
 	}
 }
 
-// TestBatchDuplicateVictimErrors: the same victim twice in one batch is a
-// conflict; the deferred duplicate must fail with ErrUnknownNode (the node
-// is already gone), deterministically.
+// TestBatchDuplicateVictimErrors: the same victim twice in one batch; the
+// second leave must fail with ErrUnknownNode (the node is already gone).
 func TestBatchDuplicateVictimErrors(t *testing.T) {
-	w := newTestWorld(t, 8, 3)
+	w := newTestWorld(t, 3)
 	x, _ := w.RandomNode(xrand.New(1))
 	res := w.ExecBatch([]Op{
 		{Kind: OpLeave, Victim: x},
@@ -270,32 +325,20 @@ func TestBatchDuplicateVictimErrors(t *testing.T) {
 	}
 }
 
-// TestBatchSplitRunsOnTail: force a join that must split by shrinking the
-// world to few clusters and stuffing one near the threshold via direct
-// joins, then confirm the batch defers it and the split actually happens.
-func TestBatchSplitRunsOnTail(t *testing.T) {
-	w := newTestWorld(t, 4, 9)
+// TestBatchJoinsSplit: join-only batches grow the world until a join
+// splits its cluster, and every invariant holds after every batch.
+func TestBatchJoinsSplit(t *testing.T) {
+	w := newTestWorld(t, 9)
 	r := xrand.New(2)
-	splitBatchHadDeferral := false
 	for i := 0; i < 80 && w.Stats().Splits == 0; i++ {
 		ops := make([]Op, 6)
 		for j := range ops {
 			ops[j] = Op{Kind: OpJoin, Byz: r.Bool(0.1)}
 		}
-		before := w.Stats().Splits
-		res := w.ExecBatch(ops)
-		deferred := false
-		for j, rr := range res {
+		for j, rr := range w.ExecBatch(ops) {
 			if rr.Err != nil {
 				t.Fatalf("join %d/%d failed: %v", i, j, rr.Err)
 			}
-			deferred = deferred || rr.Deferred
-		}
-		if w.Stats().Splits > before && !deferred {
-			t.Fatal("a split happened in a batch with no deferred op: structural work escaped the tail")
-		}
-		if w.Stats().Splits > before {
-			splitBatchHadDeferral = true
 		}
 		if err := CheckInvariants(w); err != nil {
 			t.Fatalf("invariants after batch %d: %v", i, err)
@@ -304,16 +347,13 @@ func TestBatchSplitRunsOnTail(t *testing.T) {
 	if w.Stats().Splits == 0 {
 		t.Fatal("growth produced no splits")
 	}
-	if !splitBatchHadDeferral {
-		t.Fatal("split batch was not observed")
-	}
 }
 
 // TestClassicAndBatchedInterleave: mixing the classic API and ExecBatch on
 // one world stays deterministic and invariant-preserving.
 func TestClassicAndBatchedInterleave(t *testing.T) {
 	run := func() string {
-		w := newTestWorld(t, 8, 21)
+		w := newTestWorld(t, 21)
 		r := xrand.New(4)
 		for i := 0; i < 6; i++ {
 			if _, err := w.JoinAuto(false); err != nil {

@@ -62,68 +62,66 @@ func TestNoteSizeChangeMaxScanDown(t *testing.T) {
 // tracked max against ground truth after every operation through the
 // CheckInvariants oracle (which recounts the true max on each call).
 func TestMaxSizeTrackerThroughShrinkSplitMerge(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		w := newTestWorld(t, shards, 99)
+	w := newTestWorld(t, 99)
+	requireInvariants(t, w)
+
+	pick := func(want func(sz, best int) bool) ids.ClusterID {
+		var best ids.ClusterID
+		bestSize := -1
+		for _, c := range w.Clusters() {
+			if sz := w.Size(c); bestSize < 0 || want(sz, bestSize) {
+				best, bestSize = c, sz
+			}
+		}
+		return best
+	}
+	largest := func() ids.ClusterID {
+		return pick(func(sz, best int) bool { return sz > best })
+	}
+	smallest := func() ids.ClusterID {
+		return pick(func(sz, best int) bool { return sz < best })
+	}
+	leaveOne := func(c ids.ClusterID) {
+		t.Helper()
+		members := w.Members(c)
+		if len(members) == 0 {
+			t.Fatalf("cluster %v empty", c)
+		}
+		if err := w.Leave(members[0]); err != nil {
+			t.Fatalf("leave from %v: %v", c, err)
+		}
 		requireInvariants(t, w)
+	}
 
-		pick := func(want func(sz, best int) bool) ids.ClusterID {
-			var best ids.ClusterID
-			bestSize := -1
-			for _, c := range w.Clusters() {
-				if sz := w.Size(c); bestSize < 0 || want(sz, bestSize) {
-					best, bestSize = c, sz
-				}
-			}
-			return best
-		}
-		largest := func() ids.ClusterID {
-			return pick(func(sz, best int) bool { return sz > best })
-		}
-		smallest := func() ids.ClusterID {
-			return pick(func(sz, best int) bool { return sz < best })
-		}
-		leaveOne := func(c ids.ClusterID) {
-			t.Helper()
-			members := w.Members(c)
-			if len(members) == 0 {
-				t.Fatalf("shards=%d: cluster %v empty", shards, c)
-			}
-			if err := w.Leave(members[0]); err != nil {
-				t.Fatalf("shards=%d leave from %v: %v", shards, c, err)
-			}
-			requireInvariants(t, w)
-		}
+	// Shrink: peel members off whatever cluster currently holds the
+	// max, forcing repeated scan-downs of the tracked maximum.
+	maxBefore := w.MaxClusterSize()
+	for i := 0; i < 30; i++ {
+		leaveOne(largest())
+	}
+	if got := w.MaxClusterSize(); got >= maxBefore {
+		t.Fatalf("max %d did not shrink from %d", got, maxBefore)
+	}
 
-		// Shrink: peel members off whatever cluster currently holds the
-		// max, forcing repeated scan-downs of the tracked maximum.
-		maxBefore := w.MaxClusterSize()
-		for i := 0; i < 30; i++ {
-			leaveOne(largest())
-		}
-		if got := w.MaxClusterSize(); got >= maxBefore {
-			t.Fatalf("shards=%d: max %d did not shrink from %d", shards, got, maxBefore)
-		}
+	// Merge: drain the smallest cluster through the merge threshold so
+	// a retire + refill of the absorbing cluster goes through the
+	// multiset.
+	for i := 0; i < 100 && w.Stats().Merges == 0; i++ {
+		leaveOne(smallest())
+	}
+	if w.Stats().Merges == 0 {
+		t.Fatal("drain phase produced no merge")
+	}
 
-		// Merge: drain the smallest cluster through the merge threshold so
-		// a retire + refill of the absorbing cluster goes through the
-		// multiset.
-		for i := 0; i < 100 && w.Stats().Merges == 0; i++ {
-			leaveOne(smallest())
+	// Grow: joins until at least one split bisects a max-size cluster.
+	before := w.Stats().Splits
+	for i := 0; i < 400 && w.Stats().Splits == before; i++ {
+		if _, err := w.JoinAuto(i%7 == 0); err != nil {
+			t.Fatalf("join %d: %v", i, err)
 		}
-		if w.Stats().Merges == 0 {
-			t.Fatalf("shards=%d: drain phase produced no merge", shards)
-		}
-
-		// Grow: joins until at least one split bisects a max-size cluster.
-		before := w.Stats().Splits
-		for i := 0; i < 400 && w.Stats().Splits == before; i++ {
-			if _, err := w.JoinAuto(i%7 == 0); err != nil {
-				t.Fatalf("shards=%d join %d: %v", shards, i, err)
-			}
-			requireInvariants(t, w)
-		}
-		if w.Stats().Splits == before {
-			t.Fatalf("shards=%d: growth phase produced no split", shards)
-		}
+		requireInvariants(t, w)
+	}
+	if w.Stats().Splits == before {
+		t.Fatal("growth phase produced no split")
 	}
 }

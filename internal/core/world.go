@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"nowover/internal/exchange"
 	"nowover/internal/ids"
@@ -142,25 +141,8 @@ type Stats struct {
 	MaxByzFractionEver float64
 }
 
-// accumulate folds per-operation deltas (from the op scheduler) into the
-// lifetime counters. High-water fields are not deltas and are settled
-// separately at batch boundaries.
-func (s *Stats) accumulate(d Stats) {
-	s.Joins += d.Joins
-	s.Leaves += d.Leaves
-	s.Splits += d.Splits
-	s.Merges += d.Merges
-	s.Rejoins += d.Rejoins
-	s.Swaps += d.Swaps
-	s.HijackedWalks += d.HijackedWalks
-}
-
 // hijackProxy lets the adversary be installed after World construction:
 // walker configs capture the proxy once and read whatever hook is current.
-// Installation is serial (SetHijacker must not run concurrently with
-// world operations); Redirect is called from concurrent plan workers, but
-// the hook contract (hooks.go) makes those calls pure reads of an
-// unchanging field.
 type hijackProxy struct {
 	h walk.Hijacker
 }
@@ -174,22 +156,6 @@ func (p *hijackProxy) Redirect(r *xrand.Rand, at ids.ClusterID) (ids.ClusterID, 
 
 func (p *hijackProxy) set(h walk.Hijacker) { p.h = h }
 
-// defaultGroupedCascade is the package-level default for
-// Config.GroupedCascade, applied by DefaultConfig; see
-// SetDefaultGroupedCascade.
-var defaultGroupedCascade atomic.Bool
-
-// SetDefaultGroupedCascade fixes whether configurations built by
-// DefaultConfig run the leave cascade as one grouped shuffle round (true)
-// or as Algorithm 2's per-receiver full exchanges (false, the paper
-// default). It is the harness-wide knob behind the nowbench/nowsim
-// -grouped-cascade flags; worlds built from an explicit Config are
-// unaffected.
-func SetDefaultGroupedCascade(on bool) { defaultGroupedCascade.Store(on) }
-
-// DefaultGroupedCascade reports the package default cascade mode.
-func DefaultGroupedCascade() bool { return defaultGroupedCascade.Load() }
-
 // World is the complete NOW protocol state. Every cluster-keyed table is
 // indexed by ClusterID and every node-keyed table by NodeID: IDs are minted
 // densely and never reused, so each index belongs to one cluster (node) for
@@ -198,9 +164,7 @@ func DefaultGroupedCascade() bool { return defaultGroupedCascade.Load() }
 // sorting.
 //
 // The world is not safe for concurrent use: the paper's model is
-// synchronous and every method runs on one goroutine. ExecBatch's plan
-// phase is the one exception it manages itself — plan workers only read,
-// and the serial apply that follows starts after they have all returned.
+// synchronous and every method runs on one goroutine.
 type World struct {
 	cfg     Config
 	led     *metrics.Ledger
@@ -242,8 +206,7 @@ type World struct {
 
 	// Flat node indexes for O(1) uniform sampling by workloads. nodePos
 	// and byzPos are NodeID-indexed position arrays (-1 = absent). Their
-	// ordering seeds RandomNode draws, so the op scheduler updates them in
-	// op order.
+	// ordering seeds RandomNode draws.
 	allNodes []ids.NodeID
 	nodePos  []int32
 	byzNodes []ids.NodeID
@@ -255,9 +218,9 @@ type World struct {
 	steer  func(ids.ClusterID) float64
 
 	// hijackHook/steerHook are the installed hooks' batch lifecycles
-	// (BatchHook side of SetHijacker / SetSteerHook), driven serially by
-	// ExecBatch: BeginBatch before planning, CommitOp in op order after
-	// apply. See hooks.go.
+	// (BatchHook side of SetHijacker / SetSteerHook), driven by ExecBatch:
+	// BeginBatch before the first op, CommitOp in op order after the last.
+	// See hooks.go.
 	hijackHook BatchHook
 	steerHook  BatchHook
 
@@ -266,10 +229,9 @@ type World struct {
 	stats         Stats
 	bootstrapped  bool
 
-	// sched holds the pooled scratch of the batch scheduler (plan records,
-	// RNG substreams, per-worker plan machinery). ExecBatch alone touches
-	// it.
-	sched schedScratch
+	// hijacked is ExecBatch's per-op hijacked-walk tally, handed to
+	// CommitOp; kept so steady-state batches do not allocate it.
+	hijacked []int64
 }
 
 // Interface compliance: the world is the topology the primitives run over.
@@ -420,9 +382,7 @@ func (w *World) reclassify(cs *clusterState) {
 }
 
 // putCluster installs a fresh cluster record for c, recycling a retired
-// record (with its member capacity) when the free list has one. Cluster
-// creation is structural: the op scheduler runs it only on its serial
-// tail.
+// record (with its member capacity) when the free list has one.
 func (w *World) putCluster(c ids.ClusterID) {
 	if n := int(c) + 1; n > len(w.clusters) {
 		w.clusters = append(w.clusters, make([]*clusterState, n-len(w.clusters))...)
@@ -463,19 +423,6 @@ func (w *World) retire(c ids.ClusterID) bool {
 	return true
 }
 
-// snapshotClusterInto copies c's record into dst for a planning view,
-// reusing dst's member capacity: a recycled dst makes the copy-on-write
-// snapshot allocation-free in steady state.
-func (w *World) snapshotClusterInto(c ids.ClusterID, dst *clusterState) bool {
-	cs := w.cluster(c)
-	if cs == nil {
-		return false
-	}
-	dst.members = append(dst.members[:0], cs.members...)
-	dst.byz = cs.byz
-	return true
-}
-
 func (w *World) nodeInfoOf(x ids.NodeID) (nodeInfo, bool) {
 	var info nodeInfo
 	if uint64(x) < uint64(len(w.nodes)) {
@@ -502,8 +449,7 @@ func (w *World) deleteNodeInfo(x ids.NodeID) {
 	}
 }
 
-// --- core membership mutators (shared by the classic path and the
-// scheduler's apply loop) ---
+// --- core membership mutators ---
 
 // insertMember adds x (allegiance byz) to cluster c, updating the size
 // multiset and live security class. It does not touch the node index.
@@ -605,25 +551,14 @@ func (w *World) Transfer(x ids.NodeID, from, to ids.ClusterID) error {
 	if !w.hasCluster(to) {
 		return fmt.Errorf("core: transfer to unknown cluster %v", to)
 	}
-	if err := w.applyTransfer(x, from, to, info.byz); err != nil {
+	if err := w.removeMember(from, x, info.byz); err != nil {
 		return err
 	}
+	if err := w.insertMember(to, x, info.byz); err != nil {
+		return err
+	}
+	w.setNodeInfo(x, nodeInfo{cluster: to, byz: info.byz})
 	w.stats.Swaps++
-	return nil
-}
-
-// applyTransfer performs the raw cluster-and-node-record relocation without
-// validation or swap accounting. Used by Transfer and by the scheduler's
-// apply loop (where admitted plans guarantee validity and stats come from
-// the plan deltas).
-func (w *World) applyTransfer(x ids.NodeID, from, to ids.ClusterID, byz bool) error {
-	if err := w.removeMember(from, x, byz); err != nil {
-		return err
-	}
-	if err := w.insertMember(to, x, byz); err != nil {
-		return err
-	}
-	w.setNodeInfo(x, nodeInfo{cluster: to, byz: byz})
 	return nil
 }
 
@@ -631,7 +566,7 @@ func (w *World) applyTransfer(x ids.NodeID, from, to ids.ClusterID, byz bool) er
 
 // settleSecurity advances the security accounting to the current state:
 // called at the end of every public operation (= paper time step) and at
-// the end of every scheduler batch. It counts transitions into the
+// the end of every ExecBatch. It counts transitions into the
 // degraded (>= 1/3) and captured (>= 1/2) states and tracks the worst
 // per-cluster Byzantine fraction.
 //
@@ -701,9 +636,8 @@ func growPos(pos []int32, x ids.NodeID) []int32 {
 	return pos
 }
 
-// sampleAdd appends a node to the flat sampling indexes. Serial contexts
-// only (classic ops and the scheduler's op-ordered post-pass): the append
-// order seeds RandomNode draws and must stay deterministic.
+// sampleAdd appends a node to the flat sampling indexes. The append order
+// seeds RandomNode draws.
 func (w *World) sampleAdd(x ids.NodeID, byz bool) {
 	w.nodePos = growPos(w.nodePos, x)
 	w.nodePos[x] = int32(len(w.allNodes))
@@ -715,8 +649,7 @@ func (w *World) sampleAdd(x ids.NodeID, byz bool) {
 	}
 }
 
-// sampleRemove swap-removes a node from the flat sampling indexes. Serial
-// contexts only.
+// sampleRemove swap-removes a node from the flat sampling indexes.
 func (w *World) sampleRemove(x ids.NodeID, byz bool) {
 	i := w.nodePos[x]
 	last := len(w.allNodes) - 1

@@ -58,9 +58,7 @@ type Report struct {
 }
 
 // Exchanger runs exchange operations. It is not safe for concurrent use:
-// the scratch buffers below make steady-state exchanges allocation-free,
-// so each concurrent planner needs its own Exchanger (the op scheduler
-// provides one per worker).
+// the scratch buffers below make steady-state exchanges allocation-free.
 type Exchanger struct {
 	world  World
 	walker *walk.Walker

@@ -6,7 +6,6 @@ import (
 	"nowover/internal/adversary"
 	"nowover/internal/apps"
 	"nowover/internal/baseline"
-	"nowover/internal/core"
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
 	"nowover/internal/sim"
@@ -27,7 +26,7 @@ func E10Applications(s Scale) (*Table, error) {
 	}
 	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
-		w, err := midWorld(n, 0.10, s.Seed, nil)
+		w, err := midWorld(s, n, 0.10, nil)
 		if err != nil {
 			return err
 		}
@@ -97,7 +96,7 @@ func E11Baselines(s Scale) (*Table, error) {
 
 	// Shared reference config: the target-cluster-size column of every row
 	// uses the NOW growth run's parameters (K=4, L=1.6).
-	refCore := core.DefaultConfig(n)
+	refCore := s.coreConfig(n)
 	refCore.K = 4
 	refCore.L = 1.6
 	target := refCore.TargetClusterSize()
@@ -112,7 +111,7 @@ func E11Baselines(s Scale) (*Table, error) {
 		// persists. Raw transition counts would spuriously favor the
 		// frozen system.
 		acfg := sim.Config{
-			Core:            core.DefaultConfig(n),
+			Core:            s.coreConfig(n),
 			InitialSize:     n / 2,
 			Tau:             0.20,
 			Strategy:        &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.20}},
@@ -227,7 +226,7 @@ func E12SecurityMargins(s Scale) (*Table, error) {
 	if err := t.RunCells(len(cells), func(i int, frag *Table) error {
 		tau, k := cells[i].a, cells[i].b
 		cfg := sim.Config{
-			Core:        core.DefaultConfig(n),
+			Core:        s.coreConfig(n),
 			InitialSize: n / 2,
 			Tau:         tau,
 			Steps:       steps,

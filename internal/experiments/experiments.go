@@ -18,6 +18,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"nowover/internal/core"
 )
 
 // Table is one experiment's result in paper style.
@@ -169,13 +171,27 @@ type Scale struct {
 	// only quantile columns move, within the sketch's rank-error bounds.
 	ExactSamples bool
 	// OpsPerStep > 1 runs the adversary cells (A2, A4) through the
-	// batched churn driver (sim.Config.OpsPerStep): each time step
-	// batches up to this many operations through the op scheduler. Tables
-	// stay deterministic at any GOMAXPROCS, but the batched trace is a
-	// different (equally valid) trajectory from the classic driver's, and
-	// per-operation cost columns are unavailable in batched mode. 0 or 1
-	// keeps the classic driver and the recorded baseline tables.
+	// batched churn driver (sim.Config.OpsPerStep): each time step the
+	// strategy decides up to this many operations against the
+	// step-boundary state and World.ExecBatch runs them in op order,
+	// settling security once. The batched trace is a different (equally
+	// valid, equally deterministic) trajectory from the classic driver's,
+	// and per-operation cost columns are unavailable in batched mode. 0 or
+	// 1 keeps the classic driver and the recorded baseline tables.
 	OpsPerStep int
+	// GroupedCascade runs every world's leave cascade as one grouped
+	// shuffle round per leave (core.Config.GroupedCascade) instead of
+	// Algorithm 2's full exchange per receiver. Tables stay deterministic
+	// but differ from the per-receiver tables.
+	GroupedCascade bool
+}
+
+// coreConfig returns core.DefaultConfig(n) with the scale's leave-cascade
+// mode applied; every experiment world starts from it.
+func (s Scale) coreConfig(n int) core.Config {
+	cfg := core.DefaultConfig(n)
+	cfg.GroupedCascade = s.GroupedCascade
+	return cfg
 }
 
 // ExtendTo widens the N sweep by doubling the top size until exactly maxN,

@@ -3,7 +3,7 @@
 //
 // The repo's load-bearing invariant is that simulation output is a pure
 // function of the seed: byte-identical tables and ledgers at any
-// parallelism or plan-worker count. That contract is enforced dynamically
+// parallelism. That contract is enforced dynamically
 // by the lockstep/fuzz layers, but a nondeterminism source (an unsorted map walk
 // feeding output, an unseeded clock read, an order-sensitive float fold)
 // only trips those suites once it fires. The analyzers here catch the

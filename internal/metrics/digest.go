@@ -15,8 +15,7 @@ package metrics
 // The same sequence of Add/Merge/Quantile calls therefore yields the same
 // centroids bit for bit, which is what lets the harness merge per-cell and per-replica
 // sketches in submission order and keep every rendered table byte-identical
-// at any parallelism (the op scheduler's private-ledger discipline, extended
-// to distributions).
+// at any parallelism.
 //
 // Merging a RAW sketch — one that has never compacted (fewer buffered
 // observations than its compaction threshold) and holds only weight-1

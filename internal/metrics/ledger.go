@@ -83,13 +83,7 @@ func (l *Ledger) AddRounds(r int64) {
 	l.rounds += r
 }
 
-// Reset zeroes the ledger so a pooled private ledger can be reused across
-// scheduler batches without reallocation.
-func (l *Ledger) Reset() { *l = Ledger{} }
-
-// Merge folds another ledger's totals into this one. The op scheduler
-// charges each planned operation to a private ledger and merges them in
-// operation order, keeping batch totals deterministic under concurrency.
+// Merge folds another ledger's totals into this one.
 func (l *Ledger) Merge(other *Ledger) {
 	for c := Class(0); c < numClasses; c++ {
 		l.msgs[c] += other.msgs[c]

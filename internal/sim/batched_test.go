@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"nowover/internal/adversary"
@@ -8,7 +9,7 @@ import (
 	"nowover/internal/workload"
 )
 
-func batchedConfig(shards, opsPerStep int, seed uint64) Config {
+func batchedConfig(opsPerStep int, seed uint64) Config {
 	cfg := Config{
 		Core:        core.DefaultConfig(2048),
 		InitialSize: 512,
@@ -18,16 +19,14 @@ func batchedConfig(shards, opsPerStep int, seed uint64) Config {
 		OpsPerStep:  opsPerStep,
 	}
 	cfg.Core.Seed = seed
-	cfg.Core.Shards = shards
 	return cfg
 }
 
 func TestBatchedDriverRuns(t *testing.T) {
-	cfg := batchedConfig(8, 8, 1)
+	cfg := batchedConfig(8, 1)
 	if testing.Short() {
 		cfg.Core = core.DefaultConfig(1024)
 		cfg.Core.Seed = 1
-		cfg.Core.Shards = 8
 		cfg.InitialSize = 256
 		cfg.Steps = 25
 	}
@@ -53,49 +52,117 @@ func TestBatchedDriverRuns(t *testing.T) {
 	}
 }
 
-// TestBatchedDriverShardCountInvariant: the whole simulation — strategy
-// decisions, scheduler batches, audits — is deterministic in the seeds and
-// independent of the shard count.
-func TestBatchedDriverShardCountInvariant(t *testing.T) {
+// replayOps runs ops through the world's public one-op calls in op order,
+// driving h's batch lifecycle around them the way ExecBatch does when h
+// is non-nil.
+func replayOps(w *core.World, h core.BatchHook, ops []core.Op) []core.OpResult {
+	if h != nil {
+		h.BeginBatch()
+	}
+	res := make([]core.OpResult, len(ops))
+	hijacked := make([]int64, len(ops))
+	for i, op := range ops {
+		before := w.Stats().HijackedWalks
+		switch op.Kind {
+		case core.OpJoin:
+			if op.HasContact {
+				res[i].Node, res[i].Err = w.Join(op.Byz, op.Contact)
+			} else {
+				res[i].Node, res[i].Err = w.JoinAuto(op.Byz)
+			}
+		case core.OpLeave:
+			res[i].Err = w.Leave(op.Victim)
+		case core.OpExchange:
+			res[i].Err = w.ForceExchange(op.Target)
+		}
+		hijacked[i] = w.Stats().HijackedWalks - before
+	}
+	if h != nil {
+		for i := range res {
+			h.CommitOp(i, res[i].Err == nil, hijacked[i])
+		}
+	}
+	return res
+}
+
+// unsettledFingerprint is exactFingerprint without the three Stats fields
+// settleSecurity counts, which ExecBatch counts at batch boundaries only.
+func unsettledFingerprint(w *core.World) string {
+	st := w.Stats()
+	st.DegradedEvents, st.CapturedEvents, st.MaxByzFractionEver = 0, 0, 0
+	return fingerprintWithStats(w, st)
+}
+
+// driveAgainstReplay runs the batched driver of cfg step by step and, after
+// every step, replays that step's batch through the one-op calls on a twin
+// world built from the same config: every op's outcome and the twin's
+// state must match (apart from the settle-counted Stats fields), and both
+// worlds must keep every invariant. It returns the batched runner and the
+// replay world.
+func driveAgainstReplay(t *testing.T, cfg Config, steer bool) (*Runner, *core.World) {
+	t.Helper()
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := twin.World()
+	var hook core.BatchHook
+	if h := twin.Hijacker(); h != nil {
+		hook = h
+		if steer {
+			r.World().SetSteerHook(r.Hijacker())
+			replay.SetSteerHook(h)
+		}
+	}
+	res := &Result{OpCosts: NewOpCosts(false)}
+	minSize := r.minimumSize()
+	for step := 0; step < cfg.Steps; step++ {
+		if err := r.stepBatch(step, minSize, res); err != nil {
+			t.Fatal(err)
+		}
+		rr := replayOps(replay, hook, r.ops)
+		for i := range rr {
+			got := r.results[i]
+			if fmt.Sprint(got.Err) != fmt.Sprint(rr[i].Err) || (got.Err == nil && got.Node != rr[i].Node) {
+				t.Fatalf("step %d op %d: batched %+v, replay %+v", step, i, got, rr[i])
+			}
+		}
+		if a, b := unsettledFingerprint(r.World()), unsettledFingerprint(replay); a != b {
+			t.Fatalf("step %d: states diverged:\n batched %s\n  replay %s", step, a, b)
+		}
+	}
+	if res.BatchedOps == 0 {
+		t.Fatal("batched driver issued no ops")
+	}
+	for _, w := range []*core.World{r.World(), replay} {
+		if err := core.CheckInvariants(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r, replay
+}
+
+// TestBatchedDriverMatchesClassicReplay: every batch the driver issues
+// leaves the world exactly as the same ops replayed one by one through
+// the classic API leave a twin world.
+func TestBatchedDriverMatchesClassicReplay(t *testing.T) {
+	cfg := batchedConfig(8, 7)
 	if testing.Short() {
-		t.Skip("shard-count sweep skipped in -short mode (covered at small scale by core's TestShardedMatchesSerial)")
+		cfg.Steps = 20
 	}
-	run := func(shards int) *Result {
-		r, err := New(batchedConfig(shards, 8, 7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.CheckInvariants(r.World()); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return res
-	}
-	a, b := run(1), run(8)
-	if a.Stats != b.Stats {
-		t.Fatalf("stats diverged across shard counts:\n%+v\nvs\n%+v", a.Stats, b.Stats)
-	}
-	if a.Final != b.Final {
-		t.Fatalf("final audit diverged:\n%+v\nvs\n%+v", a.Final, b.Final)
-	}
-	if a.TotalCost.Messages != b.TotalCost.Messages || a.TotalCost.Rounds != b.TotalCost.Rounds {
-		t.Fatalf("cost diverged: %v vs %v", a.TotalCost, b.TotalCost)
-	}
-	if a.BatchedOps != b.BatchedOps || a.DeferredOps != b.DeferredOps || a.SkippedOps != b.SkippedOps {
-		t.Fatalf("scheduler counters diverged: %d/%d/%d vs %d/%d/%d",
-			a.BatchedOps, a.DeferredOps, a.SkippedOps, b.BatchedOps, b.DeferredOps, b.SkippedOps)
-	}
+	driveAgainstReplay(t, cfg, false)
 }
 
 func TestBatchedValidation(t *testing.T) {
-	cfg := batchedConfig(8, -1, 1)
+	cfg := batchedConfig(-1, 1)
 	if _, err := New(cfg); err == nil {
 		t.Fatal("negative OpsPerStep accepted")
 	}
-	cfg = batchedConfig(8, 4, 1)
+	cfg = batchedConfig(4, 1)
 	cfg.InstallHijacker = true
 	cfg.Strategy = &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.15}}
 	r, err := New(cfg)
@@ -111,63 +178,33 @@ func TestBatchedValidation(t *testing.T) {
 	}
 }
 
-// TestBatchedHookedShardCountInvariant pins the tentpole contract at the
-// driver level: a fully hooked world — hijacker redirecting walks AND the
-// same hook object steering randCl draws — batched through the scheduler
-// is byte-identical across shard counts, down to the hijack tallies the
-// commit step folds in op order.
-func TestBatchedHookedShardCountInvariant(t *testing.T) {
-	run := func(shards int) (*Result, *adversary.CapturedHijacker) {
-		cfg := batchedConfig(shards, 8, 11)
-		if testing.Short() {
-			cfg.Core = core.DefaultConfig(1024)
-			cfg.Core.Seed = 11
-			cfg.Core.Shards = shards
-			cfg.InitialSize = 256
-			cfg.Steps = 30
-		}
-		cfg.Strategy = &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.15}}
-		cfg.InstallHijacker = true
-		r, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := r.Hijacker()
-		if h == nil {
-			t.Fatal("no hijacker installed")
-		}
-		r.World().SetSteerHook(h)
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.CheckInvariants(r.World()); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return res, h
+// TestBatchedHookedDriverMatchesClassicReplay is the driver-level
+// contract with the adversary hooked in — the hijacker redirecting walks
+// AND the same hook object steering randCl draws: each batch matches its
+// classic replay, the twin's hook (driven through the same lifecycle)
+// ends with the same bookkeeping, and the hook's commit-folded tally
+// equals the world's.
+func TestBatchedHookedDriverMatchesClassicReplay(t *testing.T) {
+	cfg := batchedConfig(8, 11)
+	if testing.Short() {
+		cfg.Core = core.DefaultConfig(1024)
+		cfg.Core.Seed = 11
+		cfg.InitialSize = 256
+		cfg.Steps = 30
 	}
-	a, ha := run(1)
-	b, hb := run(8)
-	if a.Stats != b.Stats {
-		t.Fatalf("stats diverged across shard counts:\n%+v\nvs\n%+v", a.Stats, b.Stats)
-	}
-	if a.Stats.HijackedWalks == 0 {
+	cfg.Strategy = &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.15}}
+	cfg.InstallHijacker = true
+	r, replay := driveAgainstReplay(t, cfg, true)
+	h := r.Hijacker()
+	st := r.World().Stats()
+	if st.HijackedWalks == 0 {
 		t.Fatal("hooked run hijacked no walks: the redirect path never ran")
 	}
-	if a.Final != b.Final {
-		t.Fatalf("final audit diverged:\n%+v\nvs\n%+v", a.Final, b.Final)
+	if h.Hijacked != st.HijackedWalks {
+		t.Fatalf("commit fold lost walks: hook saw %d, world recorded %d", h.Hijacked, st.HijackedWalks)
 	}
-	if ha.Hijacked != hb.Hijacked || ha.CommittedOps != hb.CommittedOps {
-		t.Fatalf("hook bookkeeping diverged: hijacked %d/%d ops %d/%d",
-			ha.Hijacked, hb.Hijacked, ha.CommittedOps, hb.CommittedOps)
-	}
-	if ha.Hijacked != a.Stats.HijackedWalks {
-		t.Fatalf("commit fold lost walks: hook saw %d, world recorded %d",
-			ha.Hijacked, a.Stats.HijackedWalks)
-	}
-	if a.BatchedOps != b.BatchedOps || a.DeferredOps != b.DeferredOps || a.SkippedOps != b.SkippedOps {
-		t.Fatalf("scheduler counters diverged: %d/%d/%d vs %d/%d/%d",
-			a.BatchedOps, a.DeferredOps, a.SkippedOps, b.BatchedOps, b.DeferredOps, b.SkippedOps)
+	if hr := replay.Stats().HijackedWalks; hr != st.HijackedWalks {
+		t.Fatalf("replay hijacked %d walks, batched %d", hr, st.HijackedWalks)
 	}
 }
 
@@ -175,7 +212,7 @@ func TestBatchedGrowShrink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-phase batched run skipped in -short mode")
 	}
-	cfg := batchedConfig(8, 6, 3)
+	cfg := batchedConfig(6, 3)
 	cfg.Steps = 80
 	cfg.Schedule = workload.Linear{From: 512, To: 1400, Steps: 80}
 	r, err := New(cfg)
@@ -191,7 +228,7 @@ func TestBatchedGrowShrink(t *testing.T) {
 		t.Fatalf("population %d did not grow", grown)
 	}
 	if res.Stats.Splits == 0 {
-		t.Fatal("growth produced no splits (structural tail never ran)")
+		t.Fatal("growth produced no splits")
 	}
 	if err := core.CheckInvariants(r.World()); err != nil {
 		t.Fatal(err)
@@ -215,7 +252,7 @@ func TestBatchedRejoinAllDrains(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rejoin-all batched shrink skipped in -short mode")
 	}
-	cfg := batchedConfig(8, 6, 9)
+	cfg := batchedConfig(6, 9)
 	cfg.Core.MergeStrategy = core.MergeRejoinAll
 	cfg.Steps = 120
 	cfg.Schedule = workload.Linear{From: 512, To: 200, Steps: 100}
@@ -240,15 +277,15 @@ func TestBatchedRejoinAllDrains(t *testing.T) {
 
 // TestBatchedAttackStrategySurvivesMerges is the regression for the
 // vanished-contact hazard: JoinLeaveAttack emits HasContact joins at a
-// fixated target cluster, and under shrink pressure an earlier deferred
-// leave can merge that exact cluster away on the scheduler's tail before
-// the join runs. The driver must skip such ops (ErrUnknownCluster /
-// ErrUnknownNode), not abort the run.
+// fixated target cluster, and under shrink pressure an earlier leave of
+// the same batch can merge that exact cluster away before the join runs.
+// The driver must skip such ops (ErrUnknownCluster / ErrUnknownNode), not
+// abort the run.
 func TestBatchedAttackStrategySurvivesMerges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("attack-strategy batched shrink skipped in -short mode")
 	}
-	cfg := batchedConfig(8, 8, 5)
+	cfg := batchedConfig(8, 5)
 	cfg.Strategy = &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.15}}
 	cfg.Steps = 120
 	cfg.Schedule = workload.Linear{From: 512, To: 200, Steps: 100}

@@ -14,7 +14,7 @@ import (
 // exactConfig is one churn_large-shaped world (the benchmark's workload
 // at N = 2048): steady churn, driven through Runner.Continue in units of
 // 8 steps.
-func exactConfig(grouped bool, shards, opsPerStep int) Config {
+func exactConfig(grouped bool, opsPerStep int) Config {
 	cfg := Config{
 		Core:          core.DefaultConfig(2048),
 		InitialSize:   1024,
@@ -24,7 +24,6 @@ func exactConfig(grouped bool, shards, opsPerStep int) Config {
 		OpsPerStep:    opsPerStep,
 	}
 	cfg.Core.Seed = 1
-	cfg.Core.Shards = shards
 	cfg.Core.GroupedCascade = grouped
 	return cfg
 }
@@ -52,7 +51,7 @@ func exactRun(t *testing.T, cfg Config, units, unitSteps int) string {
 // resizeConfig swings a small world between 64 and 384 nodes, the
 // churn_resize shape: splits on the way up, merges on the way down.
 func resizeConfig() Config {
-	cfg := exactConfig(false, 1, 0)
+	cfg := exactConfig(false, 0)
 	cfg.Core = core.DefaultConfig(512)
 	cfg.Core.Seed = 1
 	cfg.InitialSize = 64
@@ -64,12 +63,16 @@ func resizeConfig() Config {
 // per-class messages, rounds, lifetime stats and a hash of the membership
 // (clusters in overlay order, members in list order, with allegiance).
 func exactFingerprint(w *core.World) string {
+	return fingerprintWithStats(w, w.Stats())
+}
+
+func fingerprintWithStats(w *core.World, st core.Stats) string {
 	var b strings.Builder
 	led := w.Ledger()
 	for c := metrics.Class(0); int(c) < metrics.NumClasses; c++ {
 		fmt.Fprintf(&b, "%v=%d ", c, led.MessagesBy(c))
 	}
-	fmt.Fprintf(&b, "rounds=%d stats=%+v", led.Rounds(), w.Stats())
+	fmt.Fprintf(&b, "rounds=%d stats=%+v", led.Rounds(), st)
 	h := fnv.New64a()
 	for _, c := range w.Clusters() {
 		fmt.Fprintf(h, "c%d:", c)
@@ -95,12 +98,12 @@ func TestHotPathExactness(t *testing.T) {
 		units, unitSteps int
 		want             string
 	}{
-		{"per-receiver", exactConfig(false, 1, 0), 8, 8,
+		{"per-receiver", exactConfig(false, 0), 8, 8,
 			"intra-cluster=1375 inter-cluster=234058222 walk=102676202 randnum=431970212 exchange=11178939 discovery=5242880 agreement=216312786 application=0 cascade=0 transport=0 rounds=2616893 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:25340 HijackedWalks:0 DegradedEvents:19 CapturedEvents:0 MaxByzFractionEver:0.45454545454545453} members=0x5b6e1c5b67b123ab"},
-		{"grouped", exactConfig(true, 1, 0), 8, 8,
+		{"grouped", exactConfig(true, 0), 8, 8,
 			"intra-cluster=1373 inter-cluster=35407449 walk=11293518 randnum=48856448 exchange=1192464 discovery=5242880 agreement=24755904 application=0 cascade=460008 transport=0 rounds=294859 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:3780 HijackedWalks:0 DegradedEvents:7 CapturedEvents:1 MaxByzFractionEver:0.5} members=0xdc8fa30ef2524d6f"},
-		{"batched", exactConfig(false, 4, 8), 8, 8,
-			"intra-cluster=11193 inter-cluster=1927017701 walk=953708531 randnum=4058224272 exchange=90995518 discovery=5242880 agreement=2029439816 application=0 cascade=0 transport=0 rounds=24346163 stats={Joins:256 Leaves:256 Splits:0 Merges:0 Rejoins:0 Swaps:208022 HijackedWalks:0 DegradedEvents:52 CapturedEvents:1 MaxByzFractionEver:0.5} members=0x210a14c99b060c66"},
+		{"batched", exactConfig(false, 8), 8, 8,
+			"intra-cluster=11116 inter-cluster=1938102518 walk=952540175 randnum=4024321396 exchange=92141365 discovery=5242880 agreement=2012488378 application=0 cascade=0 transport=0 rounds=24220418 stats={Joins:256 Leaves:256 Splits:0 Merges:0 Rejoins:0 Swaps:209468 HijackedWalks:0 DegradedEvents:51 CapturedEvents:0 MaxByzFractionEver:0.46153846153846156} members=0xdbc3307bde5fbd76"},
 		// The steady cases never split or merge; a size wave does both, so
 		// the structural charges (split, merge announcements) are pinned too.
 		// One Continue: the wave is indexed by the step within a call.

@@ -63,18 +63,16 @@ type Config struct {
 	// redirection when the strategy exposes a target.
 	InstallHijacker bool
 	// OpsPerStep > 1 switches to the batched churn driver: each time step
-	// issues up to OpsPerStep operations as one batch through the world's
-	// op scheduler (core.World.ExecBatch), which plans them on up to
-	// Core.Shards workers and applies them serially. Results stay
-	// deterministic in the seeds at any worker count — including with InstallHijacker: the hook contract
-	// (core hooks.go) makes plan-phase hijack/steer decisions pure reads
-	// of state fixed at the batch boundary, so hooked batches plan at
-	// full parallelism. Batched attack traces are a distinct (equally
-	// deterministic) trajectory from the classic driver's: the hijacker
-	// reads the step-boundary target snapshot instead of re-fixating
-	// mid-operation. 0 or 1 keeps the classic one-op-per-step driver.
-	// Batched mode does not collect per-operation cost samples
-	// (SampleOpCosts is ignored).
+	// the strategy decides up to OpsPerStep operations against the
+	// step-boundary state, and core.World.ExecBatch runs them in op order
+	// on the classic path and settles security once — k ops decided
+	// together, one paper time step. With InstallHijacker the hook
+	// contract (core hooks.go) fixes the hijack/steer decision at the
+	// batch boundary. Batched traces are a distinct (equally
+	// deterministic) trajectory from the classic driver's, which decides
+	// and settles after every op. 0 or 1 keeps the classic
+	// one-op-per-step driver. Batched mode does not collect per-operation
+	// cost samples (SampleOpCosts is ignored).
 	OpsPerStep int
 }
 
@@ -147,14 +145,11 @@ type Result struct {
 	DegradedSteps, CapturedSteps int
 	// PeakSize / TroughSize bracket the realized size trajectory.
 	PeakSize, TroughSize int
-	// BatchedOps / DeferredOps count, in concurrent-driver mode
-	// (OpsPerStep > 1), the operations fed to the scheduler and how many
-	// of them fell to its serial tail (conflicting footprints or
-	// structural splits/merges). SkippedOps counts ops whose victim node
-	// or contact/target cluster was already gone by the time they ran
-	// (e.g. displaced by an earlier tail merge); skipped ops are a subset
-	// of the deferred ones, not a third disjoint bucket.
-	BatchedOps, DeferredOps, SkippedOps int
+	// BatchedOps counts, in batched-driver mode (OpsPerStep > 1), the
+	// operations fed to ExecBatch. SkippedOps counts those whose victim
+	// node or contact/target cluster was already gone by the time they
+	// ran (e.g. merged away by an earlier op of the same batch).
+	BatchedOps, SkippedOps int
 }
 
 // Runner executes a configured simulation.
@@ -205,7 +200,7 @@ func New(cfg Config) (*Runner, error) {
 	}
 	if cfg.InstallHijacker {
 		// The hijacker reads the strategy's cached fixation (pure
-		// PlanTarget) and ratchets it through the serial batch lifecycle;
+		// PlanTarget) and ratchets it through the batch lifecycle;
 		// under the classic driver the per-step Decide call keeps the
 		// fixation equally fresh. Strategies without the commit-scoped
 		// Target side (e.g. DOSAttack) expose no coherent fixation to
@@ -381,14 +376,14 @@ func (r *Runner) step(step, minSize int, res *Result) error {
 	return nil
 }
 
-// stepBatch is one concurrent-driver time step (OpsPerStep > 1): drain
+// stepBatch is one batched-driver time step (OpsPerStep > 1): drain
 // pending rejoins first (classic and serial — they reuse reserved
 // identities), otherwise let the strategy decide up to OpsPerStep
 // operations against the step-boundary state — the adversary's view in
-// the paper's model — and execute them as one batch through the world's
-// op scheduler. Victims are deduplicated within the step; a victim that
-// still vanishes before its sub-operation runs (displaced by an earlier
-// tail merge) is counted as skipped, not fatal.
+// the paper's model — and execute them as one batch through
+// World.ExecBatch. Victims are deduplicated within the step; a victim that
+// still vanishes before its op runs (displaced by an earlier op's merge)
+// is counted as skipped, not fatal.
 func (r *Runner) stepBatch(step, minSize int, res *Result) error {
 	r.rejoins = append(r.rejoins, r.world.PendingRejoins()...)
 	if len(r.rejoins) > 0 {
@@ -449,8 +444,8 @@ func (r *Runner) stepBatch(step, minSize int, res *Result) error {
 		op := r.strategy.Decide(r.world, r.rng, dir)
 		switch op.Kind {
 		case adversary.OpJoin:
-			// Hard N bound without leave credit: a planned leave can still
-			// be skipped (victim displaced by a tail merge), so joins are
+			// Hard N bound without leave credit: a decided leave can still
+			// be skipped (victim displaced by an earlier merge), so joins are
 			// admitted only against the step-start population. The classic
 			// driver enforces n <= N against the live count; this is the
 			// batched equivalent.
@@ -483,12 +478,9 @@ func (r *Runner) stepBatch(step, minSize int, res *Result) error {
 	r.results = results
 	res.BatchedOps += len(ops)
 	for _, rr := range results {
-		if rr.Deferred {
-			res.DeferredOps++
-		}
 		if rr.Err != nil {
 			// A victim or contact/target cluster can legitimately vanish
-			// mid-batch (displaced by an earlier tail merge): skip, don't
+			// mid-batch (displaced by an earlier op's merge): skip, don't
 			// abort.
 			if core.IsUnknownNode(rr.Err) || core.IsUnknownCluster(rr.Err) {
 				res.SkippedOps++

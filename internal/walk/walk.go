@@ -74,15 +74,13 @@ func NeighborMass(t Topology, c ids.ClusterID) int64 {
 // cluster forges the remaining protocol).
 //
 // Redirect must be PURE with respect to the walk: it may read the hook's
-// own snapshot-scoped decision state and draw from r — the walk's per-op
-// substream, so hook randomness is charged to the op that consulted it —
-// but it must not mutate shared hook state. The op scheduler plans every
-// op of a batch concurrently and consults hooks from worker goroutines in
-// scheduling-dependent order; a Redirect that writes anywhere reachable
-// from another op's Redirect breaks the determinism contract (and the
-// race detector). Hook bookkeeping belongs in the batch lifecycle the
-// world drives (core.BatchHook): decision state refreshes serially before
-// planning, ratchet counters fold serially in op order after apply.
+// own snapshot-scoped decision state and draw from r — the walk's stream,
+// so hook randomness is charged to the op that consulted it — but it must
+// not mutate shared hook state: every op of a batch must see the decision
+// fixed at the batch boundary. Hook bookkeeping belongs in the batch
+// lifecycle the world drives (core.BatchHook): decision state refreshes
+// before the batch's first op, ratchet counters fold in op order after
+// its last.
 type Hijacker interface {
 	Redirect(r *xrand.Rand, at ids.ClusterID) (ids.ClusterID, bool)
 }
@@ -110,9 +108,8 @@ type Config struct {
 	// prefer higher-scored neighbors and acceptance draws prefer stopping
 	// at higher-scored endpoints. With the Ideal generator Steer has no
 	// effect below capture. Steer is under the same purity contract as
-	// Hijacker.Redirect: concurrent plan workers score clusters in
-	// scheduling-dependent order, so the function must be a read of
-	// snapshot-scoped state, never a mutation.
+	// Hijacker.Redirect: the function must be a read of snapshot-scoped
+	// state, never a mutation.
 	Steer func(c ids.ClusterID) float64
 }
 
@@ -131,8 +128,7 @@ func (c Config) validate() error {
 
 // Walker runs CTRWs over a Topology. It is NOT safe for concurrent use:
 // the steer objectives below carry per-draw state through walker fields so
-// the hot path builds no closures. Give each concurrent planner its own
-// walker (the op scheduler does).
+// the hot path builds no closures.
 type Walker struct {
 	cfg  Config
 	topo Topology

@@ -56,9 +56,9 @@ func Derive(base uint64, labels ...uint64) *Rand {
 // SplitInto reseeds dst in place to the exact substream Split(label) would
 // have returned, consuming the same two state words from r. A zero-value
 // dst is initialized on first use; afterwards reseeding allocates nothing,
-// which is what lets the op scheduler derive per-op substreams without
-// per-op garbage. dst must not be a stream whose generator is shared (i.e.
-// only zero values and previous SplitInto targets are valid destinations).
+// so a loop can derive one substream per iteration without garbage. dst
+// must not be a stream whose generator is shared (i.e. only zero values
+// and previous SplitInto targets are valid destinations).
 func (r *Rand) SplitInto(dst *Rand, label uint64) {
 	a := r.src.Uint64()
 	b := r.src.Uint64()

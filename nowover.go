@@ -74,8 +74,7 @@ type (
 // Streaming statistics types: the fixed-memory accumulators behind
 // SimConfig.ExactSamples=false (the default), which keep wide-range -full
 // sweeps (N up to 2^16 and beyond) in memory. All of them Merge
-// deterministically in submission order, extending the op scheduler's
-// op-order-merge discipline from ledgers to whole distributions.
+// deterministically in submission order.
 type (
 	// Digest is a fixed-memory, deterministically mergeable quantile
 	// sketch (t-digest-style centroids; exact count/mean/min/max).
@@ -109,19 +108,18 @@ const (
 	MergeRejoinAll    = core.MergeRejoinAll
 )
 
-// Op scheduler types: batches of operations planned concurrently inside
-// one world (up to Config.Shards plan workers) and applied serially. See
-// core.World.ExecBatch.
+// Batch types: the operations of one time step, run in op order on the
+// classic path and settled once. See core.World.ExecBatch.
 type (
-	// WorldOp is one schedulable operation (join / leave / exchange).
+	// WorldOp is one batched operation (join / leave / exchange).
 	WorldOp = core.Op
-	// WorldOpResult reports a scheduled operation's outcome.
+	// WorldOpResult reports a batched operation's outcome.
 	WorldOpResult = core.OpResult
-	// WorldOpKind discriminates schedulable operations.
+	// WorldOpKind discriminates batched operations.
 	WorldOpKind = core.OpKind
 )
 
-// Schedulable operation kinds.
+// Batched operation kinds.
 const (
 	WorldOpJoin     = core.OpJoin
 	WorldOpLeave    = core.OpLeave
@@ -171,21 +169,20 @@ type (
 	Budget = adversary.Budget
 )
 
-// Adversary hook contract (see core hooks.go): plan-phase hook decisions
-// are pure snapshot reads, hook bookkeeping folds through the serial
-// batch lifecycle — which is what lets hooked worlds (SimConfig with
-// InstallHijacker, World.SetHijacker/SetSteerHook) plan op batches at
-// full parallelism with byte-identical results at any shard count.
+// Adversary hook contract (see core hooks.go): within a batch, hook
+// decisions read state fixed at the batch boundary, and hook bookkeeping
+// folds through the per-batch lifecycle in op order (SimConfig with
+// InstallHijacker, World.SetHijacker/SetSteerHook).
 type (
-	// BatchHook is the serial per-batch lifecycle of an adversary hook.
+	// BatchHook is the per-batch lifecycle of an adversary hook.
 	BatchHook = core.BatchHook
 	// Steerer scores clusters for last-revealer bias (SetSteerHook).
 	Steerer = core.Steerer
 	// CapturedHijacker redirects walks transiting captured clusters to
 	// the strategy's snapshot-scoped target fixation.
 	CapturedHijacker = adversary.CapturedHijacker
-	// TargetProvider is the plan/commit-scoped target contract attack
-	// strategies expose (JoinLeaveAttack implements it).
+	// TargetProvider is the two-sided target contract attack strategies
+	// expose (JoinLeaveAttack implements it).
 	TargetProvider = adversary.TargetProvider
 )
 
@@ -239,20 +236,6 @@ func Parallelism() int { return experiments.Parallelism() }
 func ForEachRun(count int, body func(i int) error) error {
 	return experiments.ForEach(count, body)
 }
-
-// SetGroupedCascade fixes the default leave-cascade mode for
-// configurations built by DefaultConfig: true batches each leave's
-// cascade into one grouped shuffle round over the receiver set (one swap
-// per receiver, charged to the cascade ledger class), shrinking the
-// leave write footprint from ~|C|^2 to ~|C| clusters; false (the
-// default) keeps Algorithm 2's full exchange per receiver. It is the
-// harness-wide knob behind the nowbench/nowsim -grouped-cascade flags;
-// explicit Config values are unaffected.
-func SetGroupedCascade(on bool) { core.SetDefaultGroupedCascade(on) }
-
-// GroupedCascade reports the default leave-cascade mode currently in
-// effect.
-func GroupedCascade() bool { return core.DefaultGroupedCascade() }
 
 // OpenCheckpointJournal opens (creating or resuming) a per-cell result
 // journal and installs it for subsequent experiment runs: completed sweep
@@ -343,9 +326,8 @@ func (s *System) JoinAuto(byzantine bool) (NodeID, error) {
 func (s *System) Leave(x NodeID) error { return s.world.Leave(x) }
 
 // ExecBatch executes a batch of operations — one time step with multiple
-// simultaneous arrivals and departures — through the world's op scheduler.
-// Operations plan on up to Config.Shards workers and apply serially;
-// results are deterministic in the seed regardless of the worker count.
+// simultaneous arrivals and departures — in op order on the classic path,
+// settling security once at the end of the batch.
 func (s *System) ExecBatch(ops []WorldOp) []WorldOpResult { return s.world.ExecBatch(ops) }
 
 // CheckInvariants verifies the global consistency invariants the protocol

@@ -190,7 +190,6 @@ func TestAdvancedWorldAccess(t *testing.T) {
 
 func TestExecBatchFacade(t *testing.T) {
 	cfg := nowover.DefaultConfig(512)
-	cfg.Shards = 8 // up to eight plan workers
 	sys, err := nowover.New(cfg)
 	if err != nil {
 		t.Fatal(err)

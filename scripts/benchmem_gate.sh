@@ -3,9 +3,9 @@
 # fails when any allocs/op exceeds its recorded floor. The floors below are
 # the measured steady-state numbers plus just enough headroom for amortized
 # structural work (arena doublings, occasional splits) — NOT targets to grow
-# into. The lean-regime op hot path (plan -> admit -> apply -> tail, exchange
-# ops only) is pinned at exactly 0 allocs/op: the million-node sweeps stand
-# on that, so any regression here is a merge blocker, not a soft warning.
+# into. The lean-regime batch hot path (ExecBatch over exchange ops only) is
+# pinned at exactly 0 allocs/op: the million-node sweeps stand on that, so
+# any regression here is a merge blocker, not a soft warning.
 #
 # Run locally:  ./scripts/benchmem_gate.sh
 #
@@ -19,12 +19,8 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 echo "== benchmem gate: core hot paths =="
-go test -run '^$' -bench 'BenchmarkExecBatchExchange|BenchmarkExecBatchHookedExchange|BenchmarkExecBatchChurn|BenchmarkSnapshotClusterInto' \
+go test -run '^$' -bench 'BenchmarkExecBatchExchange|BenchmarkExecBatchHookedExchange|BenchmarkExecBatchChurn' \
 	-benchmem -benchtime 50x ./internal/core/ | tee -a "$out"
-
-echo "== benchmem gate: sharded world batch (lean regime) =="
-go test -run '^$' -bench 'BenchmarkShardedWorldBatch/lean' \
-	-benchmem -benchtime 50x . | tee -a "$out"
 
 # randCl and the exchange primitive read the overlay adjacency in place
 # (Topology.Adjacent): a copy per hop or per neighbour-mass charge shows up
@@ -48,8 +44,6 @@ floors='
 BenchmarkExecBatchExchange 0
 BenchmarkExecBatchHookedExchange 0
 BenchmarkExecBatchChurn 8
-BenchmarkSnapshotClusterInto 0
-BenchmarkShardedWorldBatch/lean/ 10
 BenchmarkRandClWalk 0
 BenchmarkExchangePrimitive 0
 BenchmarkWorldAudit 0
