@@ -33,9 +33,9 @@ func benchScale() nowover.ExperimentScale {
 
 // runExperiment executes one experiment table per benchmark iteration and
 // renders it once (to stderr on -v style runs is noise; we keep the table
-// output only when NOWOVER_BENCH_TABLES=1). Cells fan out across the
-// experiment worker pool (NOWBENCH_PARALLEL overrides the GOMAXPROCS
-// default); tables are byte-identical at any parallelism.
+// output only when NOWOVER_BENCH_TABLES=1). Cells fan out across
+// GOMAXPROCS workers (benchScale leaves Parallel at 0); tables are
+// byte-identical at any parallelism.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	if testing.Short() {
@@ -91,18 +91,17 @@ func BenchmarkExperimentSuite(b *testing.B) {
 		b.Skip("experiment benchmark skipped in -short mode")
 	}
 	subset := []string{"E1", "E4", "E12"}
-	scale := benchScale()
 	for _, mode := range []struct {
 		name    string
 		workers int
 	}{
 		{"serial", 1},
-		{"parallel", 0}, // 0 = auto: NOWBENCH_PARALLEL, then GOMAXPROCS
+		{"parallel", 0}, // 0 = GOMAXPROCS
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			nowover.SetParallelism(mode.workers)
-			defer nowover.SetParallelism(0)
-			b.ReportMetric(float64(nowover.Parallelism()), "workers")
+			scale := benchScale()
+			scale.Parallel = mode.workers
+			b.ReportMetric(float64(nowover.Workers(scale.Parallel)), "workers")
 			reg := nowover.Experiments()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

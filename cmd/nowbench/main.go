@@ -11,17 +11,16 @@
 //	nowbench -parallel 1      # force the serial runner (default: GOMAXPROCS)
 //	nowbench -full -max-n 65536 -exp E4,E5,E6
 //	                          # the wide-range 2^16 separation sweep
-//	                          # (sketch-mode cost sampling keeps it in memory)
-//	nowbench -exact-samples   # retained-history accounting: byte-identical
-//	                          # to pre-sketch tables, memory grows with ops
+//	                          # (sketched cost sampling keeps it in memory)
 //	nowbench -exp E6 -cpuprofile cpu.out -memprofile mem.out
 //	                          # profile a run (go tool pprof cpu.out)
 //
 // Both the selected experiments AND each experiment's independent cells
-// fan out across a worker pool sized by -parallel (or the
-// NOWBENCH_PARALLEL environment variable when the flag is 0), so E1-E12
-// run concurrently while rendering stays in ID order; tables are
-// byte-identical at any parallelism.
+// fan out across a worker pool sized by -parallel (0 means GOMAXPROCS),
+// so E1-E12 run concurrently while rendering stays in ID order; tables
+// are byte-identical at any parallelism. The worker count and the
+// -checkpoint journal travel on the experiment scale, not through any
+// process-wide setting.
 package main
 
 import (
@@ -47,7 +46,6 @@ type config struct {
 	seed       uint64
 	parallel   int
 	grouped    bool
-	exact      bool
 	maxN       int
 	opsPerStep int
 	checkpoint string
@@ -64,9 +62,8 @@ func parseConfig(args []string) (*config, error) {
 	fs.BoolVar(&c.full, "full", false, "use the long-running scale")
 	fs.StringVar(&c.csvDir, "csv", "", "directory to write per-experiment CSV files")
 	fs.Uint64Var(&c.seed, "seed", 1, "random seed")
-	fs.IntVar(&c.parallel, "parallel", 0, "experiment worker count: 1 = serial, 0 = auto (NOWBENCH_PARALLEL, then GOMAXPROCS)")
+	fs.IntVar(&c.parallel, "parallel", 0, "experiment worker count: 1 = serial, 0 = GOMAXPROCS")
 	fs.BoolVar(&c.grouped, "grouped-cascade", false, "batch leave cascades into one grouped shuffle round per leave (~|C| write footprint instead of ~|C|^2; changes measured costs, tables stay deterministic)")
-	fs.BoolVar(&c.exact, "exact-samples", false, "retain full per-operation cost histories (metrics.Sample) instead of fixed-memory sketches; reproduces pre-sketch tables byte for byte but memory grows with the operation count — avoid with -max-n")
 	fs.IntVar(&c.maxN, "max-n", 0, "extend the N sweep by doubling the top size up to this bound (e.g. 65536 for the 2^16 separation sweep, 1048576 for the 2^20 run); must be a power-of-two multiple of the scale's top size; 0 keeps the selected scale's grid")
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 0, "decide this many adversary-cell operations per time step and run them as one batch, settled once (A2/A4 run hooked through the batched driver; a deterministic but distinct trajectory from the classic driver, and per-operation cost columns are unavailable); 0/1 keeps the classic driver and the recorded baseline tables")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "per-cell result journal: completed sweep cells are appended here and served from it on the next run, so an interrupted sweep resumes from its last completed cell with byte-identical tables; the journal is bound to the run configuration (seed/scale/mode flags) and refuses to resume under a different one")
@@ -77,6 +74,9 @@ func parseConfig(args []string) (*config, error) {
 	}
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	}
+	if c.parallel < 0 {
+		return nil, fmt.Errorf("-parallel must be >= 0 (0 = GOMAXPROCS), got %d", c.parallel)
 	}
 	selected, err := resolveExperiments(*expFlag)
 	if err != nil {
@@ -97,13 +97,14 @@ func parseConfig(args []string) (*config, error) {
 // fingerprint identifies the run configuration a checkpoint journal is
 // bound to: everything cell results depend on. Parallelism is absent by
 // design (cells are byte-identical at any worker count); the CSV
-// directory only affects where tables are copied. The literal shards=1 is
-// kept from when the world layout was a flag, so journals recorded then
+// directory only affects where tables are copied. The literals
+// exact=false and shards=1 are kept from when the sample mode and the
+// world layout were flags, so journals recorded then
 // (results/sweep2e20.journal) still resume.
 func (c *config) fingerprint(scale nowover.ExperimentScale) string {
-	fp := fmt.Sprintf("ns=%v of=%g trials=%d walks=%d seed=%d exact=%v shards=1 grouped=%v",
+	fp := fmt.Sprintf("ns=%v of=%g trials=%d walks=%d seed=%d exact=false shards=1 grouped=%v",
 		scale.Ns, scale.OpsFactor, scale.Trials, scale.Walks,
-		scale.Seed, scale.ExactSamples, scale.GroupedCascade)
+		scale.Seed, scale.GroupedCascade)
 	// The batched-driver marker is appended only when active so journals
 	// recorded before the flag existed (ops-per-step 0) still resume.
 	if scale.OpsPerStep > 1 {
@@ -139,7 +140,7 @@ func (c *config) scale() (nowover.ExperimentScale, error) {
 		scale = nowover.FullScale()
 	}
 	scale.Seed = c.seed
-	scale.ExactSamples = c.exact
+	scale.Parallel = c.parallel
 	scale.OpsPerStep = c.opsPerStep
 	scale.GroupedCascade = c.grouped
 	if c.maxN > 0 {
@@ -166,22 +167,21 @@ func run(args []string) (err error) {
 	}
 	defer func() { err = errors.Join(err, stopProfiles()) }()
 
-	nowover.SetParallelism(c.parallel)
-
 	scale, err := c.scale()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("nowbench: %d worker(s), grouped-cascade=%v, samples=%s, Ns=%v\n\n",
-		nowover.Parallelism(), scale.GroupedCascade,
-		map[bool]string{false: "sketch", true: "exact"}[c.exact], scale.Ns)
+	fmt.Printf("nowbench: %d worker(s), grouped-cascade=%v, Ns=%v\n\n",
+		nowover.Workers(scale.Parallel), scale.GroupedCascade, scale.Ns)
 
 	if c.checkpoint != "" {
-		if err := nowover.OpenCheckpointJournal(c.checkpoint, c.fingerprint(scale),
-			func() int64 { return time.Now().UnixMilli() }); err != nil {
-			return err
+		j, jerr := nowover.OpenCheckpointJournal(c.checkpoint, c.fingerprint(scale),
+			func() int64 { return time.Now().UnixMilli() })
+		if jerr != nil {
+			return jerr
 		}
-		defer nowover.CloseCheckpointJournal()
+		defer func() { err = errors.Join(err, j.Close()) }()
+		scale.Journal = j
 	}
 
 	if c.csvDir != "" {
@@ -222,7 +222,7 @@ func run(args []string) (err error) {
 	fmt.Printf("(%d experiment(s) completed in %v)\n", len(c.selected), time.Since(sweepStart).Round(time.Millisecond))
 
 	if c.benchJSON != "" {
-		if err := writeBenchJSON(c.benchJSON); err != nil {
+		if err := writeBenchJSON(c.benchJSON, scale.Journal); err != nil {
 			return err
 		}
 	}
@@ -236,11 +236,8 @@ type benchFile struct {
 	TotalMs int64                `json:"total_ms"`
 }
 
-func writeBenchJSON(path string) error {
-	points, totalMs, ok := nowover.BenchTrajectory()
-	if !ok {
-		return fmt.Errorf("bench-json: no checkpoint journal active")
-	}
+func writeBenchJSON(path string, j *nowover.CheckpointJournal) error {
+	points, totalMs := j.BenchTrajectory()
 	doc, err := json.MarshalIndent(benchFile{Cells: points, TotalMs: totalMs}, "", "  ")
 	if err != nil {
 		return err

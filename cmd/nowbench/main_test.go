@@ -19,7 +19,7 @@ func TestParseConfigDefaults(t *testing.T) {
 	if !reflect.DeepEqual(c.selected, nowover.ExperimentIDs()) {
 		t.Errorf("default selection = %v, want all experiment IDs", c.selected)
 	}
-	if c.seed != 1 || c.grouped || c.full || c.exact || c.maxN != 0 || c.opsPerStep != 0 {
+	if c.seed != 1 || c.grouped || c.full || c.parallel != 0 || c.maxN != 0 || c.opsPerStep != 0 {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
 }
@@ -45,6 +45,9 @@ func TestParseConfigBadFlag(t *testing.T) {
 	if _, err := parseConfig([]string{"-no-such-flag"}); err == nil {
 		t.Error("want error for unknown flag")
 	}
+	if _, err := parseConfig([]string{"-parallel", "-1"}); err == nil || !strings.Contains(err.Error(), "-parallel") {
+		t.Errorf("want -parallel usage error for a negative worker count, got %v", err)
+	}
 }
 
 func TestParseConfigStrayArgs(t *testing.T) {
@@ -55,7 +58,7 @@ func TestParseConfigStrayArgs(t *testing.T) {
 }
 
 func TestScaleDerivation(t *testing.T) {
-	c, err := parseConfig([]string{"-seed", "7", "-exact-samples"})
+	c, err := parseConfig([]string{"-seed", "7", "-parallel", "3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +66,8 @@ func TestScaleDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Seed != 7 || !s.ExactSamples {
-		t.Errorf("scale seed/exact = %d/%v, want 7/true", s.Seed, s.ExactSamples)
+	if s.Seed != 7 || s.Parallel != 3 {
+		t.Errorf("scale seed/parallel = %d/%d, want 7/3", s.Seed, s.Parallel)
 	}
 
 	c2, err := parseConfig([]string{"-max-n", "65536"})

@@ -4,9 +4,12 @@
 // failing).
 //
 // With -runs R > 1 it instead fans R independent replicas of the same
-// scenario (seeds seed, seed+1, ..., seed+R-1) across the experiment
-// worker pool and prints one summary line per replica plus an aggregate
-// verdict — the Monte-Carlo view of the same invariant.
+// scenario (seeds seed, seed+1, ..., seed+R-1) across -parallel workers
+// (0, the default, means GOMAXPROCS; the count is passed to
+// nowover.ForEachRun, not set process-wide) and prints one summary line
+// per replica plus an aggregate verdict — the Monte-Carlo view of the
+// same invariant. Per-operation costs are sketched (exact count, mean
+// and max; rank-bounded quantiles), so memory stays flat in -steps.
 //
 // Examples:
 //
@@ -45,7 +48,6 @@ type config struct {
 	parallel   int
 	opsPerStep int
 	grouped    bool
-	exact      bool
 	// reportSet records whether -report was given explicitly, so sweep
 	// mode can warn that it will be ignored.
 	reportSet bool
@@ -68,10 +70,9 @@ func parseConfig(args []string) (*config, error) {
 	fs.StringVar(&c.merge, "merge", "absorb", "merge strategy: absorb | rejoin")
 	fs.IntVar(&c.every, "report", 0, "print an audit every k steps (default steps/10)")
 	fs.IntVar(&c.runs, "runs", 1, "independent replicas to run (seeds seed..seed+runs-1)")
-	fs.IntVar(&c.parallel, "parallel", 0, "worker count for -runs: 1 = serial, 0 = auto (NOWBENCH_PARALLEL, then GOMAXPROCS)")
+	fs.IntVar(&c.parallel, "parallel", 0, "worker count for -runs: 1 = serial, 0 = GOMAXPROCS")
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 1, "operations per time step: > 1 decides them together and runs them as one batch, settled once")
 	fs.BoolVar(&c.grouped, "grouped-cascade", false, "batch each leave's cascade into one grouped shuffle round over the receiver set (~|C| write footprint instead of ~|C|^2)")
-	fs.BoolVar(&c.exact, "exact-samples", false, "retain full per-operation cost histories instead of fixed-memory sketches (pre-sketch output byte for byte; memory grows with -steps)")
 	c.prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -93,6 +94,9 @@ func parseConfig(args []string) (*config, error) {
 	if c.runs < 1 {
 		return nil, fmt.Errorf("-runs must be >= 1, got %d", c.runs)
 	}
+	if c.parallel < 0 {
+		return nil, fmt.Errorf("-parallel must be >= 0 (0 = GOMAXPROCS), got %d", c.parallel)
+	}
 	return c, nil
 }
 
@@ -107,7 +111,6 @@ func (c *config) simConfig(runSeed uint64) (nowover.SimConfig, error) {
 		Seed:          runSeed,
 		AuditEvery:    c.every,
 		SampleOpCosts: true,
-		ExactSamples:  c.exact,
 	}
 	cfg.Core.Seed = runSeed
 	cfg.Core.K = c.k
@@ -178,8 +181,6 @@ func run(args []string) (err error) {
 	if c.runs > 1 && c.reportSet {
 		fmt.Fprintln(os.Stderr, "nowsim: -report is ignored with -runs > 1 (replica sweeps print summaries, not audit timelines)")
 	}
-	nowover.SetParallelism(c.parallel)
-
 	// Validate the flag set once before fanning out.
 	refCfg, err := c.simConfig(c.seed)
 	if err != nil {
@@ -193,7 +194,7 @@ func run(args []string) (err error) {
 		refCfg.Core.TargetDegree(), refCfg.Core.DegreeCap())
 
 	if c.runs > 1 {
-		return runReplicas(c.simConfig, c.seed, c.runs, c.exact)
+		return runReplicas(c.simConfig, c.seed, c.runs, c.parallel)
 	}
 
 	res, err := nowover.Simulate(refCfg)
@@ -224,9 +225,7 @@ func run(args []string) (err error) {
 			res.OpCosts.JoinMsgs.Mean(), res.OpCosts.JoinMsgs.Quantile(0.95),
 			res.OpCosts.LeaveMsgs.Mean(), res.OpCosts.LeaveMsgs.Quantile(0.95))
 	}
-	if !c.exact {
-		printClassHists(&res.OpCosts)
-	}
+	printClassHists(&res.OpCosts)
 	verdict := "HELD"
 	if res.Stats.CapturedEvents > 0 {
 		verdict = "VIOLATED (cluster captured)"
@@ -236,8 +235,8 @@ func run(args []string) (err error) {
 }
 
 // printClassHists summarizes the per-traffic-class message histograms of
-// the sampled operations (sketch mode only): count, rank-exact p50/p99
-// located to within one power of two (the log-scale bucket width). Every
+// the sampled operations: count, rank-exact p50/p99 located to within
+// one power of two (the log-scale bucket width). Every
 // histogram covers ALL sampled ops (zero charges included); classes no
 // operation used are omitted from the printout.
 func printClassHists(oc *nowover.SimOpCosts) {
@@ -256,13 +255,14 @@ func printClassHists(oc *nowover.SimOpCosts) {
 	}
 }
 
-// runReplicas fans runs independent replicas across the experiment worker
-// pool (each with its own derived seed and world) and prints per-replica
-// summaries in seed order plus the aggregate Theorem 3 verdict.
-func runReplicas(makeConfig func(uint64) (nowover.SimConfig, error), seed uint64, runs int, exact bool) error {
-	fmt.Printf("replica sweep: %d runs on %d worker(s)\n\n", runs, nowover.Parallelism())
+// runReplicas fans runs independent replicas across parallel workers (0 =
+// GOMAXPROCS; each replica with its own derived seed and world) and prints
+// per-replica summaries in seed order plus the aggregate Theorem 3
+// verdict.
+func runReplicas(makeConfig func(uint64) (nowover.SimConfig, error), seed uint64, runs, parallel int) error {
+	fmt.Printf("replica sweep: %d runs on %d worker(s)\n\n", runs, nowover.Workers(parallel))
 	results := make([]*nowover.SimResult, runs)
-	err := nowover.ForEachRun(runs, func(i int) error {
+	err := nowover.ForEachRun(parallel, runs, func(i int) error {
 		cfg, err := makeConfig(seed + uint64(i))
 		if err != nil {
 			return err
@@ -304,7 +304,7 @@ func runReplicas(makeConfig func(uint64) (nowover.SimConfig, error), seed uint64
 	// Cross-replica per-op cost distribution: per-replica accumulators
 	// merged in seed (submission) order, so the aggregate is deterministic
 	// at any -parallel setting.
-	agg := nowover.NewSimOpCosts(exact)
+	var agg nowover.SimOpCosts
 	for _, res := range results {
 		agg.Merge(&res.OpCosts)
 	}

@@ -53,6 +53,10 @@ func TestParseConfigBadRuns(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-runs") {
 		t.Errorf("want -runs validation error, got %v", err)
 	}
+	_, err = parseConfig([]string{"-runs", "4", "-parallel", "-1"})
+	if err == nil || !strings.Contains(err.Error(), "-parallel") {
+		t.Errorf("want -parallel validation error for a negative worker count, got %v", err)
+	}
 }
 
 func TestSimConfigSelectionErrors(t *testing.T) {

@@ -23,7 +23,6 @@ func ablationRun(s Scale, n int, tau float64, steps int,
 		Seed:          s.Seed,
 		Strategy:      strategy,
 		SampleOpCosts: s.OpsPerStep <= 1,
-		ExactSamples:  s.ExactSamples,
 		OpsPerStep:    s.OpsPerStep,
 	}
 	cfg.Core.Seed = s.Seed
@@ -51,7 +50,7 @@ func AblationMergeStrategy(s Scale) (*Table, error) {
 	n := s.Ns[len(s.Ns)-1]
 	steps := int(s.OpsFactor * float64(n))
 	strategies := []core.MergeStrategy{core.MergeAbsorbRandom, core.MergeRejoinAll}
-	if err := t.RunCells(len(strategies), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(strategies), func(i int, frag *Table) error {
 		strat := strategies[i]
 		cfg := sim.Config{
 			Core:          s.coreConfig(n),
@@ -61,7 +60,6 @@ func AblationMergeStrategy(s Scale) (*Table, error) {
 			Steps:         steps,
 			Seed:          s.Seed,
 			SampleOpCosts: true,
-			ExactSamples:  s.ExactSamples,
 		}
 		cfg.Core.Seed = s.Seed
 		cfg.Core.MergeStrategy = strat
@@ -99,7 +97,7 @@ func AblationLeaveCascade(s Scale) (*Table, error) {
 	n := s.Ns[len(s.Ns)-1]
 	steps := int(s.OpsFactor * float64(n))
 	cascades := []bool{true, false}
-	if err := t.RunCells(len(cascades), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(cascades), func(i int, frag *Table) error {
 		cascade := cascades[i]
 		res, err := ablationRun(s, n, 0.25, steps,
 			&adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.25}},
@@ -144,7 +142,7 @@ func AblationDegreeRepair(s Scale) (*Table, error) {
 	n := s.Ns[len(s.Ns)-1]
 	steps := int(s.OpsFactor * float64(n))
 	repairs := []bool{true, false}
-	if err := t.RunCells(len(repairs), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(repairs), func(i int, frag *Table) error {
 		repair := repairs[i]
 		cfg := sim.Config{
 			Core:        s.coreConfig(n),
@@ -194,7 +192,7 @@ func AblationCommitReveal(s Scale) (*Table, error) {
 		{"ideal", randnum.Ideal{}},
 		{"commit-reveal", randnum.CommitReveal{}},
 	}
-	if err := t.RunCells(len(gens), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(gens), func(i int, frag *Table) error {
 		gen := gens[i]
 		cfg := sim.Config{
 			Core:            s.coreConfig(n),

@@ -24,7 +24,7 @@ func E10Applications(s Scale) (*Table, error) {
 		Columns: []string{"n", "bcastMsgs", "floodingMsgs", "ratio",
 			"sampleMsgs(mean)", "aggMsgs", "aggExact"},
 	}
-	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
 		w, err := midWorld(s, n, 0.10, nil)
 		if err != nil {
@@ -154,7 +154,6 @@ func E11Baselines(s Scale) (*Table, error) {
 				Steps:         growSteps,
 				Seed:          s.Seed,
 				SampleOpCosts: true,
-				ExactSamples:  s.ExactSamples,
 			}
 			cfg.Core.Seed = s.Seed
 			runner, err := sim.New(cfg)
@@ -193,7 +192,7 @@ func E11Baselines(s Scale) (*Table, error) {
 		func(frag *Table) error { return attackRun(frag, true) },  // (c) full NOW under attack
 		func(frag *Table) error { return attackRun(frag, false) }, // (c) no-shuffle strawman
 	}
-	if err := t.RunCells(len(sections), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(sections), func(i int, frag *Table) error {
 		return sections[i](frag)
 	}); err != nil {
 		return nil, err
@@ -223,7 +222,7 @@ func E12SecurityMargins(s Scale) (*Table, error) {
 	n := s.Ns[len(s.Ns)-1] / 2 // keep the sweep affordable
 	steps := int(s.OpsFactor * float64(n))
 	cells := gridCells([]float64{0.10, 0.20, 0.30, 0.33}, []float64{1, 2, 4})
-	if err := t.RunCells(len(cells), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(cells), func(i int, frag *Table) error {
 		tau, k := cells[i].a, cells[i].b
 		cfg := sim.Config{
 			Core:        s.coreConfig(n),

@@ -39,7 +39,7 @@ func E4RandClCost(s Scale) (*Table, error) {
 		Columns: []string{"N", "walks", "meanMsgs", "meanRounds", "meanHops",
 			"msgs/log^5N", "rounds/log^4N"},
 	}
-	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
 		w, err := midWorld(s, n, 0.15, nil)
 		if err != nil {
@@ -121,7 +121,7 @@ func E5ExchangeCost(s Scale) (*Table, error) {
 			"msgs/log^6N", "rounds/log^4N"},
 	}
 	trials := 10 * s.Trials
-	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
 		w, err := midWorld(s, n, 0.15, nil)
 		if err != nil {
@@ -168,7 +168,7 @@ func E6OperationCost(s Scale) (*Table, error) {
 		Columns: []string{"N", "ops", "join:mean", "join:p95", "leave:mean",
 			"leave:p95", "joinRounds", "leaveRounds"},
 	}
-	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
 		cfg := sim.Config{
 			Core:          s.coreConfig(n),
@@ -177,7 +177,6 @@ func E6OperationCost(s Scale) (*Table, error) {
 			Steps:         int(s.OpsFactor * float64(n) / 2),
 			Seed:          s.Seed,
 			SampleOpCosts: true,
-			ExactSamples:  s.ExactSamples,
 		}
 		cfg.Core.Seed = s.Seed
 		runner, err := sim.New(cfg)
@@ -222,7 +221,7 @@ func E7WalkUniformity(s Scale) (*Table, error) {
 	}
 	n := s.Ns[len(s.Ns)-1]
 	factors := []float64{0.0625, 0.125, 0.25, 0.5, 1, 2}
-	if err := t.RunCells(len(factors), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(factors), func(i int, frag *Table) error {
 		factor := factors[i]
 		w, err := midWorld(s, n, 0, func(c *core.Config) {
 			c.WalkDurationFactor = factor

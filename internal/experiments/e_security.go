@@ -27,7 +27,7 @@ func E1HonestyUnderChurn(s Scale) (*Table, error) {
 	}
 	taus := []float64{0.10, 0.20, 0.30}
 	cells := gridCells(s.Ns, taus)
-	if err := t.RunCells(len(cells), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(cells), func(i int, frag *Table) error {
 		n, tau := cells[i].a, cells[i].b
 		cfg := sim.Config{
 			Core:        s.coreConfig(n),
@@ -82,7 +82,7 @@ func E2PostExchangeTail(s Scale) (*Table, error) {
 	}
 	n := s.Ns[len(s.Ns)-1]
 	ks := []float64{1, 2, 3, 4}
-	if err := t.RunCells(len(ks), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(ks), func(i int, frag *Table) error {
 		k := ks[i]
 		cfg := s.coreConfig(n)
 		cfg.K = k
@@ -157,7 +157,7 @@ func E3DriftRecovery(s Scale) (*Table, error) {
 			}
 		}
 	}
-	outs, err := mapCells(len(cells), func(i int) (trialOut, error) {
+	outs, err := mapCells(s.Parallel, len(cells), func(i int) (trialOut, error) {
 		c := cells[i]
 		cfg := s.coreConfig(c.n)
 		cfg.Seed = s.Seed + uint64(c.trial)
@@ -197,7 +197,7 @@ func E3DriftRecovery(s Scale) (*Table, error) {
 	next := 0
 	for _, n := range s.Ns {
 		for _, p0 := range p0s {
-			rec := metrics.NewDist(s.ExactSamples)
+			var rec metrics.Digest
 			maxSeen := 0.0
 			for trial := 0; trial < s.Trials; trial++ {
 				out := outs[next]

@@ -25,7 +25,7 @@ func E8OverlayHealth(s Scale) (*Table, error) {
 	}
 	// One cell per N; each cell emits its three phase rows into a private
 	// fragment so the grown/shrunk rows stay adjacent to their bootstrap.
-	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
 		cfg := sim.Config{
 			Core:        s.coreConfig(n),
@@ -83,7 +83,7 @@ func E9InitCost(s Scale) (*Table, error) {
 		Columns: []string{"n", "edges", "discoveryMsgs", "n*e bound", "rounds",
 			"complete", "clusterizationMsgs"},
 	}
-	if err := t.RunCells(len(s.Ns), func(i int, frag *Table) error {
+	if err := t.RunCells(s, len(s.Ns), func(i int, frag *Table) error {
 		n := s.Ns[i]
 		// Initial graph per the model: honest connected (a random
 		// expander), every Byzantine node adjacent to an honest one.

@@ -10,7 +10,8 @@
 // per-repetition simulation runs) out across a worker pool (pool.go);
 // every cell builds its own world from a derived seed and rows are
 // assembled in submission order, so tables are byte-identical at any
-// parallelism setting (SetParallelism / NOWBENCH_PARALLEL).
+// worker count (Scale.Parallel). Everything a run depends on travels on
+// its Scale; the package holds no process-wide mutable state.
 package experiments
 
 import (
@@ -163,13 +164,6 @@ type Scale struct {
 	Walks int
 	// Seed anchors determinism.
 	Seed uint64
-	// ExactSamples switches per-operation cost accounting from the default
-	// fixed-memory sketches (metrics.Digest) to retained-history samples
-	// (metrics.Sample), reproducing pre-sketch tables byte for byte.
-	// Leave false for wide-range sweeps: exact mode's memory grows with
-	// the operation count. Means and counts are identical in both modes;
-	// only quantile columns move, within the sketch's rank-error bounds.
-	ExactSamples bool
 	// OpsPerStep > 1 runs the adversary cells (A2, A4) through the
 	// batched churn driver (sim.Config.OpsPerStep): each time step the
 	// strategy decides up to this many operations against the
@@ -184,6 +178,13 @@ type Scale struct {
 	// Algorithm 2's full exchange per receiver. Tables stay deterministic
 	// but differ from the per-receiver tables.
 	GroupedCascade bool
+	// Parallel is the worker count for the run's cells and, in RunMany,
+	// its experiments: 1 is serial, 0 means GOMAXPROCS (see Workers).
+	// Tables are byte-identical at any value.
+	Parallel int
+	// Journal, when non-nil, checkpoints every completed cell and serves
+	// cells it already holds without re-running them (see OpenJournal).
+	Journal *Journal
 }
 
 // coreConfig returns core.DefaultConfig(n) with the scale's leave-cascade

@@ -53,74 +53,52 @@ type cellRecord struct {
 	Ms int64 `json:"ms,omitempty"`
 }
 
-// Journal is an open cell journal. Safe for concurrent use by the worker
-// pool.
+// Journal is an open cell journal. A sweep checkpoints through it by
+// carrying it on Scale.Journal; it is safe for concurrent use by the
+// worker pool.
 type Journal struct {
 	mu    sync.Mutex
 	f     *os.File
 	cells map[string]*cellRecord
 	now   func() int64 // millisecond clock, nil = no timing
+
+	// interrupt, when non-nil, is consulted before each live cell run;
+	// returning an error aborts the sweep exactly as a kill signal between
+	// cell completions would. Checkpoint equivalence tests set it to
+	// deterministically "die" mid-sweep.
+	interrupt func(key string) error
 }
 
 const journalMagic = "nowbench-cells"
 
-// activeJournal is the journal RunCells consults; nil disables
-// checkpointing. Guarded by activeMu: it is set once before a sweep and
-// cleared after, but tests open and close journals repeatedly.
-var (
-	activeMu      sync.Mutex
-	activeJournal *Journal
-)
-
-// OpenJournal opens (creating or resuming) the cell journal at path and
-// installs it for subsequent experiment runs. fingerprint must capture
-// everything the cells' results depend on (scale grid, seed, sample mode,
-// shard/cascade flavor); a journal recorded under a different fingerprint
-// is refused. nowMillis supplies per-cell wall-clock timing for benchmark
+// OpenJournal opens (creating or resuming) the cell journal at path; a run
+// checkpoints through it once it is set as Scale.Journal. fingerprint must
+// capture everything the cells' results depend on (scale grid, seed,
+// cascade flavor); a journal recorded under a different fingerprint is
+// refused. nowMillis supplies per-cell wall-clock timing for benchmark
 // trajectories; nil records 0.
-func OpenJournal(path, fingerprint string, nowMillis func() int64) error {
+func OpenJournal(path, fingerprint string, nowMillis func() int64) (*Journal, error) {
 	j, err := loadJournal(path, fingerprint)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	j.now = nowMillis
-	activeMu.Lock()
-	defer activeMu.Unlock()
-	if activeJournal != nil {
-		j.f.Close()
-		return fmt.Errorf("experiments: a journal is already open")
-	}
-	activeJournal = j
-	return nil
+	return j, nil
 }
 
-// CloseJournal uninstalls and closes the active journal (no-op when none
-// is open).
-func CloseJournal() error {
-	activeMu.Lock()
-	defer activeMu.Unlock()
-	if activeJournal == nil {
-		return nil
-	}
-	err := activeJournal.f.Close()
-	activeJournal = nil
-	return err
-}
-
-func currentJournal() *Journal {
-	activeMu.Lock()
-	defer activeMu.Unlock()
-	return activeJournal
-}
+// Close closes the journal file.
+func (j *Journal) Close() error { return j.f.Close() }
 
 // loadJournal reads an existing journal (validating its header and every
 // complete record) or creates a fresh one, and leaves the file open for
-// appends.
+// appends. A kill between creating the file and finishing its header
+// leaves it empty or holding a header fragment with no newline; such a
+// file has no records to lose and is started afresh.
 func loadJournal(path, fingerprint string) (*Journal, error) {
 	data, err := os.ReadFile(path)
 	switch {
-	case os.IsNotExist(err):
-		f, cerr := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	case os.IsNotExist(err) || err == nil && tornHeader(string(data)):
+		f, cerr := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -152,11 +130,8 @@ func loadJournal(path, fingerprint string) (*Journal, error) {
 	// the cell re-run. (A cleanly written file ends with "\n", so the
 	// final split element is empty and dropping it is a no-op.)
 	lines = lines[:len(lines)-1]
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("experiments: journal %s: empty header", path)
-	}
 	var hdr journalHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr.Journal != journalMagic {
+	if len(lines) == 0 || json.Unmarshal([]byte(lines[0]), &hdr) != nil || hdr.Journal != journalMagic {
 		return nil, fmt.Errorf("experiments: journal %s: not a nowbench cell journal", path)
 	}
 	if hdr.V != 1 {
@@ -181,6 +156,15 @@ func loadJournal(path, fingerprint string) (*Journal, error) {
 		return nil, err
 	}
 	return &Journal{f: f, cells: cells}, nil
+}
+
+// tornHeader reports whether data is an unfinished journal header: no
+// complete line, and a prefix of (or prefixed by) the header's opening
+// bytes. Any other newline-free file is refused below, never truncated.
+func tornHeader(data string) bool {
+	const opening = `{"journal":"` + journalMagic + `"`
+	return !strings.Contains(data, "\n") &&
+		(strings.HasPrefix(data, opening) || strings.HasPrefix(opening, data))
 }
 
 // lookup returns the journaled record for key, if any.
@@ -225,14 +209,10 @@ type BenchPoint struct {
 	Ms  int64  `json:"ms"`
 }
 
-// BenchTrajectory summarizes the active journal's per-cell timings, keys
-// sorted, for BENCH_*.json emission: future changes prove speedups against
-// a recorded trajectory instead of asserting them.
-func BenchTrajectory() (points []BenchPoint, totalMs int64, ok bool) {
-	j := currentJournal()
-	if j == nil {
-		return nil, 0, false
-	}
+// BenchTrajectory summarizes the journal's per-cell timings, keys sorted,
+// for BENCH_*.json emission: future changes prove speedups against a
+// recorded trajectory instead of asserting them.
+func (j *Journal) BenchTrajectory() (points []BenchPoint, totalMs int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	points = make([]BenchPoint, 0, len(j.cells))
@@ -241,7 +221,7 @@ func BenchTrajectory() (points []BenchPoint, totalMs int64, ok bool) {
 		totalMs += rec.Ms
 	}
 	sort.Slice(points, func(i, j int) bool { return points[i].Key < points[j].Key })
-	return points, totalMs, true
+	return points, totalMs
 }
 
 // fragRecord converts a completed fragment into its journal record.
@@ -262,14 +242,8 @@ func (rec *cellRecord) frag(t *Table) *Table {
 	return frag
 }
 
-// testCellInterrupt, when non-nil, is consulted before each live cell run;
-// returning an error aborts the sweep exactly as a kill signal between
-// cell completions would. Checkpoint equivalence tests use it to
-// deterministically "die" mid-sweep.
-var testCellInterrupt func(key string) error
-
 // ReadJournalKeys reports the cell keys currently recorded in the journal
-// at path, without installing it (diagnostics and tests).
+// at path, without opening it for appends (diagnostics and tests).
 func ReadJournalKeys(path string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -2,86 +2,47 @@ package experiments
 
 // The parallel experiment runner: a shared worker-pool layer that fans
 // independent simulation cells (per-size, per-trial, per-repetition units
-// of an experiment) out across GOMAXPROCS goroutines and aggregates the
-// results deterministically in submission order.
+// of an experiment) out across goroutines and aggregates the results
+// deterministically in submission order.
 //
 // Determinism contract: every cell is self-contained — it builds its own
 // world from a per-cell derived seed and never shares a *xrand.Rand or
 // *core.World with another cell. Results land in an index-addressed slot,
 // so the assembled table is byte-identical to a serial run regardless of
-// goroutine scheduling. The parallelism knob (SetParallelism or
-// NOWBENCH_PARALLEL) only changes wall-clock, never output.
+// goroutine scheduling. The worker count (Scale.Parallel, or the parallel
+// argument of ForEach) only changes wall-clock, never output; the pool
+// reads no process-wide setting.
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// parallelismOverride holds an explicit SetParallelism value; 0 means
-// "unset, resolve from the environment".
-var parallelismOverride atomic.Int32
-
-// SetParallelism fixes the worker count for subsequent experiment runs.
-// p == 1 forces the serial path; p > 1 uses exactly p workers; p <= 0
-// restores the default resolution (NOWBENCH_PARALLEL, then GOMAXPROCS).
-func SetParallelism(p int) {
-	if p < 0 {
-		p = 0
-	}
-	parallelismOverride.Store(int32(p))
-}
-
-// Parallelism reports the worker count the pool will use: an explicit
-// SetParallelism value if one is set, else the NOWBENCH_PARALLEL
-// environment variable ("0", "off", "false" or "no" force serial; a
-// positive integer sets the count), else GOMAXPROCS. Parallel execution
-// is the default: independent seeded cells scale with cores.
-func Parallelism() int {
-	if p := parallelismOverride.Load(); p > 0 {
-		return int(p)
-	}
-	if v, ok := parseParallelEnv(os.Getenv("NOWBENCH_PARALLEL")); ok {
-		return v
+// Workers resolves a worker-count setting: parallel > 0 uses exactly that
+// many workers (1 is the serial path); 0 or less means GOMAXPROCS.
+func Workers(parallel int) int {
+	if parallel > 0 {
+		return parallel
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// parseParallelEnv interprets a NOWBENCH_PARALLEL value; ok is false when
-// the value is empty or unrecognized (caller falls back to GOMAXPROCS).
-func parseParallelEnv(v string) (workers int, ok bool) {
-	switch strings.ToLower(strings.TrimSpace(v)) {
-	case "":
-		return 0, false
-	case "0", "off", "false", "no":
-		return 1, true
-	case "on", "true", "yes", "auto":
-		return runtime.GOMAXPROCS(0), true
-	}
-	if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n > 0 {
-		return n, true
-	}
-	return 0, false
-}
-
-// mapCells runs body(i) for every cell index in [0, count), in parallel
-// when the pool has more than one worker, and returns the results in
-// submission (index) order. On failure the lowest-indexed failing cell's
+// mapCells runs body(i) for every cell index in [0, count) on
+// Workers(parallel) workers (serially when that is 1) and returns the
+// results in submission (index) order. On failure the lowest-indexed failing cell's
 // error is returned — the same error a serial run reports: after a
 // failure only cells above the lowest failing index seen so far are
 // skipped, so any earlier failure still gets a chance to surface. A
 // panicking cell is converted into an error rather than tearing down
 // sibling workers mid-experiment.
-func mapCells[T any](count int, body func(i int) (T, error)) ([]T, error) {
+func mapCells[T any](parallel, count int, body func(i int) (T, error)) ([]T, error) {
 	out := make([]T, count)
 	if count == 0 {
 		return out, nil
 	}
-	workers := Parallelism()
+	workers := Workers(parallel)
 	if workers > count {
 		workers = count
 	}
@@ -144,12 +105,12 @@ func mapCells[T any](count int, body func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// ForEach runs body(i) for every index in [0, count) on the worker pool.
-// It is the result-free form of mapCells for callers (cmd/nowsim's
-// multi-run mode, external drivers) that collect output through their own
-// index-addressed storage.
-func ForEach(count int, body func(i int) error) error {
-	_, err := mapCells(count, func(i int) (struct{}, error) {
+// ForEach runs body(i) for every index in [0, count) on Workers(parallel)
+// workers. It is the result-free form of mapCells for callers
+// (cmd/nowsim's multi-run mode, external drivers) that collect output
+// through their own index-addressed storage.
+func ForEach(parallel, count int, body func(i int) error) error {
+	_, err := mapCells(parallel, count, func(i int) (struct{}, error) {
 		return struct{}{}, body(i)
 	})
 	return err
@@ -158,7 +119,7 @@ func ForEach(count int, body func(i int) error) error {
 // RunMany executes the named experiments concurrently and returns their
 // tables positionally aligned with ids. Cross-experiment parallelism
 // composes with each experiment's own cell fan-out as a SECOND pool
-// layer: up to Parallelism() experiment workers each spawn their own
+// layer: up to Workers(s.Parallel) experiment workers each spawn their own
 // cell pool, so the serial head and tail of one experiment's table
 // overlap another experiment's cells and a full E1-E12 sweep keeps every
 // core busy even while individual experiments drain. The composition
@@ -175,7 +136,7 @@ func RunMany(ids []string, s Scale) ([]*Table, error) {
 			return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 		}
 	}
-	return mapCells(len(ids), func(i int) (*Table, error) {
+	return mapCells(s.Parallel, len(ids), func(i int) (*Table, error) {
 		t, err := reg[ids[i]](s)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", ids[i], err)
@@ -215,32 +176,30 @@ func (t *Table) Splice(frag *Table) {
 	t.Notes = append(t.Notes, frag.Notes...)
 }
 
-// RunCells executes body for each cell on the worker pool, handing every
+// RunCells executes body for each cell on s's worker pool, handing every
 // cell a private table fragment, then splices the fragments into t in
 // submission order. Experiment-level notes computed from cross-cell
 // aggregates belong after RunCells returns and must read per-cell numbers
-// via frag.AddAux / t.CellAux — NOT closure-captured slices: when a
-// resume journal (OpenJournal) is active, completed cells are served from
-// the journal without re-running body, and only the fragment's contents
+// via frag.AddAux / t.CellAux — NOT closure-captured slices: when s
+// carries a resume journal (Scale.Journal), completed cells are served
+// from it without re-running body, and only the fragment's contents
 // survive that path.
-func (t *Table) RunCells(count int, body func(i int, frag *Table) error) error {
+func (t *Table) RunCells(s Scale, count int, body func(i int, frag *Table) error) error {
 	t.cellSeq++
 	seq := t.cellSeq
-	jnl := currentJournal()
-	frags, err := mapCells(count, func(i int) (*Table, error) {
+	jnl := s.Journal
+	frags, err := mapCells(s.Parallel, count, func(i int) (*Table, error) {
 		key := fmt.Sprintf("%s#%d/%d", t.ID, seq, i)
+		var startMs int64
 		if jnl != nil {
 			if rec, ok := jnl.lookup(key); ok {
 				return rec.frag(t), nil
 			}
-		}
-		if testCellInterrupt != nil {
-			if err := testCellInterrupt(key); err != nil {
-				return nil, err
+			if jnl.interrupt != nil {
+				if err := jnl.interrupt(key); err != nil {
+					return nil, err
+				}
 			}
-		}
-		var startMs int64
-		if jnl != nil {
 			startMs = jnl.millis()
 		}
 		frag := t.Fragment()

@@ -5,27 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 )
 
-// sampleModes is the cost-accounting mode axis both determinism
-// regressions sweep; a new mode added here is exercised by both.
-var sampleModes = []struct {
-	name  string
-	exact bool
-}{{"sketch", false}, {"exact", true}}
-
 // TestParallelMatchesSerial is the determinism regression test for the
 // worker-pool runner: a fast subset of E1-E12 (covering every cell shape
 // — grid sweeps, per-trial folds, multi-row fragments, heterogeneous
 // sections) must produce byte-identical tables serially and with many
-// workers racing on the pool. It runs in BOTH cost-accounting modes, so
-// the sketch-mode rendering path (Dist quantile columns in E6/E12/A1)
-// carries the same byte-identity guarantee as the exact path.
+// workers racing on the pool, including the sketched quantile columns of
+// E6/E12/A1. Each run carries its worker count on its own Scale, so the
+// subtests share no state.
 func TestParallelMatchesSerial(t *testing.T) {
-	defer SetParallelism(0)
 	s := Scale{
 		Ns:        []int{256, 512},
 		OpsFactor: 0.25,
@@ -35,42 +28,38 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	subset := []string{"E1", "E2", "E3", "E6", "E8", "E9", "E11", "E12", "A1"}
 	reg := Registry()
-	for _, mode := range sampleModes {
-		s := s
-		s.ExactSamples = mode.exact
-		for _, id := range subset {
-			id := id
-			t.Run(mode.name+"/"+id, func(t *testing.T) {
-				SetParallelism(1)
-				serial, err := reg[id](s)
-				if err != nil {
-					t.Fatalf("serial run failed: %v", err)
-				}
-				SetParallelism(8)
-				parallel, err := reg[id](s)
-				if err != nil {
-					t.Fatalf("parallel run failed: %v", err)
-				}
-				if !reflect.DeepEqual(serial.Rows, parallel.Rows) {
-					t.Errorf("rows diverge between serial and parallel runs:\nserial:   %v\nparallel: %v",
-						serial.Rows, parallel.Rows)
-				}
-				if !reflect.DeepEqual(serial.Notes, parallel.Notes) {
-					t.Errorf("notes diverge:\nserial:   %v\nparallel: %v", serial.Notes, parallel.Notes)
-				}
-				var sb, pb bytes.Buffer
-				if err := serial.Render(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if err := parallel.Render(&pb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-					t.Errorf("rendered tables not byte-identical:\n--- serial ---\n%s--- parallel ---\n%s",
-						sb.String(), pb.String())
-				}
-			})
-		}
+	for _, id := range subset {
+		id := id
+		t.Run("sketch/"+id, func(t *testing.T) {
+			serialScale, parallelScale := s, s
+			serialScale.Parallel, parallelScale.Parallel = 1, 8
+			serial, err := reg[id](serialScale)
+			if err != nil {
+				t.Fatalf("serial run failed: %v", err)
+			}
+			parallel, err := reg[id](parallelScale)
+			if err != nil {
+				t.Fatalf("parallel run failed: %v", err)
+			}
+			if !reflect.DeepEqual(serial.Rows, parallel.Rows) {
+				t.Errorf("rows diverge between serial and parallel runs:\nserial:   %v\nparallel: %v",
+					serial.Rows, parallel.Rows)
+			}
+			if !reflect.DeepEqual(serial.Notes, parallel.Notes) {
+				t.Errorf("notes diverge:\nserial:   %v\nparallel: %v", serial.Notes, parallel.Notes)
+			}
+			var sb, pb bytes.Buffer
+			if err := serial.Render(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if err := parallel.Render(&pb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
+				t.Errorf("rendered tables not byte-identical:\n--- serial ---\n%s--- parallel ---\n%s",
+					sb.String(), pb.String())
+			}
+		})
 	}
 }
 
@@ -79,12 +68,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 // subset of experiments run one-at-a-time serially must render
 // byte-identical tables to the same subset racing each other — and their
 // own cells — on a many-worker pool, in the requested order. This guards
-// the global state RunMany composes over (the parallelism knob, the
-// registry, per-experiment world seeding) against cross-experiment
-// leakage. Both cost-accounting modes run, covering the sketch-mode
-// rendering path (E6/E12 quantile columns).
+// what RunMany composes over (the registry, per-experiment world seeding)
+// against cross-experiment leakage, sketched quantile columns (E6/E12)
+// included.
 func TestCrossExperimentParallelMatchesSerial(t *testing.T) {
-	defer SetParallelism(0)
 	s := Scale{
 		Ns:        []int{256, 512},
 		OpsFactor: 0.25,
@@ -94,42 +81,38 @@ func TestCrossExperimentParallelMatchesSerial(t *testing.T) {
 	}
 	subset := []string{"E1", "E3", "E6", "E8", "E9", "E12", "A1"}
 	reg := Registry()
-	for _, mode := range sampleModes {
-		s := s
-		s.ExactSamples = mode.exact
-		t.Run(mode.name, func(t *testing.T) {
-			SetParallelism(1)
-			serial := make([]*Table, len(subset))
-			for i, id := range subset {
-				tbl, err := reg[id](s)
-				if err != nil {
-					t.Fatalf("serial %s failed: %v", id, err)
-				}
-				serial[i] = tbl
-			}
-			SetParallelism(8)
-			parallel, err := RunMany(subset, s)
+	t.Run("sketch", func(t *testing.T) {
+		s.Parallel = 1
+		serial := make([]*Table, len(subset))
+		for i, id := range subset {
+			tbl, err := reg[id](s)
 			if err != nil {
-				t.Fatalf("parallel sweep failed: %v", err)
+				t.Fatalf("serial %s failed: %v", id, err)
 			}
-			for i, id := range subset {
-				if parallel[i].ID != id {
-					t.Fatalf("slot %d holds table %s, want %s (order lost)", i, parallel[i].ID, id)
-				}
-				var sb, pb bytes.Buffer
-				if err := serial[i].Render(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if err := parallel[i].Render(&pb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-					t.Errorf("%s tables not byte-identical:\n--- serial ---\n%s--- parallel ---\n%s",
-						id, sb.String(), pb.String())
-				}
+			serial[i] = tbl
+		}
+		s.Parallel = 8
+		parallel, err := RunMany(subset, s)
+		if err != nil {
+			t.Fatalf("parallel sweep failed: %v", err)
+		}
+		for i, id := range subset {
+			if parallel[i].ID != id {
+				t.Fatalf("slot %d holds table %s, want %s (order lost)", i, parallel[i].ID, id)
 			}
-		})
-	}
+			var sb, pb bytes.Buffer
+			if err := serial[i].Render(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if err := parallel[i].Render(&pb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
+				t.Errorf("%s tables not byte-identical:\n--- serial ---\n%s--- parallel ---\n%s",
+					id, sb.String(), pb.String())
+			}
+		}
+	})
 }
 
 func TestRunManyUnknownExperiment(t *testing.T) {
@@ -141,12 +124,10 @@ func TestRunManyUnknownExperiment(t *testing.T) {
 // TestRunManyErrorDeterministic: with several failing experiments the
 // lowest-indexed failure is reported, as a serial sweep would.
 func TestRunManyErrorDeterministic(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(8)
 	// An impossible scale makes every experiment fail fast: OpsFactor 0
 	// yields zero-step runs only for experiments that require steps; use a
 	// bogus N below the minimum instead, which every runner rejects.
-	s := Scale{Ns: []int{1}, OpsFactor: 0.1, Trials: 1, Walks: 1, Seed: 1}
+	s := Scale{Ns: []int{1}, OpsFactor: 0.1, Trials: 1, Walks: 1, Seed: 1, Parallel: 8}
 	_, err := RunMany([]string{"E1", "E2"}, s)
 	if err == nil {
 		t.Fatal("sub-minimum N accepted")
@@ -157,10 +138,8 @@ func TestRunManyErrorDeterministic(t *testing.T) {
 }
 
 func TestMapCellsOrdering(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(8)
 	const count = 100
-	out, err := mapCells(count, func(i int) (int, error) { return i * i, nil })
+	out, err := mapCells(8, count, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +154,9 @@ func TestMapCellsOrdering(t *testing.T) {
 }
 
 func TestMapCellsError(t *testing.T) {
-	defer SetParallelism(0)
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 8} {
-		SetParallelism(workers)
-		_, err := mapCells(10, func(i int) (int, error) {
+		_, err := mapCells(workers, 10, func(i int) (int, error) {
 			if i == 3 {
 				return 0, boom
 			}
@@ -195,11 +172,9 @@ func TestMapCellsError(t *testing.T) {
 // several failing cells, the lowest-indexed failure is reported at any
 // parallelism — the same error a serial run returns.
 func TestMapCellsErrorDeterministic(t *testing.T) {
-	defer SetParallelism(0)
 	for _, workers := range []int{1, 8} {
-		SetParallelism(workers)
 		for rep := 0; rep < 20; rep++ {
-			_, err := mapCells(32, func(i int) (int, error) {
+			_, err := mapCells(workers, 32, func(i int) (int, error) {
 				if i == 5 || i == 20 || i == 31 {
 					return 0, fmt.Errorf("cell %d failed", i)
 				}
@@ -213,10 +188,8 @@ func TestMapCellsErrorDeterministic(t *testing.T) {
 }
 
 func TestMapCellsPanicBecomesError(t *testing.T) {
-	defer SetParallelism(0)
 	for _, workers := range []int{1, 8} {
-		SetParallelism(workers)
-		_, err := mapCells(4, func(i int) (int, error) {
+		_, err := mapCells(workers, 4, func(i int) (int, error) {
 			if i == 2 {
 				panic("kaboom")
 			}
@@ -229,18 +202,16 @@ func TestMapCellsPanicBecomesError(t *testing.T) {
 }
 
 func TestMapCellsEmpty(t *testing.T) {
-	out, err := mapCells(0, func(i int) (int, error) { return 0, errors.New("never") })
+	out, err := mapCells(8, 0, func(i int) (int, error) { return 0, errors.New("never") })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: out=%v err=%v", out, err)
 	}
 }
 
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(4)
 	const count = 50
 	var hits [count]int32
-	if err := ForEach(count, func(i int) error {
+	if err := ForEach(4, count, func(i int) error {
 		atomic.AddInt32(&hits[i], 1)
 		return nil
 	}); err != nil {
@@ -253,49 +224,16 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestParallelismKnob(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(3)
-	if got := Parallelism(); got != 3 {
-		t.Errorf("SetParallelism(3) -> Parallelism() = %d", got)
+// TestParallelZeroMeansGOMAXPROCS pins the worker-count resolution: a
+// Scale that leaves Parallel at 0 runs on GOMAXPROCS workers, a positive
+// value is taken as is.
+func TestParallelZeroMeansGOMAXPROCS(t *testing.T) {
+	if got, want := Workers(QuickScale().Parallel), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Workers(0) = %d, want GOMAXPROCS = %d", got, want)
 	}
-	SetParallelism(1)
-	if got := Parallelism(); got != 1 {
-		t.Errorf("SetParallelism(1) -> Parallelism() = %d", got)
-	}
-	SetParallelism(0)
-	if got := Parallelism(); got < 1 {
-		t.Errorf("default Parallelism() = %d, want >= 1", got)
-	}
-}
-
-func TestParseParallelEnv(t *testing.T) {
-	for _, tc := range []struct {
-		in      string
-		workers int
-		ok      bool
-	}{
-		{"", 0, false},
-		{"garbage", 0, false},
-		{"-2", 0, false},
-		{"0", 1, true},
-		{"off", 1, true},
-		{"false", 1, true},
-		{"no", 1, true},
-		{"4", 4, true},
-		{" 6 ", 6, true},
-	} {
-		workers, ok := parseParallelEnv(tc.in)
-		if ok != tc.ok || (ok && workers != tc.workers) {
-			t.Errorf("parseParallelEnv(%q) = (%d, %v), want (%d, %v)",
-				tc.in, workers, ok, tc.workers, tc.ok)
-		}
-	}
-	// "on"-style values resolve to GOMAXPROCS: just require >= 1.
-	for _, v := range []string{"on", "true", "yes", "auto"} {
-		workers, ok := parseParallelEnv(v)
-		if !ok || workers < 1 {
-			t.Errorf("parseParallelEnv(%q) = (%d, %v), want enabled", v, workers, ok)
+	for _, p := range []int{1, 3} {
+		if got := Workers(p); got != p {
+			t.Errorf("Workers(%d) = %d", p, got)
 		}
 	}
 }

@@ -82,6 +82,7 @@ func Analyzers() []*Analyzer {
 		RNGDiscipline,
 		FloatFoldOrder,
 		ClassExhaustive,
+		MutableGlobal,
 	}
 }
 

@@ -117,6 +117,32 @@ func TestFloatFoldFixture(t *testing.T)       { checkFixture(t, "floatfold", "fi
 func TestRNGFixture(t *testing.T)             { checkFixture(t, "rngbad", "fixture/rngbad") }
 func TestClassExhaustiveFixture(t *testing.T) { checkFixture(t, "classexh", "fixture/classexh") }
 
+// TestMutableGlobalFixture loads the fixture under an internal/ path,
+// where the rule applies, and under a cmd/ path, where its declarations
+// are out of scope.
+func TestMutableGlobalFixture(t *testing.T) {
+	checkFixture(t, "mutglobal", "nowover/internal/mutglobal")
+	if diags := runFixture(t, "mutglobal", "nowover/cmd/mutglobal"); len(diags) != 0 {
+		t.Errorf("cmd/ path should be out of mutable-global's scope, got %d diagnostics:", len(diags))
+		for _, d := range diags {
+			t.Logf("  %s", d)
+		}
+	}
+}
+
+// TestMutableGlobalCrossPackage: a write to an internal package's var
+// from another package (here a cmd/ one) is flagged at the write site.
+func TestMutableGlobalCrossPackage(t *testing.T) {
+	ld := loadModule(t)
+	dep, err := ld.LoadDir(filepath.Join("testdata", "src", "mutglobal"), "nowover/internal/mutglobal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld.pkgs[dep.ImportPath] = dep
+	defer delete(ld.pkgs, dep.ImportPath)
+	checkFixture(t, "mgwriter", "nowover/cmd/mgwriter")
+}
+
 // TestRNGAllowlistedPath proves the allowlist: the same violating file,
 // loaded as a cmd/ package, produces zero findings because commands may
 // read the wall clock and host entropy.

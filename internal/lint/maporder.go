@@ -159,7 +159,7 @@ func callSink(p *Pass, rs *ast.RangeStmt, call *ast.CallExpr, sortCalls map[type
 		case "Merge":
 			return "merges an accumulator via Merge (merge order is observable state)"
 		case "Add", "Record", "Observe":
-			for _, tn := range [...]string{"Digest", "Dist", "Sample", "Welford"} {
+			for _, tn := range [...]string{"Digest", "Welford"} {
 				if namedAs(recvType, metricsPath, tn) {
 					return "feeds the order-sensitive accumulator metrics." + tn
 				}

@@ -87,7 +87,7 @@ func TestEmptyAccumulatorContract(t *testing.T) {
 	}
 }
 
-// TestSampleMergeConcatenates: exact-mode merge is concatenation, so a
+// TestSampleMergeConcatenates: Sample.Merge is concatenation, so a
 // sharded accumulation answers exactly what a single stream would.
 func TestSampleMergeConcatenates(t *testing.T) {
 	var a, b, single Sample

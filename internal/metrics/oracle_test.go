@@ -20,9 +20,91 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"nowover/internal/xrand"
 )
+
+// Sample retains all observations so exact quantiles can be computed: it
+// is the oracle the Digest sketch is tested against. Memory is O(N), the
+// cost the sketch exists to avoid, so only tests use it.
+type Sample struct {
+	xs     []float64
+	sorted bool
+}
+
+// Add appends one observation.
+func (s *Sample) Add(x float64) {
+	s.xs = append(s.xs, x)
+	s.sorted = false
+}
+
+// Merge appends another sample's current history. Quantile results after
+// any merge order are identical to single-stream accumulation (exact
+// quantiles depend only on the multiset). Byte-identity — including the
+// float summation order inside Mean — additionally requires the source
+// not to have been queried yet: Quantile/Max sort xs in place, so a
+// queried source appends in sorted rather than arrival order. Merging
+// unqueried sub-samples in submission order is byte-identical to
+// single-stream accumulation — the exact face of the determinism contract
+// the Digest sketch keeps approximately.
+func (s *Sample) Merge(o *Sample) {
+	if o == nil || len(o.xs) == 0 {
+		return
+	}
+	s.xs = append(s.xs, o.xs...)
+	s.sorted = false
+}
+
+// N returns the observation count.
+func (s *Sample) N() int { return len(s.xs) }
+
+// Footprint reports the retained history's memory in bytes — O(N), the
+// quantity the sketch exists to avoid.
+func (s *Sample) Footprint() int {
+	return int(unsafe.Sizeof(*s)) + 8*cap(s.xs)
+}
+
+// Mean returns the sample mean (NaN when empty).
+func (s *Sample) Mean() float64 {
+	if len(s.xs) == 0 {
+		return math.NaN()
+	}
+	var total float64
+	for _, x := range s.xs {
+		total += x
+	}
+	return total / float64(len(s.xs))
+}
+
+// Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation on
+// the sorted sample. It returns NaN when empty.
+func (s *Sample) Quantile(q float64) float64 {
+	if len(s.xs) == 0 {
+		return math.NaN()
+	}
+	if !s.sorted {
+		sort.Float64s(s.xs)
+		s.sorted = true
+	}
+	if q <= 0 {
+		return s.xs[0]
+	}
+	if q >= 1 {
+		return s.xs[len(s.xs)-1]
+	}
+	pos := q * float64(len(s.xs)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return s.xs[lo]
+	}
+	frac := pos - float64(lo)
+	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+}
+
+// Max returns the maximum observation (NaN when empty).
+func (s *Sample) Max() float64 { return s.Quantile(1) }
 
 // oracleDist generates observation streams with adversarial shapes.
 type oracleDist struct {

@@ -3,15 +3,13 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
-	"unsafe"
 )
 
 // Welford is a streaming accumulator for mean/variance/min/max using
 // Welford's numerically stable update. The zero value is an empty
 // accumulator.
 //
-// Empty-accumulator contract (shared with Sample, Digest and Dist):
+// Empty-accumulator contract (shared with Digest):
 // Mean, Min and Max return NaN before the first observation, so a
 // forgotten Add surfaces as NaN in a table instead of a silent,
 // plausible-looking 0. Variance alone keeps the conventional 0 for
@@ -83,88 +81,6 @@ func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g sd=%.3g min=%.3g max=%.3g",
 		w.n, w.Mean(), w.StdDev(), w.Min(), w.Max())
 }
-
-// Sample retains all observations so exact quantiles can be computed: it
-// is the oracle the Digest sketch is tested against (oracle_test.go) and
-// the exact mode behind the harness's ExactSamples switch. Memory is O(N),
-// so sweeps at N >= 2^16 use the sketch instead (Dist).
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Add appends one observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// Merge appends another sample's current history. Quantile results after
-// any merge order are identical to single-stream accumulation (exact
-// quantiles depend only on the multiset). Byte-identity — including the
-// float summation order inside Mean — additionally requires the source
-// not to have been queried yet: Quantile/Max sort xs in place, so a
-// queried source appends in sorted rather than arrival order. Merging
-// unqueried sub-samples in submission order is byte-identical to
-// single-stream accumulation — the exact-mode face of the determinism
-// contract the Digest sketch keeps approximately.
-func (s *Sample) Merge(o *Sample) {
-	if o == nil || len(o.xs) == 0 {
-		return
-	}
-	s.xs = append(s.xs, o.xs...)
-	s.sorted = false
-}
-
-// N returns the observation count.
-func (s *Sample) N() int { return len(s.xs) }
-
-// Footprint reports the retained history's memory in bytes — O(N), the
-// quantity the sketch exists to avoid.
-func (s *Sample) Footprint() int {
-	return int(unsafe.Sizeof(*s)) + 8*cap(s.xs)
-}
-
-// Mean returns the sample mean (NaN when empty).
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	var total float64
-	for _, x := range s.xs {
-		total += x
-	}
-	return total / float64(len(s.xs))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation on
-// the sorted sample. It returns NaN when empty.
-func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-	if q <= 0 {
-		return s.xs[0]
-	}
-	if q >= 1 {
-		return s.xs[len(s.xs)-1]
-	}
-	pos := q * float64(len(s.xs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s.xs[lo]
-	}
-	frac := pos - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// Max returns the maximum observation (NaN when empty).
-func (s *Sample) Max() float64 { return s.Quantile(1) }
 
 // TVDistance returns the total-variation distance between two discrete
 // distributions given as aligned probability vectors. Vectors need not be

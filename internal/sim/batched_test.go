@@ -118,7 +118,7 @@ func driveAgainstReplay(t *testing.T, cfg Config, steer bool) (*Runner, *core.Wo
 			replay.SetSteerHook(h)
 		}
 	}
-	res := &Result{OpCosts: NewOpCosts(false)}
+	res := &Result{}
 	minSize := r.minimumSize()
 	for step := 0; step < cfg.Steps; step++ {
 		if err := r.stepBatch(step, minSize, res); err != nil {

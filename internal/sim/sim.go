@@ -40,19 +40,10 @@ type Config struct {
 	// ConsistencyEvery cross-checks all redundant bookkeeping every k
 	// steps (0 disables; expensive, for tests).
 	ConsistencyEvery int
-	// SampleOpCosts records per-operation message/round samples.
+	// SampleOpCosts records per-operation message/round costs in
+	// fixed-memory sketches (OpCosts), so memory stays O(1) per series no
+	// matter how many operations run.
 	SampleOpCosts bool
-	// ExactSamples selects the per-operation cost accumulator: false (the
-	// default) summarizes each cost series with a fixed-memory quantile
-	// sketch plus per-class log-scale histograms (metrics.Digest /
-	// metrics.Hist), so memory stays O(1) per series no matter how many
-	// operations run — the mode that keeps -full sweeps at N >= 2^16 in
-	// memory. True retains the full observation history (metrics.Sample),
-	// reproducing pre-sketch tables byte for byte; use it at small N or
-	// when regression-diffing outputs. Means, counts and maxima are exact
-	// in BOTH modes; only quantile columns differ, within the sketch's
-	// rank-error bounds.
-	ExactSamples bool
 	// TrackSizes records the size trajectory.
 	TrackSizes bool
 	// Seed drives the strategy's randomness (kept separate from protocol
@@ -94,31 +85,20 @@ func (c Config) validate() error {
 
 // OpCosts holds per-operation cost distributions by operation kind, plus a
 // per-traffic-class histogram of each sampled operation's message count.
-// The series accumulators follow Config.ExactSamples (exact history vs
-// fixed-memory sketch); the class histograms are log-scale and exactly
-// mergeable in both modes.
+// Each series is a quantile sketch (exact count, mean and max); the class
+// histograms are log-scale and exactly mergeable. The zero value is empty
+// and ready to use.
 type OpCosts struct {
-	JoinMsgs, JoinRounds   metrics.Dist
-	LeaveMsgs, LeaveRounds metrics.Dist
+	JoinMsgs, JoinRounds   metrics.Digest
+	LeaveMsgs, LeaveRounds metrics.Digest
 	// ClassMsgs[c] histograms the per-operation message count charged to
 	// traffic class c across all sampled operations.
 	ClassMsgs [metrics.NumClasses]metrics.Hist
 }
 
-// NewOpCosts returns an empty OpCosts whose series accumulators are in the
-// requested mode — the seed for cross-run aggregation via Merge.
-func NewOpCosts(exact bool) OpCosts {
-	return OpCosts{
-		JoinMsgs:    metrics.NewDist(exact),
-		JoinRounds:  metrics.NewDist(exact),
-		LeaveMsgs:   metrics.NewDist(exact),
-		LeaveRounds: metrics.NewDist(exact),
-	}
-}
-
-// Merge folds another OpCosts into this one in submission order. Modes
-// must match (see metrics.Dist.Merge). Replica sweeps use it to aggregate
-// per-operation cost distributions across runs.
+// Merge folds another OpCosts into this one in submission order (see
+// metrics.Digest.Merge). Replica sweeps use it to aggregate per-operation
+// cost distributions across runs.
 func (o *OpCosts) Merge(other *OpCosts) {
 	o.JoinMsgs.Merge(&other.JoinMsgs)
 	o.JoinRounds.Merge(&other.JoinRounds)
@@ -244,7 +224,6 @@ func (r *Runner) Run() (*Result, error) {
 		Initial:    r.world.Audit(),
 		PeakSize:   r.world.NumNodes(),
 		TroughSize: r.world.NumNodes(),
-		OpCosts:    NewOpCosts(r.cfg.ExactSamples),
 	}
 	ledger := r.world.Ledger()
 	startSnap := ledger.Snapshot()

@@ -61,73 +61,11 @@ func TestSteadyRun(t *testing.T) {
 	if res.OpCosts.JoinMsgs.N() == 0 || res.OpCosts.LeaveMsgs.N() == 0 {
 		t.Error("no op cost samples")
 	}
+	if n := res.OpCosts.ClassMsgs[metrics.ClassWalk].N(); n != res.OpCosts.JoinMsgs.N()+res.OpCosts.LeaveMsgs.N() {
+		t.Errorf("walk-class histogram holds %d ops, want one per sampled op", n)
+	}
 	if len(res.Audits) == 0 || len(res.Sizes) != 100 {
 		t.Errorf("audits=%d sizes=%d", len(res.Audits), len(res.Sizes))
-	}
-}
-
-// TestExactAndSketchSamplesAgree runs the SAME seeded simulation under
-// both cost-accounting modes: the protocol trajectory must be untouched
-// by the accounting choice (identical stats, audits and total cost), the
-// exact aggregates of every per-op series must match bit for bit, sketch
-// quantiles must sit near their exact counterparts, and the per-class
-// histograms — exact in both modes — must be identical.
-func TestExactAndSketchSamplesAgree(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Steps = 300
-	cfg.ExactSamples = true
-	exact, err := mustRun(t, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ExactSamples = false
-	sketch, err := mustRun(t, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Stats != sketch.Stats {
-		t.Errorf("accounting mode changed the trajectory: %+v vs %+v", exact.Stats, sketch.Stats)
-	}
-	if exact.TotalCost.Messages != sketch.TotalCost.Messages ||
-		exact.TotalCost.Rounds != sketch.TotalCost.Rounds {
-		t.Errorf("total cost diverged: %v vs %v", exact.TotalCost, sketch.TotalCost)
-	}
-	series := []struct {
-		name string
-		e, s *metrics.Dist
-	}{
-		{"JoinMsgs", &exact.OpCosts.JoinMsgs, &sketch.OpCosts.JoinMsgs},
-		{"JoinRounds", &exact.OpCosts.JoinRounds, &sketch.OpCosts.JoinRounds},
-		{"LeaveMsgs", &exact.OpCosts.LeaveMsgs, &sketch.OpCosts.LeaveMsgs},
-		{"LeaveRounds", &exact.OpCosts.LeaveRounds, &sketch.OpCosts.LeaveRounds},
-	}
-	for _, sr := range series {
-		if sr.e.N() != sr.s.N() || sr.e.Mean() != sr.s.Mean() || sr.e.Max() != sr.s.Max() {
-			t.Errorf("%s exact aggregates diverged: n=%d/%d mean=%v/%v max=%v/%v",
-				sr.name, sr.e.N(), sr.s.N(), sr.e.Mean(), sr.s.Mean(), sr.e.Max(), sr.s.Max())
-		}
-		if sr.e.N() < 10 {
-			continue // quantile comparison is meaningless on a handful of ops
-		}
-		ep, sp := sr.e.Quantile(0.95), sr.s.Quantile(0.95)
-		// Per-op costs are heavy-tailed; a rank-bounded sketch p95 stays
-		// within the exact p90..max value band.
-		if lo, hi := sr.e.Quantile(0.90), sr.e.Max(); sp < lo || sp > hi {
-			t.Errorf("%s sketch p95 %v outside exact [p90 %v, max %v] (exact p95 %v)",
-				sr.name, sp, lo, hi, ep)
-		}
-	}
-	if exact.OpCosts.ClassMsgs != sketch.OpCosts.ClassMsgs {
-		t.Error("per-class histograms diverged between modes (they are exact in both)")
-	}
-	hasClassData := false
-	for c := range exact.OpCosts.ClassMsgs {
-		if exact.OpCosts.ClassMsgs[c].N() > 0 {
-			hasClassData = true
-		}
-	}
-	if !hasClassData {
-		t.Error("no per-class histogram data recorded")
 	}
 }
 

@@ -72,9 +72,9 @@ type (
 )
 
 // Streaming statistics types: the fixed-memory accumulators behind
-// SimConfig.ExactSamples=false (the default), which keep wide-range -full
-// sweeps (N up to 2^16 and beyond) in memory. All of them Merge
-// deterministically in submission order.
+// SimConfig.SampleOpCosts, which keep wide-range -full sweeps (N up to
+// 2^16 and beyond) in memory. All of them Merge deterministically in
+// submission order.
 type (
 	// Digest is a fixed-memory, deterministically mergeable quantile
 	// sketch (t-digest-style centroids; exact count/mean/min/max).
@@ -82,11 +82,10 @@ type (
 	// Hist is a bounded log-scale histogram (exactly mergeable; used for
 	// per-traffic-class message counts).
 	Hist = metrics.Hist
-	// CostDist is one cost series summarized exactly (retained history)
-	// or by sketch, per SimConfig.ExactSamples.
-	CostDist = metrics.Dist
 	// SimOpCosts is a simulation's per-operation cost distributions (join/
-	// leave messages and rounds, plus per-class message histograms).
+	// leave messages and rounds, plus per-class message histograms). The
+	// zero value is empty; aggregate runs into one via Merge, in a fixed
+	// run order to keep aggregates deterministic at any parallelism.
 	SimOpCosts = sim.OpCosts
 	// TrafficClass labels a category of protocol traffic (walk, exchange,
 	// cascade, ...).
@@ -96,11 +95,6 @@ type (
 // NumTrafficClasses is the number of traffic classes (SimOpCosts.ClassMsgs
 // has one histogram per class).
 const NumTrafficClasses = metrics.NumClasses
-
-// NewSimOpCosts returns an empty per-operation cost accumulator in the
-// given mode, for aggregating OpCosts across runs via Merge (merge in a
-// fixed run order to keep aggregates deterministic at any parallelism).
-func NewSimOpCosts(exact bool) SimOpCosts { return sim.NewOpCosts(exact) }
 
 // Merge strategies (see DESIGN.md on the paper's ambiguity).
 const (
@@ -211,53 +205,47 @@ func Experiments() map[string]func(ExperimentScale) (*ExperimentTable, error) {
 // ExperimentIDs returns the registry keys in canonical order.
 func ExperimentIDs() []string { return experiments.IDs() }
 
-// RunExperiments executes the named experiments concurrently on the
-// worker pool — fanning across experiments on top of each experiment's
-// own cell fan-out — and returns their tables positionally aligned with
-// ids. Tables are byte-identical to a serial sweep at any parallelism.
+// RunExperiments executes the named experiments concurrently on
+// Workers(s.Parallel) workers — fanning across experiments on top of each
+// experiment's own cell fan-out — and returns their tables positionally
+// aligned with ids. Tables are byte-identical to a serial sweep at any
+// worker count, and a non-nil s.Journal checkpoints every cell.
 func RunExperiments(ids []string, s ExperimentScale) ([]*ExperimentTable, error) {
 	return experiments.RunMany(ids, s)
 }
 
-// SetParallelism fixes the experiment worker-pool size: 1 forces serial
-// execution, p > 1 uses exactly p workers, p <= 0 restores the default
-// (NOWBENCH_PARALLEL, then GOMAXPROCS). Output tables are byte-identical
-// at any setting; only wall-clock changes.
-func SetParallelism(p int) { experiments.SetParallelism(p) }
+// Workers resolves an experiment worker-count setting
+// (ExperimentScale.Parallel, the parallel argument of ForEachRun): p > 0
+// is exactly p workers, 0 means GOMAXPROCS.
+func Workers(p int) int { return experiments.Workers(p) }
 
-// Parallelism reports the experiment worker-pool size currently in
-// effect.
-func Parallelism() int { return experiments.Parallelism() }
-
-// ForEachRun fans count independent runs across the experiment worker
-// pool (body receives the run index). Callers must make each run
+// ForEachRun fans count independent runs across Workers(parallel) workers
+// (body receives the run index). Callers must make each run
 // self-contained — own world, own seed — and collect results into
 // index-addressed storage.
-func ForEachRun(count int, body func(i int) error) error {
-	return experiments.ForEach(count, body)
+func ForEachRun(parallel, count int, body func(i int) error) error {
+	return experiments.ForEach(parallel, count, body)
 }
 
+// CheckpointJournal is an open per-cell result journal. A sweep
+// checkpoints through it when it is set as ExperimentScale.Journal;
+// Close it when the sweep is done.
+type CheckpointJournal = experiments.Journal
+
 // OpenCheckpointJournal opens (creating or resuming) a per-cell result
-// journal and installs it for subsequent experiment runs: completed sweep
-// cells are appended as JSON lines and served from the journal on the
-// next run, so an interrupted long sweep resumes from its last completed
-// cell with byte-identical tables. fingerprint must capture the run
-// configuration (see cmd/nowbench); a journal recorded under a different
-// fingerprint is refused. nowMillis (optional, may be nil) supplies
-// wall-clock timing for benchmark trajectories.
-func OpenCheckpointJournal(path, fingerprint string, nowMillis func() int64) error {
+// journal: completed sweep cells are appended as JSON lines and served
+// from the journal on the next run, so an interrupted long sweep resumes
+// from its last completed cell with byte-identical tables. fingerprint
+// must capture the run configuration (see cmd/nowbench); a journal
+// recorded under a different fingerprint is refused. nowMillis (optional,
+// may be nil) supplies wall-clock timing for benchmark trajectories
+// (CheckpointJournal.BenchTrajectory).
+func OpenCheckpointJournal(path, fingerprint string, nowMillis func() int64) (*CheckpointJournal, error) {
 	return experiments.OpenJournal(path, fingerprint, nowMillis)
 }
 
-// CloseCheckpointJournal uninstalls and closes the active journal.
-func CloseCheckpointJournal() error { return experiments.CloseJournal() }
-
 // BenchPoint is one sweep cell's wall-clock timing.
 type BenchPoint = experiments.BenchPoint
-
-// BenchTrajectory reports the active journal's per-cell timings (keys
-// sorted) for BENCH_*.json emission.
-func BenchTrajectory() ([]BenchPoint, int64, bool) { return experiments.BenchTrajectory() }
 
 // QuickScale is the CI-sized experiment scale.
 func QuickScale() ExperimentScale { return experiments.QuickScale() }
