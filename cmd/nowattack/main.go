@@ -44,7 +44,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.Float64Var(&c.k, "k", 5, "cluster size security parameter K")
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 0,
 		"decide this many ops per time step and run them as one batch (0/1 = classic driver)")
-	fs.BoolVar(&c.grouped, "grouped-cascade", false, "use the grouped leave-cascade variant")
+	fs.BoolVar(&c.grouped, "grouped-cascade", nowover.DefaultConfig(0).GroupedCascade, "run each leave's cascade as one grouped shuffle round; =false runs Algorithm 2's per-receiver cascade, the paper-faithful reference")
 	fs.StringVar(&c.benchJSON, "bench-json", "",
 		"run the hooked arm matrix (classic / batched, per cascade mode) and write machine-readable results to this path")
 	if err := fs.Parse(args); err != nil {

@@ -19,7 +19,7 @@ func TestParseConfigDefaults(t *testing.T) {
 	if !reflect.DeepEqual(c.selected, nowover.ExperimentIDs()) {
 		t.Errorf("default selection = %v, want all experiment IDs", c.selected)
 	}
-	if c.seed != 1 || c.grouped || c.full || c.parallel != 0 || c.maxN != 0 || c.opsPerStep != 0 {
+	if c.seed != 1 || c.grouped != nowover.DefaultConfig(0).GroupedCascade || c.full || c.parallel != 0 || c.maxN != 0 || c.opsPerStep != 0 {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
 }
@@ -116,6 +116,8 @@ func TestParseConfigMaxN2e20(t *testing.T) {
 // TestFingerprintMatchesCommittedJournal pins journal resumability: the
 // flags that recorded results/sweep2e20.journal must reproduce its header
 // fingerprint exactly, or re-running that sweep would refuse the journal.
+// The journal was recorded with the per-receiver cascade, so its flags
+// name -grouped-cascade=false.
 func TestFingerprintMatchesCommittedJournal(t *testing.T) {
 	f, err := os.Open(filepath.Join("..", "..", "results", "sweep2e20.journal"))
 	if err != nil {
@@ -128,7 +130,7 @@ func TestFingerprintMatchesCommittedJournal(t *testing.T) {
 	if err := json.NewDecoder(f).Decode(&header); err != nil {
 		t.Fatalf("journal header: %v", err)
 	}
-	c, err := parseConfig([]string{"-full", "-max-n", "1048576", "-exp", "E4,E5"})
+	c, err := parseConfig([]string{"-full", "-max-n", "1048576", "-exp", "E4,E5", "-grouped-cascade=false"})
 	if err != nil {
 		t.Fatal(err)
 	}

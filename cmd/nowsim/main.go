@@ -72,7 +72,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.IntVar(&c.runs, "runs", 1, "independent replicas to run (seeds seed..seed+runs-1)")
 	fs.IntVar(&c.parallel, "parallel", 0, "worker count for -runs: 1 = serial, 0 = GOMAXPROCS")
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 1, "operations per time step: > 1 decides them together and runs them as one batch, settled once")
-	fs.BoolVar(&c.grouped, "grouped-cascade", false, "batch each leave's cascade into one grouped shuffle round over the receiver set (~|C| write footprint instead of ~|C|^2)")
+	fs.BoolVar(&c.grouped, "grouped-cascade", nowover.DefaultConfig(0).GroupedCascade, "batch each leave's cascade into one grouped shuffle round over the receiver set (~|C| write footprint instead of ~|C|^2); =false runs Algorithm 2's per-receiver cascade, the paper-faithful reference")
 	c.prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err

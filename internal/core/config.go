@@ -50,9 +50,9 @@ func (m MergeStrategy) String() string {
 	}
 }
 
-// Config parameterizes a NOW world. DefaultConfig supplies paper-faithful
-// settings; zero values are rejected by validation so misconfiguration is
-// loud.
+// Config parameterizes a NOW world. DefaultConfig supplies the paper's
+// settings with the grouped leave cascade; zero values are rejected by
+// validation so misconfiguration is loud.
 type Config struct {
 	// N is the maximum network size (the paper's name-space bound); the
 	// live size n is expected to stay within [sqrt(N), N].
@@ -98,8 +98,11 @@ type Config struct {
 	// exchange.CascadeRound) — instead of a full exchange per receiver,
 	// shrinking a leave's write footprint from ~|C|^2 to ~|C| clusters
 	// and its round cost by the cluster size. Cascade traffic is charged
-	// to metrics.ClassCascade. Only meaningful with LeaveCascade; false
-	// keeps Algorithm 2's per-receiver cascade byte-identically.
+	// to metrics.ClassCascade. Only meaningful with LeaveCascade.
+	// DefaultConfig sets it: the round still re-samples every receiver
+	// uniformly, which is all Lemma 1 and Theorem 3 ask of a cascade.
+	// false selects Algorithm 2's per-receiver cascade, the paper-faithful
+	// reference, byte-identically.
 	GroupedCascade bool
 	// ExchangeOnJoin enables the full-cluster exchange after an insertion
 	// (section 3.3 Join). Disabling it is an ablation that reproduces the
@@ -124,8 +127,12 @@ type Config struct {
 	Shards int
 }
 
-// DefaultConfig returns paper-faithful parameters for maximum size n,
-// with Algorithm 2's per-receiver leave cascade.
+// DefaultConfig returns the paper's parameters for maximum size n, with
+// the grouped leave cascade (GroupedCascade). Setting GroupedCascade to
+// false gives the paper-faithful configuration: Algorithm 2's
+// per-receiver cascade. DefaultConfig is the single source of the
+// cascade default; the experiment scales and the CLIs' -grouped-cascade
+// flags read it from here.
 func DefaultConfig(maxN int) Config {
 	return Config{
 		N:                  maxN,
@@ -140,6 +147,7 @@ func DefaultConfig(maxN int) Config {
 		Generator:          randnum.Ideal{},
 		MergeStrategy:      MergeAbsorbRandom,
 		LeaveCascade:       true,
+		GroupedCascade:     true,
 		ExchangeOnJoin:     true,
 		ExchangeOnLeave:    true,
 		OverlayRepair:      true,

@@ -174,9 +174,11 @@ type Scale struct {
 	// 1 keeps the classic driver and the recorded baseline tables.
 	OpsPerStep int
 	// GroupedCascade runs every world's leave cascade as one grouped
-	// shuffle round per leave (core.Config.GroupedCascade) instead of
-	// Algorithm 2's full exchange per receiver. Tables stay deterministic
-	// but differ from the per-receiver tables.
+	// shuffle round per leave (core.Config.GroupedCascade). QuickScale and
+	// FullScale take it from core.DefaultConfig, so it is on by default;
+	// false runs Algorithm 2's full exchange per receiver, the
+	// paper-faithful reference (results/golden/quick_per_receiver.txt).
+	// Tables stay deterministic in either mode but differ between them.
 	GroupedCascade bool
 	// Parallel is the worker count for the run's cells and, in RunMany,
 	// its experiments: 1 is serial, 0 means GOMAXPROCS (see Workers).
@@ -228,25 +230,31 @@ func (s Scale) ExtendTo(maxN int) (Scale, error) {
 	return s, nil
 }
 
+// defaultGrouped is core.DefaultConfig's leave-cascade mode (it does not
+// depend on the size bound).
+func defaultGrouped() bool { return core.DefaultConfig(0).GroupedCascade }
+
 // QuickScale is the default used by `go test -bench` and CI.
 func QuickScale() Scale {
 	return Scale{
-		Ns:        []int{256, 512, 1024},
-		OpsFactor: 1,
-		Trials:    3,
-		Walks:     400,
-		Seed:      1,
+		Ns:             []int{256, 512, 1024},
+		OpsFactor:      1,
+		Trials:         3,
+		Walks:          400,
+		Seed:           1,
+		GroupedCascade: defaultGrouped(),
 	}
 }
 
 // FullScale is the long-running setting.
 func FullScale() Scale {
 	return Scale{
-		Ns:        []int{256, 512, 1024, 2048, 4096},
-		OpsFactor: 4,
-		Trials:    5,
-		Walks:     2000,
-		Seed:      1,
+		Ns:             []int{256, 512, 1024, 2048, 4096},
+		OpsFactor:      4,
+		Trials:         5,
+		Walks:          2000,
+		Seed:           1,
+		GroupedCascade: defaultGrouped(),
 	}
 }
 

@@ -14,10 +14,12 @@ var update = flag.Bool("update", false, "rewrite results/golden/*.txt from the c
 
 // TestGoldenQuickTables byte-diffs every experiment table (E1-E12, A1-A4,
 // in ID order) at QuickScale, seed 1, against results/golden: one file per
-// leave-cascade mode. Any change to a rendered table fails here; a change
-// that means to move a table re-records it with
+// leave-cascade mode. quick.txt is the default (grouped) rendering;
+// quick_per_receiver.txt is Algorithm 2's per-receiver cascade, the
+// paper-faithful reference. Any change to a rendered table fails here; a
+// change that means to move a table re-records it with
 //
-//	go test -run TestGoldenQuickTables -update ./internal/experiments
+//	go test ./internal/experiments -run TestGoldenQuickTables -update
 //
 // and the diff of results/golden shows what moved. Two quick sweeps take
 // several seconds, so the test stays out of -short.
@@ -29,8 +31,8 @@ func TestGoldenQuickTables(t *testing.T) {
 		file    string
 		grouped bool
 	}{
-		{"quick.txt", false},
-		{"quick_grouped.txt", true},
+		{"quick.txt", true},
+		{"quick_per_receiver.txt", false},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			s := QuickScale()

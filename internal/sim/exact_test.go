@@ -50,12 +50,23 @@ func exactRun(t *testing.T, cfg Config, units, unitSteps int) string {
 
 // resizeConfig swings a small world between 64 and 384 nodes, the
 // churn_resize shape: splits on the way up, merges on the way down.
-func resizeConfig() Config {
-	cfg := exactConfig(false, 0)
-	cfg.Core = core.DefaultConfig(512)
-	cfg.Core.Seed = 1
+func resizeConfig(grouped bool) Config {
+	cfg := exactConfig(grouped, 0)
+	cfg.Core.N = 512
 	cfg.InitialSize = 64
 	cfg.Schedule = workload.Oscillate{Lo: 64, Hi: 384, Period: 640}
+	return cfg
+}
+
+// defaultConfig is the churn_large-shaped world with core.DefaultConfig's
+// leave cascade left as it is.
+func defaultConfig(t *testing.T) Config {
+	cfg := exactConfig(false, 0)
+	cfg.Core = core.DefaultConfig(2048)
+	cfg.Core.Seed = 1
+	if !cfg.Core.GroupedCascade {
+		t.Fatal("core.DefaultConfig no longer runs the grouped leave cascade")
+	}
 	return cfg
 }
 
@@ -107,8 +118,14 @@ func TestHotPathExactness(t *testing.T) {
 		// The steady cases never split or merge; a size wave does both, so
 		// the structural charges (split, merge announcements) are pinned too.
 		// One Continue: the wave is indexed by the step within a call.
-		{"resize", resizeConfig(), 1, 640,
+		{"resize", resizeConfig(false), 1, 640,
 			"intra-cluster=13760 inter-cluster=604664362 walk=260652481 randnum=1257369604 exchange=30049606 discovery=12288 agreement=628687874 application=0 cascade=0 transport=0 rounds=8606678 stats={Joins:321 Leaves:319 Splits:12 Merges:11 Rejoins:0 Swaps:115530 HijackedWalks:0 DegradedEvents:46 CapturedEvents:0 MaxByzFractionEver:0.46153846153846156} members=0xd1e37ef9454485c7"},
+		{"resize-grouped", resizeConfig(true), 1, 640,
+			"intra-cluster=13558 inter-cluster=150540272 walk=55452133 randnum=279650856 exchange=5807025 discovery=12288 agreement=139828500 application=0 cascade=1330284 transport=0 rounds=1610566 stats={Joins:321 Leaves:319 Splits:11 Merges:11 Rejoins:0 Swaps:29766 HijackedWalks:0 DegradedEvents:19 CapturedEvents:0 MaxByzFractionEver:0.4444444444444444} members=0xc42562903120733a"},
+		// The default arm pins what core.DefaultConfig runs: the grouped
+		// cascade, so it must match the grouped arm above.
+		{"default", defaultConfig(t), 8, 8,
+			"intra-cluster=1373 inter-cluster=35407449 walk=11293518 randnum=48856448 exchange=1192464 discovery=5242880 agreement=24755904 application=0 cascade=460008 transport=0 rounds=294859 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:3780 HijackedWalks:0 DegradedEvents:7 CapturedEvents:1 MaxByzFractionEver:0.5} members=0xdc8fa30ef2524d6f"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

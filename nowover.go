@@ -189,7 +189,9 @@ type (
 	ExperimentScale = experiments.Scale
 )
 
-// DefaultConfig returns paper-faithful parameters for name-space bound N.
+// DefaultConfig returns the paper's parameters for name-space bound N,
+// with the grouped leave cascade; set GroupedCascade to false for
+// Algorithm 2's per-receiver cascade.
 func DefaultConfig(maxN int) Config { return core.DefaultConfig(maxN) }
 
 // Experiments returns the experiment registry (E1-E12 + ablations).
