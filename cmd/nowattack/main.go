@@ -43,7 +43,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.StringVar(&c.attack, "attack", "joinleave", "attack: joinleave | dos")
 	fs.Float64Var(&c.k, "k", 5, "cluster size security parameter K")
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 0,
-		"decide this many ops per time step and run them as one batch (0/1 = classic driver)")
+		"decide this many ops per time step and run them as one batch (0 and 1 both run one op per step)")
 	fs.BoolVar(&c.grouped, "grouped-cascade", nowover.DefaultConfig(0).GroupedCascade, "run each leave's cascade as one grouped shuffle round; =false runs Algorithm 2's per-receiver cascade, the paper-faithful reference")
 	fs.StringVar(&c.benchJSON, "bench-json", "",
 		"run the hooked arm matrix (classic / batched, per cascade mode) and write machine-readable results to this path")
@@ -107,12 +107,12 @@ type benchArm struct {
 	CapturedDwellPct float64 `json:"captured_dwell_pct"`
 }
 
-// runBench executes the hooked arm matrix — the classic one-op driver
-// and the batched driver, both with the hijacker installed, in each
-// cascade mode — and writes the results to c.benchJSON. Wall-clock is per
-// whole arm (the only timing cmd-level code can take; finer timing would
-// need the simulation core to read the wall clock, which the determinism
-// lint forbids).
+// runBench executes the hooked arm matrix — one op per step
+// ("classic-hooked") and -ops-per-step ops per step (default 8), both
+// with the hijacker installed, in each cascade mode — and writes the
+// results to c.benchJSON. Wall-clock is per whole arm (the only timing
+// cmd-level code can take; finer timing would need the simulation core
+// to read the wall clock, which the determinism lint forbids).
 func (c *config) runBench() error {
 	ops := c.opsPerStep
 	if ops <= 1 {

@@ -65,7 +65,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.IntVar(&c.parallel, "parallel", 0, "experiment worker count: 1 = serial, 0 = GOMAXPROCS")
 	fs.BoolVar(&c.grouped, "grouped-cascade", nowover.DefaultConfig(0).GroupedCascade, "batch leave cascades into one grouped shuffle round per leave (~|C| write footprint instead of ~|C|^2); =false runs Algorithm 2's per-receiver cascade, the paper-faithful reference (results/golden/quick_per_receiver.txt)")
 	fs.IntVar(&c.maxN, "max-n", 0, "extend the N sweep by doubling the top size up to this bound (e.g. 65536 for the 2^16 separation sweep, 1048576 for the 2^20 run); must be a power-of-two multiple of the scale's top size; 0 keeps the selected scale's grid")
-	fs.IntVar(&c.opsPerStep, "ops-per-step", 0, "decide this many adversary-cell operations per time step and run them as one batch, settled once (A2/A4 run hooked through the batched driver; a deterministic but distinct trajectory from the classic driver, and per-operation cost columns are unavailable); 0/1 keeps the classic driver and the recorded baseline tables")
+	fs.IntVar(&c.opsPerStep, "ops-per-step", 0, "decide this many adversary-cell operations per time step and run them as one batch, settled once (A2/A4; above 1 a deterministic but distinct trajectory, and per-operation cost columns are unavailable); 0 and 1 both run one op per step, the recorded baseline tables")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "per-cell result journal: completed sweep cells are appended here and served from it on the next run, so an interrupted sweep resumes from its last completed cell with byte-identical tables; the journal is bound to the run configuration (seed/scale/mode flags) and refuses to resume under a different one")
 	fs.StringVar(&c.benchJSON, "bench-json", "", "write per-cell wall-clock timings (from the -checkpoint journal) as JSON, so future changes prove speedups against a recorded trajectory; requires -checkpoint")
 	c.prof.Register(fs)
@@ -105,7 +105,7 @@ func (c *config) fingerprint(scale nowover.ExperimentScale) string {
 	fp := fmt.Sprintf("ns=%v of=%g trials=%d walks=%d seed=%d exact=false shards=1 grouped=%v",
 		scale.Ns, scale.OpsFactor, scale.Trials, scale.Walks,
 		scale.Seed, scale.GroupedCascade)
-	// The batched-driver marker is appended only when active so journals
+	// The ops marker is appended only above one op per step so journals
 	// recorded before the flag existed (ops-per-step 0) still resume.
 	if scale.OpsPerStep > 1 {
 		fp += fmt.Sprintf(" ops=%d", scale.OpsPerStep)

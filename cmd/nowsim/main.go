@@ -214,7 +214,7 @@ func run(args []string) (err error) {
 		res.Stats.HijackedWalks)
 	fmt.Printf("degraded steps: %d/%d  captured steps: %d/%d\n",
 		res.DegradedSteps, res.Steps, res.CapturedSteps, res.Steps)
-	if res.BatchedOps > 0 {
+	if c.opsPerStep > 1 {
 		fmt.Printf("batches: %d batched ops (%d skipped: target vanished)\n",
 			res.BatchedOps, res.SkippedOps)
 	}

@@ -266,9 +266,8 @@ func (s *DOSAttack) Decide(v View, r *xrand.Rand, dir Direction) Op {
 // mutation happens on the batch lifecycle — BeginBatch re-fixates the
 // target against the pre-batch world through the strategy's
 // commit-scoped Target, and CommitOp folds the hook's ratchet counters in
-// op order after the batch's last op. Under the classic
-// one-op-per-step drivers the same split holds with the strategy's Decide
-// call playing BeginBatch's refresh role.
+// op order after the batch's last op. The sim runs every time step, one
+// op or several, through this lifecycle.
 type CapturedHijacker struct {
 	// View is the adversary's full-information world view (core.World).
 	View View

@@ -291,11 +291,9 @@ func (v *countView) RandomCluster(*xrand.Rand) (ids.ClusterID, bool)    { return
 func TestJoinLeaveAttackTargetDeterministicAcrossSplitSubstreams(t *testing.T) {
 	// Two identical worlds, two strategies, decision randomness drawn
 	// from substreams split off one base stream with equal labels: the
-	// fixation ratchet and the full op sequence must match exactly. This
-	// is the property the batched driver's per-op substream discipline
-	// stands on — Target/PlanTarget never consume randomness, so the
-	// fixation cannot depend on which substream (or how much of it) each
-	// op consumed.
+	// fixation ratchet and the full op sequence must match exactly:
+	// Target/PlanTarget never consume randomness, so the fixation cannot
+	// depend on which stream (or how much of it) each decision consumed.
 	w1 := view(t, 300, 0.2)
 	w2 := view(t, 300, 0.2)
 	s1 := &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.25}}

@@ -87,7 +87,8 @@ func leaveFootprint(t *testing.T, w *World, x ids.NodeID, seed uint64) (writes i
 	}
 	c, _ := w.ClusterOf(x)
 	merges := w.Stats().Merges
-	if err := w.leaveWith(w.led, xrand.New(seed), x, false); err != nil {
+	w.rng = xrand.New(seed)
+	if err := w.leaveWith(x); err != nil {
 		t.Fatal(err)
 	}
 	return len(w.settleQueue), w.hasCluster(c) && w.Stats().Merges == merges

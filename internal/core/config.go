@@ -50,6 +50,19 @@ func (m MergeStrategy) String() string {
 	}
 }
 
+// The overlay's shape (OVER Property 2) and randCl's restart bound are
+// constants; no experiment varies them.
+const (
+	// overlayAlpha is the overlay degree exponent: the target degree is
+	// log2(N)^(1+overlayAlpha).
+	overlayAlpha = 0.25
+	// degreeCapFactor sets the hard maximum degree as a multiple of the
+	// target degree (Property 2's constant c).
+	degreeCapFactor = 3
+	// maxWalkRestarts bounds randCl rejection restarts.
+	maxWalkRestarts = 32
+)
+
 // Config parameterizes a NOW world. DefaultConfig supplies the paper's
 // settings with the grouped leave cascade; zero values are rejected by
 // validation so misconfiguration is loud.
@@ -68,20 +81,9 @@ type Config struct {
 	// above K*L*log2(N) members and merges below K*log2(N)/L.
 	L float64
 
-	// Alpha is the overlay degree exponent: target degree is
-	// DegreeFactor * log2(N)^(1+Alpha) (OVER Property 2).
-	Alpha float64
-	// DegreeFactor scales the overlay target degree.
-	DegreeFactor float64
-	// DegreeCapFactor sets the hard maximum degree as a multiple of the
-	// target degree (Property 2's constant c).
-	DegreeCapFactor float64
-
 	// WalkDurationFactor scales CTRW segment durations (expected hops
 	// ~ factor * log2(#C)^2, the paper's O(log^2 n) walk length).
 	WalkDurationFactor float64
-	// MaxWalkRestarts bounds randCl rejection restarts.
-	MaxWalkRestarts int
 
 	// Generator is the randNum construction (Ideal or CommitReveal).
 	Generator randnum.Generator
@@ -139,11 +141,7 @@ func DefaultConfig(maxN int) Config {
 		Seed:               1,
 		K:                  2,
 		L:                  2,
-		Alpha:              0.25,
-		DegreeFactor:       1,
-		DegreeCapFactor:    3,
 		WalkDurationFactor: 0.5,
-		MaxWalkRestarts:    32,
 		Generator:          randnum.Ideal{},
 		MergeStrategy:      MergeAbsorbRandom,
 		LeaveCascade:       true,
@@ -164,16 +162,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: K=%v must be positive", c.K)
 	case c.L <= math.Sqrt2:
 		return fmt.Errorf("core: L=%v must exceed sqrt(2)", c.L)
-	case c.Alpha < 0:
-		return fmt.Errorf("core: Alpha=%v must be non-negative", c.Alpha)
-	case c.DegreeFactor <= 0:
-		return fmt.Errorf("core: DegreeFactor=%v must be positive", c.DegreeFactor)
-	case c.DegreeCapFactor < 1:
-		return fmt.Errorf("core: DegreeCapFactor=%v must be >= 1", c.DegreeCapFactor)
 	case c.WalkDurationFactor <= 0:
 		return fmt.Errorf("core: WalkDurationFactor=%v must be positive", c.WalkDurationFactor)
-	case c.MaxWalkRestarts < 1:
-		return fmt.Errorf("core: MaxWalkRestarts=%d must be >= 1", c.MaxWalkRestarts)
 	case c.Generator == nil:
 		return fmt.Errorf("core: nil Generator")
 	case c.EdgeAttemptFactor < 1:
@@ -212,9 +202,9 @@ func (c Config) MergeThreshold() int {
 }
 
 // TargetDegree returns OVER's target overlay degree
-// DegreeFactor*log2(N)^(1+Alpha), minimum 3.
+// log2(N)^(1+overlayAlpha), minimum 3.
 func (c Config) TargetDegree() int {
-	d := int(math.Round(c.DegreeFactor * math.Pow(c.LogN(), 1+c.Alpha)))
+	d := int(math.Round(math.Pow(c.LogN(), 1+overlayAlpha)))
 	if d < 3 {
 		d = 3
 	}
@@ -223,7 +213,7 @@ func (c Config) TargetDegree() int {
 
 // DegreeCap returns OVER's hard maximum degree.
 func (c Config) DegreeCap() int {
-	return int(math.Round(c.DegreeCapFactor * float64(c.TargetDegree())))
+	return int(math.Round(degreeCapFactor * float64(c.TargetDegree())))
 }
 
 // DegreeFloor returns OVER's repair floor (half the target).

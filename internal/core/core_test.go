@@ -33,11 +33,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.N = 4 },
 		func(c *Config) { c.K = 0 },
 		func(c *Config) { c.L = 1.2 },
-		func(c *Config) { c.Alpha = -1 },
-		func(c *Config) { c.DegreeFactor = 0 },
-		func(c *Config) { c.DegreeCapFactor = 0.5 },
 		func(c *Config) { c.WalkDurationFactor = 0 },
-		func(c *Config) { c.MaxWalkRestarts = 0 },
 		func(c *Config) { c.Generator = nil },
 		func(c *Config) { c.EdgeAttemptFactor = 0 },
 	}

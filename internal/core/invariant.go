@@ -22,10 +22,9 @@ import (
 //   - the overlay vertex set and the cluster set are identical.
 //
 // It is the reusable oracle for the randomized-op, fuzz and batch test
-// layers, valid for the classic and the batched drivers alike: a batch
-// runs its ops one by one on the classic path, so these invariants hold
-// at every batch boundary exactly as they do after every classic
-// operation.
+// layers, valid for the one-op API and ExecBatch alike: a batch runs its
+// ops one by one through the one-op code, so these invariants hold at
+// every batch boundary exactly as they do after every one-op call.
 func CheckInvariants(w *World) error {
 	if err := w.CheckConsistency(); err != nil {
 		return err

@@ -8,13 +8,7 @@ import (
 	"nowover/internal/metrics"
 	"nowover/internal/randnum"
 	"nowover/internal/walk"
-	"nowover/internal/xrand"
 )
-
-// The maintenance operations take the ledger and random stream they charge
-// and draw from, plus whether to settle security when they finish. The
-// public one-op API passes (w.led, w.rng, settle=true); ExecBatch passes
-// the same ledger and stream with settle=false and settles once per batch.
 
 // Bootstrap runs the initialization phase (paper section 3.2) at size n0:
 // network discovery, Byzantine-agreement clusterization by a representative
@@ -129,14 +123,24 @@ func (w *World) JoinAuto(byz bool) (ids.NodeID, error) {
 // exceeded the threshold. Returns the new node's ID.
 func (w *World) Join(byz bool, contact ids.ClusterID) (ids.NodeID, error) {
 	x := w.nodeAlloc.NextNode()
-	if err := w.joinExisting(w.led, w.rng, x, byz, contact, true); err != nil {
+	if err := w.settled(w.joinExisting(x, byz, contact)); err != nil {
 		return 0, err
 	}
 	return x, nil
 }
 
+// settled settles security after a one-op API call whose internal op
+// returned err, when err is nil, and passes err through. ExecBatch runs
+// the same internal ops unsettled and settles once per batch.
+func (w *World) settled(err error) error {
+	if err == nil {
+		w.settleSecurity()
+	}
+	return err
+}
+
 // joinExisting inserts a specific node identity (fresh or rejoining).
-func (w *World) joinExisting(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, byz bool, contact ids.ClusterID, settle bool) error {
+func (w *World) joinExisting(x ids.NodeID, byz bool, contact ids.ClusterID) error {
 	if !w.bootstrapped {
 		return fmt.Errorf("core: join before bootstrap")
 	}
@@ -146,7 +150,7 @@ func (w *World) joinExisting(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID,
 	if !w.hasCluster(contact) {
 		return fmt.Errorf("core: join contact %v is not a cluster: %w", contact, ErrUnknownCluster)
 	}
-	out, err := w.walker.Biased(led, rng, contact)
+	out, err := w.walker.Biased(w.led, w.rng, contact)
 	if err != nil {
 		return fmt.Errorf("core: join walk: %w", err)
 	}
@@ -158,46 +162,43 @@ func (w *World) joinExisting(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID,
 		return err
 	}
 	w.registerNode(x, byz, target)
-	w.chargeInsertion(led, target)
+	w.chargeInsertion(target)
 
 	if w.cfg.ExchangeOnJoin {
-		rep, err := w.exch.Run(led, rng, target)
+		rep, err := w.exch.Run(w.led, w.rng, target)
 		if err != nil {
 			return fmt.Errorf("core: join exchange: %w", err)
 		}
 		w.stats.HijackedWalks += int64(rep.Hijacked)
 	}
 	if w.Size(target) > w.cfg.SplitThreshold() {
-		if err := w.split(led, rng, target); err != nil {
+		if err := w.split(target); err != nil {
 			return fmt.Errorf("core: join split: %w", err)
 		}
 	}
 	w.stats.Joins++
-	if settle {
-		w.settleSecurity()
-	}
 	return nil
 }
 
 // chargeInsertion charges the cost of installing one node into cluster c:
 // the cluster's members update their views, adjacent clusters are informed,
 // and the node downloads its cluster and neighborhood composition.
-func (w *World) chargeInsertion(led *metrics.Ledger, c ids.ClusterID) {
+func (w *World) chargeInsertion(c ids.ClusterID) {
 	size := int64(w.Size(c))
-	led.Charge(metrics.ClassIntraCluster, size-1)
+	w.led.Charge(metrics.ClassIntraCluster, size-1)
 	nbr := walk.NeighborMass(w, c)
-	led.Charge(metrics.ClassInterCluster, size*nbr+size+nbr)
-	led.AddRounds(2)
+	w.led.Charge(metrics.ClassInterCluster, size*nbr+size+nbr)
+	w.led.AddRounds(2)
 }
 
 // chargeDeparture charges the cost of detecting one departure from c and
 // cleaning up views: the remaining members all notice, and every adjacent
 // cluster is told the new composition. Call BEFORE removing the node.
-func (w *World) chargeDeparture(led *metrics.Ledger, c ids.ClusterID) {
+func (w *World) chargeDeparture(c ids.ClusterID) {
 	size := int64(w.Size(c))
-	led.Charge(metrics.ClassIntraCluster, size-1)
-	led.Charge(metrics.ClassInterCluster, (size-1)*walk.NeighborMass(w, c))
-	led.AddRounds(2)
+	w.led.Charge(metrics.ClassIntraCluster, size-1)
+	w.led.Charge(metrics.ClassInterCluster, (size-1)*walk.NeighborMass(w, c))
+	w.led.AddRounds(2)
 }
 
 // Leave executes the paper's Leave operation (Algorithm 2): the cluster
@@ -207,10 +208,10 @@ func (w *World) chargeDeparture(led *metrics.Ledger, c ids.ClusterID) {
 // receiver set — see exchange.CascadeRound), and merges if it fell below
 // the threshold.
 func (w *World) Leave(x ids.NodeID) error {
-	return w.leaveWith(w.led, w.rng, x, true)
+	return w.settled(w.leaveWith(x))
 }
 
-func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, settle bool) error {
+func (w *World) leaveWith(x ids.NodeID) error {
 	if !w.bootstrapped {
 		return fmt.Errorf("core: leave before bootstrap")
 	}
@@ -219,7 +220,7 @@ func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, se
 		return fmt.Errorf("core: leave of node %v: %w", x, ErrUnknownNode)
 	}
 	c := info.cluster
-	w.chargeDeparture(led, c)
+	w.chargeDeparture(c)
 
 	if err := w.removeMember(c, x, info.byz); err != nil {
 		return err
@@ -229,22 +230,19 @@ func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, se
 	if w.Size(c) == 0 {
 		// Pathological: cluster emptied (only possible with tiny
 		// configurations); retire it from the overlay.
-		w.removeClusterVertex(led, rng, c)
+		w.removeClusterVertex(c)
 		w.stats.Leaves++
-		if settle {
-			w.settleSecurity()
-		}
 		return nil
 	}
 
 	if w.cfg.ExchangeOnLeave {
-		rep, err := w.exch.Run(led, rng, c)
+		rep, err := w.exch.Run(w.led, w.rng, c)
 		if err != nil {
 			return fmt.Errorf("core: leave exchange: %w", err)
 		}
 		w.stats.HijackedWalks += int64(rep.Hijacked)
 		if w.cfg.LeaveCascade {
-			hijacked, err := w.runLeaveCascade(led, rng, c, rep.Receivers)
+			hijacked, err := w.runLeaveCascade(c, rep.Receivers)
 			if err != nil {
 				return err
 			}
@@ -252,14 +250,11 @@ func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, se
 		}
 	}
 	if w.Size(c) < w.cfg.MergeThreshold() {
-		if err := w.merge(led, rng, c); err != nil {
+		if err := w.merge(c); err != nil {
 			return fmt.Errorf("core: leave merge: %w", err)
 		}
 	}
 	w.stats.Leaves++
-	if settle {
-		w.settleSecurity()
-	}
 	return nil
 }
 
@@ -269,12 +264,12 @@ func (w *World) leaveWith(led *metrics.Ledger, rng *xrand.Rand, x ids.NodeID, se
 // whole set (exchange.CascadeRound: the round's swaps stay inside
 // {source} ∪ receivers, so a leave writes ~|C| clusters instead of
 // ~|C|^2). Returns the hijacked-walk count to fold into stats.
-func (w *World) runLeaveCascade(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID, receivers []ids.ClusterID) (int64, error) {
+func (w *World) runLeaveCascade(c ids.ClusterID, receivers []ids.ClusterID) (int64, error) {
 	if w.cfg.GroupedCascade {
 		// CascadeRound reads the receiver list (which aliases the
 		// exchanger's Run scratch) but only writes its own separate
 		// cascade scratch, so no copy is needed.
-		rep, err := w.exch.CascadeRound(led, rng, c, receivers)
+		rep, err := w.exch.CascadeRound(w.led, w.rng, c, receivers)
 		if err != nil {
 			return 0, fmt.Errorf("core: leave cascade round: %w", err)
 		}
@@ -289,7 +284,7 @@ func (w *World) runLeaveCascade(led *metrics.Ledger, rng *xrand.Rand, c ids.Clus
 		if w.Size(recv) == 0 {
 			continue // receiver dissolved (clusters are never empty)
 		}
-		rep, err := w.exch.Run(led, rng, recv)
+		rep, err := w.exch.Run(w.led, w.rng, recv)
 		if err != nil {
 			return hijacked, fmt.Errorf("core: leave cascade exchange: %w", err)
 		}
@@ -304,21 +299,18 @@ func (w *World) runLeaveCascade(led *metrics.Ledger, rng *xrand.Rand, c ids.Clus
 // use it to measure Lemma 1-3 dynamics (post-exchange composition, drift,
 // recovery) and its isolated cost (paper section 3.1).
 func (w *World) ForceExchange(c ids.ClusterID) error {
-	return w.forceExchangeWith(w.led, w.rng, c, true)
+	return w.settled(w.forceExchangeWith(c))
 }
 
-func (w *World) forceExchangeWith(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID, settle bool) error {
+func (w *World) forceExchangeWith(c ids.ClusterID) error {
 	if !w.hasCluster(c) {
 		return fmt.Errorf("core: exchange on cluster %v: %w", c, ErrUnknownCluster)
 	}
-	rep, err := w.exch.Run(led, rng, c)
+	rep, err := w.exch.Run(w.led, w.rng, c)
 	if err != nil {
 		return err
 	}
 	w.stats.HijackedWalks += int64(rep.Hijacked)
-	if settle {
-		w.settleSecurity()
-	}
 	return nil
 }
 
@@ -366,16 +358,16 @@ func (w *World) SetCorrupted(x ids.NodeID, corrupted bool) error {
 // split bipartitions an oversized cluster (section 3.3): a random half
 // stays under the old identity (keeping its overlay edges), the other half
 // becomes a fresh overlay vertex wired by OVER's Add.
-func (w *World) split(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) error {
+func (w *World) split(c ids.ClusterID) error {
 	members := w.Members(c)
 	// The partition is generated collectively: one randNum instance seeds
 	// the permutation.
-	if _, _, err := w.cfg.Generator.Draw(led, rng, randnum.Params{
+	if _, _, err := w.cfg.Generator.Draw(w.led, w.rng, randnum.Params{
 		Size: len(members), Byz: w.Byz(c), R: 1 << 30,
 	}, nil); err != nil {
 		return err
 	}
-	rng.Shuffle(len(members), func(i, j int) {
+	w.rng.Shuffle(len(members), func(i, j int) {
 		members[i], members[j] = members[j], members[i]
 	})
 	keep := (len(members) + 1) / 2
@@ -391,7 +383,7 @@ func (w *World) split(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) err
 	// OVER Add: wire the new vertex via uniform CTRWs started at the
 	// sibling (the only vertex the new cluster is guaranteed to know).
 	budget := w.cfg.TargetDegree() * w.cfg.EdgeAttemptFactor
-	added, err := w.overlay.Add(led, c2, w.uniformPickerFrom(led, rng, c), budget)
+	added, err := w.overlay.Add(w.led, c2, w.uniformPickerFrom(c), budget)
 	if err != nil {
 		return err
 	}
@@ -399,23 +391,23 @@ func (w *World) split(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) err
 
 	// Costs: neighbors of the old cluster learn the replacement; each new
 	// edge of c2 is a full bipartite introduction.
-	led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*walk.NeighborMass(w, c))
-	led.Charge(metrics.ClassInterCluster, int64(w.Size(c2))*walk.NeighborMass(w, c2))
-	led.AddRounds(2)
+	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*walk.NeighborMass(w, c))
+	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c2))*walk.NeighborMass(w, c2))
+	w.led.AddRounds(2)
 	w.stats.Splits++
 	return nil
 }
 
 // merge handles an undersized cluster per the configured strategy.
-func (w *World) merge(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) error {
+func (w *World) merge(c ids.ClusterID) error {
 	if w.nClusters <= 1 {
 		return nil // cannot merge the last cluster
 	}
 	switch w.cfg.MergeStrategy {
 	case MergeAbsorbRandom:
-		return w.mergeAbsorbRandom(led, rng, c)
+		return w.mergeAbsorbRandom(c)
 	case MergeRejoinAll:
-		return w.mergeRejoinAll(led, rng, c)
+		return w.mergeRejoinAll(c)
 	default:
 		return fmt.Errorf("core: unknown merge strategy %v", w.cfg.MergeStrategy)
 	}
@@ -424,39 +416,39 @@ func (w *World) merge(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) err
 // mergeAbsorbRandom: a random cluster C' (chosen by randCl so that OVER's
 // random-removal assumption holds) is dissolved into c, then c exchanges
 // all its nodes.
-func (w *World) mergeAbsorbRandom(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) error {
-	partner, err := w.randomOtherCluster(led, rng, c)
+func (w *World) mergeAbsorbRandom(c ids.ClusterID) error {
+	partner, err := w.randomOtherCluster(c)
 	if err != nil {
 		return err
 	}
 	// Announce C' removal to its neighbors.
-	led.Charge(metrics.ClassInterCluster, int64(w.Size(partner))*walk.NeighborMass(w, partner))
+	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(partner))*walk.NeighborMass(w, partner))
 
 	for _, x := range w.Members(partner) {
 		if err := w.moveNode(x, partner, c); err != nil {
 			return err
 		}
-		led.Charge(metrics.ClassExchange, int64(w.Size(c)))
+		w.led.Charge(metrics.ClassExchange, int64(w.Size(c)))
 	}
-	w.removeClusterVertex(led, rng, partner)
-	led.AddRounds(2)
+	w.removeClusterVertex(partner)
+	w.led.AddRounds(2)
 
-	rep, err := w.exch.Run(led, rng, c)
+	rep, err := w.exch.Run(w.led, w.rng, c)
 	if err != nil {
 		return err
 	}
 	w.stats.HijackedWalks += int64(rep.Hijacked)
 	w.stats.Merges++
 	if w.Size(c) > w.cfg.SplitThreshold() {
-		return w.split(led, rng, c)
+		return w.split(c)
 	}
 	return nil
 }
 
 // mergeRejoinAll: the undersized cluster leaves the overlay and its
 // members re-join individually on subsequent time steps (Algorithm 2).
-func (w *World) mergeRejoinAll(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) error {
-	led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*walk.NeighborMass(w, c))
+func (w *World) mergeRejoinAll(c ids.ClusterID) error {
+	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*walk.NeighborMass(w, c))
 	for _, x := range w.Members(c) {
 		info, _ := w.nodeInfoOf(x)
 		if err := w.removeMember(c, x, info.byz); err != nil {
@@ -466,8 +458,8 @@ func (w *World) mergeRejoinAll(led *metrics.Ledger, rng *xrand.Rand, c ids.Clust
 		w.pendingRejoin = append(w.pendingRejoin, x)
 		w.rejoinByz[x] = info.byz
 	}
-	w.removeClusterVertex(led, rng, c)
-	led.AddRounds(2)
+	w.removeClusterVertex(c)
+	w.led.AddRounds(2)
 	w.stats.Merges++
 	return nil
 }
@@ -484,7 +476,7 @@ func (w *World) Rejoin(x ids.NodeID) error {
 	if !ok2 {
 		return fmt.Errorf("core: no clusters to rejoin")
 	}
-	if err := w.joinExisting(w.led, w.rng, x, byz, contact, true); err != nil {
+	if err := w.settled(w.joinExisting(x, byz, contact)); err != nil {
 		return err
 	}
 	w.stats.Rejoins++
@@ -493,8 +485,8 @@ func (w *World) Rejoin(x ids.NodeID) error {
 
 // randomOtherCluster picks a random cluster != c via the biased walk,
 // falling back to a uniform draw if every restart lands on c.
-func (w *World) randomOtherCluster(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) (ids.ClusterID, error) {
-	out, err := w.walker.Biased(led, rng, c)
+func (w *World) randomOtherCluster(c ids.ClusterID) (ids.ClusterID, error) {
+	out, err := w.walker.Biased(w.led, w.rng, c)
 	if err != nil {
 		return 0, err
 	}
@@ -506,7 +498,7 @@ func (w *World) randomOtherCluster(led *metrics.Ledger, rng *xrand.Rand, c ids.C
 	}
 	n := w.overlay.NumVertices()
 	for {
-		cand := w.overlay.VertexAt(rng.Intn(n))
+		cand := w.overlay.VertexAt(w.rng.Intn(n))
 		if cand != c {
 			return cand, nil
 		}
@@ -525,24 +517,24 @@ func (w *World) moveNode(x ids.NodeID, from, to ids.ClusterID) error {
 
 // removeClusterVertex retires c from both the partition bookkeeping and
 // the overlay, running OVER's repair pass.
-func (w *World) removeClusterVertex(led *metrics.Ledger, rng *xrand.Rand, c ids.ClusterID) {
+func (w *World) removeClusterVertex(c ids.ClusterID) {
 	w.retire(c)
 	if w.overlay.Has(c) {
 		budget := w.cfg.TargetDegree() * w.cfg.EdgeAttemptFactor
 		// Repair walks start from the vertex being repaired.
-		_, _ = w.overlay.Remove(led, c, w.uniformPickerFromSelf(led, rng), budget)
+		_, _ = w.overlay.Remove(w.led, c, w.uniformPickerFromSelf(), budget)
 	}
 }
 
 // uniformPickerFrom returns an OVER edge-endpoint picker whose walks start
 // at the fixed vertex `start` (used when the wired vertex itself has no
 // edges yet).
-func (w *World) uniformPickerFrom(led *metrics.Ledger, rng *xrand.Rand, start ids.ClusterID) func(ids.ClusterID) (ids.ClusterID, bool) {
+func (w *World) uniformPickerFrom(start ids.ClusterID) func(ids.ClusterID) (ids.ClusterID, bool) {
 	return func(ids.ClusterID) (ids.ClusterID, bool) {
 		if !w.overlay.Has(start) {
 			return 0, false
 		}
-		out, err := w.walker.Uniform(led, rng, start)
+		out, err := w.walker.Uniform(w.led, w.rng, start)
 		if err != nil {
 			return 0, false
 		}
@@ -554,12 +546,12 @@ func (w *World) uniformPickerFrom(led *metrics.Ledger, rng *xrand.Rand, start id
 }
 
 // uniformPickerFromSelf starts each walk at the vertex being repaired.
-func (w *World) uniformPickerFromSelf(led *metrics.Ledger, rng *xrand.Rand) func(ids.ClusterID) (ids.ClusterID, bool) {
+func (w *World) uniformPickerFromSelf() func(ids.ClusterID) (ids.ClusterID, bool) {
 	return func(from ids.ClusterID) (ids.ClusterID, bool) {
 		if !w.overlay.Has(from) {
 			return 0, false
 		}
-		out, err := w.walker.Uniform(led, rng, from)
+		out, err := w.walker.Uniform(w.led, w.rng, from)
 		if err != nil {
 			return 0, false
 		}

@@ -144,11 +144,11 @@ func (w *World) execOp(op Op) OpResult {
 				return OpResult{Node: x, Err: fmt.Errorf("core: no clusters to contact")}
 			}
 		}
-		return OpResult{Node: x, Err: w.joinExisting(w.led, w.rng, x, op.Byz, contact, false)}
+		return OpResult{Node: x, Err: w.joinExisting(x, op.Byz, contact)}
 	case OpLeave:
-		return OpResult{Err: w.leaveWith(w.led, w.rng, op.Victim, false)}
+		return OpResult{Err: w.leaveWith(op.Victim)}
 	case OpExchange:
-		return OpResult{Err: w.forceExchangeWith(w.led, w.rng, op.Target, false)}
+		return OpResult{Err: w.forceExchangeWith(op.Target)}
 	default:
 		return OpResult{Err: fmt.Errorf("core: unknown op kind %d", int(op.Kind))}
 	}

@@ -264,7 +264,7 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	w.walkCfg = walk.Config{
 		DurationFactor: cfg.WalkDurationFactor,
-		MaxRestarts:    cfg.MaxWalkRestarts,
+		MaxRestarts:    maxWalkRestarts,
 		Gen:            cfg.Generator,
 		Hijack:         w.hijack,
 		Steer:          func(c ids.ClusterID) float64 { return w.steerScore(c) },

@@ -8,11 +8,9 @@ import (
 	"nowover/internal/workload"
 )
 
-// ablationRun executes one steady-churn run at the scale's seed, sample
-// mode and driver with a mutated config and returns the result.
-// Scale.OpsPerStep > 1 switches the cell to the batched churn driver:
-// per-operation cost sampling is unavailable there, so it is enabled only
-// on the classic driver.
+// ablationRun executes one steady-churn run at the scale's seed and ops
+// per step with a mutated config and returns the result. Per-operation
+// costs are sampled only at one op per step (sim.Config.SampleOpCosts).
 func ablationRun(s Scale, n int, tau float64, steps int,
 	strategy adversary.Strategy, mutate func(*core.Config)) (*sim.Result, error) {
 	cfg := sim.Config{
@@ -22,7 +20,7 @@ func ablationRun(s Scale, n int, tau float64, steps int,
 		Steps:         steps,
 		Seed:          s.Seed,
 		Strategy:      strategy,
-		SampleOpCosts: s.OpsPerStep <= 1,
+		SampleOpCosts: true,
 		OpsPerStep:    s.OpsPerStep,
 	}
 	cfg.Core.Seed = s.Seed
@@ -109,8 +107,8 @@ func AblationLeaveCascade(s Scale) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		// The batched driver does not sample per-operation costs; render
-		// the column as absent rather than a NaN mean.
+		// Several ops per step sample no per-operation costs; render the
+		// column as absent rather than a NaN mean.
 		leaveMsgs := any("-")
 		if s.OpsPerStep <= 1 {
 			leaveMsgs = res.OpCosts.LeaveMsgs.Mean()

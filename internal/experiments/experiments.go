@@ -164,14 +164,14 @@ type Scale struct {
 	Walks int
 	// Seed anchors determinism.
 	Seed uint64
-	// OpsPerStep > 1 runs the adversary cells (A2, A4) through the
-	// batched churn driver (sim.Config.OpsPerStep): each time step the
-	// strategy decides up to this many operations against the
-	// step-boundary state and World.ExecBatch runs them in op order,
-	// settling security once. The batched trace is a different (equally
-	// valid, equally deterministic) trajectory from the classic driver's,
-	// and per-operation cost columns are unavailable in batched mode. 0 or
-	// 1 keeps the classic driver and the recorded baseline tables.
+	// OpsPerStep is the adversary cells' (A2, A4) ops per time step
+	// (sim.Config.OpsPerStep): each time step the strategy decides up to
+	// this many operations against the step-boundary state and
+	// World.ExecBatch runs them in op order, settling security once.
+	// Above 1 the trace is a different (equally valid, equally
+	// deterministic) trajectory and per-operation cost columns are
+	// unavailable. 0 and 1 both run one op per step, the recorded
+	// baseline tables.
 	OpsPerStep int
 	// GroupedCascade runs every world's leave cascade as one grouped
 	// shuffle round per leave (core.Config.GroupedCascade). QuickScale and

@@ -6,7 +6,9 @@ import (
 
 	"nowover/internal/adversary"
 	"nowover/internal/core"
+	"nowover/internal/ids"
 	"nowover/internal/workload"
+	"nowover/internal/xrand"
 )
 
 func batchedConfig(opsPerStep int, seed uint64) Config {
@@ -93,11 +95,11 @@ func unsettledFingerprint(w *core.World) string {
 	return fingerprintWithStats(w, st)
 }
 
-// driveAgainstReplay runs the batched driver of cfg step by step and, after
+// driveAgainstReplay runs the sim driver of cfg step by step and, after
 // every step, replays that step's batch through the one-op calls on a twin
 // world built from the same config: every op's outcome and the twin's
 // state must match (apart from the settle-counted Stats fields), and both
-// worlds must keep every invariant. It returns the batched runner and the
+// worlds must keep every invariant. It returns the runner and the
 // replay world.
 func driveAgainstReplay(t *testing.T, cfg Config, steer bool) (*Runner, *core.World) {
 	t.Helper()
@@ -121,7 +123,7 @@ func driveAgainstReplay(t *testing.T, cfg Config, steer bool) (*Runner, *core.Wo
 	res := &Result{}
 	minSize := r.minimumSize()
 	for step := 0; step < cfg.Steps; step++ {
-		if err := r.stepBatch(step, minSize, res); err != nil {
+		if err := r.step(step, minSize, res); err != nil {
 			t.Fatal(err)
 		}
 		rr := replayOps(replay, hook, r.ops)
@@ -136,7 +138,7 @@ func driveAgainstReplay(t *testing.T, cfg Config, steer bool) (*Runner, *core.Wo
 		}
 	}
 	if res.BatchedOps == 0 {
-		t.Fatal("batched driver issued no ops")
+		t.Fatal("driver issued no ops")
 	}
 	for _, w := range []*core.World{r.World(), replay} {
 		if err := core.CheckInvariants(w); err != nil {
@@ -148,13 +150,18 @@ func driveAgainstReplay(t *testing.T, cfg Config, steer bool) (*Runner, *core.Wo
 
 // TestBatchedDriverMatchesClassicReplay: every batch the driver issues
 // leaves the world exactly as the same ops replayed one by one through
-// the classic API leave a twin world.
+// the classic API leave a twin world, at one op per step and at eight.
 func TestBatchedDriverMatchesClassicReplay(t *testing.T) {
-	cfg := batchedConfig(8, 7)
-	if testing.Short() {
-		cfg.Steps = 20
+	for _, k := range []int{1, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			cfg := batchedConfig(k, 7)
+			if testing.Short() {
+				cfg.Steps = 20
+			}
+			cfg.Steps = cfg.Steps * 8 / k // the same op count at every k
+			driveAgainstReplay(t, cfg, false)
+		})
 	}
-	driveAgainstReplay(t, cfg, false)
 }
 
 func TestBatchedValidation(t *testing.T) {
@@ -170,7 +177,7 @@ func TestBatchedValidation(t *testing.T) {
 		t.Fatalf("OpsPerStep>1 with InstallHijacker rejected: %v", err)
 	}
 	if r.Hijacker() == nil {
-		t.Fatal("hijacker requested but not installed on the batched driver")
+		t.Fatal("hijacker requested but not installed at OpsPerStep > 1")
 	}
 	cfg.InstallHijacker = false
 	if _, err := New(cfg); err != nil {
@@ -179,32 +186,39 @@ func TestBatchedValidation(t *testing.T) {
 }
 
 // TestBatchedHookedDriverMatchesClassicReplay is the driver-level
-// contract with the adversary hooked in — the hijacker redirecting walks
+// contract, at one op per step and at eight, with the adversary hooked in — the hijacker redirecting walks
 // AND the same hook object steering randCl draws: each batch matches its
 // classic replay, the twin's hook (driven through the same lifecycle)
 // ends with the same bookkeeping, and the hook's commit-folded tally
 // equals the world's.
 func TestBatchedHookedDriverMatchesClassicReplay(t *testing.T) {
-	cfg := batchedConfig(8, 11)
-	if testing.Short() {
-		cfg.Core = core.DefaultConfig(1024)
-		cfg.Core.Seed = 11
-		cfg.InitialSize = 256
-		cfg.Steps = 30
-	}
-	cfg.Strategy = &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.15}}
-	cfg.InstallHijacker = true
-	r, replay := driveAgainstReplay(t, cfg, true)
-	h := r.Hijacker()
-	st := r.World().Stats()
-	if st.HijackedWalks == 0 {
-		t.Fatal("hooked run hijacked no walks: the redirect path never ran")
-	}
-	if h.Hijacked != st.HijackedWalks {
-		t.Fatalf("commit fold lost walks: hook saw %d, world recorded %d", h.Hijacked, st.HijackedWalks)
-	}
-	if hr := replay.Stats().HijackedWalks; hr != st.HijackedWalks {
-		t.Fatalf("replay hijacked %d walks, batched %d", hr, st.HijackedWalks)
+	// One op per step first captures a cluster, and so first hijacks a
+	// walk, after about 570 steps; eight per step after about 60.
+	for _, tc := range []struct{ k, steps int }{{1, 1000}, {8, 60}} {
+		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
+			cfg := batchedConfig(tc.k, 11)
+			cfg.Steps = tc.steps
+			if testing.Short() {
+				cfg.Core = core.DefaultConfig(1024)
+				cfg.Core.Seed = 11
+				cfg.InitialSize = 256
+				cfg.Steps = 30
+			}
+			cfg.Strategy = &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.15}}
+			cfg.InstallHijacker = true
+			r, replay := driveAgainstReplay(t, cfg, true)
+			h := r.Hijacker()
+			st := r.World().Stats()
+			if st.HijackedWalks == 0 {
+				t.Fatal("hooked run hijacked no walks: the redirect path never ran")
+			}
+			if h.Hijacked != st.HijackedWalks {
+				t.Fatalf("commit fold lost walks: hook saw %d, world recorded %d", h.Hijacked, st.HijackedWalks)
+			}
+			if hr := replay.Stats().HijackedWalks; hr != st.HijackedWalks {
+				t.Fatalf("replay hijacked %d walks, batched %d", hr, st.HijackedWalks)
+			}
+		})
 	}
 }
 
@@ -302,5 +316,33 @@ func TestBatchedAttackStrategySurvivesMerges(t *testing.T) {
 	}
 	if err := core.CheckInvariants(r.World()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// deadVictim names a node that is not in the world.
+type deadVictim struct{}
+
+func (deadVictim) Decide(adversary.View, *xrand.Rand, adversary.Direction) adversary.Op {
+	return adversary.Op{Kind: adversary.OpLeave, Victim: ids.NodeID(1 << 40)}
+}
+
+func (deadVictim) Name() string { return "dead-victim" }
+
+// TestDeadVictimOnFirstOpIsFatal: an unknown victim is a skip only where
+// an earlier op of the same batch could have displaced it. The first op
+// runs on the step-boundary state the strategy decided against, so a dead
+// victim there is a fault the run must report, at any ops per step.
+func TestDeadVictimOnFirstOpIsFatal(t *testing.T) {
+	for _, k := range []int{0, 1, 4} {
+		cfg := batchedConfig(k, 1)
+		cfg.Steps = 3
+		cfg.Strategy = deadVictim{}
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); !core.IsUnknownNode(err) {
+			t.Fatalf("k=%d: dead victim on op 0 gave %v, want an unknown-node error", k, err)
+		}
 	}
 }

@@ -2,9 +2,11 @@
 // through a churn trace produced by a workload schedule (net size over
 // time) and an adversary strategy (who joins/leaves, who is corrupted),
 // recording invariant audits and per-operation communication costs. One
-// simulator step is one paper time step: a single join or leave with all
-// of its induced maintenance (exchange cascades, splits, merges), matching
-// the paper's one-operation-per-step presentation.
+// simulator step is one paper time step: the strategy decides
+// Config.OpsPerStep joins or leaves (one by default, the paper's
+// presentation) against the step-boundary state, and core.World.ExecBatch
+// runs them with all of their induced maintenance (exchange cascades,
+// splits, merges) and settles security once.
 package sim
 
 import (
@@ -53,17 +55,15 @@ type Config struct {
 	// InstallHijacker wires the adversary's captured-cluster walk
 	// redirection when the strategy exposes a target.
 	InstallHijacker bool
-	// OpsPerStep > 1 switches to the batched churn driver: each time step
-	// the strategy decides up to OpsPerStep operations against the
-	// step-boundary state, and core.World.ExecBatch runs them in op order
-	// on the classic path and settles security once — k ops decided
-	// together, one paper time step. With InstallHijacker the hook
-	// contract (core hooks.go) fixes the hijack/steer decision at the
-	// batch boundary. Batched traces are a distinct (equally
-	// deterministic) trajectory from the classic driver's, which decides
-	// and settles after every op. 0 or 1 keeps the classic
-	// one-op-per-step driver. Batched mode does not collect per-operation
-	// cost samples (SampleOpCosts is ignored).
+	// OpsPerStep is k, the operations per time step: each step the
+	// strategy decides up to k operations against the step-boundary state,
+	// and core.World.ExecBatch runs them in op order and settles security
+	// once — k ops decided together, one paper time step. With
+	// InstallHijacker the hook contract (core hooks.go) fixes the
+	// hijack/steer decision at the step boundary. 0 and 1 both mean one op
+	// per step, the paper's model; each k > 1 is its own (equally
+	// deterministic) trajectory. Per-operation cost samples are taken
+	// only at one op per step (SampleOpCosts is ignored above that).
 	OpsPerStep int
 }
 
@@ -125,10 +125,10 @@ type Result struct {
 	DegradedSteps, CapturedSteps int
 	// PeakSize / TroughSize bracket the realized size trajectory.
 	PeakSize, TroughSize int
-	// BatchedOps counts, in batched-driver mode (OpsPerStep > 1), the
-	// operations fed to ExecBatch. SkippedOps counts those whose victim
-	// node or contact/target cluster was already gone by the time they
-	// ran (e.g. merged away by an earlier op of the same batch).
+	// BatchedOps counts the operations fed to ExecBatch (rejoins not
+	// included). SkippedOps counts those whose victim node or
+	// contact/target cluster was already gone by the time they ran
+	// (merged away by an earlier op of the same step).
 	BatchedOps, SkippedOps int
 }
 
@@ -142,8 +142,9 @@ type Runner struct {
 	rng      *xrand.Rand
 	rejoins  []ids.NodeID
 
-	// Concurrent-driver scratch, reused across steps so long runs do not
-	// allocate per step (the million-node sweeps run ~N steps per cell).
+	// Per-step scratch (deduplicated victims, the step's ops and their
+	// results), reused so long runs do not allocate per step (the
+	// million-node sweeps run ~N steps per cell).
 	victims map[ids.NodeID]bool
 	ops     []core.Op
 	results []core.OpResult
@@ -177,14 +178,14 @@ func New(cfg Config) (*Runner, error) {
 		strategy: strategy,
 		schedule: schedule,
 		rng:      xrand.New(cfg.Seed ^ 0xAD5A11),
+		victims:  make(map[ids.NodeID]bool),
 	}
 	if cfg.InstallHijacker {
 		// The hijacker reads the strategy's cached fixation (pure
-		// PlanTarget) and ratchets it through the batch lifecycle;
-		// under the classic driver the per-step Decide call keeps the
-		// fixation equally fresh. Strategies without the commit-scoped
-		// Target side (e.g. DOSAttack) expose no coherent fixation to
-		// redirect to, so no hook is installed — same as before.
+		// PlanTarget) and ratchets it through the batch lifecycle that
+		// ExecBatch runs on every step. Strategies without the
+		// commit-scoped Target side (e.g. DOSAttack) expose no coherent
+		// fixation to redirect to, so no hook is installed.
 		if tgt, ok := strategy.(adversary.TargetProvider); ok {
 			r.hijacker = &adversary.CapturedHijacker{View: w, Strategy: tgt}
 			w.SetHijacker(r.hijacker)
@@ -230,13 +231,7 @@ func (r *Runner) Run() (*Result, error) {
 	minSize := r.minimumSize()
 
 	for step := 0; step < r.cfg.Steps; step++ {
-		var err error
-		if r.cfg.OpsPerStep > 1 {
-			err = r.stepBatch(step, minSize, res)
-		} else {
-			err = r.step(step, minSize, res)
-		}
-		if err != nil {
+		if err := r.step(step, minSize, res); err != nil {
 			return nil, fmt.Errorf("sim: step %d: %w", step, err)
 		}
 		n := r.world.NumNodes()
@@ -283,99 +278,35 @@ func (r *Runner) minimumSize() int {
 	return floor
 }
 
-func (r *Runner) step(step, minSize int, res *Result) error {
-	// Displaced nodes from MergeRejoinAll re-join on subsequent steps,
-	// taking priority over scheduled churn.
-	r.rejoins = append(r.rejoins, r.world.PendingRejoins()...)
-	if len(r.rejoins) > 0 {
-		x := r.rejoins[0]
-		r.rejoins = r.rejoins[1:]
-		snap := r.world.Ledger().Snapshot()
-		if err := r.world.Rejoin(x); err != nil {
-			return err
-		}
-		r.recordOpCost(res, adversary.OpJoin, snap)
-		return nil
-	}
-
-	n := r.world.NumNodes()
-	target := r.schedule.TargetSize(step)
-	if target > r.cfg.Core.N {
-		target = r.cfg.Core.N
-	}
-	if target < minSize {
-		target = minSize
-	}
-	var dir adversary.Direction
-	switch {
-	case target > n:
-		dir = adversary.Grow
-	case target < n:
-		dir = adversary.Shrink
-	default:
-		// Steady state: keep churning without net growth.
-		if r.rng.Bool(0.5) && n < r.cfg.Core.N {
-			dir = adversary.Grow
-		} else {
-			dir = adversary.Shrink
-		}
-	}
-	// Hard clamps at the model boundary.
-	if n >= r.cfg.Core.N {
-		dir = adversary.Shrink
-	}
-	if n <= minSize {
-		dir = adversary.Grow
-	}
-
-	op := r.strategy.Decide(r.world, r.rng, dir)
-	snap := r.world.Ledger().Snapshot()
-	switch op.Kind {
-	case adversary.OpJoin:
-		var err error
-		if op.HasContact {
-			_, err = r.world.Join(op.Byz, op.Contact)
-		} else {
-			_, err = r.world.JoinAuto(op.Byz)
-		}
-		if err != nil {
-			return err
-		}
-		r.recordOpCost(res, adversary.OpJoin, snap)
-	case adversary.OpLeave:
-		if err := r.world.Leave(op.Victim); err != nil {
-			return err
-		}
-		r.recordOpCost(res, adversary.OpLeave, snap)
-	case adversary.OpNoop:
-		// Nothing to do this step.
-	default:
-		return fmt.Errorf("sim: unknown op kind %d", op.Kind)
-	}
-	return nil
-}
-
-// stepBatch is one batched-driver time step (OpsPerStep > 1): drain
-// pending rejoins first (classic and serial — they reuse reserved
-// identities), otherwise let the strategy decide up to OpsPerStep
+// step is one time step: drain pending rejoins first (they reuse reserved
+// identities), otherwise let the strategy decide k = max(1, OpsPerStep)
 // operations against the step-boundary state — the adversary's view in
 // the paper's model — and execute them as one batch through
 // World.ExecBatch. Victims are deduplicated within the step; a victim that
 // still vanishes before its op runs (displaced by an earlier op's merge)
-// is counted as skipped, not fatal.
-func (r *Runner) stepBatch(step, minSize int, res *Result) error {
+// is counted as skipped, not fatal. At k = 1 this is the paper's
+// one-operation-per-step model, and each step's ledger delta is one
+// per-op cost sample.
+func (r *Runner) step(step, minSize int, res *Result) error {
+	k := max(1, r.cfg.OpsPerStep)
+	sample := r.cfg.SampleOpCosts && k == 1
+	var snap metrics.Snapshot
+	if sample {
+		snap = r.world.Ledger().Snapshot()
+	}
+
 	r.rejoins = append(r.rejoins, r.world.PendingRejoins()...)
 	if len(r.rejoins) > 0 {
-		k := r.cfg.OpsPerStep
-		if k > len(r.rejoins) {
-			k = len(r.rejoins)
-		}
-		for i := 0; i < k; i++ {
-			if err := r.world.Rejoin(r.rejoins[i]); err != nil {
+		n := min(k, len(r.rejoins))
+		for _, x := range r.rejoins[:n] {
+			if err := r.world.Rejoin(x); err != nil {
 				return err
 			}
 		}
-		r.rejoins = r.rejoins[k:]
+		r.rejoins = r.rejoins[n:]
+		if sample {
+			r.recordOpCost(res, adversary.OpJoin, snap)
+		}
 		return nil
 	}
 
@@ -390,14 +321,10 @@ func (r *Runner) stepBatch(step, minSize int, res *Result) error {
 	startN := r.world.NumNodes()
 	projN := startN
 	joins := 0
-	if r.victims == nil {
-		r.victims = make(map[ids.NodeID]bool)
-	} else {
-		clear(r.victims)
-	}
 	victims := r.victims
+	clear(victims)
 	ops := r.ops[:0]
-	for tries := 0; len(ops) < r.cfg.OpsPerStep && tries < 4*r.cfg.OpsPerStep; tries++ {
+	for tries := 0; len(ops) < k && tries < 4*k; tries++ {
 		var dir adversary.Direction
 		switch {
 		case target > projN:
@@ -425,9 +352,7 @@ func (r *Runner) stepBatch(step, minSize int, res *Result) error {
 		case adversary.OpJoin:
 			// Hard N bound without leave credit: a decided leave can still
 			// be skipped (victim displaced by an earlier merge), so joins are
-			// admitted only against the step-start population. The classic
-			// driver enforces n <= N against the live count; this is the
-			// batched equivalent.
+			// admitted only against the step-start population.
 			if startN+joins >= r.cfg.Core.N {
 				continue
 			}
@@ -456,25 +381,30 @@ func (r *Runner) stepBatch(step, minSize int, res *Result) error {
 	results := r.world.ExecBatchInto(r.results, ops)
 	r.results = results
 	res.BatchedOps += len(ops)
-	for _, rr := range results {
+	for i, rr := range results {
 		if rr.Err != nil {
 			// A victim or contact/target cluster can legitimately vanish
 			// mid-batch (displaced by an earlier op's merge): skip, don't
-			// abort.
-			if core.IsUnknownNode(rr.Err) || core.IsUnknownCluster(rr.Err) {
+			// abort. Op 0 runs on the step-boundary state the strategy
+			// decided against, so there it is a fault.
+			if i > 0 && (core.IsUnknownNode(rr.Err) || core.IsUnknownCluster(rr.Err)) {
 				res.SkippedOps++
 				continue
 			}
 			return rr.Err
 		}
 	}
+	if sample && len(ops) == 1 {
+		kind := adversary.OpJoin
+		if ops[0].Kind == core.OpLeave {
+			kind = adversary.OpLeave
+		}
+		r.recordOpCost(res, kind, snap)
+	}
 	return nil
 }
 
 func (r *Runner) recordOpCost(res *Result, kind adversary.OpKind, snap metrics.Snapshot) {
-	if !r.cfg.SampleOpCosts {
-		return
-	}
 	// SinceVec is the dense, allocation-free form of Since: its ByClass
 	// array holds every class, including the zero charges Cost.ByClass
 	// omits, so each histogram's N is the sampled-op count and its

@@ -26,8 +26,10 @@ go test -run '^$' -bench 'BenchmarkExecBatchExchange|BenchmarkExecBatchHookedExc
 # (Topology.Adjacent): a copy per hop or per neighbour-mass charge shows up
 # here as allocs/op > 0. The world audit runs its connectivity BFS on the
 # overlay's reused scratch: a map or queue per call shows up the same way.
-echo "== benchmem gate: walk + exchange primitives, world audit =="
-go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|BenchmarkWorldAudit' \
+# A simulation step reuses the runner's victims/ops/results scratch: a
+# 50-step window makes a handful of structural mallocs, under 1 per step.
+echo "== benchmem gate: walk + exchange primitives, world audit, sim step =="
+go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|BenchmarkWorldAudit|BenchmarkSimulationStep' \
 	-benchmem -benchtime 50x . | tee -a "$out"
 
 # The wire path: a warm stream decoder allocates only the payload copy it
@@ -47,6 +49,7 @@ BenchmarkExecBatchChurn 8
 BenchmarkRandClWalk 0
 BenchmarkExchangePrimitive 0
 BenchmarkWorldAudit 0
+BenchmarkSimulationStep 0
 BenchmarkStreamReframe/empty 0
 BenchmarkStreamReframe/payload 1
 BenchmarkTCPRequestEcho 2
