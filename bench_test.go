@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per reproduction experiment (the
-// paper's claim-tables E1-E12 and ablations A1-A4; see DESIGN.md section 4
-// for the claim index), plus micro-benchmarks of the protocol primitives.
+// paper's claim-tables E1-E12 and ablations A1-A4; experiments.Registry
+// and each table's Claim line are the claim index), plus micro-benchmarks
+// of the protocol primitives.
 //
 // Regenerate everything:
 //

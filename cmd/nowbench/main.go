@@ -1,6 +1,6 @@
 // Command nowbench regenerates the paper-reproduction tables (experiments
-// E1-E12 plus ablations A1-A4; see DESIGN.md for the claim index and
-// EXPERIMENTS.md for recorded results).
+// E1-E12 plus ablations A1-A4; each table's Claim line states the claim
+// it checks, and EXPERIMENTS.md records results).
 //
 // Examples:
 //

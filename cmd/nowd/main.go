@@ -1,8 +1,9 @@
-// Command nowd is the wall-clock daemon half of nownet, in the shape of
-// drand's daemon/client split: `nowd daemon` hosts one committee member —
-// a nownet node behind a TCP transport, driven by a round host — and a
-// control client (`nowd ping|peer|start|result|stats|stop`) talks to it
-// over a local control connection with a one-line text protocol.
+// Command nowd runs protocol committees over the nownet transports. Its
+// wall-clock half is in the shape of drand's daemon/client split: `nowd
+// daemon` hosts one committee member — a nownet node behind a TCP
+// transport, driven by a round host — and a control client (`nowd
+// ping|peer|start|result|stats|stop`) talks to it over a local control
+// connection with a one-line text protocol.
 //
 // A committee of daemons is wired up from the outside: start one daemon
 // per member, tell each about its peers' transport addresses (`nowd
@@ -18,6 +19,20 @@
 //	nowd peer -control 127.0.0.1:7100 1=127.0.0.1:7001 2=127.0.0.1:7002 ...
 //	nowd start -control 127.0.0.1:7100 -proto phaseking -n 5 -t 1 -input 1
 //	nowd result -control 127.0.0.1:7100 -wait
+//
+// `nowd local` hosts all n members of one committee in this process, each
+// built by the same protocol switch START uses. On the deterministic
+// loopback network (the default) it injects link loss and a temporary
+// partition, and the protocol still decides — dropped envelopes degrade
+// into retransmissions with capped backoff, never into a stuck round.
+// With -transport tcp every message crosses a real localhost socket and
+// rounds are paced in milliseconds; the fault flags are inert there.
+//
+//	nowd local                          # 9 phase-king members, 15% loss, member 8 partitioned
+//	nowd local -n 13 -t 3 -drop 0.3
+//	nowd local -drop 0 -cut -1          # clean network, no partition
+//	nowd local -proto relay -n 8 -t 2   # four levels of two
+//	nowd local -transport tcp           # the same committee over real sockets
 package main
 
 import (
@@ -185,78 +200,9 @@ func (d *daemon) startRound(words []string) string {
 		num[i] = v
 	}
 	n, t, seed, rounds, roundTicks, input := int(num[0]), int(num[1]), uint64(num[2]), int(num[3]), num[4], num[5]
-	if n <= 0 || d.cfg.id >= uint64(n) {
-		return fmt.Sprintf("ERR member id %d outside committee of %d", d.cfg.id, n)
-	}
-	self := ids.NodeID(d.cfg.id)
-	members := make([]ids.NodeID, n)
-	for i := range members {
-		members[i] = ids.NodeID(i)
-	}
-
-	var proc runtime.Process
-	var decided func() (int64, bool)
-	var class metrics.Class
-	switch proto {
-	case "phaseking":
-		if n <= 4*t {
-			return fmt.Sprintf("ERR phase king needs n > 4t, got n=%d t=%d", n, t)
-		}
-		if rounds <= 0 {
-			rounds = 2*(t+1) + 1
-		}
-		cfg := runtime.PhaseKingConfig{Members: members, MaxFaults: t}
-		if input < 0 {
-			liar := runtime.NewPKLiarNode(cfg, self)
-			proc, decided = liar, func() (int64, bool) { return -1, true }
-		} else {
-			node := runtime.NewPhaseKingNode(cfg, self, input)
-			proc, decided = node, node.Decision
-		}
-		class = metrics.ClassAgreement
-	case "randnum":
-		if rounds <= 0 {
-			rounds = 4
-		}
-		if input <= 0 {
-			input = 64
-		}
-		// Every daemon derives its member's share from the shared seed's
-		// per-member substream, so independently started daemons stay
-		// aligned with each other and with the loopback oracle.
-		sub := xrand.New(seed).Split(d.cfg.id)
-		node, err := runtime.NewRandNumNode(runtime.RandNumConfig{Members: members, R: input}, self, sub)
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		proc, decided = node, node.Output
-		class = metrics.ClassRandNum
-	case "relay":
-		if t <= 0 || n%t != 0 {
-			return fmt.Sprintf("ERR relay needs <t> to be a cluster size dividing n, got n=%d t=%d", n, t)
-		}
-		levels := n / t
-		chain := make([][]ids.NodeID, levels)
-		for k := range chain {
-			chain[k] = members[k*t : (k+1)*t]
-		}
-		level := int(d.cfg.id) / t
-		var origin any
-		if level == 0 {
-			origin = runtime.NewToken(seed, input)
-		}
-		node := runtime.NewRelayNode(self, chain, level, origin)
-		proc = node
-		decided = func() (int64, bool) {
-			tk, ok := node.Accepted()
-			return int64(tk.WalkID), ok
-		}
-		if rounds <= 0 {
-			rounds = levels
-		}
-		class = metrics.ClassWalk
-	default:
-		return "ERR unknown protocol " + proto
+	m, err := newMember(proto, d.cfg.id, n, t, seed, rounds, input)
+	if err != nil {
+		return "ERR " + err.Error()
 	}
 
 	d.mu.Lock()
@@ -264,24 +210,117 @@ func (d *daemon) startRound(words []string) string {
 	if d.round != nil {
 		return "ERR round already started"
 	}
-	cluster, err := nownet.NewCluster(d.tr, map[ids.NodeID]runtime.Process{self: proc}, nownet.HostConfig{
-		Rounds:     rounds,
-		RoundTicks: roundTicks,
-		Mode:       nownet.ModeReliable,
-		Policy:     nownet.RetryPolicy{Timeout: roundTicks / 4, Retries: 3, Backoff: 2, Cap: roundTicks},
-		Class:      class,
-	})
+	cluster, err := nownet.NewCluster(d.tr, map[ids.NodeID]runtime.Process{ids.NodeID(d.cfg.id): m.proc}, tcpHostConfig(m, roundTicks))
 	if err != nil {
 		return "ERR " + err.Error()
 	}
-	rs := &roundState{proto: proto, cluster: cluster, decided: decided, finished: make(chan struct{})}
+	rs := &roundState{proto: proto, cluster: cluster, decided: m.decided, finished: make(chan struct{})}
 	d.round = rs
 	cluster.Start()
 	go func() {
 		cluster.Wait()
 		close(rs.finished)
 	}()
-	return fmt.Sprintf("OK %s member %d of %d, %d rounds", proto, d.cfg.id, n, rounds)
+	return fmt.Sprintf("OK %s member %d of %d, %d rounds", proto, d.cfg.id, n, m.rounds)
+}
+
+// member is one committee member of a protocol instance: its process, how
+// to read its outcome, and the instance's round count and traffic class.
+type member struct {
+	proc    runtime.Process
+	decided func() (int64, bool)
+	rounds  int
+	class   metrics.Class
+}
+
+// newMember builds member id of an n-member committee running proto: the
+// one protocol switch behind both START and `nowd local`. The other
+// arguments are START's fields: t is the fault bound for phaseking and the
+// per-level cluster size for relay; input is the member's phase-king input
+// (<0 plays the liar), the randnum output range, or the relay token's walk
+// length; rounds <= 0 takes the protocol's default.
+func newMember(proto string, id uint64, n, t int, seed uint64, rounds int, input int64) (member, error) {
+	if n <= 0 || id >= uint64(n) {
+		return member{}, fmt.Errorf("member id %d outside committee of %d", id, n)
+	}
+	self := ids.NodeID(id)
+	members := make([]ids.NodeID, n)
+	for i := range members {
+		members[i] = ids.NodeID(i)
+	}
+	m := member{rounds: rounds}
+	switch proto {
+	case "phaseking":
+		if n <= 4*t {
+			return member{}, fmt.Errorf("phase king needs n > 4t, got n=%d t=%d", n, t)
+		}
+		if m.rounds <= 0 {
+			m.rounds = 2*(t+1) + 1
+		}
+		cfg := runtime.PhaseKingConfig{Members: members, MaxFaults: t}
+		if input < 0 {
+			m.proc, m.decided = runtime.NewPKLiarNode(cfg, self), func() (int64, bool) { return -1, true }
+		} else {
+			node := runtime.NewPhaseKingNode(cfg, self, input)
+			m.proc, m.decided = node, node.Decision
+		}
+		m.class = metrics.ClassAgreement
+	case "randnum":
+		if m.rounds <= 0 {
+			m.rounds = 4
+		}
+		if input <= 0 {
+			input = 64
+		}
+		// Every member derives its share from the shared seed's
+		// per-member substream, so independently started daemons stay
+		// aligned with each other and with the loopback oracle.
+		node, err := runtime.NewRandNumNode(runtime.RandNumConfig{Members: members, R: input}, self, xrand.New(seed).Split(id))
+		if err != nil {
+			return member{}, err
+		}
+		m.proc, m.decided = node, node.Output
+		m.class = metrics.ClassRandNum
+	case "relay":
+		if t <= 0 || n%t != 0 {
+			return member{}, fmt.Errorf("relay needs <t> to be a cluster size dividing n, got n=%d t=%d", n, t)
+		}
+		levels := n / t
+		chain := make([][]ids.NodeID, levels)
+		for k := range chain {
+			chain[k] = members[k*t : (k+1)*t]
+		}
+		level := int(id) / t
+		var origin any
+		if level == 0 {
+			origin = runtime.NewToken(seed, input)
+		}
+		node := runtime.NewRelayNode(self, chain, level, origin)
+		m.proc = node
+		m.decided = func() (int64, bool) {
+			tk, ok := node.Accepted()
+			return int64(tk.WalkID), ok
+		}
+		if m.rounds <= 0 {
+			m.rounds = levels
+		}
+		m.class = metrics.ClassWalk
+	default:
+		return member{}, fmt.Errorf("unknown protocol %s", proto)
+	}
+	return m, nil
+}
+
+// tcpHostConfig is the round host every wall-clock member runs: reliable
+// mode, with retries paced in fractions of a roundTicks-millisecond round.
+func tcpHostConfig(m member, roundTicks int64) nownet.HostConfig {
+	return nownet.HostConfig{
+		Rounds:     m.rounds,
+		RoundTicks: roundTicks,
+		Mode:       nownet.ModeReliable,
+		Policy:     nownet.RetryPolicy{Timeout: roundTicks / 4, Retries: 3, Backoff: 2, Cap: roundTicks},
+		Class:      m.class,
+	}
 }
 
 // result reports the member's outcome: PENDING while rounds run, DECIDED
@@ -446,7 +485,7 @@ func runClient(sub string, args []string, out io.Writer) error {
 }
 
 func usage(out io.Writer) {
-	fmt.Fprintln(out, "usage: nowd daemon|ping|peer|start|result|stats|stop [flags]")
+	fmt.Fprintln(out, "usage: nowd daemon|local|ping|peer|start|result|stats|stop [flags]")
 }
 
 func run(args []string, out io.Writer) error {
@@ -454,8 +493,15 @@ func run(args []string, out io.Writer) error {
 		usage(out)
 		return errors.New("nowd: missing subcommand")
 	}
-	if args[0] == "daemon" {
+	switch args[0] {
+	case "daemon":
 		return runDaemon(args[1:], out)
+	case "local":
+		c, err := parseLocal(args[1:])
+		if err != nil {
+			return err
+		}
+		return runLocal(c, out)
 	}
 	return runClient(args[0], args[1:], out)
 }

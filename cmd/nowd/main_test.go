@@ -112,11 +112,11 @@ func TestDaemonCommitteePhaseKing(t *testing.T) {
 	}
 }
 
-func TestDaemonCommitteeRandNumMatchesLockstep(t *testing.T) {
-	// Four daemons run commit-reveal with a shared seed; the lockstep
-	// engine over the same per-member substreams is the oracle for the
-	// value they must all output.
-	const n, seed = 4, 42
+// lockstepRandNum is the oracle for a randnum committee of n members
+// sharing seed: the value the lockstep engine outputs over the same
+// per-member substreams, at the default output range 64.
+func lockstepRandNum(t *testing.T, n int, seed uint64) int64 {
+	t.Helper()
 	procs := make(map[ids.NodeID]runtime.Process, n)
 	var oracle *runtime.RandNumNode
 	cfg := runtime.RandNumConfig{R: 64}
@@ -142,7 +142,15 @@ func TestDaemonCommitteeRandNumMatchesLockstep(t *testing.T) {
 	if !ok {
 		t.Fatal("lockstep oracle produced no output")
 	}
+	return want
+}
 
+func TestDaemonCommitteeRandNumMatchesLockstep(t *testing.T) {
+	// Four daemons run commit-reveal with a shared seed; the lockstep
+	// engine over the same per-member substreams is the oracle for the
+	// value they must all output.
+	const n, seed = 4, 42
+	want := lockstepRandNum(t, n, seed)
 	controls := startCommittee(t, n)
 	for _, control := range controls {
 		var out bytes.Buffer

@@ -18,7 +18,6 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
@@ -186,39 +185,4 @@ type SingleCluster struct{}
 // Byzantine agreement: O(n^2) (quadratic all-to-all voting).
 func (SingleCluster) DecisionCost(n int) int64 {
 	return int64(n) * int64(n-1)
-}
-
-// BroadcastCost returns the unclustered reliable-broadcast cost O(n^2).
-func (SingleCluster) BroadcastCost(n int) int64 {
-	return int64(n) * int64(n-1)
-}
-
-// ClusteredDecisionCost is the NOW-style reference: polylog-size
-// representative cluster agreement plus tree dissemination, O~(n).
-func ClusteredDecisionCost(n int, clusterSize int) int64 {
-	cs := int64(clusterSize)
-	return cs*cs + int64(n)*cs // committee BA + tree with bipartite edges
-}
-
-// ExpectedStaticSize returns the cluster size a static-#C scheme reaches
-// at population n.
-func ExpectedStaticSize(n, numClusters int) float64 {
-	return float64(n) / float64(numClusters)
-}
-
-// StaticCaptureProbability estimates, by Chernoff bound, the probability
-// that a *uniformly re-randomized* cluster of the given size exceeds the
-// 1/3 threshold at corruption rate tau — the quantity Lemma 1 bounds. It
-// decays exponentially in size, which is why NOW insists on Theta(log N)
-// sizes rather than the n/#C of static schemes (too big = wasteful, and
-// under shrink n/#C can drop below the safety scale).
-func StaticCaptureProbability(size int, tau float64) float64 {
-	if size <= 0 || tau <= 0 {
-		return 0
-	}
-	eps := 1.0/(3*tau) - 1
-	if eps <= 0 {
-		return 1
-	}
-	return math.Exp(-eps * eps * tau * float64(size) / 3)
 }

@@ -109,37 +109,6 @@ func TestSingleClusterCosts(t *testing.T) {
 	if sc.DecisionCost(100) != 9900 {
 		t.Errorf("decision cost = %d", sc.DecisionCost(100))
 	}
-	if sc.BroadcastCost(100) != 9900 {
-		t.Errorf("broadcast cost = %d", sc.BroadcastCost(100))
-	}
-	// Clustered reference must beat the quadratic one at scale.
-	n := 10000
-	if ClusteredDecisionCost(n, 28) >= sc.DecisionCost(n) {
-		t.Error("clustered decision not cheaper at n=10000")
-	}
-}
-
-func TestExpectedStaticSize(t *testing.T) {
-	if got := ExpectedStaticSize(1000, 10); got != 100 {
-		t.Errorf("expected size = %v", got)
-	}
-}
-
-func TestStaticCaptureProbabilityMonotone(t *testing.T) {
-	// Larger clusters are exponentially safer at fixed tau.
-	p20 := StaticCaptureProbability(20, 0.2)
-	p40 := StaticCaptureProbability(40, 0.2)
-	p80 := StaticCaptureProbability(80, 0.2)
-	if !(p80 < p40 && p40 < p20) {
-		t.Errorf("capture probability not decreasing: %g %g %g", p20, p40, p80)
-	}
-	// tau at the threshold is hopeless.
-	if StaticCaptureProbability(100, 1.0/3) != 1 {
-		t.Error("tau=1/3 should give probability 1 (eps<=0)")
-	}
-	if StaticCaptureProbability(0, 0.2) != 0 {
-		t.Error("empty cluster probability should be 0")
-	}
 }
 
 func TestRandomNodeCoverage(t *testing.T) {

@@ -34,15 +34,6 @@ type Audit struct {
 	OverlayConnected     bool
 }
 
-// OK reports whether every invariant the paper maintains holds: all
-// clusters strictly below 1/3 Byzantine, sizes within thresholds, overlay
-// connected.
-func (a Audit) OK() bool {
-	return a.Degraded == 0 && a.Captured == 0 &&
-		a.MinSize >= a.SizeLo && a.MaxSize <= a.SizeHi &&
-		a.OverlayConnected
-}
-
 // String renders the audit compactly.
 func (a Audit) String() string {
 	var b strings.Builder

@@ -23,7 +23,7 @@ import (
 
 // MergeStrategy selects between the paper's mutually inconsistent
 // descriptions of the merge operation (section 3.3 prose vs Figure 2 vs
-// Algorithm 2); see DESIGN.md.
+// Algorithm 2); ablation A1 (experiments.AblationMergeStrategy) runs both.
 type MergeStrategy int
 
 const (

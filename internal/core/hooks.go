@@ -62,17 +62,6 @@ func (w *World) SetHijacker(h walk.Hijacker) {
 	}
 }
 
-// SetSteer installs (or clears) the adversary's scoring of clusters used
-// to bias last-revealer randomness (only effective with a biasable
-// generator). The function must not change decision state mid-batch; a
-// steerer whose decision state needs per-batch refresh should come in
-// through SetSteerHook instead (or be the already-registered hijacker, as
-// with adversary.CapturedHijacker.Score).
-func (w *World) SetSteer(f func(ids.ClusterID) float64) {
-	w.steer = f
-	w.steerHook = nil
-}
-
 // SetSteerHook installs h.Score as the steer function and, when h also
 // implements BatchHook, registers its lifecycle with ExecBatch. When the
 // same value is already installed as the hijacker its lifecycle runs

@@ -779,9 +779,3 @@ func (w *World) PendingRejoins() []ids.NodeID {
 	w.pendingRejoin = nil
 	return out
 }
-
-// NodeIsQueued reports whether x awaits rejoin (MergeRejoinAll only).
-func (w *World) NodeIsQueued(x ids.NodeID) bool {
-	_, ok := w.rejoinByz[x]
-	return ok
-}

@@ -35,8 +35,8 @@ func ablationRun(s Scale, n int, tau float64, steps int,
 }
 
 // AblationMergeStrategy compares the paper's two inconsistent merge
-// descriptions (DESIGN.md): absorb-random vs rejoin-all, on a shrinking
-// network where merges dominate.
+// descriptions (core.MergeStrategy): absorb-random vs rejoin-all, on a
+// shrinking network where merges dominate.
 func AblationMergeStrategy(s Scale) (*Table, error) {
 	t := &Table{
 		ID:    "A1",

@@ -2,8 +2,8 @@
 // the paper (the paper has no empirical tables — Section 4's lemmas and
 // the complexity statements of Sections 2-3 and 6 are its evaluation) is
 // converted into a measurable experiment E1-E12 producing a paper-style
-// table. The per-experiment index lives in DESIGN.md; EXPERIMENTS.md
-// records claim-vs-measured for each. cmd/nowbench and the root
+// table. The per-experiment index is Registry below, each table's Claim
+// line names its claim, and EXPERIMENTS.md records claim-vs-measured. cmd/nowbench and the root
 // bench_test.go both drive this package.
 //
 // Experiments fan their independent cells (per-size, per-trial,
@@ -261,7 +261,8 @@ func FullScale() Scale {
 // Runner is an experiment entry point.
 type Runner func(Scale) (*Table, error)
 
-// Registry maps experiment IDs to runners. IDs follow DESIGN.md.
+// Registry maps experiment IDs to runners: E1-E12 for the paper's
+// claims, A1-A4 for the ablations.
 func Registry() map[string]Runner {
 	return map[string]Runner{
 		"E1":  E1HonestyUnderChurn,

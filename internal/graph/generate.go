@@ -28,8 +28,9 @@ func ErdosRenyi[V comparable](g *Graph[V], r *xrand.Rand, vertices []V, p float6
 }
 
 // RandomRegularish wires each vertex to approximately d distinct random
-// peers (a configuration-model-style construction used as a baseline
-// expander in tests). The resulting degrees lie in [d, 2d] w.h.p.
+// peers (a configuration-model-style construction: E9's node networks and
+// the test fixtures' expanders). The resulting degrees lie in [d, 2d]
+// w.h.p.
 func RandomRegularish[V comparable](g *Graph[V], r *xrand.Rand, vertices []V, d int) error {
 	n := len(vertices)
 	if d >= n {
@@ -44,21 +45,6 @@ func RandomRegularish[V comparable](g *Graph[V], r *xrand.Rand, vertices []V, d 
 			if err := g.AddEdge(u, v); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// Ring adds a Hamiltonian cycle over the vertices in the given order — a
-// deliberately poor expander used as a negative control in tests.
-func Ring[V comparable](g *Graph[V], vertices []V) error {
-	n := len(vertices)
-	if n < 3 {
-		return fmt.Errorf("graph: ring needs >= 3 vertices, got %d", n)
-	}
-	for i := range vertices {
-		if err := g.AddEdge(vertices[i], vertices[(i+1)%n]); err != nil {
-			return err
 		}
 	}
 	return nil

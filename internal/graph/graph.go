@@ -1,14 +1,12 @@
-// Package graph provides the dynamic undirected graph substrate used for
-// the OVER overlay and for the initialization-phase node network, together
-// with the structural analyses the paper's properties are stated in terms
-// of: degrees, connectivity, diameter, spectral gap and isoperimetric
-// (edge-expansion) constants.
+// Package graph provides the generic undirected graph that the structural
+// analyses run on — snapshots of the OVER overlay (over.Overlay.Snapshot)
+// and the initialization-phase node network — with the quantities the
+// paper's properties are stated in terms of: degrees, connectivity,
+// spectral gap and isoperimetric (edge-expansion) constants. It is also
+// the map-backed reference the indexed overlay is checked against.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Graph is a simple undirected graph over comparable vertices. Adjacency
 // lists preserve insertion order, so iteration is deterministic for a
@@ -99,17 +97,6 @@ func (g *Graph[V]) AddEdge(u, v V) error {
 	return nil
 }
 
-// RemoveEdge deletes {u, v}, returning true if it existed.
-func (g *Graph[V]) RemoveEdge(u, v V) bool {
-	if !g.HasEdge(u, v) {
-		return false
-	}
-	g.removeDirected(u, v)
-	g.removeDirected(v, u)
-	g.edges--
-	return true
-}
-
 func (g *Graph[V]) removeDirected(from, to V) {
 	lst := g.adj[from]
 	for i, w := range lst {
@@ -156,11 +143,6 @@ func (g *Graph[V]) Vertices() []V {
 	return out
 }
 
-// VertexAt returns the i-th vertex in insertion order without copying the
-// vertex list; 0 <= i < NumVertices. Uniform vertex draws in hot paths use
-// this instead of Vertices to stay allocation-free.
-func (g *Graph[V]) VertexAt(i int) V { return g.order[i] }
-
 // MinDegree returns the minimum degree, or 0 for an empty graph.
 func (g *Graph[V]) MinDegree() int {
 	first := true
@@ -192,39 +174,4 @@ func (g *Graph[V]) MeanDegree() float64 {
 		return 0
 	}
 	return 2 * float64(g.edges) / float64(len(g.adj))
-}
-
-// Clone returns a deep copy.
-func (g *Graph[V]) Clone() *Graph[V] {
-	out := &Graph[V]{
-		adj:   make(map[V][]V, len(g.adj)),
-		order: make([]V, len(g.order)),
-		edges: g.edges,
-	}
-	copy(out.order, g.order)
-	for v, nbrs := range g.adj {
-		cp := make([]V, len(nbrs))
-		copy(cp, nbrs)
-		out.adj[v] = cp
-	}
-	return out
-}
-
-// DegreeHistogram returns degree -> count, with keys sorted by SortedKeys.
-func (g *Graph[V]) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for _, v := range g.order {
-		h[len(g.adj[v])]++
-	}
-	return h
-}
-
-// SortedKeys returns the sorted keys of a degree histogram (test helper).
-func SortedKeys(h map[int]int) []int {
-	keys := make([]int, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

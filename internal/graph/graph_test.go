@@ -21,6 +21,16 @@ func buildPath(t *testing.T, n int) *Graph[int] {
 	return g
 }
 
+// buildRing closes a path into an n-cycle, a deliberately poor expander.
+func buildRing(t *testing.T, n int) *Graph[int] {
+	t.Helper()
+	g := buildPath(t, n)
+	if err := g.AddEdge(n-1, 0); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestAddRemoveVertex(t *testing.T) {
 	g := New[string]()
 	if !g.AddVertex("a") || g.AddVertex("a") {
@@ -57,12 +67,6 @@ func TestEdgeValidation(t *testing.T) {
 	if err := g.AddEdge(2, 1); err == nil {
 		t.Error("duplicate (reversed) edge accepted")
 	}
-	if !g.RemoveEdge(2, 1) {
-		t.Error("RemoveEdge by reversed endpoints failed")
-	}
-	if g.RemoveEdge(1, 2) {
-		t.Error("removing absent edge returned true")
-	}
 }
 
 func TestDegreesAndNeighbors(t *testing.T) {
@@ -83,23 +87,15 @@ func TestDegreesAndNeighbors(t *testing.T) {
 	}
 }
 
-func TestBFSAndDiameter(t *testing.T) {
+func TestBFS(t *testing.T) {
 	g := buildPath(t, 6)
 	dist := g.BFS(0)
-	if dist[5] != 5 {
-		t.Errorf("dist 0->5 = %d", dist[5])
+	if dist[5] != 5 || len(dist) != 6 {
+		t.Errorf("dist 0->5 = %d over %d reached", dist[5], len(dist))
 	}
-	if d := g.Diameter(); d != 5 {
-		t.Errorf("path diameter = %d, want 5", d)
-	}
-	if e := g.Eccentricity(2); e != 3 {
-		t.Errorf("eccentricity(2) = %d, want 3", e)
-	}
-	g2 := New[int]()
-	g2.AddVertex(0)
-	g2.AddVertex(1)
-	if g2.Diameter() != -1 {
-		t.Error("disconnected diameter should be -1")
+	g.AddVertex(6)
+	if _, ok := g.BFS(0)[6]; ok {
+		t.Error("isolated vertex reached")
 	}
 }
 
@@ -122,18 +118,6 @@ func TestComponents(t *testing.T) {
 	_ = g.AddEdge(4, 5)
 	if !g.Connected() {
 		t.Error("Connected() false after linking")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := buildPath(t, 4)
-	c := g.Clone()
-	c.RemoveVertex(0)
-	if !g.HasVertex(0) || g.NumEdges() != 3 {
-		t.Error("clone mutation leaked")
-	}
-	if c.NumVertices() != 3 {
-		t.Error("clone wrong size")
 	}
 }
 
@@ -172,43 +156,15 @@ func TestRandomRegularish(t *testing.T) {
 	}
 }
 
-func TestRingAndComplete(t *testing.T) {
-	g := New[int]()
-	vs := []int{0, 1, 2, 3, 4}
-	for _, v := range vs {
-		g.AddVertex(v)
-	}
-	if err := Ring(g, vs); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 5 || g.MaxDegree() != 2 {
-		t.Errorf("ring: edges=%d maxdeg=%d", g.NumEdges(), g.MaxDegree())
-	}
-	k := New[int]()
-	for _, v := range vs {
-		k.AddVertex(v)
-	}
-	if err := Complete(k, vs); err != nil {
-		t.Fatal(err)
-	}
-	if k.NumEdges() != 10 {
-		t.Errorf("K5 edges = %d", k.NumEdges())
-	}
-}
-
 func TestSpectralGapOrdering(t *testing.T) {
 	r := xrand.New(3)
 	n := 64
-	ring := New[int]()
+	ring := buildRing(t, n)
 	expander := New[int]()
 	var vs []int
 	for i := 0; i < n; i++ {
-		ring.AddVertex(i)
 		expander.AddVertex(i)
 		vs = append(vs, i)
-	}
-	if err := Ring(ring, vs); err != nil {
-		t.Fatal(err)
 	}
 	if err := RandomRegularish(expander, r, vs, 8); err != nil {
 		t.Fatal(err)
@@ -275,7 +231,7 @@ func TestEstimateIsoperimetricUpperBounds(t *testing.T) {
 	}
 }
 
-func TestEdgeExpansionAndConductance(t *testing.T) {
+func TestEdgeExpansion(t *testing.T) {
 	g := buildPath(t, 4)
 	s := map[int]bool{0: true, 1: true}
 	if h := g.EdgeExpansion(s); h != 0.5 {
@@ -285,9 +241,6 @@ func TestEdgeExpansionAndConductance(t *testing.T) {
 	s2 := map[int]bool{2: true, 3: true}
 	if h := g.EdgeExpansion(s2); h != 0.5 {
 		t.Errorf("flipped expansion = %v, want 0.5", h)
-	}
-	if c := g.Conductance(s); c <= 0 {
-		t.Errorf("conductance = %v", c)
 	}
 }
 
@@ -303,7 +256,8 @@ func TestVerticesInsertionOrder(t *testing.T) {
 }
 
 func TestGraphInvariantsProperty(t *testing.T) {
-	// Random edit scripts preserve: edge count == sum(deg)/2, symmetry.
+	// Random edit scripts (edge inserts, vertex removals and re-inserts)
+	// preserve: edge count == sum(deg)/2, symmetry.
 	if err := quick.Check(func(seed uint64, ops []uint16) bool {
 		r := xrand.New(seed)
 		g := New[int]()
@@ -322,7 +276,8 @@ func TestGraphInvariantsProperty(t *testing.T) {
 					_ = g.AddEdge(u, v)
 				}
 			default:
-				g.RemoveEdge(u, v)
+				g.RemoveVertex(u)
+				g.AddVertex(u)
 			}
 		}
 		sum := 0
@@ -337,17 +292,5 @@ func TestGraphInvariantsProperty(t *testing.T) {
 		return sum == 2*g.NumEdges()
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := buildPath(t, 4)
-	h := g.DegreeHistogram()
-	if h[1] != 2 || h[2] != 2 {
-		t.Errorf("histogram = %v", h)
-	}
-	keys := SortedKeys(h)
-	if len(keys) != 2 || keys[0] != 1 || keys[1] != 2 {
-		t.Errorf("SortedKeys = %v", keys)
 	}
 }

@@ -129,53 +129,12 @@ func copySet[V comparable](s map[V]bool) map[V]bool {
 // lazy normalized adjacency operator (the embedding used for sweep cuts),
 // or nil for degenerate graphs.
 func (g *Graph[V]) secondVector(r *xrand.Rand, iters int) []float64 {
-	vs := g.order
-	n := len(vs)
-	if n < 2 {
+	x, deg, _, ok := g.lazyWalkPower(r, iters)
+	if !ok {
 		return nil
 	}
-	idx := make(map[V]int, n)
-	deg := make([]float64, n)
-	for i, v := range vs {
-		idx[v] = i
-		deg[i] = float64(len(g.adj[v]))
-		if deg[i] == 0 {
-			return nil
-		}
-	}
-	u := make([]float64, n)
-	var norm float64
-	for i := range u {
-		u[i] = math.Sqrt(deg[i])
-		norm += u[i] * u[i]
-	}
-	norm = math.Sqrt(norm)
-	for i := range u {
-		u[i] /= norm
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = r.Float64() - 0.5
-	}
-	y := make([]float64, n)
-	for it := 0; it < iters; it++ {
-		orthonormalize(x, u)
-		for i := range y {
-			y[i] = 0
-		}
-		for i, v := range vs {
-			for _, w := range g.adj[v] {
-				j := idx[w]
-				y[j] += x[i] / math.Sqrt(deg[i]*deg[j])
-			}
-		}
-		for i := range y {
-			y[i] = (x[i] + y[i]) / 2
-		}
-		x, y = y, x
-	}
 	// Undo the D^{1/2} conjugation so the sweep is on the walk eigenvector.
-	out := make([]float64, n)
+	out := make([]float64, len(x))
 	for i := range x {
 		out[i] = x[i] / math.Sqrt(deg[i])
 	}

@@ -40,56 +40,16 @@ func (g *Graph[V]) Components() [][]V {
 		if seen[v] {
 			continue
 		}
-		var comp []V
-		for u := range g.BFS(v) {
-			seen[u] = true
-		}
-		// Rebuild in insertion order for determinism.
+		// Collect in insertion order for determinism.
 		dist := g.BFS(v)
+		var comp []V
 		for _, u := range g.order {
 			if _, ok := dist[u]; ok {
 				comp = append(comp, u)
+				seen[u] = true
 			}
 		}
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// Diameter returns the exact diameter (longest shortest path) of the graph,
-// computed by BFS from every vertex. It returns -1 for a disconnected or
-// empty graph. Intended for overlay-sized graphs (thousands of vertices).
-func (g *Graph[V]) Diameter() int {
-	if len(g.order) == 0 {
-		return -1
-	}
-	diam := 0
-	for _, v := range g.order {
-		dist := g.BFS(v)
-		if len(dist) != len(g.adj) {
-			return -1
-		}
-		for _, d := range dist {
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
-}
-
-// Eccentricity returns the maximum BFS distance from v, or -1 if some
-// vertex is unreachable.
-func (g *Graph[V]) Eccentricity(v V) int {
-	dist := g.BFS(v)
-	if len(dist) != len(g.adj) {
-		return -1
-	}
-	ecc := 0
-	for _, d := range dist {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
 }

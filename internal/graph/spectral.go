@@ -18,18 +18,35 @@ import (
 // up to the usual constants). Returns 0 for graphs with < 2 vertices or
 // isolated vertices.
 func (g *Graph[V]) SpectralGap(r *xrand.Rand, iters int) float64 {
+	_, _, lambda, ok := g.lazyWalkPower(r, iters)
+	if !ok {
+		return 0 // < 2 vertices, or an isolated vertex: the walk is reducible
+	}
+	if lambda > 1 {
+		lambda = 1
+	}
+	return 1 - lambda
+}
+
+// lazyWalkPower runs iters steps of power iteration, from a random start
+// drawn from r, on the lazy normalized adjacency operator
+// (I + D^{-1/2} A D^{-1/2}) / 2 deflated against its principal eigenvector
+// (sqrt of degrees). It returns the final iterate x, the degrees and the
+// last Rayleigh quotient, the second eigenvalue's estimate; ok is false for
+// a graph with < 2 vertices or an isolated vertex.
+func (g *Graph[V]) lazyWalkPower(r *xrand.Rand, iters int) (x, deg []float64, lambda float64, ok bool) {
 	vs := g.order
 	n := len(vs)
 	if n < 2 {
-		return 0
+		return nil, nil, 0, false
 	}
 	idx := make(map[V]int, n)
-	deg := make([]float64, n)
+	deg = make([]float64, n)
 	for i, v := range vs {
 		idx[v] = i
 		deg[i] = float64(len(g.adj[v]))
 		if deg[i] == 0 {
-			return 0 // isolated vertex: walk is reducible
+			return nil, nil, 0, false
 		}
 	}
 	// Principal eigenvector of the normalized adjacency: u_i ~ sqrt(d_i).
@@ -44,12 +61,11 @@ func (g *Graph[V]) SpectralGap(r *xrand.Rand, iters int) float64 {
 		u[i] /= norm
 	}
 
-	x := make([]float64, n)
+	x = make([]float64, n)
 	for i := range x {
 		x[i] = r.Float64() - 0.5
 	}
 	y := make([]float64, n)
-	lambda := 0.0
 	for it := 0; it < iters; it++ {
 		orthonormalize(x, u)
 		// y = M_lazy x where M_lazy = (I + D^{-1/2} A D^{-1/2}) / 2.
@@ -68,10 +84,7 @@ func (g *Graph[V]) SpectralGap(r *xrand.Rand, iters int) float64 {
 		lambda = dot(x, y) // Rayleigh quotient, since x is unit-norm
 		x, y = y, x
 	}
-	if lambda > 1 {
-		lambda = 1
-	}
-	return 1 - lambda
+	return x, deg, lambda, true
 }
 
 // orthonormalize projects x off u (unit vector) and rescales x to unit norm.
@@ -99,34 +112,6 @@ func dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Conductance returns the conductance of the cut (S, V\S):
-// E(S, S~) / min(vol(S), vol(S~)). Returns 0 for trivial cuts.
-func (g *Graph[V]) Conductance(s map[V]bool) float64 {
-	var cut, volS, volC float64
-	for _, v := range g.order {
-		d := float64(len(g.adj[v]))
-		if s[v] {
-			volS += d
-		} else {
-			volC += d
-		}
-	}
-	if volS == 0 || volC == 0 {
-		return 0
-	}
-	for _, v := range g.order {
-		if !s[v] {
-			continue
-		}
-		for _, w := range g.adj[v] {
-			if !s[w] {
-				cut++
-			}
-		}
-	}
-	return cut / math.Min(volS, volC)
 }
 
 // EdgeExpansion returns the edge expansion of the cut: E(S, S~)/|S| with

@@ -3,10 +3,7 @@
 // identities (vertices of the OVER overlay).
 package ids
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeID uniquely identifies a node for the lifetime of the run. The
 // paper's model states identities cannot be forged; the simulator enforces
@@ -25,19 +22,9 @@ type ClusterID uint64
 // String implements fmt.Stringer.
 func (c ClusterID) String() string { return fmt.Sprintf("C%d", uint64(c)) }
 
-// NodeSet is a set of node identifiers with deterministic iteration via
-// Sorted. The zero value is ready to use after a call to Add (nil map
-// semantics are handled).
+// NodeSet is a set of node identifiers. Make it with make before the
+// first Add.
 type NodeSet map[NodeID]struct{}
-
-// NewNodeSet builds a set from the given members.
-func NewNodeSet(members ...NodeID) NodeSet {
-	s := make(NodeSet, len(members))
-	for _, m := range members {
-		s[m] = struct{}{}
-	}
-	return s
-}
 
 // Add inserts id, returning true if it was not already present.
 func (s NodeSet) Add(id NodeID) bool {
@@ -48,45 +35,10 @@ func (s NodeSet) Add(id NodeID) bool {
 	return true
 }
 
-// Remove deletes id, returning true if it was present.
-func (s NodeSet) Remove(id NodeID) bool {
-	if _, ok := s[id]; !ok {
-		return false
-	}
-	delete(s, id)
-	return true
-}
-
-// Has reports membership.
-func (s NodeSet) Has(id NodeID) bool {
-	_, ok := s[id]
-	return ok
-}
-
 // Len returns the cardinality.
 func (s NodeSet) Len() int { return len(s) }
 
-// Sorted returns the members in ascending order; used wherever iteration
-// order must be deterministic (protocol decisions, tests).
-func (s NodeSet) Sorted() []NodeID {
-	out := make([]NodeID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Clone returns an independent copy.
-func (s NodeSet) Clone() NodeSet {
-	out := make(NodeSet, len(s))
-	for id := range s {
-		out[id] = struct{}{}
-	}
-	return out
-}
-
-// ClusterSet is a set of cluster identifiers with deterministic iteration.
+// ClusterSet is a set of cluster identifiers.
 type ClusterSet map[ClusterID]struct{}
 
 // NewClusterSet builds a set from the given members.
@@ -107,15 +59,6 @@ func (s ClusterSet) Add(id ClusterID) bool {
 	return true
 }
 
-// Remove deletes id, returning true if it was present.
-func (s ClusterSet) Remove(id ClusterID) bool {
-	if _, ok := s[id]; !ok {
-		return false
-	}
-	delete(s, id)
-	return true
-}
-
 // Has reports membership.
 func (s ClusterSet) Has(id ClusterID) bool {
 	_, ok := s[id]
@@ -124,16 +67,6 @@ func (s ClusterSet) Has(id ClusterID) bool {
 
 // Len returns the cardinality.
 func (s ClusterSet) Len() int { return len(s) }
-
-// Sorted returns the members in ascending order.
-func (s ClusterSet) Sorted() []ClusterID {
-	out := make([]ClusterID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // NodeAllocator mints unique node identifiers.
 type NodeAllocator struct{ next NodeID }

@@ -102,10 +102,16 @@ func buildRandNumProcs(t *testing.T, n int, silent map[int]bool) (map[ids.NodeID
 	return procs, honest
 }
 
+// randNumFixture is TestEquivRandNum's committee: eight honest members,
+// four rounds.
+func randNumFixture(t *testing.T) (map[ids.NodeID]runtime.Process, map[ids.NodeID]*runtime.RandNumNode, int) {
+	procs, honest := buildRandNumProcs(t, 8, nil)
+	return procs, honest, 4
+}
+
 func TestEquivRandNum(t *testing.T) {
-	const n, rounds = 8, 4
-	engineProcs, engineHonest := buildRandNumProcs(t, n, nil)
-	loopProcs, loopHonest := buildRandNumProcs(t, n, nil)
+	engineProcs, engineHonest, rounds := randNumFixture(t)
+	loopProcs, loopHonest, _ := randNumFixture(t)
 
 	engineTrace, engineLed := runOnEngine(t, engineProcs, rounds, metrics.ClassRandNum)
 	cluster := runOnLoopback(t, loopProcs, rounds, metrics.ClassRandNum)
@@ -125,7 +131,7 @@ func TestEquivRandNum(t *testing.T) {
 	// Cross-check against the counted simulator's cost model, same as the
 	// engine's own integration test: 3*s*(s-1) messages per draw.
 	var led metrics.Ledger
-	if _, _, err := (randnum.Ideal{}).Draw(&led, xrand.New(1), randnum.Params{Size: n, Byz: 0, R: 64}, nil); err != nil {
+	if _, _, err := (randnum.Ideal{}).Draw(&led, xrand.New(1), randnum.Params{Size: len(loopProcs), Byz: 0, R: 64}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := cluster.Trace().Messages(); got != led.Messages() {
@@ -184,13 +190,17 @@ func buildPhaseKingProcs(t *testing.T, n, maxFaults, liar int, inputs []int64) (
 	return procs, honest
 }
 
-func TestEquivPhaseKing(t *testing.T) {
+// phaseKingFixture is TestEquivPhaseKing's committee: n = 9, t = 2, a
+// scripted liar at index 4 and fixed mixed inputs.
+func phaseKingFixture(t *testing.T) (map[ids.NodeID]runtime.Process, map[ids.NodeID]*runtime.PhaseKingNode, int) {
 	const n, tFaults, liar = 9, 2, 4
-	inputs := []int64{1, 1, 0, 1, 0, 1, 1, 0, 1}
-	rounds := 2*(tFaults+1) + 1 // protocol rounds plus the decision round
+	procs, honest := buildPhaseKingProcs(t, n, tFaults, liar, []int64{1, 1, 0, 1, 0, 1, 1, 0, 1})
+	return procs, honest, 2*(tFaults+1) + 1 // protocol rounds plus the decision round
+}
 
-	engineProcs, engineHonest := buildPhaseKingProcs(t, n, tFaults, liar, inputs)
-	loopProcs, loopHonest := buildPhaseKingProcs(t, n, tFaults, liar, inputs)
+func TestEquivPhaseKing(t *testing.T) {
+	engineProcs, engineHonest, rounds := phaseKingFixture(t)
+	loopProcs, loopHonest, _ := phaseKingFixture(t)
 
 	engineTrace, engineLed := runOnEngine(t, engineProcs, rounds, metrics.ClassAgreement)
 	cluster := runOnLoopback(t, loopProcs, rounds, metrics.ClassAgreement)
@@ -251,11 +261,16 @@ func buildRelayProcs(t *testing.T, levels, size int, byzAt map[int]int) (map[ids
 	return procs, lastLevel
 }
 
+// relayFixture is TestEquivRelay's chain: four levels of seven, with
+// minority forgers (three) at level 1, over five rounds.
+func relayFixture(t *testing.T) (map[ids.NodeID]runtime.Process, []*runtime.RelayNode, int) {
+	procs, last := buildRelayProcs(t, 4, 7, map[int]int{1: 3})
+	return procs, last, 5
+}
+
 func TestEquivRelay(t *testing.T) {
-	const levels, size, rounds = 4, 7, 5
-	byzAt := map[int]int{1: 3} // minority forgers at level 1
-	engineProcs, engineLast := buildRelayProcs(t, levels, size, byzAt)
-	loopProcs, loopLast := buildRelayProcs(t, levels, size, byzAt)
+	engineProcs, engineLast, rounds := relayFixture(t)
+	loopProcs, loopLast, _ := relayFixture(t)
 
 	engineTrace, engineLed := runOnEngine(t, engineProcs, rounds, metrics.ClassWalk)
 	cluster := runOnLoopback(t, loopProcs, rounds, metrics.ClassWalk)

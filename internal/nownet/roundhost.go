@@ -365,9 +365,6 @@ func (c *Cluster) Trace() *Trace { return c.trace }
 // Node returns one member's node runtime.
 func (c *Cluster) Node(id ids.NodeID) *Node { return c.nodes[id] }
 
-// Host returns one member's round host.
-func (c *Cluster) Host(id ids.NodeID) *RoundHost { return c.hosts[id] }
-
 // Ledger merges the per-host ledgers in sorted ID order.
 func (c *Cluster) Ledger() metrics.Ledger {
 	var led metrics.Ledger

@@ -198,12 +198,6 @@ func TestBatchedHookedDriverMatchesClassicReplay(t *testing.T) {
 		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
 			cfg := batchedConfig(tc.k, 11)
 			cfg.Steps = tc.steps
-			if testing.Short() {
-				cfg.Core = core.DefaultConfig(1024)
-				cfg.Core.Seed = 11
-				cfg.InitialSize = 256
-				cfg.Steps = 30
-			}
 			cfg.Strategy = &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.15}}
 			cfg.InstallHijacker = true
 			r, replay := driveAgainstReplay(t, cfg, true)

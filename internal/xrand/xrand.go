@@ -85,9 +85,6 @@ func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
 // math/rand semantics; callers validate n at protocol boundaries.
 func (r *Rand) Intn(n int) int { return r.src.IntN(n) }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 { return r.src.Int64() }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 { return r.src.Float64() }
 
@@ -109,31 +106,6 @@ func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
 
 // Shuffle permutes the first n elements using swap, Fisher-Yates.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
-
-// Pick returns a uniform element of xs. It panics on an empty slice.
-func Pick[T any](r *Rand, xs []T) T {
-	return xs[r.Intn(len(xs))]
-}
-
-// PickWeighted returns an index i with probability weights[i]/sum(weights).
-// Weights must be non-negative with a positive sum.
-func PickWeighted(r *Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		panic("xrand: non-positive weight total")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
 
 // SampleWithoutReplacement returns m distinct uniform indices from [0, n).
 // It panics if m > n.

@@ -125,23 +125,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPickWeighted(t *testing.T) {
-	r := New(13)
-	weights := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const draws = 40000
-	for i := 0; i < draws; i++ {
-		counts[PickWeighted(r, weights)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight bucket drawn %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Errorf("weight-3/weight-1 ratio %.2f, want ~3", ratio)
-	}
-}
-
 func TestSampleWithoutReplacement(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int(nRaw)%100 + 1
@@ -176,18 +159,6 @@ func TestSampleWithoutReplacementCoverage(t *testing.T) {
 		if !hit[i] {
 			t.Errorf("index %d never sampled", i)
 		}
-	}
-}
-
-func TestPick(t *testing.T) {
-	r := New(23)
-	xs := []string{"a", "b", "c"}
-	seen := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		seen[Pick(r, xs)] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("Pick reached %d of 3 elements", len(seen))
 	}
 }
 

@@ -24,9 +24,10 @@
 //
 // The heavier machinery — churn simulation (Simulate), adversary
 // strategies, the experiment harness regenerating every claim-table of
-// the paper — is exposed through type aliases onto the internal packages;
-// see the subdirectories of internal/ for the full documentation, and
-// DESIGN.md / EXPERIMENTS.md for the reproduction map.
+// the paper — is exposed through type aliases onto the internal packages,
+// as far as the commands and examples of this module use it; see the
+// subdirectories of internal/ for the full documentation, README.md's
+// module layout and EXPERIMENTS.md for the reproduction map.
 package nowover
 
 import (
@@ -42,7 +43,6 @@ import (
 	"nowover/internal/randnum"
 	"nowover/internal/sim"
 	"nowover/internal/workload"
-	"nowover/internal/xrand"
 )
 
 // Re-exported identifier types.
@@ -57,31 +57,6 @@ type (
 type (
 	// Config parameterizes the protocol; see DefaultConfig.
 	Config = core.Config
-	// MergeStrategy selects among the paper's merge readings.
-	MergeStrategy = core.MergeStrategy
-	// Audit is the invariant snapshot (Theorem 3's quantities).
-	Audit = core.Audit
-	// Stats holds lifetime counters and security high-water marks.
-	Stats = core.Stats
-	// OverlayHealth is the OVER structural audit (Properties 1-2).
-	OverlayHealth = over.Health
-	// Security classifies cluster trust (Secure / Degraded / Captured).
-	Security = randnum.Security
-	// Cost is a message/round consumption record.
-	Cost = metrics.Cost
-)
-
-// Streaming statistics types: the fixed-memory accumulators behind
-// SimConfig.SampleOpCosts, which keep wide-range -full sweeps (N up to
-// 2^16 and beyond) in memory. All of them Merge deterministically in
-// submission order.
-type (
-	// Digest is a fixed-memory, deterministically mergeable quantile
-	// sketch (t-digest-style centroids; exact count/mean/min/max).
-	Digest = metrics.Digest
-	// Hist is a bounded log-scale histogram (exactly mergeable; used for
-	// per-traffic-class message counts).
-	Hist = metrics.Hist
 	// SimOpCosts is a simulation's per-operation cost distributions (join/
 	// leave messages and rounds, plus per-class message histograms). The
 	// zero value is empty; aggregate runs into one via Merge, in a fixed
@@ -96,36 +71,14 @@ type (
 // has one histogram per class).
 const NumTrafficClasses = metrics.NumClasses
 
-// Merge strategies (see DESIGN.md on the paper's ambiguity).
+// Merge strategies (see core.MergeStrategy on the paper's ambiguity).
 const (
 	MergeAbsorbRandom = core.MergeAbsorbRandom
 	MergeRejoinAll    = core.MergeRejoinAll
 )
 
-// Batch types: the operations of one time step, run in op order on the
-// classic path and settled once. See core.World.ExecBatch.
-type (
-	// WorldOp is one batched operation (join / leave / exchange).
-	WorldOp = core.Op
-	// WorldOpResult reports a batched operation's outcome.
-	WorldOpResult = core.OpResult
-	// WorldOpKind discriminates batched operations.
-	WorldOpKind = core.OpKind
-)
-
-// Batched operation kinds.
-const (
-	WorldOpJoin     = core.OpJoin
-	WorldOpLeave    = core.OpLeave
-	WorldOpExchange = core.OpExchange
-)
-
-// Security levels.
-const (
-	Secure   = randnum.Secure
-	Degraded = randnum.Degraded
-	Captured = randnum.Captured
-)
+// Secure is the trust level of a cluster below the 1/3 Byzantine bound.
+const Secure = randnum.Secure
 
 // Simulation layer aliases.
 type (
@@ -133,10 +86,6 @@ type (
 	SimConfig = sim.Config
 	// SimResult is a simulation outcome.
 	SimResult = sim.Result
-	// Schedule prescribes network size over time.
-	Schedule = workload.Schedule
-	// Strategy is an adversary churn strategy.
-	Strategy = adversary.Strategy
 )
 
 // Workload schedules.
@@ -153,8 +102,6 @@ type (
 
 // Adversary strategies.
 type (
-	// RandomChurn is benign dynamics at a tau corruption budget.
-	RandomChurn = adversary.RandomChurn
 	// JoinLeaveAttack cycles Byzantine nodes at a target cluster.
 	JoinLeaveAttack = adversary.JoinLeaveAttack
 	// DOSAttack evicts honest members of the target cluster.
@@ -163,31 +110,9 @@ type (
 	Budget = adversary.Budget
 )
 
-// Adversary hook contract (see core hooks.go): within a batch, hook
-// decisions read state fixed at the batch boundary, and hook bookkeeping
-// folds through the per-batch lifecycle in op order (SimConfig with
-// InstallHijacker, World.SetHijacker/SetSteerHook).
-type (
-	// BatchHook is the per-batch lifecycle of an adversary hook.
-	BatchHook = core.BatchHook
-	// Steerer scores clusters for last-revealer bias (SetSteerHook).
-	Steerer = core.Steerer
-	// CapturedHijacker redirects walks transiting captured clusters to
-	// the strategy's snapshot-scoped target fixation.
-	CapturedHijacker = adversary.CapturedHijacker
-	// TargetProvider is the two-sided target contract attack strategies
-	// expose (JoinLeaveAttack implements it).
-	TargetProvider = adversary.TargetProvider
-)
-
-// Experiment harness aliases (regenerates every claim-table; see
-// EXPERIMENTS.md).
-type (
-	// ExperimentTable is a paper-style result table.
-	ExperimentTable = experiments.Table
-	// ExperimentScale sizes an experiment run.
-	ExperimentScale = experiments.Scale
-)
+// ExperimentScale sizes an experiment run of the harness that
+// regenerates every claim-table (see EXPERIMENTS.md).
+type ExperimentScale = experiments.Scale
 
 // DefaultConfig returns the paper's parameters for name-space bound N,
 // with the grouped leave cascade; set GroupedCascade to false for
@@ -195,9 +120,9 @@ type (
 func DefaultConfig(maxN int) Config { return core.DefaultConfig(maxN) }
 
 // Experiments returns the experiment registry (E1-E12 + ablations).
-func Experiments() map[string]func(ExperimentScale) (*ExperimentTable, error) {
+func Experiments() map[string]func(ExperimentScale) (*experiments.Table, error) {
 	reg := experiments.Registry()
-	out := make(map[string]func(ExperimentScale) (*ExperimentTable, error), len(reg))
+	out := make(map[string]func(ExperimentScale) (*experiments.Table, error), len(reg))
 	for id, run := range reg {
 		out[id] = run
 	}
@@ -212,7 +137,7 @@ func ExperimentIDs() []string { return experiments.IDs() }
 // experiment's own cell fan-out — and returns their tables positionally
 // aligned with ids. Tables are byte-identical to a serial sweep at any
 // worker count, and a non-nil s.Journal checkpoints every cell.
-func RunExperiments(ids []string, s ExperimentScale) ([]*ExperimentTable, error) {
+func RunExperiments(ids []string, s ExperimentScale) ([]*experiments.Table, error) {
 	return experiments.RunMany(ids, s)
 }
 
@@ -301,11 +226,6 @@ func (s *System) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 	return s.world.Bootstrap(n0, corrupt)
 }
 
-// Join executes the Join operation with an explicit contact cluster.
-func (s *System) Join(byzantine bool, contact ClusterID) (NodeID, error) {
-	return s.world.Join(byzantine, contact)
-}
-
 // JoinAuto executes a Join whose contact cluster is uniform (honest
 // arrival).
 func (s *System) JoinAuto(byzantine bool) (NodeID, error) {
@@ -315,24 +235,11 @@ func (s *System) JoinAuto(byzantine bool) (NodeID, error) {
 // Leave executes the Leave operation for node x.
 func (s *System) Leave(x NodeID) error { return s.world.Leave(x) }
 
-// ExecBatch executes a batch of operations — one time step with multiple
-// simultaneous arrivals and departures — in op order on the classic path,
-// settling security once at the end of the batch.
-func (s *System) ExecBatch(ops []WorldOp) []WorldOpResult { return s.world.ExecBatch(ops) }
-
-// CheckInvariants verifies the global consistency invariants the protocol
-// maintains (membership partition, Byzantine counters, size bounds,
-// overlay/partition correspondence); nil means all hold.
-func (s *System) CheckInvariants() error { return core.CheckInvariants(s.world) }
-
 // Audit returns the invariant snapshot.
-func (s *System) Audit() Audit { return s.world.Audit() }
-
-// Stats returns lifetime counters.
-func (s *System) Stats() Stats { return s.world.Stats() }
+func (s *System) Audit() core.Audit { return s.world.Audit() }
 
 // CheckOverlay runs the OVER structural audit.
-func (s *System) CheckOverlay() OverlayHealth { return s.world.OverlayHealth(60, 40) }
+func (s *System) CheckOverlay() over.Health { return s.world.OverlayHealth(60, 40) }
 
 // NumNodes returns the live population.
 func (s *System) NumNodes() int { return s.world.NumNodes() }
@@ -343,23 +250,17 @@ func (s *System) NumClusters() int { return s.world.NumClusters() }
 // Clusters lists the cluster IDs.
 func (s *System) Clusters() []ClusterID { return s.world.Clusters() }
 
-// ClusterOf locates a node.
-func (s *System) ClusterOf(x NodeID) (ClusterID, bool) { return s.world.ClusterOf(x) }
-
 // Members returns a cluster's member snapshot.
 func (s *System) Members(c ClusterID) []NodeID { return s.world.Members(c) }
 
-// IsByzantine reports a node's allegiance (omniscient view, for
-// evaluation only — protocol logic never reads it).
-func (s *System) IsByzantine(x NodeID) bool { return s.world.IsByzantine(x) }
-
 // TotalCost returns all messages/rounds consumed so far.
-func (s *System) TotalCost() Cost {
+func (s *System) TotalCost() metrics.Cost {
 	return s.world.Ledger().Since(metrics.Snapshot{})
 }
 
 // World exposes the underlying protocol state for advanced use (the
-// entire internal API: ForceExchange, SetCorrupted, Walker, ...).
+// entire internal API: ExecBatch, ClusterOf, Stats, ForceExchange,
+// SetCorrupted, Walker, ...).
 func (s *System) World() *core.World { return s.world }
 
 // Broadcast delivers a message from a source cluster to every node and
@@ -391,19 +292,3 @@ func (s *System) Aggregate(root ClusterID, value func(ClusterID, int) int64) (ap
 func (s *System) Agree(root ClusterID, proposal func(ClusterID) int64) (apps.AgreementReport, error) {
 	return apps.Agree(s.world.Ledger(), s.world, root, proposal)
 }
-
-// Rand returns a deterministic random stream seeded from the system's
-// configuration, for callers who need reproducible auxiliary randomness.
-func (s *System) Rand() *xrand.Rand { return s.world.Rng() }
-
-// Report types re-exported for the application services.
-type (
-	// BroadcastReport summarizes a clustered broadcast.
-	BroadcastReport = apps.BroadcastReport
-	// SampleReport summarizes one uniform node sample.
-	SampleReport = apps.SampleReport
-	// AggregateReport summarizes a network aggregation.
-	AggregateReport = apps.AggregateReport
-	// AgreementReport summarizes a network-wide agreement.
-	AgreementReport = apps.AgreementReport
-)

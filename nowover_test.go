@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nowover"
+	"nowover/internal/core"
 )
 
 func system(t *testing.T) *nowover.System {
@@ -29,7 +30,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, ok := sys.ClusterOf(x)
+	c, ok := sys.World().ClusterOf(x)
 	if !ok {
 		t.Fatal("joined node unplaced")
 	}
@@ -55,7 +56,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if sys.TotalCost().Messages == 0 {
 		t.Error("no cost accounted")
 	}
-	s := sys.Stats()
+	s := sys.World().Stats()
 	if s.Joins != 1 || s.Leaves != 1 {
 		t.Errorf("stats = %+v", s)
 	}
@@ -90,7 +91,7 @@ func TestApplicationServices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sys.ClusterOf(sample.Node); !ok {
+	if _, ok := sys.World().ClusterOf(sample.Node); !ok {
 		t.Error("sampled node not in network")
 	}
 
@@ -197,10 +198,11 @@ func TestExecBatchFacade(t *testing.T) {
 	if err := sys.Bootstrap(200, nowover.FractionCorrupt(200, 0.2)); err != nil {
 		t.Fatal(err)
 	}
+	w := sys.World()
 	before := sys.NumNodes()
-	res := sys.ExecBatch([]nowover.WorldOp{
-		{Kind: nowover.WorldOpJoin},
-		{Kind: nowover.WorldOpJoin, Byz: true},
+	res := w.ExecBatch([]core.Op{
+		{Kind: core.OpJoin},
+		{Kind: core.OpJoin, Byz: true},
 	})
 	for i, rr := range res {
 		if rr.Err != nil {
@@ -210,13 +212,13 @@ func TestExecBatchFacade(t *testing.T) {
 	if sys.NumNodes() != before+2 {
 		t.Fatalf("population %d after 2 joins, want %d", sys.NumNodes(), before+2)
 	}
-	if err := sys.CheckInvariants(); err != nil {
+	if err := core.CheckInvariants(w); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Leave(res[0].Node); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.CheckInvariants(); err != nil {
+	if err := core.CheckInvariants(w); err != nil {
 		t.Fatal(err)
 	}
 }
