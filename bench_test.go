@@ -18,6 +18,8 @@ import (
 	"testing"
 
 	"nowover"
+	"nowover/internal/ids"
+	"nowover/internal/metrics"
 )
 
 // benchScale sizes experiment benchmarks: smaller than QuickScale so the
@@ -205,18 +207,45 @@ func BenchmarkExchangePrimitive(b *testing.B) {
 
 // BenchmarkWorldAudit is one invariant audit of a 2^14 world: the size
 // fold over the cluster arena plus the overlay's degree range and
-// connectivity BFS on the ClusterID-indexed adjacency. The BFS reuses the
-// overlay's scratch, so a warm audit allocates nothing.
+// connectivity. unchanged audits an overlay nothing has touched since the
+// last audit, so the overlay half is a cache hit; after-mutation first
+// adds and removes an isolated overlay vertex, which leaves the overlay as
+// it was but moves its mutation count, so every audit rescans the degrees
+// and reruns the BFS. Both reuse the overlay's scratch, so a warm audit
+// allocates nothing.
 func BenchmarkWorldAudit(b *testing.B) {
 	sys := benchSystem(b, 16384, 8192, 0.15)
 	w := sys.World()
-	w.Audit() // grow the BFS scratch
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if a := w.Audit(); !a.OverlayConnected {
-			b.Fatal("overlay disconnected")
+	o := w.Overlay()
+	var spare ids.ClusterID
+	for _, c := range w.Clusters() {
+		spare = max(spare, c+1)
+	}
+	var led metrics.Ledger
+	noPick := func(ids.ClusterID) (ids.ClusterID, bool) { return 0, false }
+	touch := func(b *testing.B) {
+		if _, err := o.Add(&led, spare, noPick, 1); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := o.Remove(&led, spare, noPick, 1); err != nil {
+			b.Fatal(err)
 		}
 	}
+	audit := func(b *testing.B, mutate bool) {
+		touch(b) // grow the scratch, the spare vertex's slots included
+		w.Audit()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if mutate {
+				touch(b)
+			}
+			if a := w.Audit(); !a.OverlayConnected {
+				b.Fatal("overlay disconnected")
+			}
+		}
+	}
+	b.Run("unchanged", func(b *testing.B) { audit(b, false) })
+	b.Run("after-mutation", func(b *testing.B) { audit(b, true) })
 }
 
 func BenchmarkUniformSample(b *testing.B) {

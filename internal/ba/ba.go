@@ -248,8 +248,7 @@ func Decide(led *metrics.Ledger, size, byz int) bool {
 	if size <= 0 {
 		return false
 	}
-	led.Charge(metrics.ClassAgreement, int64(size)*int64(size-1))
-	led.AddRounds(_decideRounds)
+	led.ChargeRounds(metrics.ClassAgreement, int64(size)*int64(size-1), _decideRounds)
 	return 3*byz < size
 }
 

@@ -118,8 +118,9 @@ func BenchmarkExecBatchChurn(b *testing.B) {
 }
 
 // TestAuditAllocatesNothing pins Audit's contract: the size fold reads the
-// arena and the connectivity BFS reuses the overlay's scratch, so a warm
-// Audit allocates nothing.
+// arena and the overlay half is the overlay's cached shape, so a warm
+// Audit allocates nothing. (BenchmarkWorldAudit/after-mutation gates the
+// recomputation.)
 func TestAuditAllocatesNothing(t *testing.T) {
 	w := newTestWorld(t, 42)
 	if a := w.Audit(); !a.OverlayConnected {

@@ -10,10 +10,12 @@ import (
 )
 
 // Audit is a point-in-time invariant check of the world: the quantities
-// the paper's theorems bound. Cheap (O(#clusters + #overlay edges), and
-// allocation-free: the connectivity BFS reuses the overlay's scratch);
-// call as often as needed. Structural expansion checks are costlier — see
-// OverlayHealth.
+// the paper's theorems bound. Cheap and allocation-free: the cluster half
+// is one O(#clusters) fold; the overlay half (degree range and
+// connectivity) is O(1) until the overlay changes, because the overlay
+// caches it, and one degree scan plus one BFS on the overlay's reused
+// scratch after a change. Call as often as needed. Structural expansion
+// checks are costlier — see OverlayHealth.
 type Audit struct {
 	Nodes    int
 	Byz      int

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"nowover/internal/ids"
+	"nowover/internal/metrics"
+	"nowover/internal/randnum"
+	"nowover/internal/walk"
 	"nowover/internal/xrand"
 )
 
@@ -402,5 +405,73 @@ func TestMergeStrategyString(t *testing.T) {
 	}
 	if MergeStrategy(9).String() == "" {
 		t.Error("unknown strategy produced empty string")
+	}
+}
+
+// delegatingGen forwards every draw through the Generator interface, the
+// shape of a counting or tracing wrapper. randnum.Draw does not recognise
+// it, so a world built on it makes every draw through the interface call.
+type delegatingGen struct{ inner randnum.Generator }
+
+func (g delegatingGen) Draw(led *metrics.Ledger, r *xrand.Rand, p randnum.Params, obj randnum.Objective) (int64, randnum.Security, error) {
+	return g.inner.Draw(led, r, p, obj)
+}
+
+// TestDirectDrawMatchesInterfaceDraw: randnum.Draw's direct call into
+// Ideal.Draw and the interface call are the same function. Seeded biased
+// walks and forced exchanges, in a world Byzantine enough to draw at every
+// security level, end with identical outcomes, per-class ledger totals,
+// rounds and world state either way.
+func TestDirectDrawMatchesInterfaceDraw(t *testing.T) {
+	type trace struct {
+		walks       []walk.Outcome
+		msgs        [metrics.NumClasses]int64
+		rounds      int64
+		fingerprint string
+	}
+	run := func(gen randnum.Generator) trace {
+		cfg := smallConfig()
+		cfg.Generator = gen
+		w := testWorld(t, cfg, 400, 0.3)
+		r := xrand.New(11)
+		var tr trace
+		for i := 0; i < 40; i++ {
+			c, _ := w.RandomCluster(r)
+			out, err := w.Walker().Biased(w.Ledger(), r, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.walks = append(tr.walks, out)
+			if err := w.ForceExchange(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := range tr.msgs {
+			tr.msgs[c] = w.Ledger().MessagesBy(metrics.Class(c))
+		}
+		tr.rounds = w.Ledger().Rounds()
+		tr.fingerprint = worldFingerprint(w)
+		return tr
+	}
+	direct, viaInterface := run(randnum.Ideal{}), run(delegatingGen{inner: randnum.Ideal{}})
+	worst := randnum.Secure
+	for i, out := range direct.walks {
+		if out != viaInterface.walks[i] {
+			t.Fatalf("walk %d: direct %+v, interface %+v", i, out, viaInterface.walks[i])
+		}
+		worst = max(worst, out.WorstSecurity)
+	}
+	if worst == randnum.Secure {
+		t.Error("no walk drew at a degraded or captured cluster; raise the Byzantine share")
+	}
+	if direct.msgs != viaInterface.msgs || direct.rounds != viaInterface.rounds {
+		t.Errorf("ledgers differ: direct %v / %d rounds, interface %v / %d rounds",
+			direct.msgs, direct.rounds, viaInterface.msgs, viaInterface.rounds)
+	}
+	if direct.msgs[metrics.ClassRandNum] == 0 {
+		t.Error("no draws charged")
+	}
+	if direct.fingerprint != viaInterface.fingerprint {
+		t.Error("worlds differ after the same seeded walks and exchanges")
 	}
 }

@@ -126,7 +126,7 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 		}
 		// C' picks the replacement node uniformly via randNum.
 		psize := e.world.Size(partner)
-		idx, sec, err := e.gen.Draw(led, r, randnum.Params{
+		idx, sec, err := randnum.Draw(e.gen, led, r, randnum.Params{
 			Size: psize,
 			Byz:  e.world.Byz(partner),
 			R:    int64(psize),
@@ -210,7 +210,7 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 		// The receiver agrees on the partner and on which member to
 		// re-export; the partner agrees on the replacement, as in Run.
 		byz := e.world.Byz(rc)
-		pick, sec, err := e.gen.Draw(led, r, randnum.Params{
+		pick, sec, err := randnum.Draw(e.gen, led, r, randnum.Params{
 			Size: size,
 			Byz:  byz,
 			R:    int64(len(pool)),
@@ -222,7 +222,7 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 			rep.WorstSecurity = sec
 		}
 		partner := pool[int(pick)]
-		idx, sec, err := e.gen.Draw(led, r, randnum.Params{
+		idx, sec, err := randnum.Draw(e.gen, led, r, randnum.Params{
 			Size: size,
 			Byz:  byz,
 			R:    int64(size),
@@ -235,7 +235,7 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 		}
 		x := e.world.MemberAt(rc, int(idx))
 		psize := e.world.Size(partner)
-		pidx, psec, err := e.gen.Draw(led, r, randnum.Params{
+		pidx, psec, err := randnum.Draw(e.gen, led, r, randnum.Params{
 			Size: psize,
 			Byz:  e.world.Byz(partner),
 			R:    int64(psize),

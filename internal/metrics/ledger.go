@@ -68,19 +68,38 @@ type Ledger struct {
 
 // Charge records n messages of class c. Negative charges are rejected so a
 // buggy cost model cannot silently shrink totals.
-func (l *Ledger) Charge(c Class, n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("metrics: negative charge %d for %v", n, c))
-	}
-	l.msgs[c] += n
-}
+func (l *Ledger) Charge(c Class, n int64) { l.ChargeRounds(c, n, 0) }
 
 // AddRounds records r communication rounds.
 func (l *Ledger) AddRounds(r int64) {
 	if r < 0 {
-		panic(fmt.Sprintf("metrics: negative rounds %d", r))
+		panic(negativeCharge(-1))
 	}
 	l.rounds += r
+}
+
+// ChargeRounds records n messages of class c sent over r communication
+// rounds: Charge and AddRounds under one sign check.
+func (l *Ledger) ChargeRounds(c Class, n, r int64) {
+	if n|r < 0 {
+		panic(negativeCharge(c))
+	}
+	l.msgs[c] += n
+	l.rounds += r
+}
+
+// negativeCharge is the panic value of a negative charge: the class
+// charged, or -1 for AddRounds. The message is built only when read, and
+// the value carries no counts (the panic's stack trace has them), so the
+// ledger's methods stay cheap enough for the cost model's callers to inline
+// them and to inline in turn into every draw.
+type negativeCharge Class
+
+func (e negativeCharge) Error() string {
+	if e < 0 {
+		return "metrics: negative rounds"
+	}
+	return fmt.Sprintf("metrics: negative message or round count charged to %v", Class(e))
 }
 
 // Merge folds another ledger's totals into this one.

@@ -45,6 +45,43 @@ func TestLedgerNegativeChargePanics(t *testing.T) {
 	l.Charge(ClassWalk, -1)
 }
 
+// TestChargeRoundsIsChargeAndAddRounds: one ChargeRounds moves the ledger
+// exactly as a Charge followed by an AddRounds, and every negative count
+// panics with a message that names what was negative.
+func TestChargeRoundsIsChargeAndAddRounds(t *testing.T) {
+	var one, two Ledger
+	one.ChargeRounds(ClassAgreement, 90, 3)
+	two.Charge(ClassAgreement, 90)
+	two.AddRounds(3)
+	if one != two {
+		t.Errorf("ChargeRounds left %+v, Charge+AddRounds %+v", one, two)
+	}
+	panics := []struct {
+		name string
+		op   func(*Ledger)
+		want string
+	}{
+		{"charge", func(l *Ledger) { l.Charge(ClassWalk, -1) }, "metrics: negative message or round count charged to walk"},
+		{"rounds", func(l *Ledger) { l.AddRounds(-1) }, "metrics: negative rounds"},
+		{"charge-rounds", func(l *Ledger) { l.ChargeRounds(ClassRandNum, 4, -2) }, "metrics: negative message or round count charged to randnum"},
+	}
+	for _, tc := range panics {
+		t.Run(tc.name, func(t *testing.T) {
+			var l Ledger
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || err.Error() != tc.want {
+					t.Errorf("panic %v, want %q", err, tc.want)
+				}
+				if l != (Ledger{}) {
+					t.Errorf("a rejected charge moved the ledger: %+v", l)
+				}
+			}()
+			tc.op(&l)
+		})
+	}
+}
+
 func TestCostString(t *testing.T) {
 	var l Ledger
 	s := l.Snapshot()

@@ -231,6 +231,12 @@ func TestCheckCatchesCorruption(t *testing.T) {
 			o.edges++
 		}},
 		{"degree above bound", func(o *Overlay) { o.degreeBound = 1 }},
+		{"stale cached shape", func(o *Overlay) {
+			if !o.Connected() { // caches connected at the current mutation count
+				panic("bootstrapped overlay disconnected")
+			}
+			isolateBehindMutators(o, o.order[0])
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,6 +249,42 @@ func TestCheckCatchesCorruption(t *testing.T) {
 				t.Fatal("Check accepted a corrupted overlay")
 			}
 		})
+	}
+}
+
+// isolateBehindMutators deletes every edge of c by writing adj directly,
+// keeping the adjacency symmetric and the edge count right, so the only
+// thing left wrong is a cached shape: the mutation count does not move.
+func isolateBehindMutators(o *Overlay, c ids.ClusterID) {
+	for _, u := range o.adj[c] {
+		lst := o.adj[u]
+		for i, v := range lst {
+			if v == c {
+				o.adj[u] = append(lst[:i], lst[i+1:]...)
+				break
+			}
+		}
+	}
+	o.edges -= len(o.adj[c])
+	o.adj[c] = nil
+}
+
+// TestStaleShapeIsTheOnlyFault backs the "stale cached shape" corruption
+// case: the same edit with no cached shape is a structurally valid,
+// disconnected overlay that Check accepts, and Connected, asked afresh,
+// reads it as disconnected.
+func TestStaleShapeIsTheOnlyFault(t *testing.T) {
+	o, _ := bootstrapped(t, 12, 0.5)
+	o.shape = shape{} // Bootstrap's DegreeRange left one
+	isolateBehindMutators(o, o.order[0])
+	if err := o.Check(); err != nil {
+		t.Fatalf("Check rejected a valid disconnected overlay: %v", err)
+	}
+	if o.Connected() {
+		t.Fatal("Connected missed an isolated vertex")
+	}
+	if lo, _ := o.DegreeRange(); lo != 0 {
+		t.Fatalf("DegreeRange low end %d, want 0", lo)
 	}
 }
 

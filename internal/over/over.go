@@ -91,6 +91,23 @@ type Overlay struct {
 	seen  []uint32
 	epoch uint32
 	queue []ids.ClusterID
+
+	// mutations counts writes to adj and order. The four mutators
+	// (addVertex, removeVertex, removeDirected, addEdge) are the only
+	// writers and each bumps it, so an unchanged count means an unchanged
+	// overlay.
+	mutations uint64
+	// shape caches Connected and DegreeRange as of shape.at mutations.
+	shape shape
+}
+
+// shape is the overlay's connectivity and degree range at one mutation
+// count; valid is false until the first computation.
+type shape struct {
+	valid     bool
+	at        uint64
+	connected bool
+	lo, hi    int
 }
 
 // New returns an empty overlay with the given degree discipline.
@@ -161,6 +178,7 @@ func (o *Overlay) addVertex(c ids.ClusterID) {
 	}
 	o.order = append(o.order, c)
 	o.pos[c] = int32(len(o.order))
+	o.mutations++
 }
 
 // removeVertex deletes c and its incident edges. The vertex order closes
@@ -177,6 +195,7 @@ func (o *Overlay) removeVertex(c ids.ClusterID) {
 		o.pos[o.order[j]] = int32(j + 1)
 	}
 	o.pos[c] = 0
+	o.mutations++
 }
 
 func (o *Overlay) removeDirected(from, to ids.ClusterID) {
@@ -184,6 +203,7 @@ func (o *Overlay) removeDirected(from, to ids.ClusterID) {
 	for i, w := range lst {
 		if w == to {
 			o.adj[from] = append(lst[:i], lst[i+1:]...)
+			o.mutations++
 			return
 		}
 	}
@@ -211,6 +231,7 @@ func (o *Overlay) addEdge(u, v ids.ClusterID) error {
 	o.adj[u] = append(o.adj[u], v)
 	o.adj[v] = append(o.adj[v], u)
 	o.edges++
+	o.mutations++
 	return nil
 }
 
@@ -244,27 +265,43 @@ func (o *Overlay) bfs(start ids.ClusterID) int {
 }
 
 // Connected reports whether the overlay is connected (true when it has at
-// most one vertex). It allocates nothing once its scratch has grown to the
-// overlay's size.
-func (o *Overlay) Connected() bool {
-	if len(o.order) <= 1 {
-		return true
-	}
-	o.nextEpoch()
-	return o.bfs(o.order[0]) == len(o.order)
-}
+// most one vertex). The answer is cached until the next mutation, so
+// repeated calls on an unchanged overlay cost O(1); a recomputation is one
+// BFS that allocates nothing once its scratch has grown to the overlay's
+// size.
+func (o *Overlay) Connected() bool { return o.currentShape().connected }
 
 // DegreeRange returns the minimum and maximum vertex degree (0, 0 for an
-// empty overlay).
+// empty overlay), cached with Connected.
 func (o *Overlay) DegreeRange() (lo, hi int) {
+	sh := o.currentShape()
+	return sh.lo, sh.hi
+}
+
+// currentShape returns the cached shape, recomputing it when the overlay
+// has changed since it was taken.
+func (o *Overlay) currentShape() shape {
+	if !o.shape.valid || o.shape.at != o.mutations {
+		o.shape = o.computeShape()
+	}
+	return o.shape
+}
+
+// computeShape measures connectivity and the degree range afresh.
+func (o *Overlay) computeShape() shape {
+	sh := shape{valid: true, at: o.mutations, connected: true}
 	for i, v := range o.order {
 		d := len(o.adj[v])
-		if i == 0 || d < lo {
-			lo = d
+		if i == 0 || d < sh.lo {
+			sh.lo = d
 		}
-		hi = max(hi, d)
+		sh.hi = max(sh.hi, d)
 	}
-	return lo, hi
+	if len(o.order) > 1 {
+		o.nextEpoch()
+		sh.connected = o.bfs(o.order[0]) == len(o.order)
+	}
+	return sh
 }
 
 // Bootstrap installs the initial Erdos-Renyi overlay over the given
@@ -387,9 +424,11 @@ func (o *Overlay) Remove(led *metrics.Ledger, c ids.ClusterID, pick Picker, atte
 // Check is the overlay's structural self-check: the position index and the
 // vertex order agree, absent IDs have no edges, the adjacency is symmetric
 // with no self-loops, duplicates or edges to absent vertices, the edge
-// count matches the lists, and no degree exceeds DegreeCap (or the larger
-// degree an uncapped Bootstrap left; see degreeBound). It returns the
-// first violation found, scanning in vertex order.
+// count matches the lists, no degree exceeds DegreeCap (or the larger
+// degree an uncapped Bootstrap left; see degreeBound), and a cached
+// Connected/DegreeRange that claims to be current matches a fresh
+// recomputation. It returns the first violation found, scanning in vertex
+// order.
 func (o *Overlay) Check() error {
 	live := 0
 	for c, p := range o.pos {
@@ -431,6 +470,12 @@ func (o *Overlay) Check() error {
 	}
 	if degrees != 2*o.edges {
 		return fmt.Errorf("over: edge count %d vs degree sum %d", o.edges, degrees)
+	}
+	if cached := o.shape; cached.valid && cached.at == o.mutations {
+		if fresh := o.computeShape(); fresh != cached {
+			return fmt.Errorf("over: cached shape (connected=%v, degrees [%d,%d]) is stale: the overlay reads (connected=%v, degrees [%d,%d])",
+				cached.connected, cached.lo, cached.hi, fresh.connected, fresh.lo, fresh.hi)
+		}
 	}
 	return nil
 }

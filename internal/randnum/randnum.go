@@ -35,17 +35,27 @@ type Params struct {
 	R    int64 // output range [0, R)
 }
 
+// validate is nil for a drawable cluster. It inlines into Draw: the
+// message of a rejection is built only when read, by invalidParams.Error.
 func (p Params) validate() error {
-	if p.Size <= 0 {
-		return fmt.Errorf("randnum: non-positive cluster size %d", p.Size)
+	if p.Size > 0 && p.Byz >= 0 && p.Byz <= p.Size && p.R > 0 {
+		return nil
 	}
-	if p.Byz < 0 || p.Byz > p.Size {
-		return fmt.Errorf("randnum: byzantine count %d out of [0,%d]", p.Byz, p.Size)
+	return invalidParams(p)
+}
+
+// invalidParams is the error of a rejected Params.
+type invalidParams Params
+
+func (p invalidParams) Error() string {
+	switch {
+	case p.Size <= 0:
+		return fmt.Sprintf("randnum: non-positive cluster size %d", p.Size)
+	case p.Byz < 0 || p.Byz > p.Size:
+		return fmt.Sprintf("randnum: byzantine count %d out of [0,%d]", p.Byz, p.Size)
+	default:
+		return fmt.Sprintf("randnum: non-positive range %d", p.R)
 	}
-	if p.R <= 0 {
-		return fmt.Errorf("randnum: non-positive range %d", p.R)
-	}
-	return nil
 }
 
 // Objective scores an outcome for the adversary; higher is better. A nil
@@ -105,11 +115,22 @@ type Generator interface {
 // chargeDraw applies the paper's cost model for one randNum invocation:
 // commit round + reveal round (all-to-all within the cluster) and one
 // black-box agreement on the reveal set.
-func chargeDraw(led *metrics.Ledger, p Params) {
-	allToAll := int64(p.Size) * int64(p.Size-1)
-	led.Charge(metrics.ClassRandNum, 2*allToAll)
-	led.AddRounds(2)
-	ba.Decide(led, p.Size, p.Byz)
+func chargeDraw(led *metrics.Ledger, size, byz int) {
+	led.ChargeRounds(metrics.ClassRandNum, 2*int64(size)*int64(size-1), 2)
+	ba.Decide(led, size, byz)
+}
+
+// Draw is gen.Draw. When gen is Ideal it calls Ideal.Draw directly, a
+// static call into a method with the validation, the cost model and the
+// classification inlined, instead of dispatching through the interface;
+// any other Generator, a wrapper around Ideal included, gets the interface
+// call. The walker and the exchanger, which make every draw of a simulated
+// op, draw through it.
+func Draw(gen Generator, led *metrics.Ledger, r *xrand.Rand, p Params, obj Objective) (int64, Security, error) {
+	if _, ok := gen.(Ideal); ok {
+		return Ideal{}.Draw(led, r, p, obj)
+	}
+	return gen.Draw(led, r, p, obj)
 }
 
 // Ideal is the unbiasable construction. The zero value is ready to use.
@@ -122,7 +143,7 @@ func (Ideal) Draw(led *metrics.Ledger, r *xrand.Rand, p Params, obj Objective) (
 	if err := p.validate(); err != nil {
 		return 0, Secure, err
 	}
-	chargeDraw(led, p)
+	chargeDraw(led, p.Size, p.Byz)
 	sec := Classify(p.Size, p.Byz)
 	if sec == Captured {
 		return adversaryChoice(r, p.R, obj), sec, nil
@@ -145,7 +166,7 @@ func (CommitReveal) Draw(led *metrics.Ledger, r *xrand.Rand, p Params, obj Objec
 	if err := p.validate(); err != nil {
 		return 0, Secure, err
 	}
-	chargeDraw(led, p)
+	chargeDraw(led, p.Size, p.Byz)
 	sec := Classify(p.Size, p.Byz)
 	if sec == Captured {
 		return adversaryChoice(r, p.R, obj), sec, nil

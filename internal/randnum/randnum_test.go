@@ -192,37 +192,114 @@ func TestCommitRevealBiasGrowsWithByz(t *testing.T) {
 	}
 }
 
+// rejectedParams are compositions no generator may draw for.
+func rejectedParams() []Params {
+	return []Params{
+		{Size: 0, Byz: 0, R: 4},
+		{Size: 5, Byz: -1, R: 4},
+		{Size: 5, Byz: 6, R: 4},
+		{Size: 5, Byz: 0, R: 0},
+	}
+}
+
+// TestDrawCostModel pins the per-class split of one draw at every security
+// level, for both generators and through the Draw helper: 2|C|(|C|-1)
+// randNum messages (commit and reveal, all-to-all), |C|(|C|-1) agreement
+// messages (the reveal set) and 5 rounds. A rejected Params charges
+// nothing.
 func TestDrawCostModel(t *testing.T) {
-	var led metrics.Ledger
-	r := xrand.New(6)
-	_, _, err := Ideal{}.Draw(&led, r, Params{Size: 10, Byz: 0, R: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		size, byz int
+		want      Security
+		total     int64
+	}{
+		{"secure", 10, 0, Secure, 270},
+		{"degraded", 9, 3, Degraded, 216},
+		{"captured", 10, 5, Captured, 270},
 	}
-	// 2 all-to-all rounds (2*90) + agreement (90).
-	if got := led.Messages(); got != 270 {
-		t.Errorf("draw charged %d messages, want 270", got)
+	for _, tc := range cases {
+		for _, gen := range []Generator{Ideal{}, CommitReveal{}} {
+			var led metrics.Ledger
+			_, sec, err := Draw(gen, &led, xrand.New(6), Params{Size: tc.size, Byz: tc.byz, R: 4}, nil)
+			if err != nil {
+				t.Fatalf("%s %T: %v", tc.name, gen, err)
+			}
+			if sec != tc.want {
+				t.Errorf("%s %T: security %v, want %v", tc.name, gen, sec, tc.want)
+			}
+			allToAll := int64(tc.size) * int64(tc.size-1)
+			if got := led.MessagesBy(metrics.ClassRandNum); got != 2*allToAll {
+				t.Errorf("%s %T: randnum class %d, want %d", tc.name, gen, got, 2*allToAll)
+			}
+			if got := led.MessagesBy(metrics.ClassAgreement); got != allToAll {
+				t.Errorf("%s %T: agreement class %d, want %d", tc.name, gen, got, allToAll)
+			}
+			if got := led.Messages(); got != tc.total {
+				t.Errorf("%s %T: %d messages, want %d", tc.name, gen, got, tc.total)
+			}
+			if got := led.Rounds(); got != 5 {
+				t.Errorf("%s %T: %d rounds, want 5", tc.name, gen, got)
+			}
+		}
 	}
-	if led.Rounds() != 5 {
-		t.Errorf("draw charged %d rounds, want 5", led.Rounds())
+	for _, p := range rejectedParams() {
+		for _, gen := range []Generator{Ideal{}, CommitReveal{}} {
+			var led metrics.Ledger
+			if _, _, err := Draw(gen, &led, xrand.New(6), p, nil); err == nil {
+				t.Errorf("%T accepted %+v", gen, p)
+			}
+			if led.Messages() != 0 || led.Rounds() != 0 {
+				t.Errorf("%T charged %d messages and %d rounds for rejected %+v", gen, led.Messages(), led.Rounds(), p)
+			}
+		}
 	}
 }
 
 func TestParamValidation(t *testing.T) {
 	var led metrics.Ledger
 	r := xrand.New(7)
-	bad := []Params{
-		{Size: 0, Byz: 0, R: 4},
-		{Size: 5, Byz: -1, R: 4},
-		{Size: 5, Byz: 6, R: 4},
-		{Size: 5, Byz: 0, R: 0},
-	}
-	for _, p := range bad {
+	for _, p := range rejectedParams() {
 		if _, _, err := (Ideal{}).Draw(&led, r, p, nil); err == nil {
 			t.Errorf("Ideal accepted %+v", p)
 		}
 		if _, _, err := (CommitReveal{}).Draw(&led, r, p, nil); err == nil {
 			t.Errorf("CommitReveal accepted %+v", p)
+		}
+	}
+}
+
+// TestRejectionMessages pins what a rejected Params says.
+func TestRejectionMessages(t *testing.T) {
+	want := []string{
+		"randnum: non-positive cluster size 0",
+		"randnum: byzantine count -1 out of [0,5]",
+		"randnum: byzantine count 6 out of [0,5]",
+		"randnum: non-positive range 0",
+	}
+	for i, p := range rejectedParams() {
+		if got := p.validate(); got == nil || got.Error() != want[i] {
+			t.Errorf("validate(%+v) = %v, want %q", p, got, want[i])
+		}
+	}
+	if err := (Params{Size: 5, Byz: 5, R: 1}).validate(); err != nil {
+		t.Errorf("validate rejected a drawable composition: %v", err)
+	}
+}
+
+// BenchmarkIdealDraw is one secure Ideal draw at a churn-sized cluster
+// through the Generator interface helper the walker and exchanger use:
+// the validation, the cost model's charges and the value, with nothing
+// allocated.
+func BenchmarkIdealDraw(b *testing.B) {
+	var led metrics.Ledger
+	r := xrand.New(8)
+	var gen Generator = Ideal{}
+	p := Params{Size: 36, Byz: 7, R: 1 << 16}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Draw(gen, &led, r, p, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -234,9 +234,9 @@ func (w *Walker) Biased(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID)
 			w.acceptScore = w.cfg.Steer(out.End)
 			obj = w.acceptObj
 		}
-		v, sec, err := w.draw(led, r, out.End, size, w.topo.Byz(out.End), int64(maxSize), obj)
+		v, sec, err := randnum.Draw(w.cfg.Gen, led, r, randnum.Params{Size: size, Byz: w.topo.Byz(out.End), R: int64(maxSize)}, obj)
 		if err != nil {
-			return out, err
+			return out, drawError(out.End, err)
 		}
 		out.WorstSecurity = maxSecurity(out.WorstSecurity, sec)
 		if v < int64(size) {
@@ -283,9 +283,9 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 			break // isolated vertex: the walk cannot move
 		}
 		// Holding time ~ Exp(deg): cluster-agreed via a gridded draw.
-		hv, sec, err := w.draw(led, r, cur, size, byz, _holdGrid, nil)
+		hv, sec, err := randnum.Draw(w.cfg.Gen, led, r, randnum.Params{Size: size, Byz: byz, R: _holdGrid}, nil)
 		if err != nil {
-			return err
+			return drawError(cur, err)
 		}
 		out.WorstSecurity = maxSecurity(out.WorstSecurity, sec)
 		remaining -= holdTime[hv] / float64(deg)
@@ -298,17 +298,16 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 			w.hopAdj = adj
 			obj = w.hopObj
 		}
-		nv, sec2, err := w.draw(led, r, cur, size, byz, int64(deg), obj)
+		nv, sec2, err := randnum.Draw(w.cfg.Gen, led, r, randnum.Params{Size: size, Byz: byz, R: int64(deg)}, obj)
 		if err != nil {
-			return err
+			return drawError(cur, err)
 		}
 		out.WorstSecurity = maxSecurity(out.WorstSecurity, sec2)
 		next := adj[nv]
 		nextSize := w.topo.Size(next)
 		// Handoff: every member of cur messages every member of next; next
 		// accepts on >1/2 identical copies.
-		led.Charge(metrics.ClassWalk, int64(size)*int64(nextSize))
-		led.AddRounds(1)
+		led.ChargeRounds(metrics.ClassWalk, int64(size)*int64(nextSize), 1)
 		cur, size, byz, adj = next, nextSize, w.topo.Byz(next), w.topo.Adjacent(next)
 		out.Hops++
 	}
@@ -316,14 +315,11 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 	return nil
 }
 
-// draw is one random integer in [0, rng) agreed by cluster c of the given
-// size and Byzantine count, with an optional adversary objective attached.
-func (w *Walker) draw(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID, size, byz int, rng int64, obj randnum.Objective) (int64, randnum.Security, error) {
-	v, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: rng}, obj)
-	if err != nil {
-		return 0, sec, fmt.Errorf("walk: draw at %v: %w", c, err)
-	}
-	return v, sec, nil
+// drawError names the cluster whose draw failed. Every draw of a walk
+// calls randnum.Draw at its call site, with the wrapping of a failure kept
+// out of the hop's straight-line path.
+func drawError(c ids.ClusterID, err error) error {
+	return fmt.Errorf("walk: draw at %v: %w", c, err)
 }
 
 func maxSecurity(a, b randnum.Security) randnum.Security {

@@ -24,13 +24,23 @@ go test -run '^$' -bench 'BenchmarkExecBatchExchange|BenchmarkExecBatchHookedExc
 
 # randCl and the exchange primitive read the overlay adjacency in place
 # (Topology.Adjacent): a copy per hop or per neighbour-mass charge shows up
-# here as allocs/op > 0. The world audit runs its connectivity BFS on the
-# overlay's reused scratch: a map or queue per call shows up the same way.
+# here as allocs/op > 0. The world audit's overlay half is cached until the
+# overlay changes: /unchanged times the cache hit, /after-mutation forces
+# the degree scan and the connectivity BFS, which run on the overlay's
+# reused scratch, so a map or queue per call shows up the same way.
 # A simulation step reuses the runner's victims/ops/results scratch: a
 # 50-step window makes a handful of structural mallocs, under 1 per step.
 echo "== benchmem gate: walk + exchange primitives, world audit, sim step =="
 go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|BenchmarkWorldAudit|BenchmarkSimulationStep' \
 	-benchmem -benchtime 50x . | tee -a "$out"
+
+# One Ideal randNum draw: validation, the cost model's charges and the
+# value. A rejected Params builds its error only on its cold branch and a
+# negative charge its panic value only when it panics, so a draw that
+# allocates means one of them has moved onto the hot path.
+echo "== benchmem gate: randnum draw =="
+go test -run '^$' -bench 'BenchmarkIdealDraw' \
+	-benchmem -benchtime 50x ./internal/randnum/ | tee -a "$out"
 
 # The wire path: a warm stream decoder allocates only the payload copy it
 # hands out, and a warm Node.Request round trip over localhost TCP only the
@@ -48,7 +58,9 @@ BenchmarkExecBatchHookedExchange 0
 BenchmarkExecBatchChurn 8
 BenchmarkRandClWalk 0
 BenchmarkExchangePrimitive 0
-BenchmarkWorldAudit 0
+BenchmarkWorldAudit/unchanged 0
+BenchmarkWorldAudit/after-mutation 0
+BenchmarkIdealDraw 0
 BenchmarkSimulationStep 0
 BenchmarkStreamReframe/empty 0
 BenchmarkStreamReframe/payload 1
