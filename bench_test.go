@@ -173,17 +173,26 @@ func BenchmarkLeaveOperation(b *testing.B) {
 	}
 }
 
+// BenchmarkRandClWalk is one biased walk (randCl) from a random cluster;
+// N=262144 is the churn_large shape. ns/hop divides the time by the hops
+// the walks made.
 func BenchmarkRandClWalk(b *testing.B) {
-	for _, maxN := range []int{1024, 4096, 16384} {
+	for _, maxN := range []int{1024, 4096, 16384, 262144} {
 		b.Run(fmt.Sprintf("N=%d", maxN), func(b *testing.B) {
 			sys := benchSystem(b, maxN, maxN/2, 0.15)
 			w := sys.World()
+			hops := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start, _ := w.RandomCluster(w.Rng())
-				if _, err := w.Walker().Biased(w.Ledger(), w.Rng(), start); err != nil {
+				out, err := w.Walker().Biased(w.Ledger(), w.Rng(), start)
+				if err != nil {
 					b.Fatal(err)
 				}
+				hops += out.Hops
+			}
+			if hops > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
 			}
 		})
 	}

@@ -248,8 +248,16 @@ func Decide(led *metrics.Ledger, size, byz int) bool {
 	if size <= 0 {
 		return false
 	}
-	led.ChargeRounds(metrics.ClassAgreement, int64(size)*int64(size-1), _decideRounds)
+	msgs, rounds := DecideCost(size)
+	led.ChargeRounds(metrics.ClassAgreement, msgs, rounds)
 	return 3*byz < size
+}
+
+// DecideCost is what Decide charges for one agreement among size > 0
+// members: size*(size-1) messages (all-to-all) and a constant number of
+// rounds. It is the agreement term of every randNum draw's cost.
+func DecideCost(size int) (msgs, rounds int64) {
+	return int64(size) * int64(size-1), _decideRounds
 }
 
 // _decideRounds is the constant round charge for one black-box agreement;

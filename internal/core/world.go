@@ -267,7 +267,13 @@ func NewWorld(cfg Config) (*World, error) {
 		MaxRestarts:    maxWalkRestarts,
 		Gen:            cfg.Generator,
 		Hijack:         w.hijack,
-		Steer:          func(c ids.ClusterID) float64 { return w.steerScore(c) },
+		// Steer is installed whether or not a steer hook is: with none,
+		// every cluster scores 0, so a captured cluster's next-hop draw
+		// takes Adjacent(c)[0] and its acceptance coin accepts (see
+		// walk.Config.Steer), not the uniform draw of a nil Objective.
+		// Pinned by TestCapturedDrawsWithoutSteerHook; whether that is
+		// the adversary model wanted is an open question.
+		Steer: func(c ids.ClusterID) float64 { return w.steerScore(c) },
 	}
 	walker, err := walk.NewWalker(w.walkCfg, w)
 	if err != nil {

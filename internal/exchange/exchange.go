@@ -107,6 +107,10 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 		e.members = append(e.members, e.world.MemberAt(c, i))
 	}
 	members := e.members
+	// A swap moves one node each way between c and its partner, so no
+	// cluster's size and no overlay edge changes during Run: c's size and
+	// neighbour mass hold for every swap's charge.
+	cs, cm := int64(len(members)), walk.NeighborMass(e.world, c)
 	for _, x := range members {
 		out, err := e.walker.Biased(led, r, c)
 		if err != nil {
@@ -126,7 +130,7 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 		}
 		// C' picks the replacement node uniformly via randNum.
 		psize := e.world.Size(partner)
-		idx, sec, err := randnum.Draw(e.gen, led, r, randnum.Params{
+		idx, sec, err := e.gen.Draw(led, r, randnum.Params{
 			Size: psize,
 			Byz:  e.world.Byz(partner),
 			R:    int64(psize),
@@ -144,7 +148,8 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 		if err := e.world.Transfer(y, partner, c); err != nil {
 			return rep, fmt.Errorf("exchange: %w", err)
 		}
-		e.chargeSwap(led, c, partner)
+		chargeSwap(led, metrics.ClassExchange, cs, cm, int64(psize), walk.NeighborMass(e.world, partner))
+		led.AddRounds(2)
 		rep.Swaps++
 		if !containsCluster(rep.Receivers, partner) {
 			rep.Receivers = append(rep.Receivers, partner)
@@ -210,7 +215,7 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 		// The receiver agrees on the partner and on which member to
 		// re-export; the partner agrees on the replacement, as in Run.
 		byz := e.world.Byz(rc)
-		pick, sec, err := randnum.Draw(e.gen, led, r, randnum.Params{
+		pick, sec, err := e.gen.Draw(led, r, randnum.Params{
 			Size: size,
 			Byz:  byz,
 			R:    int64(len(pool)),
@@ -222,7 +227,7 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 			rep.WorstSecurity = sec
 		}
 		partner := pool[int(pick)]
-		idx, sec, err := randnum.Draw(e.gen, led, r, randnum.Params{
+		idx, sec, err := e.gen.Draw(led, r, randnum.Params{
 			Size: size,
 			Byz:  byz,
 			R:    int64(size),
@@ -235,7 +240,7 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 		}
 		x := e.world.MemberAt(rc, int(idx))
 		psize := e.world.Size(partner)
-		pidx, psec, err := randnum.Draw(e.gen, led, r, randnum.Params{
+		pidx, psec, err := e.gen.Draw(led, r, randnum.Params{
 			Size: psize,
 			Byz:  e.world.Byz(partner),
 			R:    int64(psize),
@@ -253,7 +258,8 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 		if err := e.world.Transfer(y, partner, rc); err != nil {
 			return rep, fmt.Errorf("exchange: cascade: %w", err)
 		}
-		e.chargeSwapClass(led, rc, partner, metrics.ClassCascade, false)
+		chargeSwap(led, metrics.ClassCascade, int64(size), walk.NeighborMass(e.world, rc),
+			int64(psize), walk.NeighborMass(e.world, partner))
 		rep.Swaps++
 		if !containsCluster(rep.Receivers, partner) {
 			rep.Receivers = append(rep.Receivers, partner)
@@ -266,26 +272,17 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 	return rep, nil
 }
 
-// chargeSwap applies the per-swap cost model: installation state for the
+// chargeSwap applies the per-swap cost model to a swap between a cluster
+// of cs nodes whose neighbours hold cm nodes (its neighbour mass) and a
+// partner of ps nodes with neighbour mass pm: installation state for the
 // two moved nodes (each learns its new cluster's membership and the
-// membership of every adjacent cluster) plus composition updates to all
-// neighbors of both clusters.
-func (e *Exchanger) chargeSwap(led *metrics.Ledger, c, partner ids.ClusterID) {
-	e.chargeSwapClass(led, c, partner, metrics.ClassExchange, true)
-}
-
-// chargeSwapClass is chargeSwap with the transfer class and per-swap round
-// charging made explicit; the grouped cascade round charges ClassCascade
-// and amortizes rounds across the whole round.
-func (e *Exchanger) chargeSwapClass(led *metrics.Ledger, c, partner ids.ClusterID, class metrics.Class, perSwapRounds bool) {
-	cs, ps := int64(e.world.Size(c)), int64(e.world.Size(partner))
+// membership of every adjacent cluster), charged to class, plus
+// composition updates to all neighbours of both clusters. A swap's rounds
+// are the caller's: two per swap in Run, two per grouped cascade round.
+func chargeSwap(led *metrics.Ledger, class metrics.Class, cs, cm, ps, pm int64) {
 	// Each moved node learns its new cluster and every node adjacent to it.
-	cm, pm := walk.NeighborMass(e.world, c), walk.NeighborMass(e.world, partner)
 	led.Charge(class, cs+ps+cm+pm)
 	// Composition updates: every node of every neighbour D of C learns C's
 	// new composition, the sum over D of |C|*|D| = |C| * NeighborMass(C).
 	led.Charge(metrics.ClassInterCluster, cs*cm+ps*pm)
-	if perSwapRounds {
-		led.AddRounds(2)
-	}
 }

@@ -112,25 +112,46 @@ type Generator interface {
 	Draw(led *metrics.Ledger, r *xrand.Rand, p Params, obj Objective) (int64, Security, error)
 }
 
-// chargeDraw applies the paper's cost model for one randNum invocation:
-// commit round + reveal round (all-to-all within the cluster) and one
-// black-box agreement on the reveal set.
-func chargeDraw(led *metrics.Ledger, size, byz int) {
-	led.ChargeRounds(metrics.ClassRandNum, 2*int64(size)*int64(size-1), 2)
-	ba.Decide(led, size, byz)
+// chargeDraw applies the paper's cost model for one randNum invocation.
+func chargeDraw(led *metrics.Ledger, size int) {
+	var t Tally
+	t.add(size)
+	t.Charge(led)
 }
 
-// Draw is gen.Draw. When gen is Ideal it calls Ideal.Draw directly, a
-// static call into a method with the validation, the cost model and the
-// classification inlined, instead of dispatching through the interface;
-// any other Generator, a wrapper around Ideal included, gets the interface
-// call. The walker and the exchanger, which make every draw of a simulated
-// op, draw through it.
-func Draw(gen Generator, led *metrics.Ledger, r *xrand.Rand, p Params, obj Objective) (int64, Security, error) {
-	if _, ok := gen.(Ideal); ok {
-		return Ideal{}.Draw(led, r, p, obj)
-	}
-	return gen.Draw(led, r, p, obj)
+// Tally is the Ideal draw fused for a caller that draws many times at
+// clusters below capture, such as a walk's hops: Draw returns the draw's
+// value and adds its cost to running sums, and Charge puts the sums on a
+// ledger once. The zero value is an empty tally.
+type Tally struct {
+	randNum, agreement, rounds int64
+}
+
+// add is the paper's cost model for one randNum invocation at a cluster of
+// size members: a commit round and a reveal round (all-to-all within the
+// cluster) and one black-box agreement on the reveal set (ba.DecideCost).
+func (t *Tally) add(size int) {
+	msgs, rounds := ba.DecideCost(size)
+	t.randNum += 2 * int64(size) * int64(size-1)
+	t.agreement += msgs
+	t.rounds += 2 + rounds
+}
+
+// Draw is Ideal.Draw at a cluster below capture, without the ledger: it
+// returns the agreed value, uniform in [0, n), and adds the draw's cost to
+// the tally. The caller guarantees what Ideal.Draw would have checked:
+// Params{Size: size, Byz: byz, R: n} is valid for the cluster's byz, and
+// Classify(size, byz) is below Captured.
+func (t *Tally) Draw(r *xrand.Rand, size, n int) int {
+	t.add(size)
+	return r.Intn(n)
+}
+
+// Charge charges led with the tally's sums and empties the tally.
+func (t *Tally) Charge(led *metrics.Ledger) {
+	led.ChargeRounds(metrics.ClassRandNum, t.randNum, t.rounds)
+	led.Charge(metrics.ClassAgreement, t.agreement)
+	*t = Tally{}
 }
 
 // Ideal is the unbiasable construction. The zero value is ready to use.
@@ -138,17 +159,21 @@ type Ideal struct{}
 
 var _ Generator = Ideal{}
 
-// Draw implements Generator.
+// Draw implements Generator. Below capture it is one Tally draw, charged at
+// once.
 func (Ideal) Draw(led *metrics.Ledger, r *xrand.Rand, p Params, obj Objective) (int64, Security, error) {
 	if err := p.validate(); err != nil {
 		return 0, Secure, err
 	}
-	chargeDraw(led, p.Size, p.Byz)
 	sec := Classify(p.Size, p.Byz)
 	if sec == Captured {
+		chargeDraw(led, p.Size)
 		return adversaryChoice(r, p.R, obj), sec, nil
 	}
-	return int64(r.Intn(int(p.R))), sec, nil
+	var t Tally
+	v := t.Draw(r, p.Size, int(p.R))
+	t.Charge(led)
+	return int64(v), sec, nil
 }
 
 // CommitReveal is the biasable construction: Byzantine members may abort
@@ -166,7 +191,7 @@ func (CommitReveal) Draw(led *metrics.Ledger, r *xrand.Rand, p Params, obj Objec
 	if err := p.validate(); err != nil {
 		return 0, Secure, err
 	}
-	chargeDraw(led, p.Size, p.Byz)
+	chargeDraw(led, p.Size)
 	sec := Classify(p.Size, p.Byz)
 	if sec == Captured {
 		return adversaryChoice(r, p.R, obj), sec, nil

@@ -203,7 +203,7 @@ func rejectedParams() []Params {
 }
 
 // TestDrawCostModel pins the per-class split of one draw at every security
-// level, for both generators and through the Draw helper: 2|C|(|C|-1)
+// level, for both generators: 2|C|(|C|-1)
 // randNum messages (commit and reveal, all-to-all), |C|(|C|-1) agreement
 // messages (the reveal set) and 5 rounds. A rejected Params charges
 // nothing.
@@ -221,7 +221,7 @@ func TestDrawCostModel(t *testing.T) {
 	for _, tc := range cases {
 		for _, gen := range []Generator{Ideal{}, CommitReveal{}} {
 			var led metrics.Ledger
-			_, sec, err := Draw(gen, &led, xrand.New(6), Params{Size: tc.size, Byz: tc.byz, R: 4}, nil)
+			_, sec, err := gen.Draw(&led, xrand.New(6), Params{Size: tc.size, Byz: tc.byz, R: 4}, nil)
 			if err != nil {
 				t.Fatalf("%s %T: %v", tc.name, gen, err)
 			}
@@ -246,13 +246,49 @@ func TestDrawCostModel(t *testing.T) {
 	for _, p := range rejectedParams() {
 		for _, gen := range []Generator{Ideal{}, CommitReveal{}} {
 			var led metrics.Ledger
-			if _, _, err := Draw(gen, &led, xrand.New(6), p, nil); err == nil {
+			if _, _, err := gen.Draw(&led, xrand.New(6), p, nil); err == nil {
 				t.Errorf("%T accepted %+v", gen, p)
 			}
 			if led.Messages() != 0 || led.Rounds() != 0 {
 				t.Errorf("%T charged %d messages and %d rounds for rejected %+v", gen, led.Messages(), led.Rounds(), p)
 			}
 		}
+	}
+}
+
+// TestTallyMatchesIdealDraw: a run of Tally draws below capture returns
+// the values Ideal.Draw returns on a twin stream, and one Charge leaves the
+// ledger the draws one by one leave. Charge empties the tally.
+func TestTallyMatchesIdealDraw(t *testing.T) {
+	var tally Tally
+	var tallied, drawn metrics.Ledger
+	rt, rd, pick := xrand.New(21), xrand.New(21), xrand.New(22)
+	for i := 0; i < 2000; i++ {
+		size := 1 + pick.Intn(60)
+		byz := pick.Intn(size)
+		if Classify(size, byz) == Captured {
+			continue
+		}
+		n := 1 + pick.Intn(1<<16)
+		got := tally.Draw(rt, size, n)
+		want, _, err := Ideal{}.Draw(&drawn, rd, Params{Size: size, Byz: byz, R: int64(n)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(got) != want {
+			t.Fatalf("draw %d at |C|=%d, n=%d: tally %d, Ideal.Draw %d", i, size, n, got, want)
+		}
+	}
+	tally.Charge(&tallied)
+	if tallied != drawn {
+		t.Errorf("one Charge left %+v, the draws one by one %+v", tallied, drawn)
+	}
+	if drawn.Messages() == 0 {
+		t.Error("no draw was charged")
+	}
+	tally.Charge(&tallied)
+	if tallied != drawn {
+		t.Error("a second Charge charged again: Charge did not empty the tally")
 	}
 }
 
@@ -288,9 +324,9 @@ func TestRejectionMessages(t *testing.T) {
 }
 
 // BenchmarkIdealDraw is one secure Ideal draw at a churn-sized cluster
-// through the Generator interface helper the walker and exchanger use:
-// the validation, the cost model's charges and the value, with nothing
-// allocated.
+// through the Generator interface, as the exchanger and a walk's
+// acceptance coin make it: the validation, the cost model's charges and
+// the value, with nothing allocated.
 func BenchmarkIdealDraw(b *testing.B) {
 	var led metrics.Ledger
 	r := xrand.New(8)
@@ -298,7 +334,7 @@ func BenchmarkIdealDraw(b *testing.B) {
 	p := Params{Size: 36, Byz: 7, R: 1 << 16}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Draw(gen, &led, r, p, nil); err != nil {
+		if _, _, err := gen.Draw(&led, r, p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

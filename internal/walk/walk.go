@@ -22,6 +22,13 @@
 // agreed draw on the 2^16 grid indexes holdTime, which holds -ln(1-u) for
 // every grid point, computed once with math.Log, so a table read is
 // bit-identical to evaluating the logarithm at that point.
+//
+// A hop is fused for the Ideal generator: at a cluster below capture its
+// two draws go through a randnum.Tally, and a segment sums the tally and
+// its hand-offs in locals and charges the ledger once, on whichever path
+// it returns. A captured cluster, and every hop under any other generator,
+// draws through the Generator interface, objective included. Both paths
+// make the same draws and the same charges.
 package walk
 
 import (
@@ -110,6 +117,13 @@ type Config struct {
 	// effect below capture. Steer is under the same purity contract as
 	// Hijacker.Redirect: the function must be a read of snapshot-scoped
 	// state, never a mutation.
+	//
+	// At a captured cluster randnum's generators return the objective's
+	// argmax, the smallest value on a tie, so a non-nil Steer that scores
+	// every cluster alike takes the first neighbour, Adjacent(c)[0], and
+	// accepts at every acceptance coin: a nil Steer draws both uniformly
+	// instead. core installs a Steer on every world, scoring 0 while no
+	// steer hook is set, so its captured clusters take the first branch.
 	Steer func(c ids.ClusterID) float64
 }
 
@@ -132,6 +146,9 @@ func (c Config) validate() error {
 type Walker struct {
 	cfg  Config
 	topo Topology
+	// ideal records that cfg.Gen is randnum.Ideal, whose draws below
+	// capture segment fuses into a randnum.Tally.
+	ideal bool
 
 	// Cached steer objectives (built once when cfg.Steer is set). The
 	// historical code built an equivalent closure per draw; hoisting the
@@ -154,6 +171,7 @@ func NewWalker(cfg Config, topo Topology) (*Walker, error) {
 	}
 	holdTimeOnce.Do(fillHoldTime)
 	w := &Walker{cfg: cfg, topo: topo}
+	_, w.ideal = cfg.Gen.(randnum.Ideal)
 	if cfg.Steer != nil {
 		w.acceptObj = func(v int64) float64 {
 			if v < w.acceptSize {
@@ -234,11 +252,11 @@ func (w *Walker) Biased(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID)
 			w.acceptScore = w.cfg.Steer(out.End)
 			obj = w.acceptObj
 		}
-		v, sec, err := randnum.Draw(w.cfg.Gen, led, r, randnum.Params{Size: size, Byz: w.topo.Byz(out.End), R: int64(maxSize)}, obj)
+		v, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: w.topo.Byz(out.End), R: int64(maxSize)}, obj)
 		if err != nil {
 			return out, drawError(out.End, err)
 		}
-		out.WorstSecurity = maxSecurity(out.WorstSecurity, sec)
+		out.WorstSecurity = max(out.WorstSecurity, sec)
 		if v < int64(size) {
 			return out, nil
 		}
@@ -249,6 +267,11 @@ func (w *Walker) Biased(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID)
 // segment advances one CTRW of duration DurationFactor * log2(#C)^2 /
 // meanDegree (so the expected number of jumps is ~DurationFactor *
 // log2(#C)^2) starting at out.End, updating out in place.
+//
+// With the Ideal generator, a hop at a cluster below capture makes both of
+// its draws through one randnum.Tally; every other hop, and every hop of
+// any other generator, draws through Gen. The tally and the hand-offs are
+// summed in locals and charged once, by charge, on every return.
 func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error {
 	n := w.topo.NumClusters()
 	if n <= 1 {
@@ -269,12 +292,19 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 	// fetches them once, for the cluster it moves to.
 	cur := out.End
 	size, byz, adj := w.topo.Size(cur), w.topo.Byz(cur), w.topo.Adjacent(cur)
+	var (
+		draws   randnum.Tally
+		handoff int64 // hand-off messages; each hop is one round
+		hops    int
+		worst   = out.WorstSecurity
+	)
 	for remaining > 0 {
-		if w.cfg.Hijack != nil && randnum.Classify(size, byz) == randnum.Captured {
+		sec := randnum.Classify(size, byz)
+		if sec == randnum.Captured && w.cfg.Hijack != nil {
 			if target, ok := w.cfg.Hijack.Redirect(r, cur); ok {
+				charge(led, out, &draws, handoff, hops, randnum.Captured)
 				out.End = target
 				out.Hijacked = true
-				out.WorstSecurity = randnum.Captured
 				return nil
 			}
 		}
@@ -282,49 +312,66 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 		if deg == 0 {
 			break // isolated vertex: the walk cannot move
 		}
-		// Holding time ~ Exp(deg): cluster-agreed via a gridded draw.
-		hv, sec, err := randnum.Draw(w.cfg.Gen, led, r, randnum.Params{Size: size, Byz: byz, R: _holdGrid}, nil)
-		if err != nil {
-			return drawError(cur, err)
+		// Holding time ~ Exp(deg), then the next hop, a uniform neighbour:
+		// two cluster-agreed draws.
+		// Below capture size > 2*byz, so with byz >= 0 the tally's
+		// draws are ones Ideal.Draw would accept.
+		var nv int
+		if w.ideal && sec != randnum.Captured && byz >= 0 {
+			worst = max(worst, sec)
+			hv := draws.Draw(r, size, _holdGrid)
+			if remaining -= holdTime[hv] / float64(deg); remaining <= 0 {
+				break
+			}
+			nv = draws.Draw(r, size, deg)
+		} else {
+			hv, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: _holdGrid}, nil)
+			if err != nil {
+				charge(led, out, &draws, handoff, hops, worst)
+				return drawError(cur, err)
+			}
+			worst = max(worst, sec)
+			if remaining -= holdTime[hv] / float64(deg); remaining <= 0 {
+				break
+			}
+			var obj randnum.Objective
+			if w.cfg.Steer != nil {
+				w.hopAdj = adj
+				obj = w.hopObj
+			}
+			v, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: int64(deg)}, obj)
+			if err != nil {
+				charge(led, out, &draws, handoff, hops, worst)
+				return drawError(cur, err)
+			}
+			worst = max(worst, sec)
+			nv = int(v)
 		}
-		out.WorstSecurity = maxSecurity(out.WorstSecurity, sec)
-		remaining -= holdTime[hv] / float64(deg)
-		if remaining <= 0 {
-			break
-		}
-		// Next hop: uniform neighbor, cluster-agreed.
-		var obj randnum.Objective
-		if w.cfg.Steer != nil {
-			w.hopAdj = adj
-			obj = w.hopObj
-		}
-		nv, sec2, err := randnum.Draw(w.cfg.Gen, led, r, randnum.Params{Size: size, Byz: byz, R: int64(deg)}, obj)
-		if err != nil {
-			return drawError(cur, err)
-		}
-		out.WorstSecurity = maxSecurity(out.WorstSecurity, sec2)
 		next := adj[nv]
 		nextSize := w.topo.Size(next)
 		// Handoff: every member of cur messages every member of next; next
 		// accepts on >1/2 identical copies.
-		led.ChargeRounds(metrics.ClassWalk, int64(size)*int64(nextSize), 1)
+		handoff += int64(size) * int64(nextSize)
+		hops++
 		cur, size, byz, adj = next, nextSize, w.topo.Byz(next), w.topo.Adjacent(next)
-		out.Hops++
 	}
+	charge(led, out, &draws, handoff, hops, worst)
 	out.End = cur
 	return nil
 }
 
-// drawError names the cluster whose draw failed. Every draw of a walk
-// calls randnum.Draw at its call site, with the wrapping of a failure kept
-// out of the hop's straight-line path.
-func drawError(c ids.ClusterID, err error) error {
-	return fmt.Errorf("walk: draw at %v: %w", c, err)
+// charge ends a segment: it charges led with the segment's tallied draws
+// and its hops' hand-offs (one round each), and records the hops and the
+// worst security level in out.
+func charge(led *metrics.Ledger, out *Outcome, draws *randnum.Tally, handoff int64, hops int, worst randnum.Security) {
+	draws.Charge(led)
+	led.ChargeRounds(metrics.ClassWalk, handoff, int64(hops))
+	out.Hops += hops
+	out.WorstSecurity = worst
 }
 
-func maxSecurity(a, b randnum.Security) randnum.Security {
-	if b > a {
-		return b
-	}
-	return a
+// drawError names the cluster whose draw failed, with the wrapping of a
+// failure kept out of the hop's straight-line path.
+func drawError(c ids.ClusterID, err error) error {
+	return fmt.Errorf("walk: draw at %v: %w", c, err)
 }

@@ -276,6 +276,60 @@ func TestHijackFromCapturedCluster(t *testing.T) {
 	}
 }
 
+// interfaceGen hides the generator it wraps from the walker's Ideal check,
+// so every draw of a walker built on it goes through the interface.
+type interfaceGen struct{ randnum.Generator }
+
+// TestFusedHopChargesOnEveryExit: a segment's tallied draws and hand-offs
+// reach the ledger on each of its exits. Walks that end, that are hijacked
+// at a captured cluster and whose draw fails at an empty cluster leave the
+// same outcome, error and ledger under Ideal's fused hop as through the
+// interface, including after hops at degraded clusters.
+func TestFusedHopChargesOnEveryExit(t *testing.T) {
+	topo := newFakeTopo(t, 40, 4, 5)
+	topo.byz[7] = 5    // captured: a walk is hijacked there when a hijacker is installed
+	topo.sizes[13] = 0 // a draw there fails, unless the hijacker takes the walk first
+	topo.byz[21] = 4   // degraded
+	run := func(gen randnum.Generator, hijack Hijacker, start ids.ClusterID) (Outcome, string, metrics.Ledger) {
+		cfg := defaultCfg()
+		cfg.Gen = gen
+		cfg.Hijack = hijack
+		w, err := NewWalker(cfg, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var led metrics.Ledger
+		out, err := w.Biased(&led, xrand.New(uint64(start)+100), start)
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		return out, msg, led
+	}
+	var hijacked, failed, ended int
+	for _, hijack := range []Hijacker{nil, fixedHijacker{target: 2}} {
+		for start := ids.ClusterID(0); start < 40; start++ {
+			out, msg, led := run(randnum.Ideal{}, hijack, start)
+			iOut, iMsg, iLed := run(interfaceGen{randnum.Ideal{}}, hijack, start)
+			if out != iOut || msg != iMsg || led != iLed {
+				t.Fatalf("walk from %v: fused %+v %q %+v, interface %+v %q %+v", start, out, msg, led, iOut, iMsg, iLed)
+			}
+			switch {
+			case out.Hops == 0:
+			case msg != "":
+				failed++
+			case out.Hijacked:
+				hijacked++
+			default:
+				ended++
+			}
+		}
+	}
+	if hijacked == 0 || failed == 0 || ended == 0 {
+		t.Errorf("after at least one hop: %d walks hijacked, %d failed, %d ended; every exit must be taken", hijacked, failed, ended)
+	}
+}
+
 func TestWorstSecurityReported(t *testing.T) {
 	topo := newFakeTopo(t, 8, 3, 14)
 	for i := 0; i < 8; i++ {

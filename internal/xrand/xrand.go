@@ -9,6 +9,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -18,15 +19,20 @@ import (
 // Split.
 type Rand struct {
 	src *rand.Rand
-	// pcg is retained so SplitInto can reseed this stream in place; streams
-	// built by Split keep it nil (they are never reseed targets).
+	// pcg is src's generator. Intn calls it directly, and SplitInto
+	// reseeds it in place.
 	pcg *rand.PCG
+}
+
+// newRand wraps a PCG seeded with (a, b) into a stream.
+func newRand(a, b uint64) *Rand {
+	pcg := rand.NewPCG(a, b)
+	return &Rand{src: rand.New(pcg), pcg: pcg}
 }
 
 // New returns a stream seeded from seed.
 func New(seed uint64) *Rand {
-	pcg := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
-	return &Rand{src: rand.New(pcg), pcg: pcg}
+	return newRand(seed, seed^0x9e3779b97f4a7c15)
 }
 
 // Split derives an independent substream. The derivation mixes a label so
@@ -34,7 +40,7 @@ func New(seed uint64) *Rand {
 func (r *Rand) Split(label uint64) *Rand {
 	a := r.src.Uint64()
 	b := r.src.Uint64()
-	return &Rand{src: rand.New(rand.NewPCG(mix(a, label), mix(b, ^label)))}
+	return newRand(mix(a, label), mix(b, ^label))
 }
 
 // Derive returns a stream that is a pure function of base and the labels:
@@ -50,7 +56,7 @@ func Derive(base uint64, labels ...uint64) *Rand {
 		a = mix(a, l)
 		b = mix(b, ^l)
 	}
-	return &Rand{src: rand.New(rand.NewPCG(a, b))}
+	return newRand(a, b)
 }
 
 // SplitInto reseeds dst in place to the exact substream Split(label) would
@@ -83,7 +89,35 @@ func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0, matching
 // math/rand semantics; callers validate n at protocol boundaries.
-func (r *Rand) Intn(n int) int { return r.src.IntN(n) }
+//
+// It is math/rand/v2's (*Rand).IntN run over the stream's own PCG: the
+// same reduction of the same words, so the same values, with each word a
+// direct, inlined PCG.Uint64 call instead of a call through the Source
+// interface. (On 32-bit platforms math/rand/v2 computes the same value in
+// 32-bit halves.)
+func (r *Rand) Intn(n int) int {
+	if n <= 0 {
+		panic("xrand: invalid argument to Intn")
+	}
+	return int(r.uint64n(uint64(n)))
+}
+
+// uint64n is math/rand/v2's uint64n: Lemire's multiply-shift reduction of
+// a uniform word to [0, n), rejecting the 2^64 mod n low products that
+// would bias it, and a mask when n is a power of two.
+func (r *Rand) uint64n(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.pcg.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(r.pcg.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.pcg.Uint64(), n)
+		}
+	}
+	return hi
+}
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 { return r.src.Float64() }

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -58,6 +59,65 @@ func TestIntnBounds(t *testing.T) {
 			if v < 0 || v >= n {
 				t.Fatalf("Intn(%d) = %d out of range", n, v)
 			}
+		}
+	}
+}
+
+// TestIntnMatchesMathRand: Intn, which reduces words of the stream's PCG
+// itself, draws what math/rand/v2's IntN draws on a twin PCG holding the
+// same state, for streams from every constructor and for ranges that take
+// the power-of-two mask, the rejection loop rarely (small n) and often
+// (n just above 2^62), and the largest int. It still panics for n <= 0.
+func TestIntnMatchesMathRand(t *testing.T) {
+	var into, reseeded Rand
+	New(5).SplitInto(&into, 9)
+	New(5).SplitInto(&reseeded, 9)
+	New(6).SplitInto(&reseeded, 10) // reseeds in place
+	streams := []struct {
+		name string
+		r    *Rand
+	}{
+		{"New", New(3)},
+		{"Split", New(4).Split(8)},
+		{"Derive", Derive(12, 1, 2)},
+		{"SplitInto", &into},
+		{"SplitInto reseeded", &reseeded},
+	}
+	ns := []uint64{1, 2, 3, 7, 72, 1 << 16, 1<<31 - 1, 1<<62 + 1, math.MaxInt}
+	for _, s := range streams {
+		name, r := s.name, s.r
+		state, err := r.pcg.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var twin rand.PCG
+		if err := twin.UnmarshalBinary(state); err != nil {
+			t.Fatal(err)
+		}
+		ref := rand.New(&twin)
+		for _, n64 := range ns {
+			if n64 > math.MaxInt {
+				continue // wider than int on this platform
+			}
+			n := int(n64)
+			for i := 0; i < 500; i++ {
+				if got, want := r.Intn(n), ref.IntN(n); got != want {
+					t.Fatalf("%s: Intn(%d) draw %d = %d, math/rand/v2 IntN = %d", name, n, i, got, want)
+				}
+			}
+		}
+		if r.Uint64() != ref.Uint64() {
+			t.Fatalf("%s: streams diverged after the Intn draws", name)
+		}
+		for _, n := range []int{0, -1, math.MinInt} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Intn(%d) did not panic", name, n)
+					}
+				}()
+				r.Intn(n)
+			}()
 		}
 	}
 }
