@@ -20,6 +20,7 @@ import (
 	"nowover"
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
+	"nowover/internal/randnum"
 )
 
 // benchScale sizes experiment benchmarks: smaller than QuickScale so the
@@ -122,8 +123,15 @@ func BenchmarkExperimentSuite(b *testing.B) {
 
 func benchSystem(b *testing.B, maxN, n0 int, tau float64) *nowover.System {
 	b.Helper()
+	return benchSystemGen(b, maxN, n0, tau, nowover.DefaultConfig(maxN).Generator)
+}
+
+// benchSystemGen is benchSystem with the randNum generator chosen.
+func benchSystemGen(b *testing.B, maxN, n0 int, tau float64, gen randnum.Generator) *nowover.System {
+	b.Helper()
 	cfg := nowover.DefaultConfig(maxN)
 	cfg.Seed = 1
+	cfg.Generator = gen
 	sys, err := nowover.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -173,28 +181,44 @@ func BenchmarkLeaveOperation(b *testing.B) {
 	}
 }
 
+// interfaceGen forwards every draw to the generator it wraps through the
+// Generator interface. The walker does not recognise it as randnum.Ideal,
+// so a world built on it draws every hop through the interface call.
+type interfaceGen struct{ randnum.Generator }
+
 // BenchmarkRandClWalk is one biased walk (randCl) from a random cluster;
 // N=262144 is the churn_large shape. ns/hop divides the time by the hops
-// the walks made.
+// the walks made. /fused runs the Ideal generator, whose hops below
+// capture the walker draws inline; /interface wraps the same generator
+// in interfaceGen, so the same walks draw through Generator.Draw. The two
+// make the same draws, and their ns/hop gap is what the fused hop saves.
 func BenchmarkRandClWalk(b *testing.B) {
 	for _, maxN := range []int{1024, 4096, 16384, 262144} {
-		b.Run(fmt.Sprintf("N=%d", maxN), func(b *testing.B) {
-			sys := benchSystem(b, maxN, maxN/2, 0.15)
-			w := sys.World()
-			hops := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start, _ := w.RandomCluster(w.Rng())
-				out, err := w.Walker().Biased(w.Ledger(), w.Rng(), start)
-				if err != nil {
-					b.Fatal(err)
+		for _, v := range []struct {
+			name string
+			gen  randnum.Generator
+		}{
+			{"fused", randnum.Ideal{}},
+			{"interface", interfaceGen{randnum.Ideal{}}},
+		} {
+			b.Run(fmt.Sprintf("N=%d/%s", maxN, v.name), func(b *testing.B) {
+				sys := benchSystemGen(b, maxN, maxN/2, 0.15, v.gen)
+				w := sys.World()
+				hops := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					start, _ := w.RandomCluster(w.Rng())
+					out, err := w.Walker().Biased(w.Ledger(), w.Rng(), start)
+					if err != nil {
+						b.Fatal(err)
+					}
+					hops += out.Hops
 				}
-				hops += out.Hops
-			}
-			if hops > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
-			}
-		})
+				if hops > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
+				}
+			})
+		}
 	}
 }
 

@@ -257,7 +257,14 @@ func Decide(led *metrics.Ledger, size, byz int) bool {
 // members: size*(size-1) messages (all-to-all) and a constant number of
 // rounds. It is the agreement term of every randNum draw's cost.
 func DecideCost(size int) (msgs, rounds int64) {
-	return int64(size) * int64(size-1), _decideRounds
+	return DecideCosts(1, int64(size)*int64(size-1))
+}
+
+// DecideCosts is what k agreements cost together whose clusters' ordered
+// member pairs |C|(|C|-1) sum to pairs: the cost is linear in both, so a
+// caller that runs many agreements may sum them first.
+func DecideCosts(k, pairs int64) (msgs, rounds int64) {
+	return pairs, k * _decideRounds
 }
 
 // _decideRounds is the constant round charge for one black-box agreement;

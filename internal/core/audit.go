@@ -7,6 +7,7 @@ import (
 	"nowover/internal/ids"
 	"nowover/internal/over"
 	"nowover/internal/randnum"
+	"nowover/internal/walk"
 )
 
 // Audit is a point-in-time invariant check of the world: the quantities
@@ -154,8 +155,8 @@ func (w *World) CheckConsistency() error {
 		if byz != cs.byz {
 			return fmt.Errorf("consistency: cluster %v byz count %d, actual %d", c, cs.byz, byz)
 		}
-		if row := w.rows[c]; int(row.size) != len(cs.members) || int(row.byz) != byz {
-			return fmt.Errorf("consistency: cluster %v row (%d, %d), actual (%d, %d)", c, row.size, row.byz, len(cs.members), byz)
+		if row := w.rows[c]; int(row.Size) != len(cs.members) || int(row.Byz) != byz {
+			return fmt.Errorf("consistency: cluster %v row (%d, %d), actual (%d, %d)", c, row.Size, row.Byz, len(cs.members), byz)
 		}
 		want := randnum.Secure
 		if len(cs.members) > 0 {
@@ -214,8 +215,8 @@ func (w *World) CheckConsistency() error {
 		return fmt.Errorf("consistency: overlay has %d vertices vs %d clusters", w.overlay.NumVertices(), totalClusters)
 	}
 	for i, row := range w.rows {
-		if c := ids.ClusterID(i); row != (clusterRow{}) && !w.hasCluster(c) {
-			return fmt.Errorf("consistency: retired or unminted cluster %v has row (%d, %d)", c, row.size, row.byz)
+		if c := ids.ClusterID(i); row != (walk.Row{}) && !w.hasCluster(c) {
+			return fmt.Errorf("consistency: retired or unminted cluster %v has row (%d, %d)", c, row.Size, row.Byz)
 		}
 	}
 	if err := w.overlay.Check(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nowover/internal/ids"
+	"nowover/internal/walk"
 )
 
 // TestRowsTrackCompositionThroughChurn drives joins, leaves (with their
@@ -66,12 +67,12 @@ func TestRowsTrackCompositionThroughChurn(t *testing.T) {
 func TestCheckConsistencyCatchesRowDrift(t *testing.T) {
 	w := newTestWorld(t, 6)
 	c := w.Clusters()[0]
-	w.rows[c].byz++
+	w.rows[c].Byz++
 	if err := w.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "row") {
 		t.Fatalf("live row drift not reported: %v", err)
 	}
-	w.rows[c].byz--
-	w.rows = append(w.rows, clusterRow{size: 1})
+	w.rows[c].Byz--
+	w.rows = append(w.rows, walk.Row{Size: 1})
 	if err := w.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "row") {
 		t.Fatalf("unminted row not reported: %v", err)
 	}

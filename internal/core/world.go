@@ -115,12 +115,6 @@ func (cs *clusterState) clone() *clusterState {
 	return out
 }
 
-// clusterRow is a cluster's composition as the walk and exchange hot path
-// reads it: World.rows packs one row per minted ClusterID, so Size and Byz
-// are one indexed load with no record pointer chase.
-// Retired and not-yet-minted IDs read (0, 0).
-type clusterRow struct{ size, byz int32 }
-
 // Stats accumulates protocol-lifetime counters and security high-water
 // marks.
 type Stats struct {
@@ -177,9 +171,11 @@ type World struct {
 	free      []*clusterState
 	nClusters int
 	overlay   *over.Overlay
-	// rows is the composition table Size and Byz read (see clusterRow);
-	// every mutator of a record's composition writes it through setRow.
-	rows []clusterRow
+	// rows is the composition table Size, Byz and View read: one
+	// walk.Row per minted ClusterID, so a row is one indexed load with no
+	// record pointer chase. Retired and not-yet-minted IDs read (0, 0).
+	// Every mutator of a record's composition writes it through setRow.
+	rows []walk.Row
 
 	// sizeCount is the cluster-size multiset — sizeCount[s] = number of
 	// clusters of size s — with maxSize as its tracked maximum. The dense
@@ -318,7 +314,7 @@ func (w *World) hasCluster(c ids.ClusterID) bool { return w.cluster(c) != nil }
 
 // setRow publishes cs's composition to c's row.
 func (w *World) setRow(c ids.ClusterID, cs *clusterState) {
-	w.rows[c] = clusterRow{size: int32(len(cs.members)), byz: int32(cs.byz)}
+	w.rows[c] = walk.Row{Size: int32(len(cs.members)), Byz: int32(cs.byz)}
 }
 
 // noteSizeChange updates the size multiset and max-size tracker for a
@@ -394,7 +390,7 @@ func (w *World) putCluster(c ids.ClusterID) {
 		w.clusters = append(w.clusters, make([]*clusterState, n-len(w.clusters))...)
 	}
 	if n := int(c) + 1; n > len(w.rows) {
-		w.rows = append(w.rows, make([]clusterRow, n-len(w.rows))...)
+		w.rows = append(w.rows, make([]walk.Row, n-len(w.rows))...)
 	}
 	var cs *clusterState
 	if n := len(w.free); n > 0 {
@@ -425,7 +421,7 @@ func (w *World) retire(c ids.ClusterID) bool {
 	w.clusters[c] = nil
 	w.nClusters--
 	w.free = append(w.free, cs)
-	w.rows[c] = clusterRow{}
+	w.rows[c] = walk.Row{}
 	return true
 }
 
@@ -505,7 +501,7 @@ func (w *World) Adjacent(c ids.ClusterID) []ids.ClusterID { return w.overlay.Adj
 // Size implements walk.Topology: one read of c's row.
 func (w *World) Size(c ids.ClusterID) int {
 	if uint64(c) < uint64(len(w.rows)) {
-		return int(w.rows[c].size)
+		return int(w.rows[c].Size)
 	}
 	return 0
 }
@@ -513,7 +509,7 @@ func (w *World) Size(c ids.ClusterID) int {
 // Byz implements walk.Topology: one read of c's row.
 func (w *World) Byz(c ids.ClusterID) int {
 	if uint64(c) < uint64(len(w.rows)) {
-		return int(w.rows[c].byz)
+		return int(w.rows[c].Byz)
 	}
 	return 0
 }
@@ -521,6 +517,12 @@ func (w *World) Byz(c ids.ClusterID) int {
 // MaxClusterSize implements walk.Topology: the size multiset's tracked
 // maximum.
 func (w *World) MaxClusterSize() int { return w.maxSize }
+
+// View implements walk.Topology: the row table and the overlay's
+// ClusterID-indexed adjacency, not copied.
+func (w *World) View() walk.View {
+	return walk.View{Rows: w.rows, Adj: w.overlay.AdjTable()}
+}
 
 // --- exchange.World ---
 

@@ -67,8 +67,7 @@ type Exchanger struct {
 	// Reused scratch: the member snapshot of Run's target, Run's receiver
 	// accumulator, CascadeRound's receiver accumulator (distinct from
 	// Run's, because a cascade round consumes the primary Run's receiver
-	// list while building its own) and the cascade's per-receiver partner
-	// pool.
+	// list while building its own) and the cascade round's live list.
 	members     []ids.NodeID
 	runRecv     []ids.ClusterID
 	cascadeRecv []ids.ClusterID
@@ -166,7 +165,8 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 // receivers plus the leave's source cluster — whose agreed member swaps
 // back. All draws come from the one provided rng substream in receiver
 // order, so the round is a deterministic function of (state, source,
-// receivers, stream).
+// receivers, stream). The receivers must be distinct and must not include
+// the source, as the receivers of the source's Run are.
 //
 // This is the diffusion-style amortization of Algorithm 2's cascade. The
 // pool is itself a fresh uniform sample: each receiver was selected by an
@@ -189,36 +189,40 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 // the slice is valid until the next CascadeRound call.
 func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.ClusterID, receivers []ids.ClusterID) (Report, error) {
 	rep := Report{Receivers: e.cascadeRecv[:0]}
-	for i, rc := range receivers {
-		// Nothing moves before this receiver's swap, so its size and
-		// Byzantine count hold for both of its draws.
-		size := e.world.Size(rc)
-		if size == 0 {
-			continue // receiver dissolved between exchange and cascade
+	// The round's live list: the source if it is live, then the live
+	// receivers in round order (deterministic at any shard count; a
+	// receiver may have dissolved between exchange and cascade). A round's
+	// swaps are one-for-one, so no size changes inside it, and receivers
+	// are distinct and never the source, so receiver live[self]'s swap
+	// pool, the source plus every OTHER live receiver, is the list
+	// without that entry.
+	live := e.pool[:0]
+	if e.world.Size(source) > 0 {
+		live = append(live, source)
+	}
+	first := len(live)
+	for _, rc := range receivers {
+		if e.world.Size(rc) > 0 {
+			live = append(live, rc)
 		}
-		// The swap pool: the source plus every OTHER live receiver, in
-		// round order (deterministic at any shard count).
-		pool := e.pool[:0]
-		if e.world.Size(source) > 0 && source != rc {
-			pool = append(pool, source)
-		}
-		for j, other := range receivers {
-			if j != i && other != rc && e.world.Size(other) > 0 {
-				pool = append(pool, other)
-			}
-		}
-		e.pool = pool[:0]
-		if len(pool) == 0 {
+	}
+	e.pool = live[:0]
+	for self := first; self < len(live); self++ {
+		rc := live[self]
+		if len(live) == 1 {
 			rep.SelfSwaps++ // lone receiver of its own source: nothing to mix with
 			continue
 		}
+		// Nothing moves before this receiver's swap, so its size and
+		// Byzantine count hold for both of its draws.
+		size := e.world.Size(rc)
 		// The receiver agrees on the partner and on which member to
 		// re-export; the partner agrees on the replacement, as in Run.
 		byz := e.world.Byz(rc)
 		pick, sec, err := e.gen.Draw(led, r, randnum.Params{
 			Size: size,
 			Byz:  byz,
-			R:    int64(len(pool)),
+			R:    int64(len(live) - 1),
 		}, nil)
 		if err != nil {
 			return rep, fmt.Errorf("exchange: cascade partner pick at %v: %w", rc, err)
@@ -226,7 +230,11 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 		if sec > rep.WorstSecurity {
 			rep.WorstSecurity = sec
 		}
-		partner := pool[int(pick)]
+		p := int(pick)
+		if p >= self {
+			p++ // skip rc's own entry
+		}
+		partner := live[p]
 		idx, sec, err := e.gen.Draw(led, r, randnum.Params{
 			Size: size,
 			Byz:  byz,

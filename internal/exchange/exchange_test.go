@@ -67,6 +67,25 @@ func (f *fakeWorld) Byz(c ids.ClusterID) int {
 	return n
 }
 
+// View builds the tables afresh from the graph and the member lists,
+// which Transfer edits.
+func (f *fakeWorld) View() walk.View {
+	n := 0
+	for _, c := range f.g.Vertices() {
+		n = max(n, int(c)+1)
+	}
+	for c := range f.members {
+		n = max(n, int(c)+1)
+	}
+	v := walk.View{Rows: make([]walk.Row, n), Adj: make([][]ids.ClusterID, n)}
+	for i := range v.Rows {
+		c := ids.ClusterID(i)
+		v.Rows[i] = walk.Row{Size: int32(f.Size(c)), Byz: int32(f.Byz(c))}
+		v.Adj[i] = f.Adjacent(c)
+	}
+	return v
+}
+
 func (f *fakeWorld) Members(c ids.ClusterID) []ids.NodeID {
 	out := make([]ids.NodeID, len(f.members[c]))
 	copy(out, f.members[c])

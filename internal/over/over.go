@@ -150,6 +150,12 @@ func (o *Overlay) Adjacent(c ids.ClusterID) []ids.ClusterID {
 	return nil
 }
 
+// AdjTable returns the ClusterID-indexed adjacency itself, not copied:
+// AdjTable()[c] is Adjacent(c) for every c the table covers, and IDs
+// beyond it have no neighbours. It is read-only and is invalidated by the
+// next mutation; a walk segment reads it once and indexes it per hop.
+func (o *Overlay) AdjTable() [][]ids.ClusterID { return o.adj }
+
 // Neighbors returns a copy of c's adjacency list.
 func (o *Overlay) Neighbors(c ids.ClusterID) []ids.ClusterID {
 	return append([]ids.ClusterID(nil), o.Adjacent(c)...)

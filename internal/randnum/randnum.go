@@ -115,35 +115,46 @@ type Generator interface {
 // chargeDraw applies the paper's cost model for one randNum invocation.
 func chargeDraw(led *metrics.Ledger, size int) {
 	var t Tally
-	t.add(size)
+	t.Add(1, pairsOf(size))
 	t.Charge(led)
 }
+
+// pairsOf is the number of ordered member pairs of a cluster of size
+// members, |C|(|C|-1): the message count of one all-to-all round.
+func pairsOf(size int) int64 { return int64(size) * int64(size-1) }
 
 // Tally is the Ideal draw fused for a caller that draws many times at
 // clusters below capture, such as a walk's hops: Draw returns the draw's
 // value and adds its cost to running sums, and Charge puts the sums on a
-// ledger once. The zero value is an empty tally.
+// ledger once. A caller that makes the draws itself (see Draw) may instead
+// count them and hand the counts over with Add. The zero value is an
+// empty tally.
 type Tally struct {
 	randNum, agreement, rounds int64
 }
 
-// add is the paper's cost model for one randNum invocation at a cluster of
-// size members: a commit round and a reveal round (all-to-all within the
-// cluster) and one black-box agreement on the reveal set (ba.DecideCost).
-func (t *Tally) add(size int) {
-	msgs, rounds := ba.DecideCost(size)
-	t.randNum += 2 * int64(size) * int64(size-1)
+// Add is the paper's cost model for draws randNum invocations at clusters
+// whose ordered member pairs |C|(|C|-1) sum to pairs: per draw, a commit
+// round and a reveal round (all-to-all within the cluster) and one
+// black-box agreement on the reveal set (ba.DecideCosts). The cost is
+// linear in both counts, so one Add of summed counts equals one Add per
+// draw.
+func (t *Tally) Add(draws, pairs int64) {
+	msgs, rounds := ba.DecideCosts(draws, pairs)
+	t.randNum += 2 * pairs
 	t.agreement += msgs
-	t.rounds += 2 + rounds
+	t.rounds += 2*draws + rounds
 }
 
 // Draw is Ideal.Draw at a cluster below capture, without the ledger: it
 // returns the agreed value, uniform in [0, n), and adds the draw's cost to
 // the tally. The caller guarantees what Ideal.Draw would have checked:
 // Params{Size: size, Byz: byz, R: n} is valid for the cluster's byz, and
-// Classify(size, byz) is below Captured.
+// Classify(size, byz) is below Captured. The value is r.Intn(n), which a
+// caller holding r.PCG() may draw inline as r.IntnFrom(pcg.Uint64(), n)
+// and charge with Add(1, size*(size-1)).
 func (t *Tally) Draw(r *xrand.Rand, size, n int) int {
-	t.add(size)
+	t.Add(1, pairsOf(size))
 	return r.Intn(n)
 }
 

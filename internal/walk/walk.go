@@ -23,12 +23,23 @@
 // every grid point, computed once with math.Log, so a table read is
 // bit-identical to evaluating the logarithm at that point.
 //
-// A hop is fused for the Ideal generator: at a cluster below capture its
-// two draws go through a randnum.Tally, and a segment sums the tally and
-// its hand-offs in locals and charges the ledger once, on whichever path
-// it returns. A captured cluster, and every hop under any other generator,
-// draws through the Generator interface, objective included. Both paths
-// make the same draws and the same charges.
+// A hop reads one flat view. Topology.View hands the walker the world's
+// own ClusterID-indexed composition rows and adjacency lists; a segment
+// reads the view once, because nothing a walk does mutates the topology,
+// and each hop indexes the two tables directly. A segment's duration
+// depends only on the cluster and edge counts, so the walker keeps the
+// last one computed and recomputes it only when either count moves.
+//
+// A hop is fused for the Ideal generator: at a cluster below capture it
+// draws its two words straight from the stream's PCG. The hold draw is
+// one inlined mask of a word; the neighbour draw reduces a word with
+// xrand's IntnFrom, the tree's one Lemire reduction, which Intn also runs.
+// The segment counts those draws and sums their clusters' |C|(|C|-1) and
+// its hand-offs in locals, and charges the ledger once, through a
+// randnum.Tally, on whichever path it returns. A captured cluster, and
+// every hop under any other generator, draws through the Generator
+// interface, objective included. Both paths make the same draws and the
+// same charges.
 package walk
 
 import (
@@ -61,6 +72,43 @@ type Topology interface {
 	// MaxClusterSize returns max over clusters of |C| (the rejection
 	// denominator of the biased walk).
 	MaxClusterSize() int
+	// View returns the topology's own composition and adjacency tables,
+	// not copied: View().Row(c) is (Size(c), Byz(c)) and
+	// View().Adjacent(c) is Adjacent(c) for every c. The tables are
+	// read-only and are invalidated by the next mutation of the topology;
+	// a walk segment and a neighbour-mass sum each read one view.
+	View() View
+}
+
+// Row is a cluster's composition as a walk reads it.
+type Row struct{ Size, Byz int32 }
+
+// View is a topology's ClusterID-indexed tables. Cluster IDs are minted
+// densely and never reused, so one slice index finds a cluster's row or
+// its neighbours.
+type View struct {
+	// Rows[c] is c's composition. Retired IDs, and IDs beyond the table,
+	// read the zero Row.
+	Rows []Row
+	// Adj[c] is c's adjacency in Adjacent's order. Non-vertices, and IDs
+	// beyond the table, have none.
+	Adj [][]ids.ClusterID
+}
+
+// Row returns c's composition, the zero Row for an ID beyond the table.
+func (v View) Row(c ids.ClusterID) Row {
+	if uint64(c) < uint64(len(v.Rows)) {
+		return v.Rows[c]
+	}
+	return Row{}
+}
+
+// Adjacent returns c's adjacency, nil for an ID beyond the table.
+func (v View) Adjacent(c ids.ClusterID) []ids.ClusterID {
+	if uint64(c) < uint64(len(v.Adj)) {
+		return v.Adj[c]
+	}
+	return nil
 }
 
 // NeighborMass returns the number of nodes in the overlay neighbours of c,
@@ -68,9 +116,10 @@ type Topology interface {
 // of every cost charge in which c's neighbours learn something about c or
 // c's members learn its neighbours.
 func NeighborMass(t Topology, c ids.ClusterID) int64 {
+	v := t.View()
 	var mass int64
-	for _, d := range t.Adjacent(c) {
-		mass += int64(t.Size(d))
+	for _, d := range v.Adjacent(c) {
+		mass += int64(v.Row(d).Size)
 	}
 	return mass
 }
@@ -147,8 +196,13 @@ type Walker struct {
 	cfg  Config
 	topo Topology
 	// ideal records that cfg.Gen is randnum.Ideal, whose draws below
-	// capture segment fuses into a randnum.Tally.
+	// capture segment makes itself and charges through a randnum.Tally.
 	ideal bool
+
+	// dur is the segment duration at durN clusters and durEdges overlay
+	// edges, the last counts a segment ran at; durN 0 means none yet.
+	durN, durEdges int
+	dur            float64
 
 	// Cached steer objectives (built once when cfg.Steer is set). The
 	// historical code built an equivalent closure per draw; hoisting the
@@ -268,41 +322,50 @@ func (w *Walker) Biased(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID)
 // meanDegree (so the expected number of jumps is ~DurationFactor *
 // log2(#C)^2) starting at out.End, updating out in place.
 //
-// With the Ideal generator, a hop at a cluster below capture makes both of
-// its draws through one randnum.Tally; every other hop, and every hop of
-// any other generator, draws through Gen. The tally and the hand-offs are
-// summed in locals and charged once, by charge, on every return.
+// With the Ideal generator, a hop at a cluster below capture draws both of
+// its words from the stream's PCG itself; every other hop, and every hop
+// of any other generator, draws through Gen. The fused draws, their
+// clusters' |C|(|C|-1) and the hand-offs are summed in locals and charged
+// once, by charge, on every return.
 func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error {
-	n := w.topo.NumClusters()
+	n, edges := w.topo.NumClusters(), w.topo.NumOverlayEdges()
 	if n <= 1 {
 		return nil // single-cluster overlay: the walk stays put
 	}
-	meanDeg := 2 * float64(w.topo.NumOverlayEdges()) / float64(n)
-	if meanDeg <= 0 {
-		return fmt.Errorf("walk: overlay has no edges")
+	if n != w.durN || edges != w.durEdges {
+		meanDeg := 2 * float64(edges) / float64(n)
+		if meanDeg <= 0 {
+			return fmt.Errorf("walk: overlay has no edges")
+		}
+		l2 := math.Log2(float64(n))
+		if l2 < 1 {
+			l2 = 1
+		}
+		w.durN, w.durEdges, w.dur = n, edges, w.cfg.DurationFactor*l2*l2/meanDeg
 	}
-	l2 := math.Log2(float64(n))
-	if l2 < 1 {
-		l2 = 1
-	}
-	remaining := w.cfg.DurationFactor * l2 * l2 / meanDeg
+	remaining := w.dur
 
-	// The current cluster's size, Byzantine count and adjacency travel
-	// with the walk: nothing a walk does mutates the topology, so each hop
-	// fetches them once, for the cluster it moves to.
+	// Nothing a walk does mutates the topology, so one view serves the
+	// whole segment, and the current cluster's row and adjacency travel
+	// with the walk: each hop fetches them once, for the cluster it moves
+	// to.
+	view := w.topo.View()
 	cur := out.End
-	size, byz, adj := w.topo.Size(cur), w.topo.Byz(cur), w.topo.Adjacent(cur)
+	row, adj := view.Row(cur), view.Adjacent(cur)
+	pcg := r.PCG()
 	var (
-		draws   randnum.Tally
+		draws   int64 // fused Ideal draws
+		pairs   int64 // their clusters' |C|(|C|-1), summed
 		handoff int64 // hand-off messages; each hop is one round
 		hops    int
 		worst   = out.WorstSecurity
 	)
 	for remaining > 0 {
+		size, byz := int(row.Size), int(row.Byz)
 		sec := randnum.Classify(size, byz)
 		if sec == randnum.Captured && w.cfg.Hijack != nil {
 			if target, ok := w.cfg.Hijack.Redirect(r, cur); ok {
-				charge(led, out, &draws, handoff, hops, randnum.Captured)
+				charge(led, out, draws, pairs, handoff, hops, randnum.Captured)
 				out.End = target
 				out.Hijacked = true
 				return nil
@@ -314,20 +377,26 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 		}
 		// Holding time ~ Exp(deg), then the next hop, a uniform neighbour:
 		// two cluster-agreed draws.
-		// Below capture size > 2*byz, so with byz >= 0 the tally's
-		// draws are ones Ideal.Draw would accept.
+		// Below capture size > 2*byz, so with byz >= 0 the fused draws
+		// are ones Ideal.Draw would accept: Intn(_holdGrid), a mask of
+		// one word, then Intn(deg).
 		var nv int
 		if w.ideal && sec != randnum.Captured && byz >= 0 {
 			worst = max(worst, sec)
-			hv := draws.Draw(r, size, _holdGrid)
+			pp := int64(size) * int64(size-1)
+			draws++
+			pairs += pp
+			hv := pcg.Uint64() & (_holdGrid - 1)
 			if remaining -= holdTime[hv] / float64(deg); remaining <= 0 {
 				break
 			}
-			nv = draws.Draw(r, size, deg)
+			draws++
+			pairs += pp
+			nv = int(r.IntnFrom(pcg.Uint64(), uint64(deg)))
 		} else {
 			hv, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: _holdGrid}, nil)
 			if err != nil {
-				charge(led, out, &draws, handoff, hops, worst)
+				charge(led, out, draws, pairs, handoff, hops, worst)
 				return drawError(cur, err)
 			}
 			worst = max(worst, sec)
@@ -341,30 +410,33 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 			}
 			v, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: int64(deg)}, obj)
 			if err != nil {
-				charge(led, out, &draws, handoff, hops, worst)
+				charge(led, out, draws, pairs, handoff, hops, worst)
 				return drawError(cur, err)
 			}
 			worst = max(worst, sec)
 			nv = int(v)
 		}
 		next := adj[nv]
-		nextSize := w.topo.Size(next)
+		nextRow := view.Row(next)
 		// Handoff: every member of cur messages every member of next; next
 		// accepts on >1/2 identical copies.
-		handoff += int64(size) * int64(nextSize)
+		handoff += int64(size) * int64(nextRow.Size)
 		hops++
-		cur, size, byz, adj = next, nextSize, w.topo.Byz(next), w.topo.Adjacent(next)
+		cur, row, adj = next, nextRow, view.Adjacent(next)
 	}
-	charge(led, out, &draws, handoff, hops, worst)
+	charge(led, out, draws, pairs, handoff, hops, worst)
 	out.End = cur
 	return nil
 }
 
-// charge ends a segment: it charges led with the segment's tallied draws
-// and its hops' hand-offs (one round each), and records the hops and the
-// worst security level in out.
-func charge(led *metrics.Ledger, out *Outcome, draws *randnum.Tally, handoff int64, hops int, worst randnum.Security) {
-	draws.Charge(led)
+// charge ends a segment: it charges led with the segment's fused draws
+// (draws of them, at clusters whose |C|(|C|-1) sum to pairs) and its
+// hops' hand-offs (one round each), and records the hops and the worst
+// security level in out.
+func charge(led *metrics.Ledger, out *Outcome, draws, pairs, handoff int64, hops int, worst randnum.Security) {
+	var t randnum.Tally
+	t.Add(draws, pairs)
+	t.Charge(led)
 	led.ChargeRounds(metrics.ClassWalk, handoff, int64(hops))
 	out.Hops += hops
 	out.WorstSecurity = worst

@@ -2,6 +2,7 @@ package walk
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"nowover/internal/graph"
@@ -47,6 +48,28 @@ func (f *fakeTopo) Adjacent(c ids.ClusterID) []ids.ClusterID { return f.g.Neighb
 func (f *fakeTopo) Size(c ids.ClusterID) int                 { return f.sizes[c] }
 func (f *fakeTopo) Byz(c ids.ClusterID) int                  { return f.byz[c] }
 func (f *fakeTopo) MaxClusterSize() int                      { return f.maxSz }
+
+// View builds the tables afresh from the graph and the maps, which tests
+// edit between walks.
+func (f *fakeTopo) View() View {
+	n := 0
+	for _, c := range f.g.Vertices() {
+		n = max(n, int(c)+1)
+	}
+	for c := range f.sizes {
+		n = max(n, int(c)+1)
+	}
+	for c := range f.byz {
+		n = max(n, int(c)+1)
+	}
+	v := View{Rows: make([]Row, n), Adj: make([][]ids.ClusterID, n)}
+	for i := range v.Rows {
+		c := ids.ClusterID(i)
+		v.Rows[i] = Row{Size: int32(f.Size(c)), Byz: int32(f.Byz(c))}
+		v.Adj[i] = f.Adjacent(c)
+	}
+	return v
+}
 
 var _ Topology = (*fakeTopo)(nil)
 
@@ -327,6 +350,67 @@ func TestFusedHopChargesOnEveryExit(t *testing.T) {
 	}
 	if hijacked == 0 || failed == 0 || ended == 0 {
 		t.Errorf("after at least one hop: %d walks hijacked, %d failed, %d ended; every exit must be taken", hijacked, failed, ended)
+	}
+}
+
+// TestSegmentDurationFollowsTopology: the walker's cached segment
+// duration follows both counts it depends on. A walker warmed on one
+// topology and a fresh walker give the same outcomes and ledger from twin
+// streams after an edge add, which keeps NumClusters, and after a vertex
+// add, which keeps NumOverlayEdges.
+func TestSegmentDurationFollowsTopology(t *testing.T) {
+	topo := newFakeTopo(t, 40, 4, 31)
+	warm, err := NewWalker(defaultCfg(), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks := func(w *Walker) ([]Outcome, metrics.Ledger) {
+		var led metrics.Ledger
+		r := xrand.New(32)
+		var outs []Outcome
+		for start := ids.ClusterID(0); start < 40; start++ {
+			out, err := w.Uniform(&led, r, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, out)
+		}
+		return outs, led
+	}
+	walks(warm)
+	for _, mutate := range []struct {
+		name string
+		do   func()
+	}{
+		{"edge add", func() {
+			for v := ids.ClusterID(1); ; v++ {
+				if !topo.g.HasEdge(0, v) {
+					if err := topo.g.AddEdge(0, v); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+			}
+		}},
+		{"vertex add", func() {
+			topo.g.AddVertex(40)
+			topo.sizes[40] = 10
+		}},
+	} {
+		n, edges := topo.NumClusters(), topo.NumOverlayEdges()
+		mutate.do()
+		if (topo.NumClusters() != n) == (topo.NumOverlayEdges() != edges) {
+			t.Fatalf("%s: moved %d -> %d clusters and %d -> %d edges; want exactly one count moved", mutate.name, n, topo.NumClusters(), edges, topo.NumOverlayEdges())
+		}
+		fresh, err := NewWalker(defaultCfg(), topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wOuts, wLed := walks(warm)
+		fOuts, fLed := walks(fresh)
+		if !slices.Equal(wOuts, fOuts) || wLed != fLed {
+			t.Fatalf("after %s: the warm walker's walks differ from a fresh walker's:\nwarm  %+v %+v\nfresh %+v %+v", mutate.name, wOuts, wLed, fOuts, fLed)
+		}
 	}
 }
 

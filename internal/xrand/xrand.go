@@ -19,8 +19,8 @@ import (
 // Split.
 type Rand struct {
 	src *rand.Rand
-	// pcg is src's generator. Intn calls it directly, and SplitInto
-	// reseeds it in place.
+	// pcg is src's generator. Intn calls it directly, PCG hands it to a
+	// caller that draws words inline, and SplitInto reseeds it in place.
 	pcg *rand.PCG
 }
 
@@ -99,17 +99,25 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: invalid argument to Intn")
 	}
-	return int(r.uint64n(uint64(n)))
+	return int(r.IntnFrom(r.pcg.Uint64(), uint64(n)))
 }
 
-// uint64n is math/rand/v2's uint64n: Lemire's multiply-shift reduction of
-// a uniform word to [0, n), rejecting the 2^64 mod n low products that
-// would bias it, and a mask when n is a power of two.
-func (r *Rand) uint64n(n uint64) uint64 {
+// PCG returns the stream's generator, for a hot loop that draws words
+// inline: a word drawn from it is the word the stream's next draw would
+// have taken, and reducing it with IntnFrom is Intn.
+func (r *Rand) PCG() *rand.PCG { return r.pcg }
+
+// IntnFrom reduces word, the stream's next PCG word, to a uniform value in
+// [0, n), n > 0, drawing further words from the stream only when the
+// reduction rejects word. It is math/rand/v2's uint64n: a mask when n is a
+// power of two, else Lemire's multiply-shift, which rejects the 2^64 mod n
+// low products that would bias it. It is the tree's one such reduction;
+// Intn(n) is IntnFrom(PCG().Uint64(), n).
+func (r *Rand) IntnFrom(word, n uint64) uint64 {
 	if n&(n-1) == 0 {
-		return r.pcg.Uint64() & (n - 1)
+		return word & (n - 1)
 	}
-	hi, lo := bits.Mul64(r.pcg.Uint64(), n)
+	hi, lo := bits.Mul64(word, n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -63,17 +64,17 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
-// TestIntnMatchesMathRand: Intn, which reduces words of the stream's PCG
-// itself, draws what math/rand/v2's IntN draws on a twin PCG holding the
-// same state, for streams from every constructor and for ranges that take
-// the power-of-two mask, the rejection loop rarely (small n) and often
-// (n just above 2^62), and the largest int. It still panics for n <= 0.
-func TestIntnMatchesMathRand(t *testing.T) {
+// testStreams returns one stream from every constructor, SplitInto's
+// first use and its in-place reseed included.
+func testStreams() []struct {
+	name string
+	r    *Rand
+} {
 	var into, reseeded Rand
 	New(5).SplitInto(&into, 9)
 	New(5).SplitInto(&reseeded, 9)
 	New(6).SplitInto(&reseeded, 10) // reseeds in place
-	streams := []struct {
+	return []struct {
 		name string
 		r    *Rand
 	}{
@@ -83,18 +84,37 @@ func TestIntnMatchesMathRand(t *testing.T) {
 		{"SplitInto", &into},
 		{"SplitInto reseeded", &reseeded},
 	}
+}
+
+// twinOf returns a math/rand/v2 generator over a PCG holding r's state.
+func twinOf(t *testing.T, r *Rand) *rand.Rand {
+	t.Helper()
+	state, err := r.pcg.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var twin rand.PCG
+	if err := twin.UnmarshalBinary(state); err != nil {
+		t.Fatal(err)
+	}
+	return rand.New(&twin)
+}
+
+// TestIntnMatchesMathRand: Intn, which reduces words of the stream's PCG
+// itself, draws what math/rand/v2's IntN draws on a twin PCG holding the
+// same state, for streams from every constructor and for ranges that take
+// the power-of-two mask, the rejection loop rarely (small n) and often
+// (n just above 2^62), and the largest int. It still panics for n <= 0.
+//
+// The word-plus-reduction path, IntnFrom(PCG().Uint64(), n), draws the
+// same values as IntN (Uint64N where n is wider than int) for the powers
+// of two up to 2^63, which take the mask, and for n = 2^63+1, where about
+// half of all first words are rejected and redrawn.
+func TestIntnMatchesMathRand(t *testing.T) {
 	ns := []uint64{1, 2, 3, 7, 72, 1 << 16, 1<<31 - 1, 1<<62 + 1, math.MaxInt}
-	for _, s := range streams {
+	for _, s := range testStreams() {
 		name, r := s.name, s.r
-		state, err := r.pcg.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var twin rand.PCG
-		if err := twin.UnmarshalBinary(state); err != nil {
-			t.Fatal(err)
-		}
-		ref := rand.New(&twin)
+		ref := twinOf(t, r)
 		for _, n64 := range ns {
 			if n64 > math.MaxInt {
 				continue // wider than int on this platform
@@ -118,6 +138,42 @@ func TestIntnMatchesMathRand(t *testing.T) {
 				}()
 				r.Intn(n)
 			}()
+		}
+	}
+
+	fromNs := []uint64{3, 72, 1<<62 + 1, 1<<63 + 1}
+	for k := 0; k < 64; k++ {
+		fromNs = append(fromNs, 1<<k)
+	}
+	for _, s := range testStreams() {
+		name, r := s.name, s.r
+		ref := twinOf(t, r)
+		pcg := r.PCG()
+		for _, n := range fromNs {
+			rejected := 0
+			const draws = 500
+			for i := 0; i < draws; i++ {
+				word := pcg.Uint64()
+				if _, lo := bits.Mul64(word, n); n&(n-1) != 0 && lo < -n%n {
+					rejected++
+				}
+				got := r.IntnFrom(word, n)
+				var want uint64
+				if n <= math.MaxInt {
+					want = uint64(ref.IntN(int(n)))
+				} else {
+					want = ref.Uint64N(n)
+				}
+				if got != want {
+					t.Fatalf("%s: IntnFrom(word, %d) draw %d = %d, math/rand/v2 = %d", name, n, i, got, want)
+				}
+			}
+			if n == 1<<63+1 && (rejected < draws/3 || rejected > 2*draws/3) {
+				t.Errorf("%s: n = 2^63+1 rejected %d of %d first words, want about half", name, rejected, draws)
+			}
+		}
+		if r.Uint64() != ref.Uint64() {
+			t.Fatalf("%s: streams diverged after the IntnFrom draws", name)
 		}
 	}
 }

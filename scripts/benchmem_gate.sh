@@ -22,9 +22,13 @@ echo "== benchmem gate: core hot paths =="
 go test -run '^$' -bench 'BenchmarkExecBatchExchange|BenchmarkExecBatchHookedExchange|BenchmarkExecBatchChurn' \
 	-benchmem -benchtime 50x ./internal/core/ | tee -a "$out"
 
-# randCl and the exchange primitive read the overlay adjacency in place
-# (Topology.Adjacent): a copy per hop or per neighbour-mass charge shows up
-# here as allocs/op > 0. The world audit's overlay half is cached until the
+# randCl and the exchange primitive read the world's tables in place: a
+# walk segment and a neighbour-mass sum each take one Topology.View (the
+# row table and the overlay's ClusterID-indexed adjacency, not copied), so
+# a copy per hop, per segment or per neighbour-mass charge shows up here
+# as allocs/op > 0. Both randCl variants, /fused (Ideal hops drawn inline)
+# and /interface (every draw through Generator.Draw), sit under the one
+# BenchmarkRandClWalk floor. The world audit's overlay half is cached until the
 # overlay changes: /unchanged times the cache hit, /after-mutation forces
 # the degree scan and the connectivity BFS, which run on the overlay's
 # reused scratch, so a map or queue per call shows up the same way.
