@@ -222,17 +222,27 @@ func BenchmarkRandClWalk(b *testing.B) {
 	}
 }
 
+// BenchmarkExchangePrimitive is one exchange of a random cluster: its
+// members' biased walks, each followed by the swap that Transfers a node,
+// on one world, so the walks run between Transfers as they do in a
+// simulation. N=262144 is the churn_large shape, where the overlay
+// adjacency and the node table no longer fit a private L2. ns/swap
+// divides the time by the swaps Stats().Swaps counted.
 func BenchmarkExchangePrimitive(b *testing.B) {
-	for _, maxN := range []int{1024, 4096} {
+	for _, maxN := range []int{1024, 4096, 262144} {
 		b.Run(fmt.Sprintf("N=%d", maxN), func(b *testing.B) {
 			sys := benchSystem(b, maxN, maxN/2, 0.15)
 			w := sys.World()
+			swaps := w.Stats().Swaps
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c, _ := w.RandomCluster(w.Rng())
 				if err := w.ForceExchange(c); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if n := w.Stats().Swaps - swaps; n > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/swap")
 			}
 		})
 	}

@@ -66,7 +66,7 @@ func TestBroadcastBeatsFlooding(t *testing.T) {
 func TestBroadcastEmptySourceFails(t *testing.T) {
 	w := world(t, 300, 0)
 	var led metrics.Ledger
-	if _, err := apps.Broadcast(&led, w, ids.ClusterID(1<<40)); err == nil {
+	if _, err := apps.Broadcast(&led, w, ^ids.ClusterID(0)); err == nil {
 		t.Error("broadcast from nonexistent cluster accepted")
 	}
 }

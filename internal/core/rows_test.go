@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"nowover/internal/ids"
 	"nowover/internal/walk"
@@ -92,5 +93,26 @@ func TestRetireZeroesRow(t *testing.T) {
 	}
 	if w.Size(c) != 0 || w.Byz(c) != 0 {
 		t.Fatalf("retired %v reads (%d, %d), want (0, 0)", c, w.Size(c), w.Byz(c))
+	}
+}
+
+// TestHotRecordWidths pins the widths of the records a hop and a swap
+// read: an overlay adjacency entry (a ClusterID), a composition row and a
+// node record. At the churn_large shape (2^18 nodes) the adjacency and
+// the node table only fit a private L2 at these widths, so a widening
+// costs ~1.2x end to end without failing anything else.
+func TestHotRecordWidths(t *testing.T) {
+	for _, r := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"ids.ClusterID", unsafe.Sizeof(ids.ClusterID(0)), 4},
+		{"walk.Row", unsafe.Sizeof(walk.Row{}), 8},
+		{"core.nodeInfo", unsafe.Sizeof(nodeInfo{}), 8},
+	} {
+		if r.got != r.want {
+			t.Errorf("%s is %d bytes, want %d: ROADMAP item 4's hop record measured "+
+				"churn_large ~1.2x slower with 8-byte cluster IDs and 16-byte node records", r.name, r.got, r.want)
+		}
 	}
 }

@@ -3,7 +3,10 @@
 // identities (vertices of the OVER overlay).
 package ids
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NodeID uniquely identifies a node for the lifetime of the run. The
 // paper's model states identities cannot be forged; the simulator enforces
@@ -17,7 +20,13 @@ func (n NodeID) String() string { return fmt.Sprintf("n%d", uint64(n)) }
 // ClusterID identifies a vertex of the overlay graph. Cluster IDs are
 // allocated monotonically; a split mints a fresh ID for the new half and a
 // merge retires one.
-type ClusterID uint64
+//
+// A ClusterID is 32 bits wide. IDs are minted densely and never reused,
+// and every cluster table is indexed by them, so a run cannot near 2^32
+// clusters before it runs out of memory (the composition rows alone
+// would take 32 GB); ClusterAllocator panics rather than wrap. The width
+// is what a walk's hop reads: four bytes per overlay adjacency entry.
+type ClusterID uint32
 
 // String implements fmt.Stringer.
 func (c ClusterID) String() string { return fmt.Sprintf("C%d", uint64(c)) }
@@ -81,12 +90,18 @@ func (a *NodeAllocator) NextNode() NodeID {
 // Issued reports how many IDs have been allocated.
 func (a *NodeAllocator) Issued() int { return int(a.next) }
 
-// ClusterAllocator mints unique cluster identifiers.
-type ClusterAllocator struct{ next ClusterID }
+// ClusterAllocator mints unique cluster identifiers. Its counter is wider
+// than a ClusterID so that exhausting the ID space is seen, not wrapped.
+type ClusterAllocator struct{ next uint64 }
 
-// NextCluster returns a fresh, never-before-issued ClusterID.
+// NextCluster returns a fresh, never-before-issued ClusterID. It panics
+// once every ClusterID up to math.MaxUint32 has been issued: wrapping to 0
+// would alias a live cluster.
 func (a *ClusterAllocator) NextCluster() ClusterID {
-	id := a.next
+	if a.next > math.MaxUint32 {
+		panic("ids: cluster ID space exhausted: all 2^32 ClusterIDs have been issued")
+	}
+	id := ClusterID(a.next)
 	a.next++
 	return id
 }

@@ -1,6 +1,9 @@
 package ids
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestNodeSetBasics(t *testing.T) {
 	s := make(NodeSet)
@@ -43,5 +46,21 @@ func TestAllocatorsMonotone(t *testing.T) {
 	}
 	if na.Issued() != 100 || ca.Issued() != 100 {
 		t.Fatalf("Issued = %d/%d, want 100/100", na.Issued(), ca.Issued())
+	}
+}
+
+func TestClusterAllocatorExhaustion(t *testing.T) {
+	a := ClusterAllocator{next: math.MaxUint32}
+	if c := a.NextCluster(); c != math.MaxUint32 {
+		t.Fatalf("NextCluster = %d, want the last ID %d", c, uint32(math.MaxUint32))
+	}
+	var c ClusterID
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		c = a.NextCluster()
+		return false
+	}()
+	if !panicked {
+		t.Fatalf("NextCluster after the last ID returned %d instead of panicking", c)
 	}
 }

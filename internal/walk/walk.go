@@ -30,6 +30,12 @@
 // depends only on the cluster and edge counts, so the walker keeps the
 // last one computed and recomputes it only when either count moves.
 //
+// A hop's reads are narrow. ids.ClusterID is 32 bits, so an adjacency
+// entry is 4 bytes and a Row 8; the world's node record, which a swap's
+// transfer reads, is 8 bytes too. At 2^18 nodes that keeps the adjacency
+// (~0.5 MB), the hold table (512 KB) and the node table (~1 MB) within
+// reach of a 2 MB private L2, where 8-byte IDs did not.
+//
 // A hop is fused for the Ideal generator: at a cluster below capture it
 // draws its two words straight from the stream's PCG. The hold draw is
 // one inlined mask of a word; the neighbour draw reduces a word with

@@ -28,7 +28,10 @@ go test -run '^$' -bench 'BenchmarkExecBatchExchange|BenchmarkExecBatchHookedExc
 # a copy per hop, per segment or per neighbour-mass charge shows up here
 # as allocs/op > 0. Both randCl variants, /fused (Ideal hops drawn inline)
 # and /interface (every draw through Generator.Draw), sit under the one
-# BenchmarkRandClWalk floor. The world audit's overlay half is cached until the
+# BenchmarkRandClWalk floor. Every BenchmarkExchangePrimitive size,
+# N=262144 (the churn_large shape, walks running between Transfers on one
+# world) included, sits under the one BenchmarkExchangePrimitive floor.
+# The world audit's overlay half is cached until the
 # overlay changes: /unchanged times the cache hit, /after-mutation forces
 # the degree scan and the connectivity BFS, which run on the overlay's
 # reused scratch, so a map or queue per call shows up the same way.
