@@ -223,11 +223,13 @@ func BenchmarkRandClWalk(b *testing.B) {
 }
 
 // BenchmarkExchangePrimitive is one exchange of a random cluster: its
-// members' biased walks, each followed by the swap that Transfers a node,
-// on one world, so the walks run between Transfers as they do in a
-// simulation. N=262144 is the churn_large shape, where the overlay
-// adjacency and the node table no longer fit a private L2. ns/swap
-// divides the time by the swaps Stats().Swaps counted.
+// members' biased walks, each followed by one World.Swap with the walk's
+// end, on one world, so the walks run between swaps as they do in a
+// simulation. A swap rewrites member slots in place and its charge reads
+// the overlay's kept neighbour masses, so it allocates nothing. N=262144
+// is the churn_large shape, where the overlay adjacency and the node
+// table no longer fit a private L2. ns/swap divides the time by the moves
+// Stats().Swaps counted, two per swap.
 func BenchmarkExchangePrimitive(b *testing.B) {
 	for _, maxN := range []int{1024, 4096, 262144} {
 		b.Run(fmt.Sprintf("N=%d", maxN), func(b *testing.B) {

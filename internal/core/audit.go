@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"nowover/internal/ids"
@@ -102,12 +103,13 @@ func (w *World) OverlayHealth(spectralIters, randomCuts int) over.Health {
 }
 
 // CheckConsistency exhaustively cross-checks the world's redundant
-// bookkeeping (membership indexes, Byzantine counts, the row table, the
-// size multiset and max tracker, the incremental security classes and
-// insecure counters, the settle queue, the cluster and node counters,
-// overlay/partition correspondence, the overlay's own structure). Used by
-// tests and the simulator's paranoid mode; returns the first inconsistency
-// found. All walks run in ascending ID order, so which inconsistency is
+// bookkeeping (membership indexes, Byzantine counts, the allegiance
+// bitset, the row table and the overlay weights, the size multiset and
+// max tracker, the incremental security classes and insecure counters,
+// the settle queue, the cluster and node counters, overlay/partition
+// correspondence, the overlay's own structure). Used by tests and the
+// simulator's paranoid mode; returns the first inconsistency found. All
+// walks run in ascending ID order, so which inconsistency is
 // reported first is a function of the state, not of any map hash seed.
 func (w *World) CheckConsistency() error {
 	nodeRecords := 0
@@ -148,7 +150,7 @@ func (w *World) CheckConsistency() error {
 			if info.cluster != c {
 				return fmt.Errorf("consistency: node %v thinks it is in %v, member list says %v", x, info.cluster, c)
 			}
-			if info.byz {
+			if w.IsByzantine(x) {
 				byz++
 			}
 		}
@@ -157,6 +159,9 @@ func (w *World) CheckConsistency() error {
 		}
 		if row := w.rows[c]; int(row.Size) != len(cs.members) || int(row.Byz) != byz {
 			return fmt.Errorf("consistency: cluster %v row (%d, %d), actual (%d, %d)", c, row.Size, row.Byz, len(cs.members), byz)
+		}
+		if wt := w.overlay.Weight(c); wt != int64(len(cs.members)) {
+			return fmt.Errorf("consistency: cluster %v has overlay weight %d, size %d", c, wt, len(cs.members))
 		}
 		want := randnum.Secure
 		if len(cs.members) > 0 {
@@ -215,18 +220,31 @@ func (w *World) CheckConsistency() error {
 		return fmt.Errorf("consistency: overlay has %d vertices vs %d clusters", w.overlay.NumVertices(), totalClusters)
 	}
 	for i, row := range w.rows {
-		if c := ids.ClusterID(i); row != (walk.Row{}) && !w.hasCluster(c) {
+		c := ids.ClusterID(i)
+		if w.hasCluster(c) {
+			continue
+		}
+		if row != (walk.Row{}) {
 			return fmt.Errorf("consistency: retired or unminted cluster %v has row (%d, %d)", c, row.Size, row.Byz)
+		}
+		if wt := w.overlay.Weight(c); wt != 0 {
+			return fmt.Errorf("consistency: retired or unminted cluster %v has overlay weight %d", c, wt)
 		}
 	}
 	if err := w.overlay.Check(); err != nil {
 		return fmt.Errorf("consistency: %w", err)
 	}
 	for _, x := range w.byzNodes {
-		info, ok := w.nodeInfoOf(x)
-		if !ok || !info.byz {
+		if !w.Contains(x) || !w.IsByzantine(x) {
 			return fmt.Errorf("consistency: byz index entry %v invalid", x)
 		}
+	}
+	marked := 0
+	for _, word := range w.byzBits {
+		marked += bits.OnesCount64(word)
+	}
+	if marked != len(w.byzNodes) {
+		return fmt.Errorf("consistency: allegiance bitset marks %d Byzantine nodes, byz index %d", marked, len(w.byzNodes))
 	}
 	for i, info := range w.nodes {
 		if !info.present {
@@ -236,7 +254,7 @@ func (w *World) CheckConsistency() error {
 		if p := w.samplePos(x); p < 0 || w.allNodes[p] != x {
 			return fmt.Errorf("consistency: node %v missing from flat index", x)
 		}
-		if info.byz {
+		if w.IsByzantine(x) {
 			if p := w.byzSamplePos(x); p < 0 || w.byzNodes[p] != x {
 				return fmt.Errorf("consistency: byz node %v missing from index", x)
 			}

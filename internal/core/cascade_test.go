@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"nowover/internal/ids"
@@ -76,14 +77,18 @@ func TestGroupedCascadeClassicDeterminism(t *testing.T) {
 }
 
 // leaveFootprint runs one unsettled leave of x on w and reports how many
-// clusters it wrote — the settle queue, empty before the leave, then holds
-// exactly the clusters whose composition changed — and whether the leave
-// reached its cascade and stayed clear of a merge, whose absorbed partner
-// would make the comparison unfair.
+// clusters it wrote — those whose member list, order included, differs
+// after the leave, retired clusters counting as written — and whether the
+// leave reached its cascade and stayed clear of a merge, whose absorbed
+// partner would make the comparison unfair. The settle queue is no
+// measure of this: a swap of two nodes of one allegiance changes no
+// cluster's composition, so it queues nothing.
 func leaveFootprint(t *testing.T, w *World, x ids.NodeID, seed uint64) (writes int, usable bool) {
 	t.Helper()
-	if len(w.settleQueue) != 0 {
-		t.Fatal("settle queue not empty before the measured leave")
+	clusters := w.Clusters()
+	before := make([][]ids.NodeID, len(clusters))
+	for i, c := range clusters {
+		before[i] = w.Members(c)
 	}
 	c, _ := w.ClusterOf(x)
 	merges := w.Stats().Merges
@@ -91,7 +96,12 @@ func leaveFootprint(t *testing.T, w *World, x ids.NodeID, seed uint64) (writes i
 	if err := w.leaveWith(x); err != nil {
 		t.Fatal(err)
 	}
-	return len(w.settleQueue), w.hasCluster(c) && w.Stats().Merges == merges
+	for i, c := range clusters {
+		if cs := w.cluster(c); cs == nil || !slices.Equal(cs.members, before[i]) {
+			writes++
+		}
+	}
+	return writes, w.hasCluster(c) && w.Stats().Merges == merges
 }
 
 // TestGroupedCascadeShrinksLeaveFootprint is grouping's load-bearing

@@ -7,7 +7,6 @@ import (
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
 	"nowover/internal/randnum"
-	"nowover/internal/walk"
 )
 
 // Bootstrap runs the initialization phase (paper section 3.2) at size n0:
@@ -90,7 +89,7 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 		w.led.Charge(metrics.ClassInterCluster, size*(size-1))
 	}
 	for _, c := range clusterIDs {
-		w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*walk.NeighborMass(w, c))
+		w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*w.NeighborMass(c))
 	}
 	w.led.AddRounds(2)
 	w.bootstrapped = true
@@ -186,7 +185,7 @@ func (w *World) joinExisting(x ids.NodeID, byz bool, contact ids.ClusterID) erro
 func (w *World) chargeInsertion(c ids.ClusterID) {
 	size := int64(w.Size(c))
 	w.led.Charge(metrics.ClassIntraCluster, size-1)
-	nbr := walk.NeighborMass(w, c)
+	nbr := w.NeighborMass(c)
 	w.led.Charge(metrics.ClassInterCluster, size*nbr+size+nbr)
 	w.led.AddRounds(2)
 }
@@ -197,7 +196,7 @@ func (w *World) chargeInsertion(c ids.ClusterID) {
 func (w *World) chargeDeparture(c ids.ClusterID) {
 	size := int64(w.Size(c))
 	w.led.Charge(metrics.ClassIntraCluster, size-1)
-	w.led.Charge(metrics.ClassInterCluster, (size-1)*walk.NeighborMass(w, c))
+	w.led.Charge(metrics.ClassInterCluster, (size-1)*w.NeighborMass(c))
 	w.led.AddRounds(2)
 }
 
@@ -222,7 +221,7 @@ func (w *World) leaveWith(x ids.NodeID) error {
 	c := info.cluster
 	w.chargeDeparture(c)
 
-	if err := w.removeMember(c, x, info.byz); err != nil {
+	if err := w.removeMember(c, x, w.IsByzantine(x)); err != nil {
 		return err
 	}
 	w.unregisterNode(x)
@@ -324,7 +323,7 @@ func (w *World) SetCorrupted(x ids.NodeID, corrupted bool) error {
 	if !ok {
 		return fmt.Errorf("core: node %v: %w", x, ErrUnknownNode)
 	}
-	if info.byz == corrupted {
+	if w.IsByzantine(x) == corrupted {
 		return nil
 	}
 	cs := w.clusters[info.cluster]
@@ -333,9 +332,7 @@ func (w *World) SetCorrupted(x ids.NodeID, corrupted bool) error {
 	} else {
 		cs.byz--
 	}
-	w.setRow(info.cluster, cs)
-	w.reclassify(cs)
-	w.markDirty(info.cluster, cs)
+	w.recomposed(info.cluster, cs)
 	if corrupted {
 		w.byzPos = growPos(w.byzPos, x)
 		w.byzPos[x] = int32(len(w.byzNodes))
@@ -349,8 +346,7 @@ func (w *World) SetCorrupted(x ids.NodeID, corrupted bool) error {
 		w.byzNodes = w.byzNodes[:last]
 		w.byzPos[x] = -1
 	}
-	info.byz = corrupted
-	w.setNodeInfo(x, info)
+	w.setByz(x, corrupted)
 	w.settleSecurity()
 	return nil
 }
@@ -391,8 +387,8 @@ func (w *World) split(c ids.ClusterID) error {
 
 	// Costs: neighbors of the old cluster learn the replacement; each new
 	// edge of c2 is a full bipartite introduction.
-	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*walk.NeighborMass(w, c))
-	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c2))*walk.NeighborMass(w, c2))
+	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*w.NeighborMass(c))
+	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c2))*w.NeighborMass(c2))
 	w.led.AddRounds(2)
 	w.stats.Splits++
 	return nil
@@ -422,7 +418,7 @@ func (w *World) mergeAbsorbRandom(c ids.ClusterID) error {
 		return err
 	}
 	// Announce C' removal to its neighbors.
-	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(partner))*walk.NeighborMass(w, partner))
+	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(partner))*w.NeighborMass(partner))
 
 	for _, x := range w.Members(partner) {
 		if err := w.moveNode(x, partner, c); err != nil {
@@ -448,15 +444,15 @@ func (w *World) mergeAbsorbRandom(c ids.ClusterID) error {
 // mergeRejoinAll: the undersized cluster leaves the overlay and its
 // members re-join individually on subsequent time steps (Algorithm 2).
 func (w *World) mergeRejoinAll(c ids.ClusterID) error {
-	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*walk.NeighborMass(w, c))
+	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*w.NeighborMass(c))
 	for _, x := range w.Members(c) {
-		info, _ := w.nodeInfoOf(x)
-		if err := w.removeMember(c, x, info.byz); err != nil {
+		byz := w.IsByzantine(x)
+		if err := w.removeMember(c, x, byz); err != nil {
 			return err
 		}
 		w.unregisterNode(x)
 		w.pendingRejoin = append(w.pendingRejoin, x)
-		w.rejoinByz[x] = info.byz
+		w.rejoinByz[x] = byz
 	}
 	w.removeClusterVertex(c)
 	w.led.AddRounds(2)

@@ -316,8 +316,8 @@ func TestLedgerMonotone(t *testing.T) {
 // a square-wave churn (grow towards the 512-node cap, shrink towards 100,
 // twice over, so splits and merges mint and retire IDs), every minted ID's
 // View row is (Size, Byz) and its View adjacency is Adjacent, retired IDs
-// read a zero row and no neighbours, and walk.NeighborMass is the sum of
-// Size over Adjacent.
+// read a zero row and no neighbours, and NeighborMass is the sum of Size
+// over Adjacent.
 func TestWalkTopologyViewConsistency(t *testing.T) {
 	cfg := DefaultConfig(512)
 	cfg.Seed = 13
@@ -381,7 +381,7 @@ func TestWalkTopologyViewConsistency(t *testing.T) {
 			for _, d := range w.Adjacent(c) {
 				mass += int64(w.Size(d))
 			}
-			if got := walk.NeighborMass(w, c); got != mass {
+			if got := w.NeighborMass(c); got != mass {
 				t.Fatalf("step %d: NeighborMass(%v) = %d, sum of Size over Adjacent %d", step, c, got, mass)
 			}
 		}

@@ -62,9 +62,9 @@ func TestRowsTrackCompositionThroughChurn(t *testing.T) {
 	}
 }
 
-// TestCheckConsistencyCatchesRowDrift corrupts the row table and requires
-// CheckConsistency to report it, for a live cluster and for an ID with no
-// live cluster.
+// TestCheckConsistencyCatchesRowDrift corrupts the row table, then the
+// overlay weights, and requires CheckConsistency to report each, for a
+// live cluster and for an ID with no live cluster.
 func TestCheckConsistencyCatchesRowDrift(t *testing.T) {
 	w := newTestWorld(t, 6)
 	c := w.Clusters()[0]
@@ -77,22 +77,48 @@ func TestCheckConsistencyCatchesRowDrift(t *testing.T) {
 	if err := w.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "row") {
 		t.Fatalf("unminted row not reported: %v", err)
 	}
+	w.rows = w.rows[:len(w.rows)-1]
+	size := int64(w.Size(c))
+	w.overlay.SetWeight(c, size+1)
+	if err := w.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "weight") {
+		t.Fatalf("live weight drift not reported: %v", err)
+	}
+	w.overlay.SetWeight(c, size)
+	unminted := ids.ClusterID(len(w.rows))
+	w.rows = append(w.rows, walk.Row{})
+	w.overlay.SetWeight(unminted, 4)
+	if err := w.CheckConsistency(); err == nil || !strings.Contains(err.Error(), "weight") {
+		t.Fatalf("unminted weight not reported: %v", err)
+	}
 }
 
 // TestRetireZeroesRow retires a populated record directly (protocol paths
-// empty a cluster before retiring it, so their rows are already zero) and
-// requires its row to read (0, 0).
+// empty a cluster before retiring it, so their rows and weights are
+// already zero) and requires its row to read (0, 0), its overlay weight 0
+// and every neighbour's mass to have dropped by its size.
 func TestRetireZeroesRow(t *testing.T) {
 	w := newTestWorld(t, 7)
 	c := w.Clusters()[0]
-	if w.Size(c) == 0 {
-		t.Fatal("test cluster is empty")
+	if w.Size(c) == 0 || len(w.Adjacent(c)) == 0 {
+		t.Fatal("test cluster is empty or isolated")
 	}
 	if !w.retire(c) {
 		t.Fatal("retire of a live cluster reported false")
 	}
 	if w.Size(c) != 0 || w.Byz(c) != 0 {
 		t.Fatalf("retired %v reads (%d, %d), want (0, 0)", c, w.Size(c), w.Byz(c))
+	}
+	if wt := w.overlay.Weight(c); wt != 0 {
+		t.Fatalf("retired %v weighs %d in the overlay, want 0", c, wt)
+	}
+	for _, d := range w.Adjacent(c) {
+		var mass int64
+		for _, e := range w.Adjacent(d) {
+			mass += int64(w.Size(e))
+		}
+		if got := w.NeighborMass(d); got != mass {
+			t.Fatalf("neighbour %v of retired %v: NeighborMass %d, recount %d", d, c, got, mass)
+		}
 	}
 }
 

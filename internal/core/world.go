@@ -34,10 +34,10 @@ func IsUnknownCluster(err error) bool { return errors.Is(err, ErrUnknownCluster)
 
 // nodeInfo is the world's per-node record. Records live in a dense
 // NodeID-indexed table (World.nodes); present distinguishes a live record
-// from a never-used or vacated entry.
+// from a never-used or vacated entry. A node's allegiance is not here but
+// in the world's byzBits.
 type nodeInfo struct {
 	cluster ids.ClusterID
-	byz     bool
 	present bool
 }
 
@@ -196,6 +196,10 @@ type World struct {
 	// nodes is the node index; nodeCount counts its present records.
 	nodes     []nodeInfo
 	nodeCount int
+	// byzBits is the allegiance bitset: bit x is set iff node x is present
+	// and Byzantine. One bit a node keeps it within the private caches at
+	// sizes where the node table is not, and a swap reads both nodes' bits.
+	byzBits []uint64
 
 	nodeAlloc ids.NodeAllocator
 	clAlloc   ids.ClusterAllocator
@@ -312,9 +316,14 @@ func (w *World) cluster(c ids.ClusterID) *clusterState {
 
 func (w *World) hasCluster(c ids.ClusterID) bool { return w.cluster(c) != nil }
 
-// setRow publishes cs's composition to c's row.
+// setRow publishes cs's composition to c's row, and a new size to c's
+// overlay weight, which keeps its neighbours' masses exact.
 func (w *World) setRow(c ids.ClusterID, cs *clusterState) {
-	w.rows[c] = walk.Row{Size: int32(len(cs.members)), Byz: int32(cs.byz)}
+	size := int32(len(cs.members))
+	if w.rows[c].Size != size {
+		w.overlay.SetWeight(c, int64(size))
+	}
+	w.rows[c] = walk.Row{Size: size, Byz: int32(cs.byz)}
 }
 
 // noteSizeChange updates the size multiset and max-size tracker for a
@@ -345,6 +354,14 @@ func (w *World) noteSizeChange(a, b int) {
 		}
 		w.maxSize = m
 	}
+}
+
+// recomposed publishes a change to cs's members or Byzantine count: c's
+// row, its live class and its place in the settle queue.
+func (w *World) recomposed(c ids.ClusterID, cs *clusterState) {
+	w.setRow(c, cs)
+	w.reclassify(cs)
+	w.markDirty(c, cs)
 }
 
 // markDirty queues c's record for the next settleSecurity pass.
@@ -422,6 +439,7 @@ func (w *World) retire(c ids.ClusterID) bool {
 	w.nClusters--
 	w.free = append(w.free, cs)
 	w.rows[c] = walk.Row{}
+	w.overlay.SetWeight(c, 0)
 	return true
 }
 
@@ -451,6 +469,22 @@ func (w *World) deleteNodeInfo(x ids.NodeID) {
 	}
 }
 
+// setByz writes x's allegiance bit.
+func (w *World) setByz(x ids.NodeID, byz bool) {
+	i := int(x >> 6)
+	if i >= len(w.byzBits) {
+		if !byz {
+			return
+		}
+		w.byzBits = append(w.byzBits, make([]uint64, i+1-len(w.byzBits))...)
+	}
+	if byz {
+		w.byzBits[i] |= 1 << (x & 63)
+	} else {
+		w.byzBits[i] &^= 1 << (x & 63)
+	}
+}
+
 // --- core membership mutators ---
 
 // insertMember adds x (allegiance byz) to cluster c, updating the size
@@ -462,9 +496,7 @@ func (w *World) insertMember(c ids.ClusterID, x ids.NodeID, byz bool) error {
 	}
 	w.noteSizeChange(len(cs.members), len(cs.members)+1)
 	cs.add(x, byz)
-	w.setRow(c, cs)
-	w.reclassify(cs)
-	w.markDirty(c, cs)
+	w.recomposed(c, cs)
 	return nil
 }
 
@@ -480,9 +512,7 @@ func (w *World) removeMember(c ids.ClusterID, x ids.NodeID, byz bool) error {
 		return err
 	}
 	w.noteSizeChange(n, n-1)
-	w.setRow(c, cs)
-	w.reclassify(cs)
-	w.markDirty(c, cs)
+	w.recomposed(c, cs)
 	return nil
 }
 
@@ -531,7 +561,61 @@ func (w *World) MemberAt(c ids.ClusterID, i int) ids.NodeID {
 	return w.clusters[c].members[i]
 }
 
-// Members implements exchange.World (snapshot copy).
+// NeighborMass implements exchange.World: the number of nodes in c's
+// overlay neighbours, the sum of |D| over every D adjacent to c, which
+// the overlay keeps as c's neighbour mass (setRow and retire keep every
+// cluster's weight its size). It is the neighbourhood term of every cost
+// charge in which c's neighbours learn something about c or c's members
+// learn its neighbours.
+func (w *World) NeighborMass(c ids.ClusterID) int64 { return w.overlay.NeighborMass(c) }
+
+// Swap implements exchange.World: x, a member of a, and y, the member at
+// index j of b, trade clusters. The member lists end as two Transfers
+// (x to b, then y to a) leave them: x's slot in a takes a's last member,
+// y takes a's last slot, and x takes y's slot in b. No size changes, so
+// the size multiset and the overlay weights stand; the rows, Byzantine
+// counts, live classes and settle queue change only when x and y differ
+// in allegiance. Each of the two moves counts in Stats.Swaps.
+func (w *World) Swap(a ids.ClusterID, x ids.NodeID, b ids.ClusterID, j int) error {
+	if a == b {
+		return fmt.Errorf("core: swap of %v inside cluster %v", x, a)
+	}
+	ca, cb := w.cluster(a), w.cluster(b)
+	if ca == nil {
+		return fmt.Errorf("core: swap from unknown cluster %v", a)
+	}
+	if cb == nil {
+		return fmt.Errorf("core: swap with unknown cluster %v", b)
+	}
+	i := ca.indexOf(x)
+	if i < 0 {
+		return fmt.Errorf("core: node %v is not in %v", x, a)
+	}
+	if j < 0 || j >= len(cb.members) {
+		return fmt.Errorf("core: swap index %d outside %v's %d members", j, b, len(cb.members))
+	}
+	y := cb.members[j]
+	last := len(ca.members) - 1
+	ca.members[i] = ca.members[last]
+	ca.members[last] = y
+	cb.members[j] = x
+	w.nodes[x].cluster = b
+	w.nodes[y].cluster = a
+	if bx := w.IsByzantine(x); bx != w.IsByzantine(y) {
+		d := 1 // a trades an honest x for a Byzantine y
+		if bx {
+			d = -1
+		}
+		ca.byz += d
+		cb.byz -= d
+		w.recomposed(a, ca)
+		w.recomposed(b, cb)
+	}
+	w.stats.Swaps += 2
+	return nil
+}
+
+// Members returns a snapshot copy of c's member list.
 func (w *World) Members(c ids.ClusterID) []ids.NodeID {
 	cs := w.cluster(c)
 	if cs == nil {
@@ -542,9 +626,10 @@ func (w *World) Members(c ids.ClusterID) []ids.NodeID {
 	return out
 }
 
-// Transfer implements exchange.World: move x between clusters with all
-// bookkeeping (membership, Byzantine counts, size multiset, security
-// classification).
+// Transfer moves x between clusters with all bookkeeping (membership,
+// Byzantine counts, size multiset, overlay weights, security
+// classification). It counts one swap; moveNode, its one caller inside
+// core, takes the count back.
 func (w *World) Transfer(x ids.NodeID, from, to ids.ClusterID) error {
 	info, ok := w.nodeInfoOf(x)
 	if !ok {
@@ -559,13 +644,14 @@ func (w *World) Transfer(x ids.NodeID, from, to ids.ClusterID) error {
 	if !w.hasCluster(to) {
 		return fmt.Errorf("core: transfer to unknown cluster %v", to)
 	}
-	if err := w.removeMember(from, x, info.byz); err != nil {
+	byz := w.IsByzantine(x)
+	if err := w.removeMember(from, x, byz); err != nil {
 		return err
 	}
-	if err := w.insertMember(to, x, info.byz); err != nil {
+	if err := w.insertMember(to, x, byz); err != nil {
 		return err
 	}
-	w.setNodeInfo(x, nodeInfo{cluster: to, byz: info.byz})
+	w.nodes[x].cluster = to
 	w.stats.Swaps++
 	return nil
 }
@@ -680,16 +766,18 @@ func (w *World) sampleRemove(x ids.NodeID, byz bool) {
 // registerNode inserts a brand-new (or rejoining) node record into the
 // node index and the flat sampling indexes.
 func (w *World) registerNode(x ids.NodeID, byz bool, c ids.ClusterID) {
-	w.setNodeInfo(x, nodeInfo{cluster: c, byz: byz})
+	w.setNodeInfo(x, nodeInfo{cluster: c})
+	w.setByz(x, byz)
 	w.sampleAdd(x, byz)
 }
 
 // unregisterNode removes a node record from the node index and the flat
 // sampling indexes.
 func (w *World) unregisterNode(x ids.NodeID) {
-	info, _ := w.nodeInfoOf(x)
+	byz := w.IsByzantine(x)
 	w.deleteNodeInfo(x)
-	w.sampleRemove(x, info.byz)
+	w.setByz(x, false)
+	w.sampleRemove(x, byz)
 }
 
 // --- public read accessors ---
@@ -709,10 +797,11 @@ func (w *World) ClusterOf(x ids.NodeID) (ids.ClusterID, bool) {
 	return info.cluster, ok
 }
 
-// IsByzantine reports whether x is adversary-controlled.
+// IsByzantine reports whether x is adversary-controlled: one read of its
+// allegiance bit. Absent nodes read false.
 func (w *World) IsByzantine(x ids.NodeID) bool {
-	info, _ := w.nodeInfoOf(x)
-	return info.byz
+	i := uint64(x) >> 6
+	return i < uint64(len(w.byzBits)) && w.byzBits[i]&(1<<(x&63)) != 0
 }
 
 // Contains reports whether x is currently in the network.

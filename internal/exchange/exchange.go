@@ -26,16 +26,18 @@ import (
 
 // World is the mutable view of the cluster partition the shuffle needs; the
 // NOW world implements it. It extends the walk topology with membership
-// access and the transfer operation.
+// access, the neighbour mass the charges read and the swap itself.
 type World interface {
 	walk.Topology
 	// MemberAt returns the i-th member of c, 0 <= i < Size(c).
 	MemberAt(c ids.ClusterID, i int) ids.NodeID
-	// Members returns a snapshot copy of c's member list.
-	Members(c ids.ClusterID) []ids.NodeID
-	// Transfer moves node x from cluster `from` to cluster `to`, updating
-	// all membership bookkeeping.
-	Transfer(x ids.NodeID, from, to ids.ClusterID) error
+	// NeighborMass returns the number of nodes in c's overlay neighbours,
+	// the sum of Size(d) over every d in Adjacent(c).
+	NeighborMass(c ids.ClusterID) int64
+	// Swap trades x, a member of a, with the member at index j of b, with
+	// all membership bookkeeping. x's slot in a takes a's last member, the
+	// partner takes a's last slot, and x takes the partner's slot in b.
+	Swap(a ids.ClusterID, x ids.NodeID, b ids.ClusterID, j int) error
 }
 
 // Report summarizes one exchange operation.
@@ -109,7 +111,7 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 	// A swap moves one node each way between c and its partner, so no
 	// cluster's size and no overlay edge changes during Run: c's size and
 	// neighbour mass hold for every swap's charge.
-	cs, cm := int64(len(members)), walk.NeighborMass(e.world, c)
+	cs, cm := int64(len(members)), e.world.NeighborMass(c)
 	for _, x := range members {
 		out, err := e.walker.Biased(led, r, c)
 		if err != nil {
@@ -140,14 +142,10 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 		if sec > rep.WorstSecurity {
 			rep.WorstSecurity = sec
 		}
-		y := e.world.MemberAt(partner, int(idx))
-		if err := e.world.Transfer(x, c, partner); err != nil {
+		if err := e.world.Swap(c, x, partner, int(idx)); err != nil {
 			return rep, fmt.Errorf("exchange: %w", err)
 		}
-		if err := e.world.Transfer(y, partner, c); err != nil {
-			return rep, fmt.Errorf("exchange: %w", err)
-		}
-		chargeSwap(led, metrics.ClassExchange, cs, cm, int64(psize), walk.NeighborMass(e.world, partner))
+		chargeSwap(led, metrics.ClassExchange, cs, cm, int64(psize), e.world.NeighborMass(partner))
 		led.AddRounds(2)
 		rep.Swaps++
 		if !containsCluster(rep.Receivers, partner) {
@@ -259,15 +257,11 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 		if psec > rep.WorstSecurity {
 			rep.WorstSecurity = psec
 		}
-		y := e.world.MemberAt(partner, int(pidx))
-		if err := e.world.Transfer(x, rc, partner); err != nil {
+		if err := e.world.Swap(rc, x, partner, int(pidx)); err != nil {
 			return rep, fmt.Errorf("exchange: cascade: %w", err)
 		}
-		if err := e.world.Transfer(y, partner, rc); err != nil {
-			return rep, fmt.Errorf("exchange: cascade: %w", err)
-		}
-		chargeSwap(led, metrics.ClassCascade, int64(size), walk.NeighborMass(e.world, rc),
-			int64(psize), walk.NeighborMass(e.world, partner))
+		chargeSwap(led, metrics.ClassCascade, int64(size), e.world.NeighborMass(rc),
+			int64(psize), e.world.NeighborMass(partner))
 		rep.Swaps++
 		if !containsCluster(rep.Receivers, partner) {
 			rep.Receivers = append(rep.Receivers, partner)

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"nowover/internal/graph"
@@ -19,7 +20,8 @@ type fakeWorld struct {
 	byz     map[ids.NodeID]bool
 	home    map[ids.NodeID]ids.ClusterID
 	maxSz   int
-	// moves logs every Transfer as (from, to), in call order.
+	// moves logs each swap as its two moves, (a, b) then (b, a), in call
+	// order.
 	moves [][2]ids.ClusterID
 }
 
@@ -68,7 +70,7 @@ func (f *fakeWorld) Byz(c ids.ClusterID) int {
 }
 
 // View builds the tables afresh from the graph and the member lists,
-// which Transfer edits.
+// which Swap edits.
 func (f *fakeWorld) View() walk.View {
 	n := 0
 	for _, c := range f.g.Vertices() {
@@ -86,29 +88,28 @@ func (f *fakeWorld) View() walk.View {
 	return v
 }
 
-func (f *fakeWorld) Members(c ids.ClusterID) []ids.NodeID {
-	out := make([]ids.NodeID, len(f.members[c]))
-	copy(out, f.members[c])
-	return out
+// NeighborMass recounts Size over Adjacent.
+func (f *fakeWorld) NeighborMass(c ids.ClusterID) int64 {
+	var mass int64
+	for _, d := range f.Adjacent(c) {
+		mass += int64(f.Size(d))
+	}
+	return mass
 }
 
-func (f *fakeWorld) Transfer(x ids.NodeID, from, to ids.ClusterID) error {
-	if f.home[x] != from {
-		return fmt.Errorf("node %v not in %v", x, from)
+// Swap leaves the member lists in the order core.World.Swap does.
+func (f *fakeWorld) Swap(a ids.ClusterID, x ids.NodeID, b ids.ClusterID, j int) error {
+	if a == b || f.home[x] != a || j < 0 || j >= len(f.members[b]) {
+		return fmt.Errorf("bad swap of %v in %v with %v[%d]", x, a, b, j)
 	}
-	lst := f.members[from]
-	for i, m := range lst {
-		if m == x {
-			f.members[from] = append(lst[:i], lst[i+1:]...)
-			break
-		}
-	}
-	f.members[to] = append(f.members[to], x)
-	f.home[x] = to
-	f.moves = append(f.moves, [2]ids.ClusterID{from, to})
-	if len(f.members[to]) > f.maxSz {
-		f.maxSz = len(f.members[to])
-	}
+	as := f.members[a]
+	i := slices.Index(as, x)
+	y := f.members[b][j]
+	last := len(as) - 1
+	as[i], as[last] = as[last], y
+	f.members[b][j] = x
+	f.home[x], f.home[y] = b, a
+	f.moves = append(f.moves, [2]ids.ClusterID{a, b}, [2]ids.ClusterID{b, a})
 	return nil
 }
 

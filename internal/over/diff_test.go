@@ -127,12 +127,35 @@ func requireSameOverlay(t *testing.T, step string, o *Overlay, ref *graph.Graph[
 	}
 }
 
+// requireMass asserts that every ID below hi has the neighbour mass the
+// reference's adjacency and the weights set so far give it.
+func requireMass(t *testing.T, step string, o *Overlay, ref *graph.Graph[ids.ClusterID], weight []int64, hi int) {
+	t.Helper()
+	for c := ids.ClusterID(0); int(c) < hi; c++ {
+		var want int64
+		if ref.HasVertex(c) {
+			for _, u := range ref.Neighbors(c) {
+				want += weight[u]
+			}
+		}
+		if got := o.NeighborMass(c); got != want {
+			t.Fatalf("%s: NeighborMass(%v) = %d, recount %d", step, c, got, want)
+		}
+		if got := o.Weight(c); got != weight[c] {
+			t.Fatalf("%s: Weight(%v) = %d, set %d", step, c, got, weight[c])
+		}
+	}
+}
+
 // TestOverlayMatchesGraphReference runs seeded random Bootstrap/Add/Remove
 // sequences in lockstep on the indexed Overlay and on the graph.Graph
 // reference, and requires identical vertex order, adjacency order,
 // connectivity, degree range, snapshot and return values after every step.
 // The parameter sets cover repair on and off (removals then disconnect the
 // overlay) and a tight cap (Add and repair then hit saturated endpoints).
+// Weights are set before Bootstrap and between steps, on vertices, removed
+// vertices and IDs not yet added alike, and every neighbour mass must
+// equal a recount from the reference after every step and every SetWeight.
 func TestOverlayMatchesGraphReference(t *testing.T) {
 	paramSets := []Params{
 		{TargetDegree: 6, DegreeCap: 18, DegreeFloor: 3, Repair: true},
@@ -154,6 +177,20 @@ func TestOverlayMatchesGraphReference(t *testing.T) {
 					vs = append(vs, ids.ClusterID(i))
 				}
 				p := []float64{0, 0.5 / float64(n0), 4.0 / float64(n0), 1}[script.Intn(4)]
+				// weight covers every ID the script can name: n0 plus 300
+				// steps' additions plus the picker's headroom. Reweighs draw
+				// on their own stream, so the op script is unchanged.
+				weight := make([]int64, n0+303)
+				weights := xrand.New(seed + 300)
+				reweigh := func(step string, hi int) {
+					for k := weights.Intn(4); k > 0; k-- {
+						c := ids.ClusterID(weights.Intn(hi))
+						weight[c] = int64(weights.Intn(50))
+						o.SetWeight(c, weight[c])
+						requireMass(t, step+" reweigh", o, ref.g, weight, hi)
+					}
+				}
+				reweigh("before bootstrap", n0)
 				gotPatches, err := o.Bootstrap(xrand.New(seed+100), vs, p)
 				if err != nil {
 					t.Fatal(err)
@@ -167,6 +204,7 @@ func TestOverlayMatchesGraphReference(t *testing.T) {
 				}
 				hi := n0 + 2
 				requireSameOverlay(t, "bootstrap", o, ref.g, hi)
+				requireMass(t, "bootstrap", o, ref.g, weight, hi)
 
 				pickO := candidatePicker(xrand.New(seed+200), &hi)
 				pickR := candidatePicker(xrand.New(seed+200), &hi)
@@ -199,6 +237,8 @@ func TestOverlayMatchesGraphReference(t *testing.T) {
 						t.Fatalf("%s: charged %d, reference %d", name, ledO.Messages(), ledR.Messages())
 					}
 					requireSameOverlay(t, name, o, ref.g, hi)
+					requireMass(t, name, o, ref.g, weight, hi)
+					reweigh(name, hi)
 				}
 			})
 		}
@@ -231,6 +271,7 @@ func TestCheckCatchesCorruption(t *testing.T) {
 			o.edges++
 		}},
 		{"degree above bound", func(o *Overlay) { o.degreeBound = 1 }},
+		{"stale neighbour mass", func(o *Overlay) { o.weight[o.order[0]] = 3 }}, // written behind SetWeight
 		{"stale cached shape", func(o *Overlay) {
 			if !o.Connected() { // caches connected at the current mutation count
 				panic("bootstrapped overlay disconnected")

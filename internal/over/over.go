@@ -13,6 +13,12 @@
 //   - Removed vertices are random (ensured by NOW's merge using randCl),
 //     so removals do not bias the edge distribution.
 //
+// Each vertex also carries a weight, and the overlay keeps every vertex's
+// neighbour mass, the sum of its neighbours' weights, exact under every
+// edge and weight change. NOW weighs a cluster by its size, so the mass is
+// the neighbourhood term of its cost charges, read in O(1); an overlay
+// whose weights are never set has every mass 0.
+//
 // Add wires a new vertex to targetDegree endpoints supplied by a caller
 // provided picker (NOW passes a CTRW-based uniform sampler); Remove deletes
 // a vertex and repairs any neighbor whose degree fell below the floor by
@@ -79,6 +85,12 @@ type Overlay struct {
 	pos   []int32
 	order []ids.ClusterID
 	edges int
+	// weight[c] is c's weight (SetWeight) and mass[c] the sum of its
+	// neighbours' weights. Both cover the same IDs as adj; a weight may be
+	// set before its vertex is added (a new cluster fills before OVER
+	// wires it), and a vertex keeps its weight when it is removed.
+	weight []int64
+	mass   []int64
 	// degreeBound is the largest degree Check allows: DegreeCap, raised to
 	// the post-Bootstrap maximum. The G(n, p) draw and its patch chain are
 	// not capped; Add and Remove only create edges between vertices below
@@ -95,7 +107,8 @@ type Overlay struct {
 	// mutations counts writes to adj and order. The four mutators
 	// (addVertex, removeVertex, removeDirected, addEdge) are the only
 	// writers and each bumps it, so an unchanged count means an unchanged
-	// overlay.
+	// overlay. SetWeight moves weights and masses only, which the cached
+	// shape does not depend on, so it leaves the count alone.
 	mutations uint64
 	// shape caches Connected and DegreeRange as of shape.at mutations.
 	shape shape
@@ -141,8 +154,8 @@ func (o *Overlay) Degree(c ids.ClusterID) int { return len(o.Adjacent(c)) }
 // Adjacent returns c's adjacency list in edge-insertion order without
 // copying it (nil if c is absent). The slice is read-only and is
 // invalidated by the next edge mutation incident to c. Hot paths that read
-// one vertex's neighbours per step (walk hops, neighbour-mass charges) use
-// this instead of Neighbors.
+// one vertex's neighbours per step (walk hops) use this instead of
+// Neighbors.
 func (o *Overlay) Adjacent(c ids.ClusterID) []ids.ClusterID {
 	if uint64(c) < uint64(len(o.adj)) {
 		return o.adj[c]
@@ -175,13 +188,53 @@ func (o *Overlay) Vertices() []ids.ClusterID {
 // copying the vertex list; 0 <= i < NumVertices.
 func (o *Overlay) VertexAt(i int) ids.ClusterID { return o.order[i] }
 
-// addVertex appends c to the vertex order, growing the ID-indexed slices
-// to cover it. c must be absent.
-func (o *Overlay) addVertex(c ids.ClusterID) {
+// NeighborMass returns the sum of the weights of c's neighbours (0 if c is
+// absent): one read, kept exact by every mutator and by SetWeight.
+func (o *Overlay) NeighborMass(c ids.ClusterID) int64 {
+	if uint64(c) < uint64(len(o.mass)) {
+		return o.mass[c]
+	}
+	return 0
+}
+
+// Weight returns c's weight, 0 if none was set.
+func (o *Overlay) Weight(c ids.ClusterID) int64 {
+	if uint64(c) < uint64(len(o.weight)) {
+		return o.weight[c]
+	}
+	return 0
+}
+
+// SetWeight sets c's weight and moves each neighbour's mass with it, in
+// O(deg c). c need not be a vertex yet: an absent ID has no neighbours,
+// and the weight counts from the moment an edge is added. It changes no
+// edge, so the cached shape stays current.
+func (o *Overlay) SetWeight(c ids.ClusterID, w int64) {
+	o.grow(c)
+	d := w - o.weight[c]
+	if d == 0 {
+		return
+	}
+	o.weight[c] = w
+	for _, u := range o.adj[c] {
+		o.mass[u] += d
+	}
+}
+
+// grow extends the ID-indexed slices to cover c.
+func (o *Overlay) grow(c ids.ClusterID) {
 	if n := int(c) + 1; n > len(o.pos) {
 		o.pos = append(o.pos, make([]int32, n-len(o.pos))...)
 		o.adj = append(o.adj, make([][]ids.ClusterID, n-len(o.adj))...)
+		o.weight = append(o.weight, make([]int64, n-len(o.weight))...)
+		o.mass = append(o.mass, make([]int64, n-len(o.mass))...)
 	}
+}
+
+// addVertex appends c to the vertex order, growing the ID-indexed slices
+// to cover it. c must be absent.
+func (o *Overlay) addVertex(c ids.ClusterID) {
+	o.grow(c)
 	o.order = append(o.order, c)
 	o.pos[c] = int32(len(o.order))
 	o.mutations++
@@ -195,6 +248,7 @@ func (o *Overlay) removeVertex(c ids.ClusterID) {
 	}
 	o.edges -= len(o.adj[c])
 	o.adj[c] = nil
+	o.mass[c] = 0
 	i := int(o.pos[c]) - 1
 	o.order = append(o.order[:i], o.order[i+1:]...)
 	for j := i; j < len(o.order); j++ {
@@ -209,6 +263,7 @@ func (o *Overlay) removeDirected(from, to ids.ClusterID) {
 	for i, w := range lst {
 		if w == to {
 			o.adj[from] = append(lst[:i], lst[i+1:]...)
+			o.mass[from] -= o.weight[to]
 			o.mutations++
 			return
 		}
@@ -236,6 +291,8 @@ func (o *Overlay) addEdge(u, v ids.ClusterID) error {
 	}
 	o.adj[u] = append(o.adj[u], v)
 	o.adj[v] = append(o.adj[v], u)
+	o.mass[u] += o.weight[v]
+	o.mass[v] += o.weight[u]
 	o.edges++
 	o.mutations++
 	return nil
@@ -431,13 +488,21 @@ func (o *Overlay) Remove(led *metrics.Ledger, c ids.ClusterID, pick Picker, atte
 // vertex order agree, absent IDs have no edges, the adjacency is symmetric
 // with no self-loops, duplicates or edges to absent vertices, the edge
 // count matches the lists, no degree exceeds DegreeCap (or the larger
-// degree an uncapped Bootstrap left; see degreeBound), and a cached
+// degree an uncapped Bootstrap left; see degreeBound), every neighbour
+// mass is the sum of its neighbours' weights, and a cached
 // Connected/DegreeRange that claims to be current matches a fresh
 // recomputation. It returns the first violation found, scanning in vertex
 // order.
 func (o *Overlay) Check() error {
 	live := 0
 	for c, p := range o.pos {
+		var mass int64
+		for _, u := range o.adj[c] {
+			mass += o.Weight(u)
+		}
+		if got := o.NeighborMass(ids.ClusterID(c)); got != mass {
+			return fmt.Errorf("over: C%d has neighbour mass %d, its neighbours weigh %d", c, got, mass)
+		}
 		if p == 0 {
 			if len(o.adj[c]) != 0 {
 				return fmt.Errorf("over: absent vertex C%d has %d edges", c, len(o.adj[c]))

@@ -31,10 +31,11 @@
 // last one computed and recomputes it only when either count moves.
 //
 // A hop's reads are narrow. ids.ClusterID is 32 bits, so an adjacency
-// entry is 4 bytes and a Row 8; the world's node record, which a swap's
-// transfer reads, is 8 bytes too. At 2^18 nodes that keeps the adjacency
-// (~0.5 MB), the hold table (512 KB) and the node table (~1 MB) within
-// reach of a 2 MB private L2, where 8-byte IDs did not.
+// entry is 4 bytes and a Row 8. At 2^18 nodes that keeps the adjacency
+// (~0.5 MB) and the hold table (512 KB) within reach of a 2 MB private
+// L2, where 8-byte IDs did not. The cost charges around the walks read
+// no adjacency at all: the overlay keeps each cluster's neighbour mass,
+// the sum of its neighbours' sizes, and the world reads it in one load.
 //
 // A hop is fused for the Ideal generator: at a cluster below capture it
 // draws its two words straight from the stream's PCG. The hold draw is
@@ -68,8 +69,7 @@ type Topology interface {
 	NumOverlayEdges() int
 	// Adjacent returns c's overlay neighbours in a fixed order, without
 	// copying them. The slice is read-only and is invalidated by the next
-	// edge mutation incident to c; walks and cost charges read it between
-	// mutations only.
+	// edge mutation incident to c; walks read it between mutations only.
 	Adjacent(c ids.ClusterID) []ids.ClusterID
 	// Size returns |C|, the number of member nodes of c.
 	Size(c ids.ClusterID) int
@@ -82,7 +82,7 @@ type Topology interface {
 	// not copied: View().Row(c) is (Size(c), Byz(c)) and
 	// View().Adjacent(c) is Adjacent(c) for every c. The tables are
 	// read-only and are invalidated by the next mutation of the topology;
-	// a walk segment and a neighbour-mass sum each read one view.
+	// a walk segment reads one view.
 	View() View
 }
 
@@ -115,19 +115,6 @@ func (v View) Adjacent(c ids.ClusterID) []ids.ClusterID {
 		return v.Adj[c]
 	}
 	return nil
-}
-
-// NeighborMass returns the number of nodes in the overlay neighbours of c,
-// the sum of |D| over every D adjacent to c. It is the neighbourhood term
-// of every cost charge in which c's neighbours learn something about c or
-// c's members learn its neighbours.
-func NeighborMass(t Topology, c ids.ClusterID) int64 {
-	v := t.View()
-	var mass int64
-	for _, d := range v.Adjacent(c) {
-		mass += int64(v.Row(d).Size)
-	}
-	return mass
 }
 
 // Hijacker is the adversary's hook into walks that transit captured

@@ -23,14 +23,16 @@ go test -run '^$' -bench 'BenchmarkExecBatchExchange|BenchmarkExecBatchHookedExc
 	-benchmem -benchtime 50x ./internal/core/ | tee -a "$out"
 
 # randCl and the exchange primitive read the world's tables in place: a
-# walk segment and a neighbour-mass sum each take one Topology.View (the
-# row table and the overlay's ClusterID-indexed adjacency, not copied), so
-# a copy per hop, per segment or per neighbour-mass charge shows up here
-# as allocs/op > 0. Both randCl variants, /fused (Ideal hops drawn inline)
-# and /interface (every draw through Generator.Draw), sit under the one
-# BenchmarkRandClWalk floor. Every BenchmarkExchangePrimitive size,
-# N=262144 (the churn_large shape, walks running between Transfers on one
-# world) included, sits under the one BenchmarkExchangePrimitive floor.
+# walk segment takes one Topology.View (the row table and the overlay's
+# ClusterID-indexed adjacency, not copied), a neighbour-mass charge reads
+# the mass the overlay keeps, and a swap rewrites three member slots where
+# they stand, so a copy per hop, per segment, per charge or per swap shows
+# up here as allocs/op > 0. Both randCl variants, /fused (Ideal hops drawn
+# inline) and /interface (every draw through Generator.Draw), sit under
+# the one BenchmarkRandClWalk floor. Every BenchmarkExchangePrimitive
+# size, N=262144 (the churn_large shape, walks running between swaps on
+# one world) included, sits under the one BenchmarkExchangePrimitive
+# floor.
 # The world audit's overlay half is cached until the
 # overlay changes: /unchanged times the cache hit, /after-mutation forces
 # the degree scan and the connectivity BFS, which run on the overlay's
