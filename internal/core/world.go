@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"nowover/internal/exchange"
 	"nowover/internal/ids"
@@ -670,11 +669,10 @@ func (w *World) Transfer(x ids.NodeID, from, to ids.ClusterID) error {
 // MaxByzFractionEver when it last changed, so the dirty-only walk is
 // fold-for-fold identical to the full scan it replaces.
 func (w *World) settleSecurity() {
-	// Ascending ClusterID order: the folds below are commutative today, but
-	// the settled-transition accounting is exactly the kind of logic that
-	// grows order-sensitive branches; fixing the order keeps the pass
-	// trivially deterministic (and nowlint-clean).
-	slices.Sort(w.settleQueue)
+	// The queue is in the order the op path dirtied its clusters, which is
+	// deterministic, and the pass is blind to it: each record's transition
+	// depends on that record alone, and the folds (two counters and a max)
+	// commute (TestSettleOrderBlind). So the queue is walked as it stands.
 	for _, c := range w.settleQueue {
 		cs := w.clusters[c]
 		if cs == nil {

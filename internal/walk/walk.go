@@ -37,16 +37,26 @@
 // no adjacency at all: the overlay keeps each cluster's neighbour mass,
 // the sum of its neighbours' sizes, and the world reads it in one load.
 //
-// A hop is fused for the Ideal generator: at a cluster below capture it
-// draws its two words straight from the stream's PCG. The hold draw is
-// one inlined mask of a word; the neighbour draw reduces a word with
-// xrand's IntnFrom, the tree's one Lemire reduction, which Intn also runs.
-// The segment counts those draws and sums their clusters' |C|(|C|-1) and
-// its hand-offs in locals, and charges the ledger once, through a
-// randnum.Tally, on whichever path it returns. A captured cluster, and
-// every hop under any other generator, draws through the Generator
-// interface, objective included. Both paths make the same draws and the
-// same charges.
+// An Ideal walk is one loop. With the Ideal generator, Uniform and Biased
+// first run the whole walk, every segment, hop and acceptance coin, in
+// fusedWalk, a loop with no call on its path. It reads the view, the max
+// cluster size and the cached segment duration once; holds the stream's
+// PCG state in locals and draws each word with xrand.Next; masks the hold
+// draw and reduces the neighbour and coin draws with xrand.Reduce (only a
+// word Reduce cannot settle writes the state back and calls IntnFrom, the
+// tree's one Lemire reduction); makes no Steer call, since Ideal ignores
+// the objective below capture and Steer is pure; and sums its draws, their
+// clusters' |C|(|C|-1), hand-offs, hops and restarts in locals, charged
+// once at the end through randnum.Tally.Add, which is linear in its
+// counts. At the first captured or malformed cluster, isolated vertex or
+// ID past the tables, or on a single-cluster, edgeless or non-positive
+// max-size topology, it stops with no effect: the PCG state is restored
+// and nothing is charged, and the walk reruns from its start on the
+// general loop, segment, which draws every word through the Generator
+// interface with the steer objective and consults the Hijacker. Walks of
+// any other generator (CommitReveal, a counting or tracing wrapper) run
+// there from the start. Both loops make the same draws and charges;
+// scripts/hop_calls.sh keeps the fused loop call-free.
 package walk
 
 import (
@@ -188,8 +198,8 @@ func (c Config) validate() error {
 type Walker struct {
 	cfg  Config
 	topo Topology
-	// ideal records that cfg.Gen is randnum.Ideal, whose draws below
-	// capture segment makes itself and charges through a randnum.Tally.
+	// ideal records that cfg.Gen is randnum.Ideal, whose walks Uniform
+	// and Biased first run on fusedWalk.
 	ideal bool
 
 	// dur is the segment duration at durN clusters and durEdges overlay
@@ -271,6 +281,11 @@ func fillHoldTime() {
 // which is distributed ~uniformly over clusters once the duration exceeds
 // the mixing time. Used by OVER to draw edge endpoints.
 func (w *Walker) Uniform(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID) (Outcome, error) {
+	if w.ideal {
+		if out, ok := w.fused(led, r, start, false); ok {
+			return out, nil
+		}
+	}
 	out := Outcome{End: start}
 	err := w.segment(led, r, &out)
 	return out, err
@@ -281,6 +296,11 @@ func (w *Walker) Uniform(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID
 // ~|C|/n. The sequence is capped at MaxRestarts segments; if the cap is
 // hit the current endpoint is returned with Restarts == MaxRestarts.
 func (w *Walker) Biased(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID) (Outcome, error) {
+	if w.ideal {
+		if out, ok := w.fused(led, r, start, true); ok {
+			return out, nil
+		}
+	}
 	out := Outcome{End: start}
 	for out.Restarts = 0; out.Restarts < w.cfg.MaxRestarts; out.Restarts++ {
 		if err := w.segment(led, r, &out); err != nil {
@@ -311,24 +331,20 @@ func (w *Walker) Biased(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID)
 	return out, nil
 }
 
-// segment advances one CTRW of duration DurationFactor * log2(#C)^2 /
+// duration returns a segment's duration, DurationFactor * log2(#C)^2 /
 // meanDegree (so the expected number of jumps is ~DurationFactor *
-// log2(#C)^2) starting at out.End, updating out in place.
-//
-// With the Ideal generator, a hop at a cluster below capture draws both of
-// its words from the stream's PCG itself; every other hop, and every hop
-// of any other generator, draws through Gen. The fused draws, their
-// clusters' |C|(|C|-1) and the hand-offs are summed in locals and charged
-// once, by charge, on every return.
-func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error {
+// log2(#C)^2), at the topology's current cluster and edge counts. It is
+// 0 on a single-cluster overlay, where a walk stays put, and an error on
+// an edgeless one.
+func (w *Walker) duration() (float64, error) {
 	n, edges := w.topo.NumClusters(), w.topo.NumOverlayEdges()
 	if n <= 1 {
-		return nil // single-cluster overlay: the walk stays put
+		return 0, nil
 	}
 	if n != w.durN || edges != w.durEdges {
 		meanDeg := 2 * float64(edges) / float64(n)
 		if meanDeg <= 0 {
-			return fmt.Errorf("walk: overlay has no edges")
+			return 0, fmt.Errorf("walk: overlay has no edges")
 		}
 		l2 := math.Log2(float64(n))
 		if l2 < 1 {
@@ -336,8 +352,168 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 		}
 		w.durN, w.durEdges, w.dur = n, edges, w.cfg.DurationFactor*l2*l2/meanDeg
 	}
-	remaining := w.dur
+	return w.dur, nil
+}
 
+// fused runs a whole walk from start on fusedWalk, for the Ideal
+// generator: one segment for Uniform, randCl's segments and acceptance
+// coins for Biased. It reads the topology once, and charges the walk's
+// draws and hand-offs once. ok is false when the walk met anything
+// fusedWalk leaves to the general loop (see there), or the topology is one
+// a walk cannot leave its start on (a single cluster, no edges, a
+// non-positive max size); then r's state is as it was and nothing is
+// charged, so the caller reruns the walk from its start.
+func (w *Walker) fused(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID, biased bool) (Outcome, bool) {
+	dur, err := w.duration()
+	maxSize := w.topo.MaxClusterSize()
+	if err != nil || dur == 0 || maxSize <= 0 {
+		return Outcome{}, false
+	}
+	segs := 1
+	if biased {
+		segs = w.cfg.MaxRestarts
+	}
+	// One bound for both tables, so a hop checks its cluster once.
+	view := w.topo.View()
+	n := min(len(view.Rows), len(view.Adj))
+	pcg := r.PCG()
+	hi, lo := pcg.State()
+	var s fusedSums
+	if !fusedWalk(r, view.Rows[:n], view.Adj[:n], dur, uint64(maxSize), segs, biased, start, &s) {
+		pcg.SetState(hi, lo)
+		return Outcome{}, false
+	}
+	var t randnum.Tally
+	t.Add(s.draws, s.pairs)
+	t.Charge(led)
+	led.ChargeRounds(metrics.ClassWalk, s.handoff, int64(s.hops))
+	return Outcome{End: s.end, Hops: s.hops, Restarts: s.restarts, WorstSecurity: s.worst}, true
+}
+
+// fusedSums is a fused walk's result: its endpoint, hops, restarts and
+// worst security level, and the sums its charge is made of.
+type fusedSums struct {
+	end            ids.ClusterID
+	hops, restarts int
+	worst          randnum.Security
+	draws, pairs   int64 // Ideal draws, and their clusters' |C|(|C|-1) summed
+	handoff        int64 // hand-off messages; each hop is one round
+}
+
+// fusedWalk is a walk under the Ideal generator with no call on its
+// path: up to segs segments of duration dur from cur, each followed by
+// an acceptance coin against maxSize when coin is set, until a coin
+// accepts (one segment and no coin when coin is not set). It holds r's
+// PCG state in locals and draws each word with xrand.Next: the hold draw
+// is a mask of one word, the neighbour and acceptance draws reduce
+// theirs with xrand.Reduce, and only a word Reduce cannot settle writes
+// the state back and calls IntnFrom. These are the words Ideal.Draw
+// would take, since every draw is made at a cluster below capture with a
+// non-negative Byzantine count, where Draw is r.Intn(R). No Steer call
+// is made: Ideal ignores the objective below capture, and Steer is pure.
+//
+// rows and adj are the view's tables cut to one length. It returns false,
+// leaving *s alone and r's state wherever it stopped, at the first
+// cluster that is captured or malformed, has no neighbour or lies past
+// the tables: such a walk runs on the general loop, which draws through
+// the Generator interface and consults the Hijacker.
+func fusedWalk(r *xrand.Rand, rows []Row, adj [][]ids.ClusterID, dur float64, maxSize uint64, segs int, coin bool, cur ids.ClusterID, s *fusedSums) bool {
+	pcg := r.PCG()
+	hi, lo := pcg.State()
+	n := len(rows)
+	var (
+		word           uint64
+		pairs, handoff int64
+		hops, restarts int
+		worst          randnum.Security
+	)
+	if uint(cur) >= uint(n) {
+		return false
+	}
+	row, nbrs := rows[cur], adj[cur]
+	for {
+		for remaining := dur; ; {
+			size, byz := int64(row.Size), int64(row.Byz)
+			if byz < 0 || 2*byz >= size {
+				return false // captured, or a composition Draw would reject
+			}
+			deg := uint64(len(nbrs))
+			if deg == 0 {
+				return false // isolated vertex
+			}
+			if 3*byz >= size {
+				worst = randnum.Degraded
+			}
+			// Holding time ~ Exp(deg), then the next hop, a uniform
+			// neighbour: two cluster-agreed draws.
+			pp := size * (size - 1)
+			hi, lo, word = xrand.Next(hi, lo)
+			pairs += pp
+			if remaining -= holdTime[word&(_holdGrid-1)] / float64(deg); remaining <= 0 {
+				break
+			}
+			hi, lo, word = xrand.Next(hi, lo)
+			pairs += pp
+			nv, ok := xrand.Reduce(word, deg)
+			if !ok {
+				pcg.SetState(hi, lo)
+				nv = r.IntnFrom(word, deg)
+				hi, lo = pcg.State()
+			}
+			next := nbrs[nv]
+			if uint(next) >= uint(n) {
+				return false
+			}
+			nextRow := rows[next]
+			// Handoff: every member of cur messages every member of next;
+			// next accepts on >1/2 identical copies.
+			handoff += size * int64(nextRow.Size)
+			hops++
+			cur, row, nbrs = next, nextRow, adj[next]
+		}
+		if !coin {
+			break
+		}
+		// Acceptance coin at cur, which the segment's last hold draw found
+		// below capture: it draws a number in [0, maxSize) and accepts
+		// when it falls below its own size.
+		size := int64(row.Size)
+		hi, lo, word = xrand.Next(hi, lo)
+		pairs += size * (size - 1)
+		v, ok := xrand.Reduce(word, maxSize)
+		if !ok {
+			pcg.SetState(hi, lo)
+			v = r.IntnFrom(word, maxSize)
+			hi, lo = pcg.State()
+		}
+		if v < uint64(size) {
+			break
+		}
+		if restarts++; restarts == segs {
+			break
+		}
+	}
+	pcg.SetState(hi, lo)
+	// Each segment drew twice a hop, once more for the hold time that
+	// ended it, and once for its coin.
+	segments := int64(min(restarts+1, segs))
+	draws := 2*int64(hops) + segments
+	if coin {
+		draws += segments
+	}
+	*s = fusedSums{end: cur, hops: hops, restarts: restarts, worst: worst, draws: draws, pairs: pairs, handoff: handoff}
+	return true
+}
+
+// segment advances one CTRW from out.End, updating out in place, on the
+// general loop: every draw goes through Gen with the steer objective, and
+// a captured cluster consults the Hijacker. The hops' hand-offs are
+// summed in locals and charged once, by charge, on every return.
+func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error {
+	remaining, err := w.duration()
+	if err != nil || remaining == 0 {
+		return err
+	}
 	// Nothing a walk does mutates the topology, so one view serves the
 	// whole segment, and the current cluster's row and adjacency travel
 	// with the walk: each hop fetches them once, for the cluster it moves
@@ -345,20 +521,16 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 	view := w.topo.View()
 	cur := out.End
 	row, adj := view.Row(cur), view.Adjacent(cur)
-	pcg := r.PCG()
 	var (
-		draws   int64 // fused Ideal draws
-		pairs   int64 // their clusters' |C|(|C|-1), summed
 		handoff int64 // hand-off messages; each hop is one round
 		hops    int
 		worst   = out.WorstSecurity
 	)
 	for remaining > 0 {
 		size, byz := int(row.Size), int(row.Byz)
-		sec := randnum.Classify(size, byz)
-		if sec == randnum.Captured && w.cfg.Hijack != nil {
+		if w.cfg.Hijack != nil && randnum.Classify(size, byz) == randnum.Captured {
 			if target, ok := w.cfg.Hijack.Redirect(r, cur); ok {
-				charge(led, out, draws, pairs, handoff, hops, randnum.Captured)
+				charge(led, out, handoff, hops, randnum.Captured)
 				out.End = target
 				out.Hijacked = true
 				return nil
@@ -370,45 +542,26 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 		}
 		// Holding time ~ Exp(deg), then the next hop, a uniform neighbour:
 		// two cluster-agreed draws.
-		// Below capture size > 2*byz, so with byz >= 0 the fused draws
-		// are ones Ideal.Draw would accept: Intn(_holdGrid), a mask of
-		// one word, then Intn(deg).
-		var nv int
-		if w.ideal && sec != randnum.Captured && byz >= 0 {
-			worst = max(worst, sec)
-			pp := int64(size) * int64(size-1)
-			draws++
-			pairs += pp
-			hv := pcg.Uint64() & (_holdGrid - 1)
-			if remaining -= holdTime[hv] / float64(deg); remaining <= 0 {
-				break
-			}
-			draws++
-			pairs += pp
-			nv = int(r.IntnFrom(pcg.Uint64(), uint64(deg)))
-		} else {
-			hv, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: _holdGrid}, nil)
-			if err != nil {
-				charge(led, out, draws, pairs, handoff, hops, worst)
-				return drawError(cur, err)
-			}
-			worst = max(worst, sec)
-			if remaining -= holdTime[hv] / float64(deg); remaining <= 0 {
-				break
-			}
-			var obj randnum.Objective
-			if w.cfg.Steer != nil {
-				w.hopAdj = adj
-				obj = w.hopObj
-			}
-			v, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: int64(deg)}, obj)
-			if err != nil {
-				charge(led, out, draws, pairs, handoff, hops, worst)
-				return drawError(cur, err)
-			}
-			worst = max(worst, sec)
-			nv = int(v)
+		hv, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: _holdGrid}, nil)
+		if err != nil {
+			charge(led, out, handoff, hops, worst)
+			return drawError(cur, err)
 		}
+		worst = max(worst, sec)
+		if remaining -= holdTime[hv] / float64(deg); remaining <= 0 {
+			break
+		}
+		var obj randnum.Objective
+		if w.cfg.Steer != nil {
+			w.hopAdj = adj
+			obj = w.hopObj
+		}
+		nv, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: int64(deg)}, obj)
+		if err != nil {
+			charge(led, out, handoff, hops, worst)
+			return drawError(cur, err)
+		}
+		worst = max(worst, sec)
 		next := adj[nv]
 		nextRow := view.Row(next)
 		// Handoff: every member of cur messages every member of next; next
@@ -417,19 +570,15 @@ func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error
 		hops++
 		cur, row, adj = next, nextRow, view.Adjacent(next)
 	}
-	charge(led, out, draws, pairs, handoff, hops, worst)
+	charge(led, out, handoff, hops, worst)
 	out.End = cur
 	return nil
 }
 
-// charge ends a segment: it charges led with the segment's fused draws
-// (draws of them, at clusters whose |C|(|C|-1) sum to pairs) and its
+// charge ends a segment of the general loop: it charges led with its
 // hops' hand-offs (one round each), and records the hops and the worst
 // security level in out.
-func charge(led *metrics.Ledger, out *Outcome, draws, pairs, handoff int64, hops int, worst randnum.Security) {
-	var t randnum.Tally
-	t.Add(draws, pairs)
-	t.Charge(led)
+func charge(led *metrics.Ledger, out *Outcome, handoff int64, hops int, worst randnum.Security) {
 	led.ChargeRounds(metrics.ClassWalk, handoff, int64(hops))
 	out.Hops += hops
 	out.WorstSecurity = worst

@@ -2,6 +2,7 @@ package walk
 
 import (
 	"math"
+	"math/big"
 	"slices"
 	"testing"
 
@@ -303,53 +304,233 @@ func TestHijackFromCapturedCluster(t *testing.T) {
 // so every draw of a walker built on it goes through the interface.
 type interfaceGen struct{ randnum.Generator }
 
-// TestFusedHopChargesOnEveryExit: a segment's tallied draws and hand-offs
-// reach the ledger on each of its exits. Walks that end, that are hijacked
-// at a captured cluster and whose draw fails at an empty cluster leave the
-// same outcome, error and ledger under Ideal's fused hop as through the
-// interface, including after hops at degraded clusters.
+// TestFusedHopChargesOnEveryExit: a walk's draws and hand-offs reach the
+// ledger on each of its exits, and a fused walk that falls back leaves no
+// trace. Biased walks under the default restart cap and a cap of 1, and
+// uniform walks, that end, that are hijacked at a captured cluster and
+// whose draw fails at an empty cluster leave the same outcome, error,
+// ledger and next stream word under Ideal's fused walk as through the
+// interface, including after hops at degraded clusters. Both the fused
+// loop's own exits and its fallbacks (a captured or empty cluster, met at
+// the start or mid-walk) are taken.
 func TestFusedHopChargesOnEveryExit(t *testing.T) {
 	topo := newFakeTopo(t, 40, 4, 5)
 	topo.byz[7] = 5    // captured: a walk is hijacked there when a hijacker is installed
 	topo.sizes[13] = 0 // a draw there fails, unless the hijacker takes the walk first
 	topo.byz[21] = 4   // degraded
-	run := func(gen randnum.Generator, hijack Hijacker, start ids.ClusterID) (Outcome, string, metrics.Ledger) {
+	type result struct {
+		out  Outcome
+		msg  string
+		led  metrics.Ledger
+		next uint64 // the stream's next word after the walk
+	}
+	var fusedRan, fellBack int
+	run := func(gen randnum.Generator, hijack Hijacker, restarts int, biased bool, start ids.ClusterID) result {
 		cfg := defaultCfg()
 		cfg.Gen = gen
 		cfg.Hijack = hijack
+		cfg.MaxRestarts = restarts
 		w, err := NewWalker(cfg, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var led metrics.Ledger
-		out, err := w.Biased(&led, xrand.New(uint64(start)+100), start)
-		msg := ""
-		if err != nil {
-			msg = err.Error()
+		seed := uint64(start) + 100
+		if w.ideal {
+			var probe metrics.Ledger
+			if _, ok := w.fused(&probe, xrand.New(seed), start, biased); ok {
+				fusedRan++
+			} else {
+				fellBack++
+			}
 		}
-		return out, msg, led
+		var res result
+		r := xrand.New(seed)
+		if biased {
+			res.out, err = w.Biased(&res.led, r, start)
+		} else {
+			res.out, err = w.Uniform(&res.led, r, start)
+		}
+		if err != nil {
+			res.msg = err.Error()
+		}
+		res.next = r.Uint64()
+		return res
 	}
 	var hijacked, failed, ended int
 	for _, hijack := range []Hijacker{nil, fixedHijacker{target: 2}} {
-		for start := ids.ClusterID(0); start < 40; start++ {
-			out, msg, led := run(randnum.Ideal{}, hijack, start)
-			iOut, iMsg, iLed := run(interfaceGen{randnum.Ideal{}}, hijack, start)
-			if out != iOut || msg != iMsg || led != iLed {
-				t.Fatalf("walk from %v: fused %+v %q %+v, interface %+v %q %+v", start, out, msg, led, iOut, iMsg, iLed)
-			}
-			switch {
-			case out.Hops == 0:
-			case msg != "":
-				failed++
-			case out.Hijacked:
-				hijacked++
-			default:
-				ended++
+		for _, walk := range []struct {
+			restarts int
+			biased   bool
+		}{{32, true}, {1, true}, {32, false}} {
+			for start := ids.ClusterID(0); start < 40; start++ {
+				fused := run(randnum.Ideal{}, hijack, walk.restarts, walk.biased, start)
+				viaInterface := run(interfaceGen{randnum.Ideal{}}, hijack, walk.restarts, walk.biased, start)
+				if fused != viaInterface {
+					t.Fatalf("walk %+v from %v: fused %+v, interface %+v", walk, start, fused, viaInterface)
+				}
+				switch out := fused.out; {
+				case out.Hops == 0:
+				case fused.msg != "":
+					failed++
+				case out.Hijacked:
+					hijacked++
+				default:
+					ended++
+				}
 			}
 		}
 	}
 	if hijacked == 0 || failed == 0 || ended == 0 {
 		t.Errorf("after at least one hop: %d walks hijacked, %d failed, %d ended; every exit must be taken", hijacked, failed, ended)
+	}
+	if fusedRan == 0 || fellBack == 0 {
+		t.Errorf("%d walks ran fused and %d fell back; both must happen", fusedRan, fellBack)
+	}
+}
+
+// TestFusedFallbackMatchesInterface: the walks the fused loop declines
+// outside a captured cluster, from an isolated vertex, from an ID past the
+// tables and under a non-positive max size, fall back without a trace:
+// biased and uniform, they leave the outcome, error, ledger and next
+// stream word the interface path leaves.
+func TestFusedFallbackMatchesInterface(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start ids.ClusterID
+		edit  func(*fakeTopo)
+	}{
+		{"isolated vertex", 40, func(f *fakeTopo) { f.g.AddVertex(40); f.sizes[40] = 10 }},
+		{"past the tables", 1000, func(*fakeTopo) {}},
+		{"max size 0", 3, func(f *fakeTopo) { f.maxSz = 0 }},
+	} {
+		for _, biased := range []bool{true, false} {
+			run := func(gen randnum.Generator) (Outcome, string, metrics.Ledger, uint64) {
+				topo := newFakeTopo(t, 40, 4, 41)
+				tc.edit(topo)
+				cfg := defaultCfg()
+				cfg.Gen = gen
+				w, err := NewWalker(cfg, topo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w.ideal {
+					var probe metrics.Ledger
+					if _, ok := w.fused(&probe, xrand.New(42), tc.start, biased); ok {
+						t.Errorf("%s: the fused loop ran the walk", tc.name)
+					}
+				}
+				var led metrics.Ledger
+				r := xrand.New(42)
+				walk := w.Uniform
+				if biased {
+					walk = w.Biased
+				}
+				out, err := walk(&led, r, tc.start)
+				msg := ""
+				if err != nil {
+					msg = err.Error()
+				}
+				return out, msg, led, r.Uint64()
+			}
+			out, msg, led, next := run(randnum.Ideal{})
+			iOut, iMsg, iLed, iNext := run(interfaceGen{randnum.Ideal{}})
+			if out != iOut || msg != iMsg || led != iLed || next != iNext {
+				t.Errorf("%s, biased=%v: fused %+v %q %+v %#x, interface %+v %q %+v %#x", tc.name, biased, out, msg, led, next, iOut, iMsg, iLed, iNext)
+			}
+		}
+	}
+}
+
+// pcgStateBefore returns the PCG state whose step is (hi, lo): the LCG
+// step state*mul + inc mod 2^128, inverted.
+func pcgStateBefore(hi, lo uint64) (uint64, uint64) {
+	word := func(hi, lo uint64) *big.Int {
+		return new(big.Int).Or(new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64), new(big.Int).SetUint64(lo))
+	}
+	mod := new(big.Int).Lsh(big.NewInt(1), 128)
+	mul := word(2549297995355413924, 4865540595714422341)
+	inc := word(6364136223846793005, 1442695040888963407)
+	s := new(big.Int).Sub(word(hi, lo), inc)
+	s.Mul(s, new(big.Int).ModInverse(mul, mod)).Mod(s, mod)
+	mask := new(big.Int).SetUint64(math.MaxUint64)
+	return new(big.Int).Rsh(s, 64).Uint64(), new(big.Int).And(s, mask).Uint64()
+}
+
+// TestFusedRejectionRedraws drives the fused loop into Reduce's rejection
+// paths: the stream is set so that a walk's second draw takes word 0,
+// which Lemire's reduction rejects for a range that is not a power of
+// two, so the loop writes its PCG state back and IntnFrom redraws. At
+// duration factor 1 that draw is the first neighbour draw (degree 3); at
+// a duration factor so small that the first hold time ends the segment it
+// is the first acceptance coin (max size 10). With every neighbour of the
+// start captured, the redrawn hop lands on a captured cluster, so the
+// fused walk falls back after its state was written back, and only the
+// restore in fused puts the stream where the general loop must start.
+// Each walk must match the interface path's, next stream word included.
+func TestFusedRejectionRedraws(t *testing.T) {
+	start := ids.ClusterID(0)
+	// A state of high word 0 draws word 0; the first draw takes the word
+	// before it.
+	hi1, lo1 := pcgStateBefore(0, 12345)
+	hi0, lo0 := pcgStateBefore(hi1, lo1)
+	for _, tc := range []struct {
+		name     string
+		factor   float64
+		capture  bool // capture every neighbour of the start
+		biased   []bool
+		wantHops bool
+	}{
+		{"neighbour draw", 1, false, []bool{true, false}, true},
+		{"acceptance coin", 1e-9, false, []bool{true}, false}, // no hop: the second draw is the coin
+		{"neighbour draw, then capture", 1, true, []bool{true, false}, true},
+	} {
+		topo := newFakeTopo(t, 40, 3, 43)
+		if deg := len(topo.Adjacent(start)); deg&(deg-1) == 0 {
+			t.Fatalf("start degree %d is a power of two; the mask rejects nothing", deg)
+		}
+		if tc.capture {
+			for _, c := range topo.Adjacent(start) {
+				topo.byz[c] = 5
+			}
+		}
+		for _, biased := range tc.biased {
+			run := func(gen randnum.Generator) (Outcome, metrics.Ledger, uint64) {
+				cfg := defaultCfg()
+				cfg.DurationFactor = tc.factor
+				cfg.Gen = gen
+				w, err := NewWalker(cfg, topo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := xrand.New(0)
+				if w.ideal {
+					r.PCG().SetState(hi0, lo0)
+					var probe metrics.Ledger
+					if _, ok := w.fused(&probe, r, start, biased); ok == tc.capture {
+						t.Fatalf("%s, biased=%v: fused walk ok = %v", tc.name, biased, ok)
+					}
+				}
+				r.PCG().SetState(hi0, lo0)
+				var led metrics.Ledger
+				walk := w.Uniform
+				if biased {
+					walk = w.Biased
+				}
+				out, err := walk(&led, r, start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out, led, r.Uint64()
+			}
+			out, led, next := run(randnum.Ideal{})
+			iOut, iLed, iNext := run(interfaceGen{randnum.Ideal{}})
+			if (out.Hops > 0) != tc.wantHops || tc.capture && out.WorstSecurity != randnum.Captured {
+				t.Fatalf("%s, biased=%v: walk %+v did not reach the crafted draw", tc.name, biased, out)
+			}
+			if out != iOut || led != iLed || next != iNext {
+				t.Errorf("%s, biased=%v: fused %+v %+v %#x, interface %+v %+v %#x", tc.name, biased, out, led, next, iOut, iLed, iNext)
+			}
+		}
 	}
 }
 

@@ -8,10 +8,66 @@
 package xrand
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"math/rand/v2"
 )
+
+// PCG is math/rand/v2's PCG-DXSM generator, ported bit for bit: the same
+// 128-bit LCG step and the same DXSM output, so a PCG and a rand.PCG
+// holding the same state draw the same words (TestPCGMatchesMathRand).
+// Owning it lets a hot loop hold the state in registers (State, Next,
+// SetState), and keeps Uint64 within the inliner's budget, so Intn pays
+// no call per word. A zero PCG is a PCG seeded with (0, 0).
+type PCG struct{ hi, lo uint64 }
+
+// Seed resets p to the state (seed1, seed2), as rand.NewPCG(seed1, seed2).
+func (p *PCG) Seed(seed1, seed2 uint64) { p.hi, p.lo = seed1, seed2 }
+
+// State returns p's state.
+func (p *PCG) State() (hi, lo uint64) { return p.hi, p.lo }
+
+// SetState sets p's state, as returned by State or Next.
+func (p *PCG) SetState(hi, lo uint64) { p.hi, p.lo = hi, lo }
+
+// Next advances the state (hi, lo) by one step and returns the new state
+// and the word p.Uint64 would have returned from (hi, lo).
+func Next(hi, lo uint64) (nhi, nlo, word uint64) {
+	const (
+		mulHi = 2549297995355413924
+		mulLo = 4865540595714422341
+		incHi = 6364136223846793005
+		incLo = 1442695040888963407
+	)
+	// state = state * mul + inc
+	nhi, nlo = bits.Mul64(lo, mulLo)
+	nhi += hi*mulLo + lo*mulHi
+	nlo, c := bits.Add64(nlo, incLo, 0)
+	nhi, _ = bits.Add64(nhi, incHi, c)
+	// DXSM, "double xorshift multiply", of the new state.
+	const cheapMul = 0xda942042e4dd58b5
+	word = nhi ^ nhi>>32
+	word *= cheapMul
+	word ^= word >> 48
+	word *= nlo | 1
+	return nhi, nlo, word
+}
+
+// Uint64 returns a uniformly distributed 64-bit word and advances p.
+func (p *PCG) Uint64() uint64 {
+	var word uint64
+	p.hi, p.lo, word = Next(p.hi, p.lo)
+	return word
+}
+
+// MarshalBinary encodes p's state as rand.PCG's MarshalBinary does, so
+// rand.PCG.UnmarshalBinary reads it back.
+func (p *PCG) MarshalBinary() ([]byte, error) {
+	b := append(make([]byte, 0, 20), "pcg:"...)
+	b = binary.BigEndian.AppendUint64(b, p.hi)
+	return binary.BigEndian.AppendUint64(b, p.lo), nil
+}
 
 // Rand is a deterministic, splittable pseudo-random stream.
 //
@@ -21,12 +77,12 @@ type Rand struct {
 	src *rand.Rand
 	// pcg is src's generator. Intn calls it directly, PCG hands it to a
 	// caller that draws words inline, and SplitInto reseeds it in place.
-	pcg *rand.PCG
+	pcg *PCG
 }
 
 // newRand wraps a PCG seeded with (a, b) into a stream.
 func newRand(a, b uint64) *Rand {
-	pcg := rand.NewPCG(a, b)
+	pcg := &PCG{a, b}
 	return &Rand{src: rand.New(pcg), pcg: pcg}
 }
 
@@ -38,8 +94,8 @@ func New(seed uint64) *Rand {
 // Split derives an independent substream. The derivation mixes a label so
 // that distinct labels yield decorrelated streams.
 func (r *Rand) Split(label uint64) *Rand {
-	a := r.src.Uint64()
-	b := r.src.Uint64()
+	a := r.pcg.Uint64()
+	b := r.pcg.Uint64()
 	return newRand(mix(a, label), mix(b, ^label))
 }
 
@@ -66,10 +122,10 @@ func Derive(base uint64, labels ...uint64) *Rand {
 // must not be a stream whose generator is shared (i.e. only zero values
 // and previous SplitInto targets are valid destinations).
 func (r *Rand) SplitInto(dst *Rand, label uint64) {
-	a := r.src.Uint64()
-	b := r.src.Uint64()
+	a := r.pcg.Uint64()
+	b := r.pcg.Uint64()
 	if dst.pcg == nil {
-		dst.pcg = rand.NewPCG(mix(a, label), mix(b, ^label))
+		dst.pcg = &PCG{mix(a, label), mix(b, ^label)}
 		dst.src = rand.New(dst.pcg)
 		return
 	}
@@ -85,7 +141,7 @@ func mix(x, label uint64) uint64 {
 }
 
 // Uint64 returns a uniform 64-bit value.
-func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
+func (r *Rand) Uint64() uint64 { return r.pcg.Uint64() }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0, matching
 // math/rand semantics; callers validate n at protocol boundaries.
@@ -93,36 +149,54 @@ func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
 // It is math/rand/v2's (*Rand).IntN run over the stream's own PCG: the
 // same reduction of the same words, so the same values, with each word a
 // direct, inlined PCG.Uint64 call instead of a call through the Source
-// interface. (On 32-bit platforms math/rand/v2 computes the same value in
-// 32-bit halves.)
+// interface and Reduce's fast path inline; only a word Reduce cannot
+// settle calls IntnFrom. (On 32-bit platforms math/rand/v2 computes the
+// same value in 32-bit halves.)
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: invalid argument to Intn")
 	}
-	return int(r.IntnFrom(r.pcg.Uint64(), uint64(n)))
+	word := r.pcg.Uint64()
+	if v, ok := Reduce(word, uint64(n)); ok {
+		return int(v)
+	}
+	return int(r.IntnFrom(word, uint64(n)))
 }
 
 // PCG returns the stream's generator, for a hot loop that draws words
 // inline: a word drawn from it is the word the stream's next draw would
-// have taken, and reducing it with IntnFrom is Intn.
-func (r *Rand) PCG() *rand.PCG { return r.pcg }
+// have taken, and reducing it with IntnFrom is Intn. A loop that holds
+// the state in locals (State, Next) sets it back with SetState before it
+// calls IntnFrom or hands the stream on.
+func (r *Rand) PCG() *PCG { return r.pcg }
+
+// Reduce is IntnFrom's fast path, for a loop that reduces its words
+// inline: when ok, v is IntnFrom(word, n), n > 0, and word is consumed;
+// when not, word may be rejected and only IntnFrom can reduce it. It
+// rejects nothing when n is a power of two, and otherwise only words
+// whose Lemire low product falls below n, about n in 2^64.
+func Reduce(word, n uint64) (v uint64, ok bool) {
+	if n&(n-1) == 0 {
+		return word & (n - 1), true
+	}
+	hi, lo := bits.Mul64(word, n)
+	return hi, lo >= n
+}
 
 // IntnFrom reduces word, the stream's next PCG word, to a uniform value in
 // [0, n), n > 0, drawing further words from the stream only when the
 // reduction rejects word. It is math/rand/v2's uint64n: a mask when n is a
 // power of two, else Lemire's multiply-shift, which rejects the 2^64 mod n
-// low products that would bias it. It is the tree's one such reduction;
-// Intn(n) is IntnFrom(PCG().Uint64(), n).
+// low products that would bias it. It is the tree's one such reduction,
+// with Reduce its fast path; Intn(n) is IntnFrom(PCG().Uint64(), n).
 func (r *Rand) IntnFrom(word, n uint64) uint64 {
-	if n&(n-1) == 0 {
-		return word & (n - 1)
+	if v, ok := Reduce(word, n); ok {
+		return v
 	}
 	hi, lo := bits.Mul64(word, n)
-	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.pcg.Uint64(), n)
-		}
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.pcg.Uint64(), n)
 	}
 	return hi
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -334,5 +335,144 @@ func TestDerivePure(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("derivation order changed the stream at draw %d", i)
 		}
+	}
+}
+
+// TestPCGMatchesMathRand: PCG is math/rand/v2's PCG bit for bit. For a
+// stream from every constructor, 10 000 words equal those of a rand.PCG
+// holding the same state, and New, Split and SplitInto (fresh and
+// reseeded) derive the states math/rand/v2's PCG derives from the same
+// seeds. rand.New over a PCG and over its rand.PCG twin gives the same
+// Perm, Shuffle, Float64 and IntN, and MarshalBinary writes what
+// rand.PCG.UnmarshalBinary reads back and re-marshals byte for byte.
+func TestPCGMatchesMathRand(t *testing.T) {
+	const golden = 0x9e3779b97f4a7c15
+	split := func(parent *rand.PCG, label uint64) *rand.PCG {
+		a, b := parent.Uint64(), parent.Uint64()
+		return rand.NewPCG(mix(a, label), mix(b, ^label))
+	}
+	reseeded := rand.NewPCG(6, 6^golden) // testStreams' reseed of a SplitInto target
+	derived := map[string]*rand.PCG{
+		"New":                rand.NewPCG(3, 3^golden),
+		"Split":              split(rand.NewPCG(4, 4^golden), 8),
+		"SplitInto":          split(rand.NewPCG(5, 5^golden), 9),
+		"SplitInto reseeded": split(reseeded, 10),
+	}
+	for _, s := range testStreams() {
+		name, p := s.name, s.r.PCG()
+		hi, lo := p.State()
+		var twin rand.PCG
+		state, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(state) != 20 {
+			t.Fatalf("%s: MarshalBinary wrote %d bytes, want 20", name, len(state))
+		}
+		if err := twin.UnmarshalBinary(state); err != nil {
+			t.Fatalf("%s: rand.PCG rejects MarshalBinary's %x: %v", name, state, err)
+		}
+		if again, _ := twin.MarshalBinary(); string(again) != string(state) {
+			t.Fatalf("%s: MarshalBinary wrote %x, rand.PCG re-marshals %x", name, state, again)
+		}
+
+		// rand.Rand's derived draws over the port and over the twin.
+		var port PCG
+		port.SetState(hi, lo)
+		twinCopy := twin
+		a, b := rand.New(&port), rand.New(&twinCopy)
+		if pa, pb := a.Perm(50), b.Perm(50); !slices.Equal(pa, pb) {
+			t.Fatalf("%s: Perm %v, math/rand/v2 %v", name, pa, pb)
+		}
+		sa, sb := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+		a.Shuffle(len(sa), func(i, j int) { sa[i], sa[j] = sa[j], sa[i] })
+		b.Shuffle(len(sb), func(i, j int) { sb[i], sb[j] = sb[j], sb[i] })
+		if !slices.Equal(sa, sb) {
+			t.Fatalf("%s: Shuffle %v, math/rand/v2 %v", name, sa, sb)
+		}
+		for i := 0; i < 1000; i++ {
+			if fa, fb := a.Float64(), b.Float64(); fa != fb {
+				t.Fatalf("%s: Float64 draw %d = %v, math/rand/v2 %v", name, i, fa, fb)
+			}
+			if ia, ib := a.IntN(1000003), b.IntN(1000003); ia != ib {
+				t.Fatalf("%s: IntN draw %d = %d, math/rand/v2 %d", name, i, ia, ib)
+			}
+		}
+
+		ref := derived[name]
+		for i := 0; i < 10000; i++ {
+			w, tw := p.Uint64(), twin.Uint64()
+			if w != tw {
+				t.Fatalf("%s: word %d = %#x, rand.PCG in the same state %#x", name, i, w, tw)
+			}
+			if ref != nil {
+				if rw := ref.Uint64(); w != rw {
+					t.Fatalf("%s: word %d = %#x, math/rand/v2 derives %#x from the same seeds", name, i, w, rw)
+				}
+			}
+			if i == 0 {
+				// Next is Uint64 on state held outside the PCG.
+				nhi, nlo, word := Next(hi, lo)
+				if word != w || !equalState(p, nhi, nlo) {
+					t.Fatalf("%s: Next(%#x, %#x) = (%#x, %#x, %#x), Uint64 drew %#x", name, hi, lo, nhi, nlo, word, w)
+				}
+			}
+		}
+	}
+}
+
+func equalState(p *PCG, hi, lo uint64) bool {
+	phi, plo := p.State()
+	return phi == hi && plo == lo
+}
+
+// TestReduceMatchesIntnFrom pins the inline reduction a fused loop runs
+// to IntnFrom: wherever Reduce settles a word, IntnFrom returns the same
+// value and draws nothing more from the stream; Reduce declines exactly
+// the words whose Lemire low product falls below n, never for a power of
+// two, and often for n near 2^63. A
+// crafted word, 0 with n = 3, is declined, and IntnFrom rejects it and
+// reduces the stream's next word instead.
+func TestReduceMatchesIntnFrom(t *testing.T) {
+	r, twin := New(21), New(21)
+	words := New(22)
+	ns := []uint64{1, 2, 3, 7, 72, 1 << 16, 1<<31 - 1, 1<<62 + 1, 1<<63 + 1}
+	declined := 0
+	for _, n := range ns {
+		for i := 0; i < 2000; i++ {
+			word := words.Uint64()
+			v, ok := Reduce(word, n)
+			_, lo := bits.Mul64(word, n)
+			if want := n&(n-1) != 0 && lo < n; ok == want {
+				t.Fatalf("Reduce(%#x, %d) ok = %v, want %v", word, n, ok, !want)
+			}
+			if !ok {
+				declined++
+				continue
+			}
+			if got := r.IntnFrom(word, n); got != v {
+				t.Fatalf("Reduce(%#x, %d) = %d, IntnFrom = %d", word, n, v, got)
+			}
+		}
+	}
+	if r.Uint64() != twin.Uint64() {
+		t.Fatal("IntnFrom drew from the stream for a word Reduce settles")
+	}
+	if _, ok := Reduce(0, 4); !ok {
+		t.Error("Reduce declined a word for a power of two")
+	}
+	if _, ok := Reduce(0, 3); ok {
+		t.Fatal("Reduce settled word 0 for n = 3, whose low product 0 is rejected")
+	}
+	next := twin.PCG().Uint64()
+	want, _ := Reduce(next, 3)
+	if got := r.IntnFrom(0, 3); got != want {
+		t.Errorf("IntnFrom(0, 3) = %d, want the next word's reduction %d", got, want)
+	}
+	if r.Uint64() != twin.Uint64() {
+		t.Error("IntnFrom(0, 3) did not draw exactly one more word")
+	}
+	if declined == 0 {
+		t.Error("Reduce declined no random word; n near 2^62 and 2^63 should decline about a quarter and a half")
 	}
 }
