@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"nowover"
+	"nowover/internal/core"
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
 	"nowover/internal/randnum"
@@ -341,6 +342,36 @@ func BenchmarkBootstrap(b *testing.B) {
 					b.Fatal(err)
 				}
 				if err := sys.Bootstrap(n0, nowover.FractionCorrupt(n0, 0.2)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWorldBootstrap is one world set-up as cmd/nowperf times it:
+// sim.New (the random partition, the G(n, p) overlay and the runner) plus
+// core.CheckInvariants, at half of N = 2^14 (churn_batched's shape) and of
+// 2^18 (churn_large's). Nearly every alloc/op is a per-cluster record
+// (member list, adjacency): the node tables are sized to n0 once, so
+// growing them node by node again adds 50-80 allocs/op and fails the
+// floor in scripts/benchmem_gate.sh.
+func BenchmarkWorldBootstrap(b *testing.B) {
+	for _, maxN := range []int{1 << 14, 1 << 18} {
+		b.Run("N="+strconv.Itoa(maxN), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg := nowover.SimConfig{
+					Core:        nowover.DefaultConfig(maxN),
+					InitialSize: maxN / 2,
+					Tau:         0.15,
+					Seed:        1,
+				}
+				cfg.Core.Seed = 1
+				runner, err := nowover.NewSimulation(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := core.CheckInvariants(runner.World()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -35,9 +35,12 @@ func CheckInvariants(w *World) error {
 	// tracked max (World.maxSize, maintained by noteSizeChange's
 	// size-multiset scan-down) is checked against ground truth on every
 	// oracle call — the regression oracle for the stale-max recompute.
-	seen := make(ids.NodeSet, w.NumNodes())
+	// seen is a NodeID-indexed bitset: CheckConsistency has found every
+	// member in the node table, so len(w.nodes) bits cover them all.
+	seen := make([]uint64, (len(w.nodes)+63)/64)
+	members := 0
 	lo, hi := w.cfg.MergeThreshold(), w.cfg.SplitThreshold()
-	clusters := ids.NewClusterSet()
+	clusters := 0
 	trueMax := 0
 	// Ascending ClusterID walk: which violated invariant gets reported is
 	// part of the oracle's observable output, so the scan order must come
@@ -47,7 +50,7 @@ func CheckInvariants(w *World) error {
 			continue
 		}
 		c := ids.ClusterID(i)
-		clusters.Add(c)
+		clusters++
 		size := len(cs.members)
 		if size > trueMax {
 			trueMax = size
@@ -62,13 +65,16 @@ func CheckInvariants(w *World) error {
 			return fmt.Errorf("invariant: cluster %v size %d below merge threshold %d", c, size, lo)
 		}
 		for _, x := range cs.members {
-			if !seen.Add(x) {
+			word, bit := x>>6, uint64(1)<<(x&63)
+			if seen[word]&bit != 0 {
 				return fmt.Errorf("invariant: node %v is a member of two clusters", x)
 			}
+			seen[word] |= bit
+			members++
 		}
 	}
-	if seen.Len() != w.NumNodes() {
-		return fmt.Errorf("invariant: %d member nodes vs %d indexed nodes", seen.Len(), w.NumNodes())
+	if members != w.NumNodes() {
+		return fmt.Errorf("invariant: %d member nodes vs %d indexed nodes", members, w.NumNodes())
 	}
 	if got := w.MaxClusterSize(); got != trueMax {
 		return fmt.Errorf("invariant: tracked max cluster size %d, true max %d", got, trueMax)
@@ -76,11 +82,11 @@ func CheckInvariants(w *World) error {
 
 	// Overlay vertices == cluster set.
 	vs := w.overlay.Vertices()
-	if len(vs) != clusters.Len() {
-		return fmt.Errorf("invariant: overlay has %d vertices vs %d clusters", len(vs), clusters.Len())
+	if len(vs) != clusters {
+		return fmt.Errorf("invariant: overlay has %d vertices vs %d clusters", len(vs), clusters)
 	}
 	for _, c := range vs {
-		if !clusters.Has(c) {
+		if !w.hasCluster(c) {
 			return fmt.Errorf("invariant: overlay vertex %v is not a cluster", c)
 		}
 	}

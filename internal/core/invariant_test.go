@@ -1,8 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"nowover/internal/ids"
+	"nowover/internal/metrics"
 	"nowover/internal/xrand"
 )
 
@@ -108,19 +111,97 @@ func TestInvariantsWithRejoinMerge(t *testing.T) {
 
 // TestCheckInvariantsDetectsBreakage corrupts the bookkeeping directly and
 // confirms the oracle notices — an oracle that cannot fail is worthless.
+// Each case is one crafted corruption per error branch, on a fresh world,
+// and must be reported by the branch that names it. CheckConsistency runs
+// first and already compares the tracked max and the overlay vertex set
+// against the cluster table, so those three corruptions are reported in
+// its words; the duplicate membership passes every consistency check and
+// only the membership bitset catches it.
 func TestCheckInvariantsDetectsBreakage(t *testing.T) {
-	w := newTestWorld(t, 23)
-	// Silently drop one member from a cluster's list without touching any
-	// derived index (size multiset, node records, security class):
-	// consistency must flag the mismatch.
-	for _, cs := range w.clusters {
-		if cs == nil {
-			continue
+	firstCluster := func(t *testing.T, w *World) (ids.ClusterID, *clusterState) {
+		for i, cs := range w.clusters {
+			if cs != nil {
+				return ids.ClusterID(i), cs
+			}
 		}
-		cs.members = cs.members[:len(cs.members)-1]
-		if err := CheckInvariants(w); err == nil {
-			t.Fatal("invariant oracle missed a vanished member")
-		}
-		return
+		t.Fatal("world has no cluster")
+		return 0, nil
+	}
+	var led metrics.Ledger
+	noPick := func(ids.ClusterID) (ids.ClusterID, bool) { return 0, false }
+	cases := []struct {
+		name    string
+		corrupt func(t *testing.T, w *World)
+		want    string
+	}{
+		{
+			// Drop one member from a cluster's list without touching any
+			// derived index (size multiset, node records, security class):
+			// consistency must flag the mismatch.
+			name: "vanished member",
+			corrupt: func(t *testing.T, w *World) {
+				_, cs := firstCluster(t, w)
+				cs.members = cs.members[:len(cs.members)-1]
+			},
+			want: "consistency:",
+		},
+		{
+			// A member slot names a node of the same allegiance that the
+			// cluster already lists: sizes, counts, rows and every node
+			// record still agree, and the node it replaced is still
+			// indexed, but a node now sits in two member slots.
+			name: "duplicate membership",
+			corrupt: func(t *testing.T, w *World) {
+				_, cs := firstCluster(t, w)
+				x := cs.members[0]
+				for j := len(cs.members) - 1; j > 0; j-- {
+					if w.IsByzantine(cs.members[j]) == w.IsByzantine(x) {
+						cs.members[j] = x
+						return
+					}
+				}
+				t.Fatal("no two members of the same allegiance")
+			},
+			want: "is a member of two clusters",
+		},
+		{
+			name:    "tracked-max drift",
+			corrupt: func(t *testing.T, w *World) { w.maxSize++ },
+			want:    "tracked max",
+		},
+		{
+			// An ID no cluster holds becomes an overlay vertex.
+			name: "overlay vertex not a cluster",
+			corrupt: func(t *testing.T, w *World) {
+				if _, err := w.overlay.Add(&led, ids.ClusterID(len(w.clusters)), noPick, 1); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: "overlay has",
+		},
+		{
+			name: "cluster not an overlay vertex",
+			corrupt: func(t *testing.T, w *World) {
+				c, _ := firstCluster(t, w)
+				if _, err := w.overlay.Remove(&led, c, noPick, 1); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: "missing from overlay",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newTestWorld(t, 23)
+			requireInvariants(t, w)
+			tc.corrupt(t, w)
+			err := CheckInvariants(w)
+			if err == nil {
+				t.Fatalf("invariant oracle missed a %s", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s reported as %q, want it to say %q", tc.name, err, tc.want)
+			}
+		})
 	}
 }

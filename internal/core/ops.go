@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
@@ -42,7 +43,12 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 	w.led.AddRounds(int64(math.Ceil(l2 * l2)))
 
 	// Random partition by the representative cluster: a random ordering,
-	// cut into consecutive chunks of the target size.
+	// cut into consecutive chunks of the target size. The node tables are
+	// sized to the n0 seeded nodes once (churn grows them from there),
+	// not grown node by node.
+	w.nodes = slices.Grow(w.nodes, n0)
+	w.allNodes = slices.Grow(w.allNodes, n0)
+	w.nodePos = slices.Grow(w.nodePos, n0)
 	slots := w.rng.Perm(n0)
 	byz := make([]bool, n0)
 	for i := range byz {

@@ -47,36 +47,6 @@ func (s NodeSet) Add(id NodeID) bool {
 // Len returns the cardinality.
 func (s NodeSet) Len() int { return len(s) }
 
-// ClusterSet is a set of cluster identifiers.
-type ClusterSet map[ClusterID]struct{}
-
-// NewClusterSet builds a set from the given members.
-func NewClusterSet(members ...ClusterID) ClusterSet {
-	s := make(ClusterSet, len(members))
-	for _, m := range members {
-		s[m] = struct{}{}
-	}
-	return s
-}
-
-// Add inserts id, returning true if it was not already present.
-func (s ClusterSet) Add(id ClusterID) bool {
-	if _, ok := s[id]; ok {
-		return false
-	}
-	s[id] = struct{}{}
-	return true
-}
-
-// Has reports membership.
-func (s ClusterSet) Has(id ClusterID) bool {
-	_, ok := s[id]
-	return ok
-}
-
-// Len returns the cardinality.
-func (s ClusterSet) Len() int { return len(s) }
-
 // NodeAllocator mints unique node identifiers.
 type NodeAllocator struct{ next NodeID }
 

@@ -18,19 +18,6 @@ func TestNodeSetBasics(t *testing.T) {
 	}
 }
 
-func TestClusterSetBasics(t *testing.T) {
-	s := NewClusterSet(5, 4)
-	if !s.Add(6) || s.Add(6) {
-		t.Error("Add reports membership wrongly")
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	if !s.Has(5) || s.Has(7) {
-		t.Error("Has reports membership wrongly")
-	}
-}
-
 func TestAllocatorsMonotone(t *testing.T) {
 	var na NodeAllocator
 	var ca ClusterAllocator

@@ -105,7 +105,7 @@ type Overlay struct {
 	queue []ids.ClusterID
 
 	// mutations counts writes to adj and order. The four mutators
-	// (addVertex, removeVertex, removeDirected, addEdge) are the only
+	// (addVertex, removeVertex, removeDirected, link) are the only
 	// writers and each bumps it, so an unchanged count means an unchanged
 	// overlay. SetWeight moves weights and masses only, which the cached
 	// shape does not depend on, so it leaves the count alone.
@@ -289,13 +289,18 @@ func (o *Overlay) addEdge(u, v ids.ClusterID) error {
 	if o.hasEdge(u, v) {
 		return fmt.Errorf("over: duplicate edge %v-%v", u, v)
 	}
+	o.link(u, v)
+	return nil
+}
+
+// link inserts {u, v}: two distinct vertices not yet adjacent.
+func (o *Overlay) link(u, v ids.ClusterID) {
 	o.adj[u] = append(o.adj[u], v)
 	o.adj[v] = append(o.adj[v], u)
 	o.mass[u] += o.weight[v]
 	o.mass[v] += o.weight[u]
 	o.edges++
 	o.mutations++
-	return nil
 }
 
 // nextEpoch starts a traversal: every vertex reads as unvisited.
@@ -372,26 +377,35 @@ func (o *Overlay) computeShape() shape {
 // chain between connected components so the walk-based machinery is usable
 // even in small regimes where G(n,p) is disconnected (at the paper's scales
 // the chain adds no edges w.h.p.). Returns the number of patch edges added.
+// A vertex listed twice is an error, found before any coin is drawn.
 func (o *Overlay) Bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float64) (int, error) {
 	if len(o.order) != 0 {
 		return 0, fmt.Errorf("over: bootstrap on non-empty overlay")
 	}
 	for _, v := range vertices {
-		if !o.Has(v) {
-			o.addVertex(v)
+		if o.Has(v) {
+			return 0, fmt.Errorf("over: bootstrap vertex %v listed twice", v)
 		}
+		o.addVertex(v)
 	}
 	// G(n, p): the same pair order and coin sequence as graph.ErdosRenyi.
-	for i := 0; i < len(vertices); i++ {
-		for j := i + 1; j < len(vertices); j++ {
-			if !r.Bool(p) || o.hasEdge(vertices[i], vertices[j]) {
-				continue
-			}
-			if err := o.addEdge(vertices[i], vertices[j]); err != nil {
-				return 0, fmt.Errorf("erdos-renyi: %w", err)
+	// Each coin is r.Bool(p), drawn by firstLanding on the PCG state held
+	// in locals and written back after the last. The vertices are
+	// distinct, so each pair is drawn once and a landed coin's edge is
+	// neither a self-loop nor a duplicate.
+	pcg := r.PCG()
+	stHi, stLo := pcg.State()
+	for i, u := range vertices {
+		rest := vertices[i+1:]
+		for j := 0; j < len(rest); j++ {
+			var k int
+			stHi, stLo, k = firstLanding(stHi, stLo, p, len(rest)-j)
+			if j += k; j < len(rest) {
+				o.link(u, rest[j])
 			}
 		}
 	}
+	pcg.SetState(stHi, stLo)
 	// Link the earliest vertex of each further component (components
 	// ordered by their earliest vertex) to the first vertex. A patch only
 	// joins already-visited components, so it cannot change what the rest
@@ -414,6 +428,23 @@ func (o *Overlay) Bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float64) 
 	_, hi := o.DegreeRange()
 	o.degreeBound = max(o.degreeBound, hi)
 	return patches, nil
+}
+
+// firstLanding flips up to n Bool(p) coins on the PCG state (hi, lo) and
+// stops at the first that lands. It returns the state after the last coin
+// it drew and that coin's index, or n when none landed. It is a function
+// of its own so that its loop holds only the state, p and two counters,
+// all in registers: the PCG step is the loop's critical path, and
+// Bootstrap's other live locals would spill the state to the stack.
+func firstLanding(hi, lo uint64, p float64, n int) (uint64, uint64, int) {
+	for k := 0; k < n; k++ {
+		var word uint64
+		hi, lo, word = xrand.Next(hi, lo)
+		if xrand.Float64From(word) < p {
+			return hi, lo, k
+		}
+	}
+	return hi, lo, n
 }
 
 // Add inserts vertex c and wires it to up to TargetDegree distinct

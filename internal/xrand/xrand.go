@@ -74,9 +74,11 @@ func (p *PCG) MarshalBinary() ([]byte, error) {
 // It is NOT safe for concurrent use; give each goroutine its own stream via
 // Split.
 type Rand struct {
+	// src wraps pcg for Perm and Shuffle only.
 	src *rand.Rand
-	// pcg is src's generator. Intn calls it directly, PCG hands it to a
-	// caller that draws words inline, and SplitInto reseeds it in place.
+	// pcg is src's generator. Every other draw calls it directly, PCG
+	// hands it to a caller that draws words inline, and SplitInto
+	// reseeds it in place.
 	pcg *PCG
 }
 
@@ -201,11 +203,18 @@ func (r *Rand) IntnFrom(word, n uint64) uint64 {
 	return hi
 }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (r *Rand) Float64() float64 { return r.src.Float64() }
+// Float64 returns a uniform float64 in [0, 1): math/rand/v2's Float64,
+// drawn from the stream's PCG without the Source interface.
+func (r *Rand) Float64() float64 { return Float64From(r.pcg.Uint64()) }
+
+// Float64From maps a PCG word to the float64 in [0, 1) math/rand/v2's
+// Float64 makes of it: the word's low 53 bits over 2^53. A loop that
+// draws words inline (Next) and compares Float64From(word) < p flips the
+// coin Bool(p) would have flipped.
+func Float64From(word uint64) float64 { return float64(word<<11>>11) / (1 << 53) }
 
 // Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool { return r.src.Float64() < p }
+func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
 // Exp returns an exponential variate with the given rate (mean 1/rate).
 // It panics if rate <= 0.
@@ -214,10 +223,12 @@ func (r *Rand) Exp(rate float64) float64 {
 		panic("xrand: non-positive exponential rate")
 	}
 	// Inverse CDF on (0,1]; 1-Float64() avoids log(0).
-	return -math.Log(1-r.src.Float64()) / rate
+	return -math.Log(1-r.Float64()) / rate
 }
 
-// Perm returns a uniform permutation of [0, n).
+// Perm returns a uniform permutation of [0, n). Perm and Shuffle stay on
+// math/rand/v2's own Rand: on 32-bit platforms their bounded draws take
+// its 32-bit reduction (uint32n), which the stream does not port.
 func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
 
 // Shuffle permutes the first n elements using swap, Fisher-Yates.

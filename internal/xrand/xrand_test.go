@@ -476,3 +476,62 @@ func TestReduceMatchesIntnFrom(t *testing.T) {
 		t.Error("Reduce declined no random word; n near 2^62 and 2^63 should decline about a quarter and a half")
 	}
 }
+
+// wordSource is a rand.Source that returns one fixed word.
+type wordSource uint64
+
+func (s wordSource) Uint64() uint64 { return uint64(s) }
+
+// TestCoinsMatchMathRand: Float64, Bool and Exp, which draw from the
+// stream's PCG without math/rand/v2, draw what math/rand/v2's Float64 (and
+// Float64() < p, -log(1-Float64())/rate) draws on a twin PCG holding the
+// same state, for streams from every constructor, draw for draw, and leave
+// the stream where the twin is. Bool runs at p = 0, 2^-60, 0.01, 0.5,
+// 1-2^-53, 1 and 1.5, and at the value its own draw takes. Float64From, the mapping an inline loop compares
+// against p, equals rand.Float64 on crafted words too: the extremes of the
+// low 53 bits, with and without high bits set.
+func TestCoinsMatchMathRand(t *testing.T) {
+	ps := []float64{0, 0x1p-60, 0.01, 0.5, 1 - 0x1p-53, 1, 1.5}
+	for _, s := range testStreams() {
+		name, r := s.name, s.r
+		ref := twinOf(t, r)
+		for i := 0; i < 500; i++ {
+			if got, want := r.Float64(), ref.Float64(); got != want {
+				t.Fatalf("%s: Float64 draw %d = %v, math/rand/v2 %v", name, i, got, want)
+			}
+			for _, p := range ps {
+				if got, want := r.Bool(p), ref.Float64() < p; got != want {
+					t.Fatalf("%s: Bool(%v) draw %d = %v, math/rand/v2 %v", name, p, i, got, want)
+				}
+			}
+			// A tie: p is the value the coin's own draw takes, which
+			// Float64() < p rejects.
+			tie := twinOf(t, r).Float64()
+			if got, want := r.Bool(tie), ref.Float64() < tie; got || want {
+				t.Fatalf("%s: Bool at its own draw's value %v, draw %d = %v, math/rand/v2 %v", name, tie, i, got, want)
+			}
+			for _, rate := range []float64{0.5, 1, 3} {
+				if got, want := r.Exp(rate), -math.Log(1-ref.Float64())/rate; got != want {
+					t.Fatalf("%s: Exp(%v) draw %d = %v, math/rand/v2 %v", name, rate, i, got, want)
+				}
+			}
+		}
+		if r.Uint64() != ref.Uint64() {
+			t.Fatalf("%s: streams diverged after the coin draws", name)
+		}
+	}
+
+	words := []uint64{0, 1, 1<<53 - 1, 1 << 53, 1<<53 + 1, 1 << 63, 1<<63 | 1<<53 - 1, math.MaxUint64}
+	for w := New(31); len(words) < 64; {
+		words = append(words, w.Uint64())
+	}
+	for _, word := range words {
+		want := rand.New(wordSource(word)).Float64()
+		if got := Float64From(word); got != want {
+			t.Fatalf("Float64From(%#x) = %v, math/rand/v2 %v", word, got, want)
+		}
+	}
+	if Float64From(1<<53-1) >= 1 || Float64From(math.MaxUint64) != 1-0x1p-53 {
+		t.Error("Float64From leaves [0, 1) or misses its largest value 1-2^-53")
+	}
+}

@@ -44,6 +44,17 @@ echo "== benchmem gate: walk + exchange primitives, world audit, sim step =="
 go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|BenchmarkWorldAudit|BenchmarkSimulationStep' \
 	-benchmem -benchtime 50x . | tee -a "$out"
 
+# World construction as cmd/nowperf times a set-up: sim.New plus
+# core.CheckInvariants at n0 = 2^13 and 2^17. The count is seeded and
+# exact, nearly all of it the per-cluster records; the node tables are
+# sized to n0 once and CheckInvariants marks members in a bitset, so the
+# tables grown node by node again (+50 and +82 allocs/op) or a per-node
+# map in the oracle crosses the floor. Three iterations: one 2^17 set-up
+# takes ~0.1 s.
+echo "== benchmem gate: world construction =="
+go test -run '^$' -bench 'BenchmarkWorldBootstrap' \
+	-benchmem -benchtime 3x . | tee -a "$out"
+
 # One Ideal randNum draw: validation, the cost model's charges and the
 # value. A rejected Params builds its error only on its cold branch and a
 # negative charge its panic value only when it panics, so a draw that
@@ -72,14 +83,18 @@ BenchmarkWorldAudit/unchanged 0
 BenchmarkWorldAudit/after-mutation 0
 BenchmarkIdealDraw 0
 BenchmarkSimulationStep 0
+BenchmarkWorldBootstrap/N=16384 3740
+BenchmarkWorldBootstrap/N=262144 50490
 BenchmarkStreamReframe/empty 0
 BenchmarkStreamReframe/payload 1
 BenchmarkTCPRequestEcho 2
 '
 
 fail=0
+# A prefix may itself hold "=" (BenchmarkWorldBootstrap/N=16384), so the
+# pair is split at the last one.
 for floor in $(printf '%s' "$floors" | awk 'NF {print $1 "=" $2}'); do
-	prefix=${floor%%=*}
+	prefix=${floor%=*}
 	max=${floor##*=}
 	matched=0
 	while IFS= read -r line; do
