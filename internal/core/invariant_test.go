@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -163,6 +164,42 @@ func TestCheckInvariantsDetectsBreakage(t *testing.T) {
 				t.Fatal("no two members of the same allegiance")
 			},
 			want: "is a member of two clusters",
+		},
+		{
+			// Every member of the first cluster moves to the next one,
+			// each derived index following: only emptiness is wrong.
+			name: "empty cluster",
+			corrupt: func(t *testing.T, w *World) {
+				c, cs := firstCluster(t, w)
+				d := c + 1
+				for int(d) < len(w.clusters) && w.clusters[d] == nil {
+					d++
+				}
+				if int(d) == len(w.clusters) {
+					t.Fatal("world has one cluster")
+				}
+				for _, x := range slices.Clone(cs.members) {
+					byz := w.IsByzantine(x)
+					if err := w.removeMember(c, x, byz); err != nil {
+						t.Fatal(err)
+					}
+					if err := w.insertMember(d, x, byz); err != nil {
+						t.Fatal(err)
+					}
+					w.setNodeInfo(x, nodeInfo{cluster: d, present: true})
+				}
+			},
+			want: "is empty",
+		},
+		{
+			name:    "above split threshold",
+			corrupt: func(t *testing.T, w *World) { w.cfg.K /= 10 },
+			want:    "above split threshold",
+		},
+		{
+			name:    "below merge threshold",
+			corrupt: func(t *testing.T, w *World) { w.cfg.K *= 10 },
+			want:    "below merge threshold",
 		},
 		{
 			name:    "tracked-max drift",

@@ -11,7 +11,10 @@
 // membership installation messages for both moved nodes, and composition
 // updates to every cluster adjacent to C and C' (a node accepts a message
 // from a neighboring cluster only when more than half of that cluster's
-// members send it, so composition must be propagated eagerly).
+// members send it, so composition must be propagated eagerly). Messages
+// add over the swaps; rounds do not. An exchange's walks run in parallel,
+// so Run charges the rounds of its longest walk and partner draw, plus two
+// rounds for its simultaneous swaps (metrics.Section).
 package exchange
 
 import (
@@ -98,6 +101,18 @@ func containsCluster(xs []ids.ClusterID, c ids.ClusterID) bool {
 
 // Run shuffles every node of c per the protocol and returns the report.
 // The report's Receivers slice is valid until the next Run call.
+//
+// Rounds are a critical path. Section 3.1 bounds one randCl walk by
+// O(log^5 N) messages and O(log^4 N) rounds, and a full exchange of C by
+// O(log^6 N) messages and the same O(log^4 N) rounds (the round analysis
+// of the long version, On Dynamic Distributed Computing, arXiv 1202.3084,
+// counts them the same way): the |C| walks and their partner draws run in
+// parallel, so their messages add and their rounds do not. Run charges
+// each member's walk plus its partner draw as one branch of a concurrent
+// section of the ledger, so the section adds the longest branch's rounds,
+// then charges the swaps' two rounds once, if any swap happened: the swaps
+// are simultaneous, as in CascadeRound. Every exit, error returns
+// included, closes the section.
 func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Report, error) {
 	rep := Report{Receivers: e.runRecv[:0]}
 	// Snapshot: the protocol exchanges the nodes that are members when the
@@ -107,53 +122,69 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 	for i, n := 0, e.world.Size(c); i < n; i++ {
 		e.members = append(e.members, e.world.MemberAt(c, i))
 	}
-	members := e.members
 	// A swap moves one node each way between c and its partner, so no
 	// cluster's size and no overlay edge changes during Run: c's size and
 	// neighbour mass hold for every swap's charge.
-	cs, cm := int64(len(members)), e.world.NeighborMass(c)
-	for _, x := range members {
-		out, err := e.walker.Biased(led, r, c)
+	cs, cm := int64(len(e.members)), e.world.NeighborMass(c)
+	sec := led.BeginConcurrent()
+	for _, x := range e.members {
+		err := e.shuffle(led, r, c, x, cs, cm, &rep)
+		led.EndBranch(&sec)
 		if err != nil {
-			return rep, fmt.Errorf("exchange: walk from %v: %w", c, err)
+			led.EndConcurrent(sec)
+			return rep, err
 		}
-		rep.Hops += out.Hops
-		if out.Hijacked {
-			rep.Hijacked++
-		}
-		if out.WorstSecurity > rep.WorstSecurity {
-			rep.WorstSecurity = out.WorstSecurity
-		}
-		partner := out.End
-		if partner == c {
-			rep.SelfSwaps++
-			continue
-		}
-		// C' picks the replacement node uniformly via randNum.
-		psize := e.world.Size(partner)
-		idx, sec, err := e.gen.Draw(led, r, randnum.Params{
-			Size: psize,
-			Byz:  e.world.Byz(partner),
-			R:    int64(psize),
-		}, nil)
-		if err != nil {
-			return rep, fmt.Errorf("exchange: partner draw at %v: %w", partner, err)
-		}
-		if sec > rep.WorstSecurity {
-			rep.WorstSecurity = sec
-		}
-		if err := e.world.Swap(c, x, partner, int(idx)); err != nil {
-			return rep, fmt.Errorf("exchange: %w", err)
-		}
-		chargeSwap(led, metrics.ClassExchange, cs, cm, int64(psize), e.world.NeighborMass(partner))
-		led.AddRounds(2)
-		rep.Swaps++
-		if !containsCluster(rep.Receivers, partner) {
-			rep.Receivers = append(rep.Receivers, partner)
-		}
+	}
+	led.EndConcurrent(sec)
+	if rep.Swaps > 0 {
+		led.AddRounds(2) // the swaps are simultaneous
 	}
 	e.runRecv = rep.Receivers[:0]
 	return rep, nil
+}
+
+// shuffle is one branch of Run: x's walk from c, the partner's draw of the
+// replacement and the swap, with its messages. c has cs members and
+// neighbour mass cm.
+func (e *Exchanger) shuffle(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID, x ids.NodeID, cs, cm int64, rep *Report) error {
+	out, err := e.walker.Biased(led, r, c)
+	if err != nil {
+		return fmt.Errorf("exchange: walk from %v: %w", c, err)
+	}
+	rep.Hops += out.Hops
+	if out.Hijacked {
+		rep.Hijacked++
+	}
+	if out.WorstSecurity > rep.WorstSecurity {
+		rep.WorstSecurity = out.WorstSecurity
+	}
+	partner := out.End
+	if partner == c {
+		rep.SelfSwaps++
+		return nil
+	}
+	// C' picks the replacement node uniformly via randNum.
+	psize := e.world.Size(partner)
+	idx, sec, err := e.gen.Draw(led, r, randnum.Params{
+		Size: psize,
+		Byz:  e.world.Byz(partner),
+		R:    int64(psize),
+	}, nil)
+	if err != nil {
+		return fmt.Errorf("exchange: partner draw at %v: %w", partner, err)
+	}
+	if sec > rep.WorstSecurity {
+		rep.WorstSecurity = sec
+	}
+	if err := e.world.Swap(c, x, partner, int(idx)); err != nil {
+		return fmt.Errorf("exchange: %w", err)
+	}
+	chargeSwap(led, metrics.ClassExchange, cs, cm, int64(psize), e.world.NeighborMass(partner))
+	rep.Swaps++
+	if !containsCluster(rep.Receivers, partner) {
+		rep.Receivers = append(rep.Receivers, partner)
+	}
+	return nil
 }
 
 // CascadeRound runs the leave cascade as ONE grouped shuffle round over
@@ -280,7 +311,8 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 // two moved nodes (each learns its new cluster's membership and the
 // membership of every adjacent cluster), charged to class, plus
 // composition updates to all neighbours of both clusters. A swap's rounds
-// are the caller's: two per swap in Run, two per grouped cascade round.
+// are the caller's: two per Run and two per grouped cascade round, each
+// charged once because its swaps are simultaneous.
 func chargeSwap(led *metrics.Ledger, class metrics.Class, cs, cm, ps, pm int64) {
 	// Each moved node learns its new cluster and every node adjacent to it.
 	led.Charge(class, cs+ps+cm+pm)

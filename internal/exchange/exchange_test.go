@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -23,6 +24,9 @@ type fakeWorld struct {
 	// moves logs each swap as its two moves, (a, b) then (b, a), in call
 	// order.
 	moves [][2]ids.ClusterID
+	// failSwap, when positive, makes the failSwap-th Swap call fail.
+	failSwap int
+	swaps    int
 }
 
 func newFakeWorld(t *testing.T, clusters, size, degree int, seed uint64) *fakeWorld {
@@ -99,6 +103,9 @@ func (f *fakeWorld) NeighborMass(c ids.ClusterID) int64 {
 
 // Swap leaves the member lists in the order core.World.Swap does.
 func (f *fakeWorld) Swap(a ids.ClusterID, x ids.NodeID, b ids.ClusterID, j int) error {
+	if f.swaps++; f.swaps == f.failSwap {
+		return errInjected
+	}
 	if a == b || f.home[x] != a || j < 0 || j >= len(f.members[b]) {
 		return fmt.Errorf("bad swap of %v in %v with %v[%d]", x, a, b, j)
 	}
@@ -554,5 +561,196 @@ func TestExchangeRandomizesByzantinePlacement(t *testing.T) {
 	}
 	if after := fw.Byz(target); after > 5 {
 		t.Errorf("byzantine members after exchange = %d of 10, want near global 5%%", after)
+	}
+}
+
+var errInjected = errors.New("injected failure")
+
+// failingGen delegates to Ideal and fails its failAt-th Draw (never when
+// failAt is 0). Wrapped, Ideal no longer runs the walker's fused loop, so a
+// walker built on one draws every hop through it.
+type failingGen struct {
+	calls, failAt int
+}
+
+func (g *failingGen) Draw(led *metrics.Ledger, r *xrand.Rand, p randnum.Params, obj randnum.Objective) (int64, randnum.Security, error) {
+	if g.calls++; g.calls == g.failAt {
+		return 0, 0, errInjected
+	}
+	return randnum.Ideal{}.Draw(led, r, p, obj)
+}
+
+// serialBranches replays Run's draws and charges on its own world,
+// generator and stream, one member at a time on a plain ledger: each
+// member's walk plus its partner draw is one branch, whose rounds it
+// returns in member order. It stops at the first error, returning the
+// failing branch's rounds last.
+func serialBranches(t *testing.T, fw *fakeWorld, walker *walk.Walker, gen randnum.Generator, r *xrand.Rand, c ids.ClusterID) (branches []int64, swaps int, msgs int64, err error) {
+	t.Helper()
+	var led metrics.Ledger
+	members := slices.Clone(fw.members[c])
+	cs, cm := int64(len(members)), fw.NeighborMass(c)
+	for _, x := range members {
+		before := led.Snapshot()
+		err = func() error {
+			out, err := walker.Biased(&led, r, c)
+			if err != nil || out.End == c {
+				return err
+			}
+			psize := fw.Size(out.End)
+			idx, _, err := gen.Draw(&led, r, randnum.Params{Size: psize, Byz: fw.Byz(out.End), R: int64(psize)}, nil)
+			if err != nil {
+				return err
+			}
+			if err := fw.Swap(c, x, out.End, int(idx)); err != nil {
+				return err
+			}
+			chargeSwap(&led, metrics.ClassExchange, cs, cm, int64(psize), fw.NeighborMass(out.End))
+			swaps++
+			return nil
+		}()
+		branches = append(branches, led.Since(before).Rounds)
+		if err != nil {
+			break
+		}
+	}
+	return branches, swaps, led.Messages(), err
+}
+
+// TestRunRoundsAreTheLongestBranch: Run's rounds are the maximum over
+// members of walk plus partner draw rounds, plus 2 if any swap happened,
+// and its messages are the serial replay's sum.
+func TestRunRoundsAreTheLongestBranch(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		ref := newFakeWorld(t, 10, 8, 3, seed)
+		walker, err := walk.NewWalker(walk.Config{DurationFactor: 1, MaxRestarts: 32, Gen: randnum.Ideal{}}, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := ids.ClusterID(seed % 10)
+		branches, swaps, msgs, err := serialBranches(t, ref, walker, randnum.Ideal{}, xrand.New(seed), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Max(branches)
+		if swaps > 0 {
+			want += 2
+		}
+		fw := newFakeWorld(t, 10, 8, 3, seed)
+		var led metrics.Ledger
+		led.AddRounds(100)
+		rep, err := newExchanger(t, fw).Run(&led, xrand.New(seed), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Swaps != swaps {
+			t.Fatalf("seed %d: Run swapped %d times, replay %d", seed, rep.Swaps, swaps)
+		}
+		if led.Messages() != msgs {
+			t.Errorf("seed %d: Run charged %d messages, serial replay %d", seed, led.Messages(), msgs)
+		}
+		if got := led.Rounds() - 100; got != want {
+			t.Errorf("seed %d: Run charged %d rounds, longest of %v plus swaps = %d", seed, got, branches, want)
+		}
+		if sum := sumOf(branches); len(branches) > 1 && led.Rounds()-100 >= sum {
+			t.Errorf("seed %d: Run charged %d rounds, no fewer than the serial sum %d", seed, led.Rounds()-100, sum)
+		}
+	}
+}
+
+func sumOf(xs []int64) int64 {
+	var s int64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// TestRunAllSelfSwapsAddNoSwapRounds: on a single-cluster world every walk
+// ends where it started, so Run swaps nothing and charges no swap rounds;
+// its rounds are the longest walk's.
+func TestRunAllSelfSwapsAddNoSwapRounds(t *testing.T) {
+	ref := newHandWorld(t, []int{6}, nil)
+	walker, err := walk.NewWalker(walk.Config{DurationFactor: 1, MaxRestarts: 32, Gen: randnum.Ideal{}}, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches, swaps, _, err := serialBranches(t, ref, walker, randnum.Ideal{}, xrand.New(3), 0)
+	if err != nil || swaps != 0 {
+		t.Fatalf("replay: %d swaps, err %v; want none", swaps, err)
+	}
+	fw := newHandWorld(t, []int{6}, nil)
+	var led metrics.Ledger
+	rep, err := newExchanger(t, fw).Run(&led, xrand.New(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Swaps != 0 || rep.SelfSwaps != 6 {
+		t.Fatalf("swaps %d, self-swaps %d; want 0, 6", rep.Swaps, rep.SelfSwaps)
+	}
+	if got, want := led.Rounds(), slices.Max(branches); got != want {
+		t.Errorf("all-self-swap Run charged %d rounds, longest walk %d", got, want)
+	}
+}
+
+// TestRunClosesSectionOnEveryExit fails Run in each of its error returns
+// (the walk, the partner draw, the swap) at several members: the ledger
+// must hold the rounds before Run plus the longest branch charged before
+// the failure, the failing branch included, and no swap rounds.
+func TestRunClosesSectionOnEveryExit(t *testing.T) {
+	const c = ids.ClusterID(2)
+	setups := []struct {
+		name string
+		// build returns the world, the walker's and the exchanger's
+		// generators, all failing at the k-th call of the failing part.
+		build func(k int) (*fakeWorld, randnum.Generator, randnum.Generator)
+	}{
+		{"walk", func(k int) (*fakeWorld, randnum.Generator, randnum.Generator) {
+			return newFakeWorld(t, 10, 8, 3, 5), &failingGen{failAt: 7 * k}, randnum.Ideal{}
+		}},
+		{"partner draw", func(k int) (*fakeWorld, randnum.Generator, randnum.Generator) {
+			return newFakeWorld(t, 10, 8, 3, 5), randnum.Ideal{}, &failingGen{failAt: k}
+		}},
+		{"swap", func(k int) (*fakeWorld, randnum.Generator, randnum.Generator) {
+			fw := newFakeWorld(t, 10, 8, 3, 5)
+			fw.failSwap = k
+			return fw, randnum.Ideal{}, randnum.Ideal{}
+		}},
+	}
+	for _, s := range setups {
+		for _, k := range []int{1, 3, 6} {
+			t.Run(fmt.Sprintf("%s/%d", s.name, k), func(t *testing.T) {
+				ref, walkGen, gen := s.build(k)
+				walker, err := walk.NewWalker(walk.Config{DurationFactor: 1, MaxRestarts: 32, Gen: walkGen}, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				branches, _, msgs, refErr := serialBranches(t, ref, walker, gen, xrand.New(9), c)
+				if !errors.Is(refErr, errInjected) {
+					t.Fatalf("replay ended with %v, want the injected failure", refErr)
+				}
+
+				fw, walkGen, gen := s.build(k)
+				walker, err = walk.NewWalker(walk.Config{DurationFactor: 1, MaxRestarts: 32, Gen: walkGen}, fw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := New(fw, walker, gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var led metrics.Ledger
+				led.AddRounds(50)
+				if _, err := e.Run(&led, xrand.New(9), c); !errors.Is(err, errInjected) {
+					t.Fatalf("Run returned %v, want the injected failure", err)
+				}
+				if got, want := led.Rounds(), 50+slices.Max(branches); got != want {
+					t.Errorf("after a failed Run the ledger holds %d rounds, want 50 + longest of %v = %d", got, branches, want)
+				}
+				if led.Messages() != msgs {
+					t.Errorf("after a failed Run the ledger holds %d messages, replay %d", led.Messages(), msgs)
+				}
+			})
+		}
 	}
 }

@@ -41,7 +41,7 @@ func AblationMergeStrategy(s Scale) (*Table, error) {
 	t := &Table{
 		ID:    "A1",
 		Title: "Ablation: merge strategy (paper ambiguity)",
-		Claim: "DESIGN.md: section 3.3 prose, Figure 2 and Algorithm 2 disagree on merge; both readings must preserve the invariants, differing only in cost",
+		Claim: "core.MergeStrategy: section 3.3 prose, Figure 2 and Algorithm 2 disagree on merge; both readings must preserve the invariants, differing only in cost",
 		Columns: []string{"N", "strategy", "merges", "maxByzFrac", "captured",
 			"leaveMsgs(mean)", "minDeg", "connected"},
 	}
@@ -133,7 +133,7 @@ func AblationDegreeRepair(s Scale) (*Table, error) {
 	t := &Table{
 		ID:    "A3",
 		Title: "Ablation: OVER degree repair on vertex removal",
-		Claim: "OVER reconstruction (DESIGN.md): repairing neighbors below the degree floor preserves Properties 1-2 through removals",
+		Claim: "OVER reconstruction (over.Overlay.Remove's repair): repairing neighbors below the degree floor preserves Properties 1-2 through removals",
 		Columns: []string{"N", "repair", "minDeg", "maxDeg", "spectralGap",
 			"isoEstimate", "connected"},
 	}

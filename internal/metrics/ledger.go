@@ -10,7 +10,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -125,6 +124,39 @@ func (l *Ledger) MessagesBy(c Class) int64 { return l.msgs[c] }
 // Rounds returns the total round count.
 func (l *Ledger) Rounds() int64 { return l.rounds }
 
+// Section is a concurrent section in progress: branches that run in
+// parallel, each charged to the same Ledger one after another. Messages
+// add as usual; the section adds only its longest branch's rounds, the
+// critical path. The value is held by the caller, so the Ledger carries
+// no extra state and sections nest: a section opened inside a branch
+// charges that branch its own critical path.
+//
+//	s := led.BeginConcurrent()
+//	for ... { /* charge one branch */; led.EndBranch(&s) }
+//	led.EndConcurrent(s)
+type Section struct {
+	start   int64 // the ledger's rounds when the section began
+	longest int64 // the longest closed branch's rounds
+}
+
+// BeginConcurrent opens a concurrent section; the first branch starts now.
+func (l *Ledger) BeginConcurrent() Section { return Section{start: l.rounds} }
+
+// EndBranch closes the branch charged since the section began or since the
+// previous EndBranch, and starts the next branch at the section's start.
+func (l *Ledger) EndBranch(s *Section) {
+	s.longest = max(s.longest, l.rounds-s.start)
+	l.rounds = s.start
+}
+
+// EndConcurrent closes the section, counting rounds charged since the last
+// EndBranch as one more branch, so an early exit from inside a branch
+// closes it too. The ledger's rounds end at the section's start plus the
+// longest branch; a section with no rounds charged adds none.
+func (l *Ledger) EndConcurrent(s Section) {
+	l.rounds = s.start + max(s.longest, l.rounds-s.start)
+}
+
 // Snapshot captures the current totals so a caller can compute the cost of
 // a single operation as the difference of two snapshots.
 type Snapshot struct {
@@ -137,69 +169,40 @@ func (l *Ledger) Snapshot() Snapshot {
 	return Snapshot{msgs: l.msgs, rounds: l.rounds}
 }
 
-// Cost is the resource consumption of one operation.
+// Cost is the resource consumption of one operation. ByClass holds every
+// class, those with no messages at zero, so a Cost is a plain value and
+// taking one allocates nothing.
 type Cost struct {
 	Messages int64
 	Rounds   int64
-	ByClass  map[Class]int64
+	ByClass  [NumClasses]int64
 }
 
 // Since returns the cost accumulated after the given snapshot was taken.
 func (l *Ledger) Since(s Snapshot) Cost {
-	c := Cost{
-		Rounds:  l.rounds - s.rounds,
-		ByClass: make(map[Class]int64, int(numClasses)),
-	}
-	for i := Class(0); i < numClasses; i++ {
-		d := l.msgs[i] - s.msgs[i]
-		if d != 0 {
-			c.ByClass[i] = d
-		}
-		c.Messages += d
+	c := Cost{Rounds: l.rounds - s.rounds}
+	for i := range c.ByClass {
+		c.ByClass[i] = l.msgs[i] - s.msgs[i]
+		c.Messages += c.ByClass[i]
 	}
 	return c
 }
 
-// CostVec is Cost with a dense per-class vector instead of a map: the
-// value form allocates nothing, so per-operation cost sampling inside hot
-// simulation loops stays garbage-free. Classes with zero delta simply hold
-// zero (the map form omits them).
-type CostVec struct {
-	Messages int64
-	Rounds   int64
-	ByClass  [numClasses]int64
-}
-
-// SinceVec is Since in the allocation-free vector form.
-func (l *Ledger) SinceVec(s Snapshot) CostVec {
-	c := CostVec{Rounds: l.rounds - s.rounds}
-	for i := Class(0); i < numClasses; i++ {
-		d := l.msgs[i] - s.msgs[i]
-		c.ByClass[i] = d
-		c.Messages += d
-	}
-	return c
-}
-
-// String renders the cost compactly for logs and tables.
+// String renders the cost compactly for logs and tables: the totals, then
+// every class with a non-zero count in class order.
 func (c Cost) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "msgs=%d rounds=%d", c.Messages, c.Rounds)
-	if len(c.ByClass) == 0 {
-		return b.String()
-	}
-	keys := make([]Class, 0, len(c.ByClass))
-	for k := range c.ByClass {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b.WriteString(" [")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(" ")
+	sep := " ["
+	for k, n := range c.ByClass {
+		if n == 0 {
+			continue
 		}
-		fmt.Fprintf(&b, "%v=%d", k, c.ByClass[k])
+		fmt.Fprintf(&b, "%s%v=%d", sep, Class(k), n)
+		sep = " "
 	}
-	b.WriteString("]")
+	if sep == " " {
+		b.WriteString("]")
+	}
 	return b.String()
 }

@@ -24,8 +24,8 @@ func TestLedgerChargeAndSnapshot(t *testing.T) {
 	if cost.ByClass[ClassWalk] != 7 {
 		t.Errorf("walk delta = %d, want 7", cost.ByClass[ClassWalk])
 	}
-	if _, ok := cost.ByClass[ClassRandNum]; ok {
-		t.Error("unchanged class appears in delta")
+	if n := cost.ByClass[ClassRandNum]; n != 0 {
+		t.Errorf("unchanged class has delta %d", n)
 	}
 	if l.Messages() != 22 || l.Rounds() != 5 {
 		t.Errorf("totals = %d/%d, want 22/5", l.Messages(), l.Rounds())
@@ -82,13 +82,50 @@ func TestChargeRoundsIsChargeAndAddRounds(t *testing.T) {
 	}
 }
 
+// TestCostString pins the rendering byte for byte, as it was when
+// Cost.ByClass was a map holding only the classes with messages: a class
+// at zero is not shown, and an operation with no messages has no brackets.
 func TestCostString(t *testing.T) {
 	var l Ledger
 	s := l.Snapshot()
+	check := func(from Snapshot, want string) {
+		t.Helper()
+		if got := l.Since(from).String(); got != want {
+			t.Errorf("rendered %q, want %q", got, want)
+		}
+	}
+	check(s, "msgs=0 rounds=0")
 	l.Charge(ClassExchange, 4)
 	l.AddRounds(1)
-	if got := l.Since(s).String(); got == "" {
-		t.Error("empty cost string")
+	check(s, "msgs=4 rounds=1 [exchange=4]")
+	l.Charge(ClassTransport, 1)
+	l.Charge(ClassIntraCluster, 3)
+	l.Charge(ClassCascade, 2)
+	l.Charge(ClassWalk, 7)
+	l.AddRounds(10)
+	check(s, "msgs=17 rounds=11 [intra-cluster=3 walk=7 exchange=4 cascade=2 transport=1]")
+	s2 := l.Snapshot()
+	l.AddRounds(5)
+	check(s2, "msgs=0 rounds=5")
+	for c := Class(0); c < numClasses; c++ {
+		l.Charge(c, int64(c)*1000+1)
+	}
+	check(s2, "msgs=45010 rounds=5 [intra-cluster=1 inter-cluster=1001 walk=2001 randnum=3001 exchange=4001 discovery=5001 agreement=6001 application=7001 cascade=8001 transport=9001]")
+	check(s, "msgs=45027 rounds=16 [intra-cluster=4 inter-cluster=1001 walk=2008 randnum=3001 exchange=4005 discovery=5001 agreement=6001 application=7001 cascade=8003 transport=9002]")
+}
+
+// TestSinceAllocatesNothing: a Cost is a plain value, so taking one per
+// operation or per simulation run costs no garbage.
+func TestSinceAllocatesNothing(t *testing.T) {
+	var l Ledger
+	s := l.Snapshot()
+	l.ChargeRounds(ClassWalk, 3, 2)
+	var sink Cost
+	if n := testing.AllocsPerRun(100, func() { sink = l.Since(s) }); n != 0 {
+		t.Errorf("Since allocated %v times per call", n)
+	}
+	if sink.Messages != 3 || sink.Rounds != 2 {
+		t.Errorf("Since = %+v", sink)
 	}
 }
 

@@ -405,12 +405,11 @@ func (r *Runner) step(step, minSize int, res *Result) error {
 }
 
 func (r *Runner) recordOpCost(res *Result, kind adversary.OpKind, snap metrics.Snapshot) {
-	// SinceVec is the dense, allocation-free form of Since: its ByClass
-	// array holds every class, including the zero charges Cost.ByClass
-	// omits, so each histogram's N is the sampled-op count and its
-	// quantiles are true per-op distributions, not distributions
-	// conditioned on the class having been used.
-	cost := r.world.Ledger().SinceVec(snap)
+	// Cost.ByClass holds every class, zero charges included, so each
+	// histogram's N is the sampled-op count and its quantiles are true
+	// per-op distributions, not distributions conditioned on the class
+	// having been used.
+	cost := r.world.Ledger().Since(snap)
 	switch kind {
 	case adversary.OpJoin:
 		res.OpCosts.JoinMsgs.Add(float64(cost.Messages))
