@@ -397,3 +397,47 @@ func BenchmarkSimulationStep(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkRunnerContinue times one unit of Continue(nil, 8) with per-op
+// cost sampling on a warm N = 2^12 world: the unit cmd/nowperf's churn
+// workloads time. /fresh is Continue, whose new Result and digest buffers
+// are its allocations; /into is ContinueInto on one reused Result, and
+// the warm-up grows the world's and the Result's scratch, so a Result, a
+// digest buffer or a histogram allocated per call shows up as allocs/op.
+func BenchmarkRunnerContinue(b *testing.B) {
+	cfg := nowover.SimConfig{
+		Core:          nowover.DefaultConfig(4096),
+		InitialSize:   2048,
+		Tau:           0.15,
+		SampleOpCosts: true,
+		Seed:          1,
+	}
+	cfg.Core.Seed = 1
+	for _, mode := range []string{"fresh", "into"} {
+		b.Run(mode, func(b *testing.B) {
+			runner, err := nowover.NewSimulation(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res nowover.SimResult
+			unit := func() {
+				var err error
+				if mode == "into" {
+					err = runner.ContinueInto(&res, nil, 8)
+				} else {
+					_, err = runner.Continue(nil, 8)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				unit()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				unit()
+			}
+		})
+	}
+}

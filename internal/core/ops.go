@@ -268,7 +268,13 @@ func (w *World) leaveWith(x ids.NodeID) error {
 // or — under Config.GroupedCascade — one grouped shuffle round over the
 // whole set (exchange.CascadeRound: the round's swaps stay inside
 // {source} ∪ receivers, so a leave writes ~|C| clusters instead of
-// ~|C|^2). Returns the hijacked-walk count to fold into stats.
+// ~|C|^2). Either way the receivers act concurrently, so the cascade's
+// rounds are its longest receiver's, not their sum (section 3.1's round
+// count, as for an exchange's walks). For the per-receiver flavour this is
+// a modelling assumption: no receiver's exchange needs another's output,
+// but each draws from memberships the earlier ones rewrote, and the
+// simulator applies them in order (EXPERIMENTS.md, "Second slice").
+// Returns the hijacked-walk count to fold into stats.
 func (w *World) runLeaveCascade(c ids.ClusterID, receivers []ids.ClusterID) (int64, error) {
 	if w.cfg.GroupedCascade {
 		// CascadeRound reads the receiver list (which aliases the
@@ -284,17 +290,24 @@ func (w *World) runLeaveCascade(c ids.ClusterID, receivers []ids.ClusterID) (int
 	// scratch buffer the receiver list aliases — detach it first. One small
 	// allocation per leave, on the legacy (non-grouped) flavor only.
 	receivers = append([]ids.ClusterID(nil), receivers...)
+	// The receivers' exchanges run concurrently, so each is one branch of
+	// a section and the cascade adds the longest exchange's rounds; each
+	// Run's own section nests inside its branch.
 	var hijacked int64
+	sec := w.led.BeginConcurrent()
 	for _, recv := range receivers {
 		if w.Size(recv) == 0 {
 			continue // receiver dissolved (clusters are never empty)
 		}
 		rep, err := w.exch.Run(w.led, w.rng, recv)
+		w.led.EndBranch(&sec)
 		if err != nil {
+			w.led.EndConcurrent(sec)
 			return hijacked, fmt.Errorf("core: leave cascade exchange: %w", err)
 		}
 		hijacked += int64(rep.Hijacked)
 	}
+	w.led.EndConcurrent(sec)
 	return hijacked, nil
 }
 

@@ -14,7 +14,8 @@
 // members send it, so composition must be propagated eagerly). Messages
 // add over the swaps; rounds do not. An exchange's walks run in parallel,
 // so Run charges the rounds of its longest walk and partner draw, plus two
-// rounds for its simultaneous swaps (metrics.Section).
+// rounds for its simultaneous swaps (metrics.Section); a grouped cascade
+// round likewise charges one receiver's draws plus two rounds.
 package exchange
 
 import (
@@ -207,11 +208,20 @@ func (e *Exchanger) shuffle(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID,
 // grouping buys: the per-leave write footprint shrinks from ~|C|^2
 // clusters (every receiver exchanging ALL its nodes network-wide) to ~|C|
 // (the round's writes stay INSIDE the set the primary exchange already
-// wrote), no fresh walks are spent, and the round costs two communication
-// rounds total rather than two per swap — the swaps are simultaneous,
-// exactly like the simultaneous operations of one paper time step. Swap
-// traffic is charged to metrics.ClassCascade so cascade cost stays
-// separable from primary-exchange cost.
+// wrote), and no fresh walks are spent. Swap traffic is charged to
+// metrics.ClassCascade so cascade cost stays separable from
+// primary-exchange cost.
+//
+// Rounds are a critical path, as in Run: the receivers act
+// simultaneously, like the simultaneous operations of one paper time step
+// (section 3.1's round count; the round analysis of the long version, On
+// Dynamic Distributed Computing, arXiv 1202.3084). Each live receiver's
+// three randNum draws (partner pick, member pick, the partner's
+// replacement) and its swap are one branch of a concurrent section of the
+// ledger, so the round adds one receiver's draw rounds, not k receivers';
+// its swaps are simultaneous too, so their two rounds are charged once
+// after the section, if any swap happened. Messages add over the
+// receivers. Every exit, error returns included, closes the section.
 //
 // The returned Report's Receivers lists the partner clusters of the round
 // (callers must NOT cascade onto them again — the round IS the cascade);
@@ -236,73 +246,88 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 		}
 	}
 	e.pool = live[:0]
+	sec := led.BeginConcurrent()
 	for self := first; self < len(live); self++ {
-		rc := live[self]
-		if len(live) == 1 {
-			rep.SelfSwaps++ // lone receiver of its own source: nothing to mix with
-			continue
-		}
-		// Nothing moves before this receiver's swap, so its size and
-		// Byzantine count hold for both of its draws.
-		size := e.world.Size(rc)
-		// The receiver agrees on the partner and on which member to
-		// re-export; the partner agrees on the replacement, as in Run.
-		byz := e.world.Byz(rc)
-		pick, sec, err := e.gen.Draw(led, r, randnum.Params{
-			Size: size,
-			Byz:  byz,
-			R:    int64(len(live) - 1),
-		}, nil)
+		err := e.cascadeSwap(led, r, live, self, &rep)
+		led.EndBranch(&sec)
 		if err != nil {
-			return rep, fmt.Errorf("exchange: cascade partner pick at %v: %w", rc, err)
-		}
-		if sec > rep.WorstSecurity {
-			rep.WorstSecurity = sec
-		}
-		p := int(pick)
-		if p >= self {
-			p++ // skip rc's own entry
-		}
-		partner := live[p]
-		idx, sec, err := e.gen.Draw(led, r, randnum.Params{
-			Size: size,
-			Byz:  byz,
-			R:    int64(size),
-		}, nil)
-		if err != nil {
-			return rep, fmt.Errorf("exchange: cascade draw at %v: %w", rc, err)
-		}
-		if sec > rep.WorstSecurity {
-			rep.WorstSecurity = sec
-		}
-		x := e.world.MemberAt(rc, int(idx))
-		psize := e.world.Size(partner)
-		pidx, psec, err := e.gen.Draw(led, r, randnum.Params{
-			Size: psize,
-			Byz:  e.world.Byz(partner),
-			R:    int64(psize),
-		}, nil)
-		if err != nil {
-			return rep, fmt.Errorf("exchange: cascade partner draw at %v: %w", partner, err)
-		}
-		if psec > rep.WorstSecurity {
-			rep.WorstSecurity = psec
-		}
-		if err := e.world.Swap(rc, x, partner, int(pidx)); err != nil {
-			return rep, fmt.Errorf("exchange: cascade: %w", err)
-		}
-		chargeSwap(led, metrics.ClassCascade, int64(size), e.world.NeighborMass(rc),
-			int64(psize), e.world.NeighborMass(partner))
-		rep.Swaps++
-		if !containsCluster(rep.Receivers, partner) {
-			rep.Receivers = append(rep.Receivers, partner)
+			led.EndConcurrent(sec)
+			return rep, err
 		}
 	}
+	led.EndConcurrent(sec)
 	if rep.Swaps > 0 {
 		led.AddRounds(2) // one grouped round: swaps are simultaneous
 	}
 	e.cascadeRecv = rep.Receivers[:0]
 	return rep, nil
+}
+
+// cascadeSwap is one branch of CascadeRound: receiver live[self]'s three
+// draws (partner pick, member pick, the partner's replacement) and its
+// swap, with its messages.
+func (e *Exchanger) cascadeSwap(led *metrics.Ledger, r *xrand.Rand, live []ids.ClusterID, self int, rep *Report) error {
+	rc := live[self]
+	if len(live) == 1 {
+		rep.SelfSwaps++ // lone receiver of its own source: nothing to mix with
+		return nil
+	}
+	// Nothing moves before this receiver's swap, so its size and
+	// Byzantine count hold for both of its draws.
+	size := e.world.Size(rc)
+	// The receiver agrees on the partner and on which member to
+	// re-export; the partner agrees on the replacement, as in Run.
+	byz := e.world.Byz(rc)
+	pick, sec, err := e.gen.Draw(led, r, randnum.Params{
+		Size: size,
+		Byz:  byz,
+		R:    int64(len(live) - 1),
+	}, nil)
+	if err != nil {
+		return fmt.Errorf("exchange: cascade partner pick at %v: %w", rc, err)
+	}
+	if sec > rep.WorstSecurity {
+		rep.WorstSecurity = sec
+	}
+	p := int(pick)
+	if p >= self {
+		p++ // skip rc's own entry
+	}
+	partner := live[p]
+	idx, sec, err := e.gen.Draw(led, r, randnum.Params{
+		Size: size,
+		Byz:  byz,
+		R:    int64(size),
+	}, nil)
+	if err != nil {
+		return fmt.Errorf("exchange: cascade draw at %v: %w", rc, err)
+	}
+	if sec > rep.WorstSecurity {
+		rep.WorstSecurity = sec
+	}
+	x := e.world.MemberAt(rc, int(idx))
+	psize := e.world.Size(partner)
+	pidx, psec, err := e.gen.Draw(led, r, randnum.Params{
+		Size: psize,
+		Byz:  e.world.Byz(partner),
+		R:    int64(psize),
+	}, nil)
+	if err != nil {
+		return fmt.Errorf("exchange: cascade partner draw at %v: %w", partner, err)
+	}
+	if psec > rep.WorstSecurity {
+		rep.WorstSecurity = psec
+	}
+	if err := e.world.Swap(rc, x, partner, int(pidx)); err != nil {
+		return fmt.Errorf("exchange: cascade: %w", err)
+	}
+	chargeSwap(led, metrics.ClassCascade, int64(size), e.world.NeighborMass(rc),
+		int64(psize), e.world.NeighborMass(partner))
+	rep.Swaps++
+	if !containsCluster(rep.Receivers, partner) {
+		rep.Receivers = append(rep.Receivers, partner)
+	}
+	return nil
 }
 
 // chargeSwap applies the per-swap cost model to a swap between a cluster

@@ -754,3 +754,149 @@ func TestRunClosesSectionOnEveryExit(t *testing.T) {
 		}
 	}
 }
+
+// serialCascade replays CascadeRound's draws, swaps and charges on its own
+// world, generator and stream, one receiver after another on a plain
+// ledger: each live receiver's three draws and its swap are one branch,
+// whose rounds it returns in round order. It stops at the first error,
+// returning the failing branch's rounds last.
+func serialCascade(fw *fakeWorld, gen randnum.Generator, r *xrand.Rand, source ids.ClusterID, receivers []ids.ClusterID) (branches []int64, swaps int, msgs int64, err error) {
+	var led metrics.Ledger
+	var live []ids.ClusterID
+	for _, c := range append([]ids.ClusterID{source}, receivers...) {
+		if fw.Size(c) > 0 {
+			live = append(live, c)
+		}
+	}
+	first := 0
+	if fw.Size(source) > 0 {
+		first = 1
+	}
+	draw := func(c ids.ClusterID, n int) (int, error) {
+		v, _, err := gen.Draw(&led, r, randnum.Params{Size: fw.Size(c), Byz: fw.Byz(c), R: int64(n)}, nil)
+		return int(v), err
+	}
+	for self := first; self < len(live) && len(live) > 1; self++ {
+		rc := live[self]
+		before := led.Snapshot()
+		err = func() error {
+			p, err := draw(rc, len(live)-1)
+			if err != nil {
+				return err
+			}
+			if p >= self {
+				p++
+			}
+			partner := live[p]
+			i, err := draw(rc, fw.Size(rc))
+			if err != nil {
+				return err
+			}
+			j, err := draw(partner, fw.Size(partner))
+			if err != nil {
+				return err
+			}
+			if err := fw.Swap(rc, fw.members[rc][i], partner, j); err != nil {
+				return err
+			}
+			chargeSwap(&led, metrics.ClassCascade, int64(fw.Size(rc)), fw.NeighborMass(rc),
+				int64(fw.Size(partner)), fw.NeighborMass(partner))
+			swaps++
+			return nil
+		}()
+		branches = append(branches, led.Since(before).Rounds)
+		if err != nil {
+			break
+		}
+	}
+	return branches, swaps, led.Messages(), err
+}
+
+// TestCascadeRoundRoundsAreOneReceiver: the receivers of a grouped round
+// act simultaneously, so a round over k = 2, 4 or 8 receivers costs one
+// receiver's three draws plus the swaps' 2 rounds (3*5 + 2 = 17 with
+// Ideal's 5-round draws), not 15k + 2, and its messages and memberships
+// equal a serial replay's.
+func TestCascadeRoundRoundsAreOneReceiver(t *testing.T) {
+	for _, k := range []int{2, 4, 8} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			var receivers []ids.ClusterID
+			for i := 1; i <= k; i++ {
+				receivers = append(receivers, ids.ClusterID(i))
+			}
+			ref := newFakeWorld(t, 12, 8, 4, seed)
+			branches, swaps, msgs, err := serialCascade(ref, randnum.Ideal{}, xrand.New(seed), 0, receivers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fw := newFakeWorld(t, 12, 8, 4, seed)
+			var led metrics.Ledger
+			led.AddRounds(100)
+			rep, err := newExchanger(t, fw).CascadeRound(&led, xrand.New(seed), 0, receivers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Swaps != swaps || swaps != k {
+				t.Fatalf("k=%d seed %d: round swapped %d times, replay %d", k, seed, rep.Swaps, swaps)
+			}
+			if led.Messages() != msgs {
+				t.Errorf("k=%d seed %d: round charged %d messages, serial replay %d", k, seed, led.Messages(), msgs)
+			}
+			if fmt.Sprint(fw.members) != fmt.Sprint(ref.members) {
+				t.Errorf("k=%d seed %d: memberships differ from the serial replay", k, seed)
+			}
+			if got, want := led.Rounds()-100, slices.Max(branches)+2; got != want || got != 17 {
+				t.Errorf("k=%d seed %d: round charged %d rounds, want longest of %v plus 2 = %d (17); serial sum %d",
+					k, seed, got, branches, want, sumOf(branches)+2)
+			}
+		}
+	}
+}
+
+// TestCascadeRoundClosesSectionOnEveryExit fails CascadeRound in each of
+// its error returns (partner pick, member pick, partner draw, swap) at the
+// first and a later receiver: the ledger must hold the rounds before the
+// round plus the longest branch charged before the failure, the failing
+// branch included, no swap rounds, and the serial replay's messages.
+func TestCascadeRoundClosesSectionOnEveryExit(t *testing.T) {
+	receivers := []ids.ClusterID{1, 2, 3, 4}
+	cases := []struct {
+		name              string
+		failDraw, failSwp int
+	}{
+		{"partner pick/1", 1, 0}, {"member pick/1", 2, 0}, {"partner draw/1", 3, 0},
+		{"partner pick/3", 7, 0}, {"member pick/3", 8, 0}, {"partner draw/3", 9, 0},
+		{"swap/1", 0, 1}, {"swap/3", 0, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := newFakeWorld(t, 12, 8, 4, 7)
+			ref.failSwap = tc.failSwp
+			branches, _, msgs, refErr := serialCascade(ref, &failingGen{failAt: tc.failDraw}, xrand.New(7), 0, receivers)
+			if !errors.Is(refErr, errInjected) {
+				t.Fatalf("replay ended with %v, want the injected failure", refErr)
+			}
+			fw := newFakeWorld(t, 12, 8, 4, 7)
+			fw.failSwap = tc.failSwp
+			walker, err := walk.NewWalker(walk.Config{DurationFactor: 1, MaxRestarts: 32, Gen: randnum.Ideal{}}, fw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := New(fw, walker, &failingGen{failAt: tc.failDraw})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var led metrics.Ledger
+			led.AddRounds(50)
+			if _, err := e.CascadeRound(&led, xrand.New(7), 0, receivers); !errors.Is(err, errInjected) {
+				t.Fatalf("CascadeRound returned %v, want the injected failure", err)
+			}
+			if got, want := led.Rounds(), 50+slices.Max(branches); got != want {
+				t.Errorf("after a failed round the ledger holds %d rounds, want 50 + longest of %v = %d", got, branches, want)
+			}
+			if led.Messages() != msgs {
+				t.Errorf("after a failed round the ledger holds %d messages, replay %d", led.Messages(), msgs)
+			}
+		})
+	}
+}

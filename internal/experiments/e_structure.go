@@ -45,12 +45,14 @@ func E8OverlayHealth(s Scale) (*Table, error) {
 				cfg.Core.DegreeCap(), h.SpectralGap, h.IsoEstimate, h.Connected)
 		}
 		record("bootstrap")
-		// Grow toward N, then shrink back — the sqrt(N) <-> N regime.
-		if _, err := runner.Continue(workload.Linear{From: cfg.InitialSize, To: n, Steps: grow}, grow); err != nil {
+		// Grow toward N, then shrink back — the sqrt(N) <-> N regime. Only
+		// the world is read, so both phases refill one Result.
+		var res sim.Result
+		if err := runner.ContinueInto(&res, workload.Linear{From: cfg.InitialSize, To: n, Steps: grow}, grow); err != nil {
 			return err
 		}
 		record("grown")
-		if _, err := runner.Continue(workload.Linear{From: runner.World().NumNodes(), To: cfg.InitialSize, Steps: grow}, grow); err != nil {
+		if err := runner.ContinueInto(&res, workload.Linear{From: runner.World().NumNodes(), To: cfg.InitialSize, Steps: grow}, grow); err != nil {
 			return err
 		}
 		record("shrunk")

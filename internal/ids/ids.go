@@ -57,9 +57,6 @@ func (a *NodeAllocator) NextNode() NodeID {
 	return id
 }
 
-// Issued reports how many IDs have been allocated.
-func (a *NodeAllocator) Issued() int { return int(a.next) }
-
 // ClusterAllocator mints unique cluster identifiers. Its counter is wider
 // than a ClusterID so that exhausting the ID space is seen, not wrapped.
 type ClusterAllocator struct{ next uint64 }
@@ -76,5 +73,7 @@ func (a *ClusterAllocator) NextCluster() ClusterID {
 	return id
 }
 
-// Issued reports how many IDs have been allocated.
+// Issued reports how many IDs have been allocated. Only oracles read it:
+// core's property and swap tests scan every ClusterID ever minted,
+// retired ones included, and name one never minted.
 func (a *ClusterAllocator) Issued() int { return int(a.next) }

@@ -28,9 +28,10 @@ package metrics
 // hold unconditionally.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"unsafe"
 )
 
@@ -79,6 +80,17 @@ func (d *Digest) ensure(compression float64) {
 	d.compression = compression
 	d.min = math.Inf(1)
 	d.max = math.Inf(-1)
+}
+
+// Reset empties the sketch in place. It keeps the compression and the
+// centroid and buffer arrays, so a reused sketch allocates nothing until
+// it holds more than it ever held before.
+func (d *Digest) Reset() {
+	compression := d.compression
+	*d = Digest{centroids: d.centroids[:0], buffer: d.buffer[:0]}
+	if compression > 0 {
+		d.ensure(compression)
+	}
 }
 
 // compactionThreshold sizes the raw buffer: larger buffers amortize the
@@ -193,9 +205,7 @@ func (d *Digest) compact() {
 	}
 	d.centroids = append(d.centroids, d.buffer...)
 	d.buffer = d.buffer[:0]
-	sort.SliceStable(d.centroids, func(i, j int) bool {
-		return d.centroids[i].mean < d.centroids[j].mean
-	})
+	slices.SortStableFunc(d.centroids, func(a, b centroid) int { return cmp.Compare(a.mean, b.mean) })
 	if len(d.centroids) <= 1 {
 		return
 	}

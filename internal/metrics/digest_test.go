@@ -212,6 +212,53 @@ func TestDigestEmptyContract(t *testing.T) {
 	}
 }
 
+// TestDigestResetMatchesFresh: a sketch that compacted and was queried,
+// then Reset and fed a second stream, is bit-for-bit the sketch a fresh
+// one of the same compression builds from that stream, and refilling it
+// short of a compaction allocates nothing. A zero value stays a zero
+// value.
+func TestDigestResetMatchesFresh(t *testing.T) {
+	var zero Digest
+	zero.Reset()
+	if !reflect.DeepEqual(zero, Digest{}) {
+		t.Fatalf("Reset of a zero Digest = %+v, want the zero value", zero)
+	}
+	r := xrand.New(5)
+	first, second := make([]float64, 1300), make([]float64, 700)
+	for i := range first {
+		first[i] = r.Exp(1) * 100
+	}
+	for i := range second {
+		second[i] = r.Exp(1) * 10
+	}
+	for _, compression := range []float64{0, 50} {
+		d := NewDigest(compression)
+		for _, x := range first {
+			d.Add(x)
+		}
+		_ = d.Quantile(0.9)
+		d.Reset()
+		fresh := NewDigest(compression)
+		for _, x := range second {
+			d.Add(x)
+			fresh.Add(x)
+		}
+		if !reflect.DeepEqual(d, fresh) {
+			t.Errorf("compression %v: reset sketch diverges from a fresh one:\nreset: %+v\nfresh: %+v", compression, d, fresh)
+		}
+		// The refill runs past the compaction threshold (5 * compression),
+		// so a compaction that allocates shows up here too.
+		if allocs := testing.AllocsPerRun(5, func() {
+			d.Reset()
+			for _, x := range second {
+				d.Add(x)
+			}
+		}); allocs != 0 {
+			t.Errorf("compression %v: refilling a reset sketch allocates %v times", compression, allocs)
+		}
+	}
+}
+
 // TestDigestRejectsNonFinite: NaN/Inf observations must panic loudly
 // instead of silently poisoning every later quantile.
 func TestDigestRejectsNonFinite(t *testing.T) {

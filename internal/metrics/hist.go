@@ -68,7 +68,7 @@ func (h *Hist) Merge(o *Hist) {
 // N returns the observation count.
 func (h *Hist) N() int64 { return h.total }
 
-// Bucket returns the count in bucket i (0 <= i < NumHistBuckets).
+// Bucket returns the count in bucket i (0 <= i < 63).
 func (h *Hist) Bucket(i int) int64 { return h.buckets[i] }
 
 // BucketLower returns the lower bound of bucket i: 0 for bucket 0 (which
@@ -79,9 +79,6 @@ func BucketLower(i int) float64 {
 	}
 	return math.Ldexp(1, i-1)
 }
-
-// NumHistBuckets is the fixed histogram width.
-func NumHistBuckets() int { return histBuckets }
 
 // Quantile returns an upper bound for the q-quantile (0 <= q <= 1): the
 // exclusive upper edge of the bucket holding the observation of that rank

@@ -75,15 +75,55 @@ func (o *refOverlay) remove(led *metrics.Ledger, c ids.ClusterID, pick Picker, b
 
 // candidatePicker draws endpoints from the ID range [0, hi) — vertices,
 // retired IDs and (when from is drawn) the vertex itself — so the skip
-// paths run too. Both sides of the lockstep get a picker on their own
-// stream of the same seed, so they see the same candidates.
-func candidatePicker(r *xrand.Rand, hi *int) Picker {
-	return func(ids.ClusterID) (ids.ClusterID, bool) {
+// paths run too. Each pick, a failed one included, first charges led 1 to
+// 8 rounds from the same stream, as a walk of that length would, and
+// reports its start and rounds to log, when log is not nil. Both sides of
+// the lockstep get a picker on their own stream of the same seed, so they
+// see the same candidates.
+func candidatePicker(r *xrand.Rand, hi *int, led *metrics.Ledger, log func(from ids.ClusterID, rounds int64)) Picker {
+	return func(from ids.ClusterID) (ids.ClusterID, bool) {
+		rounds := int64(1 + r.Intn(8))
+		led.AddRounds(rounds)
+		if log != nil {
+			log(from, rounds)
+		}
 		if r.Bool(0.02) {
 			return 0, false
 		}
 		return ids.ClusterID(r.Intn(*hi)), true
 	}
+}
+
+// attempt is one pick of the serial reference: the vertex being wired,
+// its degree before the pick and the pick's rounds.
+type attempt struct {
+	from   ids.ClusterID
+	degree int
+	rounds int64
+}
+
+// waveRounds is the critical path of one Add's or Remove's serial trace
+// charged as the overlay charges it: each vertex's attempts (a run of
+// picks from it) form waves of the next want − degree attempts, capped by
+// what is left of the budget, and a wave adds its longest pick's rounds;
+// the vertices' repairs are concurrent, so the op adds the longest
+// vertex's sum.
+func waveRounds(trace []attempt, want, budget int) int64 {
+	var longest int64
+	for i := 0; i < len(trace); {
+		from, start := trace[i].from, i
+		var sum int64
+		for i < len(trace) && trace[i].from == from {
+			end := min(i+want-trace[i].degree, start+budget, len(trace))
+			var wave int64
+			for ; i < end && trace[i].from == from; i++ {
+				wave = max(wave, trace[i].rounds)
+			}
+			sum += wave
+		}
+		longest = max(longest, sum)
+	}
+	return longest
 }
 
 // requireSameOverlay asserts that the indexed overlay and the reference
@@ -156,6 +196,9 @@ func requireMass(t *testing.T, step string, o *Overlay, ref *graph.Graph[ids.Clu
 // Weights are set before Bootstrap and between steps, on vertices, removed
 // vertices and IDs not yet added alike, and every neighbour mass must
 // equal a recount from the reference after every step and every SetWeight.
+// The reference wires one pick after another, so after every step the
+// picker's stream must stand where the reference's does, and the overlay's
+// rounds must equal waveRounds over the reference's picks.
 func TestOverlayMatchesGraphReference(t *testing.T) {
 	paramSets := []Params{
 		{TargetDegree: 6, DegreeCap: 18, DegreeFloor: 3, Repair: true},
@@ -206,13 +249,20 @@ func TestOverlayMatchesGraphReference(t *testing.T) {
 				requireSameOverlay(t, "bootstrap", o, ref.g, hi)
 				requireMass(t, "bootstrap", o, ref.g, weight, hi)
 
-				pickO := candidatePicker(xrand.New(seed+200), &hi)
-				pickR := candidatePicker(xrand.New(seed+200), &hi)
 				var ledO, ledR metrics.Ledger
+				var trace []attempt
+				streamO, streamR := xrand.New(seed+200), xrand.New(seed+200)
+				pickO := candidatePicker(streamO, &hi, &ledO, nil)
+				pickR := candidatePicker(streamR, &hi, &ledR, func(from ids.ClusterID, rounds int64) {
+					trace = append(trace, attempt{from, ref.g.Degree(from), rounds})
+				})
 				next := ids.ClusterID(n0)
+				waved := false
 				for step := 0; step < 300; step++ {
-					var got, want int
+					var got, want, degree int
 					var name string
+					trace = trace[:0]
+					roundsO, roundsR := ledO.Rounds(), ledR.Rounds()
 					if o.NumVertices() > 2 && script.Bool(0.5) {
 						victim := o.VertexAt(script.Intn(o.NumVertices()))
 						name = fmt.Sprintf("step %d remove %v", step, victim)
@@ -220,6 +270,7 @@ func TestOverlayMatchesGraphReference(t *testing.T) {
 							t.Fatalf("%s: %v", name, err)
 						}
 						want = ref.remove(&ledR, victim, pickR, 20)
+						degree = params.DegreeFloor
 					} else {
 						c := next
 						next++
@@ -229,6 +280,7 @@ func TestOverlayMatchesGraphReference(t *testing.T) {
 							t.Fatalf("%s: %v", name, err)
 						}
 						want = ref.add(&ledR, c, pickR, 20)
+						degree = params.TargetDegree
 					}
 					if got != want {
 						t.Fatalf("%s: made %d edges, reference %d", name, got, want)
@@ -236,9 +288,21 @@ func TestOverlayMatchesGraphReference(t *testing.T) {
 					if ledO.Messages() != ledR.Messages() {
 						t.Fatalf("%s: charged %d, reference %d", name, ledO.Messages(), ledR.Messages())
 					}
+					if oHi, oLo := streamO.PCG().State(); fmt.Sprint(streamR.PCG().State()) != fmt.Sprint(oHi, oLo) {
+						t.Fatalf("%s: the picker's stream is not where the reference's is", name)
+					}
+					if got, want := ledO.Rounds()-roundsO, waveRounds(trace, degree, 20); got != want {
+						t.Fatalf("%s: charged %d rounds, the reference's waves over %v give %d", name, got, trace, want)
+					}
+					if serial := ledR.Rounds() - roundsR; ledO.Rounds()-roundsO < serial {
+						waved = true
+					}
 					requireSameOverlay(t, name, o, ref.g, hi)
 					requireMass(t, name, o, ref.g, weight, hi)
 					reweigh(name, hi)
+				}
+				if !waved {
+					t.Error("no op was charged fewer rounds than its serial picks: the waves were never exercised")
 				}
 			})
 		}

@@ -25,6 +25,13 @@
 // drawing replacement edges the same way. A hard degree cap enforces
 // Property 2 by redirecting edges away from saturated vertices; expansion
 // (Property 1) is not assumed but measured (Health).
+//
+// Rounds are a critical path. A vertex's edge walks need no result of one
+// another, so they run concurrently in waves of as many walks as edges
+// are still missing, and the former neighbours of a removed vertex repair
+// concurrently: messages add over the walks, rounds only over the
+// longest walk of each wave (metrics.Section). The draws and edges are
+// those of one walk after another.
 package over
 
 import (
@@ -451,36 +458,25 @@ func firstLanding(hi, lo uint64, p float64, n int) (uint64, uint64, int) {
 // endpoints obtained from pick, skipping self, duplicates and saturated
 // endpoints (degree >= cap). attemptBudget bounds pick calls so a saturated
 // or tiny overlay cannot loop forever. It charges one inter-cluster
-// announcement per created edge. Returns the number of edges created.
+// announcement per created edge, and the picks' rounds in waves (see
+// wire). Returns the number of edges created.
 func (o *Overlay) Add(led *metrics.Ledger, c ids.ClusterID, pick Picker, attemptBudget int) (int, error) {
 	if o.Has(c) {
 		return 0, fmt.Errorf("over: add of existing vertex %v", c)
 	}
 	o.addVertex(c)
-	added := 0
-	for attempts := 0; added < o.params.TargetDegree && attempts < attemptBudget; attempts++ {
-		t, ok := pick(c)
-		if !ok {
-			break
-		}
-		if t == c || !o.Has(t) || o.hasEdge(c, t) {
-			continue
-		}
-		if len(o.adj[t]) >= o.params.DegreeCap {
-			continue // redirect away from saturated vertices
-		}
-		if err := o.addEdge(c, t); err != nil {
-			return added, err
-		}
-		led.Charge(metrics.ClassInterCluster, 1)
-		added++
-	}
-	return added, nil
+	return o.wire(led, c, o.params.TargetDegree, pick, attemptBudget), nil
 }
 
 // Remove deletes vertex c and, when Repair is enabled, tops the degree of
 // every former neighbor that fell below DegreeFloor back up to the floor
-// using pick. Returns the number of repair edges created.
+// using pick. The former neighbours' repairs run concurrently: each is one
+// branch of a section of the ledger, charged in waves (see wire), so the
+// removal adds the longest repair's rounds. That is a modelling
+// assumption: no repair needs another's output, but a repair that links
+// to a later former neighbour raises its degree before its own repair,
+// which runs against that degree. Returns the number of repair edges
+// created.
 func (o *Overlay) Remove(led *metrics.Ledger, c ids.ClusterID, pick Picker, attemptBudget int) (int, error) {
 	if !o.Has(c) {
 		return 0, fmt.Errorf("over: remove of missing vertex %v", c)
@@ -493,26 +489,55 @@ func (o *Overlay) Remove(led *metrics.Ledger, c ids.ClusterID, pick Picker, atte
 		return 0, nil
 	}
 	repaired := 0
+	sec := led.BeginConcurrent()
 	for _, u := range former {
-		for attempts := 0; len(o.adj[u]) < o.params.DegreeFloor && attempts < attemptBudget; attempts++ {
-			t, ok := pick(u)
-			if !ok {
-				break
-			}
-			if t == u || !o.Has(t) || o.hasEdge(u, t) {
-				continue
-			}
-			if len(o.adj[t]) >= o.params.DegreeCap {
-				continue
-			}
-			if err := o.addEdge(u, t); err != nil {
-				return repaired, err
-			}
-			led.Charge(metrics.ClassInterCluster, 1)
-			repaired++
-		}
+		repaired += o.wire(led, u, o.params.DegreeFloor, pick, attemptBudget)
+		led.EndBranch(&sec)
 	}
+	led.EndConcurrent(sec)
 	return repaired, nil
+}
+
+// wire links u to endpoints from pick until u's degree reaches want, at
+// most attemptBudget picks, skipping self, absent and adjacent endpoints
+// and saturated ones (degree >= cap), and charges one inter-cluster
+// announcement per edge. It returns the number of edges created; a pick
+// that finds no candidate ends the wiring.
+//
+// The picks run in waves. Figure 2 of the paper has a new vertex acquire
+// its Theta(log^{1+alpha} N) edges by random walks, and walks that need
+// no result of one another run concurrently: their messages add and
+// their rounds do not (section 3.1's round count; the round analysis of
+// the long version, On Dynamic Distributed Computing, arXiv 1202.3084). A
+// wave is the next want − degree attempts, capped by what is left of the
+// budget, each attempt one branch of a concurrent section, so a wave adds
+// its longest pick's rounds; a later wave replaces the picks the earlier
+// one lost to skips. Every attempt a wave makes is one the serial loop
+// would make, in the same order: no attempt of a wave can bring the
+// degree to want before the wave's last one. Draws and edges are the
+// serial loop's exactly, and an early end closes the open section.
+func (o *Overlay) wire(led *metrics.Ledger, u ids.ClusterID, want int, pick Picker, attemptBudget int) int {
+	added := 0
+	for attempts := 0; len(o.adj[u]) < want && attempts < attemptBudget; {
+		wave := min(want-len(o.adj[u]), attemptBudget-attempts)
+		attempts += wave
+		sec := led.BeginConcurrent()
+		for ; wave > 0; wave-- {
+			t, ok := pick(u)
+			if ok && t != u && o.Has(t) && !o.hasEdge(u, t) && len(o.adj[t]) < o.params.DegreeCap {
+				o.link(u, t)
+				led.Charge(metrics.ClassInterCluster, 1)
+				added++
+			}
+			led.EndBranch(&sec)
+			if !ok {
+				led.EndConcurrent(sec)
+				return added
+			}
+		}
+		led.EndConcurrent(sec)
+	}
+	return added
 }
 
 // Check is the overlay's structural self-check: the position index and the

@@ -110,25 +110,25 @@ func TestHotPathExactness(t *testing.T) {
 		want             string
 	}{
 		{"per-receiver", exactConfig(false, 0), 8, 8,
-			"intra-cluster=1375 inter-cluster=234058222 walk=102676202 randnum=431970212 exchange=11178939 discovery=5242880 agreement=216312786 application=0 cascade=0 transport=0 rounds=243896 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:25340 HijackedWalks:0 DegradedEvents:19 CapturedEvents:0 MaxByzFractionEver:0.45454545454545453} members=0x5b6e1c5b67b123ab"},
+			"intra-cluster=1375 inter-cluster=234058222 walk=102676202 randnum=431970212 exchange=11178939 discovery=5242880 agreement=216312786 application=0 cascade=0 transport=0 rounds=51716 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:25340 HijackedWalks:0 DegradedEvents:19 CapturedEvents:0 MaxByzFractionEver:0.45454545454545453} members=0x5b6e1c5b67b123ab"},
 		{"grouped", exactConfig(true, 0), 8, 8,
-			"intra-cluster=1373 inter-cluster=35407449 walk=11293518 randnum=48856448 exchange=1192464 discovery=5242880 agreement=24755904 application=0 cascade=460008 transport=0 rounds=38501 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:3780 HijackedWalks:0 DegradedEvents:7 CapturedEvents:1 MaxByzFractionEver:0.5} members=0xdc8fa30ef2524d6f"},
+			"intra-cluster=1373 inter-cluster=35407449 walk=11293518 randnum=48856448 exchange=1192464 discovery=5242880 agreement=24755904 application=0 cascade=460008 transport=0 rounds=31196 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:3780 HijackedWalks:0 DegradedEvents:7 CapturedEvents:1 MaxByzFractionEver:0.5} members=0xdc8fa30ef2524d6f"},
 		// OpsPerStep 0 and 1 are the same one-op-per-step driver.
 		{"ops-1", exactConfig(false, 1), 8, 8,
-			"intra-cluster=1375 inter-cluster=234058222 walk=102676202 randnum=431970212 exchange=11178939 discovery=5242880 agreement=216312786 application=0 cascade=0 transport=0 rounds=243896 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:25340 HijackedWalks:0 DegradedEvents:19 CapturedEvents:0 MaxByzFractionEver:0.45454545454545453} members=0x5b6e1c5b67b123ab"},
+			"intra-cluster=1375 inter-cluster=234058222 walk=102676202 randnum=431970212 exchange=11178939 discovery=5242880 agreement=216312786 application=0 cascade=0 transport=0 rounds=51716 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:25340 HijackedWalks:0 DegradedEvents:19 CapturedEvents:0 MaxByzFractionEver:0.45454545454545453} members=0x5b6e1c5b67b123ab"},
 		{"batched", exactConfig(false, 8), 8, 8,
-			"intra-cluster=11116 inter-cluster=1938102518 walk=952540175 randnum=4024321396 exchange=92141365 discovery=5242880 agreement=2012488378 application=0 cascade=0 transport=0 rounds=2539074 stats={Joins:256 Leaves:256 Splits:0 Merges:0 Rejoins:0 Swaps:209468 HijackedWalks:0 DegradedEvents:51 CapturedEvents:0 MaxByzFractionEver:0.46153846153846156} members=0xdbc3307bde5fbd76"},
+			"intra-cluster=11116 inter-cluster=1938102518 walk=952540175 randnum=4024321396 exchange=92141365 discovery=5242880 agreement=2012488378 application=0 cascade=0 transport=0 rounds=530986 stats={Joins:256 Leaves:256 Splits:0 Merges:0 Rejoins:0 Swaps:209468 HijackedWalks:0 DegradedEvents:51 CapturedEvents:0 MaxByzFractionEver:0.46153846153846156} members=0xdbc3307bde5fbd76"},
 		// The steady cases never split or merge; a size wave does both, so
 		// the structural charges (split, merge announcements) are pinned too.
 		// One Continue: the wave is indexed by the step within a call.
 		{"resize", resizeConfig(false), 1, 640,
-			"intra-cluster=13760 inter-cluster=604664362 walk=260652481 randnum=1257369604 exchange=30049606 discovery=12288 agreement=628687874 application=0 cascade=0 transport=0 rounds=1301364 stats={Joins:321 Leaves:319 Splits:12 Merges:11 Rejoins:0 Swaps:115530 HijackedWalks:0 DegradedEvents:46 CapturedEvents:0 MaxByzFractionEver:0.46153846153846156} members=0xd1e37ef9454485c7"},
+			"intra-cluster=13760 inter-cluster=604664362 walk=260652481 randnum=1257369604 exchange=30049606 discovery=12288 agreement=628687874 application=0 cascade=0 transport=0 rounds=398209 stats={Joins:321 Leaves:319 Splits:12 Merges:11 Rejoins:0 Swaps:115530 HijackedWalks:0 DegradedEvents:46 CapturedEvents:0 MaxByzFractionEver:0.46153846153846156} members=0xd1e37ef9454485c7"},
 		{"resize-grouped", resizeConfig(true), 1, 640,
-			"intra-cluster=13558 inter-cluster=150540272 walk=55452133 randnum=279650856 exchange=5807025 discovery=12288 agreement=139828500 application=0 cascade=1330284 transport=0 rounds=358374 stats={Joins:321 Leaves:319 Splits:11 Merges:11 Rejoins:0 Swaps:29766 HijackedWalks:0 DegradedEvents:19 CapturedEvents:0 MaxByzFractionEver:0.4444444444444444} members=0xc42562903120733a"},
+			"intra-cluster=13558 inter-cluster=150540272 walk=55452133 randnum=279650856 exchange=5807025 discovery=12288 agreement=139828500 application=0 cascade=1330284 transport=0 rounds=214577 stats={Joins:321 Leaves:319 Splits:11 Merges:11 Rejoins:0 Swaps:29766 HijackedWalks:0 DegradedEvents:19 CapturedEvents:0 MaxByzFractionEver:0.4444444444444444} members=0xc42562903120733a"},
 		// The default arm pins what core.DefaultConfig runs: the grouped
 		// cascade, so it must match the grouped arm above.
 		{"default", defaultConfig(t), 8, 8,
-			"intra-cluster=1373 inter-cluster=35407449 walk=11293518 randnum=48856448 exchange=1192464 discovery=5242880 agreement=24755904 application=0 cascade=460008 transport=0 rounds=38501 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:3780 HijackedWalks:0 DegradedEvents:7 CapturedEvents:1 MaxByzFractionEver:0.5} members=0xdc8fa30ef2524d6f"},
+			"intra-cluster=1373 inter-cluster=35407449 walk=11293518 randnum=48856448 exchange=1192464 discovery=5242880 agreement=24755904 application=0 cascade=460008 transport=0 rounds=31196 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:3780 HijackedWalks:0 DegradedEvents:7 CapturedEvents:1 MaxByzFractionEver:0.5} members=0xdc8fa30ef2524d6f"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

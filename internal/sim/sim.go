@@ -109,7 +109,18 @@ func (o *OpCosts) Merge(other *OpCosts) {
 	}
 }
 
-// Result is the outcome of one run.
+// reset empties o in place; its digests keep their arrays.
+func (o *OpCosts) reset() {
+	o.JoinMsgs.Reset()
+	o.JoinRounds.Reset()
+	o.LeaveMsgs.Reset()
+	o.LeaveRounds.Reset()
+	o.ClassMsgs = [metrics.NumClasses]metrics.Hist{}
+}
+
+// Result is the outcome of one run. Run and Continue return a fresh one;
+// RunInto and ContinueInto refill the caller's in place, and a struct copy
+// of it shares Audits, Sizes and the OpCosts digests' arrays with it.
 type Result struct {
 	Steps     int
 	Initial   core.Audit
@@ -204,27 +215,55 @@ func (r *Runner) Hijacker() *adversary.CapturedHijacker { return r.hijacker }
 // inspection).
 func (r *Runner) World() *core.World { return r.world }
 
-// QueuedRejoins reports how many merge-displaced nodes still await their
-// rejoin step (MergeRejoinAll only).
-func (r *Runner) QueuedRejoins() int { return len(r.rejoins) }
-
 // Continue runs additional steps on the same world, optionally under a
 // new schedule (nil keeps the current one). Multi-phase experiments use
-// it to chain growth and shrink epochs on one protocol instance.
+// it to chain growth and shrink epochs on one protocol instance. Like
+// Run, it returns a fresh Result.
 func (r *Runner) Continue(sched workload.Schedule, steps int) (*Result, error) {
+	res := new(Result)
+	if err := r.ContinueInto(res, sched, steps); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// ContinueInto is Continue writing into res, which it resets in place (see
+// RunInto).
+func (r *Runner) ContinueInto(res *Result, sched workload.Schedule, steps int) error {
 	if sched != nil {
 		r.schedule = sched
 	}
 	r.cfg.Steps = steps
-	return r.Run()
+	return r.RunInto(res)
 }
 
-// Run executes the configured number of steps.
+// Run executes the configured number of steps into a fresh Result.
 func (r *Runner) Run() (*Result, error) {
-	res := &Result{
+	res := new(Result)
+	if err := r.RunInto(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// RunInto is Run writing into res. It resets res in place first: its
+// digests keep their arrays, its histograms are zeroed and Audits and
+// Sizes are truncated, so a steady loop of short calls on one res
+// allocates no Result, digest buffer or slice per call. The reuse reaches
+// through a struct copy: a copy of res shares Audits, Sizes and the
+// OpCosts digests' arrays with it, and the next RunInto or ContinueInto
+// on res overwrites them. A caller that keeps a Result across calls uses
+// Run or Continue, or a Result of its own per call. On an error res holds
+// the steps run so far.
+func (r *Runner) RunInto(res *Result) error {
+	res.OpCosts.reset()
+	*res = Result{
 		Initial:    r.world.Audit(),
 		PeakSize:   r.world.NumNodes(),
 		TroughSize: r.world.NumNodes(),
+		Audits:     res.Audits[:0],
+		Sizes:      res.Sizes[:0],
+		OpCosts:    res.OpCosts,
 	}
 	ledger := r.world.Ledger()
 	startSnap := ledger.Snapshot()
@@ -232,7 +271,7 @@ func (r *Runner) Run() (*Result, error) {
 
 	for step := 0; step < r.cfg.Steps; step++ {
 		if err := r.step(step, minSize, res); err != nil {
-			return nil, fmt.Errorf("sim: step %d: %w", step, err)
+			return fmt.Errorf("sim: step %d: %w", step, err)
 		}
 		n := r.world.NumNodes()
 		if n > res.PeakSize {
@@ -256,7 +295,7 @@ func (r *Runner) Run() (*Result, error) {
 		}
 		if r.cfg.ConsistencyEvery > 0 && step%r.cfg.ConsistencyEvery == 0 {
 			if err := r.world.CheckConsistency(); err != nil {
-				return nil, fmt.Errorf("sim: step %d: %w", step, err)
+				return fmt.Errorf("sim: step %d: %w", step, err)
 			}
 		}
 		res.Steps++
@@ -264,7 +303,7 @@ func (r *Runner) Run() (*Result, error) {
 	res.Final = r.world.Audit()
 	res.Stats = r.world.Stats()
 	res.TotalCost = ledger.Since(startSnap)
-	return res, nil
+	return nil
 }
 
 // minimumSize is the floor the trajectory may not cross: the model's

@@ -190,7 +190,9 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 }
 
 // NewSimulation builds a runner for multi-phase simulations (use
-// Continue for chained schedules).
+// Continue for chained schedules). Continue returns a fresh Result per
+// phase; ContinueInto refills one the caller keeps, so a struct copy of it
+// does not survive the next call (see sim.Runner.RunInto).
 func NewSimulation(cfg SimConfig) (*sim.Runner, error) { return sim.New(cfg) }
 
 // FractionCorrupt returns a Bootstrap corruption function for an initial

@@ -40,8 +40,11 @@ go test -run '^$' -bench 'BenchmarkExecBatchExchange|BenchmarkExecBatchHookedExc
 # reused scratch, so a map or queue per call shows up the same way.
 # A simulation step reuses the runner's victims/ops/results scratch: a
 # 50-step window makes a handful of structural mallocs, under 1 per step.
-echo "== benchmem gate: walk + exchange primitives, world audit, sim step =="
-go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|BenchmarkWorldAudit|BenchmarkSimulationStep' \
+# A ContinueInto(res, nil, 8) with per-op cost sampling refills one Result
+# in place, so a fresh Result (5.9 KB) or digest buffer per call crosses
+# the floor; /fresh (Continue, a new Result per call) is informational.
+echo "== benchmem gate: walk + exchange primitives, world audit, sim step, runner continue =="
+go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|BenchmarkWorldAudit|BenchmarkSimulationStep|BenchmarkRunnerContinue' \
 	-benchmem -benchtime 50x . | tee -a "$out"
 
 # World construction as cmd/nowperf times a set-up: sim.New plus
@@ -83,6 +86,7 @@ BenchmarkWorldAudit/unchanged 0
 BenchmarkWorldAudit/after-mutation 0
 BenchmarkIdealDraw 0
 BenchmarkSimulationStep 0
+BenchmarkRunnerContinue/into 0
 BenchmarkWorldBootstrap/N=16384 3740
 BenchmarkWorldBootstrap/N=262144 50490
 BenchmarkStreamReframe/empty 0
