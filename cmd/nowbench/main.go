@@ -99,8 +99,9 @@ func parseConfig(args []string) (*config, error) {
 // design (cells are byte-identical at any worker count); the CSV
 // directory only affects where tables are copied. The literals
 // exact=false and shards=1 are kept from when the sample mode and the
-// world layout were flags, so journals recorded then
-// (results/sweep2e20.journal) still resume.
+// world layout were flags, so the flags of journals recorded then
+// (results/sweep2e20.journal) still match; the journal itself binds the
+// world construction revision, which refuses those.
 func (c *config) fingerprint(scale nowover.ExperimentScale) string {
 	fp := fmt.Sprintf("ns=%v of=%g trials=%d walks=%d seed=%d exact=false shards=1 grouped=%v",
 		scale.Ns, scale.OpsFactor, scale.Trials, scale.Walks,

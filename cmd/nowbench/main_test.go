@@ -113,11 +113,12 @@ func TestParseConfigMaxN2e20(t *testing.T) {
 	}
 }
 
-// TestFingerprintMatchesCommittedJournal pins journal resumability: the
+// TestFingerprintMatchesCommittedJournal pins the flag fingerprint: the
 // flags that recorded results/sweep2e20.journal must reproduce its header
-// fingerprint exactly, or re-running that sweep would refuse the journal.
-// The journal was recorded with the per-receiver cascade, so its flags
-// name -grouped-cascade=false.
+// fingerprint exactly. The journal was recorded with the per-receiver
+// cascade, so its flags name -grouped-cascade=false. Its cells ran on
+// worlds with coin-per-pair overlays, so resuming it is still refused, on
+// the construction revision alone.
 func TestFingerprintMatchesCommittedJournal(t *testing.T) {
 	f, err := os.Open(filepath.Join("..", "..", "results", "sweep2e20.journal"))
 	if err != nil {
@@ -140,6 +141,22 @@ func TestFingerprintMatchesCommittedJournal(t *testing.T) {
 	}
 	if got := c.fingerprint(s); got != header.Fingerprint {
 		t.Errorf("fingerprint drifted from the committed journal:\n got  %s\n want %s", got, header.Fingerprint)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := filepath.Join(t.TempDir(), "sweep2e20.journal")
+	if err := os.WriteFile(resumed, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := nowover.OpenCheckpointJournal(resumed, c.fingerprint(s), nil)
+	if err == nil {
+		j.Close()
+		t.Fatal("the committed journal's coin-per-pair cells resumed")
+	}
+	if !strings.Contains(err.Error(), "construction revision 0") {
+		t.Errorf("refused for another reason: %v", err)
 	}
 }
 

@@ -3,12 +3,21 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
 	"nowover/internal/randnum"
 )
+
+// ConstructionRevision numbers the ways Bootstrap has built a world from a
+// seed. A change that gives some seed a different initial world bumps it,
+// so that results recorded from the old worlds are not mixed with new ones
+// (checkpoint journals are bound to it). Revision 1 draws the overlay by
+// geometric skips; revision 0, which journals that record no revision
+// were written with, flipped one coin per cluster pair.
+const ConstructionRevision = 1
 
 // Bootstrap runs the initialization phase (paper section 3.2) at size n0:
 // network discovery, Byzantine-agreement clusterization by a representative
@@ -43,35 +52,45 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 	w.led.AddRounds(int64(math.Ceil(l2 * l2)))
 
 	// Random partition by the representative cluster: a random ordering,
-	// cut into consecutive chunks of the target size. The node tables are
-	// sized to the n0 seeded nodes once (churn grows them from there),
-	// not grown node by node.
+	// cut into consecutive chunks of the target size, an undersized tail
+	// folded into the last chunk. The node tables are sized to the n0
+	// seeded nodes once (churn grows them from there), not grown node by
+	// node. byzPos, indexed by the Byzantine nodes' IDs, which span
+	// [0, n0), gets a quarter more, about where its 1.25x append chain
+	// ended, so the first Byzantine joins do not reallocate it. The
+	// chunks' member arrays are carved from one arena, each at least at
+	// the capacity appending its members one by one would reach
+	// (memberCap), so no join reallocates one sooner than that.
 	w.nodes = slices.Grow(w.nodes, n0)
 	w.allNodes = slices.Grow(w.allNodes, n0)
 	w.nodePos = slices.Grow(w.nodePos, n0)
+	w.byzPos = slices.Grow(w.byzPos, n0+n0/4)
 	slots := w.rng.Perm(n0)
 	byz := make([]bool, n0)
 	for i := range byz {
 		byz[i] = corrupt != nil && corrupt(i)
 	}
-	var clusterIDs []ids.ClusterID
-	for start := 0; start < n0; start += target {
-		end := start + target
-		if end > n0 {
-			end = n0
-		}
-		if end-start < w.cfg.MergeThreshold() && len(clusterIDs) > 0 {
-			// Fold an undersized tail into the previous cluster.
-			prev := clusterIDs[len(clusterIDs)-1]
-			for _, slot := range slots[start:end] {
-				w.seedNode(prev, byz[slot])
-			}
+	bounds := []int{0}
+	for end := target; end < n0; end += target {
+		if min(target, n0-end) < w.cfg.MergeThreshold() {
 			break
 		}
+		bounds = append(bounds, end)
+	}
+	bounds = append(bounds, n0)
+	total := 0
+	for i := 1; i < len(bounds); i++ {
+		total += memberCap(bounds[i] - bounds[i-1])
+	}
+	arena := make([]ids.NodeID, total)
+	clusterIDs := make([]ids.ClusterID, 0, len(bounds)-1)
+	for i := 1; i < len(bounds); i++ {
 		c := w.clAlloc.NextCluster()
 		w.putCluster(c)
 		clusterIDs = append(clusterIDs, c)
-		for _, slot := range slots[start:end] {
+		m := memberCap(bounds[i] - bounds[i-1])
+		w.clusters[c].members, arena = arena[:0:m], arena[m:]
+		for _, slot := range slots[bounds[i-1]:bounds[i]] {
 			w.seedNode(c, byz[slot])
 		}
 	}
@@ -102,6 +121,11 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 	w.settleSecurity()
 	return nil
 }
+
+// memberCap is the next power of two at or above size: the capacity
+// appending size members one by one to an empty slice reaches up to 512
+// members, and more than it beyond.
+func memberCap(size int) int { return 1 << bits.Len(uint(size-1)) }
 
 // seedNode creates one initial node in cluster c.
 func (w *World) seedNode(c ids.ClusterID, byz bool) {

@@ -15,9 +15,10 @@ package experiments
 // killed mid-write leaves at most one truncated final line, which the
 // loader drops (that cell simply re-runs). A malformed line anywhere
 // else is reported as corruption, not skipped. The journal's first line
-// is a fingerprint of the run configuration (scale grid, seeds, modes);
-// resuming under any other configuration is refused rather than mixing
-// incompatible cells.
+// is a fingerprint of the run configuration (scale grid, seeds, modes)
+// plus the world construction revision (core.ConstructionRevision);
+// resuming under any other configuration, or with a build that constructs
+// worlds differently, is refused rather than mixing incompatible cells.
 //
 // The journal file itself is not byte-deterministic — lines land in cell
 // completion order, which depends on worker scheduling — but its CONTENT
@@ -31,13 +32,18 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"nowover/internal/core"
 )
 
-// journalHeader is the first line of a journal file.
+// journalHeader is the first line of a journal file. World is the
+// core.ConstructionRevision its cells' worlds were built by; a journal
+// written before the revision was recorded reads 0.
 type journalHeader struct {
 	Journal     string `json:"journal"`
 	V           int    `json:"v"`
 	Fingerprint string `json:"fingerprint"`
+	World       int    `json:"world"`
 }
 
 // cellRecord is one completed cell.
@@ -102,7 +108,7 @@ func loadJournal(path, fingerprint string) (*Journal, error) {
 		if cerr != nil {
 			return nil, cerr
 		}
-		hdr, herr := json.Marshal(journalHeader{Journal: journalMagic, V: 1, Fingerprint: fingerprint})
+		hdr, herr := json.Marshal(journalHeader{Journal: journalMagic, V: 1, Fingerprint: fingerprint, World: core.ConstructionRevision})
 		if herr != nil {
 			f.Close()
 			return nil, fmt.Errorf("experiments: journal header: %w", herr)
@@ -140,6 +146,10 @@ func loadJournal(path, fingerprint string) (*Journal, error) {
 	if hdr.Fingerprint != fingerprint {
 		return nil, fmt.Errorf("experiments: journal %s was recorded for a different run configuration (journal %q, this run %q); delete it or point -checkpoint elsewhere",
 			path, hdr.Fingerprint, fingerprint)
+	}
+	if hdr.World != core.ConstructionRevision {
+		return nil, fmt.Errorf("experiments: journal %s holds cells of worlds built by construction revision %d, this build builds revision %d; delete it or point -checkpoint elsewhere",
+			path, hdr.World, core.ConstructionRevision)
 	}
 	// The trim above already dropped a truncated final record (its line
 	// had no terminating newline); every remaining line must parse.

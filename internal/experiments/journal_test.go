@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"nowover/internal/core"
 )
 
 // journalTestScale is a sweep small enough to run twice in a unit test
@@ -252,6 +254,43 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "different run configuration") {
 		t.Errorf("unexpected error: %v", err)
+	}
+}
+
+// TestJournalRefusesOtherConstruction: a journal whose cells were run on
+// worlds another construction revision built is refused under a matching
+// fingerprint and left untouched, as are journals that record no revision
+// (results/sweep2e20.journal: coin-per-pair overlays).
+func TestJournalRefusesOtherConstruction(t *testing.T) {
+	for _, header := range []string{
+		`{"journal":"nowbench-cells","v":1,"fingerprint":"fp"}`,
+		fmt.Sprintf(`{"journal":"nowbench-cells","v":1,"fingerprint":"fp","world":%d}`, core.ConstructionRevision+1),
+	} {
+		path := filepath.Join(t.TempDir(), "cells.journal")
+		data := header + "\n" + `{"key":"E4#1/0","rows":[["256"]]}` + "\n"
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, "fp", nil)
+		if err == nil {
+			j.Close()
+			t.Fatalf("journal %s resumed under construction revision %d", header, core.ConstructionRevision)
+		}
+		if !strings.Contains(err.Error(), "construction revision") {
+			t.Errorf("unexpected error: %v", err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != data {
+			t.Errorf("refused journal was modified (%v)", err)
+		}
+	}
+	// The revision a fresh journal records is accepted on resume.
+	path := filepath.Join(t.TempDir(), "cells.journal")
+	for i := 0; i < 2; i++ {
+		j, err := OpenJournal(path, "fp", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
 	}
 }
 

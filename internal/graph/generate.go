@@ -6,27 +6,6 @@ import (
 	"nowover/internal/xrand"
 )
 
-// ErdosRenyi adds to g every edge among the given vertices independently
-// with probability p — the G(n, p) model the paper draws the initial
-// overlay from (p = log^{1+alpha} N / sqrt(N)). Vertices must already be
-// present. Existing edges are preserved.
-func ErdosRenyi[V comparable](g *Graph[V], r *xrand.Rand, vertices []V, p float64) error {
-	for i := 0; i < len(vertices); i++ {
-		for j := i + 1; j < len(vertices); j++ {
-			if !r.Bool(p) {
-				continue
-			}
-			if g.HasEdge(vertices[i], vertices[j]) {
-				continue
-			}
-			if err := g.AddEdge(vertices[i], vertices[j]); err != nil {
-				return fmt.Errorf("erdos-renyi: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
 // RandomRegularish wires each vertex to approximately d distinct random
 // peers (a configuration-model-style construction: E9's node networks and
 // the test fixtures' expanders). The resulting degrees lie in [d, 2d]

@@ -121,24 +121,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestErdosRenyiDensity(t *testing.T) {
-	g := New[int]()
-	var vs []int
-	for i := 0; i < 200; i++ {
-		g.AddVertex(i)
-		vs = append(vs, i)
-	}
-	if err := ErdosRenyi(g, xrand.New(1), vs, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	pairs := 200 * 199 / 2
-	want := float64(pairs) * 0.1
-	got := float64(g.NumEdges())
-	if got < want*0.8 || got > want*1.2 {
-		t.Errorf("ER edges = %v, want ~%v", got, want)
-	}
-}
-
 func TestRandomRegularish(t *testing.T) {
 	g := New[int]()
 	var vs []int

@@ -188,28 +188,6 @@ func (ld *Loader) exportFile(path string) (string, error) {
 	return f, nil
 }
 
-// LoadDir parses and type-checks one out-of-module directory of Go files
-// (a lint fixture) under the given fake import path, resolving its
-// imports against the loader's module cache and the stdlib. The package is
-// not added to the cache, so a fixture may shadow a real module path.
-func (ld *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	sort.Strings(files)
-	return ld.check(importPath, dir, files)
-}
-
 // check parses files and type-checks them as one package.
 func (ld *Loader) check(importPath, dir string, files []string) (*Package, error) {
 	pkg := &Package{

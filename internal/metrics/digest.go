@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"unsafe"
 )
 
 // DigestCompression is the default centroid budget: quantile rank error
@@ -292,25 +291,6 @@ func (d *Digest) Quantile(q float64) float64 {
 		return d.max
 	}
 	return last.mean + (target-lastMid)/(d.count-lastMid)*(d.max-last.mean)
-}
-
-// Compression reports the centroid budget in effect (0 until the first
-// Add/Merge of a zero-value Digest).
-func (d *Digest) Compression() float64 { return d.compression }
-
-// Centroids compacts pending observations and reports the current centroid
-// count — O(compression) by construction, never O(N).
-func (d *Digest) Centroids() int {
-	d.compact()
-	return len(d.centroids)
-}
-
-// Footprint reports the sketch's current memory footprint in bytes (struct
-// plus centroid/buffer backing arrays). It is the quantity the memory-guard
-// tests pin: bounded by the compression, never by N.
-func (d *Digest) Footprint() int {
-	return int(unsafe.Sizeof(*d)) +
-		int(unsafe.Sizeof(centroid{}))*(cap(d.centroids)+cap(d.buffer))
 }
 
 // String summarizes the sketch for table output and logs.

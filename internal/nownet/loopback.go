@@ -153,7 +153,9 @@ func (n *LoopbackNet) Open(id ids.NodeID) (Endpoint, error) {
 	return ep, nil
 }
 
-// SetLink overrides the fault model of one directed link.
+// SetLink overrides the fault model of one directed link. Only tests call
+// it today; it is the per-link event that the fault-schedule fuzzer
+// planned in ROADMAP item 8 decodes drops and latencies into.
 func (n *LoopbackNet) SetLink(from, to ids.NodeID, lc LinkConfig) {
 	n.links[linkKey{from, to}] = lc
 }

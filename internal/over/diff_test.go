@@ -22,7 +22,13 @@ func (o *refOverlay) bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float6
 	for _, v := range vertices {
 		o.g.AddVertex(v)
 	}
-	if err := graph.ErdosRenyi(o.g, r, vertices, p); err != nil {
+	var err error
+	landings(r, len(vertices), p, func(i, j int) {
+		if err == nil {
+			err = o.g.AddEdge(vertices[i], vertices[j])
+		}
+	})
+	if err != nil {
 		return 0, err
 	}
 	comps := o.g.Components()

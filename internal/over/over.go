@@ -7,7 +7,8 @@
 //   - Property 1: large isoperimetric constant (expansion) at all times.
 //   - Property 2: maximum degree O(log^{1+alpha} N).
 //   - The initial overlay is Erdos-Renyi with p = log^{1+alpha}N / sqrt(N)
-//     (expected degree Theta(log^{1+alpha} N) at the initial scale).
+//     (expected degree Theta(log^{1+alpha} N) at the initial scale),
+//     drawn by one geometric skip per edge, not one coin per pair.
 //   - A new vertex (cluster split) acquires Theta(log^{1+alpha} N) edges
 //     whose endpoints are chosen by random walks (Figure 2).
 //   - Removed vertices are random (ensured by NOW's merge using randCl),
@@ -36,6 +37,7 @@ package over
 
 import (
 	"fmt"
+	"slices"
 
 	"nowover/internal/graph"
 	"nowover/internal/ids"
@@ -384,7 +386,7 @@ func (o *Overlay) computeShape() shape {
 // chain between connected components so the walk-based machinery is usable
 // even in small regimes where G(n,p) is disconnected (at the paper's scales
 // the chain adds no edges w.h.p.). Returns the number of patch edges added.
-// A vertex listed twice is an error, found before any coin is drawn.
+// A vertex listed twice is an error, found before anything is drawn.
 func (o *Overlay) Bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float64) (int, error) {
 	if len(o.order) != 0 {
 		return 0, fmt.Errorf("over: bootstrap on non-empty overlay")
@@ -395,24 +397,8 @@ func (o *Overlay) Bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float64) 
 		}
 		o.addVertex(v)
 	}
-	// G(n, p): the same pair order and coin sequence as graph.ErdosRenyi.
-	// Each coin is r.Bool(p), drawn by firstLanding on the PCG state held
-	// in locals and written back after the last. The vertices are
-	// distinct, so each pair is drawn once and a landed coin's edge is
-	// neither a self-loop nor a duplicate.
-	pcg := r.PCG()
-	stHi, stLo := pcg.State()
-	for i, u := range vertices {
-		rest := vertices[i+1:]
-		for j := 0; j < len(rest); j++ {
-			var k int
-			stHi, stLo, k = firstLanding(stHi, stLo, p, len(rest)-j)
-			if j += k; j < len(rest) {
-				o.link(u, rest[j])
-			}
-		}
-	}
-	pcg.SetState(stHi, stLo)
+	// The vertices are distinct: no self-loop, no duplicate edge.
+	landings(r, len(vertices), p, func(i, j int) { o.link(vertices[i], vertices[j]) })
 	// Link the earliest vertex of each further component (components
 	// ordered by their earliest vertex) to the first vertex. A patch only
 	// joins already-visited components, so it cannot change what the rest
@@ -437,21 +423,55 @@ func (o *Overlay) Bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float64) 
 	return patches, nil
 }
 
-// firstLanding flips up to n Bool(p) coins on the PCG state (hi, lo) and
-// stops at the first that lands. It returns the state after the last coin
-// it drew and that coin's index, or n when none landed. It is a function
-// of its own so that its loop holds only the state, p and two counters,
-// all in registers: the PCG step is the loop's critical path, and
-// Bootstrap's other live locals would spill the state to the stack.
-func firstLanding(hi, lo uint64, p float64, n int) (uint64, uint64, int) {
-	for k := 0; k < n; k++ {
-		var word uint64
-		hi, lo, word = xrand.Next(hi, lo)
-		if xrand.Float64From(word) < p {
-			return hi, lo, k
+// landings calls link(i, j) for the pairs 0 <= i < j < n, in row-major
+// order, that G(n, p) links, each independently with probability p. p >= 1
+// links every pair and p <= 0 none, neither drawing from r. Otherwise it
+// draws one geometric gap of unlinked pairs per landing (Batagelj &
+// Brandes, Phys. Rev. E 71, 2005) by inversion: with q = 1-p, a uniform u
+// lies below exactly k of q^1..q^L with probability q^k - q^(k+1), that
+// of k misses and a landing. A u below all L skips L pairs and draws
+// again, exact as the geometric law is memoryless. With L = min(n, 8/p)
+// (a gap passes the table with probability ~e^-8) it draws
+// E + C(n, 2)/L + 1 words for E edges, O(n + E), and takes no logarithm
+// whose last bit could differ between architectures.
+func landings(r *xrand.Rand, n int, p float64, link func(i, j int)) {
+	switch {
+	case n < 2 || !(p > 0):
+		return
+	case p >= 1:
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				link(i, j)
+			}
+		}
+		return
+	}
+	size := n
+	if span := 8 / p; span < float64(n) {
+		size = int(span) + 1
+	}
+	// neg[k] = -q^(k+1) increases, so the entries above u are those
+	// BinarySearch puts before -u.
+	neg, qk := make([]float64, size), 1.0
+	for k := range neg {
+		qk *= 1 - p
+		neg[k] = -qk
+	}
+	// (i, j) is the next pair in row-major order; row i ends at column n-1
+	// and row i+1 starts at column i+2.
+	i, j := 0, 1
+	for {
+		k, _ := slices.BinarySearch(neg, -r.Float64())
+		for j += k; j >= n; j += i + 1 - n {
+			if i++; i >= n-1 {
+				return
+			}
+		}
+		if k < size {
+			link(i, j)
+			j++
 		}
 	}
-	return hi, lo, n
 }
 
 // Add inserts vertex c and wires it to up to TargetDegree distinct

@@ -1,10 +1,8 @@
 package over
 
 import (
-	"fmt"
 	"testing"
 
-	"nowover/internal/graph"
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
 	"nowover/internal/xrand"
@@ -236,72 +234,5 @@ func TestCheckHealthSmallExact(t *testing.T) {
 	}
 	if h.MinDegree != 7 || h.MaxDegree != 7 {
 		t.Errorf("degrees = [%d,%d], want [7,7]", h.MinDegree, h.MaxDegree)
-	}
-}
-
-// TestBootstrapDrawsErdosRenyi: Bootstrap, which flips its G(n, p) coins
-// on the stream's PCG state held in locals, builds graph.ErdosRenyi's
-// adjacency in order (and the same patch chain) at p = 0, p = 1 and the
-// density NOW bootstraps at, and at a p equal to the value of the fifth
-// pair's draw (a tie the coin rejects), and leaves the stream where
-// n(n-1)/2 Bool(p) draws leave it. A vertex list that repeats a vertex is
-// refused before any coin is drawn.
-func TestBootstrapDrawsErdosRenyi(t *testing.T) {
-	const n = 48
-	var vs []ids.ClusterID
-	for i := 0; i < n; i++ {
-		vs = append(vs, ids.ClusterID(3*i+1)) // sparse IDs: ID-indexed slices have gaps
-	}
-	for _, density := range []float64{0, 1, float64(params().TargetDegree) / (n - 1), -1} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			p := density
-			if p < 0 { // the fifth pair's draw
-				tie := xrand.New(seed)
-				for i := 0; i < 4; i++ {
-					tie.Uint64()
-				}
-				p = tie.Float64()
-			}
-			step := fmt.Sprintf("p=%.3f seed %d", p, seed)
-			o, err := New(params())
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := xrand.New(seed)
-			patches, err := o.Bootstrap(r, vs, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := &refOverlay{params: params(), g: graph.New[ids.ClusterID]()}
-			refR := xrand.New(seed)
-			refPatches, err := ref.bootstrap(refR, vs, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if patches != refPatches {
-				t.Fatalf("%s: %d patch edges, graph.ErdosRenyi reference %d", step, patches, refPatches)
-			}
-			requireSameOverlay(t, step, o, ref.g, 3*n+1)
-
-			coins := xrand.New(seed)
-			for i := 0; i < n*(n-1)/2; i++ {
-				coins.Bool(p)
-			}
-			if got, want, refNext := r.Uint64(), coins.Uint64(), refR.Uint64(); got != want || refNext != want {
-				t.Fatalf("%s: next word %#x after Bootstrap, %#x after %d Bool draws, %#x after graph.ErdosRenyi", step, got, want, n*(n-1)/2, refNext)
-			}
-		}
-	}
-
-	o, err := New(params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, twin := xrand.New(7), xrand.New(7)
-	if _, err := o.Bootstrap(r, []ids.ClusterID{0, 1, 2, 1}, 1); err == nil {
-		t.Fatal("Bootstrap accepted a vertex listed twice")
-	}
-	if r.Uint64() != twin.Uint64() {
-		t.Fatal("Bootstrap drew from the stream before refusing a repeated vertex")
 	}
 }

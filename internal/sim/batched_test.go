@@ -193,8 +193,8 @@ func TestBatchedValidation(t *testing.T) {
 // equals the world's.
 func TestBatchedHookedDriverMatchesClassicReplay(t *testing.T) {
 	// One op per step first captures a cluster, and so first hijacks a
-	// walk, after about 570 steps; eight per step after about 60.
-	for _, tc := range []struct{ k, steps int }{{1, 1000}, {8, 60}} {
+	// walk, after about 1 180 steps; eight per step after about 60.
+	for _, tc := range []struct{ k, steps int }{{1, 1500}, {8, 60}} {
 		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
 			cfg := batchedConfig(tc.k, 11)
 			cfg.Steps = tc.steps

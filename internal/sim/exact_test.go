@@ -110,14 +110,14 @@ func TestHotPathExactness(t *testing.T) {
 		want             string
 	}{
 		{"per-receiver", exactConfig(false, 0), 8, 8,
-			"intra-cluster=1375 inter-cluster=234058222 walk=102676202 randnum=431970212 exchange=11178939 discovery=5242880 agreement=216312786 application=0 cascade=0 transport=0 rounds=51716 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:25340 HijackedWalks:0 DegradedEvents:19 CapturedEvents:0 MaxByzFractionEver:0.45454545454545453} members=0x5b6e1c5b67b123ab"},
+			"intra-cluster=1380 inter-cluster=252418078 walk=107118579 randnum=450054672 exchange=12008156 discovery=5242880 agreement=225355016 application=0 cascade=0 transport=0 rounds=55732 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:25178 HijackedWalks:0 DegradedEvents:22 CapturedEvents:0 MaxByzFractionEver:0.4166666666666667} members=0x2947c88eec678d11"},
 		{"grouped", exactConfig(true, 0), 8, 8,
-			"intra-cluster=1373 inter-cluster=35407449 walk=11293518 randnum=48856448 exchange=1192464 discovery=5242880 agreement=24755904 application=0 cascade=460008 transport=0 rounds=31196 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:3780 HijackedWalks:0 DegradedEvents:7 CapturedEvents:1 MaxByzFractionEver:0.5} members=0xdc8fa30ef2524d6f"},
+			"intra-cluster=1374 inter-cluster=38943332 walk=11515525 randnum=49816148 exchange=1309077 discovery=5242880 agreement=25235754 application=0 cascade=492336 transport=0 rounds=32457 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:3780 HijackedWalks:0 DegradedEvents:11 CapturedEvents:1 MaxByzFractionEver:0.5} members=0x6849823d9a3019ef"},
 		// OpsPerStep 0 and 1 are the same one-op-per-step driver.
 		{"ops-1", exactConfig(false, 1), 8, 8,
-			"intra-cluster=1375 inter-cluster=234058222 walk=102676202 randnum=431970212 exchange=11178939 discovery=5242880 agreement=216312786 application=0 cascade=0 transport=0 rounds=51716 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:25340 HijackedWalks:0 DegradedEvents:19 CapturedEvents:0 MaxByzFractionEver:0.45454545454545453} members=0x5b6e1c5b67b123ab"},
+			"intra-cluster=1380 inter-cluster=252418078 walk=107118579 randnum=450054672 exchange=12008156 discovery=5242880 agreement=225355016 application=0 cascade=0 transport=0 rounds=55732 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:25178 HijackedWalks:0 DegradedEvents:22 CapturedEvents:0 MaxByzFractionEver:0.4166666666666667} members=0x2947c88eec678d11"},
 		{"batched", exactConfig(false, 8), 8, 8,
-			"intra-cluster=11116 inter-cluster=1938102518 walk=952540175 randnum=4024321396 exchange=92141365 discovery=5242880 agreement=2012488378 application=0 cascade=0 transport=0 rounds=530986 stats={Joins:256 Leaves:256 Splits:0 Merges:0 Rejoins:0 Swaps:209468 HijackedWalks:0 DegradedEvents:51 CapturedEvents:0 MaxByzFractionEver:0.46153846153846156} members=0xdbc3307bde5fbd76"},
+			"intra-cluster=11287 inter-cluster=2153829464 walk=1073513929 randnum=4589814816 exchange=99663535 discovery=5242880 agreement=2295235088 application=0 cascade=0 transport=0 rounds=623228 stats={Joins:256 Leaves:256 Splits:0 Merges:1 Rejoins:0 Swaps:208934 HijackedWalks:0 DegradedEvents:44 CapturedEvents:1 MaxByzFractionEver:0.5} members=0x4661a7f0c4f54753"},
 		// The steady cases never split or merge; a size wave does both, so
 		// the structural charges (split, merge announcements) are pinned too.
 		// One Continue: the wave is indexed by the step within a call.
@@ -128,7 +128,7 @@ func TestHotPathExactness(t *testing.T) {
 		// The default arm pins what core.DefaultConfig runs: the grouped
 		// cascade, so it must match the grouped arm above.
 		{"default", defaultConfig(t), 8, 8,
-			"intra-cluster=1373 inter-cluster=35407449 walk=11293518 randnum=48856448 exchange=1192464 discovery=5242880 agreement=24755904 application=0 cascade=460008 transport=0 rounds=31196 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:3780 HijackedWalks:0 DegradedEvents:7 CapturedEvents:1 MaxByzFractionEver:0.5} members=0xdc8fa30ef2524d6f"},
+			"intra-cluster=1374 inter-cluster=38943332 walk=11515525 randnum=49816148 exchange=1309077 discovery=5242880 agreement=25235754 application=0 cascade=492336 transport=0 rounds=32457 stats={Joins:32 Leaves:32 Splits:0 Merges:0 Rejoins:0 Swaps:3780 HijackedWalks:0 DegradedEvents:11 CapturedEvents:1 MaxByzFractionEver:0.5} members=0x6849823d9a3019ef"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

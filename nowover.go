@@ -164,7 +164,8 @@ type CheckpointJournal = experiments.Journal
 // from the journal on the next run, so an interrupted long sweep resumes
 // from its last completed cell with byte-identical tables. fingerprint
 // must capture the run configuration (see cmd/nowbench); a journal
-// recorded under a different fingerprint is refused. nowMillis (optional,
+// recorded under a different fingerprint, or by a build that constructs
+// worlds differently, is refused. nowMillis (optional,
 // may be nil) supplies wall-clock timing for benchmark trajectories
 // (CheckpointJournal.BenchTrajectory).
 func OpenCheckpointJournal(path, fingerprint string, nowMillis func() int64) (*CheckpointJournal, error) {

@@ -49,11 +49,14 @@ go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|Benchma
 
 # World construction as cmd/nowperf times a set-up: sim.New plus
 # core.CheckInvariants at n0 = 2^13 and 2^17. The count is seeded and
-# exact, nearly all of it the per-cluster records; the node tables are
-# sized to n0 once and CheckInvariants marks members in a bitset, so the
-# tables grown node by node again (+50 and +82 allocs/op) or a per-node
-# map in the oracle crosses the floor. Three iterations: one 2^17 set-up
-# takes ~0.1 s.
+# exact, nearly all of it the overlay's adjacency lists and the
+# per-cluster records; the node tables (byzPos included) are sized to n0
+# once, the member arrays are carved from one arena and CheckInvariants
+# marks members in a bitset, so the tables grown node by node again
+# (+50 and +82 allocs/op, +16 and +26 for byzPos), member arrays grown
+# member by member (about +1 700 and +25 600) or a per-node map in the
+# oracle crosses the floor. Three iterations: one 2^17 set-up takes
+# ~0.05 s.
 echo "== benchmem gate: world construction =="
 go test -run '^$' -bench 'BenchmarkWorldBootstrap' \
 	-benchmem -benchtime 3x . | tee -a "$out"
@@ -87,8 +90,8 @@ BenchmarkWorldAudit/after-mutation 0
 BenchmarkIdealDraw 0
 BenchmarkSimulationStep 0
 BenchmarkRunnerContinue/into 0
-BenchmarkWorldBootstrap/N=16384 3740
-BenchmarkWorldBootstrap/N=262144 50490
+BenchmarkWorldBootstrap/N=16384 1980
+BenchmarkWorldBootstrap/N=262144 24830
 BenchmarkStreamReframe/empty 0
 BenchmarkStreamReframe/payload 1
 BenchmarkTCPRequestEcho 2
