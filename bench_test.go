@@ -189,11 +189,11 @@ type interfaceGen struct{ randnum.Generator }
 
 // BenchmarkRandClWalk is one biased walk (randCl) from a random cluster;
 // N=262144 is the churn_large shape. ns/hop divides the time by the hops
-// the walks made. /fused runs the Ideal generator, whose walks below
-// capture run on the walker's fused loop; /interface wraps the same
-// generator in interfaceGen, so the same walks run on the general loop
-// and draw through Generator.Draw. The two make the same draws, and their
-// ns/hop gap is what the fused loop saves.
+// the walks made. Both variants run the walker's one loop: /fused runs the
+// Ideal generator, whose steps below capture the loop takes inline;
+// /interface wraps the same generator in interfaceGen, so the loop takes
+// every step out of line and draws through Generator.Draw. The two make
+// the same draws, and their ns/hop gap is what the inline steps save.
 func BenchmarkRandClWalk(b *testing.B) {
 	for _, maxN := range []int{1024, 4096, 16384, 262144} {
 		for _, v := range []struct {

@@ -40,17 +40,18 @@ func totalsOf(led *metrics.Ledger) ledgerTotals {
 	return lt
 }
 
-// TestDirectDrawMatchesInterfaceDraw: the walker's fused Ideal walk (one
-// call-free loop over every segment, hop and acceptance coin, charged
-// once) and the general loop, which draws through the Generator
-// interface, are the same function. Seeded biased walks, a restart cap of
-// 1 and uniform walks, with forced exchanges and leaves between them,
-// end with identical outcomes, stream words after every walk, per-class
-// ledger totals, rounds, Stats and world state either way: in a world
-// Byzantine enough to draw at every security level, and in worlds
-// corrupted into captured clusters, where fused walks fall back to the
-// general loop mid-walk, in both cascade modes. Then a join-leave churn
-// with hijacking installed, in both cascade modes, does the same.
+// TestDirectDrawMatchesInterfaceDraw: an Ideal walk, whose steps below
+// capture the walk loop takes inline and charges once, and the same walk
+// under a wrapper, whose every step the loop takes out of line through
+// the Generator interface, are the same function. Seeded biased walks, a
+// restart cap of 1 and uniform walks, with forced exchanges and leaves
+// between them, end with identical outcomes, stream words after every
+// walk, per-class ledger totals, rounds, Stats and world state either
+// way: in a world Byzantine enough to draw at every security level, and
+// in worlds corrupted into captured clusters, where Ideal walks step out
+// of line mid-walk and go on inline, in both cascade modes. Then a
+// join-leave churn with hijacking installed, in both cascade modes, does
+// the same.
 func TestDirectDrawMatchesInterfaceDraw(t *testing.T) {
 	type trace struct {
 		walks       []walk.Outcome

@@ -567,8 +567,8 @@ func TestExchangeRandomizesByzantinePlacement(t *testing.T) {
 var errInjected = errors.New("injected failure")
 
 // failingGen delegates to Ideal and fails its failAt-th Draw (never when
-// failAt is 0). Wrapped, Ideal no longer runs the walker's fused loop, so a
-// walker built on one draws every hop through it.
+// failAt is 0). Wrapped, Ideal is not recognised by the walker, so a
+// walker built on one draws every hop through it, out of line.
 type failingGen struct {
 	calls, failAt int
 }

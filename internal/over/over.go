@@ -175,7 +175,7 @@ func (o *Overlay) Adjacent(c ids.ClusterID) []ids.ClusterID {
 // AdjTable returns the ClusterID-indexed adjacency itself, not copied:
 // AdjTable()[c] is Adjacent(c) for every c the table covers, and IDs
 // beyond it have no neighbours. It is read-only and is invalidated by the
-// next mutation; a walk segment reads it once and indexes it per hop.
+// next mutation; a walk reads it once and indexes it per hop.
 func (o *Overlay) AdjTable() [][]ids.ClusterID { return o.adj }
 
 // Neighbors returns a copy of c's adjacency list.

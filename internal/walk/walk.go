@@ -24,7 +24,7 @@
 // bit-identical to evaluating the logarithm at that point.
 //
 // A hop reads one flat view. Topology.View hands the walker the world's
-// own ClusterID-indexed composition rows and adjacency lists; a segment
+// own ClusterID-indexed composition rows and adjacency lists; a walk
 // reads the view once, because nothing a walk does mutates the topology,
 // and each hop indexes the two tables directly. A segment's duration
 // depends only on the cluster and edge counts, so the walker keeps the
@@ -37,26 +37,26 @@
 // no adjacency at all: the overlay keeps each cluster's neighbour mass,
 // the sum of its neighbours' sizes, and the world reads it in one load.
 //
-// An Ideal walk is one loop. With the Ideal generator, Uniform and Biased
-// first run the whole walk, every segment, hop and acceptance coin, in
-// fusedWalk, a loop with no call on its path. It reads the view, the max
-// cluster size and the cached segment duration once; holds the stream's
-// PCG state in locals and draws each word with xrand.Next; masks the hold
-// draw and reduces the neighbour and coin draws with xrand.Reduce (only a
-// word Reduce cannot settle writes the state back and calls IntnFrom, the
-// tree's one Lemire reduction); makes no Steer call, since Ideal ignores
-// the objective below capture and Steer is pure; and sums its draws, their
-// clusters' |C|(|C|-1), hand-offs, hops and restarts in locals, charged
-// once at the end through randnum.Tally.Add, which is linear in its
-// counts. At the first captured or malformed cluster, isolated vertex or
-// ID past the tables, or on a single-cluster, edgeless or non-positive
-// max-size topology, it stops with no effect: the PCG state is restored
-// and nothing is charged, and the walk reruns from its start on the
-// general loop, segment, which draws every word through the Generator
-// interface with the steer objective and consults the Hijacker. Walks of
-// any other generator (CommitReveal, a counting or tracing wrapper) run
-// there from the start. Both loops make the same draws and charges;
-// scripts/hop_calls.sh keeps the fused loop call-free.
+// A walk is one loop, fusedWalk, for every generator: Uniform and Biased
+// run the whole walk, every segment, hop and acceptance coin, in it. It
+// reads the view, the max cluster size and the cached segment duration
+// once. Under the Ideal generator it takes each step at a cluster below
+// capture inline, with no call: it holds the stream's PCG state in locals,
+// draws each word with xrand.Next, masks the hold draw and reduces the
+// neighbour and coin draws with xrand.Reduce (only a word Reduce cannot
+// settle writes the state back and calls IntnFrom, the tree's one Lemire
+// reduction), makes no Steer call, since Ideal ignores the objective below
+// capture and Steer is pure, and sums its draws, their clusters'
+// |C|(|C|-1), hand-offs and hops in locals, charged once at the end through
+// randnum.Tally.Add, which is linear in its counts. Every other step (at a
+// captured or malformed cluster, an isolated vertex or an ID past the
+// tables, and every step under any other generator: CommitReveal, a
+// counting or tracing wrapper) the loop takes in place out of line: it
+// writes the PCG state back, calls hop, which consults the Hijacker and
+// draws through the Generator interface with the steer objective, or coin
+// for the acceptance coin, and reloads the state. Either way a step makes
+// the same draws and charges; scripts/hop_calls.sh keeps those two calls
+// the loop's only ones.
 package walk
 
 import (
@@ -92,7 +92,7 @@ type Topology interface {
 	// not copied: View().Row(c) is (Size(c), Byz(c)) and
 	// View().Adjacent(c) is Adjacent(c) for every c. The tables are
 	// read-only and are invalidated by the next mutation of the topology;
-	// a walk segment reads one view.
+	// a walk reads one view.
 	View() View
 }
 
@@ -198,9 +198,12 @@ func (c Config) validate() error {
 type Walker struct {
 	cfg  Config
 	topo Topology
-	// ideal records that cfg.Gen is randnum.Ideal, whose walks Uniform
-	// and Biased first run on fusedWalk.
+	// ideal records that cfg.Gen is randnum.Ideal, whose draws below
+	// capture fusedWalk makes inline.
 	ideal bool
+	// view is the topology's tables for the walk in progress, which the
+	// out-of-line hop and coin read.
+	view View
 
 	// dur is the segment duration at durN clusters and durEdges overlay
 	// edges, the last counts a segment ran at; durN 0 means none yet.
@@ -281,14 +284,7 @@ func fillHoldTime() {
 // which is distributed ~uniformly over clusters once the duration exceeds
 // the mixing time. Used by OVER to draw edge endpoints.
 func (w *Walker) Uniform(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID) (Outcome, error) {
-	if w.ideal {
-		if out, ok := w.fused(led, r, start, false); ok {
-			return out, nil
-		}
-	}
-	out := Outcome{End: start}
-	err := w.segment(led, r, &out)
-	return out, err
+	return w.walk(led, r, start, false)
 }
 
 // Biased runs the paper's randCl: a sequence of CTRW segments with
@@ -296,39 +292,7 @@ func (w *Walker) Uniform(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID
 // ~|C|/n. The sequence is capped at MaxRestarts segments; if the cap is
 // hit the current endpoint is returned with Restarts == MaxRestarts.
 func (w *Walker) Biased(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID) (Outcome, error) {
-	if w.ideal {
-		if out, ok := w.fused(led, r, start, true); ok {
-			return out, nil
-		}
-	}
-	out := Outcome{End: start}
-	for out.Restarts = 0; out.Restarts < w.cfg.MaxRestarts; out.Restarts++ {
-		if err := w.segment(led, r, &out); err != nil {
-			return out, err
-		}
-		if out.Hijacked {
-			return out, nil
-		}
-		// Acceptance coin: the endpoint cluster draws a number in
-		// [0, maxSize) and accepts when it falls below its own size.
-		maxSize := w.topo.MaxClusterSize()
-		size := w.topo.Size(out.End)
-		var obj randnum.Objective
-		if w.cfg.Steer != nil {
-			w.acceptSize = int64(size)
-			w.acceptScore = w.cfg.Steer(out.End)
-			obj = w.acceptObj
-		}
-		v, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: w.topo.Byz(out.End), R: int64(maxSize)}, obj)
-		if err != nil {
-			return out, drawError(out.End, err)
-		}
-		out.WorstSecurity = max(out.WorstSecurity, sec)
-		if v < int64(size) {
-			return out, nil
-		}
-	}
-	return out, nil
+	return w.walk(led, r, start, true)
 }
 
 // duration returns a segment's duration, DurationFactor * log2(#C)^2 /
@@ -355,94 +319,117 @@ func (w *Walker) duration() (float64, error) {
 	return w.dur, nil
 }
 
-// fused runs a whole walk from start on fusedWalk, for the Ideal
-// generator: one segment for Uniform, randCl's segments and acceptance
-// coins for Biased. It reads the topology once, and charges the walk's
-// draws and hand-offs once. ok is false when the walk met anything
-// fusedWalk leaves to the general loop (see there), or the topology is one
-// a walk cannot leave its start on (a single cluster, no edges, a
-// non-positive max size); then r's state is as it was and nothing is
-// charged, so the caller reruns the walk from its start.
-func (w *Walker) fused(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID, biased bool) (Outcome, bool) {
+// walk runs a whole walk from start on fusedWalk: one segment for
+// Uniform, randCl's segments and acceptance coins for Biased. It reads the
+// topology once, and charges the inline draws and the hand-offs once, on
+// every return. The inline tables are the view's, cut to one length so a
+// hop checks its cluster once; they are empty, so that every cluster is
+// taken out of line, unless the generator is Ideal and every draw has a
+// range: a segment of positive duration and, with coins, a positive max
+// size.
+func (w *Walker) walk(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID, coin bool) (Outcome, error) {
 	dur, err := w.duration()
-	maxSize := w.topo.MaxClusterSize()
-	if err != nil || dur == 0 || maxSize <= 0 {
-		return Outcome{}, false
+	if err != nil {
+		return Outcome{End: start}, err
 	}
 	segs := 1
-	if biased {
+	if coin {
 		segs = w.cfg.MaxRestarts
 	}
-	// One bound for both tables, so a hop checks its cluster once.
-	view := w.topo.View()
-	n := min(len(view.Rows), len(view.Adj))
-	pcg := r.PCG()
-	hi, lo := pcg.State()
-	var s fusedSums
-	if !fusedWalk(r, view.Rows[:n], view.Adj[:n], dur, uint64(maxSize), segs, biased, start, &s) {
-		pcg.SetState(hi, lo)
-		return Outcome{}, false
+	maxSize := w.topo.MaxClusterSize()
+	w.view = w.topo.View()
+	var (
+		rows []Row
+		adj  [][]ids.ClusterID
+	)
+	if w.ideal && dur > 0 && (maxSize > 0 || !coin) {
+		n := min(len(w.view.Rows), len(w.view.Adj))
+		rows, adj = w.view.Rows[:n], w.view.Adj[:n]
 	}
+	var s walkSums
+	err = w.fusedWalk(led, r, rows, adj, dur, maxSize, segs, coin, start, &s)
 	var t randnum.Tally
 	t.Add(s.draws, s.pairs)
 	t.Charge(led)
-	led.ChargeRounds(metrics.ClassWalk, s.handoff, int64(s.hops))
-	return Outcome{End: s.end, Hops: s.hops, Restarts: s.restarts, WorstSecurity: s.worst}, true
+	led.ChargeRounds(metrics.ClassWalk, s.handoff, int64(s.out.Hops))
+	return s.out, err
 }
 
-// fusedSums is a fused walk's result: its endpoint, hops, restarts and
-// worst security level, and the sums its charge is made of.
-type fusedSums struct {
-	end            ids.ClusterID
-	hops, restarts int
-	worst          randnum.Security
-	draws, pairs   int64 // Ideal draws, and their clusters' |C|(|C|-1) summed
-	handoff        int64 // hand-off messages; each hop is one round
+// walkSums is a walk's outcome and the sums its charge is made of.
+type walkSums struct {
+	out          Outcome
+	draws, pairs int64 // inline draws, and their clusters' |C|(|C|-1) summed
+	handoff      int64 // hand-off messages; each hop is one round
 }
 
-// fusedWalk is a walk under the Ideal generator with no call on its
-// path: up to segs segments of duration dur from cur, each followed by
-// an acceptance coin against maxSize when coin is set, until a coin
-// accepts (one segment and no coin when coin is not set). It holds r's
-// PCG state in locals and draws each word with xrand.Next: the hold draw
-// is a mask of one word, the neighbour and acceptance draws reduce
-// theirs with xrand.Reduce, and only a word Reduce cannot settle writes
-// the state back and calls IntnFrom. These are the words Ideal.Draw
-// would take, since every draw is made at a cluster below capture with a
-// non-negative Byzantine count, where Draw is r.Intn(R). No Steer call
-// is made: Ideal ignores the objective below capture, and Steer is pure.
+// fusedWalk is the walk: up to segs segments of duration dur from cur,
+// each followed by an acceptance coin against maxSize when coin is set,
+// until a coin accepts (one segment and no coin when coin is not set).
 //
-// rows and adj are the view's tables cut to one length. It returns false,
-// leaving *s alone and r's state wherever it stopped, at the first
-// cluster that is captured or malformed, has no neighbour or lies past
-// the tables: such a walk runs on the general loop, which draws through
-// the Generator interface and consults the Hijacker.
-func fusedWalk(r *xrand.Rand, rows []Row, adj [][]ids.ClusterID, dur float64, maxSize uint64, segs int, coin bool, cur ids.ClusterID, s *fusedSums) bool {
+// At a cluster of the inline tables rows and adj that is below capture,
+// with a non-negative Byzantine count and a neighbour, it draws inline
+// with no call: it holds r's PCG state in locals and draws each word with
+// xrand.Next; the hold draw is a mask of one word, the neighbour and
+// acceptance draws reduce theirs with xrand.Reduce, and only a word Reduce
+// cannot settle writes the state back and calls IntnFrom. These are the
+// words Ideal.Draw would take, since there Draw is r.Intn(R). No Steer
+// call is made: Ideal ignores the objective below capture, and Steer is
+// pure. It counts these draws and their clusters' |C|(|C|-1) into *s,
+// for one randnum.Tally.Add, which is linear in its counts.
+//
+// At any other cluster (captured, malformed, isolated, or past the
+// tables, which is every cluster when the tables are empty) it writes the
+// PCG state back, takes the step out of line in hop, or the coin in coin,
+// which draw through Gen and charge their own draws, and reloads the
+// state. Either way the draws and the charges are those of the paper's
+// step. It returns the first draw error, which names its cluster, with
+// *s filled up to it.
+func (w *Walker) fusedWalk(led *metrics.Ledger, r *xrand.Rand, rows []Row, adj [][]ids.ClusterID, dur float64, maxSize, segs int, coin bool, cur ids.ClusterID, s *walkSums) (err error) {
 	pcg := r.PCG()
 	hi, lo := pcg.State()
 	n := len(rows)
 	var (
-		word           uint64
-		pairs, handoff int64
-		hops, restarts int
-		worst          randnum.Security
+		word                 uint64
+		pairs, handoff, ends int64 // ends: inline hold draws that ended a segment, and inline coins
+		hops, outHops        int   // outHops: hops taken out of line, whose draws hop charged
+		restarts             int
+		worst                randnum.Security
+		hijacked             bool
+		row                  Row
+		nbrs                 []ids.ClusterID
 	)
-	if uint(cur) >= uint(n) {
-		return false
+	if uint(cur) < uint(n) {
+		row, nbrs = rows[cur], adj[cur]
 	}
-	row, nbrs := rows[cur], adj[cur]
+walk:
 	for {
 		for remaining := dur; ; {
 			size, byz := int64(row.Size), int64(row.Byz)
-			if byz < 0 || 2*byz >= size {
-				return false // captured, or a composition Draw would reject
-			}
 			deg := uint64(len(nbrs))
-			if deg == 0 {
-				return false // isolated vertex
+			if byz < 0 || 2*byz >= size || deg == 0 {
+				pcg.SetState(hi, lo)
+				next, left, h, sec, hj, herr := w.hop(led, r, cur, remaining)
+				hi, lo = pcg.State()
+				worst = max(worst, sec)
+				if hijacked, err = hj, herr; hj || herr != nil {
+					cur = next
+					break walk
+				}
+				if left <= 0 {
+					break
+				}
+				handoff += h
+				hops++
+				outHops++
+				remaining = left
+				cur, row, nbrs = next, Row{}, nil
+				if uint(cur) < uint(n) {
+					row, nbrs = rows[cur], adj[cur]
+				}
+				continue
 			}
 			if 3*byz >= size {
-				worst = randnum.Degraded
+				worst = max(worst, randnum.Degraded)
 			}
 			// Holding time ~ Exp(deg), then the next hop, a uniform
 			// neighbour: two cluster-agreed draws.
@@ -450,6 +437,7 @@ func fusedWalk(r *xrand.Rand, rows []Row, adj [][]ids.ClusterID, dur float64, ma
 			hi, lo, word = xrand.Next(hi, lo)
 			pairs += pp
 			if remaining -= holdTime[word&(_holdGrid-1)] / float64(deg); remaining <= 0 {
+				ends++
 				break
 			}
 			hi, lo, word = xrand.Next(hi, lo)
@@ -462,7 +450,12 @@ func fusedWalk(r *xrand.Rand, rows []Row, adj [][]ids.ClusterID, dur float64, ma
 			}
 			next := nbrs[nv]
 			if uint(next) >= uint(n) {
-				return false
+				// Past the tables: the hand-off reads the view, and the
+				// zero row takes the next step out of line.
+				handoff += size * int64(w.view.Row(next).Size)
+				hops++
+				cur, row, nbrs = next, Row{}, nil
+				continue
 			}
 			nextRow := rows[next]
 			// Handoff: every member of cur messages every member of next;
@@ -474,114 +467,118 @@ func fusedWalk(r *xrand.Rand, rows []Row, adj [][]ids.ClusterID, dur float64, ma
 		if !coin {
 			break
 		}
-		// Acceptance coin at cur, which the segment's last hold draw found
-		// below capture: it draws a number in [0, maxSize) and accepts
-		// when it falls below its own size.
-		size := int64(row.Size)
-		hi, lo, word = xrand.Next(hi, lo)
-		pairs += size * (size - 1)
-		v, ok := xrand.Reduce(word, maxSize)
-		if !ok {
-			pcg.SetState(hi, lo)
-			v = r.IntnFrom(word, maxSize)
+		// Acceptance coin at cur: it draws a number in [0, maxSize) and
+		// accepts when it falls below its own size.
+		size, byz := int64(row.Size), int64(row.Byz)
+		if byz < 0 || 2*byz >= size {
+			// No write-back: a segment that ends at such a cluster ended
+			// in hop, whose reload left r's state and the locals equal.
+			accept, sec, cerr := w.coin(led, r, cur, maxSize)
 			hi, lo = pcg.State()
-		}
-		if v < uint64(size) {
-			break
+			worst = max(worst, sec)
+			if err = cerr; err != nil || accept {
+				break
+			}
+		} else {
+			if 3*byz >= size {
+				worst = max(worst, randnum.Degraded)
+			}
+			hi, lo, word = xrand.Next(hi, lo)
+			pairs += size * (size - 1)
+			ends++
+			v, ok := xrand.Reduce(word, uint64(maxSize))
+			if !ok {
+				pcg.SetState(hi, lo)
+				v = r.IntnFrom(word, uint64(maxSize))
+				hi, lo = pcg.State()
+			}
+			if v < uint64(size) {
+				break
+			}
 		}
 		if restarts++; restarts == segs {
 			break
 		}
 	}
 	pcg.SetState(hi, lo)
-	// Each segment drew twice a hop, once more for the hold time that
-	// ended it, and once for its coin.
-	segments := int64(min(restarts+1, segs))
-	draws := 2*int64(hops) + segments
-	if coin {
-		draws += segments
+	*s = walkSums{
+		out:     Outcome{End: cur, Hops: hops, Restarts: restarts, Hijacked: hijacked, WorstSecurity: worst},
+		draws:   2*int64(hops-outHops) + ends,
+		pairs:   pairs,
+		handoff: handoff,
 	}
-	*s = fusedSums{end: cur, hops: hops, restarts: restarts, worst: worst, draws: draws, pairs: pairs, handoff: handoff}
-	return true
+	return err
 }
 
-// segment advances one CTRW from out.End, updating out in place, on the
-// general loop: every draw goes through Gen with the steer objective, and
-// a captured cluster consults the Hijacker. The hops' hand-offs are
-// summed in locals and charged once, by charge, on every return.
-func (w *Walker) segment(led *metrics.Ledger, r *xrand.Rand, out *Outcome) error {
-	remaining, err := w.duration()
-	if err != nil || remaining == 0 {
-		return err
+// hop is one step of the walk at cur taken out of line, as the paper
+// states it: a captured cluster may hand the token to the Hijacker, then
+// cur's members draw the holding time and, while the segment lasts, the
+// next neighbour, through Gen with the steer objective; Gen charges both
+// draws. It returns the cluster the walk moved to, the segment's time left
+// and the hand-off messages of the move. A left that is not positive
+// means the segment ended at cur: its time ran out, or cur has no
+// neighbour. hijacked means the walk ended at next, the Hijacker's
+// target. sec is the weakest level the draws were made at, and err names
+// cur.
+//
+//go:noinline
+func (w *Walker) hop(led *metrics.Ledger, r *xrand.Rand, cur ids.ClusterID, remaining float64) (next ids.ClusterID, left float64, handoff int64, sec randnum.Security, hijacked bool, err error) {
+	if remaining <= 0 {
+		return cur, remaining, 0, randnum.Secure, false, nil
 	}
-	// Nothing a walk does mutates the topology, so one view serves the
-	// whole segment, and the current cluster's row and adjacency travel
-	// with the walk: each hop fetches them once, for the cluster it moves
-	// to.
-	view := w.topo.View()
-	cur := out.End
+	view := w.view
 	row, adj := view.Row(cur), view.Adjacent(cur)
-	var (
-		handoff int64 // hand-off messages; each hop is one round
-		hops    int
-		worst   = out.WorstSecurity
-	)
-	for remaining > 0 {
-		size, byz := int(row.Size), int(row.Byz)
-		if w.cfg.Hijack != nil && randnum.Classify(size, byz) == randnum.Captured {
-			if target, ok := w.cfg.Hijack.Redirect(r, cur); ok {
-				charge(led, out, handoff, hops, randnum.Captured)
-				out.End = target
-				out.Hijacked = true
-				return nil
-			}
+	size, byz := int(row.Size), int(row.Byz)
+	if w.cfg.Hijack != nil && randnum.Classify(size, byz) == randnum.Captured {
+		if target, ok := w.cfg.Hijack.Redirect(r, cur); ok {
+			return target, 0, 0, randnum.Captured, true, nil
 		}
-		deg := len(adj)
-		if deg == 0 {
-			break // isolated vertex: the walk cannot move
-		}
-		// Holding time ~ Exp(deg), then the next hop, a uniform neighbour:
-		// two cluster-agreed draws.
-		hv, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: _holdGrid}, nil)
-		if err != nil {
-			charge(led, out, handoff, hops, worst)
-			return drawError(cur, err)
-		}
-		worst = max(worst, sec)
-		if remaining -= holdTime[hv] / float64(deg); remaining <= 0 {
-			break
-		}
-		var obj randnum.Objective
-		if w.cfg.Steer != nil {
-			w.hopAdj = adj
-			obj = w.hopObj
-		}
-		nv, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: int64(deg)}, obj)
-		if err != nil {
-			charge(led, out, handoff, hops, worst)
-			return drawError(cur, err)
-		}
-		worst = max(worst, sec)
-		next := adj[nv]
-		nextRow := view.Row(next)
-		// Handoff: every member of cur messages every member of next; next
-		// accepts on >1/2 identical copies.
-		handoff += int64(size) * int64(nextRow.Size)
-		hops++
-		cur, row, adj = next, nextRow, view.Adjacent(next)
 	}
-	charge(led, out, handoff, hops, worst)
-	out.End = cur
-	return nil
+	deg := len(adj)
+	if deg == 0 {
+		return cur, 0, 0, randnum.Secure, false, nil
+	}
+	hv, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: _holdGrid}, nil)
+	if err != nil {
+		return cur, 0, 0, randnum.Secure, false, drawError(cur, err)
+	}
+	if remaining -= holdTime[hv] / float64(deg); remaining <= 0 {
+		return cur, remaining, 0, sec, false, nil
+	}
+	var obj randnum.Objective
+	if w.cfg.Steer != nil {
+		w.hopAdj = adj
+		obj = w.hopObj
+	}
+	nv, nsec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: byz, R: int64(deg)}, obj)
+	if err != nil {
+		return cur, 0, 0, sec, false, drawError(cur, err)
+	}
+	next = adj[nv]
+	// Handoff: every member of cur messages every member of next; next
+	// accepts on >1/2 identical copies.
+	return next, remaining, int64(size) * int64(view.Row(next).Size), max(sec, nsec), false, nil
 }
 
-// charge ends a segment of the general loop: it charges led with its
-// hops' hand-offs (one round each), and records the hops and the worst
-// security level in out.
-func charge(led *metrics.Ledger, out *Outcome, handoff int64, hops int, worst randnum.Security) {
-	led.ChargeRounds(metrics.ClassWalk, handoff, int64(hops))
-	out.Hops += hops
-	out.WorstSecurity = worst
+// coin is the acceptance coin at c taken out of line: c's members draw a
+// number in [0, maxSize) through Gen, which charges it, with the steer
+// objective, and accept when it falls below |c|. err names c.
+//
+//go:noinline
+func (w *Walker) coin(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID, maxSize int) (accept bool, sec randnum.Security, err error) {
+	row := w.view.Row(c)
+	size := int(row.Size)
+	var obj randnum.Objective
+	if w.cfg.Steer != nil {
+		w.acceptSize = int64(size)
+		w.acceptScore = w.cfg.Steer(c)
+		obj = w.acceptObj
+	}
+	v, sec, err := w.cfg.Gen.Draw(led, r, randnum.Params{Size: size, Byz: int(row.Byz), R: int64(maxSize)}, obj)
+	if err != nil {
+		return false, randnum.Secure, drawError(c, err)
+	}
+	return v < int64(size), sec, nil
 }
 
 // drawError names the cluster whose draw failed, with the wrapping of a

@@ -20,6 +20,9 @@ type fakeTopo struct {
 	sizes map[ids.ClusterID]int
 	byz   map[ids.ClusterID]int
 	maxSz int
+	// adjLen, when positive, cuts View's adjacency table to that length,
+	// so the clusters past it have a row but no neighbour in the view.
+	adjLen int
 }
 
 func newFakeTopo(t *testing.T, n int, degree int, seed uint64) *fakeTopo {
@@ -68,6 +71,9 @@ func (f *fakeTopo) View() View {
 		c := ids.ClusterID(i)
 		v.Rows[i] = Row{Size: int32(f.Size(c)), Byz: int32(f.Byz(c))}
 		v.Adj[i] = f.Adjacent(c)
+	}
+	if f.adjLen > 0 {
+		v.Adj = v.Adj[:f.adjLen]
 	}
 	return v
 }
@@ -249,25 +255,35 @@ func TestWalkHopsScale(t *testing.T) {
 	}
 }
 
+// TestSingleClusterWalkStaysPut: on a one-cluster overlay a segment has
+// no duration, so a walk neither moves nor consults the Hijacker, even
+// at a captured cluster; randCl still draws its coins there.
 func TestSingleClusterWalkStaysPut(t *testing.T) {
-	topo := &fakeTopo{
-		g:     graph.New[ids.ClusterID](),
-		sizes: map[ids.ClusterID]int{7: 5},
-		byz:   map[ids.ClusterID]int{},
-		maxSz: 5,
-	}
-	topo.g.AddVertex(7)
-	w, err := NewWalker(defaultCfg(), topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var led metrics.Ledger
-	out, err := w.Biased(&led, xrand.New(11), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.End != 7 || out.Hops != 0 {
-		t.Errorf("single-cluster walk moved: %+v", out)
+	for _, byz := range []int{0, 3} {
+		topo := &fakeTopo{
+			g:     graph.New[ids.ClusterID](),
+			sizes: map[ids.ClusterID]int{7: 5},
+			byz:   map[ids.ClusterID]int{7: byz},
+			maxSz: 5,
+		}
+		topo.g.AddVertex(7)
+		cfg := defaultCfg()
+		cfg.Hijack = fixedHijacker{target: 9}
+		w, err := NewWalker(cfg, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var led metrics.Ledger
+		out, err := w.Biased(&led, xrand.New(11), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.End != 7 || out.Hops != 0 || out.Hijacked {
+			t.Errorf("byz=%d: single-cluster walk moved: %+v", byz, out)
+		}
+		if led.MessagesBy(metrics.ClassRandNum) == 0 {
+			t.Errorf("byz=%d: no acceptance coin charged", byz)
+		}
 	}
 }
 
@@ -305,77 +321,112 @@ func TestHijackFromCapturedCluster(t *testing.T) {
 type interfaceGen struct{ randnum.Generator }
 
 // TestFusedHopChargesOnEveryExit: a walk's draws and hand-offs reach the
-// ledger on each of its exits, and a fused walk that falls back leaves no
-// trace. Biased walks under the default restart cap and a cap of 1, and
-// uniform walks, that end, that are hijacked at a captured cluster and
-// whose draw fails at an empty cluster leave the same outcome, error,
-// ledger and next stream word under Ideal's fused walk as through the
-// interface, including after hops at degraded clusters. Both the fused
-// loop's own exits and its fallbacks (a captured or empty cluster, met at
-// the start or mid-walk) are taken.
+// ledger on each of its exits, whether its draws were made inline or out
+// of line. Biased walks under the default restart cap and a cap of 1, and
+// uniform walks, with and without a hijacker, leave the same outcome,
+// error, ledger and next stream word under Ideal, which draws inline
+// wherever it can, as through the interface, which takes every step out
+// of line. The topologies take every exit and every out-of-line step:
+//   - from every start of a graph with a captured, an empty and a degraded
+//     cluster, walks end, are hijacked, and fail at the empty cluster
+//     after hops at degraded clusters; without a hijacker, some Ideal
+//     walks draw at the captured cluster in place and go on, and some
+//     never leave the inline path;
+//   - where every cluster is degraded but one captured, walks that drew at
+//     the captured cluster go on to draw inline, coins included, at
+//     degraded ones;
+//   - where the view's adjacency table is shorter than its rows, walks
+//     hop inline into clusters that have a row but no neighbour there;
+//   - from an isolated vertex, secure and degraded, a segment ends where
+//     it starts, and its coin is drawn inline;
+//   - from an ID past the tables, the walk's coin fails there;
+//   - under a max size of 0, every coin fails.
 func TestFusedHopChargesOnEveryExit(t *testing.T) {
-	topo := newFakeTopo(t, 40, 4, 5)
-	topo.byz[7] = 5    // captured: a walk is hijacked there when a hijacker is installed
-	topo.sizes[13] = 0 // a draw there fails, unless the hijacker takes the walk first
-	topo.byz[21] = 4   // degraded
 	type result struct {
 		out  Outcome
 		msg  string
 		led  metrics.Ledger
 		next uint64 // the stream's next word after the walk
 	}
-	var fusedRan, fellBack int
-	run := func(gen randnum.Generator, hijack Hijacker, restarts int, biased bool, start ids.ClusterID) result {
-		cfg := defaultCfg()
-		cfg.Gen = gen
-		cfg.Hijack = hijack
-		cfg.MaxRestarts = restarts
-		w, err := NewWalker(cfg, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := uint64(start) + 100
-		if w.ideal {
-			var probe metrics.Ledger
-			if _, ok := w.fused(&probe, xrand.New(seed), start, biased); ok {
-				fusedRan++
-			} else {
-				fellBack++
-			}
-		}
-		var res result
-		r := xrand.New(seed)
-		if biased {
-			res.out, err = w.Biased(&res.led, r, start)
-		} else {
-			res.out, err = w.Uniform(&res.led, r, start)
-		}
-		if err != nil {
-			res.msg = err.Error()
-		}
-		res.next = r.Uint64()
-		return res
+	all := make([]ids.ClusterID, 40)
+	for i := range all {
+		all[i] = ids.ClusterID(i)
 	}
-	var hijacked, failed, ended int
-	for _, hijack := range []Hijacker{nil, fixedHijacker{target: 2}} {
-		for _, walk := range []struct {
-			restarts int
-			biased   bool
-		}{{32, true}, {1, true}, {32, false}} {
-			for start := ids.ClusterID(0); start < 40; start++ {
-				fused := run(randnum.Ideal{}, hijack, walk.restarts, walk.biased, start)
-				viaInterface := run(interfaceGen{randnum.Ideal{}}, hijack, walk.restarts, walk.biased, start)
-				if fused != viaInterface {
-					t.Fatalf("walk %+v from %v: fused %+v, interface %+v", walk, start, fused, viaInterface)
-				}
-				switch out := fused.out; {
-				case out.Hops == 0:
-				case fused.msg != "":
-					failed++
-				case out.Hijacked:
-					hijacked++
-				default:
-					ended++
+	var hijacked, failed, ended, inPlace, inline int
+	for _, tc := range []struct {
+		name   string
+		edit   func(*fakeTopo)
+		starts []ids.ClusterID
+	}{
+		{"captured, empty and degraded clusters", func(f *fakeTopo) {
+			f.byz[7] = 5    // captured: a walk is hijacked there when a hijacker is installed
+			f.sizes[13] = 0 // a draw there fails, unless the hijacker takes the walk first
+			f.byz[21] = 4   // degraded
+		}, all},
+		{"degraded everywhere, one captured", func(f *fakeTopo) {
+			for c := range ids.ClusterID(40) {
+				f.byz[c] = 4
+			}
+			f.byz[7] = 5
+		}, all},
+		{"rows past the adjacency table", func(f *fakeTopo) { f.adjLen = 20 }, all},
+		{"isolated vertex", func(f *fakeTopo) { f.g.AddVertex(40); f.sizes[40] = 10 }, []ids.ClusterID{40}},
+		{"degraded isolated vertex", func(f *fakeTopo) { f.g.AddVertex(40); f.sizes[40] = 10; f.byz[40] = 4 }, []ids.ClusterID{40}},
+		{"past the tables", func(*fakeTopo) {}, []ids.ClusterID{1000}},
+		{"max size 0", func(f *fakeTopo) { f.maxSz = 0 }, []ids.ClusterID{3}},
+	} {
+		topo := newFakeTopo(t, 40, 4, 5)
+		tc.edit(topo)
+		run := func(gen randnum.Generator, hijack Hijacker, restarts int, biased bool, start ids.ClusterID) result {
+			cfg := defaultCfg()
+			cfg.Gen = gen
+			cfg.Hijack = hijack
+			cfg.MaxRestarts = restarts
+			w, err := NewWalker(cfg, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res result
+			r := xrand.New(uint64(start) + 100)
+			if biased {
+				res.out, err = w.Biased(&res.led, r, start)
+			} else {
+				res.out, err = w.Uniform(&res.led, r, start)
+			}
+			if err != nil {
+				res.msg = err.Error()
+			}
+			res.next = r.Uint64()
+			return res
+		}
+		for _, hijack := range []Hijacker{nil, fixedHijacker{target: 2}} {
+			for _, walk := range []struct {
+				restarts int
+				biased   bool
+			}{{32, true}, {1, true}, {32, false}} {
+				for _, start := range tc.starts {
+					fused := run(randnum.Ideal{}, hijack, walk.restarts, walk.biased, start)
+					viaInterface := run(interfaceGen{randnum.Ideal{}}, hijack, walk.restarts, walk.biased, start)
+					if fused != viaInterface {
+						t.Fatalf("%s: walk %+v from %v: fused %+v, interface %+v", tc.name, walk, start, fused, viaInterface)
+					}
+					if len(tc.starts) == 1 {
+						continue
+					}
+					switch out := fused.out; {
+					case out.Hops == 0:
+					case fused.msg != "":
+						failed++
+					case out.Hijacked:
+						hijacked++
+					default:
+						ended++
+						if hijack == nil && out.WorstSecurity == randnum.Captured {
+							inPlace++
+						} else if out.WorstSecurity < randnum.Captured {
+							inline++
+						}
+					}
 				}
 			}
 		}
@@ -383,16 +434,16 @@ func TestFusedHopChargesOnEveryExit(t *testing.T) {
 	if hijacked == 0 || failed == 0 || ended == 0 {
 		t.Errorf("after at least one hop: %d walks hijacked, %d failed, %d ended; every exit must be taken", hijacked, failed, ended)
 	}
-	if fusedRan == 0 || fellBack == 0 {
-		t.Errorf("%d walks ran fused and %d fell back; both must happen", fusedRan, fellBack)
+	if inPlace == 0 || inline == 0 {
+		t.Errorf("%d walks drew at the captured cluster in place and %d never left the inline path; both must happen", inPlace, inline)
 	}
 }
 
-// TestFusedFallbackMatchesInterface: the walks the fused loop declines
-// outside a captured cluster, from an isolated vertex, from an ID past the
-// tables and under a non-positive max size, fall back without a trace:
-// biased and uniform, they leave the outcome, error, ledger and next
-// stream word the interface path leaves.
+// TestFusedFallbackMatchesInterface: the walks an earlier fused loop
+// declined, from an isolated vertex, from an ID past the tables and under
+// a max size of 0, are now run by the inline loop under Ideal and leave
+// no trace of it: biased and uniform, they leave the outcome, error,
+// ledger and next stream word the interface path leaves.
 func TestFusedFallbackMatchesInterface(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -404,7 +455,7 @@ func TestFusedFallbackMatchesInterface(t *testing.T) {
 		{"max size 0", 3, func(f *fakeTopo) { f.maxSz = 0 }},
 	} {
 		for _, biased := range []bool{true, false} {
-			run := func(gen randnum.Generator) (Outcome, string, metrics.Ledger, uint64) {
+			run := func(gen randnum.Generator, wantIdeal bool) (Outcome, string, metrics.Ledger, uint64) {
 				topo := newFakeTopo(t, 40, 4, 41)
 				tc.edit(topo)
 				cfg := defaultCfg()
@@ -413,11 +464,8 @@ func TestFusedFallbackMatchesInterface(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if w.ideal {
-					var probe metrics.Ledger
-					if _, ok := w.fused(&probe, xrand.New(42), tc.start, biased); ok {
-						t.Errorf("%s: the fused loop ran the walk", tc.name)
-					}
+				if w.ideal != wantIdeal {
+					t.Fatalf("%s: walker built on %T has ideal = %v", tc.name, gen, w.ideal)
 				}
 				var led metrics.Ledger
 				r := xrand.New(42)
@@ -432,8 +480,8 @@ func TestFusedFallbackMatchesInterface(t *testing.T) {
 				}
 				return out, msg, led, r.Uint64()
 			}
-			out, msg, led, next := run(randnum.Ideal{})
-			iOut, iMsg, iLed, iNext := run(interfaceGen{randnum.Ideal{}})
+			out, msg, led, next := run(randnum.Ideal{}, true)
+			iOut, iMsg, iLed, iNext := run(interfaceGen{randnum.Ideal{}}, false)
 			if out != iOut || msg != iMsg || led != iLed || next != iNext {
 				t.Errorf("%s, biased=%v: fused %+v %q %+v %#x, interface %+v %q %+v %#x", tc.name, biased, out, msg, led, next, iOut, iMsg, iLed, iNext)
 			}
@@ -456,7 +504,7 @@ func pcgStateBefore(hi, lo uint64) (uint64, uint64) {
 	return new(big.Int).Rsh(s, 64).Uint64(), new(big.Int).And(s, mask).Uint64()
 }
 
-// TestFusedRejectionRedraws drives the fused loop into Reduce's rejection
+// TestFusedRejectionRedraws drives the walk loop into Reduce's rejection
 // paths: the stream is set so that a walk's second draw takes word 0,
 // which Lemire's reduction rejects for a range that is not a power of
 // two, so the loop writes its PCG state back and IntnFrom redraws. At
@@ -464,9 +512,9 @@ func pcgStateBefore(hi, lo uint64) (uint64, uint64) {
 // a duration factor so small that the first hold time ends the segment it
 // is the first acceptance coin (max size 10). With every neighbour of the
 // start captured, the redrawn hop lands on a captured cluster, so the
-// fused walk falls back after its state was written back, and only the
-// restore in fused puts the stream where the general loop must start.
-// Each walk must match the interface path's, next stream word included.
+// loop's next step, out of line, starts right after IntnFrom's write-back
+// and the reload that follows it. Each walk must match the interface
+// path's, next stream word included.
 func TestFusedRejectionRedraws(t *testing.T) {
 	start := ids.ClusterID(0)
 	// A state of high word 0 draws word 0; the first draw takes the word
@@ -503,13 +551,6 @@ func TestFusedRejectionRedraws(t *testing.T) {
 					t.Fatal(err)
 				}
 				r := xrand.New(0)
-				if w.ideal {
-					r.PCG().SetState(hi0, lo0)
-					var probe metrics.Ledger
-					if _, ok := w.fused(&probe, r, start, biased); ok == tc.capture {
-						t.Fatalf("%s, biased=%v: fused walk ok = %v", tc.name, biased, ok)
-					}
-				}
 				r.PCG().SetState(hi0, lo0)
 				var led metrics.Ledger
 				walk := w.Uniform

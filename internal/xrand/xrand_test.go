@@ -426,7 +426,7 @@ func equalState(p *PCG, hi, lo uint64) bool {
 	return phi == hi && plo == lo
 }
 
-// TestReduceMatchesIntnFrom pins the inline reduction a fused loop runs
+// TestReduceMatchesIntnFrom pins the inline reduction the walk loop runs
 // to IntnFrom: wherever Reduce settles a word, IntnFrom returns the same
 // value and draws nothing more from the stream; Reduce declines exactly
 // the words whose Lemire low product falls below n, never for a power of

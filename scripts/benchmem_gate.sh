@@ -23,13 +23,13 @@ go test -run '^$' -bench 'BenchmarkExecBatchExchange|BenchmarkExecBatchHookedExc
 	-benchmem -benchtime 50x ./internal/core/ | tee -a "$out"
 
 # randCl and the exchange primitive read the world's tables in place: a
-# walk takes one Topology.View (the general loop one a segment: the row
-# table and the overlay's ClusterID-indexed adjacency, not copied), a
+# walk takes one Topology.View (the row table and the overlay's
+# ClusterID-indexed adjacency, not copied), a
 # neighbour-mass charge reads the mass the overlay keeps, and a swap
 # rewrites three member slots where they stand, so a copy per hop, per
 # segment, per charge or per swap shows up here as allocs/op > 0. Both
-# randCl variants, /fused (Ideal walks on the fused loop) and /interface
-# (every draw through Generator.Draw), sit under
+# randCl variants, /fused (Ideal steps below capture taken inline) and
+# /interface (every step out of line, through Generator.Draw), sit under
 # the one BenchmarkRandClWalk floor. Every BenchmarkExchangePrimitive
 # size, N=262144 (the churn_large shape, walks running between swaps on
 # one world) included, sits under the one BenchmarkExchangePrimitive
