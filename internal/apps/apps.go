@@ -24,21 +24,24 @@ import (
 )
 
 // World is the read view the applications need; core.World implements it.
+// Each protocol reads one walk.Topology view, since none mutates the world.
 type World interface {
 	walk.Topology
+	// MemberAt returns the i-th member of c, 0 <= i < View().Row(c).Size.
+	MemberAt(c ids.ClusterID, i int) ids.NodeID
 	Clusters() []ids.ClusterID
 	NumNodes() int
 }
 
 // bfsTree computes parent pointers of a BFS spanning tree of the overlay
-// rooted at root, using only Adjacent. Returns the visit order.
-func bfsTree(w World, root ids.ClusterID) (order []ids.ClusterID, parent map[ids.ClusterID]ids.ClusterID) {
+// rooted at root. Returns the visit order.
+func bfsTree(view walk.View, root ids.ClusterID) (order []ids.ClusterID, parent map[ids.ClusterID]ids.ClusterID) {
 	parent = make(map[ids.ClusterID]ids.ClusterID)
 	parent[root] = root
 	order = append(order, root)
 	for i := 0; i < len(order); i++ {
 		c := order[i]
-		for _, nb := range w.Adjacent(c) {
+		for _, nb := range view.Adjacent(c) {
 			if _, seen := parent[nb]; !seen {
 				parent[nb] = c
 				order = append(order, nb)
@@ -50,8 +53,8 @@ func bfsTree(w World, root ids.ClusterID) (order []ids.ClusterID, parent map[ids
 
 // interClusterCost is the paper's bipartite cost of one cluster-to-cluster
 // message.
-func interClusterCost(w World, a, b ids.ClusterID) int64 {
-	return int64(w.Size(a)) * int64(w.Size(b))
+func interClusterCost(view walk.View, a, b ids.ClusterID) int64 {
+	return int64(view.Row(a).Size) * int64(view.Row(b).Size)
 }
 
 // BroadcastReport summarizes one clustered broadcast.
@@ -78,25 +81,27 @@ type BroadcastReport struct {
 // BFS spanning tree of the overlay, each tree edge paying the bipartite
 // inter-cluster cost and each receiving cluster relaying internally.
 func Broadcast(led *metrics.Ledger, w World, source ids.ClusterID) (BroadcastReport, error) {
-	if w.Size(source) == 0 {
+	view := w.View()
+	if view.Row(source).Size == 0 {
 		return BroadcastReport{}, fmt.Errorf("apps: broadcast from empty cluster %v", source)
 	}
 	rep := BroadcastReport{Source: source}
-	order, parent := bfsTree(w, source)
+	order, parent := bfsTree(view, source)
 	maxDepth := map[ids.ClusterID]int64{source: 0}
 	for _, c := range order {
+		row := view.Row(c)
 		rep.ClustersReached++
-		rep.NodesReached += w.Size(c)
-		if randnum.Classify(w.Size(c), w.Byz(c)) != randnum.Secure {
+		rep.NodesReached += int(row.Size)
+		if randnum.Classify(int(row.Size), int(row.Byz)) != randnum.Secure {
 			rep.TaintedClusters++
 		}
 		// Intra-cluster relay: every member tells every member.
-		intra := int64(w.Size(c)) * int64(w.Size(c)-1)
+		intra := int64(row.Size) * int64(row.Size-1)
 		led.Charge(metrics.ClassApplication, intra)
 		rep.Messages += intra
 		if c != source {
 			p := parent[c]
-			cost := interClusterCost(w, p, c)
+			cost := interClusterCost(view, p, c)
 			led.Charge(metrics.ClassApplication, cost)
 			rep.Messages += cost
 			maxDepth[c] = maxDepth[p] + 1
@@ -129,18 +134,16 @@ type SampleReport struct {
 // randNum, the paper's polylog-per-sample sampling service.
 type Sampler struct {
 	world  World
-	member func(c ids.ClusterID, i int) ids.NodeID
 	walker *walk.Walker
 	gen    randnum.Generator
 }
 
-// NewSampler builds a sampler. member resolves the i-th member of a
-// cluster (core.World.MemberAt).
-func NewSampler(w World, walker *walk.Walker, gen randnum.Generator, member func(ids.ClusterID, int) ids.NodeID) (*Sampler, error) {
-	if w == nil || walker == nil || gen == nil || member == nil {
+// NewSampler builds a sampler.
+func NewSampler(w World, walker *walk.Walker, gen randnum.Generator) (*Sampler, error) {
+	if w == nil || walker == nil || gen == nil {
 		return nil, fmt.Errorf("apps: nil sampler dependency")
 	}
-	return &Sampler{world: w, member: member, walker: walker, gen: gen}, nil
+	return &Sampler{world: w, walker: walker, gen: gen}, nil
 }
 
 // Sample draws one ~uniform node starting from the given contact cluster.
@@ -150,10 +153,11 @@ func (s *Sampler) Sample(led *metrics.Ledger, r *xrand.Rand, contact ids.Cluster
 	if err != nil {
 		return SampleReport{}, err
 	}
+	row := s.world.View().Row(out.End)
 	idx, sec, err := s.gen.Draw(led, r, randnum.Params{
-		Size: s.world.Size(out.End),
-		Byz:  s.world.Byz(out.End),
-		R:    int64(s.world.Size(out.End)),
+		Size: int(row.Size),
+		Byz:  int(row.Byz),
+		R:    int64(row.Size),
 	}, nil)
 	if err != nil {
 		return SampleReport{}, err
@@ -163,7 +167,7 @@ func (s *Sampler) Sample(led *metrics.Ledger, r *xrand.Rand, contact ids.Cluster
 	}
 	cost := led.Since(snap)
 	return SampleReport{
-		Node:     s.member(out.End, int(idx)),
+		Node:     s.world.MemberAt(out.End, int(idx)),
 		Cluster:  out.End,
 		Messages: cost.Messages,
 		Rounds:   cost.Rounds,
@@ -187,24 +191,26 @@ type AggregateReport struct {
 // each cluster adding its own members' contributions; every tree edge
 // pays the bipartite cost.
 func Aggregate(led *metrics.Ledger, w World, root ids.ClusterID, value func(c ids.ClusterID, i int) int64) (AggregateReport, error) {
-	if w.Size(root) == 0 {
+	view := w.View()
+	if view.Row(root).Size == 0 {
 		return AggregateReport{}, fmt.Errorf("apps: aggregate at empty cluster %v", root)
 	}
 	rep := AggregateReport{}
-	order, parent := bfsTree(w, root)
+	order, parent := bfsTree(view, root)
 	partial := make(map[ids.ClusterID]int64, len(order))
 	for _, c := range order {
+		row := view.Row(c)
 		var own int64
-		for i := 0; i < w.Size(c); i++ {
+		for i := 0; i < int(row.Size); i++ {
 			own += value(c, i)
 		}
 		partial[c] += own
 		rep.Exact += own
-		if randnum.Classify(w.Size(c), w.Byz(c)) != randnum.Secure {
+		if randnum.Classify(int(row.Size), int(row.Byz)) != randnum.Secure {
 			rep.TaintedClusters++
 		}
 		// Intra-cluster agreement on the partial sum.
-		intra := int64(w.Size(c)) * int64(w.Size(c)-1)
+		intra := int64(row.Size) * int64(row.Size-1)
 		led.Charge(metrics.ClassApplication, intra)
 		rep.Messages += intra
 	}
@@ -213,7 +219,7 @@ func Aggregate(led *metrics.Ledger, w World, root ids.ClusterID, value func(c id
 	for i := len(order) - 1; i >= 1; i-- {
 		c := order[i]
 		p := parent[c]
-		cost := interClusterCost(w, c, p)
+		cost := interClusterCost(view, c, p)
 		led.Charge(metrics.ClassApplication, cost)
 		rep.Messages += cost
 		partial[p] += partial[c]
@@ -248,7 +254,8 @@ type AgreementReport struct {
 // decision is broadcast back — the "reduce the system to several reliable
 // processes" pattern from the paper's introduction.
 func Agree(led *metrics.Ledger, w World, root ids.ClusterID, proposal func(c ids.ClusterID) int64) (AgreementReport, error) {
-	if w.Size(root) == 0 {
+	row := w.View().Row(root)
+	if row.Size == 0 {
 		return AgreementReport{}, fmt.Errorf("apps: agreement at empty cluster %v", root)
 	}
 	rep := AgreementReport{}
@@ -270,8 +277,8 @@ func Agree(led *metrics.Ledger, w World, root ids.ClusterID, proposal func(c ids
 	}
 
 	// Root cluster decides internally.
-	rep.RootSecure = 3*w.Byz(root) < w.Size(root)
-	led.Charge(metrics.ClassAgreement, int64(w.Size(root))*int64(w.Size(root)-1))
+	rep.RootSecure = 3*row.Byz < row.Size
+	led.Charge(metrics.ClassAgreement, int64(row.Size)*int64(row.Size-1))
 	led.AddRounds(3)
 
 	// Broadcast the decision.

@@ -73,7 +73,7 @@ func TestBroadcastEmptySourceFails(t *testing.T) {
 
 func TestSamplerUniformity(t *testing.T) {
 	w := world(t, 300, 0)
-	s, err := apps.NewSampler(w, w.Walker(), w.Generator(), w.MemberAt)
+	s, err := apps.NewSampler(w, w.Walker(), w.Generator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSamplerUniformity(t *testing.T) {
 
 func TestSamplerCostPolylog(t *testing.T) {
 	w := world(t, 500, 0)
-	s, err := apps.NewSampler(w, w.Walker(), w.Generator(), w.MemberAt)
+	s, err := apps.NewSampler(w, w.Walker(), w.Generator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +139,14 @@ func TestSamplerCostPolylog(t *testing.T) {
 
 func TestSamplerValidation(t *testing.T) {
 	w := world(t, 300, 0)
-	if _, err := apps.NewSampler(nil, w.Walker(), w.Generator(), w.MemberAt); err == nil {
+	if _, err := apps.NewSampler(nil, w.Walker(), w.Generator()); err == nil {
 		t.Error("nil world accepted")
 	}
-	if _, err := apps.NewSampler(w, nil, w.Generator(), w.MemberAt); err == nil {
+	if _, err := apps.NewSampler(w, nil, w.Generator()); err == nil {
 		t.Error("nil walker accepted")
 	}
-	if _, err := apps.NewSampler(w, w.Walker(), nil, w.MemberAt); err == nil {
+	if _, err := apps.NewSampler(w, w.Walker(), nil); err == nil {
 		t.Error("nil generator accepted")
-	}
-	if _, err := apps.NewSampler(w, w.Walker(), w.Generator(), nil); err == nil {
-		t.Error("nil member resolver accepted")
 	}
 }
 

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"nowover/internal/ids"
-	"nowover/internal/walk"
 	"nowover/internal/xrand"
 )
 
@@ -307,116 +305,5 @@ func TestLedgerMonotone(t *testing.T) {
 			t.Fatalf("ledger did not grow: %d -> %d", prev, cur)
 		}
 		prev = cur
-	}
-}
-
-// TestWalkTopologyViewConsistency: the world's walk.Topology view agrees
-// with its membership bookkeeping at all times, and its flat View agrees
-// with Size, Byz and Adjacent. After bootstrap and after every few ops of
-// a square-wave churn (grow towards the 512-node cap, shrink towards 100,
-// twice over, so splits and merges mint and retire IDs), every minted ID's
-// View row is (Size, Byz) and its View adjacency is Adjacent, retired IDs
-// read a zero row and no neighbours, and NeighborMass is the sum of Size
-// over Adjacent.
-func TestWalkTopologyViewConsistency(t *testing.T) {
-	cfg := DefaultConfig(512)
-	cfg.Seed = 13
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Bootstrap(250, func(slot int) bool { return slot < 50 }); err != nil {
-		t.Fatal(err)
-	}
-	check := func(step int) {
-		t.Helper()
-		maxSize := 0
-		for _, c := range w.Clusters() {
-			if got, want := w.Size(c), len(w.Members(c)); got != want {
-				t.Fatalf("step %d: Size(%v)=%d vs members %d", step, c, got, want)
-			}
-			byz := 0
-			for _, x := range w.Members(c) {
-				if w.IsByzantine(x) {
-					byz++
-				}
-			}
-			if got := w.Byz(c); got != byz {
-				t.Fatalf("step %d: Byz(%v)=%d vs recount %d", step, c, got, byz)
-			}
-			if w.Size(c) > maxSize {
-				maxSize = w.Size(c)
-			}
-			for _, nb := range w.Adjacent(c) {
-				if w.Size(nb) == 0 {
-					t.Fatalf("step %d: neighbor %v of %v has no members", step, nb, c)
-				}
-			}
-		}
-		if w.MaxClusterSize() != maxSize {
-			t.Fatalf("step %d: MaxClusterSize %d vs recount %d", step, w.MaxClusterSize(), maxSize)
-		}
-		if w.NumOverlayEdges() != w.Overlay().NumEdges() {
-			t.Fatalf("step %d: edge count views disagree", step)
-		}
-		view := w.View()
-		for c := ids.ClusterID(0); int(c) < w.clAlloc.Issued(); c++ {
-			row, adj := view.Row(c), view.Adjacent(c)
-			if int(row.Size) != w.Size(c) || int(row.Byz) != w.Byz(c) {
-				t.Fatalf("step %d: View row of %v is (%d, %d), Size/Byz (%d, %d)", step, c, row.Size, row.Byz, w.Size(c), w.Byz(c))
-			}
-			if !slices.Equal(adj, w.Adjacent(c)) {
-				t.Fatalf("step %d: View adjacency of %v is %v, Adjacent %v", step, c, adj, w.Adjacent(c))
-			}
-			if int(c) < len(view.Rows) && view.Rows[c] != row {
-				t.Fatalf("step %d: View.Rows[%v] = %+v, Row %+v", step, c, view.Rows[c], row)
-			}
-			if int(c) < len(view.Adj) && !slices.Equal(view.Adj[c], adj) {
-				t.Fatalf("step %d: View.Adj[%v] = %v, Adjacent %v", step, c, view.Adj[c], adj)
-			}
-			if !w.hasCluster(c) && (row != walk.Row{} || len(adj) != 0) {
-				t.Fatalf("step %d: retired %v reads row %+v and %d neighbours", step, c, row, len(adj))
-			}
-			var mass int64
-			for _, d := range w.Adjacent(c) {
-				mass += int64(w.Size(d))
-			}
-			if got := w.NeighborMass(c); got != mass {
-				t.Fatalf("step %d: NeighborMass(%v) = %d, sum of Size over Adjacent %d", step, c, got, mass)
-			}
-		}
-	}
-	check(-1)
-	r := xrand.New(0x5C0A)
-	growing := true
-	for step := 0; step < 1600; step++ {
-		switch n := w.NumNodes(); {
-		case growing && n >= 480:
-			growing = false
-		case !growing && n <= 100:
-			growing = true
-		}
-		bias := 0.85
-		if growing {
-			bias = 0.15
-		}
-		if r.Bool(bias) {
-			x, _ := w.RandomNode(r)
-			if err := w.Leave(x); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, err := w.JoinAuto(r.Bool(0.2)); err != nil {
-			t.Fatal(err)
-		}
-		if step%8 == 7 {
-			check(step)
-		}
-	}
-	if s := w.Stats(); s.Splits == 0 || s.Merges == 0 {
-		t.Fatalf("%d splits, %d merges: the churn minted or retired no ID", s.Splits, s.Merges)
-	}
-	retired := w.clAlloc.Issued() - w.NumClusters()
-	if retired == 0 {
-		t.Fatal("no retired ID was checked")
 	}
 }

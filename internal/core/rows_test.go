@@ -11,8 +11,10 @@ import (
 
 // TestRowsTrackCompositionThroughChurn drives joins, leaves (with their
 // splits, merges and cascades) and allegiance flips, and after every
-// operation requires each row to equal its cluster's (size, byz) and every
-// retired or unminted ID to read (0, 0) through Size and Byz.
+// operation requires each row to equal its cluster's (size, byz), every
+// retired or unminted ID to read (0, 0) through Size and Byz, and View's
+// counts to equal the cluster count, the overlay's edge count and the
+// largest cluster's size.
 func TestRowsTrackCompositionThroughChurn(t *testing.T) {
 	w := newTestWorld(t, 5)
 	r := w.Rng().Split(0x5107)
@@ -21,14 +23,21 @@ func TestRowsTrackCompositionThroughChurn(t *testing.T) {
 		if err := w.CheckConsistency(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		maxSize := 0
 		for c := ids.ClusterID(0); int(c) < len(w.rows)+2; c++ {
 			size, byz := 0, 0
 			if cs := w.cluster(c); cs != nil {
 				size, byz = len(cs.members), cs.byz
 			}
+			maxSize = max(maxSize, size)
 			if w.Size(c) != size || w.Byz(c) != byz {
 				t.Fatalf("step %d: %v reads (%d, %d), record (%d, %d)", step, c, w.Size(c), w.Byz(c), size, byz)
 			}
+		}
+		v := w.View()
+		if v.NumClusters != len(w.Clusters()) || v.NumEdges != w.Overlay().NumEdges() || v.MaxSize != maxSize {
+			t.Fatalf("step %d: View counts (%d clusters, %d edges, max %d), recount (%d, %d, %d)",
+				step, v.NumClusters, v.NumEdges, v.MaxSize, len(w.Clusters()), w.Overlay().NumEdges(), maxSize)
 		}
 	}
 	check(-1)
@@ -99,7 +108,7 @@ func TestCheckConsistencyCatchesRowDrift(t *testing.T) {
 func TestRetireZeroesRow(t *testing.T) {
 	w := newTestWorld(t, 7)
 	c := w.Clusters()[0]
-	if w.Size(c) == 0 || len(w.Adjacent(c)) == 0 {
+	if w.Size(c) == 0 || len(w.overlay.Adjacent(c)) == 0 {
 		t.Fatal("test cluster is empty or isolated")
 	}
 	if !w.retire(c) {
@@ -111,9 +120,9 @@ func TestRetireZeroesRow(t *testing.T) {
 	if wt := w.overlay.Weight(c); wt != 0 {
 		t.Fatalf("retired %v weighs %d in the overlay, want 0", c, wt)
 	}
-	for _, d := range w.Adjacent(c) {
+	for _, d := range w.overlay.Adjacent(c) {
 		var mass int64
-		for _, e := range w.Adjacent(d) {
+		for _, e := range w.overlay.Adjacent(d) {
 			mass += int64(w.Size(e))
 		}
 		if got := w.NeighborMass(d); got != mass {

@@ -69,7 +69,7 @@ func fingerprintWith(w *World, st Stats) string {
 	fmt.Fprintf(&b, "order:%v\n", w.allNodes)
 	fmt.Fprintf(&b, "stats:%+v\n", st)
 	deg, cap := w.CurrentInsecure()
-	fmt.Fprintf(&b, "insecure:%d/%d max=%d n=%d\n", deg, cap, w.MaxClusterSize(), w.NumNodes())
+	fmt.Fprintf(&b, "insecure:%d/%d max=%d n=%d\n", deg, cap, w.View().MaxSize, w.NumNodes())
 	fmt.Fprintf(&b, "cost:%d/%d\n", w.Ledger().Messages(), w.Ledger().Rounds())
 	return b.String()
 }

@@ -95,11 +95,11 @@ func TestMaxSizeTrackerThroughShrinkSplitMerge(t *testing.T) {
 
 	// Shrink: peel members off whatever cluster currently holds the
 	// max, forcing repeated scan-downs of the tracked maximum.
-	maxBefore := w.MaxClusterSize()
+	maxBefore := w.View().MaxSize
 	for i := 0; i < 30; i++ {
 		leaveOne(largest())
 	}
-	if got := w.MaxClusterSize(); got >= maxBefore {
+	if got := w.View().MaxSize; got >= maxBefore {
 		t.Fatalf("max %d did not shrink from %d", got, maxBefore)
 	}
 

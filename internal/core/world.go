@@ -515,19 +515,10 @@ func (w *World) removeMember(c ids.ClusterID, x ids.NodeID, byz bool) error {
 	return nil
 }
 
-// --- walk.Topology ---
-
-// NumClusters implements walk.Topology.
+// NumClusters returns the number of live clusters.
 func (w *World) NumClusters() int { return w.nClusters }
 
-// NumOverlayEdges implements walk.Topology.
-func (w *World) NumOverlayEdges() int { return w.overlay.NumEdges() }
-
-// Adjacent implements walk.Topology: c's overlay adjacency, not copied,
-// read-only and invalidated by the next edge mutation incident to c.
-func (w *World) Adjacent(c ids.ClusterID) []ids.ClusterID { return w.overlay.Adjacent(c) }
-
-// Size implements walk.Topology: one read of c's row.
+// Size returns |C|, one read of c's row; 0 for a retired or unminted ID.
 func (w *World) Size(c ids.ClusterID) int {
 	if uint64(c) < uint64(len(w.rows)) {
 		return int(w.rows[c].Size)
@@ -535,7 +526,8 @@ func (w *World) Size(c ids.ClusterID) int {
 	return 0
 }
 
-// Byz implements walk.Topology: one read of c's row.
+// Byz returns c's Byzantine member count, one read of c's row; 0 for a
+// retired or unminted ID.
 func (w *World) Byz(c ids.ClusterID) int {
 	if uint64(c) < uint64(len(w.rows)) {
 		return int(w.rows[c].Byz)
@@ -543,14 +535,19 @@ func (w *World) Byz(c ids.ClusterID) int {
 	return 0
 }
 
-// MaxClusterSize implements walk.Topology: the size multiset's tracked
-// maximum.
-func (w *World) MaxClusterSize() int { return w.maxSize }
-
 // View implements walk.Topology: the row table and the overlay's
-// ClusterID-indexed adjacency, not copied.
+// ClusterID-indexed adjacency, not copied, with the cluster count, the
+// overlay's edge count and the size multiset's tracked maximum. Swap
+// rewrites rows in place (setRow) and grows neither table, as View's
+// contract requires.
 func (w *World) View() walk.View {
-	return walk.View{Rows: w.rows, Adj: w.overlay.AdjTable()}
+	return walk.View{
+		Rows:        w.rows,
+		Adj:         w.overlay.AdjTable(),
+		NumClusters: w.nClusters,
+		NumEdges:    w.overlay.NumEdges(),
+		MaxSize:     w.maxSize,
+	}
 }
 
 // --- exchange.World ---

@@ -28,19 +28,21 @@ import (
 	"nowover/internal/xrand"
 )
 
-// World is the mutable view of the cluster partition the shuffle needs; the
-// NOW world implements it. It extends the walk topology with membership
-// access, the neighbour mass the charges read and the swap itself.
+// World is the mutable cluster partition the shuffle needs; the NOW world
+// implements it. An exchange reads compositions from one walk.Topology
+// view taken at entry, across swaps that rewrite its rows in place
+// (walk.View's contract), plus membership, neighbour mass and the swap.
 type World interface {
 	walk.Topology
-	// MemberAt returns the i-th member of c, 0 <= i < Size(c).
+	// MemberAt returns the i-th member of c, 0 <= i < View().Row(c).Size.
 	MemberAt(c ids.ClusterID, i int) ids.NodeID
 	// NeighborMass returns the number of nodes in c's overlay neighbours,
-	// the sum of Size(d) over every d in Adjacent(c).
+	// the sum of Row(d).Size over every d in View().Adj[c].
 	NeighborMass(c ids.ClusterID) int64
 	// Swap trades x, a member of a, with the member at index j of b, with
-	// all membership bookkeeping. x's slot in a takes a's last member, the
-	// partner takes a's last slot, and x takes the partner's slot in b.
+	// all membership bookkeeping, rewriting a's and b's rows in place. x's
+	// slot in a takes a's last member, the partner takes a's last slot, and
+	// x takes the partner's slot in b.
 	Swap(a ids.ClusterID, x ids.NodeID, b ids.ClusterID, j int) error
 }
 
@@ -116,11 +118,12 @@ func containsCluster(xs []ids.ClusterID, c ids.ClusterID) bool {
 // included, closes the section.
 func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Report, error) {
 	rep := Report{Receivers: e.runRecv[:0]}
+	view := e.world.View()
 	// Snapshot: the protocol exchanges the nodes that are members when the
 	// operation starts; replacement nodes arriving mid-operation are not
 	// re-exchanged.
 	e.members = e.members[:0]
-	for i, n := 0, e.world.Size(c); i < n; i++ {
+	for i, n := 0, int(view.Row(c).Size); i < n; i++ {
 		e.members = append(e.members, e.world.MemberAt(c, i))
 	}
 	// A swap moves one node each way between c and its partner, so no
@@ -129,7 +132,7 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 	cs, cm := int64(len(e.members)), e.world.NeighborMass(c)
 	sec := led.BeginConcurrent()
 	for _, x := range e.members {
-		err := e.shuffle(led, r, c, x, cs, cm, &rep)
+		err := e.shuffle(led, r, view, c, x, cs, cm, &rep)
 		led.EndBranch(&sec)
 		if err != nil {
 			led.EndConcurrent(sec)
@@ -146,8 +149,8 @@ func (e *Exchanger) Run(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID) (Re
 
 // shuffle is one branch of Run: x's walk from c, the partner's draw of the
 // replacement and the swap, with its messages. c has cs members and
-// neighbour mass cm.
-func (e *Exchanger) shuffle(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID, x ids.NodeID, cs, cm int64, rep *Report) error {
+// neighbour mass cm; view is Run's.
+func (e *Exchanger) shuffle(led *metrics.Ledger, r *xrand.Rand, view walk.View, c ids.ClusterID, x ids.NodeID, cs, cm int64, rep *Report) error {
 	out, err := e.walker.Biased(led, r, c)
 	if err != nil {
 		return fmt.Errorf("exchange: walk from %v: %w", c, err)
@@ -165,10 +168,11 @@ func (e *Exchanger) shuffle(led *metrics.Ledger, r *xrand.Rand, c ids.ClusterID,
 		return nil
 	}
 	// C' picks the replacement node uniformly via randNum.
-	psize := e.world.Size(partner)
+	prow := view.Row(partner)
+	psize := int(prow.Size)
 	idx, sec, err := e.gen.Draw(led, r, randnum.Params{
 		Size: psize,
-		Byz:  e.world.Byz(partner),
+		Byz:  int(prow.Byz),
 		R:    int64(psize),
 	}, nil)
 	if err != nil {
@@ -235,20 +239,21 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 	// are distinct and never the source, so receiver live[self]'s swap
 	// pool, the source plus every OTHER live receiver, is the list
 	// without that entry.
+	view := e.world.View()
 	live := e.pool[:0]
-	if e.world.Size(source) > 0 {
+	if view.Row(source).Size > 0 {
 		live = append(live, source)
 	}
 	first := len(live)
 	for _, rc := range receivers {
-		if e.world.Size(rc) > 0 {
+		if view.Row(rc).Size > 0 {
 			live = append(live, rc)
 		}
 	}
 	e.pool = live[:0]
 	sec := led.BeginConcurrent()
 	for self := first; self < len(live); self++ {
-		err := e.cascadeSwap(led, r, live, self, &rep)
+		err := e.cascadeSwap(led, r, view, live, self, &rep)
 		led.EndBranch(&sec)
 		if err != nil {
 			led.EndConcurrent(sec)
@@ -265,8 +270,9 @@ func (e *Exchanger) CascadeRound(led *metrics.Ledger, r *xrand.Rand, source ids.
 
 // cascadeSwap is one branch of CascadeRound: receiver live[self]'s three
 // draws (partner pick, member pick, the partner's replacement) and its
-// swap, with its messages.
-func (e *Exchanger) cascadeSwap(led *metrics.Ledger, r *xrand.Rand, live []ids.ClusterID, self int, rep *Report) error {
+// swap, with its messages. view is CascadeRound's: an earlier receiver's
+// swap has rewritten its rows in place.
+func (e *Exchanger) cascadeSwap(led *metrics.Ledger, r *xrand.Rand, view walk.View, live []ids.ClusterID, self int, rep *Report) error {
 	rc := live[self]
 	if len(live) == 1 {
 		rep.SelfSwaps++ // lone receiver of its own source: nothing to mix with
@@ -274,10 +280,10 @@ func (e *Exchanger) cascadeSwap(led *metrics.Ledger, r *xrand.Rand, live []ids.C
 	}
 	// Nothing moves before this receiver's swap, so its size and
 	// Byzantine count hold for both of its draws.
-	size := e.world.Size(rc)
+	row := view.Row(rc)
+	size, byz := int(row.Size), int(row.Byz)
 	// The receiver agrees on the partner and on which member to
 	// re-export; the partner agrees on the replacement, as in Run.
-	byz := e.world.Byz(rc)
 	pick, sec, err := e.gen.Draw(led, r, randnum.Params{
 		Size: size,
 		Byz:  byz,
@@ -306,10 +312,11 @@ func (e *Exchanger) cascadeSwap(led *metrics.Ledger, r *xrand.Rand, live []ids.C
 		rep.WorstSecurity = sec
 	}
 	x := e.world.MemberAt(rc, int(idx))
-	psize := e.world.Size(partner)
+	prow := view.Row(partner)
+	psize := int(prow.Size)
 	pidx, psec, err := e.gen.Draw(led, r, randnum.Params{
 		Size: psize,
-		Byz:  e.world.Byz(partner),
+		Byz:  int(prow.Byz),
 		R:    int64(psize),
 	}, nil)
 	if err != nil {

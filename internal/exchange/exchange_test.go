@@ -14,13 +14,14 @@ import (
 	"nowover/internal/xrand"
 )
 
-// fakeWorld implements World over an explicit partition + overlay graph.
+// fakeWorld implements World over a walk.View literal and explicit
+// member lists. Its overlay is fixed; Swap edits the member lists and the
+// view's rows in place, as core.World.Swap does.
 type fakeWorld struct {
-	g       *graph.Graph[ids.ClusterID]
+	view    walk.View
 	members map[ids.ClusterID][]ids.NodeID
 	byz     map[ids.NodeID]bool
 	home    map[ids.NodeID]ids.ClusterID
-	maxSz   int
 	// moves logs each swap as its two moves, (a, b) then (b, a), in call
 	// order.
 	moves [][2]ids.ClusterID
@@ -31,77 +32,90 @@ type fakeWorld struct {
 
 func newFakeWorld(t *testing.T, clusters, size, degree int, seed uint64) *fakeWorld {
 	t.Helper()
+	g := graph.New[ids.ClusterID]()
+	vs := make([]ids.ClusterID, clusters)
+	sizes := make([]int, clusters)
+	for i := range vs {
+		vs[i], sizes[i] = ids.ClusterID(i), size
+		g.AddVertex(vs[i])
+	}
+	if err := graph.RandomRegularish(g, xrand.New(seed), vs, degree); err != nil {
+		t.Fatal(err)
+	}
+	return fakeOver(g, sizes)
+}
+
+// newHandWorld builds a fakeWorld over an explicit topology: cluster i has
+// sizes[i] honest members, and edges lists the overlay edges.
+func newHandWorld(t *testing.T, sizes []int, edges [][2]ids.ClusterID) *fakeWorld {
+	t.Helper()
+	g := graph.New[ids.ClusterID]()
+	for i := range sizes {
+		g.AddVertex(ids.ClusterID(i))
+	}
+	for _, e := range edges {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fakeOver(g, sizes)
+}
+
+// fakeOver builds the view of g, whose vertices are 0..len(sizes)-1, with
+// cluster i holding sizes[i] honest members.
+func fakeOver(g *graph.Graph[ids.ClusterID], sizes []int) *fakeWorld {
 	fw := &fakeWorld{
-		g:       graph.New[ids.ClusterID](),
+		view: walk.View{
+			Rows:        make([]walk.Row, len(sizes)),
+			Adj:         make([][]ids.ClusterID, len(sizes)),
+			NumClusters: len(sizes),
+			NumEdges:    g.NumEdges(),
+		},
 		members: make(map[ids.ClusterID][]ids.NodeID),
 		byz:     make(map[ids.NodeID]bool),
 		home:    make(map[ids.NodeID]ids.ClusterID),
-		maxSz:   size,
 	}
-	var vs []ids.ClusterID
 	next := ids.NodeID(0)
-	for i := 0; i < clusters; i++ {
+	for i, size := range sizes {
 		c := ids.ClusterID(i)
-		fw.g.AddVertex(c)
-		vs = append(vs, c)
-		for j := 0; j < size; j++ {
+		for range size {
 			fw.members[c] = append(fw.members[c], next)
 			fw.home[next] = c
 			next++
 		}
-	}
-	if err := graph.RandomRegularish(fw.g, xrand.New(seed), vs, degree); err != nil {
-		t.Fatal(err)
+		fw.view.Rows[c] = walk.Row{Size: int32(size)}
+		fw.view.Adj[c] = g.Neighbors(c)
+		fw.view.MaxSize = max(fw.view.MaxSize, size)
 	}
 	return fw
 }
 
-func (f *fakeWorld) NumClusters() int                           { return f.g.NumVertices() }
-func (f *fakeWorld) NumOverlayEdges() int                       { return f.g.NumEdges() }
-func (f *fakeWorld) Adjacent(c ids.ClusterID) []ids.ClusterID   { return f.g.Neighbors(c) }
-func (f *fakeWorld) Size(c ids.ClusterID) int                   { return len(f.members[c]) }
-func (f *fakeWorld) MaxClusterSize() int                        { return f.maxSz }
+func (f *fakeWorld) View() walk.View                            { return f.view }
 func (f *fakeWorld) MemberAt(c ids.ClusterID, i int) ids.NodeID { return f.members[c][i] }
 
-func (f *fakeWorld) Byz(c ids.ClusterID) int {
-	n := 0
-	for _, x := range f.members[c] {
-		if f.byz[x] {
-			n++
-		}
-	}
-	return n
-}
+// size and byzOf read c's row.
+func (f *fakeWorld) size(c ids.ClusterID) int  { return int(f.view.Row(c).Size) }
+func (f *fakeWorld) byzOf(c ids.ClusterID) int { return int(f.view.Row(c).Byz) }
 
-// View builds the tables afresh from the graph and the member lists,
-// which Swap edits.
-func (f *fakeWorld) View() walk.View {
-	n := 0
-	for _, c := range f.g.Vertices() {
-		n = max(n, int(c)+1)
-	}
-	for c := range f.members {
-		n = max(n, int(c)+1)
-	}
-	v := walk.View{Rows: make([]walk.Row, n), Adj: make([][]ids.ClusterID, n)}
-	for i := range v.Rows {
-		c := ids.ClusterID(i)
-		v.Rows[i] = walk.Row{Size: int32(f.Size(c)), Byz: int32(f.Byz(c))}
-		v.Adj[i] = f.Adjacent(c)
-	}
-	return v
-}
-
-// NeighborMass recounts Size over Adjacent.
+// NeighborMass recounts the sizes over c's adjacency.
 func (f *fakeWorld) NeighborMass(c ids.ClusterID) int64 {
 	var mass int64
-	for _, d := range f.Adjacent(c) {
-		mass += int64(f.Size(d))
+	for _, d := range f.view.Adjacent(c) {
+		mass += int64(f.size(d))
 	}
 	return mass
 }
 
-// Swap leaves the member lists in the order core.World.Swap does.
+// corrupt makes every member of c Byzantine.
+func (f *fakeWorld) corrupt(c ids.ClusterID) {
+	for _, x := range f.members[c] {
+		f.byz[x] = true
+	}
+	f.view.Rows[c].Byz = f.view.Rows[c].Size
+}
+
+// Swap leaves the member lists in the order core.World.Swap does, and
+// moves the Byzantine counts of a's and b's rows in place.
 func (f *fakeWorld) Swap(a ids.ClusterID, x ids.NodeID, b ids.ClusterID, j int) error {
 	if f.swaps++; f.swaps == f.failSwap {
 		return errInjected
@@ -116,6 +130,14 @@ func (f *fakeWorld) Swap(a ids.ClusterID, x ids.NodeID, b ids.ClusterID, j int) 
 	as[i], as[last] = as[last], y
 	f.members[b][j] = x
 	f.home[x], f.home[y] = b, a
+	if f.byz[x] != f.byz[y] {
+		d := int32(1)
+		if f.byz[x] {
+			d = -1
+		}
+		f.view.Rows[a].Byz += d
+		f.view.Rows[b].Byz -= d
+	}
 	f.moves = append(f.moves, [2]ids.ClusterID{a, b}, [2]ids.ClusterID{b, a})
 	return nil
 }
@@ -233,35 +255,6 @@ func TestRunChargesAllClasses(t *testing.T) {
 			t.Errorf("no %v messages charged", cls)
 		}
 	}
-}
-
-// newHandWorld builds a fakeWorld over an explicit topology: cluster i has
-// sizes[i] honest members, and edges lists the overlay edges.
-func newHandWorld(t *testing.T, sizes []int, edges [][2]ids.ClusterID) *fakeWorld {
-	t.Helper()
-	fw := &fakeWorld{
-		g:       graph.New[ids.ClusterID](),
-		members: make(map[ids.ClusterID][]ids.NodeID),
-		byz:     make(map[ids.NodeID]bool),
-		home:    make(map[ids.NodeID]ids.ClusterID),
-	}
-	next := ids.NodeID(0)
-	for i, size := range sizes {
-		c := ids.ClusterID(i)
-		fw.g.AddVertex(c)
-		for j := 0; j < size; j++ {
-			fw.members[c] = append(fw.members[c], next)
-			fw.home[next] = c
-			next++
-		}
-		fw.maxSz = max(fw.maxSz, size)
-	}
-	for _, e := range edges {
-		if err := fw.g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return fw
 }
 
 // TestSwapChargeClosedForm pins the per-swap cost model on a topology
@@ -551,15 +544,13 @@ func TestExchangeRandomizesByzantinePlacement(t *testing.T) {
 	// end up near the global Byzantine fraction — Lemma 1 in miniature.
 	fw := newFakeWorld(t, 20, 10, 5, 10)
 	target := ids.ClusterID(0)
-	for _, x := range fw.members[target] {
-		fw.byz[x] = true
-	}
+	fw.corrupt(target)
 	e := newExchanger(t, fw)
 	var led metrics.Ledger
 	if _, err := e.Run(&led, xrand.New(11), target); err != nil {
 		t.Fatal(err)
 	}
-	if after := fw.Byz(target); after > 5 {
+	if after := fw.byzOf(target); after > 5 {
 		t.Errorf("byzantine members after exchange = %d of 10, want near global 5%%", after)
 	}
 }
@@ -597,8 +588,8 @@ func serialBranches(t *testing.T, fw *fakeWorld, walker *walk.Walker, gen randnu
 			if err != nil || out.End == c {
 				return err
 			}
-			psize := fw.Size(out.End)
-			idx, _, err := gen.Draw(&led, r, randnum.Params{Size: psize, Byz: fw.Byz(out.End), R: int64(psize)}, nil)
+			psize := fw.size(out.End)
+			idx, _, err := gen.Draw(&led, r, randnum.Params{Size: psize, Byz: fw.byzOf(out.End), R: int64(psize)}, nil)
 			if err != nil {
 				return err
 			}
@@ -764,16 +755,16 @@ func serialCascade(fw *fakeWorld, gen randnum.Generator, r *xrand.Rand, source i
 	var led metrics.Ledger
 	var live []ids.ClusterID
 	for _, c := range append([]ids.ClusterID{source}, receivers...) {
-		if fw.Size(c) > 0 {
+		if fw.size(c) > 0 {
 			live = append(live, c)
 		}
 	}
 	first := 0
-	if fw.Size(source) > 0 {
+	if fw.size(source) > 0 {
 		first = 1
 	}
 	draw := func(c ids.ClusterID, n int) (int, error) {
-		v, _, err := gen.Draw(&led, r, randnum.Params{Size: fw.Size(c), Byz: fw.Byz(c), R: int64(n)}, nil)
+		v, _, err := gen.Draw(&led, r, randnum.Params{Size: fw.size(c), Byz: fw.byzOf(c), R: int64(n)}, nil)
 		return int(v), err
 	}
 	for self := first; self < len(live) && len(live) > 1; self++ {
@@ -788,19 +779,19 @@ func serialCascade(fw *fakeWorld, gen randnum.Generator, r *xrand.Rand, source i
 				p++
 			}
 			partner := live[p]
-			i, err := draw(rc, fw.Size(rc))
+			i, err := draw(rc, fw.size(rc))
 			if err != nil {
 				return err
 			}
-			j, err := draw(partner, fw.Size(partner))
+			j, err := draw(partner, fw.size(partner))
 			if err != nil {
 				return err
 			}
 			if err := fw.Swap(rc, fw.members[rc][i], partner, j); err != nil {
 				return err
 			}
-			chargeSwap(&led, metrics.ClassCascade, int64(fw.Size(rc)), fw.NeighborMass(rc),
-				int64(fw.Size(partner)), fw.NeighborMass(partner))
+			chargeSwap(&led, metrics.ClassCascade, int64(fw.size(rc)), fw.NeighborMass(rc),
+				int64(fw.size(partner)), fw.NeighborMass(partner))
 			swaps++
 			return nil
 		}()

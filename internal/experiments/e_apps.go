@@ -36,7 +36,7 @@ func E10Applications(s Scale) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		sampler, err := apps.NewSampler(w, w.Walker(), w.Generator(), w.MemberAt)
+		sampler, err := apps.NewSampler(w, w.Walker(), w.Generator())
 		if err != nil {
 			return err
 		}

@@ -23,12 +23,14 @@
 // every grid point, computed once with math.Log, so a table read is
 // bit-identical to evaluating the logarithm at that point.
 //
-// A hop reads one flat view. Topology.View hands the walker the world's
-// own ClusterID-indexed composition rows and adjacency lists; a walk
-// reads the view once, because nothing a walk does mutates the topology,
-// and each hop indexes the two tables directly. A segment's duration
-// depends only on the cluster and edge counts, so the walker keeps the
-// last one computed and recomputes it only when either count moves.
+// A walk reads one flat view. Topology has one method, View, which hands
+// the walker the world's own ClusterID-indexed composition rows and
+// adjacency lists with the cluster count, the edge count and the max
+// cluster size: one interface call a walk, because nothing a walk does
+// mutates the topology, and each hop indexes the two tables directly. A
+// segment's duration depends only on the view's cluster and edge counts,
+// so the walker keeps the last one computed and recomputes it only when
+// either count moves.
 //
 // A hop's reads are narrow. ids.ClusterID is 32 bits, so an adjacency
 // entry is 4 bytes and a Row 8. At 2^18 nodes that keeps the adjacency
@@ -39,11 +41,11 @@
 //
 // A walk is one loop, fusedWalk, for every generator: Uniform and Biased
 // run the whole walk, every segment, hop and acceptance coin, in it. It
-// reads the view, the max cluster size and the cached segment duration
-// once. Under the Ideal generator it takes each step at a cluster below
-// capture inline, with no call: it holds the stream's PCG state in locals,
-// draws each word with xrand.Next, masks the hold draw and reduces the
-// neighbour and coin draws with xrand.Reduce (only a word Reduce cannot
+// reads the view, its max cluster size included, and the cached segment
+// duration once. Under the Ideal generator it takes each step at a cluster
+// below capture inline, with no call: it holds the stream's PCG state in
+// locals, draws each word with xrand.Next, masks the hold draw and reduces
+// the neighbour and coin draws with xrand.Reduce (only a word Reduce cannot
 // settle writes the state back and calls IntnFrom, the tree's one Lemire
 // reduction), makes no Steer call, since Ideal ignores the objective below
 // capture and Steer is pure, and sums its draws, their clusters'
@@ -70,45 +72,38 @@ import (
 	"nowover/internal/xrand"
 )
 
-// Topology is the read-only view of the cluster overlay a walk needs. The
-// NOW world implements it.
+// Topology is the read-only cluster overlay a walk needs, handed over as
+// one View. The NOW world implements it.
 type Topology interface {
-	// NumClusters returns the current number of overlay vertices.
-	NumClusters() int
-	// NumOverlayEdges returns the current number of overlay edges.
-	NumOverlayEdges() int
-	// Adjacent returns c's overlay neighbours in a fixed order, without
-	// copying them. The slice is read-only and is invalidated by the next
-	// edge mutation incident to c; walks read it between mutations only.
-	Adjacent(c ids.ClusterID) []ids.ClusterID
-	// Size returns |C|, the number of member nodes of c.
-	Size(c ids.ClusterID) int
-	// Byz returns the number of Byzantine members of c.
-	Byz(c ids.ClusterID) int
-	// MaxClusterSize returns max over clusters of |C| (the rejection
-	// denominator of the biased walk).
-	MaxClusterSize() int
-	// View returns the topology's own composition and adjacency tables,
-	// not copied: View().Row(c) is (Size(c), Byz(c)) and
-	// View().Adjacent(c) is Adjacent(c) for every c. The tables are
-	// read-only and are invalidated by the next mutation of the topology;
-	// a walk reads one view.
+	// View returns the topology's tables and counts. The tables are the
+	// topology's own, not copied, under View's contract.
 	View() View
 }
 
 // Row is a cluster's composition as a walk reads it.
 type Row struct{ Size, Byz int32 }
 
-// View is a topology's ClusterID-indexed tables. Cluster IDs are minted
-// densely and never reused, so one slice index finds a cluster's row or
-// its neighbours.
+// View is a topology's ClusterID-indexed tables and the three counts a
+// walk reads. Cluster IDs are minted densely and never reused, so one
+// slice index finds a cluster's row or its neighbours.
+//
+// The tables are read-only and are invalidated by the next mutation of
+// the topology, with one exception: a swap, which trades one node each
+// way between two clusters, rewrites the two rows in place and never
+// grows a table, moves an edge or changes a count, so a view taken before
+// a swap reads the rows after it. An exchange takes one view for all its
+// swaps on that contract.
 type View struct {
 	// Rows[c] is c's composition. Retired IDs, and IDs beyond the table,
 	// read the zero Row.
 	Rows []Row
-	// Adj[c] is c's adjacency in Adjacent's order. Non-vertices, and IDs
-	// beyond the table, have none.
+	// Adj[c] is c's overlay neighbours in a fixed order. Non-vertices, and
+	// IDs beyond the table, have none.
 	Adj [][]ids.ClusterID
+	// NumClusters and NumEdges count the overlay's vertices and edges, on
+	// which a segment's duration depends; MaxSize is max |C| over
+	// clusters, the biased walk's rejection denominator.
+	NumClusters, NumEdges, MaxSize int
 }
 
 // Row returns c's composition, the zero Row for an ID beyond the table.
@@ -172,7 +167,7 @@ type Config struct {
 	//
 	// At a captured cluster randnum's generators return the objective's
 	// argmax, the smallest value on a tie, so a non-nil Steer that scores
-	// every cluster alike takes the first neighbour, Adjacent(c)[0], and
+	// every cluster alike takes the first neighbour, View.Adj[c][0], and
 	// accepts at every acceptance coin: a nil Steer draws both uniformly
 	// instead. core installs a Steer on every world, scoring 0 while no
 	// steer hook is set, so its captured clusters take the first branch.
@@ -201,12 +196,12 @@ type Walker struct {
 	// ideal records that cfg.Gen is randnum.Ideal, whose draws below
 	// capture fusedWalk makes inline.
 	ideal bool
-	// view is the topology's tables for the walk in progress, which the
+	// view is the topology's view for the walk in progress, which the
 	// out-of-line hop and coin read.
 	view View
 
 	// dur is the segment duration at durN clusters and durEdges overlay
-	// edges, the last counts a segment ran at; durN 0 means none yet.
+	// edges, the last counts a walk's view held; durN 0 means none yet.
 	durN, durEdges int
 	dur            float64
 
@@ -297,11 +292,11 @@ func (w *Walker) Biased(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID)
 
 // duration returns a segment's duration, DurationFactor * log2(#C)^2 /
 // meanDegree (so the expected number of jumps is ~DurationFactor *
-// log2(#C)^2), at the topology's current cluster and edge counts. It is
-// 0 on a single-cluster overlay, where a walk stays put, and an error on
-// an edgeless one.
+// log2(#C)^2), at the cluster and edge counts of the walk's view. It is 0
+// on a single-cluster overlay, where a walk stays put, and an error on an
+// edgeless one.
 func (w *Walker) duration() (float64, error) {
-	n, edges := w.topo.NumClusters(), w.topo.NumOverlayEdges()
+	n, edges := w.view.NumClusters, w.view.NumEdges
 	if n <= 1 {
 		return 0, nil
 	}
@@ -320,14 +315,15 @@ func (w *Walker) duration() (float64, error) {
 }
 
 // walk runs a whole walk from start on fusedWalk: one segment for
-// Uniform, randCl's segments and acceptance coins for Biased. It reads the
-// topology once, and charges the inline draws and the hand-offs once, on
-// every return. The inline tables are the view's, cut to one length so a
+// Uniform, randCl's segments and acceptance coins for Biased. It takes
+// the topology's view once, and charges the inline draws and the
+// hand-offs once, on every return. The inline tables are the view's, cut to one length so a
 // hop checks its cluster once; they are empty, so that every cluster is
 // taken out of line, unless the generator is Ideal and every draw has a
 // range: a segment of positive duration and, with coins, a positive max
 // size.
 func (w *Walker) walk(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID, coin bool) (Outcome, error) {
+	w.view = w.topo.View()
 	dur, err := w.duration()
 	if err != nil {
 		return Outcome{End: start}, err
@@ -336,8 +332,7 @@ func (w *Walker) walk(led *metrics.Ledger, r *xrand.Rand, start ids.ClusterID, c
 	if coin {
 		segs = w.cfg.MaxRestarts
 	}
-	maxSize := w.topo.MaxClusterSize()
-	w.view = w.topo.View()
+	maxSize := w.view.MaxSize
 	var (
 		rows []Row
 		adj  [][]ids.ClusterID

@@ -13,79 +13,67 @@ import (
 	"nowover/internal/xrand"
 )
 
-// fakeTopo is an in-memory Topology over an explicit graph with per-cluster
-// sizes and Byzantine counts.
-type fakeTopo struct {
-	g     *graph.Graph[ids.ClusterID]
-	sizes map[ids.ClusterID]int
-	byz   map[ids.ClusterID]int
-	maxSz int
-	// adjLen, when positive, cuts View's adjacency table to that length,
-	// so the clusters past it have a row but no neighbour in the view.
-	adjLen int
-}
+// fakeTopo is a Topology holding one View literal, which tests edit
+// between walks.
+type fakeTopo struct{ v View }
 
+func (f *fakeTopo) View() View { return f.v }
+
+// newFakeTopo is n clusters of 10 honest members on a random graph of
+// degree about degree.
 func newFakeTopo(t *testing.T, n int, degree int, seed uint64) *fakeTopo {
 	t.Helper()
-	ft := &fakeTopo{
-		g:     graph.New[ids.ClusterID](),
-		sizes: make(map[ids.ClusterID]int),
-		byz:   make(map[ids.ClusterID]int),
+	g := graph.New[ids.ClusterID]()
+	vs := make([]ids.ClusterID, n)
+	for i := range vs {
+		vs[i] = ids.ClusterID(i)
+		g.AddVertex(vs[i])
 	}
-	var vs []ids.ClusterID
-	for i := 0; i < n; i++ {
-		c := ids.ClusterID(i)
-		ft.g.AddVertex(c)
-		vs = append(vs, c)
-		ft.sizes[c] = 10
-		ft.maxSz = 10
-	}
-	if err := graph.RandomRegularish(ft.g, xrand.New(seed), vs, degree); err != nil {
+	if err := graph.RandomRegularish(g, xrand.New(seed), vs, degree); err != nil {
 		t.Fatal(err)
 	}
-	return ft
+	f := &fakeTopo{View{NumEdges: g.NumEdges(), MaxSize: 10}}
+	for _, c := range vs {
+		f.addVertex(10, 0)
+		f.v.Adj[c] = g.Neighbors(c)
+	}
+	return f
 }
 
-func (f *fakeTopo) NumClusters() int                         { return f.g.NumVertices() }
-func (f *fakeTopo) NumOverlayEdges() int                     { return f.g.NumEdges() }
-func (f *fakeTopo) Adjacent(c ids.ClusterID) []ids.ClusterID { return f.g.Neighbors(c) }
-func (f *fakeTopo) Size(c ids.ClusterID) int                 { return f.sizes[c] }
-func (f *fakeTopo) Byz(c ids.ClusterID) int                  { return f.byz[c] }
-func (f *fakeTopo) MaxClusterSize() int                      { return f.maxSz }
-
-// View builds the tables afresh from the graph and the maps, which tests
-// edit between walks.
-func (f *fakeTopo) View() View {
-	n := 0
-	for _, c := range f.g.Vertices() {
-		n = max(n, int(c)+1)
-	}
-	for c := range f.sizes {
-		n = max(n, int(c)+1)
-	}
-	for c := range f.byz {
-		n = max(n, int(c)+1)
-	}
-	v := View{Rows: make([]Row, n), Adj: make([][]ids.ClusterID, n)}
-	for i := range v.Rows {
-		c := ids.ClusterID(i)
-		v.Rows[i] = Row{Size: int32(f.Size(c)), Byz: int32(f.Byz(c))}
-		v.Adj[i] = f.Adjacent(c)
-	}
-	if f.adjLen > 0 {
-		v.Adj = v.Adj[:f.adjLen]
-	}
-	return v
+// addVertex appends an isolated cluster of the given composition.
+func (f *fakeTopo) addVertex(size, byz int32) {
+	f.v.Rows = append(f.v.Rows, Row{Size: size, Byz: byz})
+	f.v.Adj = append(f.v.Adj, nil)
+	f.v.NumClusters++
 }
 
-var _ Topology = (*fakeTopo)(nil)
+// addEdge links a and b, each appended to the other's adjacency, unless
+// they are linked already, and reports whether it added the edge.
+func (f *fakeTopo) addEdge(a, b ids.ClusterID) bool {
+	if slices.Contains(f.v.Adj[a], b) {
+		return false
+	}
+	f.v.Adj[a] = append(f.v.Adj[a], b)
+	f.v.Adj[b] = append(f.v.Adj[b], a)
+	f.v.NumEdges++
+	return true
+}
+
+// setSizes gives cluster i size size(i) and sets the max size.
+func (f *fakeTopo) setSizes(size func(i int) int32) {
+	f.v.MaxSize = 0
+	for i := range f.v.Rows {
+		f.v.Rows[i].Size = size(i)
+		f.v.MaxSize = max(f.v.MaxSize, int(f.v.Rows[i].Size))
+	}
+}
 
 func defaultCfg() Config {
 	return Config{DurationFactor: 1, MaxRestarts: 32, Gen: randnum.Ideal{}}
 }
 
 func TestConfigValidation(t *testing.T) {
-	topo := &fakeTopo{g: graph.New[ids.ClusterID]()}
+	topo := &fakeTopo{}
 	bad := []Config{
 		{DurationFactor: 0, MaxRestarts: 1, Gen: randnum.Ideal{}},
 		{DurationFactor: 1, MaxRestarts: 0, Gen: randnum.Ideal{}},
@@ -107,11 +95,7 @@ func TestUniformEndpointDistribution(t *testing.T) {
 	topo := newFakeTopo(t, 24, 4, 1)
 	// Make the graph irregular: add extra edges around vertex 0.
 	for i := 10; i < 20; i++ {
-		if !topo.g.HasEdge(0, ids.ClusterID(i)) {
-			if err := topo.g.AddEdge(0, ids.ClusterID(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		topo.addEdge(0, ids.ClusterID(i))
 	}
 	w, err := NewWalker(defaultCfg(), topo)
 	if err != nil {
@@ -140,13 +124,7 @@ func TestUniformEndpointDistribution(t *testing.T) {
 func TestBiasedEndpointProportionalToSize(t *testing.T) {
 	topo := newFakeTopo(t, 16, 4, 3)
 	// Heterogeneous sizes: cluster i has size 5 + i.
-	topo.maxSz = 0
-	for i := 0; i < 16; i++ {
-		topo.sizes[ids.ClusterID(i)] = 5 + i
-		if 5+i > topo.maxSz {
-			topo.maxSz = 5 + i
-		}
-	}
+	topo.setSizes(func(i int) int32 { return int32(5 + i) })
 	w, err := NewWalker(defaultCfg(), topo)
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +153,7 @@ func TestBiasedUniformOverNodes(t *testing.T) {
 	// The composition randCl-then-uniform-member must be uniform over
 	// nodes: P(cluster)*1/|C| = 1/n for all clusters.
 	topo := newFakeTopo(t, 12, 4, 5)
-	for i := 0; i < 12; i++ {
-		topo.sizes[ids.ClusterID(i)] = 4 * (1 + i%3)
-	}
-	topo.maxSz = 12
+	topo.setSizes(func(i int) int32 { return int32(4 * (1 + i%3)) })
 	w, err := NewWalker(defaultCfg(), topo)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +167,7 @@ func TestBiasedUniformOverNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perNode[out.End] += 1 / float64(topo.sizes[out.End])
+		perNode[out.End] += 1 / float64(topo.v.Rows[out.End].Size)
 	}
 	uniform := make([]float64, 12)
 	for i := range uniform {
@@ -259,14 +234,9 @@ func TestWalkHopsScale(t *testing.T) {
 // no duration, so a walk neither moves nor consults the Hijacker, even
 // at a captured cluster; randCl still draws its coins there.
 func TestSingleClusterWalkStaysPut(t *testing.T) {
-	for _, byz := range []int{0, 3} {
-		topo := &fakeTopo{
-			g:     graph.New[ids.ClusterID](),
-			sizes: map[ids.ClusterID]int{7: 5},
-			byz:   map[ids.ClusterID]int{7: byz},
-			maxSz: 5,
-		}
-		topo.g.AddVertex(7)
+	for _, byz := range []int32{0, 3} {
+		topo := &fakeTopo{View{Rows: make([]Row, 7), Adj: make([][]ids.ClusterID, 7), MaxSize: 5}}
+		topo.addVertex(5, byz)
 		cfg := defaultCfg()
 		cfg.Hijack = fixedHijacker{target: 9}
 		w, err := NewWalker(cfg, topo)
@@ -296,7 +266,7 @@ func (h fixedHijacker) Redirect(*xrand.Rand, ids.ClusterID) (ids.ClusterID, bool
 func TestHijackFromCapturedCluster(t *testing.T) {
 	topo := newFakeTopo(t, 16, 4, 12)
 	captured := ids.ClusterID(3)
-	topo.byz[captured] = 5 // 5 of 10 = captured
+	topo.v.Rows[captured].Byz = 5 // 5 of 10 = captured
 	cfg := defaultCfg()
 	cfg.Hijack = fixedHijacker{target: 9}
 	w, err := NewWalker(cfg, topo)
@@ -359,21 +329,21 @@ func TestFusedHopChargesOnEveryExit(t *testing.T) {
 		starts []ids.ClusterID
 	}{
 		{"captured, empty and degraded clusters", func(f *fakeTopo) {
-			f.byz[7] = 5    // captured: a walk is hijacked there when a hijacker is installed
-			f.sizes[13] = 0 // a draw there fails, unless the hijacker takes the walk first
-			f.byz[21] = 4   // degraded
+			f.v.Rows[7].Byz = 5   // captured: a walk is hijacked there when a hijacker is installed
+			f.v.Rows[13].Size = 0 // a draw there fails, unless the hijacker takes the walk first
+			f.v.Rows[21].Byz = 4  // degraded
 		}, all},
 		{"degraded everywhere, one captured", func(f *fakeTopo) {
-			for c := range ids.ClusterID(40) {
-				f.byz[c] = 4
+			for c := range f.v.Rows {
+				f.v.Rows[c].Byz = 4
 			}
-			f.byz[7] = 5
+			f.v.Rows[7].Byz = 5
 		}, all},
-		{"rows past the adjacency table", func(f *fakeTopo) { f.adjLen = 20 }, all},
-		{"isolated vertex", func(f *fakeTopo) { f.g.AddVertex(40); f.sizes[40] = 10 }, []ids.ClusterID{40}},
-		{"degraded isolated vertex", func(f *fakeTopo) { f.g.AddVertex(40); f.sizes[40] = 10; f.byz[40] = 4 }, []ids.ClusterID{40}},
+		{"rows past the adjacency table", func(f *fakeTopo) { f.v.Adj = f.v.Adj[:20] }, all},
+		{"isolated vertex", func(f *fakeTopo) { f.addVertex(10, 0) }, []ids.ClusterID{40}},
+		{"degraded isolated vertex", func(f *fakeTopo) { f.addVertex(10, 4) }, []ids.ClusterID{40}},
 		{"past the tables", func(*fakeTopo) {}, []ids.ClusterID{1000}},
-		{"max size 0", func(f *fakeTopo) { f.maxSz = 0 }, []ids.ClusterID{3}},
+		{"max size 0", func(f *fakeTopo) { f.v.MaxSize = 0 }, []ids.ClusterID{3}},
 	} {
 		topo := newFakeTopo(t, 40, 4, 5)
 		tc.edit(topo)
@@ -450,9 +420,9 @@ func TestFusedFallbackMatchesInterface(t *testing.T) {
 		start ids.ClusterID
 		edit  func(*fakeTopo)
 	}{
-		{"isolated vertex", 40, func(f *fakeTopo) { f.g.AddVertex(40); f.sizes[40] = 10 }},
+		{"isolated vertex", 40, func(f *fakeTopo) { f.addVertex(10, 0) }},
 		{"past the tables", 1000, func(*fakeTopo) {}},
-		{"max size 0", 3, func(f *fakeTopo) { f.maxSz = 0 }},
+		{"max size 0", 3, func(f *fakeTopo) { f.v.MaxSize = 0 }},
 	} {
 		for _, biased := range []bool{true, false} {
 			run := func(gen randnum.Generator, wantIdeal bool) (Outcome, string, metrics.Ledger, uint64) {
@@ -533,12 +503,12 @@ func TestFusedRejectionRedraws(t *testing.T) {
 		{"neighbour draw, then capture", 1, true, []bool{true, false}, true},
 	} {
 		topo := newFakeTopo(t, 40, 3, 43)
-		if deg := len(topo.Adjacent(start)); deg&(deg-1) == 0 {
+		if deg := len(topo.v.Adj[start]); deg&(deg-1) == 0 {
 			t.Fatalf("start degree %d is a power of two; the mask rejects nothing", deg)
 		}
 		if tc.capture {
-			for _, c := range topo.Adjacent(start) {
-				topo.byz[c] = 5
+			for _, c := range topo.v.Adj[start] {
+				topo.v.Rows[c].Byz = 5
 			}
 		}
 		for _, biased := range tc.biased {
@@ -576,10 +546,10 @@ func TestFusedRejectionRedraws(t *testing.T) {
 }
 
 // TestSegmentDurationFollowsTopology: the walker's cached segment
-// duration follows both counts it depends on. A walker warmed on one
-// topology and a fresh walker give the same outcomes and ledger from twin
+// duration follows both view counts it depends on. A walker warmed on one
+// view and a fresh walker give the same outcomes and ledger from twin
 // streams after an edge add, which keeps NumClusters, and after a vertex
-// add, which keeps NumOverlayEdges.
+// add, which keeps NumEdges, so a cache keyed on either count alone fails.
 func TestSegmentDurationFollowsTopology(t *testing.T) {
 	topo := newFakeTopo(t, 40, 4, 31)
 	warm, err := NewWalker(defaultCfg(), topo)
@@ -605,24 +575,15 @@ func TestSegmentDurationFollowsTopology(t *testing.T) {
 		do   func()
 	}{
 		{"edge add", func() {
-			for v := ids.ClusterID(1); ; v++ {
-				if !topo.g.HasEdge(0, v) {
-					if err := topo.g.AddEdge(0, v); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
+			for v := ids.ClusterID(1); !topo.addEdge(0, v); v++ {
 			}
 		}},
-		{"vertex add", func() {
-			topo.g.AddVertex(40)
-			topo.sizes[40] = 10
-		}},
+		{"vertex add", func() { topo.addVertex(10, 0) }},
 	} {
-		n, edges := topo.NumClusters(), topo.NumOverlayEdges()
+		before := topo.v
 		mutate.do()
-		if (topo.NumClusters() != n) == (topo.NumOverlayEdges() != edges) {
-			t.Fatalf("%s: moved %d -> %d clusters and %d -> %d edges; want exactly one count moved", mutate.name, n, topo.NumClusters(), edges, topo.NumOverlayEdges())
+		if (topo.v.NumClusters != before.NumClusters) == (topo.v.NumEdges != before.NumEdges) {
+			t.Fatalf("%s: moved %d -> %d clusters and %d -> %d edges; want exactly one count moved", mutate.name, before.NumClusters, topo.v.NumClusters, before.NumEdges, topo.v.NumEdges)
 		}
 		fresh, err := NewWalker(defaultCfg(), topo)
 		if err != nil {
@@ -639,7 +600,7 @@ func TestSegmentDurationFollowsTopology(t *testing.T) {
 func TestWorstSecurityReported(t *testing.T) {
 	topo := newFakeTopo(t, 8, 3, 14)
 	for i := 0; i < 8; i++ {
-		topo.byz[ids.ClusterID(i)] = 4 // 4/10 >= 1/3: degraded everywhere
+		topo.v.Rows[i].Byz = 4 // 4/10 >= 1/3: degraded everywhere
 	}
 	w, err := NewWalker(defaultCfg(), topo)
 	if err != nil {
@@ -663,7 +624,7 @@ func TestSteerBiasesCommitReveal(t *testing.T) {
 	run := func(steer bool) float64 {
 		topo := newFakeTopo(t, 16, 4, 16)
 		for i := 0; i < 16; i++ {
-			topo.byz[ids.ClusterID(i)] = 3 // biasable but secure-majority
+			topo.v.Rows[i].Byz = 3 // biasable but secure-majority
 		}
 		cfg := defaultCfg()
 		cfg.Gen = randnum.CommitReveal{}
@@ -704,11 +665,12 @@ func TestBiasedRestartCapRespected(t *testing.T) {
 	// One giant cluster among tiny ones: acceptance for tiny endpoints is
 	// rare, so restarts are consumed; the cap must bound them.
 	topo := newFakeTopo(t, 12, 4, 20)
-	for i := 1; i < 12; i++ {
-		topo.sizes[ids.ClusterID(i)] = 1
-	}
-	topo.sizes[0] = 1000
-	topo.maxSz = 1000
+	topo.setSizes(func(i int) int32 {
+		if i == 0 {
+			return 1000
+		}
+		return 1
+	})
 	cfg := defaultCfg()
 	cfg.MaxRestarts = 3
 	w, err := NewWalker(cfg, topo)
@@ -729,14 +691,9 @@ func TestBiasedRestartCapRespected(t *testing.T) {
 }
 
 func TestWalkOnEdgelessMultiClusterFails(t *testing.T) {
-	topo := &fakeTopo{
-		g:     graph.New[ids.ClusterID](),
-		sizes: map[ids.ClusterID]int{0: 5, 1: 5},
-		byz:   map[ids.ClusterID]int{},
-		maxSz: 5,
-	}
-	topo.g.AddVertex(0)
-	topo.g.AddVertex(1)
+	topo := &fakeTopo{View{MaxSize: 5}}
+	topo.addVertex(5, 0)
+	topo.addVertex(5, 0)
 	w, err := NewWalker(defaultCfg(), topo)
 	if err != nil {
 		t.Fatal(err)

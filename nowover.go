@@ -274,7 +274,7 @@ func (s *System) Broadcast(source ClusterID) (apps.BroadcastReport, error) {
 
 // Sample draws one ~uniform node via randCl, from a random contact.
 func (s *System) Sample() (apps.SampleReport, error) {
-	sampler, err := apps.NewSampler(s.world, s.world.Walker(), s.world.Generator(), s.world.MemberAt)
+	sampler, err := apps.NewSampler(s.world, s.world.Walker(), s.world.Generator())
 	if err != nil {
 		return apps.SampleReport{}, err
 	}
