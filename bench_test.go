@@ -351,18 +351,28 @@ func BenchmarkBootstrap(b *testing.B) {
 
 // BenchmarkWorldBootstrap is one world set-up as cmd/nowperf times it:
 // sim.New (the random partition, the G(n, p) overlay and the runner) plus
-// core.CheckInvariants, at half of N = 2^14 (churn_batched's shape) and of
-// 2^18 (churn_large's). Nearly every alloc/op is a per-cluster record
-// (member list, adjacency): the node tables are sized to n0 once, so
-// growing them node by node again adds 50-80 allocs/op and fails the
-// floor in scripts/benchmem_gate.sh.
+// core.CheckInvariants, at churn_batched's shape (N = 2^14, n0 = 2^13),
+// churn_large's (2^18, 2^17) and churn_resize's (4096, 128). Every table
+// is sized once: the node and cluster tables to n0 and its clusters, the
+// member arrays and the adjacency lists carved from one arena each, the
+// overlay's ID tables to the largest cluster ID. Nearly every alloc/op
+// left is a cluster record, so a table or list grown entry by entry again
+// crosses the floors in scripts/benchmem_gate.sh.
 func BenchmarkWorldBootstrap(b *testing.B) {
-	for _, maxN := range []int{1 << 14, 1 << 18} {
-		b.Run("N="+strconv.Itoa(maxN), func(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		maxN int
+		n0   int
+	}{
+		{"N=16384", 1 << 14, 1 << 13},
+		{"N=262144", 1 << 18, 1 << 17},
+		{"N=4096,n0=128", 4096, 128},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := nowover.SimConfig{
-					Core:        nowover.DefaultConfig(maxN),
-					InitialSize: maxN / 2,
+					Core:        nowover.DefaultConfig(shape.maxN),
+					InitialSize: shape.n0,
 					Tau:         0.15,
 					Seed:        1,
 				}

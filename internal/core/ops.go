@@ -53,18 +53,15 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 
 	// Random partition by the representative cluster: a random ordering,
 	// cut into consecutive chunks of the target size, an undersized tail
-	// folded into the last chunk. The node tables are sized to the n0
-	// seeded nodes once (churn grows them from there), not grown node by
-	// node. byzPos, indexed by the Byzantine nodes' IDs, which span
-	// [0, n0), gets a quarter more, about where its 1.25x append chain
-	// ended, so the first Byzantine joins do not reallocate it. The
-	// chunks' member arrays are carved from one arena, each at least at
-	// the capacity appending its members one by one would reach
-	// (memberCap), so no join reallocates one sooner than that.
-	w.nodes = slices.Grow(w.nodes, n0)
-	w.allNodes = slices.Grow(w.allNodes, n0)
-	w.nodePos = slices.Grow(w.nodePos, n0)
-	w.byzPos = slices.Grow(w.byzPos, n0+n0/4)
+	// folded into the last chunk. The node and cluster tables are sized to
+	// the n0 seeded nodes and their clusters once (churn grows them from
+	// there), not grown node by node. byzPos, indexed by the Byzantine
+	// nodes' IDs, which span [0, n0), gets a quarter more, about where its
+	// 1.25x append chain ended, so the first Byzantine joins do not
+	// reallocate it. The chunks' member arrays are carved from one arena,
+	// each at least at the capacity appending its members one by one
+	// would reach (memberCap), so no join reallocates one sooner than
+	// that.
 	slots := w.rng.Perm(n0)
 	byz := make([]bool, n0)
 	for i := range byz {
@@ -78,20 +75,31 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 		bounds = append(bounds, end)
 	}
 	bounds = append(bounds, n0)
+	chunks := len(bounds) - 1
+	w.nodes = slices.Grow(w.nodes, n0)
+	w.allNodes = slices.Grow(w.allNodes, n0)
+	w.nodePos = slices.Grow(w.nodePos, n0)
+	w.byzPos = slices.Grow(w.byzPos, n0+n0/4)
+	w.clusters = slices.Grow(w.clusters, chunks)
+	w.rows = slices.Grow(w.rows, chunks)
+	w.settleQueue = slices.Grow(w.settleQueue, chunks)
 	total := 0
 	for i := 1; i < len(bounds); i++ {
 		total += memberCap(bounds[i] - bounds[i-1])
 	}
 	arena := make([]ids.NodeID, total)
-	clusterIDs := make([]ids.ClusterID, 0, len(bounds)-1)
+	clusterIDs := make([]ids.ClusterID, 0, chunks)
 	for i := 1; i < len(bounds); i++ {
 		c := w.clAlloc.NextCluster()
 		w.putCluster(c)
 		clusterIDs = append(clusterIDs, c)
+		cs := w.clusters[c]
 		m := memberCap(bounds[i] - bounds[i-1])
-		w.clusters[c].members, arena = arena[:0:m], arena[m:]
+		cs.members, arena = arena[:0:m], arena[m:]
 		for _, slot := range slots[bounds[i-1]:bounds[i]] {
-			w.seedNode(c, byz[slot])
+			x := w.nodeAlloc.NextNode()
+			cs.add(x, byz[slot])
+			w.registerNode(x, byz[slot], c)
 		}
 	}
 
@@ -105,6 +113,16 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 	}
 	if _, err := w.overlay.Bootstrap(w.rng.Split(0xB007), clusterIDs, p); err != nil {
 		return err
+	}
+
+	// Each cluster's composition is published once, whole: its size in
+	// the multiset, its row and overlay weight (the edges are drawn, so
+	// the weight moves its neighbours' masses), its class and its place
+	// in the settle queue.
+	for _, c := range clusterIDs {
+		cs := w.clusters[c]
+		w.noteSizeChange(0, len(cs.members))
+		w.recomposed(c, cs)
 	}
 
 	// The representative cluster tells each node its cluster, the cluster
@@ -126,15 +144,6 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 // appending size members one by one to an empty slice reaches up to 512
 // members, and more than it beyond.
 func memberCap(size int) int { return 1 << bits.Len(uint(size-1)) }
-
-// seedNode creates one initial node in cluster c.
-func (w *World) seedNode(c ids.ClusterID, byz bool) {
-	x := w.nodeAlloc.NextNode()
-	if err := w.insertMember(c, x, byz); err != nil {
-		panic(err) // bootstrap seeds only clusters it just created
-	}
-	w.registerNode(x, byz, c)
-}
 
 // JoinAuto performs a Join whose contact cluster is chosen uniformly — the
 // honest arrival case.

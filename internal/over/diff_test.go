@@ -2,6 +2,8 @@ package over
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"nowover/internal/graph"
@@ -23,7 +25,7 @@ func (o *refOverlay) bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float6
 		o.g.AddVertex(v)
 	}
 	var err error
-	landings(r, len(vertices), p, func(i, j int) {
+	drawLandings(r, len(vertices), p, func(i, j int) {
 		if err == nil {
 			err = o.g.AddEdge(vertices[i], vertices[j])
 		}
@@ -316,37 +318,79 @@ func TestOverlayMatchesGraphReference(t *testing.T) {
 }
 
 // TestCheckCatchesCorruption breaks one structural invariant at a time on
-// a healthy overlay and requires Check to name it.
+// a healthy overlay and requires Check to name it: each break returns a
+// text the error must hold, the vertex or edge at fault included. The two
+// redirected entries keep the edge count and the degree sum: an up entry
+// redirected below its vertex leaves every up entry with its twin, so
+// only the up and down counts can show it, and the twinless scan names
+// the redirected entry; a down entry redirected above is caught at the
+// up entry that lost its twin.
 func TestCheckCatchesCorruption(t *testing.T) {
 	cases := []struct {
 		name   string
-		breakO func(o *Overlay)
+		breakO func(o *Overlay) string
 	}{
-		{"asymmetric edge", func(o *Overlay) { o.adj[0] = append(o.adj[0], o.absentNeighbour(0)) }},
-		{"self-loop", func(o *Overlay) { o.adj[1] = append(o.adj[1], 1); o.adj[1] = append(o.adj[1], 1); o.edges++ }},
-		{"duplicate edge", func(o *Overlay) {
+		{"asymmetric edge", func(o *Overlay) string {
+			u := o.absentNeighbour(0)
+			o.adj[0] = append(o.adj[0], u)
+			return fmt.Sprintf("edge C0-%v is not symmetric", u)
+		}},
+		{"up entry redirected below", func(o *Overlay) string {
+			v, i, w := o.redirectable(func(v, u ids.ClusterID) bool { return u > v }, func(v, w ids.ClusterID) bool { return w < v })
+			o.adj[v][i] = w
+			return fmt.Sprintf("edge %v-%v is not symmetric", v, w)
+		}},
+		{"down entry redirected above", func(o *Overlay) string {
+			v, i, w := o.redirectable(func(v, u ids.ClusterID) bool { return u < v }, func(v, w ids.ClusterID) bool { return w > v })
+			u := o.adj[v][i]
+			o.adj[v][i] = w
+			return fmt.Sprintf("edge %v-%v is not symmetric", u, v)
+		}},
+		{"self-loop", func(o *Overlay) string {
+			o.adj[1] = append(o.adj[1], 1)
+			o.adj[1] = append(o.adj[1], 1)
+			o.edges++
+			return "self-loop on C1"
+		}},
+		{"duplicate edge", func(o *Overlay) string {
 			u := o.adj[2][0]
 			o.adj[2] = append(o.adj[2], u)
 			o.adj[u] = append(o.adj[u], 2)
 			o.edges++
+			// The scan meets the repeat in the list of the lower vertex.
+			return fmt.Sprintf("duplicate edge %v-%v", min(u, 2), max(u, 2))
 		}},
-		{"edge count", func(o *Overlay) { o.edges++ }},
-		{"position index", func(o *Overlay) { o.pos[o.order[0]], o.pos[o.order[1]] = o.pos[o.order[1]], o.pos[o.order[0]] }},
-		{"edge to absent vertex", func(o *Overlay) {
+		{"edge count", func(o *Overlay) string {
+			o.edges++
+			return fmt.Sprintf("edge count %d vs degree sum %d", o.edges, 2*o.edges-2)
+		}},
+		{"position index", func(o *Overlay) string {
+			o.pos[o.order[0]], o.pos[o.order[1]] = o.pos[o.order[1]], o.pos[o.order[0]]
+			return fmt.Sprintf("position index of %v is 1", o.order[0])
+		}},
+		{"edge to absent vertex", func(o *Overlay) string {
 			o.adj = append(o.adj, nil)
 			o.pos = append(o.pos, 0)
 			absent := ids.ClusterID(len(o.adj) - 1)
 			o.adj[0] = append(o.adj[0], absent)
 			o.adj[absent] = append(o.adj[absent], 0)
 			o.edges++
+			return fmt.Sprintf("absent vertex %v has 1 edges", absent)
 		}},
-		{"degree above bound", func(o *Overlay) { o.degreeBound = 1 }},
-		{"stale neighbour mass", func(o *Overlay) { o.weight[o.order[0]] = 3 }}, // written behind SetWeight
-		{"stale cached shape", func(o *Overlay) {
+		{"degree above bound", func(o *Overlay) string {
+			o.degreeBound = 1
+			return fmt.Sprintf("%v has degree %d above bound 1", o.order[0], o.Degree(o.order[0]))
+		}},
+		{"stale neighbour mass", func(o *Overlay) string {
+			o.weight[o.order[0]] = 3 // written behind SetWeight
+			return fmt.Sprintf("%v has neighbour mass 0, its neighbours weigh 3", slices.Min(o.adj[o.order[0]]))
+		}},
+		{"stale cached shape", func(o *Overlay) string {
 			if !o.Connected() { // caches connected at the current mutation count
 				panic("bootstrapped overlay disconnected")
 			}
 			isolateBehindMutators(o, o.order[0])
+			return "cached shape (connected=true"
 		}},
 	}
 	for _, tc := range cases {
@@ -355,12 +399,35 @@ func TestCheckCatchesCorruption(t *testing.T) {
 			if err := o.Check(); err != nil {
 				t.Fatalf("healthy overlay: %v", err)
 			}
-			tc.breakO(o)
-			if err := o.Check(); err == nil {
+			want := tc.breakO(o)
+			err := o.Check()
+			if err == nil {
 				t.Fatal("Check accepted a corrupted overlay")
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("Check reported %q, want it to name %q", err, want)
 			}
 		})
 	}
+}
+
+// redirectable finds an entry u = adj[v][i] with entry(v, u) and a
+// vertex w, not v and not adjacent to it, with target(v, w): an entry
+// that can be pointed at w with the edge count and degree sum unchanged.
+func (o *Overlay) redirectable(entry, target func(v, u ids.ClusterID) bool) (v ids.ClusterID, i int, w ids.ClusterID) {
+	for _, v := range o.order {
+		for i, u := range o.adj[v] {
+			if !entry(v, u) {
+				continue
+			}
+			for _, w := range o.order {
+				if w != v && target(v, w) && !o.hasEdge(v, w) {
+					return v, i, w
+				}
+			}
+		}
+	}
+	panic("no entry to redirect")
 }
 
 // isolateBehindMutators deletes every edge of c by writing adj directly,

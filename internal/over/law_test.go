@@ -4,11 +4,20 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"nowover/internal/ids"
 	"nowover/internal/xrand"
 )
+
+// drawLandings is one landings pass drawn from r's stream, r left where
+// the pass leaves it, as Bootstrap leaves its stream.
+func drawLandings(r *xrand.Rand, n int, p float64, link func(i, j int)) {
+	g := newSkips(n, p)
+	hi, lo := r.PCG().State()
+	r.PCG().SetState(g.landings(hi, lo, link))
+}
 
 // coinPairs is the coin-per-pair G(n, p) oracle: one r.Bool(p) per pair,
 // in landings' row-major order. It is the law landings must keep.
@@ -32,7 +41,7 @@ func samplers() []struct {
 	return []struct {
 		name string
 		draw func(r *xrand.Rand, n int, p float64, link func(i, j int))
-	}{{"skips", landings}, {"coins", coinPairs}}
+	}{{"skips", drawLandings}, {"coins", coinPairs}}
 }
 
 // wordsDrawn reports how many words r has drawn since xrand.New(seed),
@@ -135,7 +144,7 @@ func TestBootstrapDrawsPerEdge(t *testing.T) {
 				size = int(span) + 1
 			}
 			r, edges := xrand.New(seed), 0
-			landings(r, c.n, c.p, func(int, int) { edges++ })
+			drawLandings(r, c.n, c.p, func(int, int) { edges++ })
 			words := wordsDrawn(t, r, seed, pairs)
 			if edges > c.maxEdges {
 				t.Errorf("n=%d p=%g seed %d: %d edges, want at most %d", c.n, c.p, seed, edges, c.maxEdges)
@@ -143,6 +152,50 @@ func TestBootstrapDrawsPerEdge(t *testing.T) {
 			if limit := edges + pairs/size + 1; words > limit || words <= edges {
 				t.Errorf("n=%d p=%g seed %d: %d words for %d edges, want (%d, %d]", c.n, c.p, seed, words, edges, edges, limit)
 			}
+		}
+	}
+}
+
+// TestSkipsGuideMatchesBinarySearch: the guide-table search returns
+// slices.BinarySearch's index over the table, the search it replaced, at
+// every table value and its float64 neighbours on both sides (each read
+// through the draws just below and above it), at both ends of every guide
+// bucket, and on 10^6 random words. The densities run from a table of n
+// values packed into a sliver below 1 (p = 1e-6) to one of nine values
+// inside the first bucket (p = 0.99).
+func TestSkipsGuideMatchesBinarySearch(t *testing.T) {
+	const n = 4096
+	r := xrand.New(52)
+	for _, p := range []float64{1e-6, 0.02, 0.5, 0.99} {
+		g := newSkips(n, p)
+		check := func(word uint64) {
+			want, _ := slices.BinarySearch(g.neg, -xrand.Float64From(word))
+			if got := g.gap(word); got != want {
+				t.Fatalf("p=%g word %#x: guide search %d, binary search %d", p, word, got, want)
+			}
+		}
+		// around checks the draws m/2^53 nearest x: the largest at or
+		// below it, the one before and the one after.
+		around := func(x float64) {
+			m := uint64(x * (1 << 53))
+			check(m)
+			check(m + 1)
+			if m > 0 {
+				check(m - 1)
+			}
+		}
+		for _, v := range g.neg {
+			around(-v)
+			around(math.Nextafter(-v, 0))
+			around(math.Nextafter(-v, 1))
+		}
+		for j := range g.guide {
+			first := uint64(j) << g.shift
+			check(first)
+			check(first + 1<<g.shift - 1)
+		}
+		for range 1_000_000 {
+			check(r.Uint64())
 		}
 	}
 }

@@ -37,6 +37,7 @@ package over
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"nowover/internal/graph"
@@ -387,10 +388,22 @@ func (o *Overlay) computeShape() shape {
 // even in small regimes where G(n,p) is disconnected (at the paper's scales
 // the chain adds no edges w.h.p.). Returns the number of patch edges added.
 // A vertex listed twice is an error, found before anything is drawn.
+//
+// Every table is sized once: the ID-indexed tables to the largest vertex,
+// the vertex order and the traversal queue to the vertex count, and the
+// adjacency lists are carved from one arena of exactly the degree sum.
+// For that the draw runs twice from r's state, once counting degrees and
+// once linking, and r is left where one pass leaves it. Only a patch edge
+// grows a list.
 func (o *Overlay) Bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float64) (int, error) {
 	if len(o.order) != 0 {
 		return 0, fmt.Errorf("over: bootstrap on non-empty overlay")
 	}
+	if len(vertices) > 0 {
+		o.grow(slices.Max(vertices))
+	}
+	o.order = slices.Grow(o.order, len(vertices))
+	o.queue = slices.Grow(o.queue, len(vertices))
 	for _, v := range vertices {
 		if o.Has(v) {
 			return 0, fmt.Errorf("over: bootstrap vertex %v listed twice", v)
@@ -398,7 +411,19 @@ func (o *Overlay) Bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float64) 
 		o.addVertex(v)
 	}
 	// The vertices are distinct: no self-loop, no duplicate edge.
-	landings(r, len(vertices), p, func(i, j int) { o.link(vertices[i], vertices[j]) })
+	g := newSkips(len(vertices), p)
+	hi, lo := r.PCG().State()
+	deg := make([]int32, len(vertices))
+	g.landings(hi, lo, func(i, j int) { deg[i]++; deg[j]++ })
+	sum := 0
+	for _, d := range deg {
+		sum += int(d)
+	}
+	arena := make([]ids.ClusterID, sum)
+	for i, v := range vertices {
+		o.adj[v], arena = arena[:0:deg[i]], arena[deg[i]:]
+	}
+	r.PCG().SetState(g.landings(hi, lo, func(i, j int) { o.link(vertices[i], vertices[j]) }))
 	// Link the earliest vertex of each further component (components
 	// ordered by their earliest vertex) to the first vertex. A patch only
 	// joins already-visited components, so it cannot change what the rest
@@ -418,14 +443,14 @@ func (o *Overlay) Bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float64) 
 		}
 		patches++
 	}
-	_, hi := o.DegreeRange()
-	o.degreeBound = max(o.degreeBound, hi)
+	_, top := o.DegreeRange()
+	o.degreeBound = max(o.degreeBound, top)
 	return patches, nil
 }
 
-// landings calls link(i, j) for the pairs 0 <= i < j < n, in row-major
-// order, that G(n, p) links, each independently with probability p. p >= 1
-// links every pair and p <= 0 none, neither drawing from r. Otherwise it
+// skips draws the landings of G(n, p): the pairs 0 <= i < j < n, in
+// row-major order, each linked independently with probability p. p >= 1
+// links every pair and p <= 0 none, neither drawing. Otherwise landings
 // draws one geometric gap of unlinked pairs per landing (Batagelj &
 // Brandes, Phys. Rev. E 71, 2005) by inversion: with q = 1-p, a uniform u
 // lies below exactly k of q^1..q^L with probability q^k - q^(k+1), that
@@ -434,40 +459,104 @@ func (o *Overlay) Bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float64) 
 // (a gap passes the table with probability ~e^-8) it draws
 // E + C(n, 2)/L + 1 words for E edges, O(n + E), and takes no logarithm
 // whose last bit could differ between architectures.
-func landings(r *xrand.Rand, n int, p float64, link func(i, j int)) {
-	switch {
-	case n < 2 || !(p > 0):
-		return
-	case p >= 1:
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				link(i, j)
-			}
-		}
-		return
+//
+// A gap is found through a guide table (Chen & Asau, 1974), not a binary
+// search: the draw u is m/2^53 for the 53-bit integer m of its word, and
+// the top bits of m pick a bucket of u's range whose entry says how many
+// table values lie above every u in the bucket. The search starts there
+// and steps on with the compares slices.BinarySearch makes, so it returns
+// BinarySearch's index (TestSkipsGuideMatchesBinarySearch). There are at
+// least as many buckets as table values, so a gap costs O(1) expected
+// compares. The bucket is integer arithmetic and nothing in the table or
+// the search is a fusable multiply-add, so no architecture rounds a gap
+// differently.
+type skips struct {
+	n int
+	p float64
+	// neg[k] = -q^(k+1) increases, so the entries above u are those
+	// BinarySearch puts before -u.
+	neg []float64
+	// guide[m>>shift] is the number of entries of neg below -u for the
+	// largest u of m's bucket, where the search for m starts.
+	guide []int32
+	shift uint
+}
+
+// newSkips builds the tables landings draws G(n, p) with; degenerate n and
+// p need none.
+func newSkips(n int, p float64) skips {
+	g := skips{n: n, p: p}
+	if n < 2 || !(p > 0) || p >= 1 {
+		return g
 	}
 	size := n
 	if span := 8 / p; span < float64(n) {
 		size = int(span) + 1
 	}
-	// neg[k] = -q^(k+1) increases, so the entries above u are those
-	// BinarySearch puts before -u.
-	neg, qk := make([]float64, size), 1.0
-	for k := range neg {
+	g.neg = make([]float64, size)
+	qk := 1.0
+	for k := range g.neg {
 		qk *= 1 - p
-		neg[k] = -qk
+		g.neg[k] = -qk
+	}
+	b := bits.Len(uint(size - 1))
+	g.shift = 53 - uint(b)
+	g.guide = make([]int32, 1<<b)
+	// Bucket j holds m in [j<<shift, (j+1)<<shift); its largest u, and so
+	// its fewest entries above u, is at the bucket's last m. The counts
+	// grow as the buckets descend.
+	k := 0
+	for j := len(g.guide) - 1; j >= 0; j-- {
+		top := -float64(uint64(j+1)<<g.shift-1) / (1 << 53)
+		for k < size && g.neg[k] < top {
+			k++
+		}
+		g.guide[j] = int32(k)
+	}
+	return g
+}
+
+// gap returns the number of table values above the uniform draw of word,
+// slices.BinarySearch(neg, -xrand.Float64From(word))'s index.
+func (g *skips) gap(word uint64) int {
+	target := -xrand.Float64From(word)
+	k := int(g.guide[word<<11>>11>>g.shift])
+	for k < len(g.neg) && g.neg[k] < target {
+		k++
+	}
+	return k
+}
+
+// landings calls link(i, j) for each pair G(n, p) links, in row-major
+// order, drawing its words from the PCG state (hi, lo), and returns the
+// state after its last word: a stream at (hi, lo) set to it has drawn
+// exactly those words.
+func (g *skips) landings(hi, lo uint64, link func(i, j int)) (uint64, uint64) {
+	n := g.n
+	switch {
+	case n < 2 || !(g.p > 0):
+		return hi, lo
+	case g.p >= 1:
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				link(i, j)
+			}
+		}
+		return hi, lo
 	}
 	// (i, j) is the next pair in row-major order; row i ends at column n-1
 	// and row i+1 starts at column i+2.
 	i, j := 0, 1
 	for {
-		k, _ := slices.BinarySearch(neg, -r.Float64())
+		var word uint64
+		hi, lo, word = xrand.Next(hi, lo)
+		k := g.gap(word)
 		for j += k; j >= n; j += i + 1 - n {
 			if i++; i >= n-1 {
-				return
+				return hi, lo
 			}
 		}
-		if k < size {
+		if k < len(g.neg) {
 			link(i, j)
 			j++
 		}
@@ -569,6 +658,14 @@ func (o *Overlay) wire(led *metrics.Ledger, u ids.ClusterID, want int, pick Pick
 // Connected/DegreeRange that claims to be current matches a fresh
 // recomputation. It returns the first violation found, scanning in vertex
 // order.
+//
+// Symmetry is proved with one list scan per edge, not one per entry, and
+// no scratch beyond the traversal marks: an entry u in v's list that
+// points up (u > v) must have its twin v in u's list, and as many entries
+// point up as down. Entries are distinct, so an up entry's twin is a down
+// entry of its own, and with the counts equal every down entry is some up
+// entry's twin. Only when the counts differ does a full scan look for the
+// down entry that has no twin.
 func (o *Overlay) Check() error {
 	live := 0
 	for c, p := range o.pos {
@@ -593,7 +690,7 @@ func (o *Overlay) Check() error {
 	if live != len(o.order) {
 		return fmt.Errorf("over: %d indexed vertices vs %d in order", live, len(o.order))
 	}
-	degrees := 0
+	degrees, up := 0, 0
 	for _, v := range o.order {
 		lst := o.adj[v]
 		if len(lst) > o.degreeBound {
@@ -609,14 +706,20 @@ func (o *Overlay) Check() error {
 				return fmt.Errorf("over: %v lists absent neighbour %v", v, u)
 			case o.seen[u] == o.epoch:
 				return fmt.Errorf("over: duplicate edge %v-%v", v, u)
-			case !o.hasEdge(u, v):
-				return fmt.Errorf("over: edge %v-%v is not symmetric", v, u)
+			case u > v:
+				if !o.hasEdge(u, v) {
+					return fmt.Errorf("over: edge %v-%v is not symmetric", v, u)
+				}
+				up++
 			}
 			o.seen[u] = o.epoch
 		}
 	}
 	if degrees != 2*o.edges {
 		return fmt.Errorf("over: edge count %d vs degree sum %d", o.edges, degrees)
+	}
+	if down := degrees - up; up != down {
+		return o.twinless(up, down)
 	}
 	if cached := o.shape; cached.valid && cached.at == o.mutations {
 		if fresh := o.computeShape(); fresh != cached {
@@ -625,6 +728,20 @@ func (o *Overlay) Check() error {
 		}
 	}
 	return nil
+}
+
+// twinless names the first entry, in vertex order, whose twin is missing.
+// Check calls it when every up entry has its twin but the up and down
+// counts differ, so some down entry has none.
+func (o *Overlay) twinless(up, down int) error {
+	for _, v := range o.order {
+		for _, u := range o.adj[v] {
+			if !o.hasEdge(u, v) {
+				return fmt.Errorf("over: edge %v-%v is not symmetric", v, u)
+			}
+		}
+	}
+	return fmt.Errorf("over: %d entries point up and %d down, yet every entry has its twin", up, down)
 }
 
 // Health is a structural audit of the two OVER properties.

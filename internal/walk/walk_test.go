@@ -296,7 +296,9 @@ type interfaceGen struct{ randnum.Generator }
 // uniform walks, with and without a hijacker, leave the same outcome,
 // error, ledger and next stream word under Ideal, which draws inline
 // wherever it can, as through the interface, which takes every step out
-// of line. The topologies take every exit and every out-of-line step:
+// of line; a walker built on Ideal itself, and only such a walker, takes
+// the inline path. The topologies take every exit and every out-of-line
+// step:
 //   - from every start of a graph with a captured, an empty and a degraded
 //     cluster, walks end, are hijacked, and fail at the empty cluster
 //     after hops at degraded clusters; without a hijacker, some Ideal
@@ -356,6 +358,9 @@ func TestFusedHopChargesOnEveryExit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, ideal := gen.(randnum.Ideal); w.ideal != ideal {
+				t.Fatalf("%s: walker built on %T has ideal = %v", tc.name, gen, w.ideal)
+			}
 			var res result
 			r := xrand.New(uint64(start) + 100)
 			if biased {
@@ -406,56 +411,6 @@ func TestFusedHopChargesOnEveryExit(t *testing.T) {
 	}
 	if inPlace == 0 || inline == 0 {
 		t.Errorf("%d walks drew at the captured cluster in place and %d never left the inline path; both must happen", inPlace, inline)
-	}
-}
-
-// TestFusedFallbackMatchesInterface: the walks an earlier fused loop
-// declined, from an isolated vertex, from an ID past the tables and under
-// a max size of 0, are now run by the inline loop under Ideal and leave
-// no trace of it: biased and uniform, they leave the outcome, error,
-// ledger and next stream word the interface path leaves.
-func TestFusedFallbackMatchesInterface(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		start ids.ClusterID
-		edit  func(*fakeTopo)
-	}{
-		{"isolated vertex", 40, func(f *fakeTopo) { f.addVertex(10, 0) }},
-		{"past the tables", 1000, func(*fakeTopo) {}},
-		{"max size 0", 3, func(f *fakeTopo) { f.v.MaxSize = 0 }},
-	} {
-		for _, biased := range []bool{true, false} {
-			run := func(gen randnum.Generator, wantIdeal bool) (Outcome, string, metrics.Ledger, uint64) {
-				topo := newFakeTopo(t, 40, 4, 41)
-				tc.edit(topo)
-				cfg := defaultCfg()
-				cfg.Gen = gen
-				w, err := NewWalker(cfg, topo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if w.ideal != wantIdeal {
-					t.Fatalf("%s: walker built on %T has ideal = %v", tc.name, gen, w.ideal)
-				}
-				var led metrics.Ledger
-				r := xrand.New(42)
-				walk := w.Uniform
-				if biased {
-					walk = w.Biased
-				}
-				out, err := walk(&led, r, tc.start)
-				msg := ""
-				if err != nil {
-					msg = err.Error()
-				}
-				return out, msg, led, r.Uint64()
-			}
-			out, msg, led, next := run(randnum.Ideal{}, true)
-			iOut, iMsg, iLed, iNext := run(interfaceGen{randnum.Ideal{}}, false)
-			if out != iOut || msg != iMsg || led != iLed || next != iNext {
-				t.Errorf("%s, biased=%v: fused %+v %q %+v %#x, interface %+v %q %+v %#x", tc.name, biased, out, msg, led, next, iOut, iMsg, iLed, iNext)
-			}
-		}
 	}
 }
 

@@ -48,15 +48,18 @@ go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|Benchma
 	-benchmem -benchtime 50x . | tee -a "$out"
 
 # World construction as cmd/nowperf times a set-up: sim.New plus
-# core.CheckInvariants at n0 = 2^13 and 2^17. The count is seeded and
-# exact, nearly all of it the overlay's adjacency lists and the
-# per-cluster records; the node tables (byzPos included) are sized to n0
-# once, the member arrays are carved from one arena and CheckInvariants
-# marks members in a bitset, so the tables grown node by node again
-# (+50 and +82 allocs/op, +16 and +26 for byzPos), member arrays grown
-# member by member (about +1 700 and +25 600) or a per-node map in the
-# oracle crosses the floor. Three iterations: one 2^17 set-up takes
-# ~0.05 s.
+# core.CheckInvariants at churn_batched's, churn_large's and churn_resize's
+# shapes (n0 = 2^13, 2^17 and 128). The count is seeded and exact, and
+# every table is sized once: the node and cluster tables to n0 and its
+# clusters, the member arrays and the adjacency lists carved from one
+# arena each (the lists at their exact degrees, counted by a first pass
+# of the G(n, p) draw), the overlay's ID tables to the largest cluster
+# ID. Nearly every alloc/op left is a per-cluster record. Adjacency lists
+# grown edge by edge again (+1 510, +20 930 and +10 allocs/op), member
+# arrays grown member by member (about +1 700 and +25 600 at the two
+# larger shapes), node tables grown node by node (+50 and +82) or a
+# per-node map in the oracle crosses the floor. Three iterations: one
+# 2^17 set-up takes ~0.02 s.
 echo "== benchmem gate: world construction =="
 go test -run '^$' -bench 'BenchmarkWorldBootstrap' \
 	-benchmem -benchtime 3x . | tee -a "$out"
@@ -90,8 +93,9 @@ BenchmarkWorldAudit/after-mutation 0
 BenchmarkIdealDraw 0
 BenchmarkSimulationStep 0
 BenchmarkRunnerContinue/into 0
-BenchmarkWorldBootstrap/N=16384 1980
-BenchmarkWorldBootstrap/N=262144 24830
+BenchmarkWorldBootstrap/N=16384 390
+BenchmarkWorldBootstrap/N=262144 3770
+BenchmarkWorldBootstrap/N=4096,n0=128 70
 BenchmarkStreamReframe/empty 0
 BenchmarkStreamReframe/payload 1
 BenchmarkTCPRequestEcho 2
