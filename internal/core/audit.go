@@ -53,7 +53,7 @@ func (w *World) Audit() Audit {
 	a := Audit{
 		Nodes:    len(w.allNodes),
 		Byz:      len(w.byzNodes),
-		Clusters: w.nClusters,
+		Clusters: w.NumClusters(),
 		SizeLo:   w.cfg.MergeThreshold(),
 		SizeHi:   w.cfg.SplitThreshold(),
 	}
@@ -61,11 +61,12 @@ func (w *World) Audit() Audit {
 	// Ascending ClusterID walk: min/max/fraction folds are commutative, but
 	// the audit is part of rendered output and the determinism contract is
 	// cheaper to hold uniformly than to re-prove per fold.
-	for _, cs := range w.clusters {
-		if cs == nil {
+	for i := range w.clusters {
+		if !w.clusters[i].live {
 			continue
 		}
-		size := len(cs.members)
+		row := w.rows[i]
+		size := int(row.Size)
 		if first {
 			a.MinSize, a.MaxSize = size, size
 			first = false
@@ -78,11 +79,11 @@ func (w *World) Audit() Audit {
 			}
 		}
 		if size > 0 {
-			if f := float64(cs.byz) / float64(size); f > a.MaxByzFraction {
+			if f := float64(row.Byz) / float64(size); f > a.MaxByzFraction {
 				a.MaxByzFraction = f
 			}
 		}
-		switch randnum.Classify(size, cs.byz) {
+		switch rowClass(row) {
 		case randnum.Degraded:
 			a.Degraded++
 		case randnum.Captured:
@@ -102,25 +103,36 @@ func (w *World) OverlayHealth(spectralIters, randomCuts int) over.Health {
 	return w.overlay.CheckHealth(w.rng.Split(0xAEA1), spectralIters, randomCuts)
 }
 
-// CheckConsistency exhaustively cross-checks the world's redundant
-// bookkeeping (membership indexes, Byzantine counts, the allegiance
-// bitset, the row table and the overlay weights, the size multiset and
-// max tracker, the incremental security classes and insecure counters,
-// the settle queue, the cluster and node counters, overlay/partition
-// correspondence, the overlay's own structure). Used by tests and the
-// simulator's paranoid mode; returns the first inconsistency found. All
-// walks run in ascending ID order, so which inconsistency is
-// reported first is a function of the state, not of any map hash seed.
+// CheckConsistency recounts every derived store of the world against the
+// store it derives from and returns the first disagreement: each node
+// record's sampling position against the flat index, each member list
+// against the node records, and the row (size, Byzantine count) each
+// cluster's members and the allegiance bitset give against its row, its
+// overlay weight, the size multiset and max tracker, the insecure
+// counters and the settle queue; the Byzantine index against the bitset;
+// the cluster table against the overlay's vertex set; and the overlay's
+// own structure. Used by tests and the simulator's paranoid mode. All
+// walks run in ascending ID order, so which inconsistency is reported
+// first is a function of the state, not of any map hash seed.
 func (w *World) CheckConsistency() error {
 	nodeRecords := 0
-	for _, info := range w.nodes {
-		if info.present {
-			nodeRecords++
+	for i, info := range w.nodes {
+		if info.pos == 0 {
+			continue
 		}
+		x := ids.NodeID(i)
+		if p := int(info.pos) - 1; p < 0 || p >= len(w.allNodes) || w.allNodes[p] != x {
+			return fmt.Errorf("consistency: node %v has sampling position %d, not its place in the flat index", x, p)
+		}
+		if w.IsByzantine(x) {
+			if p := w.byzSamplePos(x); p < 0 || int(p) >= len(w.byzNodes) || w.byzNodes[p] != x {
+				return fmt.Errorf("consistency: byz node %v missing from index", x)
+			}
+		}
+		nodeRecords++
 	}
-	if nodeRecords != w.nodeCount {
-		return fmt.Errorf("consistency: node index counts %d records, actual %d", w.nodeCount, nodeRecords)
-	}
+	// Each record's position holds its own node, so the positions are
+	// distinct; as many records as entries makes them every entry.
 	if len(w.allNodes) != nodeRecords {
 		return fmt.Errorf("consistency: %d indexed nodes vs %d records", len(w.allNodes), nodeRecords)
 	}
@@ -133,11 +145,15 @@ func (w *World) CheckConsistency() error {
 	for _, c := range w.settleQueue {
 		queued[c] = true
 	}
-	for i, cs := range w.clusters {
-		if cs == nil {
+	for i := range w.clusters {
+		cs := &w.clusters[i]
+		c := ids.ClusterID(i)
+		if !cs.live {
+			if len(cs.members) != 0 {
+				return fmt.Errorf("consistency: retired or unminted cluster %v holds %d members", c, len(cs.members))
+			}
 			continue
 		}
-		c := ids.ClusterID(i)
 		if !w.overlay.Has(c) {
 			return fmt.Errorf("consistency: cluster %v missing from overlay", c)
 		}
@@ -150,39 +166,29 @@ func (w *World) CheckConsistency() error {
 			if info.cluster != c {
 				return fmt.Errorf("consistency: node %v thinks it is in %v, member list says %v", x, info.cluster, c)
 			}
-			if w.IsByzantine(x) {
-				byz++
-			}
+			byz += byzCount(w.IsByzantine(x))
 		}
-		if byz != cs.byz {
-			return fmt.Errorf("consistency: cluster %v byz count %d, actual %d", c, cs.byz, byz)
+		n := len(cs.members)
+		if row := w.rows[c]; int(row.Size) != n || int(row.Byz) != byz {
+			return fmt.Errorf("consistency: cluster %v row (%d, %d), actual (%d, %d)", c, row.Size, row.Byz, n, byz)
 		}
-		if row := w.rows[c]; int(row.Size) != len(cs.members) || int(row.Byz) != byz {
-			return fmt.Errorf("consistency: cluster %v row (%d, %d), actual (%d, %d)", c, row.Size, row.Byz, len(cs.members), byz)
+		if wt := w.overlay.Weight(c); wt != int64(n) {
+			return fmt.Errorf("consistency: cluster %v has overlay weight %d, size %d", c, wt, n)
 		}
-		if wt := w.overlay.Weight(c); wt != int64(len(cs.members)) {
-			return fmt.Errorf("consistency: cluster %v has overlay weight %d, size %d", c, wt, len(cs.members))
-		}
-		want := randnum.Secure
-		if len(cs.members) > 0 {
-			want = randnum.Classify(len(cs.members), cs.byz)
-		}
-		if cs.sec != want {
-			return fmt.Errorf("consistency: cluster %v live class %v, actual %v", c, cs.sec, want)
-		}
-		if cs.sec >= randnum.Degraded {
+		class := rowClass(walk.Row{Size: int32(n), Byz: int32(byz)})
+		if class >= randnum.Degraded {
 			degraded++
 		}
-		if cs.sec == randnum.Captured {
+		if class == randnum.Captured {
 			captured++
 		}
 		if cs.dirty && !queued[c] {
 			return fmt.Errorf("consistency: cluster %v dirty but not queued for settle", c)
 		}
-		totalMembers += len(cs.members)
+		totalMembers += n
 		totalClusters++
-		maxSize = max(maxSize, len(cs.members))
-		if n := len(cs.members); n > 0 {
+		maxSize = max(maxSize, n)
+		if n > 0 {
 			if n >= len(sizes) {
 				sizes = append(sizes, make([]int32, n+1-len(sizes))...)
 			}
@@ -213,9 +219,6 @@ func (w *World) CheckConsistency() error {
 	if totalMembers != nodeRecords {
 		return fmt.Errorf("consistency: %d members across clusters vs %d nodes", totalMembers, nodeRecords)
 	}
-	if totalClusters != w.nClusters {
-		return fmt.Errorf("consistency: cluster counter %d vs %d stored clusters", w.nClusters, totalClusters)
-	}
 	if w.overlay.NumVertices() != totalClusters {
 		return fmt.Errorf("consistency: overlay has %d vertices vs %d clusters", w.overlay.NumVertices(), totalClusters)
 	}
@@ -245,20 +248,6 @@ func (w *World) CheckConsistency() error {
 	}
 	if marked != len(w.byzNodes) {
 		return fmt.Errorf("consistency: allegiance bitset marks %d Byzantine nodes, byz index %d", marked, len(w.byzNodes))
-	}
-	for i, info := range w.nodes {
-		if !info.present {
-			continue
-		}
-		x := ids.NodeID(i)
-		if p := w.samplePos(x); p < 0 || w.allNodes[p] != x {
-			return fmt.Errorf("consistency: node %v missing from flat index", x)
-		}
-		if w.IsByzantine(x) {
-			if p := w.byzSamplePos(x); p < 0 || w.byzNodes[p] != x {
-				return fmt.Errorf("consistency: byz node %v missing from index", x)
-			}
-		}
 	}
 	return nil
 }

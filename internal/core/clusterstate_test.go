@@ -1,111 +1,136 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
-	"nowover/internal/ids"
+	"nowover/internal/walk"
 )
 
-// The clusterState.remove paths surfaced while writing the invariant
-// layer: removing the last member must keep the backing array for arena
-// recycling, a swap-moved node must stay removable, a double/absent
-// removal must be an explicit error, and a mismatched byz flag must not
-// underflow the Byzantine counter.
+// The member-removal paths surfaced while writing the invariant layer:
+// removing the last member must keep the backing array for reuse, a
+// swap-moved node must stay removable, a double/absent removal must be an
+// explicit error, and a mismatched byz flag must not underflow the
+// Byzantine count the row holds. Each runs on a bootstrapped world through
+// removeMember and insertMember, which keep the row, the member list and
+// everything derived from the row together.
 
-func newClusterState(members ...ids.NodeID) *clusterState {
-	cs := &clusterState{}
-	for _, x := range members {
-		cs.add(x, false)
+// honestWorld bootstraps a world with no Byzantine node, so that every
+// row's Byzantine count starts at zero.
+func honestWorld(t *testing.T) *World {
+	t.Helper()
+	w, err := NewWorld(DefaultConfig(512))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return cs
+	if err := w.Bootstrap(200, nil); err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func TestClusterStateRemoveLast(t *testing.T) {
-	cs := newClusterState(1, 2, 3)
-	for _, x := range []ids.NodeID{2, 1, 3} {
-		if err := cs.remove(x, false); err != nil {
+	w := honestWorld(t)
+	c := w.Clusters()[0]
+	members := w.Members(c)
+	// Remove from the front, so every removal but the last swap-moves.
+	for _, x := range members {
+		if err := w.removeMember(c, x, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(cs.members) != 0 {
-		t.Fatalf("state not empty after removing all: %v", cs.members)
+	cs := w.cluster(c)
+	if len(cs.members) != 0 || w.rows[c] != (walk.Row{}) {
+		t.Fatalf("cluster not empty after removing all: %v, row %+v", cs.members, w.rows[c])
 	}
-	// The emptied record must RETAIN its backing array: retired records
-	// return to the shard free list and the retained capacity is what
-	// makes the recycled record's next fill allocation-free.
+	// The emptied record must RETAIN its backing array: retired clusters
+	// pool it, and the retained capacity is what makes the next fill
+	// allocation-free.
 	if cap(cs.members) == 0 {
 		t.Fatal("emptied member list released its backing array")
 	}
-	// The emptied state must remain usable (merge refill / recycle path).
-	cs.add(9, true)
-	if cs.indexOf(9) != 0 || cs.byz != 1 || len(cs.members) != 1 {
-		t.Fatalf("re-add after empty broken: %+v", cs)
+	// The emptied cluster must remain usable (merge refill path).
+	if err := w.insertMember(c, members[0], true); err != nil {
+		t.Fatal(err)
+	}
+	if cs.indexOf(members[0]) != 0 || w.Size(c) != 1 || w.Byz(c) != 1 {
+		t.Fatalf("re-add after empty broken: members %v, row %+v", cs.members, w.rows[c])
 	}
 }
 
 func TestClusterStateRemoveMoved(t *testing.T) {
-	cs := newClusterState(10, 20, 30)
-	// Removing 10 swap-moves 30 into slot 0; 30 must still be removable
-	// and its index must be correct.
-	if err := cs.remove(10, false); err != nil {
+	w := honestWorld(t)
+	c := w.Clusters()[0]
+	members := w.Members(c)
+	first, last := members[0], members[len(members)-1]
+	// Removing the first member swap-moves the last into slot 0; it must
+	// still be removable and its index must be correct.
+	if err := w.removeMember(c, first, false); err != nil {
 		t.Fatal(err)
 	}
-	if cs.indexOf(30) != 0 || cs.members[0] != 30 {
-		t.Fatalf("swap-move bookkeeping broken: %v", cs.members)
+	if got := w.MemberAt(c, 0); got != last || w.cluster(c).indexOf(last) != 0 {
+		t.Fatalf("swap-move bookkeeping broken: slot 0 holds %v, want %v", got, last)
 	}
-	if err := cs.remove(30, false); err != nil {
+	if err := w.removeMember(c, last, false); err != nil {
 		t.Fatalf("moved node not removable: %v", err)
 	}
-	if len(cs.members) != 1 || cs.members[0] != 20 {
-		t.Fatalf("unexpected survivors: %v", cs.members)
+	if w.Size(c) != len(members)-2 || w.cluster(c).indexOf(members[1]) < 0 {
+		t.Fatalf("unexpected survivors: %v", w.Members(c))
 	}
 }
 
 func TestClusterStateRemoveAbsent(t *testing.T) {
-	cs := newClusterState(1, 2)
-	if err := cs.remove(7, false); err == nil {
-		t.Fatal("removing an absent node succeeded")
+	w := honestWorld(t)
+	cs := w.Clusters()
+	c, other := cs[0], cs[1]
+	before := w.Members(c)
+	if err := w.removeMember(c, w.MemberAt(other, 0), false); err == nil {
+		t.Fatal("removing a node of another cluster succeeded")
 	}
-	if err := cs.remove(1, false); err != nil {
+	x := before[0]
+	if err := w.removeMember(c, x, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := cs.remove(1, false); err == nil {
+	row := w.rows[c]
+	if err := w.removeMember(c, x, false); err == nil {
 		t.Fatal("double removal succeeded")
 	}
-	if len(cs.members) != 1 {
-		t.Fatalf("failed removals mutated state: %v", cs.members)
+	if w.Size(c) != len(before)-1 || w.rows[c] != row {
+		t.Fatalf("failed removals mutated state: %v, row %+v", w.Members(c), w.rows[c])
 	}
 }
 
+// TestClusterStateByzUnderflowGuard exercises recompose's guard: a
+// removal flagged Byzantine from a cluster whose row counts none, and a
+// direct move below zero, are refused with the row, the member list and
+// every derived store as they were.
 func TestClusterStateByzUnderflowGuard(t *testing.T) {
-	cs := newClusterState(1, 2)
-	if err := cs.remove(1, true); err == nil {
-		t.Fatal("byz-flagged removal from a byz-free cluster succeeded")
+	w := honestWorld(t)
+	c := w.Clusters()[0]
+	x := w.MemberAt(c, 0)
+	row := w.rows[c]
+	if err := w.removeMember(c, x, true); err == nil || !strings.Contains(err.Error(), "underflow") {
+		t.Fatalf("byz-flagged removal from a byz-free cluster: %v", err)
 	}
-	if cs.indexOf(1) < 0 {
-		t.Fatal("rejected removal still dropped the node")
+	if err := w.recompose(c, 0, -1); err == nil {
+		t.Fatal("recompose took a Byzantine count below zero")
 	}
-	cs.add(3, true)
-	if err := cs.remove(3, true); err != nil {
+	if w.rows[c] != row || w.cluster(c).indexOf(x) < 0 {
+		t.Fatalf("rejected removal changed the cluster: row %+v, was %+v", w.rows[c], row)
+	}
+	if err := w.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if cs.byz != 0 {
-		t.Fatalf("byz count %d after symmetric add/remove", cs.byz)
+	// A symmetric allegiance flip leaves the count where it was.
+	for _, byz := range []bool{true, false} {
+		if err := w.SetCorrupted(x, byz); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
-
-func TestClusterStateCloneIndependent(t *testing.T) {
-	cs := newClusterState(1, 2, 3)
-	cs.add(4, true)
-	cl := cs.clone()
-	if err := cl.remove(2, false); err != nil {
+	if w.rows[c] != row {
+		t.Fatalf("row %+v after a symmetric flip, was %+v", w.rows[c], row)
+	}
+	if err := w.CheckConsistency(); err != nil {
 		t.Fatal(err)
-	}
-	cl.add(99, true)
-	if len(cs.members) != 4 || cs.byz != 1 {
-		t.Fatalf("clone mutation leaked into original: %+v", cs)
-	}
-	if cs.indexOf(99) >= 0 {
-		t.Fatal("clone insertion leaked into original member list")
 	}
 }

@@ -8,10 +8,10 @@ import (
 
 // CheckInvariants asserts the global consistency properties the paper's
 // maintenance operations promise to preserve. It runs CheckConsistency
-// first, which recounts every cluster's Byzantine counter, security class,
-// row and overlay weight, the size multiset and the tracked max, and
-// checks that the members across clusters number the indexed nodes and
-// that the overlay vertex set is the cluster set. On top of that:
+// first, which recounts every cluster's row and overlay weight, the
+// insecure counters, the size multiset and the tracked max, and checks
+// that the members across clusters number the indexed nodes and that the
+// overlay vertex set is the cluster set. On top of that:
 //
 //   - no node sits in two member slots, so with the member count above
 //     every indexed node is a member of exactly one cluster;
@@ -35,8 +35,9 @@ func CheckInvariants(w *World) error {
 	// Ascending ClusterID walk: which violated invariant gets reported is
 	// part of the oracle's observable output, so the scan order must come
 	// from the cluster IDs, not any map hash seed.
-	for i, cs := range w.clusters {
-		if cs == nil {
+	for i := range w.clusters {
+		cs := &w.clusters[i]
+		if !cs.live {
 			continue
 		}
 		c := ids.ClusterID(i)
@@ -47,7 +48,7 @@ func CheckInvariants(w *World) error {
 		if size > hi {
 			return fmt.Errorf("invariant: cluster %v size %d above split threshold %d", c, size, hi)
 		}
-		if w.nClusters > 1 && size < lo {
+		if w.NumClusters() > 1 && size < lo {
 			return fmt.Errorf("invariant: cluster %v size %d below merge threshold %d", c, size, lo)
 		}
 		for _, x := range cs.members {

@@ -114,15 +114,15 @@ func TestInvariantsWithRejoinMerge(t *testing.T) {
 // confirms the oracle notices — an oracle that cannot fail is worthless.
 // Each case is one crafted corruption per error branch, on a fresh world,
 // and must be reported by the branch that names it. CheckConsistency runs
-// first and already compares the tracked max and the overlay vertex set
-// against the cluster table, so those three corruptions are reported in
-// its words; the duplicate membership passes every consistency check and
-// only the membership bitset catches it.
+// first and already recounts the sampling positions, the tracked max and
+// the overlay vertex set, so those four corruptions are reported in its
+// words; the duplicate membership passes every consistency check and only
+// the membership bitset catches it.
 func TestCheckInvariantsDetectsBreakage(t *testing.T) {
 	firstCluster := func(t *testing.T, w *World) (ids.ClusterID, *clusterState) {
-		for i, cs := range w.clusters {
-			if cs != nil {
-				return ids.ClusterID(i), cs
+		for i := range w.clusters {
+			if w.clusters[i].live {
+				return ids.ClusterID(i), &w.clusters[i]
 			}
 		}
 		t.Fatal("world has no cluster")
@@ -172,7 +172,7 @@ func TestCheckInvariantsDetectsBreakage(t *testing.T) {
 			corrupt: func(t *testing.T, w *World) {
 				c, cs := firstCluster(t, w)
 				d := c + 1
-				for int(d) < len(w.clusters) && w.clusters[d] == nil {
+				for int(d) < len(w.clusters) && !w.clusters[d].live {
 					d++
 				}
 				if int(d) == len(w.clusters) {
@@ -186,10 +186,18 @@ func TestCheckInvariantsDetectsBreakage(t *testing.T) {
 					if err := w.insertMember(d, x, byz); err != nil {
 						t.Fatal(err)
 					}
-					w.setNodeInfo(x, nodeInfo{cluster: d, present: true})
+					w.nodes[x].cluster = d
 				}
 			},
 			want: "is empty",
+		},
+		{
+			// One node's record points at another node's slot in the flat
+			// sampling index; the error names the node whose record is
+			// wrong.
+			name:    "misplaced sampling position",
+			corrupt: func(t *testing.T, w *World) { w.nodes[3].pos = w.nodes[7].pos },
+			want:    "node n3 has sampling position",
 		},
 		{
 			name:    "above split threshold",

@@ -53,16 +53,21 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 
 	// Random partition by the representative cluster: a random ordering,
 	// cut into consecutive chunks of the target size, an undersized tail
-	// folded into the last chunk. The node and cluster tables are sized to
-	// the n0 seeded nodes and their clusters once (churn grows them from
-	// there), not grown node by node. byzPos, indexed by the Byzantine
-	// nodes' IDs, which span [0, n0), gets a quarter more, about where its
-	// 1.25x append chain ended, so the first Byzantine joins do not
-	// reallocate it. The chunks' member arrays are carved from one arena,
-	// each at least at the capacity appending its members one by one
-	// would reach (memberCap), so no join reallocates one sooner than
-	// that.
-	slots := w.rng.Perm(n0)
+	// folded into the last chunk. The ordering is the permutation
+	// math/rand/v2's Perm draws (make, then this Shuffle), held at half
+	// Perm's width. The node and cluster tables are sized to the n0
+	// seeded nodes and their clusters once (churn grows them from there),
+	// not grown node by node. byzPos, indexed by the Byzantine nodes' IDs,
+	// which span [0, n0), gets a quarter more, about where its 1.25x
+	// append chain ended, so the first Byzantine joins do not reallocate
+	// it. The chunks' member arrays are carved from one arena, each at
+	// least at the capacity appending its members one by one would reach
+	// (memberCap), so no join reallocates one sooner than that.
+	slots := make([]int32, n0)
+	for i := range slots {
+		slots[i] = int32(i)
+	}
+	w.rng.Shuffle(n0, func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
 	byz := make([]bool, n0)
 	for i := range byz {
 		byz[i] = corrupt != nil && corrupt(i)
@@ -78,7 +83,6 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 	chunks := len(bounds) - 1
 	w.nodes = slices.Grow(w.nodes, n0)
 	w.allNodes = slices.Grow(w.allNodes, n0)
-	w.nodePos = slices.Grow(w.nodePos, n0)
 	w.byzPos = slices.Grow(w.byzPos, n0+n0/4)
 	w.clusters = slices.Grow(w.clusters, chunks)
 	w.rows = slices.Grow(w.rows, chunks)
@@ -93,12 +97,12 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 		c := w.clAlloc.NextCluster()
 		w.putCluster(c)
 		clusterIDs = append(clusterIDs, c)
-		cs := w.clusters[c]
+		cs := &w.clusters[c]
 		m := memberCap(bounds[i] - bounds[i-1])
 		cs.members, arena = arena[:0:m], arena[m:]
 		for _, slot := range slots[bounds[i-1]:bounds[i]] {
 			x := w.nodeAlloc.NextNode()
-			cs.add(x, byz[slot])
+			cs.add(x)
 			w.registerNode(x, byz[slot], c)
 		}
 	}
@@ -115,14 +119,19 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 		return err
 	}
 
-	// Each cluster's composition is published once, whole: its size in
-	// the multiset, its row and overlay weight (the edges are drawn, so
-	// the weight moves its neighbours' masses), its class and its place
-	// in the settle queue.
+	// Each cluster's composition is published once, whole, from its
+	// member list: its row, class, size in the multiset and overlay weight
+	// (the edges are drawn, so the weight moves its neighbours' masses)
+	// and its place in the settle queue.
 	for _, c := range clusterIDs {
-		cs := w.clusters[c]
-		w.noteSizeChange(0, len(cs.members))
-		w.recomposed(c, cs)
+		members := w.clusters[c].members
+		nb := 0
+		for _, x := range members {
+			nb += byzCount(w.IsByzantine(x))
+		}
+		if err := w.recompose(c, len(members), nb); err != nil {
+			return err
+		}
 	}
 
 	// The representative cluster tells each node its cluster, the cluster
@@ -378,27 +387,18 @@ func (w *World) SetCorrupted(x ids.NodeID, corrupted bool) error {
 	if w.IsByzantine(x) == corrupted {
 		return nil
 	}
-	cs := w.clusters[info.cluster]
+	d := -1
 	if corrupted {
-		cs.byz++
-	} else {
-		cs.byz--
+		d = 1
 	}
-	w.recomposed(info.cluster, cs)
+	if err := w.recompose(info.cluster, 0, d); err != nil {
+		return err
+	}
 	if corrupted {
-		w.byzPos = growPos(w.byzPos, x)
-		w.byzPos[x] = int32(len(w.byzNodes))
-		w.byzNodes = append(w.byzNodes, x)
+		w.markByz(x)
 	} else {
-		j := w.byzPos[x]
-		last := len(w.byzNodes) - 1
-		moved := w.byzNodes[last]
-		w.byzNodes[j] = moved
-		w.byzPos[moved] = j
-		w.byzNodes = w.byzNodes[:last]
-		w.byzPos[x] = -1
+		w.unmarkByz(x)
 	}
-	w.setByz(x, corrupted)
 	w.settleSecurity()
 	return nil
 }
@@ -448,7 +448,7 @@ func (w *World) split(c ids.ClusterID) error {
 
 // merge handles an undersized cluster per the configured strategy.
 func (w *World) merge(c ids.ClusterID) error {
-	if w.nClusters <= 1 {
+	if w.NumClusters() <= 1 {
 		return nil // cannot merge the last cluster
 	}
 	switch w.cfg.MergeStrategy {
@@ -553,13 +553,29 @@ func (w *World) randomOtherCluster(c ids.ClusterID) (ids.ClusterID, error) {
 	}
 }
 
-// moveNode relocates x without counting it as a protocol swap.
+// moveNode moves x from one cluster to another with all bookkeeping: the
+// member lists, the node record and, through recompose, both compositions.
+// It is a split's or a merge's relocation, not a protocol swap, so
+// Stats.Swaps does not count it.
 func (w *World) moveNode(x ids.NodeID, from, to ids.ClusterID) error {
-	before := w.stats.Swaps
-	if err := w.Transfer(x, from, to); err != nil {
+	info, ok := w.nodeInfoOf(x)
+	if !ok {
+		return fmt.Errorf("core: move of unknown node %v", x)
+	}
+	if info.cluster != from {
+		return fmt.Errorf("core: node %v is in %v, not %v", x, info.cluster, from)
+	}
+	if !w.hasCluster(to) {
+		return fmt.Errorf("core: move to unknown cluster %v", to)
+	}
+	byz := w.IsByzantine(x)
+	if err := w.removeMember(from, x, byz); err != nil {
 		return err
 	}
-	w.stats.Swaps = before
+	if err := w.insertMember(to, x, byz); err != nil {
+		return err
+	}
+	w.nodes[x].cluster = to
 	return nil
 }
 

@@ -11,7 +11,8 @@ import (
 
 // TestRowsTrackCompositionThroughChurn drives joins, leaves (with their
 // splits, merges and cascades) and allegiance flips, and after every
-// operation requires each row to equal its cluster's (size, byz), every
+// operation requires each row to equal its cluster's member count and the
+// Byzantine members the allegiance bitset marks, every
 // retired or unminted ID to read (0, 0) through Size and Byz, and View's
 // counts to equal the cluster count, the overlay's edge count and the
 // largest cluster's size.
@@ -27,7 +28,10 @@ func TestRowsTrackCompositionThroughChurn(t *testing.T) {
 		for c := ids.ClusterID(0); int(c) < len(w.rows)+2; c++ {
 			size, byz := 0, 0
 			if cs := w.cluster(c); cs != nil {
-				size, byz = len(cs.members), cs.byz
+				size = len(cs.members)
+				for _, x := range cs.members {
+					byz += byzCount(w.IsByzantine(x))
+				}
 			}
 			maxSize = max(maxSize, size)
 			if w.Size(c) != size || w.Byz(c) != byz {

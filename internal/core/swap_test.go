@@ -10,18 +10,18 @@ import (
 )
 
 // swapState renders everything a swap may write: every live cluster's
-// member list in order with its row, Byzantine count, live and settled
-// class and neighbour mass, the row table, the size multiset (trailing
+// member list in order with its row's Byzantine count and live class, its
+// settled class and its neighbour mass, the row table, the size multiset (trailing
 // empty sizes trimmed) and its max, the insecure counters, Stats, the
 // node records, the allegiance bitset and the sampling indexes.
 func swapState(w *World) string {
 	var b strings.Builder
 	for i, cs := range w.clusters {
-		if cs == nil {
+		if !cs.live {
 			continue
 		}
 		c := ids.ClusterID(i)
-		fmt.Fprintf(&b, "%v byz=%d sec=%v/%v mass=%d:", c, cs.byz, cs.sec, cs.settled, w.NeighborMass(c))
+		fmt.Fprintf(&b, "%v byz=%d sec=%v/%v mass=%d:", c, w.rows[c].Byz, rowClass(w.rows[c]), cs.settled, w.NeighborMass(c))
 		for _, x := range cs.members {
 			fmt.Fprintf(&b, " %v", x)
 		}
@@ -56,9 +56,10 @@ func swapWorld(t *testing.T, seed uint64, grouped bool) *World {
 }
 
 // TestSwapMatchesTransferPair is Swap's oracle: twin worlds from one seed,
-// one swapping through Swap and the other through the Transfer pair it
-// replaces (x to b, then the partner to a), must end every group of
-// random swaps in the same state after settling, member order included.
+// one swapping through Swap and the other through the pair of moveNodes it
+// replaces (x to b, then the partner to a) counted as two swaps, must end
+// every group of random swaps in the same state after settling, member
+// order included.
 // Between groups both worlds run the same join or leave, so the swaps
 // land on worlds churned in either cascade mode.
 func TestSwapMatchesTransferPair(t *testing.T) {
@@ -83,18 +84,19 @@ func TestSwapMatchesTransferPair(t *testing.T) {
 					if err := fused.Swap(a, x, b, j); err != nil {
 						t.Fatalf("group %d: Swap: %v", group, err)
 					}
-					if err := pair.Transfer(x, a, b); err != nil {
+					if err := pair.moveNode(x, a, b); err != nil {
 						t.Fatal(err)
 					}
-					if err := pair.Transfer(y, b, a); err != nil {
+					if err := pair.moveNode(y, b, a); err != nil {
 						t.Fatal(err)
 					}
+					pair.stats.Swaps += 2
 					swaps++
 				}
 				fused.settleSecurity()
 				pair.settleSecurity()
 				if got, want := swapState(fused), swapState(pair); got != want {
-					t.Fatalf("group %d: Swap and the Transfer pair differ:\n%s\nvs\n%s", group, got, want)
+					t.Fatalf("group %d: Swap and the moveNode pair differ:\n%s\nvs\n%s", group, got, want)
 				}
 				for _, w := range []*World{fused, pair} {
 					if err := w.CheckConsistency(); err != nil {

@@ -32,36 +32,34 @@ var ErrUnknownCluster = errors.New("core: unknown cluster")
 func IsUnknownCluster(err error) bool { return errors.Is(err, ErrUnknownCluster) }
 
 // nodeInfo is the world's per-node record. Records live in a dense
-// NodeID-indexed table (World.nodes); present distinguishes a live record
-// from a never-used or vacated entry. A node's allegiance is not here but
-// in the world's byzBits.
+// NodeID-indexed table (World.nodes). pos is one past the node's index in
+// World.allNodes, so the zero record — never used or vacated — reads as
+// absent. A node's allegiance is not here but in the world's byzBits.
 type nodeInfo struct {
 	cluster ids.ClusterID
-	present bool
+	pos     int32
 }
 
-// clusterState is the world's per-cluster record: member list, incremental
-// Byzantine count, and the security bookkeeping folded by settleSecurity
-// at operation boundaries. Records live in the world's ClusterID-indexed
-// arena — retired records keep their member capacity and return to a free
-// list for recycling by putCluster — so steady-state churn allocates
-// nothing.
+// clusterState is the world's per-cluster record: what no other table
+// holds. A cluster's size and Byzantine count are its row (World.rows) and
+// its live security class is Classify of that row; the record keeps the
+// member list and the settle bookkeeping. Records live by value in the
+// world's ClusterID-indexed table; a retired record gives its member array
+// (capacity retained) to the world's pool for putCluster to reuse, so
+// steady-state churn allocates nothing.
 //
 // Member removal is a linear scan: cluster sizes are bounded by the split
 // threshold (K·L·log2 N, ~80 at n=2^20), so the scan is cheaper than the
-// position map it replaced and keeps the record to two words of header
-// state per cluster.
+// position map it replaced.
 type clusterState struct {
 	members []ids.NodeID
-	byz     int
-	// sec is the current (live) security class, maintained incrementally
-	// by World.reclassify on every membership/allegiance change.
-	sec randnum.Security
 	// settled is the class as of the last settleSecurity pass; the
-	// sec-vs-settled delta drives the Degraded/CapturedEvents counters.
+	// live-vs-settled delta drives the Degraded/CapturedEvents counters.
 	settled randnum.Security
 	// dirty marks the record as queued in the world's settle queue.
 	dirty bool
+	// live is false for a retired or not yet minted ID.
+	live bool
 }
 
 func (cs *clusterState) indexOf(x ids.NodeID) int {
@@ -73,45 +71,25 @@ func (cs *clusterState) indexOf(x ids.NodeID) int {
 	return -1
 }
 
-func (cs *clusterState) add(x ids.NodeID, byz bool) {
-	cs.members = append(cs.members, x)
-	if byz {
-		cs.byz++
-	}
-}
+func (cs *clusterState) add(x ids.NodeID) { cs.members = append(cs.members, x) }
 
-func (cs *clusterState) remove(x ids.NodeID, byz bool) error {
-	i := cs.indexOf(x)
-	if i < 0 {
-		// Double removal (e.g. of a node that was swap-moved out by an
-		// earlier removal) lands here: the membership scan is the guard.
-		return fmt.Errorf("core: node %v not in cluster", x)
-	}
-	if byz && cs.byz == 0 {
-		return fmt.Errorf("core: removing %v would underflow the Byzantine count", x)
-	}
+// removeAt swap-removes the member at index i. An emptied list keeps its
+// backing array: the cluster is about to be retired and its array pooled
+// (or refilled), and the retained capacity is what makes the next fill
+// allocation-free.
+func (cs *clusterState) removeAt(i int) {
 	last := len(cs.members) - 1
 	cs.members[i] = cs.members[last]
 	cs.members = cs.members[:last]
-	if byz {
-		cs.byz--
-	}
-	// An emptied record deliberately keeps its backing array: the cluster
-	// is about to be retired into the world's free list (or refilled), and
-	// the retained capacity is what makes the recycled record's next fill
-	// allocation-free.
-	return nil
 }
 
-// clone deep-copies the membership-relevant fields of the record; the copy
-// carries no security bookkeeping.
-func (cs *clusterState) clone() *clusterState {
-	out := &clusterState{
-		members: make([]ids.NodeID, len(cs.members)),
-		byz:     cs.byz,
+// rowClass is the live security class of a cluster whose composition is
+// r; an empty (or retired) cluster reads Secure.
+func rowClass(r walk.Row) randnum.Security {
+	if r.Size == 0 {
+		return randnum.Secure
 	}
-	copy(out.members, cs.members)
-	return out
+	return randnum.Classify(int(r.Size), int(r.Byz))
 }
 
 // Stats accumulates protocol-lifetime counters and security high-water
@@ -149,12 +127,16 @@ func (p *hijackProxy) Redirect(r *xrand.Rand, at ids.ClusterID) (ids.ClusterID, 
 
 func (p *hijackProxy) set(h walk.Hijacker) { p.h = h }
 
-// World is the complete NOW protocol state. Every cluster-keyed table is
-// indexed by ClusterID and every node-keyed table by NodeID: IDs are minted
-// densely and never reused, so each index belongs to one cluster (node) for
-// the lifetime of the world, and an ascending index walk IS an ascending ID
-// walk — which keeps every pass over the tables deterministic without
-// sorting.
+// World is the complete NOW protocol state: the partition and the overlay
+// (paper section 3.2), each fact stored once. A cluster's size and
+// Byzantine count are its row, its member list and settle bookkeeping its
+// record, its edges and live count the overlay's; a node's cluster and
+// sampling position are its record, its allegiance one bit. Every
+// cluster-keyed table is indexed by ClusterID and every node-keyed table
+// by NodeID: IDs are minted densely and never reused, so each index
+// belongs to one cluster (node) for the lifetime of the world, and an
+// ascending index walk IS an ascending ID walk — which keeps every pass
+// over the tables deterministic without sorting.
 //
 // The world is not safe for concurrent use: the paper's model is
 // synchronous and every method runs on one goroutine.
@@ -164,16 +146,18 @@ type World struct {
 	rng     *xrand.Rand
 	walkCfg walk.Config
 
-	// clusters is the cluster arena; nil = retired or not yet minted.
-	clusters []*clusterState
-	// free holds retired records (capacity retained) for putCluster.
-	free      []*clusterState
-	nClusters int
-	overlay   *over.Overlay
-	// rows is the composition table Size, Byz and View read: one
-	// walk.Row per minted ClusterID, so a row is one indexed load with no
-	// record pointer chase. Retired and not-yet-minted IDs read (0, 0).
-	// Every mutator of a record's composition writes it through setRow.
+	// clusters is the cluster table, records held by value; a retired or
+	// not yet minted ID's record is not live. Only putCluster grows it, so
+	// no &w.clusters[c] may be held across a call to putCluster.
+	clusters []clusterState
+	// spare holds retired clusters' member arrays (emptied, capacity
+	// retained) for putCluster to reuse.
+	spare   [][]ids.NodeID
+	overlay *over.Overlay
+	// rows is the composition table: one walk.Row per minted ClusterID,
+	// the only store of a cluster's size and Byzantine count, read by
+	// Size, Byz and View as one indexed load. Retired and not-yet-minted
+	// IDs read (0, 0). recompose is its one writer.
 	rows []walk.Row
 
 	// sizeCount is the cluster-size multiset — sizeCount[s] = number of
@@ -188,13 +172,12 @@ type World struct {
 	// resp. == Captured, so CurrentInsecure is O(1).
 	degraded, captured int
 
-	// settleQueue holds clusters whose record changed since the last
+	// settleQueue holds clusters whose composition changed since the last
 	// settle pass, deduplicated by clusterState.dirty.
 	settleQueue []ids.ClusterID
 
-	// nodes is the node index; nodeCount counts its present records.
-	nodes     []nodeInfo
-	nodeCount int
+	// nodes is the node index.
+	nodes []nodeInfo
 	// byzBits is the allegiance bitset: bit x is set iff node x is present
 	// and Byzantine. One bit a node keeps it within the private caches at
 	// sizes where the node table is not, and a swap reads both nodes' bits.
@@ -203,11 +186,11 @@ type World struct {
 	nodeAlloc ids.NodeAllocator
 	clAlloc   ids.ClusterAllocator
 
-	// Flat node indexes for O(1) uniform sampling by workloads. nodePos
-	// and byzPos are NodeID-indexed position arrays (-1 = absent). Their
-	// ordering seeds RandomNode draws.
+	// Flat node indexes for O(1) uniform sampling by workloads: every
+	// present node (its position is in its record) and the Byzantine
+	// ones, with byzPos their NodeID-indexed positions (-1 = absent).
+	// Their ordering seeds RandomNode draws.
 	allNodes []ids.NodeID
-	nodePos  []int32
 	byzNodes []ids.NodeID
 	byzPos   []int32
 
@@ -306,31 +289,60 @@ func (w *World) Stats() Stats { return w.stats }
 // --- the cluster and node tables ---
 
 // cluster returns the record for c, or nil when c is not a live cluster.
+// The pointer is into the table: it must not be held across putCluster.
 func (w *World) cluster(c ids.ClusterID) *clusterState {
-	if uint64(c) < uint64(len(w.clusters)) {
-		return w.clusters[c]
+	if uint64(c) < uint64(len(w.clusters)) && w.clusters[c].live {
+		return &w.clusters[c]
 	}
 	return nil
 }
 
 func (w *World) hasCluster(c ids.ClusterID) bool { return w.cluster(c) != nil }
 
-// setRow publishes cs's composition to c's row, and a new size to c's
-// overlay weight, which keeps its neighbours' masses exact.
-func (w *World) setRow(c ids.ClusterID, cs *clusterState) {
-	size := int32(len(cs.members))
-	if w.rows[c].Size != size {
-		w.overlay.SetWeight(c, int64(size))
+// recompose is the one writer of a live cluster's composition: it moves
+// c's row by dSize members, dByz of them Byzantine, and publishes the move
+// to everything derived from the row — the insecure counters (the live
+// class is rowClass of the row), the overlay weight (which keeps the
+// neighbours' masses exact) and the size multiset when the size moves,
+// and the settle queue. A move that would take the Byzantine count below
+// zero is refused with nothing written. Event counters are NOT advanced
+// here — transients inside one operation are not time step states;
+// settleSecurity handles accounting at operation boundaries.
+func (w *World) recompose(c ids.ClusterID, dSize, dByz int) error {
+	prev := w.rows[c]
+	next := walk.Row{Size: prev.Size + int32(dSize), Byz: prev.Byz + int32(dByz)}
+	if next.Byz < 0 {
+		return fmt.Errorf("core: the move would underflow %v's Byzantine count", c)
 	}
-	w.rows[c] = walk.Row{Size: size, Byz: int32(cs.byz)}
+	if was, now := rowClass(prev), rowClass(next); was != now {
+		if was >= randnum.Degraded {
+			w.degraded--
+		}
+		if was == randnum.Captured {
+			w.captured--
+		}
+		if now >= randnum.Degraded {
+			w.degraded++
+		}
+		if now == randnum.Captured {
+			w.captured++
+		}
+	}
+	if next.Size != prev.Size {
+		w.noteSizeChange(int(prev.Size), int(next.Size))
+		w.overlay.SetWeight(c, int64(next.Size))
+	}
+	w.rows[c] = next
+	if cs := &w.clusters[c]; !cs.dirty {
+		cs.dirty = true
+		w.settleQueue = append(w.settleQueue, c)
+	}
+	return nil
 }
 
 // noteSizeChange updates the size multiset and max-size tracker for a
 // cluster moving from size a to size b.
 func (w *World) noteSizeChange(a, b int) {
-	if a == b {
-		return
-	}
 	if a > 0 {
 		w.sizeCount[a]--
 	}
@@ -355,90 +367,36 @@ func (w *World) noteSizeChange(a, b int) {
 	}
 }
 
-// recomposed publishes a change to cs's members or Byzantine count: c's
-// row, its live class and its place in the settle queue.
-func (w *World) recomposed(c ids.ClusterID, cs *clusterState) {
-	w.setRow(c, cs)
-	w.reclassify(cs)
-	w.markDirty(c, cs)
-}
-
-// markDirty queues c's record for the next settleSecurity pass.
-func (w *World) markDirty(c ids.ClusterID, cs *clusterState) {
-	if cs.dirty {
-		return
-	}
-	cs.dirty = true
-	w.settleQueue = append(w.settleQueue, c)
-}
-
-// reclassify recomputes a record's live security class after a membership
-// or allegiance change, maintaining the insecure counters. Event counters
-// are NOT advanced here — transients inside one operation are not time
-// step states; settleSecurity handles accounting at operation boundaries.
-func (w *World) reclassify(cs *clusterState) {
-	now := randnum.Secure
-	if len(cs.members) > 0 {
-		now = randnum.Classify(len(cs.members), cs.byz)
-	}
-	if now == cs.sec {
-		return
-	}
-	if cs.sec >= randnum.Degraded {
-		w.degraded--
-	}
-	if cs.sec == randnum.Captured {
-		w.captured--
-	}
-	if now >= randnum.Degraded {
-		w.degraded++
-	}
-	if now == randnum.Captured {
-		w.captured++
-	}
-	cs.sec = now
-}
-
-// putCluster installs a fresh cluster record for c, recycling a retired
-// record (with its member capacity) when the free list has one.
+// putCluster installs a fresh live record for c, reusing a pooled member
+// array when there is one. It is the only code that grows the cluster
+// table.
 func (w *World) putCluster(c ids.ClusterID) {
 	if n := int(c) + 1; n > len(w.clusters) {
-		w.clusters = append(w.clusters, make([]*clusterState, n-len(w.clusters))...)
+		w.clusters = append(w.clusters, make([]clusterState, n-len(w.clusters))...)
 	}
 	if n := int(c) + 1; n > len(w.rows) {
 		w.rows = append(w.rows, make([]walk.Row, n-len(w.rows))...)
 	}
-	var cs *clusterState
-	if n := len(w.free); n > 0 {
-		cs, w.free = w.free[n-1], w.free[:n-1]
-	} else {
-		cs = &clusterState{}
+	cs := clusterState{live: true}
+	if n := len(w.spare); n > 0 {
+		cs.members, w.spare = w.spare[n-1], w.spare[:n-1]
 	}
 	w.clusters[c] = cs
-	w.nClusters++
 }
 
-// retire removes c's record from the arena and returns it — reset,
-// capacity retained — to the free list, reporting whether c was live.
+// retire empties c's composition, pools its member array and marks its
+// record not live, reporting whether c was live.
 func (w *World) retire(c ids.ClusterID) bool {
 	cs := w.cluster(c)
 	if cs == nil {
 		return false
 	}
-	w.noteSizeChange(len(cs.members), 0)
-	cs.members = cs.members[:0]
-	cs.byz = 0
-	w.reclassify(cs) // live class -> Secure, counters updated
-	cs.settled = randnum.Secure
-	// Any settle-queue entry for c now points at a nil record and is
-	// skipped by the settle pass; the flag must clear here so the recycled
-	// record re-queues cleanly at its next home.
-	cs.dirty = false
-	w.clusters[c] = nil
-	w.nClusters--
-	w.free = append(w.free, cs)
-	w.rows[c] = walk.Row{}
-	w.overlay.SetWeight(c, 0)
+	row := w.rows[c]
+	_ = w.recompose(c, -int(row.Size), -int(row.Byz)) // to (0, 0): cannot underflow
+	w.spare = append(w.spare, cs.members[:0])
+	// Any settle-queue entry for c now points at a record that is not live
+	// and is skipped by the settle pass.
+	w.clusters[c] = clusterState{}
 	return true
 }
 
@@ -447,25 +405,7 @@ func (w *World) nodeInfoOf(x ids.NodeID) (nodeInfo, bool) {
 	if uint64(x) < uint64(len(w.nodes)) {
 		info = w.nodes[x]
 	}
-	return info, info.present
-}
-
-func (w *World) setNodeInfo(x ids.NodeID, info nodeInfo) {
-	info.present = true
-	if n := int(x) + 1; n > len(w.nodes) {
-		w.nodes = append(w.nodes, make([]nodeInfo, n-len(w.nodes))...)
-	}
-	if !w.nodes[x].present {
-		w.nodeCount++
-	}
-	w.nodes[x] = info
-}
-
-func (w *World) deleteNodeInfo(x ids.NodeID) {
-	if uint64(x) < uint64(len(w.nodes)) && w.nodes[x].present {
-		w.nodes[x] = nodeInfo{}
-		w.nodeCount--
-	}
+	return info, info.pos != 0
 }
 
 // setByz writes x's allegiance bit.
@@ -486,37 +426,49 @@ func (w *World) setByz(x ids.NodeID, byz bool) {
 
 // --- core membership mutators ---
 
-// insertMember adds x (allegiance byz) to cluster c, updating the size
-// multiset and live security class. It does not touch the node index.
+// byzCount is 1 for a Byzantine node and 0 for an honest one: its share of
+// a cluster's Byzantine count.
+func byzCount(byz bool) int {
+	if byz {
+		return 1
+	}
+	return 0
+}
+
+// insertMember adds x (allegiance byz) to cluster c and publishes the new
+// composition. It does not touch the node index.
 func (w *World) insertMember(c ids.ClusterID, x ids.NodeID, byz bool) error {
 	cs := w.cluster(c)
 	if cs == nil {
 		return fmt.Errorf("core: insert into unknown cluster %v", c)
 	}
-	w.noteSizeChange(len(cs.members), len(cs.members)+1)
-	cs.add(x, byz)
-	w.recomposed(c, cs)
-	return nil
+	cs.add(x)
+	return w.recompose(c, 1, byzCount(byz))
 }
 
-// removeMember removes x from c, updating the size multiset and live
-// security class. It does not touch the node index.
+// removeMember removes x from c and publishes the new composition; a
+// removal recompose refuses leaves the member list as it was. It does not
+// touch the node index.
 func (w *World) removeMember(c ids.ClusterID, x ids.NodeID, byz bool) error {
 	cs := w.cluster(c)
 	if cs == nil {
 		return fmt.Errorf("core: remove from unknown cluster %v", c)
 	}
-	n := len(cs.members)
-	if err := cs.remove(x, byz); err != nil {
-		return err
+	i := cs.indexOf(x)
+	if i < 0 {
+		// Double removal (e.g. of a node that was swap-moved out by an
+		// earlier removal) lands here: the membership scan is the guard.
+		return fmt.Errorf("core: node %v not in cluster %v", x, c)
 	}
-	w.noteSizeChange(n, n-1)
-	w.recomposed(c, cs)
+	if err := w.recompose(c, -1, -byzCount(byz)); err != nil {
+		return fmt.Errorf("core: removing %v: %w", x, err)
+	}
+	cs.removeAt(i)
 	return nil
 }
 
 // NumClusters returns the number of live clusters.
-func (w *World) NumClusters() int { return w.nClusters }
+func (w *World) NumClusters() int { return w.overlay.NumVertices() }
 
 // Size returns |C|, one read of c's row; 0 for a retired or unminted ID.
 func (w *World) Size(c ids.ClusterID) int {
@@ -536,15 +488,15 @@ func (w *World) Byz(c ids.ClusterID) int {
 }
 
 // View implements walk.Topology: the row table and the overlay's
-// ClusterID-indexed adjacency, not copied, with the cluster count, the
-// overlay's edge count and the size multiset's tracked maximum. Swap
-// rewrites rows in place (setRow) and grows neither table, as View's
-// contract requires.
+// ClusterID-indexed adjacency, not copied, with the overlay's vertex and
+// edge counts and the size multiset's tracked maximum. Swap rewrites rows
+// in place (recompose) and grows neither table, as View's contract
+// requires.
 func (w *World) View() walk.View {
 	return walk.View{
 		Rows:        w.rows,
 		Adj:         w.overlay.AdjTable(),
-		NumClusters: w.nClusters,
+		NumClusters: w.overlay.NumVertices(),
 		NumEdges:    w.overlay.NumEdges(),
 		MaxSize:     w.maxSize,
 	}
@@ -559,14 +511,14 @@ func (w *World) MemberAt(c ids.ClusterID, i int) ids.NodeID {
 
 // NeighborMass implements exchange.World: the number of nodes in c's
 // overlay neighbours, the sum of |D| over every D adjacent to c, which
-// the overlay keeps as c's neighbour mass (setRow and retire keep every
+// the overlay keeps as c's neighbour mass (recompose keeps every
 // cluster's weight its size). It is the neighbourhood term of every cost
 // charge in which c's neighbours learn something about c or c's members
 // learn its neighbours.
 func (w *World) NeighborMass(c ids.ClusterID) int64 { return w.overlay.NeighborMass(c) }
 
 // Swap implements exchange.World: x, a member of a, and y, the member at
-// index j of b, trade clusters. The member lists end as two Transfers
+// index j of b, trade clusters. The member lists end as two moveNodes
 // (x to b, then y to a) leave them: x's slot in a takes a's last member,
 // y takes a's last slot, and x takes y's slot in b. No size changes, so
 // the size multiset and the overlay weights stand; the rows, Byzantine
@@ -602,10 +554,12 @@ func (w *World) Swap(a ids.ClusterID, x ids.NodeID, b ids.ClusterID, j int) erro
 		if bx {
 			d = -1
 		}
-		ca.byz += d
-		cb.byz -= d
-		w.recomposed(a, ca)
-		w.recomposed(b, cb)
+		if err := w.recompose(a, 0, d); err != nil {
+			return err
+		}
+		if err := w.recompose(b, 0, -d); err != nil {
+			return err
+		}
 	}
 	w.stats.Swaps += 2
 	return nil
@@ -620,36 +574,6 @@ func (w *World) Members(c ids.ClusterID) []ids.NodeID {
 	out := make([]ids.NodeID, len(cs.members))
 	copy(out, cs.members)
 	return out
-}
-
-// Transfer moves x between clusters with all bookkeeping (membership,
-// Byzantine counts, size multiset, overlay weights, security
-// classification). It counts one swap; moveNode, its one caller inside
-// core, takes the count back.
-func (w *World) Transfer(x ids.NodeID, from, to ids.ClusterID) error {
-	info, ok := w.nodeInfoOf(x)
-	if !ok {
-		return fmt.Errorf("core: transfer of unknown node %v", x)
-	}
-	if info.cluster != from {
-		return fmt.Errorf("core: node %v is in %v, not %v", x, info.cluster, from)
-	}
-	if !w.hasCluster(from) {
-		return fmt.Errorf("core: transfer from unknown cluster %v", from)
-	}
-	if !w.hasCluster(to) {
-		return fmt.Errorf("core: transfer to unknown cluster %v", to)
-	}
-	byz := w.IsByzantine(x)
-	if err := w.removeMember(from, x, byz); err != nil {
-		return err
-	}
-	if err := w.insertMember(to, x, byz); err != nil {
-		return err
-	}
-	w.nodes[x].cluster = to
-	w.stats.Swaps++
-	return nil
 }
 
 // --- bookkeeping helpers ---
@@ -671,20 +595,20 @@ func (w *World) settleSecurity() {
 	// depends on that record alone, and the folds (two counters and a max)
 	// commute (TestSettleOrderBlind). So the queue is walked as it stands.
 	for _, c := range w.settleQueue {
-		cs := w.clusters[c]
-		if cs == nil {
+		cs := &w.clusters[c]
+		if !cs.live {
 			continue // retired after it was queued
 		}
 		cs.dirty = false
-		size := len(cs.members)
-		if size == 0 {
+		row := w.rows[c]
+		if row.Size == 0 {
 			cs.settled = randnum.Secure
 			continue
 		}
-		if frac := float64(cs.byz) / float64(size); frac > w.stats.MaxByzFractionEver {
+		if frac := float64(row.Byz) / float64(row.Size); frac > w.stats.MaxByzFractionEver {
 			w.stats.MaxByzFractionEver = frac
 		}
-		now := cs.sec
+		now := rowClass(row)
 		prev := cs.settled
 		if now > prev {
 			if now >= randnum.Degraded && prev < randnum.Degraded {
@@ -699,14 +623,6 @@ func (w *World) settleSecurity() {
 	w.settleQueue = w.settleQueue[:0]
 }
 
-// samplePos returns x's position in the flat sampling index, -1 if absent.
-func (w *World) samplePos(x ids.NodeID) int32 {
-	if int(x) >= len(w.nodePos) {
-		return -1
-	}
-	return w.nodePos[x]
-}
-
 // byzSamplePos returns x's position in the Byzantine sampling index, -1 if
 // absent.
 func (w *World) byzSamplePos(x ids.NodeID) int32 {
@@ -716,63 +632,57 @@ func (w *World) byzSamplePos(x ids.NodeID) int32 {
 	return w.byzPos[x]
 }
 
-// growPos extends a NodeID-indexed position array to cover x, filling new
-// entries with the absent marker.
-func growPos(pos []int32, x ids.NodeID) []int32 {
-	for int(x) >= len(pos) {
-		pos = append(pos, -1)
+// markByz sets x's allegiance bit and appends x to the Byzantine sampling
+// index. The append order seeds RandomByzantineNode draws.
+func (w *World) markByz(x ids.NodeID) {
+	w.setByz(x, true)
+	for int(x) >= len(w.byzPos) {
+		w.byzPos = append(w.byzPos, -1)
 	}
-	return pos
+	w.byzPos[x] = int32(len(w.byzNodes))
+	w.byzNodes = append(w.byzNodes, x)
 }
 
-// sampleAdd appends a node to the flat sampling indexes. The append order
+// unmarkByz clears x's allegiance bit and swap-removes x from the
+// Byzantine sampling index.
+func (w *World) unmarkByz(x ids.NodeID) {
+	w.setByz(x, false)
+	j := w.byzPos[x]
+	last := len(w.byzNodes) - 1
+	moved := w.byzNodes[last]
+	w.byzNodes[j] = moved
+	w.byzPos[moved] = j
+	w.byzNodes = w.byzNodes[:last]
+	w.byzPos[x] = -1
+}
+
+// registerNode writes a brand-new (or rejoining) node's record, its
+// allegiance and its place in the flat sampling indexes. The append order
 // seeds RandomNode draws.
-func (w *World) sampleAdd(x ids.NodeID, byz bool) {
-	w.nodePos = growPos(w.nodePos, x)
-	w.nodePos[x] = int32(len(w.allNodes))
+func (w *World) registerNode(x ids.NodeID, byz bool, c ids.ClusterID) {
+	if n := int(x) + 1; n > len(w.nodes) {
+		w.nodes = append(w.nodes, make([]nodeInfo, n-len(w.nodes))...)
+	}
+	w.nodes[x] = nodeInfo{cluster: c, pos: int32(len(w.allNodes)) + 1}
 	w.allNodes = append(w.allNodes, x)
 	if byz {
-		w.byzPos = growPos(w.byzPos, x)
-		w.byzPos[x] = int32(len(w.byzNodes))
-		w.byzNodes = append(w.byzNodes, x)
+		w.markByz(x)
 	}
 }
 
-// sampleRemove swap-removes a node from the flat sampling indexes.
-func (w *World) sampleRemove(x ids.NodeID, byz bool) {
-	i := w.nodePos[x]
-	last := len(w.allNodes) - 1
-	moved := w.allNodes[last]
-	w.allNodes[i] = moved
-	w.nodePos[moved] = i
-	w.allNodes = w.allNodes[:last]
-	w.nodePos[x] = -1
-	if byz {
-		j := w.byzPos[x]
-		lastB := len(w.byzNodes) - 1
-		movedB := w.byzNodes[lastB]
-		w.byzNodes[j] = movedB
-		w.byzPos[movedB] = j
-		w.byzNodes = w.byzNodes[:lastB]
-		w.byzPos[x] = -1
-	}
-}
-
-// registerNode inserts a brand-new (or rejoining) node record into the
-// node index and the flat sampling indexes.
-func (w *World) registerNode(x ids.NodeID, byz bool, c ids.ClusterID) {
-	w.setNodeInfo(x, nodeInfo{cluster: c})
-	w.setByz(x, byz)
-	w.sampleAdd(x, byz)
-}
-
-// unregisterNode removes a node record from the node index and the flat
+// unregisterNode vacates a node's record and swap-removes it from the flat
 // sampling indexes.
 func (w *World) unregisterNode(x ids.NodeID) {
-	byz := w.IsByzantine(x)
-	w.deleteNodeInfo(x)
-	w.setByz(x, false)
-	w.sampleRemove(x, byz)
+	if w.IsByzantine(x) {
+		w.unmarkByz(x)
+	}
+	pos := w.nodes[x].pos
+	last := len(w.allNodes) - 1
+	moved := w.allNodes[last]
+	w.allNodes[pos-1] = moved
+	w.nodes[moved].pos = pos
+	w.allNodes = w.allNodes[:last]
+	w.nodes[x] = nodeInfo{}
 }
 
 // --- public read accessors ---

@@ -367,6 +367,17 @@ func (o *Overlay) currentShape() shape {
 
 // computeShape measures connectivity and the degree range afresh.
 func (o *Overlay) computeShape() shape {
+	sh := o.connectedShape()
+	if len(o.order) > 1 {
+		o.nextEpoch()
+		sh.connected = o.bfs(o.order[0]) == len(o.order)
+	}
+	return sh
+}
+
+// connectedShape is the current shape of an overlay known to be
+// connected: one degree scan, no traversal.
+func (o *Overlay) connectedShape() shape {
 	sh := shape{valid: true, at: o.mutations, connected: true}
 	for i, v := range o.order {
 		d := len(o.adj[v])
@@ -374,10 +385,6 @@ func (o *Overlay) computeShape() shape {
 			sh.lo = d
 		}
 		sh.hi = max(sh.hi, d)
-	}
-	if len(o.order) > 1 {
-		o.nextEpoch()
-		sh.connected = o.bfs(o.order[0]) == len(o.order)
 	}
 	return sh
 }
@@ -443,8 +450,11 @@ func (o *Overlay) Bootstrap(r *xrand.Rand, vertices []ids.ClusterID, p float64) 
 		}
 		patches++
 	}
-	_, top := o.DegreeRange()
-	o.degreeBound = max(o.degreeBound, top)
+	// The scan has linked every component to the first vertex, so the
+	// overlay is connected and its shape is the degree scan alone; Check
+	// still verifies this cache against a fresh traversal.
+	o.shape = o.connectedShape()
+	o.degreeBound = max(o.degreeBound, o.shape.hi)
 	return patches, nil
 }
 

@@ -58,11 +58,27 @@ func TestBootstrapConnectivityPatch(t *testing.T) {
 	// p=0 forces a totally disconnected ER draw; the patch chain must
 	// connect it.
 	o, _ := bootstrapped(t, 10, 0)
-	if !o.Connected() {
+	if !o.computeShape().connected {
 		t.Fatal("bootstrap left overlay disconnected")
 	}
 	if o.NumEdges() != 9 {
 		t.Errorf("patch edges = %d, want 9", o.NumEdges())
+	}
+	// Bootstrap seeds the shape cache from its patch scan and a degree
+	// scan, with no traversal of its own: whether the draw needed many
+	// patches, a few or none, the cache is current and equals a fresh
+	// traversal's.
+	for _, tc := range []struct {
+		n int
+		p float64
+	}{{0, 0.5}, {1, 0.5}, {10, 0}, {60, 1.0 / 59}, {100, 6.0 / 99}, {12, 1}} {
+		o, _ := bootstrapped(t, tc.n, tc.p)
+		if !o.shape.valid || o.shape.at != o.mutations {
+			t.Fatalf("n=%d p=%.3f: Bootstrap left the shape cache stale", tc.n, tc.p)
+		}
+		if fresh := o.computeShape(); fresh != o.shape {
+			t.Fatalf("n=%d p=%.3f: cached shape %+v, fresh %+v", tc.n, tc.p, o.shape, fresh)
+		}
 	}
 }
 

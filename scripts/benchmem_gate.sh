@@ -54,12 +54,16 @@ go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|Benchma
 # clusters, the member arrays and the adjacency lists carved from one
 # arena each (the lists at their exact degrees, counted by a first pass
 # of the G(n, p) draw), the overlay's ID tables to the largest cluster
-# ID. Nearly every alloc/op left is a per-cluster record. Adjacency lists
-# grown edge by edge again (+1 510, +20 930 and +10 allocs/op), member
-# arrays grown member by member (about +1 700 and +25 600 at the two
-# larger shapes), node tables grown node by node (+50 and +82) or a
-# per-node map in the oracle crosses the floor. Three iterations: one
-# 2^17 set-up takes ~0.02 s.
+# ID, and the cluster records held by value in the cluster table. No
+# alloc/op is per cluster or per node: what is left (76, 97 and 56) is
+# the tables' single allocations, the append chains of the Byzantine
+# index and allegiance bitset, and the runner's and the oracle's set-up.
+# A heap record per cluster again (+292 and +3 641 allocs/op at the two
+# larger shapes), adjacency lists grown edge by edge (+1 510, +20 930 and
+# +10), member arrays grown member by member (about +1 700 and +25 600),
+# node tables grown node by node (+50 and +82) or a per-node map in the
+# oracle crosses the floor. Three iterations: one 2^17 set-up takes
+# ~0.02 s.
 echo "== benchmem gate: world construction =="
 go test -run '^$' -bench 'BenchmarkWorldBootstrap' \
 	-benchmem -benchtime 3x . | tee -a "$out"
@@ -93,9 +97,9 @@ BenchmarkWorldAudit/after-mutation 0
 BenchmarkIdealDraw 0
 BenchmarkSimulationStep 0
 BenchmarkRunnerContinue/into 0
-BenchmarkWorldBootstrap/N=16384 390
-BenchmarkWorldBootstrap/N=262144 3770
-BenchmarkWorldBootstrap/N=4096,n0=128 70
+BenchmarkWorldBootstrap/N=16384 90
+BenchmarkWorldBootstrap/N=262144 110
+BenchmarkWorldBootstrap/N=4096,n0=128 64
 BenchmarkStreamReframe/empty 0
 BenchmarkStreamReframe/payload 1
 BenchmarkTCPRequestEcho 2
