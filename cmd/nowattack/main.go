@@ -44,7 +44,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.Float64Var(&c.k, "k", 5, "cluster size security parameter K")
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 0,
 		"decide this many ops per time step and run them as one batch (0 and 1 both run one op per step)")
-	fs.BoolVar(&c.grouped, "grouped-cascade", nowover.DefaultConfig(0).GroupedCascade, "run each leave's cascade as one grouped shuffle round; =false runs Algorithm 2's per-receiver cascade, the paper-faithful reference")
+	fs.BoolVar(&c.grouped, "grouped-cascade", nowover.DefaultConfig(0).Shuffle == nowover.ShuffleGrouped, "run each leave's cascade as one grouped shuffle round; =false runs Algorithm 2's per-receiver cascade, the paper-faithful reference")
 	fs.StringVar(&c.benchJSON, "bench-json", "",
 		"run the hooked arm matrix (classic / batched, per cascade mode) and write machine-readable results to this path")
 	if err := fs.Parse(args); err != nil {
@@ -68,11 +68,11 @@ func (c *config) simConfig(shuffle bool) (nowover.SimConfig, error) {
 	cfg.Core.Seed = c.seed
 	cfg.Core.K = c.k
 	cfg.Core.L = 1.6
-	cfg.Core.GroupedCascade = c.grouped
-	if !shuffle {
-		cfg.Core.ExchangeOnJoin = false
-		cfg.Core.ExchangeOnLeave = false
-		cfg.Core.LeaveCascade = false
+	switch {
+	case !shuffle:
+		cfg.Core.Shuffle = nowover.ShuffleOff
+	case !c.grouped:
+		cfg.Core.Shuffle = nowover.ShufflePerReceiver
 	}
 	budget := nowover.Budget{Tau: c.tau}
 	switch c.attack {

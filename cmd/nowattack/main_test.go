@@ -26,8 +26,8 @@ func TestSimConfigArms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !full.Core.ExchangeOnJoin || !full.Core.ExchangeOnLeave || !full.Core.LeaveCascade {
-		t.Error("shuffled arm should keep all shuffling enabled")
+	if full.Core.Shuffle != nowover.ShuffleGrouped {
+		t.Errorf("shuffled arm runs shuffle mode %v, want %v", full.Core.Shuffle, nowover.ShuffleGrouped)
 	}
 	if _, ok := full.Strategy.(*nowover.DOSAttack); !ok {
 		t.Errorf("strategy = %T, want *nowover.DOSAttack", full.Strategy)
@@ -40,8 +40,8 @@ func TestSimConfigArms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ablated.Core.ExchangeOnJoin || ablated.Core.ExchangeOnLeave || ablated.Core.LeaveCascade {
-		t.Error("ablation arm should disable all shuffling")
+	if ablated.Core.Shuffle != nowover.ShuffleOff {
+		t.Errorf("ablation arm runs shuffle mode %v, want %v", ablated.Core.Shuffle, nowover.ShuffleOff)
 	}
 }
 

@@ -63,7 +63,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.StringVar(&c.csvDir, "csv", "", "directory to write per-experiment CSV files")
 	fs.Uint64Var(&c.seed, "seed", 1, "random seed")
 	fs.IntVar(&c.parallel, "parallel", 0, "experiment worker count: 1 = serial, 0 = GOMAXPROCS")
-	fs.BoolVar(&c.grouped, "grouped-cascade", nowover.DefaultConfig(0).GroupedCascade, "batch leave cascades into one grouped shuffle round per leave (~|C| write footprint instead of ~|C|^2); =false runs Algorithm 2's per-receiver cascade, the paper-faithful reference (results/golden/quick_per_receiver.txt)")
+	fs.BoolVar(&c.grouped, "grouped-cascade", nowover.DefaultConfig(0).Shuffle == nowover.ShuffleGrouped, "batch leave cascades into one grouped shuffle round per leave (~|C| write footprint instead of ~|C|^2); =false runs Algorithm 2's per-receiver cascade, the paper-faithful reference (results/golden/quick_per_receiver.txt)")
 	fs.IntVar(&c.maxN, "max-n", 0, "extend the N sweep by doubling the top size up to this bound (e.g. 65536 for the 2^16 separation sweep, 1048576 for the 2^20 run); must be a power-of-two multiple of the scale's top size; 0 keeps the selected scale's grid")
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 0, "decide this many adversary-cell operations per time step and run them as one batch, settled once (A2/A4; above 1 a deterministic but distinct trajectory, and per-operation cost columns are unavailable); 0 and 1 both run one op per step, the recorded baseline tables")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "per-cell result journal: completed sweep cells are appended here and served from it on the next run, so an interrupted sweep resumes from its last completed cell with byte-identical tables; the journal is bound to the run configuration (seed/scale/mode flags) and refuses to resume under a different one")

@@ -19,7 +19,7 @@ func TestParseConfigDefaults(t *testing.T) {
 	if !reflect.DeepEqual(c.selected, nowover.ExperimentIDs()) {
 		t.Errorf("default selection = %v, want all experiment IDs", c.selected)
 	}
-	if c.seed != 1 || c.grouped != nowover.DefaultConfig(0).GroupedCascade || c.full || c.parallel != 0 || c.maxN != 0 || c.opsPerStep != 0 {
+	if c.seed != 1 || c.grouped != (nowover.DefaultConfig(0).Shuffle == nowover.ShuffleGrouped) || c.full || c.parallel != 0 || c.maxN != 0 || c.opsPerStep != 0 {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
 }

@@ -72,7 +72,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.IntVar(&c.runs, "runs", 1, "independent replicas to run (seeds seed..seed+runs-1)")
 	fs.IntVar(&c.parallel, "parallel", 0, "worker count for -runs: 1 = serial, 0 = GOMAXPROCS")
 	fs.IntVar(&c.opsPerStep, "ops-per-step", 1, "operations per time step: > 1 decides them together and runs them as one batch, settled once")
-	fs.BoolVar(&c.grouped, "grouped-cascade", nowover.DefaultConfig(0).GroupedCascade, "batch each leave's cascade into one grouped shuffle round over the receiver set (~|C| write footprint instead of ~|C|^2); =false runs Algorithm 2's per-receiver cascade, the paper-faithful reference")
+	fs.BoolVar(&c.grouped, "grouped-cascade", nowover.DefaultConfig(0).Shuffle == nowover.ShuffleGrouped, "batch each leave's cascade into one grouped shuffle round over the receiver set (~|C| write footprint instead of ~|C|^2); =false runs Algorithm 2's per-receiver cascade, the paper-faithful reference")
 	c.prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -114,12 +114,12 @@ func (c *config) simConfig(runSeed uint64) (nowover.SimConfig, error) {
 	}
 	cfg.Core.Seed = runSeed
 	cfg.Core.K = c.k
-	cfg.Core.GroupedCascade = c.grouped
 	cfg.OpsPerStep = c.opsPerStep
-	if c.noShuffle {
-		cfg.Core.ExchangeOnJoin = false
-		cfg.Core.ExchangeOnLeave = false
-		cfg.Core.LeaveCascade = false
+	switch {
+	case c.noShuffle:
+		cfg.Core.Shuffle = nowover.ShuffleOff
+	case !c.grouped:
+		cfg.Core.Shuffle = nowover.ShufflePerReceiver
 	}
 	switch c.merge {
 	case "absorb":

@@ -87,8 +87,8 @@ func TestSimConfigNoShuffleAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Core.ExchangeOnJoin || cfg.Core.ExchangeOnLeave || cfg.Core.LeaveCascade {
-		t.Error("-noshuffle should disable exchange-on-join, exchange-on-leave and cascades")
+	if cfg.Core.Shuffle != nowover.ShuffleOff {
+		t.Errorf("-noshuffle runs shuffle mode %v, want %v", cfg.Core.Shuffle, nowover.ShuffleOff)
 	}
 }
 

@@ -16,16 +16,15 @@
 //     committees where optimal resilience at the 1/3 boundary matters.
 //
 // The paper's own analysis never executes agreement message-by-message; it
-// charges costs analytically. Decide mirrors that abstraction for the
-// counted simulator: it resolves an intra-cluster decision as secure iff
-// the cluster is > 2/3 honest and charges the paper's O(|C|^2) cost.
+// charges costs analytically. DecideCosts is that charge for the counted
+// simulator: randnum prices each draw's agreement at |C|(|C|-1) messages
+// and a constant number of rounds through it, and whether the decision is
+// secure (the cluster more than two thirds honest) is randnum.Classify's.
 package ba
 
 import (
 	"fmt"
 	"sort"
-
-	"nowover/internal/metrics"
 )
 
 // Value is an agreement input/output. Agreement is multivalued; binary
@@ -239,30 +238,11 @@ func broadcastOne(cfg Config, round, from int, v Value, res *Result) []Value {
 	return recv
 }
 
-// Decide is the analytic stand-in used by the counted simulator, mirroring
-// the paper's own abstraction: an intra-cluster agreement among size
-// members of which byz are Byzantine succeeds iff the cluster is more than
-// two thirds honest. It charges the paper's O(size^2) message cost and a
-// constant number of rounds to the ledger and reports success.
-func Decide(led *metrics.Ledger, size, byz int) bool {
-	if size <= 0 {
-		return false
-	}
-	msgs, rounds := DecideCost(size)
-	led.ChargeRounds(metrics.ClassAgreement, msgs, rounds)
-	return 3*byz < size
-}
-
-// DecideCost is what Decide charges for one agreement among size > 0
-// members: size*(size-1) messages (all-to-all) and a constant number of
-// rounds. It is the agreement term of every randNum draw's cost.
-func DecideCost(size int) (msgs, rounds int64) {
-	return DecideCosts(1, int64(size)*int64(size-1))
-}
-
 // DecideCosts is what k agreements cost together whose clusters' ordered
-// member pairs |C|(|C|-1) sum to pairs: the cost is linear in both, so a
-// caller that runs many agreements may sum them first.
+// member pairs |C|(|C|-1) sum to pairs: all-to-all messages, pairs of
+// them, and a constant number of rounds each. The cost is linear in both,
+// so a caller that runs many agreements may sum them first; it is the
+// agreement term of every randNum draw's cost.
 func DecideCosts(k, pairs int64) (msgs, rounds int64) {
 	return pairs, k * _decideRounds
 }

@@ -3,8 +3,6 @@ package ba
 import (
 	"testing"
 	"testing/quick"
-
-	"nowover/internal/metrics"
 )
 
 func inputs(vs ...Value) []Value { return vs }
@@ -206,34 +204,24 @@ func TestEIGRounds(t *testing.T) {
 	}
 }
 
-func TestDecideThreshold(t *testing.T) {
-	cases := []struct {
-		size, byz int
-		want      bool
-	}{
-		{9, 2, true},
-		{9, 3, false}, // exactly 1/3 breaks the strict bound
-		{10, 3, true},
-		{3, 0, true},
-		{3, 1, false},
-		{0, 0, false},
+// TestDecideCostsCharges: k agreements cost their clusters' ordered
+// member pairs |C|(|C|-1) in messages and k times one agreement's
+// (non-zero) rounds.
+func TestDecideCostsCharges(t *testing.T) {
+	_, one := DecideCosts(1, 90)
+	if one <= 0 {
+		t.Fatalf("one agreement charged %d rounds", one)
+	}
+	cases := []struct{ k, pairs int64 }{
+		{1, 10 * 9},
+		{3, 10*9 + 5*4 + 3*2},
+		{0, 0},
 	}
 	for _, c := range cases {
-		var l metrics.Ledger
-		if got := Decide(&l, c.size, c.byz); got != c.want {
-			t.Errorf("Decide(%d,%d) = %v, want %v", c.size, c.byz, got, c.want)
+		msgs, rounds := DecideCosts(c.k, c.pairs)
+		if msgs != c.pairs || rounds != c.k*one {
+			t.Errorf("DecideCosts(%d, %d) = (%d, %d), want (%d, %d)", c.k, c.pairs, msgs, rounds, c.pairs, c.k*one)
 		}
-	}
-}
-
-func TestDecideCharges(t *testing.T) {
-	var led metrics.Ledger
-	Decide(&led, 10, 2)
-	if led.Messages() != 90 {
-		t.Errorf("Decide charged %d messages, want 90", led.Messages())
-	}
-	if led.Rounds() == 0 {
-		t.Error("Decide charged no rounds")
 	}
 }
 

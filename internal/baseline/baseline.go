@@ -11,9 +11,9 @@
 //     cost; the complexity strawman from the introduction.
 //
 // The third baseline — NOW with shuffling disabled (the attack target of
-// section 3.3) — is expressed through core.Config ablation flags
-// (ExchangeOnJoin=false, LeaveCascade=false) rather than a separate
-// implementation, so the attacked code path is the real one.
+// section 3.3, experiment E11's strawman) — is core.Config's Shuffle set
+// to core.ShuffleOff rather than a separate implementation, so the
+// attacked code path is the real one.
 package baseline
 
 import (

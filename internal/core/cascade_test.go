@@ -1,7 +1,7 @@
 package core
 
 // The cascade-equivalence test layer: grouped leave cascades
-// (Config.GroupedCascade) rewrite the hottest correctness-critical path
+// (ShuffleGrouped) rewrite the hottest correctness-critical path
 // of the protocol, so they get the same proof obligations batches got in
 // sched_test.go — the classic-replay oracle, determinism, invariant
 // preservation — plus the two claims specific to grouping: the
@@ -119,7 +119,7 @@ func TestGroupedCascadeShrinksLeaveFootprint(t *testing.T) {
 		cfg := DefaultConfig(2048)
 		cfg.Seed = 7
 		cfg.K = 0.75 // small clusters -> cluster-rich overlay (n/|C| ~ 128)
-		cfg.GroupedCascade = grouped
+		cfg.Shuffle = cascadeMode(grouped)
 		w, err := NewWorld(cfg)
 		if err != nil {
 			t.Fatal(err)

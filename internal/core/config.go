@@ -50,6 +50,44 @@ func (m MergeStrategy) String() string {
 	}
 }
 
+// Shuffle selects section 3.3's shuffling: a full-cluster exchange after
+// every join and leave, and Algorithm 2's cascade onto the leave's
+// receivers, which the Theorem 3 proof needs ("we enforce C' to exchange
+// all its nodes"). Its four values are the configurations callers run.
+type Shuffle int
+
+const (
+	// ShuffleGrouped (default) runs each leave's cascade as one grouped
+	// shuffle round over the receivers (see World.runLeaveCascade),
+	// charged to metrics.ClassCascade. It still re-samples every receiver
+	// uniformly, which is all Lemma 1 and Theorem 3 ask of a cascade.
+	ShuffleGrouped Shuffle = iota
+	// ShufflePerReceiver runs Algorithm 2's cascade, a full exchange per
+	// receiver: the paper-faithful reference.
+	ShufflePerReceiver
+	// ShuffleNoCascade exchanges but cascades nothing (ablation A2).
+	ShuffleNoCascade
+	// ShuffleOff exchanges nowhere: the shuffle-less strawman of section
+	// 3.3, which the join-leave attack pollutes unimpeded (E11).
+	ShuffleOff
+)
+
+// String implements fmt.Stringer.
+func (s Shuffle) String() string {
+	switch s {
+	case ShuffleGrouped:
+		return "grouped"
+	case ShufflePerReceiver:
+		return "per-receiver"
+	case ShuffleNoCascade:
+		return "no-cascade"
+	case ShuffleOff:
+		return "off"
+	default:
+		return fmt.Sprintf("shuffle(%d)", int(s))
+	}
+}
+
 // The overlay's shape (OVER Property 2) and randCl's restart bound are
 // constants; no experiment varies them.
 const (
@@ -90,32 +128,8 @@ type Config struct {
 
 	// MergeStrategy resolves the paper's merge ambiguity.
 	MergeStrategy MergeStrategy
-	// LeaveCascade enables the second-level exchanges on Leave required by
-	// the Theorem 3 proof ("we enforce C' to exchange all its nodes").
-	// Disabling it is an ablation.
-	LeaveCascade bool
-	// GroupedCascade batches the leave cascade into ONE grouped shuffle
-	// round over the receiver set — one swap per receiver, partners drawn
-	// from the round's own pool, all draws on one stream (see
-	// exchange.CascadeRound) — instead of a full exchange per receiver,
-	// shrinking a leave's write footprint from ~|C|^2 to ~|C| clusters
-	// and its round cost by the cluster size. Cascade traffic is charged
-	// to metrics.ClassCascade. Only meaningful with LeaveCascade.
-	// DefaultConfig sets it: the round still re-samples every receiver
-	// uniformly, which is all Lemma 1 and Theorem 3 ask of a cascade.
-	// false selects Algorithm 2's per-receiver cascade, the paper-faithful
-	// reference, byte-identically.
-	GroupedCascade bool
-	// ExchangeOnJoin enables the full-cluster exchange after an insertion
-	// (section 3.3 Join). Disabling it is an ablation that reproduces the
-	// attack motivating shuffling.
-	ExchangeOnJoin bool
-	// ExchangeOnLeave enables the full-cluster exchange after a departure
-	// (section 3.3 Leave / Algorithm 2). Disabling it together with
-	// ExchangeOnJoin yields the fully shuffle-less strawman of section
-	// 3.3, against which the join-leave attack ratchets Byzantine mass
-	// into its target unimpeded.
-	ExchangeOnLeave bool
+	// Shuffle selects the exchanges after joins and leaves.
+	Shuffle Shuffle
 	// OverlayRepair enables OVER's post-removal degree repair.
 	OverlayRepair bool
 	// EdgeAttemptFactor bounds edge-placement walk attempts per requested
@@ -130,11 +144,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's parameters for maximum size n, with
-// the grouped leave cascade (GroupedCascade). Setting GroupedCascade to
-// false gives the paper-faithful configuration: Algorithm 2's
-// per-receiver cascade. DefaultConfig is the single source of the
-// cascade default; the experiment scales and the CLIs' -grouped-cascade
-// flags read it from here.
+// the grouped leave cascade (ShuffleGrouped; ShufflePerReceiver is the
+// paper-faithful one). It is the single source of the cascade default:
+// the experiment scales and the CLIs' -grouped-cascade flags read it.
 func DefaultConfig(maxN int) Config {
 	return Config{
 		N:                  maxN,
@@ -144,10 +156,7 @@ func DefaultConfig(maxN int) Config {
 		WalkDurationFactor: 0.5,
 		Generator:          randnum.Ideal{},
 		MergeStrategy:      MergeAbsorbRandom,
-		LeaveCascade:       true,
-		GroupedCascade:     true,
-		ExchangeOnJoin:     true,
-		ExchangeOnLeave:    true,
+		Shuffle:            ShuffleGrouped,
 		OverlayRepair:      true,
 		EdgeAttemptFactor:  4,
 	}
@@ -166,6 +175,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: WalkDurationFactor=%v must be positive", c.WalkDurationFactor)
 	case c.Generator == nil:
 		return fmt.Errorf("core: nil Generator")
+	case c.Shuffle < ShuffleGrouped || c.Shuffle > ShuffleOff:
+		return fmt.Errorf("core: unknown shuffle mode %v", c.Shuffle)
 	case c.EdgeAttemptFactor < 1:
 		return fmt.Errorf("core: EdgeAttemptFactor=%d must be >= 1", c.EdgeAttemptFactor)
 	case c.Shards < 0 || c.Shards > 1<<12:

@@ -38,6 +38,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.WalkDurationFactor = 0 },
 		func(c *Config) { c.Generator = nil },
 		func(c *Config) { c.EdgeAttemptFactor = 0 },
+		func(c *Config) { c.Shuffle = ShuffleOff + 1 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(1024)

@@ -64,7 +64,9 @@ func TestDirectDrawMatchesInterfaceDraw(t *testing.T) {
 	run := func(t *testing.T, gen randnum.Generator, grouped, capture bool) trace {
 		cfg := core.DefaultConfig(1024)
 		cfg.Seed = 7
-		cfg.GroupedCascade = grouped
+		if !grouped {
+			cfg.Shuffle = core.ShufflePerReceiver
+		}
 		cfg.Generator = gen
 		w, err := core.NewWorld(cfg)
 		if err != nil {
@@ -187,7 +189,9 @@ func TestDirectDrawMatchesInterfaceDraw(t *testing.T) {
 					Seed:            3,
 				}
 				cfg.Core.Seed = 3
-				cfg.Core.GroupedCascade = grouped
+				if !grouped {
+					cfg.Core.Shuffle = core.ShufflePerReceiver
+				}
 				cfg.Core.Generator = gen
 				r, err := sim.New(cfg)
 				if err != nil {

@@ -7,13 +7,13 @@ import (
 )
 
 // FuzzWorldOps feeds fuzzer-chosen operation scripts through the
-// classic-replay oracle in both cascade modes (per-receiver and grouped):
-// in each mode one world runs every queued batch through ExecBatch and a
-// twin replays the same ops through the public one-op calls. After every
-// batch requireReplayMatch asserts that both worlds satisfy the full
-// invariant layer and are identical apart from the settle-counted Stats
-// fields. The two modes legitimately diverge from EACH OTHER (grouping
-// changes which swaps happen), so cross-mode equality is not asserted;
+// classic-replay oracle in every Shuffle mode: in each mode one world
+// runs every queued batch through ExecBatch and a twin replays the same
+// ops through the public one-op calls. After every batch
+// requireReplayMatch asserts that both worlds satisfy the full invariant
+// layer and are identical apart from the settle-counted Stats fields.
+// The modes legitimately diverge from EACH OTHER (each shuffles
+// differently), so cross-mode equality is not asserted;
 // an op that targets a node/cluster present only in one mode's state
 // fails the same way on both sides of that mode. The script drives joins,
 // leaves, forced exchanges and allegiance flips; splits, merges and
@@ -35,14 +35,14 @@ func FuzzWorldOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, script []byte) {
 		// 128 bytes is enough churn to force merges from the bootstrap
 		// population (see seed-cascade-into-merge) while keeping one
-		// input's four-world replay cheap.
+		// input's eight-world replay cheap.
 		if len(script) > 128 {
 			script = script[:128]
 		}
-		mk := func(grouped bool) *World {
+		mk := func(mode Shuffle) *World {
 			cfg := DefaultConfig(256)
 			cfg.Seed = seed
-			cfg.GroupedCascade = grouped
+			cfg.Shuffle = mode
 			w, err := NewWorld(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -56,9 +56,9 @@ func FuzzWorldOps(f *testing.F) {
 			name            string
 			batched, replay *World
 		}
-		pairs := []twins{
-			{"per-receiver", mk(false), mk(false)},
-			{"grouped", mk(true), mk(true)},
+		var pairs []twins
+		for _, mode := range []Shuffle{ShufflePerReceiver, ShuffleGrouped, ShuffleNoCascade, ShuffleOff} {
+			pairs = append(pairs, twins{mode.String(), mk(mode), mk(mode)})
 		}
 		w1 := pairs[0].batched // the script's reference state
 		minPop := 2 * w1.Config().TargetClusterSize()
@@ -184,7 +184,7 @@ func runHookedScript(t *testing.T, seed uint64, script []byte) {
 	mk := func() (*World, *adversary.CapturedHijacker) {
 		cfg := DefaultConfig(256)
 		cfg.Seed = seed
-		cfg.GroupedCascade = grouped
+		cfg.Shuffle = cascadeMode(grouped)
 		w, err := NewWorld(cfg)
 		if err != nil {
 			t.Fatal(err)

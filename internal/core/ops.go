@@ -57,22 +57,24 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 	// math/rand/v2's Perm draws (make, then this Shuffle), held at half
 	// Perm's width. The node and cluster tables are sized to the n0
 	// seeded nodes and their clusters once (churn grows them from there),
-	// not grown node by node. byzPos, indexed by the Byzantine nodes' IDs,
-	// which span [0, n0), gets a quarter more, about where its 1.25x
-	// append chain ended, so the first Byzantine joins do not reallocate
-	// it. The chunks' member arrays are carved from one arena, each at
-	// least at the capacity appending its members one by one would reach
-	// (memberCap), so no join reallocates one sooner than that.
+	// not grown node by node; the Byzantine index, byzPos (over IDs in
+	// [0, n0)) and its bitset get a quarter more, so the first Byzantine
+	// joins do not reallocate them. The chunks' member arrays are carved
+	// from one arena, each at least at the capacity appending its members
+	// one by one would reach (memberCap), so no join reallocates one
+	// sooner than that.
 	slots := make([]int32, n0)
 	for i := range slots {
 		slots[i] = int32(i)
 	}
 	w.rng.Shuffle(n0, func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
 	byz := make([]bool, n0)
+	nByz := 0
 	for i := range byz {
 		byz[i] = corrupt != nil && corrupt(i)
+		nByz += byzCount(byz[i])
 	}
-	bounds := []int{0}
+	bounds := make([]int, 1, n0/target+2)
 	for end := target; end < n0; end += target {
 		if min(target, n0-end) < w.cfg.MergeThreshold() {
 			break
@@ -83,7 +85,9 @@ func (w *World) Bootstrap(n0 int, corrupt func(slot int) bool) error {
 	chunks := len(bounds) - 1
 	w.nodes = slices.Grow(w.nodes, n0)
 	w.allNodes = slices.Grow(w.allNodes, n0)
+	w.byzNodes = slices.Grow(w.byzNodes, nByz+nByz/4)
 	w.byzPos = slices.Grow(w.byzPos, n0+n0/4)
+	w.byzBits = slices.Grow(w.byzBits, (n0+n0/4)>>6+1)
 	w.clusters = slices.Grow(w.clusters, chunks)
 	w.rows = slices.Grow(w.rows, chunks)
 	w.settleQueue = slices.Grow(w.settleQueue, chunks)
@@ -211,7 +215,7 @@ func (w *World) joinExisting(x ids.NodeID, byz bool, contact ids.ClusterID) erro
 	w.registerNode(x, byz, target)
 	w.chargeInsertion(target)
 
-	if w.cfg.ExchangeOnJoin {
+	if w.cfg.Shuffle != ShuffleOff {
 		rep, err := w.exch.Run(w.led, w.rng, target)
 		if err != nil {
 			return fmt.Errorf("core: join exchange: %w", err)
@@ -249,11 +253,10 @@ func (w *World) chargeDeparture(c ids.ClusterID) {
 }
 
 // Leave executes the paper's Leave operation (Algorithm 2): the cluster
-// detects the departure, exchanges all its nodes, cascades an exchange
-// onto every cluster that received one of them (or, under
-// Config.GroupedCascade, one grouped shuffle round over the whole
-// receiver set — see exchange.CascadeRound), and merges if it fell below
-// the threshold.
+// detects the departure, exchanges all its nodes, cascades onto the
+// clusters that received one of them as Config.Shuffle says (by default
+// one grouped shuffle round over the whole receiver set — see
+// exchange.CascadeRound), and merges if it fell below the threshold.
 func (w *World) Leave(x ids.NodeID) error {
 	return w.settled(w.leaveWith(x))
 }
@@ -282,19 +285,17 @@ func (w *World) leaveWith(x ids.NodeID) error {
 		return nil
 	}
 
-	if w.cfg.ExchangeOnLeave {
+	if w.cfg.Shuffle != ShuffleOff {
 		rep, err := w.exch.Run(w.led, w.rng, c)
 		if err != nil {
 			return fmt.Errorf("core: leave exchange: %w", err)
 		}
 		w.stats.HijackedWalks += int64(rep.Hijacked)
-		if w.cfg.LeaveCascade {
-			hijacked, err := w.runLeaveCascade(c, rep.Receivers)
-			if err != nil {
-				return err
-			}
-			w.stats.HijackedWalks += hijacked
+		hijacked, err := w.runLeaveCascade(c, rep.Receivers)
+		if err != nil {
+			return err
 		}
+		w.stats.HijackedWalks += hijacked
 	}
 	if w.Size(c) < w.cfg.MergeThreshold() {
 		if err := w.merge(c); err != nil {
@@ -306,19 +307,23 @@ func (w *World) leaveWith(x ids.NodeID) error {
 }
 
 // runLeaveCascade executes the configured cascade flavor over the primary
-// leave exchange's receivers: Algorithm 2's full exchange per receiver,
-// or — under Config.GroupedCascade — one grouped shuffle round over the
-// whole set (exchange.CascadeRound: the round's swaps stay inside
-// {source} ∪ receivers, so a leave writes ~|C| clusters instead of
-// ~|C|^2). Either way the receivers act concurrently, so the cascade's
-// rounds are its longest receiver's, not their sum (section 3.1's round
-// count, as for an exchange's walks). For the per-receiver flavour this is
-// a modelling assumption: no receiver's exchange needs another's output,
-// but each draws from memberships the earlier ones rewrote, and the
-// simulator applies them in order (EXPERIMENTS.md, "Second slice").
+// leave exchange's receivers: none under ShuffleNoCascade, Algorithm 2's
+// full exchange per receiver under ShufflePerReceiver, or — under
+// ShuffleGrouped — one grouped shuffle round over the whole set
+// (exchange.CascadeRound: the round's swaps stay inside {source} ∪
+// receivers, so a leave writes ~|C| clusters instead of ~|C|^2). Either
+// way the receivers act concurrently, so the cascade's rounds are its
+// longest receiver's, not their sum (section 3.1's round count, as for an
+// exchange's walks). For the per-receiver flavour this is a modelling
+// assumption: no receiver's exchange needs another's output, but each
+// draws from memberships the earlier ones rewrote, and the simulator
+// applies them in order (EXPERIMENTS.md, "Second slice").
 // Returns the hijacked-walk count to fold into stats.
 func (w *World) runLeaveCascade(c ids.ClusterID, receivers []ids.ClusterID) (int64, error) {
-	if w.cfg.GroupedCascade {
+	switch w.cfg.Shuffle {
+	case ShuffleNoCascade:
+		return 0, nil
+	case ShuffleGrouped:
 		// CascadeRound reads the receiver list (which aliases the
 		// exchanger's Run scratch) but only writes its own separate
 		// cascade scratch, so no copy is needed.

@@ -96,7 +96,7 @@ func TestGroupedCascadePreservesBounds(t *testing.T) {
 	mk := func(seed uint64) (*World, error) {
 		cfg := DefaultConfig(512)
 		cfg.Seed = seed
-		cfg.GroupedCascade = true
+		cfg.Shuffle = ShuffleGrouped
 		w, err := NewWorld(cfg)
 		if err != nil {
 			return nil, err

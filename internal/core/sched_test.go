@@ -17,12 +17,21 @@ func newTestWorld(t testing.TB, seed uint64) *World {
 	return newModeWorld(t, seed, false)
 }
 
+// cascadeMode is the shuffle mode a test's grouped flag selects: the
+// grouped cascade or Algorithm 2's per-receiver one.
+func cascadeMode(grouped bool) Shuffle {
+	if grouped {
+		return ShuffleGrouped
+	}
+	return ShufflePerReceiver
+}
+
 // newModeWorld is newTestWorld with the leave-cascade mode chosen.
 func newModeWorld(t testing.TB, seed uint64, grouped bool) *World {
 	t.Helper()
 	cfg := DefaultConfig(512)
 	cfg.Seed = seed
-	cfg.GroupedCascade = grouped
+	cfg.Shuffle = cascadeMode(grouped)
 	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func swapWorld(t *testing.T, seed uint64, grouped bool) *World {
 	t.Helper()
 	cfg := DefaultConfig(512)
 	cfg.Seed = seed
-	cfg.GroupedCascade = grouped
+	cfg.Shuffle = cascadeMode(grouped)
 	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)

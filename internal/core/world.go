@@ -141,10 +141,9 @@ func (p *hijackProxy) set(h walk.Hijacker) { p.h = h }
 // The world is not safe for concurrent use: the paper's model is
 // synchronous and every method runs on one goroutine.
 type World struct {
-	cfg     Config
-	led     *metrics.Ledger
-	rng     *xrand.Rand
-	walkCfg walk.Config
+	cfg Config
+	led *metrics.Ledger
+	rng *xrand.Rand
 
 	// clusters is the cluster table, records held by value; a retired or
 	// not yet minted ID's record is not live. Only putCluster grows it, so
@@ -244,7 +243,7 @@ func NewWorld(cfg Config) (*World, error) {
 		rejoinByz: make(map[ids.NodeID]bool),
 		hijack:    &hijackProxy{},
 	}
-	w.walkCfg = walk.Config{
+	walker, err := walk.NewWalker(walk.Config{
 		DurationFactor: cfg.WalkDurationFactor,
 		MaxRestarts:    maxWalkRestarts,
 		Gen:            cfg.Generator,
@@ -256,8 +255,7 @@ func NewWorld(cfg Config) (*World, error) {
 		// Pinned by TestCapturedDrawsWithoutSteerHook; whether that is
 		// the adversary model wanted is an open question.
 		Steer: func(c ids.ClusterID) float64 { return w.steerScore(c) },
-	}
-	walker, err := walk.NewWalker(w.walkCfg, w)
+	}, w)
 	if err != nil {
 		return nil, err
 	}

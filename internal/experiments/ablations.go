@@ -100,7 +100,9 @@ func AblationLeaveCascade(s Scale) (*Table, error) {
 		res, err := ablationRun(s, n, 0.25, steps,
 			&adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.25}},
 			func(c *core.Config) {
-				c.LeaveCascade = cascade
+				if !cascade {
+					c.Shuffle = core.ShuffleNoCascade
+				}
 				c.K = 4
 				c.L = 1.6
 			})

@@ -6,6 +6,7 @@ import (
 	"nowover/internal/adversary"
 	"nowover/internal/apps"
 	"nowover/internal/baseline"
+	"nowover/internal/core"
 	"nowover/internal/ids"
 	"nowover/internal/metrics"
 	"nowover/internal/sim"
@@ -124,9 +125,7 @@ func E11Baselines(s Scale) (*Table, error) {
 		acfg.Core.L = 1.6
 		name := "NOW+attack"
 		if !shuffled {
-			acfg.Core.ExchangeOnJoin = false
-			acfg.Core.ExchangeOnLeave = false
-			acfg.Core.LeaveCascade = false
+			acfg.Core.Shuffle = core.ShuffleOff
 			name = "no-shuffle+attack"
 		}
 		arunner, err := sim.New(acfg)

@@ -174,7 +174,7 @@ type Scale struct {
 	// baseline tables.
 	OpsPerStep int
 	// GroupedCascade runs every world's leave cascade as one grouped
-	// shuffle round per leave (core.Config.GroupedCascade). QuickScale and
+	// shuffle round per leave (core.ShuffleGrouped). QuickScale and
 	// FullScale take it from core.DefaultConfig, so it is on by default;
 	// false runs Algorithm 2's full exchange per receiver, the
 	// paper-faithful reference (results/golden/quick_per_receiver.txt).
@@ -193,7 +193,9 @@ type Scale struct {
 // mode applied; every experiment world starts from it.
 func (s Scale) coreConfig(n int) core.Config {
 	cfg := core.DefaultConfig(n)
-	cfg.GroupedCascade = s.GroupedCascade
+	if !s.GroupedCascade {
+		cfg.Shuffle = core.ShufflePerReceiver
+	}
 	return cfg
 }
 
@@ -232,7 +234,7 @@ func (s Scale) ExtendTo(maxN int) (Scale, error) {
 
 // defaultGrouped is core.DefaultConfig's leave-cascade mode (it does not
 // depend on the size bound).
-func defaultGrouped() bool { return core.DefaultConfig(0).GroupedCascade }
+func defaultGrouped() bool { return core.DefaultConfig(0).Shuffle == core.ShuffleGrouped }
 
 // QuickScale is the default used by `go test -bench` and CI.
 func QuickScale() Scale {

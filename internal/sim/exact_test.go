@@ -24,7 +24,9 @@ func exactConfig(grouped bool, opsPerStep int) Config {
 		OpsPerStep:    opsPerStep,
 	}
 	cfg.Core.Seed = 1
-	cfg.Core.GroupedCascade = grouped
+	if !grouped {
+		cfg.Core.Shuffle = core.ShufflePerReceiver
+	}
 	return cfg
 }
 
@@ -64,7 +66,7 @@ func defaultConfig(t *testing.T) Config {
 	cfg := exactConfig(false, 0)
 	cfg.Core = core.DefaultConfig(2048)
 	cfg.Core.Seed = 1
-	if !cfg.Core.GroupedCascade {
+	if cfg.Core.Shuffle != core.ShuffleGrouped {
 		t.Fatal("core.DefaultConfig no longer runs the grouped leave cascade")
 	}
 	return cfg

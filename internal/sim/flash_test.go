@@ -22,7 +22,6 @@ func TestFlashCrowdSurvives(t *testing.T) {
 		Steps:            700,
 		Seed:             31,
 		ConsistencyEvery: 100,
-		TrackSizes:       true,
 	}
 	cfg.Core.Seed = 31
 	res, err := mustRun(t, cfg)
@@ -59,9 +58,7 @@ func TestNoShuffleAblationConfig(t *testing.T) {
 		ConsistencyEvery: 30,
 	}
 	cfg.Core.Seed = 33
-	cfg.Core.ExchangeOnJoin = false
-	cfg.Core.ExchangeOnLeave = false
-	cfg.Core.LeaveCascade = false
+	cfg.Core.Shuffle = core.ShuffleOff
 	res, err := mustRun(t, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -46,8 +46,6 @@ type Config struct {
 	// fixed-memory sketches (OpCosts), so memory stays O(1) per series no
 	// matter how many operations run.
 	SampleOpCosts bool
-	// TrackSizes records the size trajectory.
-	TrackSizes bool
 	// Seed drives the strategy's randomness (kept separate from protocol
 	// randomness so the adversary cannot be accidentally correlated with
 	// it).
@@ -120,14 +118,13 @@ func (o *OpCosts) reset() {
 
 // Result is the outcome of one run. Run and Continue return a fresh one;
 // RunInto and ContinueInto refill the caller's in place, and a struct copy
-// of it shares Audits, Sizes and the OpCosts digests' arrays with it.
+// of it shares Audits and the OpCosts digests' arrays with it.
 type Result struct {
 	Steps     int
 	Initial   core.Audit
 	Final     core.Audit
 	Stats     core.Stats
 	Audits    []core.Audit
-	Sizes     []int
 	TotalCost metrics.Cost
 	OpCosts   OpCosts
 	// DegradedSteps / CapturedSteps count time steps at whose end at
@@ -247,12 +244,12 @@ func (r *Runner) Run() (*Result, error) {
 }
 
 // RunInto is Run writing into res. It resets res in place first: its
-// digests keep their arrays, its histograms are zeroed and Audits and
-// Sizes are truncated, so a steady loop of short calls on one res
-// allocates no Result, digest buffer or slice per call. The reuse reaches
-// through a struct copy: a copy of res shares Audits, Sizes and the
-// OpCosts digests' arrays with it, and the next RunInto or ContinueInto
-// on res overwrites them. A caller that keeps a Result across calls uses
+// digests keep their arrays, its histograms are zeroed and Audits is
+// truncated, so a steady loop of short calls on one res allocates no
+// Result, digest buffer or slice per call. The reuse reaches through a
+// struct copy: a copy of res shares Audits and the OpCosts digests'
+// arrays with it, and the next RunInto or ContinueInto on res overwrites
+// them. A caller that keeps a Result across calls uses
 // Run or Continue, or a Result of its own per call. On an error res holds
 // the steps run so far.
 func (r *Runner) RunInto(res *Result) error {
@@ -262,7 +259,6 @@ func (r *Runner) RunInto(res *Result) error {
 		PeakSize:   r.world.NumNodes(),
 		TroughSize: r.world.NumNodes(),
 		Audits:     res.Audits[:0],
-		Sizes:      res.Sizes[:0],
 		OpCosts:    res.OpCosts,
 	}
 	ledger := r.world.Ledger()
@@ -279,9 +275,6 @@ func (r *Runner) RunInto(res *Result) error {
 		}
 		if n < res.TroughSize {
 			res.TroughSize = n
-		}
-		if r.cfg.TrackSizes {
-			res.Sizes = append(res.Sizes, n)
 		}
 		deg, cap := r.world.CurrentInsecure()
 		if deg > 0 {

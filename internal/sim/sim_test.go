@@ -21,7 +21,6 @@ func baseConfig() Config {
 		AuditEvery:       25,
 		ConsistencyEvery: 50,
 		SampleOpCosts:    true,
-		TrackSizes:       true,
 	}
 }
 
@@ -64,8 +63,8 @@ func TestSteadyRun(t *testing.T) {
 	if n := res.OpCosts.ClassMsgs[metrics.ClassWalk].N(); n != res.OpCosts.JoinMsgs.N()+res.OpCosts.LeaveMsgs.N() {
 		t.Errorf("walk-class histogram holds %d ops, want one per sampled op", n)
 	}
-	if len(res.Audits) == 0 || len(res.Sizes) != 100 {
-		t.Errorf("audits=%d sizes=%d", len(res.Audits), len(res.Sizes))
+	if len(res.Audits) == 0 {
+		t.Error("no audits")
 	}
 }
 

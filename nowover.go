@@ -71,10 +71,15 @@ type (
 // has one histogram per class).
 const NumTrafficClasses = metrics.NumClasses
 
-// Merge strategies (see core.MergeStrategy on the paper's ambiguity).
+// Merge strategies (see core.MergeStrategy on the paper's ambiguity) and
+// shuffle modes (see core.Shuffle).
 const (
-	MergeAbsorbRandom = core.MergeAbsorbRandom
-	MergeRejoinAll    = core.MergeRejoinAll
+	MergeAbsorbRandom  = core.MergeAbsorbRandom
+	MergeRejoinAll     = core.MergeRejoinAll
+	ShuffleGrouped     = core.ShuffleGrouped
+	ShufflePerReceiver = core.ShufflePerReceiver
+	ShuffleNoCascade   = core.ShuffleNoCascade
+	ShuffleOff         = core.ShuffleOff
 )
 
 // Secure is the trust level of a cluster below the 1/3 Byzantine bound.
@@ -115,7 +120,7 @@ type (
 type ExperimentScale = experiments.Scale
 
 // DefaultConfig returns the paper's parameters for name-space bound N,
-// with the grouped leave cascade; set GroupedCascade to false for
+// with the grouped leave cascade; set Shuffle to ShufflePerReceiver for
 // Algorithm 2's per-receiver cascade.
 func DefaultConfig(maxN int) Config { return core.DefaultConfig(maxN) }
 

@@ -54,15 +54,16 @@ go test -run '^$' -bench 'BenchmarkRandClWalk|BenchmarkExchangePrimitive|Benchma
 # clusters, the member arrays and the adjacency lists carved from one
 # arena each (the lists at their exact degrees, counted by a first pass
 # of the G(n, p) draw), the overlay's ID tables to the largest cluster
-# ID, and the cluster records held by value in the cluster table. No
-# alloc/op is per cluster or per node: what is left (76, 97 and 56) is
-# the tables' single allocations, the append chains of the Byzantine
-# index and allegiance bitset, and the runner's and the oracle's set-up.
-# A heap record per cluster again (+292 and +3 641 allocs/op at the two
-# larger shapes), adjacency lists grown edge by edge (+1 510, +20 930 and
-# +10), member arrays grown member by member (about +1 700 and +25 600),
-# node tables grown node by node (+50 and +82) or a per-node map in the
-# oracle crosses the floor. Three iterations: one 2^17 set-up takes
+# ID, the cluster records held by value in the cluster table, and the
+# Byzantine index, allegiance bitset and chunk edges to what the corrupted
+# slots and n0 need. No alloc/op is per cluster or per node: what is left
+# (50, 50 and 48) is the tables' single allocations and the runner's and
+# the oracle's set-up. A heap record per cluster again (+292 and +3 641
+# allocs/op at the two larger shapes), adjacency lists grown edge by edge
+# (+1 510, +20 930 and +10), member arrays grown member by member (about
+# +1 700 and +25 600), node tables grown node by node (+50 and +82), the
+# Byzantine index, bitset and chunk edges grown by append (+26 and +47)
+# or a per-node map in the oracle crosses the floor. Three iterations: one 2^17 set-up takes
 # ~0.02 s.
 echo "== benchmem gate: world construction =="
 go test -run '^$' -bench 'BenchmarkWorldBootstrap' \
@@ -97,9 +98,9 @@ BenchmarkWorldAudit/after-mutation 0
 BenchmarkIdealDraw 0
 BenchmarkSimulationStep 0
 BenchmarkRunnerContinue/into 0
-BenchmarkWorldBootstrap/N=16384 90
-BenchmarkWorldBootstrap/N=262144 110
-BenchmarkWorldBootstrap/N=4096,n0=128 64
+BenchmarkWorldBootstrap/N=16384 64
+BenchmarkWorldBootstrap/N=262144 63
+BenchmarkWorldBootstrap/N=4096,n0=128 56
 BenchmarkStreamReframe/empty 0
 BenchmarkStreamReframe/payload 1
 BenchmarkTCPRequestEcho 2
