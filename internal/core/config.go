@@ -167,14 +167,16 @@ func (c Config) Validate() error {
 	switch {
 	case c.N < 16:
 		return fmt.Errorf("core: N=%d too small (min 16)", c.N)
-	case c.K <= 0:
-		return fmt.Errorf("core: K=%v must be positive", c.K)
-	case c.L <= math.Sqrt2:
-		return fmt.Errorf("core: L=%v must exceed sqrt(2)", c.L)
-	case c.WalkDurationFactor <= 0:
-		return fmt.Errorf("core: WalkDurationFactor=%v must be positive", c.WalkDurationFactor)
+	case !(c.K > 0 && c.K < math.Inf(1)): // NaN fails each float bound
+		return fmt.Errorf("core: K=%v must be positive and finite", c.K)
+	case !(c.L > math.Sqrt2 && c.L < math.Inf(1)):
+		return fmt.Errorf("core: L=%v must be finite and exceed sqrt(2)", c.L)
+	case !(c.WalkDurationFactor > 0 && c.WalkDurationFactor < math.Inf(1)):
+		return fmt.Errorf("core: WalkDurationFactor=%v must be positive and finite", c.WalkDurationFactor)
 	case c.Generator == nil:
 		return fmt.Errorf("core: nil Generator")
+	case c.MergeStrategy < MergeAbsorbRandom || c.MergeStrategy > MergeRejoinAll:
+		return fmt.Errorf("core: unknown merge strategy %v", c.MergeStrategy)
 	case c.Shuffle < ShuffleGrouped || c.Shuffle > ShuffleOff:
 		return fmt.Errorf("core: unknown shuffle mode %v", c.Shuffle)
 	case c.EdgeAttemptFactor < 1:

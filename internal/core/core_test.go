@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"nowover/internal/ids"
@@ -39,6 +40,18 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Generator = nil },
 		func(c *Config) { c.EdgeAttemptFactor = 0 },
 		func(c *Config) { c.Shuffle = ShuffleOff + 1 },
+		func(c *Config) { c.MergeStrategy = MergeRejoinAll + 1 },
+		func(c *Config) { c.MergeStrategy = 7 },
+		func(c *Config) { c.MergeStrategy = -1 },
+	}
+	// NaN passes a plain "<= 0" bound, and an infinite K or L overflows
+	// the thresholds; each float parameter refuses all three.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad,
+			func(c *Config) { c.K = v },
+			func(c *Config) { c.L = v },
+			func(c *Config) { c.WalkDurationFactor = v },
+		)
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(1024)
@@ -269,15 +282,18 @@ func TestMergeRejoinAllStrategy(t *testing.T) {
 		if err := w.Leave(x); err != nil {
 			t.Fatal(err)
 		}
-		// Drain rejoins as subsequent time steps.
-		for _, q := range w.PendingRejoins() {
-			if err := w.Rejoin(q); err != nil {
-				t.Fatal(err)
+		// Re-join the displaced nodes as the next time step.
+		for _, rr := range w.ExecBatch(rejoinOps(w.Displaced())) {
+			if rr.Err != nil {
+				t.Fatal(rr.Err)
 			}
 		}
 	}
 	if w.Stats().Merges == 0 {
 		t.Error("no merges under rejoin-all strategy")
+	}
+	if st := w.Stats(); st.Rejoins == 0 || w.Displaced() != 0 {
+		t.Errorf("rejoins=%d displaced=%d after draining every step", st.Rejoins, w.Displaced())
 	}
 	if err := w.CheckConsistency(); err != nil {
 		t.Fatal(err)

@@ -17,10 +17,10 @@ package core
 //     op, in op order, after the batch's last op has run. Ratchet
 //     counters and budget spend belong in CommitOp.
 //
-// The sim runs every time step, one op or several, through ExecBatch, so
-// it drives this lifecycle on every step. The one-op API (Join, Leave,
-// ForceExchange, Rejoin) makes no lifecycle calls: it stays the
-// lifecycle-free reference that ExecBatch is replayed against.
+// The sim runs every time step, one op or several, rejoins included,
+// through ExecBatch, so it drives this lifecycle on every step. The one-op
+// API (Join, JoinAuto, Leave, ForceExchange) makes no lifecycle calls: it
+// stays the lifecycle-free reference that ExecBatch is replayed against.
 
 import (
 	"nowover/internal/ids"

@@ -65,27 +65,21 @@ func TestInvariantsAfterRandomOps(t *testing.T) {
 }
 
 // TestInvariantsWithRejoinMerge exercises the MergeRejoinAll strategy
-// (pending-rejoin queue) under batches: merges inside a batch displace
-// nodes that must be re-joined via the classic path without breaking any
+// (the displaced FIFO) under batches: merges inside a batch displace
+// nodes that a later batch of OpRejoin ops re-joins without breaking any
 // index.
 func TestInvariantsWithRejoinMerge(t *testing.T) {
-	cfg := DefaultConfig(512)
-	cfg.Seed = 17
-	cfg.MergeStrategy = MergeRejoinAll
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Bootstrap(200, func(slot int) bool { return slot%6 == 0 }); err != nil {
-		t.Fatal(err)
-	}
+	w := newRejoinWorld(t, 17)
 	r := xrand.New(31)
 	for step := 0; step < 25; step++ {
 		// Drain displaced nodes first, like the simulator does.
-		for _, x := range w.PendingRejoins() {
-			if err := w.Rejoin(x); err != nil {
-				t.Fatal(err)
+		if n := w.Displaced(); n > 0 {
+			for _, rr := range w.ExecBatch(rejoinOps(n)) {
+				if rr.Err != nil {
+					t.Fatal(rr.Err)
+				}
 			}
+			requireInvariants(t, w)
 		}
 		ops := make([]Op, 0, 4)
 		for len(ops) < 4 {

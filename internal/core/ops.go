@@ -456,14 +456,10 @@ func (w *World) merge(c ids.ClusterID) error {
 	if w.NumClusters() <= 1 {
 		return nil // cannot merge the last cluster
 	}
-	switch w.cfg.MergeStrategy {
-	case MergeAbsorbRandom:
-		return w.mergeAbsorbRandom(c)
-	case MergeRejoinAll:
+	if w.cfg.MergeStrategy == MergeRejoinAll {
 		return w.mergeRejoinAll(c)
-	default:
-		return fmt.Errorf("core: unknown merge strategy %v", w.cfg.MergeStrategy)
 	}
+	return w.mergeAbsorbRandom(c)
 }
 
 // mergeAbsorbRandom: a random cluster C' (chosen by randCl so that OVER's
@@ -499,7 +495,8 @@ func (w *World) mergeAbsorbRandom(c ids.ClusterID) error {
 }
 
 // mergeRejoinAll: the undersized cluster leaves the overlay and its
-// members re-join individually on subsequent time steps (Algorithm 2).
+// members re-join individually on subsequent time steps (Algorithm 2), as
+// the OpRejoin ops that pop the world's displaced FIFO.
 func (w *World) mergeRejoinAll(c ids.ClusterID) error {
 	w.led.Charge(metrics.ClassInterCluster, int64(w.Size(c))*w.NeighborMass(c))
 	for _, x := range w.Members(c) {
@@ -508,31 +505,11 @@ func (w *World) mergeRejoinAll(c ids.ClusterID) error {
 			return err
 		}
 		w.unregisterNode(x)
-		w.pendingRejoin = append(w.pendingRejoin, x)
-		w.rejoinByz[x] = byz
+		w.displaced = append(w.displaced, displacedNode{node: x, byz: byz})
 	}
 	w.removeClusterVertex(c)
 	w.led.AddRounds(2)
 	w.stats.Merges++
-	return nil
-}
-
-// Rejoin re-inserts a node displaced by MergeRejoinAll, preserving its
-// identity and corruption status.
-func (w *World) Rejoin(x ids.NodeID) error {
-	byz, ok := w.rejoinByz[x]
-	if !ok {
-		return fmt.Errorf("core: node %v is not awaiting rejoin", x)
-	}
-	delete(w.rejoinByz, x)
-	contact, ok2 := w.RandomCluster(w.rng)
-	if !ok2 {
-		return fmt.Errorf("core: no clusters to rejoin")
-	}
-	if err := w.settled(w.joinExisting(x, byz, contact)); err != nil {
-		return err
-	}
-	w.stats.Rejoins++
 	return nil
 }
 

@@ -12,6 +12,8 @@ package core
 // the ledger and Stats are identical to that classic replay, except the
 // three fields settleSecurity counts (DegradedEvents, CapturedEvents,
 // MaxByzFractionEver), which see only the batch-boundary state.
+// OpRejoin, which has no one-op twin, runs OpJoin's arm on the head of
+// the world's displaced FIFO instead of a fresh identity.
 //
 // Adversary hooks keep their snapshot-scoped contract (hooks.go):
 // BeginBatch fixes the decision state Redirect/Score read for the whole
@@ -35,6 +37,11 @@ const (
 	OpLeave
 	// OpExchange force-shuffles one cluster (section 3.1 primitive).
 	OpExchange
+	// OpRejoin re-inserts the oldest node MergeRejoinAll displaced, with
+	// its identity and allegiance, by the Join operation (Algorithm 2's
+	// "re-join individually via Join operations"). It fails, changing
+	// nothing, when World.Displaced is 0.
+	OpRejoin
 )
 
 // String implements fmt.Stringer.
@@ -46,6 +53,8 @@ func (k OpKind) String() string {
 		return "leave"
 	case OpExchange:
 		return "exchange"
+	case OpRejoin:
+		return "rejoin"
 	default:
 		return fmt.Sprintf("op(%d)", int(k))
 	}
@@ -54,10 +63,10 @@ func (k OpKind) String() string {
 // Op is one batched operation.
 type Op struct {
 	Kind OpKind
-	// Byz marks a corrupted joiner (OpJoin).
+	// Byz marks a corrupted joiner (OpJoin; a rejoiner keeps its own).
 	Byz bool
-	// Contact, when HasContact, is the join's contact cluster; otherwise a
-	// uniform cluster is drawn from the world's stream, as JoinAuto does.
+	// Contact, when HasContact, is the (re)join's contact cluster; otherwise
+	// a uniform cluster is drawn from the world's stream, as JoinAuto does.
 	Contact    ids.ClusterID
 	HasContact bool
 	// Victim is the departing node (OpLeave).
@@ -68,8 +77,8 @@ type Op struct {
 
 // OpResult reports one batched operation's outcome.
 type OpResult struct {
-	// Node is the joined node's ID (OpJoin only; assigned even when the
-	// join subsequently failed, since IDs are never reused).
+	// Node is the joined node's ID (OpJoin and OpRejoin; assigned even
+	// when the join subsequently failed, since IDs are never reused).
 	Node ids.NodeID
 	// Err is the operation error, if any.
 	Err error
@@ -135,16 +144,27 @@ func (w *World) ExecBatchInto(res []OpResult, ops []Op) []OpResult {
 // execOp runs one batched op on the classic path without settling.
 func (w *World) execOp(op Op) OpResult {
 	switch op.Kind {
-	case OpJoin:
-		x := w.nodeAlloc.NextNode()
+	case OpJoin, OpRejoin:
+		d := displacedNode{byz: op.Byz}
+		if op.Kind == OpJoin {
+			d.node = w.nodeAlloc.NextNode()
+		} else if len(w.displaced) == 0 {
+			return OpResult{Err: fmt.Errorf("core: no displaced node to rejoin")}
+		} else {
+			d, w.displaced = w.displaced[0], w.displaced[1:]
+		}
 		contact := op.Contact
 		if !op.HasContact {
 			var ok bool
 			if contact, ok = w.RandomCluster(w.rng); !ok {
-				return OpResult{Node: x, Err: fmt.Errorf("core: no clusters to contact")}
+				return OpResult{Node: d.node, Err: fmt.Errorf("core: no clusters to contact")}
 			}
 		}
-		return OpResult{Node: x, Err: w.joinExisting(x, op.Byz, contact)}
+		err := w.joinExisting(d.node, d.byz, contact)
+		if err == nil && op.Kind == OpRejoin {
+			w.stats.Rejoins++
+		}
+		return OpResult{Node: d.node, Err: err}
 	case OpLeave:
 		return OpResult{Err: w.leaveWith(op.Victim)}
 	case OpExchange:

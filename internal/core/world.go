@@ -31,6 +31,12 @@ var ErrUnknownCluster = errors.New("core: unknown cluster")
 // cluster that is not (or no longer) in the overlay.
 func IsUnknownCluster(err error) bool { return errors.Is(err, ErrUnknownCluster) }
 
+// displacedNode is a node MergeRejoinAll removed, awaiting its OpRejoin.
+type displacedNode struct {
+	node ids.NodeID
+	byz  bool
+}
+
 // nodeInfo is the world's per-node record. Records live in a dense
 // NodeID-indexed table (World.nodes). pos is one past the node's index in
 // World.allNodes, so the zero record — never used or vacated — reads as
@@ -96,8 +102,8 @@ func rowClass(r walk.Row) randnum.Security {
 // marks.
 type Stats struct {
 	Joins, Leaves, Splits, Merges int64
-	// Rejoins counts re-insertions of merge-displaced nodes; each is also
-	// counted in Joins (a rejoin executes the Join operation).
+	// Rejoins counts OpRejoin re-insertions of merge-displaced nodes; each
+	// is also counted in Joins (a rejoin executes the Join operation).
 	Rejoins int64
 	// Swaps counts individual node exchanges.
 	Swaps int64
@@ -205,10 +211,11 @@ type World struct {
 	hijackHook BatchHook
 	steerHook  BatchHook
 
-	pendingRejoin []ids.NodeID
-	rejoinByz     map[ids.NodeID]bool
-	stats         Stats
-	bootstrapped  bool
+	// displaced is the FIFO of nodes MergeRejoinAll removed, each with its
+	// allegiance; OpRejoin pops its head.
+	displaced    []displacedNode
+	stats        Stats
+	bootstrapped bool
 
 	// hijacked is ExecBatch's per-op hijacked-walk tally, handed to
 	// CommitOp; kept so steady-state batches do not allocate it.
@@ -236,12 +243,11 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		cfg:       cfg,
-		led:       &metrics.Ledger{},
-		rng:       xrand.New(cfg.Seed),
-		overlay:   ov,
-		rejoinByz: make(map[ids.NodeID]bool),
-		hijack:    &hijackProxy{},
+		cfg:     cfg,
+		led:     &metrics.Ledger{},
+		rng:     xrand.New(cfg.Seed),
+		overlay: ov,
+		hijack:  &hijackProxy{},
 	}
 	walker, err := walk.NewWalker(walk.Config{
 		DurationFactor: cfg.WalkDurationFactor,
@@ -772,10 +778,6 @@ func (w *World) Walker() *walk.Walker { return w.walker }
 // Generator exposes the configured randNum construction.
 func (w *World) Generator() randnum.Generator { return w.cfg.Generator }
 
-// PendingRejoins drains the queue of nodes displaced by MergeRejoinAll;
-// the simulator re-joins them on subsequent time steps.
-func (w *World) PendingRejoins() []ids.NodeID {
-	out := w.pendingRejoin
-	w.pendingRejoin = nil
-	return out
-}
+// Displaced returns how many nodes MergeRejoinAll has removed that no
+// OpRejoin has re-joined yet.
+func (w *World) Displaced() int { return len(w.displaced) }

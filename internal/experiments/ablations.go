@@ -23,7 +23,6 @@ func ablationRun(s Scale, n int, tau float64, steps int,
 		SampleOpCosts: true,
 		OpsPerStep:    s.OpsPerStep,
 	}
-	cfg.Core.Seed = s.Seed
 	if mutate != nil {
 		mutate(&cfg.Core)
 	}
@@ -59,7 +58,6 @@ func AblationMergeStrategy(s Scale) (*Table, error) {
 			Seed:          s.Seed,
 			SampleOpCosts: true,
 		}
-		cfg.Core.Seed = s.Seed
 		cfg.Core.MergeStrategy = strat
 		runner, err := sim.New(cfg)
 		if err != nil {
@@ -152,7 +150,6 @@ func AblationDegreeRepair(s Scale) (*Table, error) {
 			Steps:       steps,
 			Seed:        s.Seed,
 		}
-		cfg.Core.Seed = s.Seed
 		cfg.Core.OverlayRepair = repair
 		runner, err := sim.New(cfg)
 		if err != nil {
@@ -204,7 +201,6 @@ func AblationCommitReveal(s Scale) (*Table, error) {
 			InstallHijacker: true,
 			OpsPerStep:      s.OpsPerStep,
 		}
-		cfg.Core.Seed = s.Seed
 		cfg.Core.K = 3
 		cfg.Core.Generator = gen.g
 		runner, err := sim.New(cfg)

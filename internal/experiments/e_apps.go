@@ -120,7 +120,6 @@ func E11Baselines(s Scale) (*Table, error) {
 			Seed:            s.Seed,
 			InstallHijacker: true,
 		}
-		acfg.Core.Seed = s.Seed
 		acfg.Core.K = 5
 		acfg.Core.L = 1.6
 		name := "NOW+attack"
@@ -154,7 +153,6 @@ func E11Baselines(s Scale) (*Table, error) {
 				Seed:          s.Seed,
 				SampleOpCosts: true,
 			}
-			cfg.Core.Seed = s.Seed
 			runner, err := sim.New(cfg)
 			if err != nil {
 				return err
@@ -231,7 +229,6 @@ func E12SecurityMargins(s Scale) (*Table, error) {
 			Seed:        s.Seed,
 		}
 		cfg.Core.K = k
-		cfg.Core.Seed = s.Seed
 		runner, err := sim.New(cfg)
 		if err != nil {
 			return err

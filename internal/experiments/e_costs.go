@@ -13,7 +13,6 @@ import (
 // at the scale's seed and cascade mode.
 func midWorld(s Scale, n int, tau float64, mutate func(*core.Config)) (*core.World, error) {
 	cfg := s.coreConfig(n)
-	cfg.Seed = s.Seed
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -178,7 +177,6 @@ func E6OperationCost(s Scale) (*Table, error) {
 			Seed:          s.Seed,
 			SampleOpCosts: true,
 		}
-		cfg.Core.Seed = s.Seed
 		runner, err := sim.New(cfg)
 		if err != nil {
 			return err

@@ -36,7 +36,6 @@ func E1HonestyUnderChurn(s Scale) (*Table, error) {
 			Steps:       int(s.OpsFactor * float64(n)),
 			Seed:        s.Seed,
 		}
-		cfg.Core.Seed = s.Seed
 		// "k large enough" regime: the smallest tolerated cluster is
 		// K*log2(N)/L; K=4, L=1.6 pushes Lemma 1's tail below the
 		// re-roll budget at tau <= 0.2 even for the smallest N here.
@@ -86,7 +85,6 @@ func E2PostExchangeTail(s Scale) (*Table, error) {
 		k := ks[i]
 		cfg := s.coreConfig(n)
 		cfg.K = k
-		cfg.Seed = s.Seed
 		w, err := core.NewWorld(cfg)
 		if err != nil {
 			return err

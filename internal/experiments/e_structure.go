@@ -33,7 +33,6 @@ func E8OverlayHealth(s Scale) (*Table, error) {
 			Tau:         0.15,
 			Seed:        s.Seed,
 		}
-		cfg.Core.Seed = s.Seed
 		grow := int(s.OpsFactor * float64(n) / 2)
 		runner, err := sim.New(cfg)
 		if err != nil {

@@ -189,10 +189,11 @@ type Scale struct {
 	Journal *Journal
 }
 
-// coreConfig returns core.DefaultConfig(n) with the scale's leave-cascade
-// mode applied; every experiment world starts from it.
+// coreConfig returns core.DefaultConfig(n) with the scale's seed and
+// leave-cascade mode applied; every experiment world starts from it.
 func (s Scale) coreConfig(n int) core.Config {
 	cfg := core.DefaultConfig(n)
+	cfg.Seed = s.Seed
 	if !s.GroupedCascade {
 		cfg.Shuffle = core.ShufflePerReceiver
 	}

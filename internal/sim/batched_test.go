@@ -283,6 +283,49 @@ func TestBatchedRejoinAllDrains(t *testing.T) {
 	}
 }
 
+// beginCounter is a steer hook that scores every cluster 0, as the world
+// does with no steer hook, and counts the batches it sees begin.
+type beginCounter struct{ begins int }
+
+func (h *beginCounter) Score(ids.ClusterID) float64 { return 0 }
+func (h *beginCounter) BeginBatch()                 { h.begins++ }
+func (h *beginCounter) CommitOp(int, bool, int64)   {}
+
+// TestBatchedRejoinStepsBeginOneBatch: under MergeRejoinAll with the
+// adversary's hooks installed, a step that re-joins displaced nodes is a
+// batch like any other, so the hook lifecycle begins once per step.
+func TestBatchedRejoinStepsBeginOneBatch(t *testing.T) {
+	cfg := Config{
+		Core:            core.DefaultConfig(1024),
+		InitialSize:     400,
+		Tau:             0.15,
+		Schedule:        workload.Linear{From: 400, To: 60, Steps: 250},
+		Strategy:        &adversary.JoinLeaveAttack{Budget: adversary.Budget{Tau: 0.15}},
+		Steps:           300,
+		Seed:            4,
+		InstallHijacker: true,
+	}
+	cfg.Core.Seed = 4
+	cfg.Core.MergeStrategy = core.MergeRejoinAll
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &beginCounter{}
+	r.World().SetSteerHook(h)
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Rejoins == 0 {
+		t.Fatal("no node re-joined: the run never took a rejoin step")
+	}
+	if h.begins != res.Steps {
+		t.Errorf("%d batches began in %d steps (%d rejoins), want one per step",
+			h.begins, res.Steps, res.Stats.Rejoins)
+	}
+}
+
 // TestBatchedAttackStrategySurvivesMerges is the regression for the
 // vanished-contact hazard: JoinLeaveAttack emits HasContact joins at a
 // fixated target cluster, and under shrink pressure an earlier leave of

@@ -6,7 +6,8 @@
 // Config.OpsPerStep joins or leaves (one by default, the paper's
 // presentation) against the step-boundary state, and core.World.ExecBatch
 // runs them with all of their induced maintenance (exchange cascades,
-// splits, merges) and settles security once.
+// splits, merges) and settles security once. Under MergeRejoinAll, a step
+// that finds merge-displaced nodes re-joins them instead (core.OpRejoin).
 package sim
 
 import (
@@ -72,7 +73,7 @@ func (c Config) validate() error {
 	if c.Steps < 0 {
 		return fmt.Errorf("sim: negative step count")
 	}
-	if c.Tau < 0 || c.Tau >= 1 {
+	if !(c.Tau >= 0 && c.Tau < 1) { // NaN fails it too
 		return fmt.Errorf("sim: tau %v outside [0,1)", c.Tau)
 	}
 	if c.OpsPerStep < 0 {
@@ -133,10 +134,10 @@ type Result struct {
 	DegradedSteps, CapturedSteps int
 	// PeakSize / TroughSize bracket the realized size trajectory.
 	PeakSize, TroughSize int
-	// BatchedOps counts the operations fed to ExecBatch (rejoins not
-	// included). SkippedOps counts those whose victim node or
-	// contact/target cluster was already gone by the time they ran
-	// (merged away by an earlier op of the same step).
+	// BatchedOps counts the strategy-decided operations fed to ExecBatch
+	// (the OpRejoin steps' ops not included). SkippedOps counts those
+	// whose victim node or contact/target cluster was already gone by the
+	// time they ran (merged away by an earlier op of the same step).
 	BatchedOps, SkippedOps int
 }
 
@@ -148,7 +149,6 @@ type Runner struct {
 	schedule workload.Schedule
 	hijacker *adversary.CapturedHijacker
 	rng      *xrand.Rand
-	rejoins  []ids.NodeID
 
 	// Per-step scratch (deduplicated victims, the step's ops and their
 	// results), reused so long runs do not allocate per step (the
@@ -310,15 +310,14 @@ func (r *Runner) minimumSize() int {
 	return floor
 }
 
-// step is one time step: drain pending rejoins first (they reuse reserved
-// identities), otherwise let the strategy decide k = max(1, OpsPerStep)
-// operations against the step-boundary state — the adversary's view in
-// the paper's model — and execute them as one batch through
-// World.ExecBatch. Victims are deduplicated within the step; a victim that
-// still vanishes before its op runs (displaced by an earlier op's merge)
-// is counted as skipped, not fatal. At k = 1 this is the paper's
-// one-operation-per-step model, and each step's ledger delta is one
-// per-op cost sample.
+// step is one time step, run as one batch through World.ExecBatchInto
+// (hook lifecycle included, one settle). While merges have displaced
+// nodes (MergeRejoinAll), the batch is k = max(1, OpsPerStep) core.OpRejoin
+// ops, or one per displaced node if fewer; otherwise the strategy decides
+// it (decide). A victim that vanishes before its op runs (displaced by an
+// earlier op's merge) is counted as skipped, not fatal. At k = 1 this is
+// the paper's one-operation-per-step model, and each step's ledger delta
+// is one per-op cost sample.
 func (r *Runner) step(step, minSize int, res *Result) error {
 	k := max(1, r.cfg.OpsPerStep)
 	sample := r.cfg.SampleOpCosts && k == 1
@@ -327,21 +326,43 @@ func (r *Runner) step(step, minSize int, res *Result) error {
 		snap = r.world.Ledger().Snapshot()
 	}
 
-	r.rejoins = append(r.rejoins, r.world.PendingRejoins()...)
-	if len(r.rejoins) > 0 {
-		n := min(k, len(r.rejoins))
-		for _, x := range r.rejoins[:n] {
-			if err := r.world.Rejoin(x); err != nil {
-				return err
-			}
-		}
-		r.rejoins = r.rejoins[n:]
-		if sample {
-			r.recordOpCost(res, adversary.OpJoin, snap)
-		}
-		return nil
+	ops := r.ops[:0]
+	for range min(k, r.world.Displaced()) {
+		ops = append(ops, core.Op{Kind: core.OpRejoin})
 	}
+	if len(ops) == 0 {
+		var err error
+		if ops, err = r.decide(ops, step, minSize, k); err != nil {
+			return err
+		}
+		res.BatchedOps += len(ops)
+	}
+	r.ops = ops
+	results := r.world.ExecBatchInto(r.results, ops)
+	r.results = results
+	for i, rr := range results {
+		if rr.Err != nil {
+			// A victim or contact/target cluster can legitimately vanish
+			// mid-batch (displaced by an earlier op's merge): skip, don't
+			// abort. Op 0 runs on the step-boundary state the strategy
+			// decided against, so there it is a fault.
+			if i > 0 && (core.IsUnknownNode(rr.Err) || core.IsUnknownCluster(rr.Err)) {
+				res.SkippedOps++
+				continue
+			}
+			return rr.Err
+		}
+	}
+	if sample && len(ops) == 1 {
+		r.recordOpCost(res, ops[0].Kind == core.OpLeave, snap)
+	}
+	return nil
+}
 
+// decide appends to ops the up to k operations the strategy decides
+// against the step-boundary state, the adversary's view in the paper's
+// model. Victims are deduplicated within the step.
+func (r *Runner) decide(ops []core.Op, step, minSize, k int) ([]core.Op, error) {
 	target := r.schedule.TargetSize(step)
 	if target > r.cfg.Core.N {
 		target = r.cfg.Core.N
@@ -355,7 +376,6 @@ func (r *Runner) step(step, minSize int, res *Result) error {
 	joins := 0
 	victims := r.victims
 	clear(victims)
-	ops := r.ops[:0]
 	for tries := 0; len(ops) < k && tries < 4*k; tries++ {
 		var dir adversary.Direction
 		switch {
@@ -405,50 +425,24 @@ func (r *Runner) step(step, minSize int, res *Result) error {
 		case adversary.OpNoop:
 			// Nothing decided for this slot.
 		default:
-			return fmt.Errorf("sim: unknown op kind %d", op.Kind)
+			return ops, fmt.Errorf("sim: unknown op kind %d", op.Kind)
 		}
 	}
-
-	r.ops = ops
-	results := r.world.ExecBatchInto(r.results, ops)
-	r.results = results
-	res.BatchedOps += len(ops)
-	for i, rr := range results {
-		if rr.Err != nil {
-			// A victim or contact/target cluster can legitimately vanish
-			// mid-batch (displaced by an earlier op's merge): skip, don't
-			// abort. Op 0 runs on the step-boundary state the strategy
-			// decided against, so there it is a fault.
-			if i > 0 && (core.IsUnknownNode(rr.Err) || core.IsUnknownCluster(rr.Err)) {
-				res.SkippedOps++
-				continue
-			}
-			return rr.Err
-		}
-	}
-	if sample && len(ops) == 1 {
-		kind := adversary.OpJoin
-		if ops[0].Kind == core.OpLeave {
-			kind = adversary.OpLeave
-		}
-		r.recordOpCost(res, kind, snap)
-	}
-	return nil
+	return ops, nil
 }
 
-func (r *Runner) recordOpCost(res *Result, kind adversary.OpKind, snap metrics.Snapshot) {
+func (r *Runner) recordOpCost(res *Result, leave bool, snap metrics.Snapshot) {
 	// Cost.ByClass holds every class, zero charges included, so each
 	// histogram's N is the sampled-op count and its quantiles are true
 	// per-op distributions, not distributions conditioned on the class
 	// having been used.
 	cost := r.world.Ledger().Since(snap)
-	switch kind {
-	case adversary.OpJoin:
-		res.OpCosts.JoinMsgs.Add(float64(cost.Messages))
-		res.OpCosts.JoinRounds.Add(float64(cost.Rounds))
-	case adversary.OpLeave:
+	if leave {
 		res.OpCosts.LeaveMsgs.Add(float64(cost.Messages))
 		res.OpCosts.LeaveRounds.Add(float64(cost.Rounds))
+	} else {
+		res.OpCosts.JoinMsgs.Add(float64(cost.Messages))
+		res.OpCosts.JoinRounds.Add(float64(cost.Rounds))
 	}
 	for c := 0; c < metrics.NumClasses; c++ {
 		res.OpCosts.ClassMsgs[c].Add(float64(cost.ByClass[c]))

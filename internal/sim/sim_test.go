@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"nowover/internal/adversary"
@@ -30,6 +31,9 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.Steps = -1 },
 		func(c *Config) { c.Tau = -0.1 },
 		func(c *Config) { c.Tau = 1.0 },
+		func(c *Config) { c.Tau = math.NaN() },
+		func(c *Config) { c.Core.K = math.NaN() },
+		func(c *Config) { c.Core.MergeStrategy = core.MergeRejoinAll + 1 },
 	}
 	for i, mutate := range bad {
 		cfg := baseConfig()
@@ -186,10 +190,10 @@ func TestRejoinAllStrategyDrains(t *testing.T) {
 	if res.Stats.Merges == 0 {
 		t.Error("no merges under rejoin-all")
 	}
-	// Conservation: merge removals equal executed rejoins plus still-queued
-	// nodes, so population = initial + fresh joins - leaves - queued,
-	// where fresh joins = Joins - Rejoins.
-	queued := runner.QueuedRejoins() + len(runner.World().PendingRejoins())
+	// Conservation: merge removals equal executed rejoins plus still
+	// displaced nodes, so population = initial + fresh joins - leaves -
+	// queued, where fresh joins = Joins - Rejoins.
+	queued := runner.World().Displaced()
 	want := cfg.InitialSize + int(res.Stats.Joins-res.Stats.Rejoins-res.Stats.Leaves) - queued
 	if res.Final.Nodes != want {
 		t.Errorf("population %d, want %d (joins=%d rejoins=%d leaves=%d queued=%d)",
