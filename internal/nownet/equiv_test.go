@@ -169,7 +169,7 @@ func TestEquivRandNumSilentByzantine(t *testing.T) {
 
 // buildPhaseKingProcs mirrors the runtime test committee: n members, a
 // scripted liar at the given index, fixed inputs.
-func buildPhaseKingProcs(t *testing.T, n, maxFaults, liar int, inputs []int64) (map[ids.NodeID]runtime.Process, map[ids.NodeID]*runtime.PhaseKingNode) {
+func buildPhaseKingProcs(t testing.TB, n, maxFaults, liar int, inputs []int64) (map[ids.NodeID]runtime.Process, map[ids.NodeID]*runtime.PhaseKingNode) {
 	t.Helper()
 	cfg := runtime.PhaseKingConfig{MaxFaults: maxFaults}
 	for i := 0; i < n; i++ {

@@ -68,7 +68,8 @@ type Endpoint interface {
 	// Send enqueues one envelope. It validates that From matches the
 	// endpoint identity (links are authenticated in the paper's model)
 	// and never blocks; envelopes lost to faults vanish silently, exactly
-	// like a real network.
+	// like a real network. Send copies what it keeps of env.Payload, so
+	// the caller may reuse the payload's array once Send returns.
 	Send(env Envelope) error
 	// Recv blocks until an envelope arrives or the endpoint closes.
 	Recv() (Envelope, bool)

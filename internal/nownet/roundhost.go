@@ -34,11 +34,16 @@ type RoundHost struct {
 	cfg   HostConfig
 	trace *Trace
 	done  chan struct{} // closed when the round loop finishes
+	frame []byte        // emit's round-frame buffer, the round loop's alone
 
-	mu      sync.Mutex
-	led     metrics.Ledger
+	mu  sync.Mutex
+	led metrics.Ledger
+	// pending and inbox are two arrays that trade places at every collect:
+	// arrivals append to pending while Step reads the inbox, so each grows
+	// to the largest round once and not every round.
 	pending []runtime.Message
-	seen    map[dedupKey]bool
+	inbox   []runtime.Message
+	seen    dedupSet // ModeReliable: request keys queued so far
 	stats   HostStats
 }
 
@@ -86,11 +91,6 @@ type HostStats struct {
 	Malformed   int64 // frames that failed to decode
 }
 
-type dedupKey struct {
-	from  ids.NodeID
-	msgID uint64
-}
-
 // withDefaults resolves zero fields.
 func (c HostConfig) withDefaults() HostConfig {
 	if c.RoundTicks <= 0 {
@@ -107,9 +107,6 @@ func (c HostConfig) withDefaults() HostConfig {
 // shared trace may be nil.
 func NewRoundHost(node *Node, cfg HostConfig, trace *Trace) *RoundHost {
 	h := &RoundHost{node: node, cfg: cfg.withDefaults(), trace: trace, done: make(chan struct{})}
-	if h.cfg.Mode == ModeReliable {
-		h.seen = make(map[dedupKey]bool)
-	}
 	node.Handle(TypeRound, h.onRound)
 	return h
 }
@@ -150,13 +147,11 @@ func (h *RoundHost) onRound(n *Node, env Envelope) {
 		_ = n.Respond(env, nil)
 		h.mu.Lock()
 		h.led.Charge(metrics.ClassTransport, 1)
-		key := dedupKey{from: env.From, msgID: env.MsgID}
-		if h.seen[key] {
+		if !h.seen.add(dedupKey{from: env.From, msgID: env.MsgID}) {
 			h.stats.Duplicates++
 			h.mu.Unlock()
 			return
 		}
-		h.seen[key] = true
 		h.mu.Unlock()
 	}
 	h.mu.Lock()
@@ -197,12 +192,14 @@ func (h *RoundHost) Wait() { <-h.done }
 // construction); reliable mode keeps exactly the messages emitted in round
 // r-1, re-queues messages from rounds we have not reached (a peer ahead of
 // us in wall-clock time — daemon start skew — must not cost a vote), and
-// discards older stragglers.
+// discards older stragglers. The returned inbox is the array pending
+// filled; the previous inbox, which Step is done with, takes the arrivals
+// from here on.
 func (h *RoundHost) collect(r int) []runtime.Message {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	msgs := h.pending
-	h.pending = nil
+	h.pending, h.inbox = h.inbox[:0], msgs
 	if h.cfg.Mode == ModeLockstep {
 		return msgs
 	}
@@ -229,15 +226,16 @@ func (h *RoundHost) emit(r int, m runtime.Message) {
 	h.stats.Emitted++
 	h.led.Charge(h.cfg.Class, 1)
 	h.mu.Unlock()
-	frame, err := encodeRoundFrame(r, m.Payload)
-	if err != nil {
+	var err error
+	if h.frame, err = appendRoundFrame(h.frame[:0], r, m.Payload); err != nil {
 		panic(fmt.Sprintf("nownet: unencodable protocol payload: %v", err))
 	}
+	// Send copies the frame, so the next emit may overwrite it.
 	switch h.cfg.Mode {
 	case ModeLockstep:
-		_ = h.node.Cast(m.To, TypeRound, frame)
+		_ = h.node.Cast(m.To, TypeRound, h.frame)
 	case ModeReliable:
-		if _, attempts, err := h.node.Request(m.To, TypeRound, frame, h.cfg.Policy); err != nil {
+		if _, attempts, err := h.node.Request(m.To, TypeRound, h.frame, h.cfg.Policy); err != nil {
 			h.mu.Lock()
 			h.stats.Undelivered++
 			h.led.Charge(metrics.ClassTransport, int64(attempts-1))
@@ -251,15 +249,9 @@ func (h *RoundHost) emit(r int, m runtime.Message) {
 }
 
 // Round frame: emission round (u32) | payload tag (u8) | payload body.
-func encodeRoundFrame(round int, payload any) ([]byte, error) {
-	tag, body, err := runtime.EncodePayload(payload)
-	if err != nil {
-		return nil, err
-	}
-	frame := make([]byte, 0, 5+len(body))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(round))
-	frame = append(frame, tag)
-	return append(frame, body...), nil
+// appendRoundFrame appends one to dst.
+func appendRoundFrame(dst []byte, round int, payload any) ([]byte, error) {
+	return runtime.AppendPayload(binary.BigEndian.AppendUint32(dst, uint32(round)), payload)
 }
 
 func decodeRoundFrame(frame []byte) (round int, payload any, err error) {
@@ -276,10 +268,19 @@ func decodeRoundFrame(frame []byte) (round int, payload any, err error) {
 // Trace is an append-only record of protocol message emissions, rendered
 // identically by the lockstep engine's Observe hook and by round hosts:
 // byte-equal traces are the sim-vs-runtime oracle.
+//
+// It keeps each emission as values and formats only in String, so a run
+// that never reads its trace pays one append per emission.
 type Trace struct {
 	mu   sync.Mutex
-	b    strings.Builder
-	msgs int64
+	recs []traceRec
+}
+
+// traceRec is one recorded emission.
+type traceRec struct {
+	round    int
+	from, to ids.NodeID
+	payload  any
 }
 
 // NewTrace returns an empty trace.
@@ -289,22 +290,25 @@ func NewTrace() *Trace { return &Trace{} }
 func (t *Trace) Record(round int, m runtime.Message) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fmt.Fprintf(&t.b, "r%03d %v->%v %#v\n", round, m.From, m.To, m.Payload)
-	t.msgs++
+	t.recs = append(t.recs, traceRec{round: round, from: m.From, to: m.To, payload: m.Payload})
 }
 
 // String renders the trace.
 func (t *Trace) String() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.b.String()
+	var b strings.Builder
+	for _, r := range t.recs {
+		fmt.Fprintf(&b, "r%03d %v->%v %#v\n", r.round, r.from, r.to, r.payload)
+	}
+	return b.String()
 }
 
 // Messages returns the number of recorded emissions.
 func (t *Trace) Messages() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.msgs
+	return int64(len(t.recs))
 }
 
 // Cluster wires a set of processes onto one transport: an endpoint, node

@@ -371,6 +371,11 @@ type tcpEndpoint struct {
 	t     *TCPTransport
 	id    ids.NodeID
 	inbox chan Envelope
+
+	// sleep is SleepUntil's timer, made at the first sleep and reset for
+	// every later one by whichever goroutine holds sleepMu.
+	sleepMu sync.Mutex
+	sleep   *time.Timer
 }
 
 // ID implements Endpoint.
@@ -447,18 +452,38 @@ func stopTimer(t *time.Timer) {
 // scheduler handle to prod.
 func (ep *tcpEndpoint) Wake(*Waiter) {}
 
-// SleepUntil implements Endpoint.
+// SleepUntil implements Endpoint. A round loop sleeps on the endpoint's
+// one timer, reset for each round; a goroutine that finds another one
+// sleeping on it makes a timer of its own.
 func (ep *tcpEndpoint) SleepUntil(tick int64) {
 	d := ep.t.untilTick(tick)
 	if d <= 0 {
 		return
 	}
-	//nowlint:rng wall-clock round pacing for the TCP half: the timer spaces protocol rounds in real time, mirroring the loopback net's virtual timers
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	if !ep.sleepMu.TryLock() {
+		//nowlint:rng wall-clock round pacing for the TCP half: the timer spaces protocol rounds in real time, mirroring the loopback net's virtual timers
+		timer := time.NewTimer(d)
+		ep.sleepOn(timer)
+		return
+	}
+	defer ep.sleepMu.Unlock()
+	if ep.sleep == nil {
+		//nowlint:rng wall-clock round pacing for the TCP half: the endpoint's round timer, made once, spaces protocol rounds in real time like the loopback net's virtual timers
+		ep.sleep = time.NewTimer(d)
+	} else {
+		//nowlint:rng re-arms the endpoint's round timer for the next wall-clock round; nothing simulation-visible reads it
+		ep.sleep.Reset(d)
+	}
+	ep.sleepOn(ep.sleep)
+}
+
+// sleepOn waits for an armed timer or the transport's close, and leaves
+// the timer stopped with an empty channel either way, ready for Reset.
+func (ep *tcpEndpoint) sleepOn(timer *time.Timer) {
 	select {
 	case <-timer.C:
 	case <-ep.t.done:
+		stopTimer(timer)
 	}
 }
 

@@ -350,3 +350,56 @@ func TestTCPPhaseKingMatchesLoopback(t *testing.T) {
 		t.Errorf("clean localhost run counted forgeries or misroutes: %+v", ns)
 	}
 }
+
+// TestTCPSleepUntilReusesTimer: a round loop's sleeps share the endpoint's
+// one timer and allocate nothing once it exists; goroutines that sleep
+// while another holds it get timers of their own, every sleeper wakes no
+// earlier than its tick, and Close wakes a sleeper at once.
+func TestTCPSleepUntilReusesTimer(t *testing.T) {
+	tr := newTCPOrFatal(t, TCPConfig{})
+	ep := openTCPOrFatal(t, tr, 1).(*tcpEndpoint)
+	ep.SleepUntil(ep.Now() + 2)
+	timer := ep.sleep
+	if timer == nil {
+		t.Fatal("a sleep made no endpoint timer")
+	}
+	if n := testing.AllocsPerRun(5, func() { ep.SleepUntil(ep.Now() + 2) }); n != 0 {
+		t.Errorf("a warm sleep allocated %v times", n)
+	}
+
+	var wg sync.WaitGroup
+	due := ep.Now() + 20
+	woke := make([]int64, 3)
+	for i := range woke {
+		wg.Add(1)
+		ep.Go(func() {
+			defer wg.Done()
+			ep.SleepUntil(due)
+			woke[i] = ep.Now()
+		})
+	}
+	wg.Wait()
+	for i, tick := range woke {
+		if tick < due {
+			t.Errorf("sleeper %d woke at tick %d, before %d", i, tick, due)
+		}
+	}
+	if ep.sleep != timer {
+		t.Error("concurrent sleeps replaced the endpoint's timer")
+	}
+
+	slept := make(chan time.Duration, 1)
+	ep.Go(func() {
+		t0 := time.Now()
+		ep.SleepUntil(ep.Now() + 60_000)
+		slept <- time.Since(t0)
+	})
+	time.Sleep(5 * time.Millisecond)
+	tr.Close()
+	if d := <-slept; d > 10*time.Second {
+		t.Errorf("Close woke a minute-long sleep only after %v", d)
+	}
+	if !ep.sleepMu.TryLock() {
+		t.Error("a sleep woken by Close still holds the endpoint's timer")
+	}
+}

@@ -31,6 +31,15 @@ type Message struct {
 
 // Process is a node's protocol state machine: it consumes the inbox of
 // round r and emits the messages to deliver in round r+1.
+//
+// Each side owns its buffer. The inbox is valid only during Step: the
+// caller that steps the process reuses its array for a later round. The
+// returned slice is valid only until the next Step on the same process,
+// which may build its output in the same array. Whatever a process keeps
+// of its inbox, and whatever its caller keeps of an output, it copies
+// (Message values, not the slices). The Engine and nownet.RoundHost
+// consume each output before the next Step; every Process in this
+// package keeps inbox contents only by value.
 type Process interface {
 	Step(round int, inbox []Message) []Message
 }

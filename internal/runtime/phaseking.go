@@ -36,8 +36,8 @@ func (c PhaseKingConfig) rounds() int { return 2 * (c.MaxFaults + 1) }
 type PhaseKingNode struct {
 	cfg   PhaseKingConfig
 	self  ids.NodeID
-	index map[ids.NodeID]int
 	value int64
+	out   []Message // Step's output, reused by the next broadcast
 
 	maj     int64
 	mult    int
@@ -46,11 +46,7 @@ type PhaseKingNode struct {
 
 // NewPhaseKingNode builds a participant with the given input value.
 func NewPhaseKingNode(cfg PhaseKingConfig, self ids.NodeID, input int64) *PhaseKingNode {
-	idx := make(map[ids.NodeID]int, len(cfg.Members))
-	for i, m := range cfg.Members {
-		idx[m] = i
-	}
-	return &PhaseKingNode{cfg: cfg, self: self, index: idx, value: input}
+	return &PhaseKingNode{cfg: cfg, self: self, value: input}
 }
 
 // Decision returns the decided value after the protocol completes.
@@ -85,15 +81,19 @@ func (n *PhaseKingNode) Step(round int, inbox []Message) []Message {
 	return nil
 }
 
+// broadcast sends payload, boxed once, to every other member, in the
+// array of the previous broadcast (the Process contract lets it go at the
+// next Step).
 func (n *PhaseKingNode) broadcast(round int, payload pkValue) []Message {
-	out := make([]Message, 0, len(n.cfg.Members)-1)
+	var boxed any = payload
+	n.out = outBuffer(n.out, len(n.cfg.Members)-1)
 	for _, to := range n.cfg.Members {
 		if to == n.self {
 			continue
 		}
-		out = append(out, Message{From: n.self, To: to, Round: round, Payload: payload})
+		n.out = append(n.out, Message{From: n.self, To: to, Round: round, Payload: boxed})
 	}
-	return out
+	return n.out
 }
 
 // tally computes majority value and multiplicity from a broadcast round
@@ -142,6 +142,7 @@ func (n *PhaseKingNode) applyKing(inbox []Message, king ids.NodeID) {
 type PKLiarNode struct {
 	cfg  PhaseKingConfig
 	self ids.NodeID
+	out  []Message // Step's output, reused by the next Step
 }
 
 // NewPKLiarNode builds the attacker.
@@ -156,7 +157,7 @@ func (n *PKLiarNode) Step(round int, _ []Message) []Message {
 	}
 	phase := round / 2
 	king := n.cfg.Members[phase%len(n.cfg.Members)]
-	var out []Message
+	out := outBuffer(n.out, len(n.cfg.Members)-1)
 	for i, to := range n.cfg.Members {
 		if to == n.self {
 			continue
@@ -170,7 +171,17 @@ func (n *PKLiarNode) Step(round int, _ []Message) []Message {
 				Payload: pkValue{Kind: pkKingSay, Value: int64((i + 1) % 2)}})
 		}
 	}
+	n.out = out
 	return out
+}
+
+// outBuffer empties a process's output buffer, making it at its full
+// size the first time, so a Step's output never regrows.
+func outBuffer(out []Message, size int) []Message {
+	if cap(out) < size {
+		return make([]Message, 0, size)
+	}
+	return out[:0]
 }
 
 // RunPhaseKing drives a committee to completion on the engine and returns

@@ -22,27 +22,29 @@ const (
 	tagToken
 )
 
-// EncodePayload serializes a protocol payload to its wire tag and body.
-func EncodePayload(p any) (tag byte, body []byte, err error) {
+// AppendPayload appends a protocol payload's wire form, its tag byte then
+// its body, to dst and returns the extended slice; on error dst comes back
+// unchanged. Encoding into a reused buffer allocates nothing.
+func AppendPayload(dst []byte, p any) ([]byte, error) {
 	switch v := p.(type) {
 	case commitMsg:
-		return tagCommit, be64(v.Tag), nil
+		return binary.BigEndian.AppendUint64(append(dst, tagCommit), v.Tag), nil
 	case revealMsg:
-		body = append(be64(v.Tag), be64(uint64(v.Share))...)
-		return tagReveal, body, nil
+		dst = binary.BigEndian.AppendUint64(append(dst, tagReveal), v.Tag)
+		return binary.BigEndian.AppendUint64(dst, uint64(v.Share)), nil
 	case voteMsg:
-		return tagVote, be64(v.Mask), nil
+		return binary.BigEndian.AppendUint64(append(dst, tagVote), v.Mask), nil
 	case pkValue:
-		body = append([]byte{byte(v.Kind)}, be64(uint64(v.Value))...)
-		return tagPKValue, body, nil
+		return binary.BigEndian.AppendUint64(append(dst, tagPKValue, byte(v.Kind)), uint64(v.Value)), nil
 	case token:
-		body = append(be64(v.WalkID), be64(uint64(v.Remaining))...)
-		return tagToken, body, nil
+		dst = binary.BigEndian.AppendUint64(append(dst, tagToken), v.WalkID)
+		return binary.BigEndian.AppendUint64(dst, uint64(v.Remaining)), nil
 	}
-	return 0, nil, fmt.Errorf("runtime: no wire encoding for payload type %T", p)
+	return dst, fmt.Errorf("runtime: no wire encoding for payload type %T", p)
 }
 
-// DecodePayload reverses EncodePayload.
+// DecodePayload reverses AppendPayload: tag is the first byte it wrote
+// and body the rest.
 func DecodePayload(tag byte, body []byte) (any, error) {
 	switch tag {
 	case tagCommit:
@@ -82,12 +84,6 @@ func DecodePayload(tag byte, body []byte) (any, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("runtime: unknown payload tag %d", tag)
-}
-
-func be64(v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return b[:]
 }
 
 // NewToken builds a relay walk token; the nownet port and the demo driver

@@ -80,9 +80,17 @@ go test -run '^$' -bench 'BenchmarkIdealDraw' \
 # The wire path: a warm stream decoder allocates only the payload copy it
 # hands out, and a warm Node.Request round trip over localhost TCP only the
 # two payload copies (request and response) — encode buffers, request
-# waiters and their timers are all reused.
-echo "== benchmem gate: wire path (stream reframing, TCP request echo) =="
-go test -run '^$' -bench 'BenchmarkStreamReframe|BenchmarkTCPRequestEcho' \
+# waiters and their timers are all reused. A round-host decision (the
+# wire_tcp committee on the loopback net, 48 requests and 48 acks) makes
+# its processes and hosts, each host's dedupe table and two inbox arrays
+# once, and otherwise only what it sends and delivers: 867 allocs/op
+# (1088 before round frames, outputs and inboxes were reused), of which
+# the loopback net's own encoding of each envelope and boxing of each
+# scheduled event are 813. A frame per emission again (+48), an output
+# slice per Step, inboxes regrown every round or a map per dedupe
+# crosses the floor.
+echo "== benchmem gate: wire path (stream reframing, TCP request echo, round-host decision) =="
+go test -run '^$' -bench 'BenchmarkStreamReframe|BenchmarkTCPRequestEcho|BenchmarkRoundHostDecision' \
 	-benchmem -benchtime 50x ./internal/nownet/ | tee -a "$out"
 
 # Floors: "<benchmark-prefix> <max allocs/op>". A line matches the longest
@@ -104,6 +112,7 @@ BenchmarkWorldBootstrap/N=4096,n0=128 56
 BenchmarkStreamReframe/empty 0
 BenchmarkStreamReframe/payload 1
 BenchmarkTCPRequestEcho 2
+BenchmarkRoundHostDecision 870
 '
 
 fail=0
